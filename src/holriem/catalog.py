@@ -8,20 +8,23 @@ stay grep-able; ``verify_all`` is deterministic for a fixed seed.
 from __future__ import annotations
 
 import random
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from typing import Sequence
 
 from . import dsl
 from .forms import QuadraticForm
 from .geometry import (
+    ConnectionTable,
+    CurvatureTensor,
     adapted_gram_unipotent,
     bianchi_defect,
     compatibility_defect,
     constant_curvature,
     constant_curvature_defect,
+    constant_curvature_value,
     curvature,
     curvature_antisymmetry_defect,
     flow_preserves_adapted_form,
@@ -86,12 +89,22 @@ class ParamExtension:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One catalog item; its metric data is derived once, on first use."""
+
     id: str
     algebra: LieAlgebra
     form: QuadraticForm | None = None
     model: HomogeneousModel | None = None
     expected: dict[str, str] | None = None
     params: ParamExtension | None = None
+
+    @cached_property
+    def connection(self) -> ConnectionTable:
+        return levi_civita(self.algebra, self.form)
+
+    @cached_property
+    def tensor(self) -> CurvatureTensor:
+        return curvature(self.algebra, self.connection)
 
 
 def abelian3_algebra() -> LieAlgebra:
@@ -448,12 +461,19 @@ class CheckResult:
     def passed(self) -> bool:
         return self.status == "pass"
 
+    def status_line(self) -> str:
+        line = f"{self.status.upper():4} {self.id}"
+        if self.value is not None:
+            line += f"  value={self.value}"
+        if self.witness is not None:
+            line += f"  witness={self.witness}"
+        return line
+
 
 @dataclass(frozen=True)
 class VerifyReport:
     seed: int
     checks: tuple[CheckResult, ...]
-    timestamp: float
 
     @property
     def pass_count(self) -> int:
@@ -511,7 +531,7 @@ def verify_entry(entry: CatalogEntry) -> list[CheckResult]:
         checks.append(_entry_property_check(entry, key, expected))
 
     if entry.form is not None:
-        checks.extend(_metric_identity_checks(prefix, algebra, entry.form))
+        checks.extend(_metric_identity_checks(entry))
     return checks
 
 
@@ -556,33 +576,28 @@ def _entry_property_check(entry: CatalogEntry, key: str, expected: str) -> Check
 def _constant_curvature_check(
     entry: CatalogEntry, check_id: str, expected: str
 ) -> CheckResult:
-    algebra, form = entry.algebra, entry.form
-    if form is None:
+    if entry.form is None:
         return _check(check_id, False, witness="entry carries no metric")
-    tensor = curvature(algebra, levi_civita(algebra, form))
     expected_k = dsl.parse_scalar(expected)
-    defect = constant_curvature_defect(form, tensor, expected_k)
+    defect = constant_curvature_defect(entry.form, entry.tensor, expected_k)
     if defect is None:
         return _check(check_id, True, value=_render_constant(expected_k))
-    got = constant_curvature(algebra, form)
+    got = constant_curvature_value(entry.form, entry.tensor)
     return _check(
         check_id,
         False,
-        witness=f"{_triple_str(algebra, defect)} got {_render_constant(got)}",
+        witness=f"{_triple_str(entry.algebra, defect)} got {_render_constant(got)}",
         value=_render_constant(got),
     )
 
 
-def _metric_identity_checks(
-    prefix: str, algebra: LieAlgebra, form: QuadraticForm
-) -> list[CheckResult]:
-    connection = levi_civita(algebra, form)
-    tensor = curvature(algebra, connection)
-    torsion = torsion_defect(algebra, connection)
-    compat = compatibility_defect(form, connection)
-    antisym = curvature_antisymmetry_defect(tensor)
-    bianchi = bianchi_defect(tensor)
-    skew = pair_skew_defect(form, tensor)
+def _metric_identity_checks(entry: CatalogEntry) -> list[CheckResult]:
+    prefix, algebra, form = entry.id, entry.algebra, entry.form
+    torsion = torsion_defect(algebra, entry.connection)
+    compat = compatibility_defect(form, entry.connection)
+    antisym = curvature_antisymmetry_defect(entry.tensor)
+    bianchi = bianchi_defect(entry.tensor)
+    skew = pair_skew_defect(form, entry.tensor)
     return [
         _check(f"{prefix}/torsion_free", torsion is None, _triple_str(algebra, torsion)),
         _check(
@@ -626,7 +641,7 @@ def verify_prop_unimodular(catalog: Sequence[CatalogEntry]) -> list[CheckResult]
                 _check(f"unimodular3/{entry_id}", False, witness="entry missing")
             )
             continue
-        k = constant_curvature(entry.algebra, entry.form)
+        k = constant_curvature_value(entry.form, entry.tensor)
         value = _render_constant(k)
         if entry_id == "sl2":
             ok = k is not None and bool(k)
@@ -1058,7 +1073,7 @@ def verify_all(
     ids = [c.id for c in checks]
     if len(set(ids)) != len(ids):
         raise AssertionError("duplicate check ids in report")
-    return VerifyReport(seed=seed, checks=tuple(checks), timestamp=time.time())
+    return VerifyReport(seed=seed, checks=tuple(checks))
 
 
 def report_to_json(report: VerifyReport) -> str:
@@ -1067,31 +1082,14 @@ def report_to_json(report: VerifyReport) -> str:
 
     payload = {
         "seed": report.seed,
-        "checks": [
-            {
-                "id": c.id,
-                "status": c.status,
-                "witness": c.witness,
-                "value": c.value,
-            }
-            for c in report.checks
-        ],
+        "checks": [asdict(c) for c in report.checks],
         "summary": {"pass": report.pass_count, "fail": report.fail_count},
     }
     return json.dumps(payload, indent=2)
 
 
 def render_report_text(report: VerifyReport, quiet: bool = False) -> str:
-    lines = []
-    for c in report.checks:
-        if quiet and c.passed:
-            continue
-        line = f"{c.status.upper():4} {c.id}"
-        if c.value is not None:
-            line += f"  value={c.value}"
-        if c.witness is not None:
-            line += f"  witness={c.witness}"
-        lines.append(line)
+    lines = [c.status_line() for c in report.checks if not (quiet and c.passed)]
     lines.append(
         f"summary: {report.pass_count} passed, {report.fail_count} failed, seed={report.seed}"
     )

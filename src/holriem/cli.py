@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
+from itertools import combinations
 
 from . import catalog as cat
 from . import dsl
-from .forms import DegenerateForm
-from .geometry import constant_curvature, curvature, flatness_defect, levi_civita
+from .geometry import constant_curvature_value, curvature, flatness_defect, levi_civita
 from .liealg import (
     NotUnimodular,
     WrongDimension,
@@ -108,89 +109,74 @@ def _load(path: str) -> dsl.SpecFile:
         return dsl.parse(handle.read())
 
 
-def _emit_records(args, records: list[dict], data: bool = False) -> None:
-    """Print check-shaped records as text lines or one JSON array.
+def _print_json(records: list[cat.CheckResult]) -> None:
+    print(json.dumps([asdict(r) for r in records], indent=2))
+
+
+def _emit_records(args, records: list[cat.CheckResult], data: bool = False) -> None:
+    """Print check records as status lines or one JSON array.
 
     ``data`` marks informational output that --quiet must not suppress.
     """
     if args.json:
-        print(json.dumps(records, indent=2))
+        _print_json(records)
         return
     for record in records:
         if data:
-            print(f"{record['id']} = {record['value']}")
-            continue
-        if args.quiet and record["status"] == "pass":
-            continue
-        line = f"{record['status'].upper():4} {record['id']}"
-        if record.get("value") is not None:
-            line += f"  value={record['value']}"
-        if record.get("witness") is not None:
-            line += f"  witness={record['witness']}"
-        print(line)
+            print(f"{record.id} = {record.value}")
+        elif not (args.quiet and record.passed):
+            print(record.status_line())
 
 
-def _record(check_id: str, ok: bool, witness=None, value=None) -> dict:
-    return {
-        "id": check_id,
-        "status": "pass" if ok else "fail",
-        "witness": None if ok else witness,
-        "value": value,
-    }
+def _print_facts(args, facts: list[tuple[str, str]]) -> None:
+    if args.json:
+        _print_json([cat._check(key, True, value=value) for key, value in facts])
+    else:
+        for key, value in facts:
+            print(f"{key}: {value}")
 
 
 def _cmd_validate(args) -> int:
     spec = _load(args.file)
     algebra = dsl.to_algebra(spec)
-    records = []
     triple = jacobi_witness(algebra)
-    witness = None
-    if triple is not None:
-        names = ",".join(algebra.basis_names[t] for t in triple)
-        witness = f"triple=({names})"
-    records.append(_record("jacobi", triple is None, witness))
+    records = [cat._check("jacobi", triple is None, cat._triple_str(algebra, triple))]
     if spec.isotropy:
         try:
             model = dsl.to_model(spec)
             if model.quotient_form is not None:
                 records.append(
-                    _record(
+                    cat._check(
                         "form_nondegenerate",
                         model.quotient_form.nondegenerate,
                         "quotient form is degenerate",
                     )
                 )
         except ValueError as exc:
-            records.append(_record("model_wellformed", False, str(exc)))
+            records.append(cat._check("model_wellformed", False, str(exc)))
     else:
         form = dsl.to_metric(spec)
         if form is not None:
             records.append(
-                _record("form_nondegenerate", form.nondegenerate, "form is degenerate")
+                cat._check("form_nondegenerate", form.nondegenerate, "form is degenerate")
             )
     _emit_records(args, records)
-    return 0 if all(r["status"] == "pass" for r in records) else 1
+    return 0 if all(r.passed for r in records) else 1
 
 
 def _cmd_invariants(args) -> int:
     spec = _load(args.file)
     algebra = dsl.to_algebra(spec)
-    facts = [
-        ("unimodular", "true" if is_unimodular(algebra) else "false"),
-        ("solvable", "true" if is_solvable(algebra) else "false"),
-        ("nilpotent", "true" if is_nilpotent(algebra) else "false"),
-        ("center_dim", str(len(center(algebra)))),
-        ("derived_dims", ",".join(str(d) for d in derived_series(algebra))),
-    ]
-    if args.json:
-        print(
-            json.dumps(
-                [_record(key, True, value=value) for key, value in facts], indent=2
-            )
-        )
-    else:
-        for key, value in facts:
-            print(f"{key}: {value}")
+    _print_facts(
+        args,
+        [
+            ("unimodular", "true" if is_unimodular(algebra) else "false"),
+            ("solvable", "true" if is_solvable(algebra) else "false"),
+            ("nilpotent", "true" if is_nilpotent(algebra) else "false"),
+            ("center_dim", str(len(center(algebra)))),
+            ("derived_dims", ",".join(str(d) for d in derived_series(algebra))),
+        ],
+    )
     return 0
 
 
@@ -203,7 +189,7 @@ def _cmd_classify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps([_record("classify", True, value=tag)], indent=2))
+        _print_json([cat._check("classify", True, value=tag)])
     else:
         print(tag)
     return 0
@@ -220,20 +206,21 @@ def _require_metric(spec: dsl.SpecFile):
     return dsl.to_algebra(spec), form
 
 
+def _combination_record(names, record_id: str, vector) -> cat.CheckResult:
+    combo = {names[k]: c for k, c in enumerate(vector) if c}
+    return cat._check(record_id, True, value=dsl.format_combination(names, combo))
+
+
 def _cmd_connection(args) -> int:
     spec = _load(args.file)
     algebra, form = _require_metric(spec)
     table = levi_civita(algebra, form)
-    records = []
-    for i, a in enumerate(algebra.basis_names):
-        for j, b in enumerate(algebra.basis_names):
-            combo = {
-                algebra.basis_names[k]: c
-                for k, c in enumerate(table.coeffs[i][j])
-                if c
-            }
-            rendered = dsl.format_combination(algebra.basis_names, combo)
-            records.append(_record(f"nabla({a},{b})", True, value=rendered))
+    names = algebra.basis_names
+    records = [
+        _combination_record(names, f"nabla({a},{b})", table.coeffs[i][j])
+        for i, a in enumerate(names)
+        for j, b in enumerate(names)
+    ]
     _emit_records(args, records, data=True)
     return 0
 
@@ -243,17 +230,13 @@ def _cmd_curvature(args) -> int:
     algebra, form = _require_metric(spec)
     tensor = curvature(algebra, levi_civita(algebra, form))
     names = algebra.basis_names
-    records = []
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            for k in range(algebra.dim):
-                combo = {
-                    names[l]: c for l, c in enumerate(tensor.comps[i][j][k]) if c
-                }
-                rendered = dsl.format_combination(names, combo)
-                records.append(
-                    _record(f"R({names[i]},{names[j]}){names[k]}", True, value=rendered)
-                )
+    records = [
+        _combination_record(
+            names, f"R({names[i]},{names[j]}){names[k]}", tensor.comps[i][j][k]
+        )
+        for i, j in combinations(range(algebra.dim), 2)
+        for k in range(algebra.dim)
+    ]
     _emit_records(args, records, data=True)
     return 0
 
@@ -261,30 +244,14 @@ def _cmd_curvature(args) -> int:
 def _cmd_constcurv(args) -> int:
     spec = _load(args.file)
     algebra, form = _require_metric(spec)
-    try:
-        value = constant_curvature(algebra, form)
-    except DegenerateForm as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if value is None:
-        tensor = curvature(algebra, levi_civita(algebra, form))
-        triple = flatness_defect(tensor)
-        names = ",".join(algebra.basis_names[t] for t in triple) if triple else ""
-        witness = f"triple=({names})" if triple else None
-        if args.json:
-            print(
-                json.dumps(
-                    [_record("constcurv", True, value="NotConstant", witness=witness)],
-                    indent=2,
-                )
-            )
-        else:
-            suffix = f"  witness={witness}" if witness else ""
-            print(f"NotConstant{suffix}")
-        return 0
-    rendered = f"Constant({value})"
+    tensor = curvature(algebra, levi_civita(algebra, form))
+    value = constant_curvature_value(form, tensor)
+    rendered = cat._render_constant(value)
     if args.json:
-        print(json.dumps([_record("constcurv", True, value=rendered)], indent=2))
+        _print_json([cat._check("constcurv", True, value=rendered)])
+    elif value is None:
+        # A zero tensor is Constant(0), so a nonzero component always exists.
+        print(f"{rendered}  witness={cat._triple_str(algebra, flatness_defect(tensor))}")
     else:
         print(rendered)
     return 0
@@ -301,15 +268,7 @@ def _cmd_model(args) -> int:
     else:
         facts.append(("invariance", "n/a"))
     facts.append(("invariant_form_dim", str(len(invariant_forms(model)))))
-    if args.json:
-        print(
-            json.dumps(
-                [_record(key, True, value=value) for key, value in facts], indent=2
-            )
-        )
-    else:
-        for key, value in facts:
-            print(f"{key}: {value}")
+    _print_facts(args, facts)
     return 0
 
 
@@ -325,18 +284,15 @@ def _cmd_verify(args) -> int:
 def _cmd_mobius(args) -> int:
     worst = cat.mobius_invariance_check(args.samples, args.seed, args.tol)
     if args.json:
-        print(
-            json.dumps(
-                [
-                    _record(
-                        "mobius",
-                        worst < args.tol,
-                        witness=f"residual {worst!r}",
-                        value=repr(worst),
-                    )
-                ],
-                indent=2,
-            )
+        _print_json(
+            [
+                cat._check(
+                    "mobius",
+                    worst < args.tol,
+                    witness=f"residual {worst!r}",
+                    value=repr(worst),
+                )
+            ]
         )
     else:
         print(f"max residual: {worst!r} (tol {args.tol!r})")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import CMatrix, Vector, as_vector
+from .linalg import CMatrix, _dot, as_vector
 from .scalars import GaussianRational, ZERO, as_gr
 
 
@@ -82,10 +82,3 @@ class QuadraticForm:
             [[self.apply(u, v) for v in vecs] for u in vecs]
         )
 
-
-def _dot(u: Vector, v: Vector) -> GaussianRational:
-    total = ZERO
-    for a, b in zip(u, v):
-        if a and b:
-            total = total + a * b
-    return total

@@ -6,6 +6,12 @@ frames with constant inner products determines the connection,
 
     2 q(nabla_x y, z) = q([x,y], z) - q([y,z], x) + q([z,x], y).
 
+On the basis, with the structure constants lowered once by the Gram
+matrix G, ``c_ijk = sum_l c_ij^l G_lk = q([e_i,e_j], e_k)``, this is the
+closed form (Milnor, Adv. Math. 1976)
+
+    nabla_{e_i} e_j = G^-1 ((c_ijk - c_jki + c_kij) / 2)_k.
+
 Curvature convention used throughout (flatness does not depend on it):
 
     R(x, y) z = nabla_x nabla_y z - nabla_y nabla_x z - nabla_[x,y] z,
@@ -17,10 +23,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from itertools import product
+from typing import Callable, Sequence
 
 from .forms import DegenerateForm, QuadraticForm
-from .liealg import LieAlgebra, bracket
+from .liealg import LieAlgebra
 from .linalg import (
     CMatrix,
     Vector,
@@ -107,7 +114,14 @@ class CurvatureTensor:
         return tuple(out)
 
     def is_zero(self) -> bool:
-        return first_nonzero_component(self) is None
+        return flatness_defect(self) is None
+
+
+def _first_index(
+    n: int, arity: int, bad: Callable[..., object]
+) -> tuple[int, ...] | None:
+    """Lexicographically first index tuple in ``range(n)^arity`` where ``bad`` holds."""
+    return next((t for t in product(range(n), repeat=arity) if bad(*t)), None)
 
 
 def levi_civita(algebra: LieAlgebra, form: QuadraticForm) -> ConnectionTable:
@@ -117,23 +131,18 @@ def levi_civita(algebra: LieAlgebra, form: QuadraticForm) -> ConnectionTable:
     if form.dim != n:
         raise ValueError("form dimension does not match the algebra")
     gram_inverse = form.gram.inverse()
-    basis = [algebra.basis_vector(i) for i in range(n)]
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            rhs = []
-            bij = bracket(algebra, basis[i], basis[j])
-            for k in range(n):
-                value = (
-                    form.apply(bij, basis[k])
-                    - form.apply(bracket(algebra, basis[j], basis[k]), basis[i])
-                    + form.apply(bracket(algebra, basis[k], basis[i]), basis[j])
+    c = [[form.gram.apply(v) for v in row] for row in algebra.constants]
+    return ConnectionTable(
+        tuple(
+            tuple(
+                gram_inverse.apply(
+                    [(c[i][j][k] - c[j][k][i] + c[k][i][j]) / 2 for k in range(n)]
                 )
-                rhs.append(value / 2)
-            row.append(gram_inverse.apply(rhs))
-        table.append(tuple(row))
-    return ConnectionTable(tuple(table))
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+    )
 
 
 def curvature(algebra: LieAlgebra, connection: ConnectionTable) -> CurvatureTensor:
@@ -144,7 +153,7 @@ def curvature(algebra: LieAlgebra, connection: ConnectionTable) -> CurvatureTens
         plane = []
         for j in range(n):
             fibers = []
-            bij = bracket(algebra, basis[i], basis[j])
+            bij = algebra.constants[i][j]
             for k in range(n):
                 value = vsub(
                     vsub(
@@ -190,42 +199,38 @@ def _model_component(
 def constant_curvature(
     algebra: LieAlgebra, form: QuadraticForm
 ) -> GaussianRational | None:
-    """Constant k with ``R(x,y)z = k (q(y,z)x - q(x,z)y)``, else None.
+    """Constant k with ``R(x,y)z = k (q(y,z)x - q(x,z)y)``, else None."""
+    return constant_curvature_value(form, curvature(algebra, levi_civita(algebra, form)))
+
+
+def constant_curvature_value(
+    form: QuadraticForm, tensor: CurvatureTensor
+) -> GaussianRational | None:
+    """The constant of ``constant_curvature`` for an already derived tensor.
 
     The candidate is read from the lexicographically first nondegenerate
     coordinate plane (falling back to the first nonzero model-tensor
     component) and then the identity is verified on all basis triples.
     """
-    form.require_nondegenerate()
-    tensor = curvature(algebra, levi_civita(algebra, form))
-    n = algebra.dim
-    candidate = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            u, v = algebra.basis_vector(i), algebra.basis_vector(j)
-            value = sectional_curvature(form, tensor, u, v)
-            if value is not None:
-                candidate = value
-                break
-        if candidate is not None:
-            break
-    if candidate is None:
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    model = _model_component(form, i, j, k, n)
-                    for l, m in enumerate(model):
-                        if m:
-                            candidate = tensor.comps[i][j][k][l] / m
-                            break
-                    if candidate is not None:
-                        break
-                if candidate is not None:
-                    break
-            if candidate is not None:
-                break
-    if candidate is None:
-        raise DegenerateForm("no usable plane for the curvature candidate")
+    n = tensor.dim
+    basis = [connection_basis(n, i) for i in range(n)]
+    plane = _first_index(
+        n,
+        2,
+        lambda i, j: i < j
+        and sectional_curvature(form, tensor, basis[i], basis[j]) is not None,
+    )
+    if plane is not None:
+        i, j = plane
+        candidate = sectional_curvature(form, tensor, basis[i], basis[j])
+    else:
+        slot = _first_index(
+            n, 4, lambda i, j, k, l: _model_component(form, i, j, k, n)[l]
+        )
+        if slot is None:
+            raise DegenerateForm("no usable plane for the curvature candidate")
+        i, j, k, l = slot
+        candidate = tensor.comps[i][j][k][l] / _model_component(form, i, j, k, n)[l]
     if constant_curvature_defect(form, tensor, candidate) is not None:
         return None
     return candidate
@@ -237,28 +242,18 @@ def constant_curvature_defect(
     """First basis triple violating ``R(x,y)z = k (q(y,z)x - q(x,z)y)``."""
     value = as_gr(k)
     n = tensor.dim
-    for i in range(n):
-        for j in range(n):
-            for m in range(n):
-                model = vscale(value, _model_component(form, i, j, m, n))
-                if any(vsub(tensor.comps[i][j][m], model)):
-                    return (i, j, m)
-    return None
+    return _first_index(
+        n,
+        3,
+        lambda i, j, m: any(
+            vsub(tensor.comps[i][j][m], vscale(value, _model_component(form, i, j, m, n)))
+        ),
+    )
 
 
 def flatness_defect(tensor: CurvatureTensor) -> tuple[int, int, int] | None:
     """First basis triple with a nonzero curvature component, or None."""
-    return first_nonzero_component(tensor)
-
-
-def first_nonzero_component(tensor: CurvatureTensor) -> tuple[int, int, int] | None:
-    n = tensor.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if any(tensor.comps[i][j][k]):
-                    return (i, j, k)
-    return None
+    return _first_index(tensor.dim, 3, lambda i, j, k: any(tensor.comps[i][j][k]))
 
 
 def ricci(form: QuadraticForm, tensor: CurvatureTensor) -> QuadraticForm:
@@ -299,16 +294,12 @@ def torsion_defect(
     algebra: LieAlgebra, connection: ConnectionTable
 ) -> tuple[int, int] | None:
     """First basis pair with nabla_x y - nabla_y x != [x, y], or None."""
-    n = algebra.dim
-    for i in range(n):
-        for j in range(n):
-            lhs = vsub(connection.coeffs[i][j], connection.coeffs[j][i])
-            rhs = bracket(
-                algebra, algebra.basis_vector(i), algebra.basis_vector(j)
-            )
-            if any(vsub(lhs, rhs)):
-                return (i, j)
-    return None
+    c = connection.coeffs
+    return _first_index(
+        algebra.dim,
+        2,
+        lambda i, j: any(vsub(vsub(c[i][j], c[j][i]), algebra.constants[i][j])),
+    )
 
 
 def compatibility_defect(
@@ -317,42 +308,31 @@ def compatibility_defect(
     """First triple violating q(nabla_z x, y) + q(x, nabla_z y) = 0."""
     n = connection.dim
     basis = [connection_basis(n, i) for i in range(n)]
-    for z in range(n):
-        for x in range(n):
-            for y in range(n):
-                value = form.apply(connection.coeffs[z][x], basis[y]) + form.apply(
-                    basis[x], connection.coeffs[z][y]
-                )
-                if value:
-                    return (z, x, y)
-    return None
+    c = connection.coeffs
+    return _first_index(
+        n,
+        3,
+        lambda z, x, y: form.apply(c[z][x], basis[y]) + form.apply(basis[x], c[z][y]),
+    )
 
 
 def curvature_antisymmetry_defect(
     tensor: CurvatureTensor,
 ) -> tuple[int, int, int] | None:
-    n = tensor.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if any(vadd(tensor.comps[i][j][k], tensor.comps[j][i][k])):
-                    return (i, j, k)
-    return None
+    r = tensor.comps
+    return _first_index(
+        tensor.dim, 3, lambda i, j, k: any(vadd(r[i][j][k], r[j][i][k]))
+    )
 
 
 def bianchi_defect(tensor: CurvatureTensor) -> tuple[int, int, int] | None:
     """First triple violating R(x,y)z + R(y,z)x + R(z,x)y = 0."""
-    n = tensor.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                total = vadd(
-                    vadd(tensor.comps[i][j][k], tensor.comps[j][k][i]),
-                    tensor.comps[k][i][j],
-                )
-                if any(total):
-                    return (i, j, k)
-    return None
+    r = tensor.comps
+    return _first_index(
+        tensor.dim,
+        3,
+        lambda i, j, k: any(vadd(vadd(r[i][j][k], r[j][k][i]), r[k][i][j])),
+    )
 
 
 def pair_skew_defect(
@@ -361,16 +341,13 @@ def pair_skew_defect(
     """First quadruple violating q(R(x,y)z, w) = -q(R(x,y)w, z)."""
     n = tensor.dim
     basis = [connection_basis(n, i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    value = form.apply(tensor.comps[i][j][k], basis[l]) + form.apply(
-                        tensor.comps[i][j][l], basis[k]
-                    )
-                    if value:
-                        return (i, j, k, l)
-    return None
+    r = tensor.comps
+    return _first_index(
+        n,
+        4,
+        lambda i, j, k, l: form.apply(r[i][j][k], basis[l])
+        + form.apply(r[i][j][l], basis[k]),
+    )
 
 
 # -- orthogonal algebra ---------------------------------------------------
@@ -378,6 +355,13 @@ def pair_skew_defect(
 
 def skew_algebra(form: QuadraticForm) -> list[CMatrix]:
     """Exact basis of ``so(q) = {A : A^T G + G A = 0}``; dim n(n-1)/2."""
+    return stabilizer_in_skew(form, [])
+
+
+def stabilizer_in_skew(
+    form: QuadraticForm, vectors: Sequence[Sequence]
+) -> list[CMatrix]:
+    """Basis of ``{A in so(q) : A v = 0 for each given v}``."""
     form.require_nondegenerate()
     n = form.dim
     gram = form.gram.entries
@@ -390,29 +374,6 @@ def skew_algebra(form: QuadraticForm) -> list[CMatrix]:
                 # (A^T G)_{ab} = sum_k A[k][a] G[k][b]
                 row[a * n + k] = row[a * n + k] + gram[k][b]
                 # (G A)_{ab} = sum_k G[a][k] A[k][b]
-                row[b * n + k] = row[b * n + k] + gram[a][k]
-            rows.append(row)
-    matrices = []
-    for v in kernel(CMatrix(rows)):
-        matrices.append(
-            CMatrix([[v[c * n + r] for c in range(n)] for r in range(n)])
-        )
-    return matrices
-
-
-def stabilizer_in_skew(
-    form: QuadraticForm, vectors: Sequence[Sequence]
-) -> list[CMatrix]:
-    """Basis of ``{A in so(q) : A v = 0 for each given v}``."""
-    form.require_nondegenerate()
-    n = form.dim
-    gram = form.gram.entries
-    rows = []
-    for a in range(n):
-        for b in range(a, n):
-            row = [ZERO] * (n * n)
-            for k in range(n):
-                row[a * n + k] = row[a * n + k] + gram[k][b]
                 row[b * n + k] = row[b * n + k] + gram[a][k]
             rows.append(row)
     for v in vectors:

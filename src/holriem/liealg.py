@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .forms import QuadraticForm
@@ -159,47 +160,39 @@ def ad(algebra: LieAlgebra, x: Sequence) -> CMatrix:
     return CMatrix.from_columns(columns)
 
 
+def _jacobiators(algebra: LieAlgebra):
+    """Yield ``((i, j, k), [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j])``.
+
+    Basis triples i < j < k come lazily in lexicographic order, so a
+    caller that stops at the first violation computes nothing further.
+    """
+    basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    for i, j, k in combinations(range(algebra.dim), 3):
+        x, y, z = basis[i], basis[j], basis[k]
+        yield (i, j, k), vadd(
+            vadd(
+                bracket(algebra, bracket(algebra, x, y), z),
+                bracket(algebra, bracket(algebra, y, z), x),
+            ),
+            bracket(algebra, bracket(algebra, z, x), y),
+        )
+
+
 def jacobi_defect(algebra: LieAlgebra) -> Fraction:
     """Largest exact violation of the Jacobi identity over basis triples.
 
     Zero iff the table is a Lie algebra; the magnitude of a coefficient
     ``a + b*i`` is measured as ``max(|a|, |b|)``.
     """
-    worst = Fraction(0)
-    n = algebra.dim
-    basis = [algebra.basis_vector(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                total = vadd(
-                    vadd(
-                        bracket(algebra, bracket(algebra, basis[i], basis[j]), basis[k]),
-                        bracket(algebra, bracket(algebra, basis[j], basis[k]), basis[i]),
-                    ),
-                    bracket(algebra, bracket(algebra, basis[k], basis[i]), basis[j]),
-                )
-                for c in total:
-                    worst = max(worst, c.maxabs())
-    return worst
+    return max(
+        (c.maxabs() for _, total in _jacobiators(algebra) for c in total),
+        default=Fraction(0),
+    )
 
 
 def jacobi_witness(algebra: LieAlgebra) -> tuple[int, int, int] | None:
     """First basis triple violating the Jacobi identity, or None."""
-    n = algebra.dim
-    basis = [algebra.basis_vector(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                total = vadd(
-                    vadd(
-                        bracket(algebra, bracket(algebra, basis[i], basis[j]), basis[k]),
-                        bracket(algebra, bracket(algebra, basis[j], basis[k]), basis[i]),
-                    ),
-                    bracket(algebra, bracket(algebra, basis[k], basis[i]), basis[j]),
-                )
-                if any(total):
-                    return (i, j, k)
-    return None
+    return next((t for t, total in _jacobiators(algebra) if any(total)), None)
 
 
 def killing_form(algebra: LieAlgebra) -> QuadraticForm:

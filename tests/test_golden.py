@@ -1,0 +1,61 @@
+"""Golden outputs: the verification report and the metric commands' text.
+
+The digests were taken before the metric pipeline moved to the closed-form
+Koszul formula and the shared index scan; any change to a value, a witness
+or the formatting shows up here.
+"""
+
+import hashlib
+from importlib import resources
+
+import pytest
+
+from holriem.catalog import report_to_json, verify_all
+from holriem.cli import cli
+
+REPORT_SHA256 = {
+    42: "f57f384db09359264b8d041f418d188832394273b07cc2022b94967647fc289f",
+    11: "12f3de133605f9a61e10c5ac79570a0b063005a0aac020eeff2fce09b9eda01d",
+}
+
+# SHA-256 of the stdout of ``holriem <command> <file>`` on shipped metric files.
+TEXT_SHA256 = {
+    ("connection", "flat_c3"): "d2c4d5455b2c4177d0c004bb87e8000110f91d27ad8ac0f525bf46172b0e3eac",
+    ("connection", "heis3"): "85070f2a1b9fdc654954a66c4052f8d19ce0190c7b51e4228559167be8b619e8",
+    ("connection", "sol3"): "39ab6dd646f5bffacda4ce75be937f596691ff11d7bb44a1e0c1c1cafbcc926a",
+    ("connection", "sl2"): "b3d7672364a469fd0414ae7f46cf8ce5d7aa082383d4a46a75ba5931807ab241",
+    ("curvature", "flat_c3"): "161c390dc12756ec7ced652d1ff6f07f959c957864e73925ea2e73d481d49bc8",
+    ("curvature", "heis3"): "161c390dc12756ec7ced652d1ff6f07f959c957864e73925ea2e73d481d49bc8",
+    ("curvature", "sol3"): "627897af4f623a6e5f16dac4317a3f923ac776e21983756336b064e1f87dc267",
+    ("curvature", "sl2"): "f37505366cfc10f5ad282aa72295fe4edd1ec292ab8fb0a9466fc74f38385262",
+}
+
+CONSTCURV_TEXT = {
+    "flat_c3": "Constant(0)\n",
+    "heis3": "Constant(0)\n",
+    "sol3": "Constant(0)\n",
+    "sl2": "Constant(-1/8)\n",
+}
+
+
+def _shipped(name: str) -> str:
+    return str(resources.files("holriem") / "data" / f"{name}.liealg")
+
+
+@pytest.mark.parametrize("seed", sorted(REPORT_SHA256))
+def test_report_json_digest(seed):
+    text = report_to_json(verify_all(seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[seed]
+
+
+@pytest.mark.parametrize("command,name", sorted(TEXT_SHA256))
+def test_metric_command_text_digest(command, name, capsys):
+    assert cli([command, _shipped(name)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TEXT_SHA256[(command, name)]
+
+
+@pytest.mark.parametrize("name", sorted(CONSTCURV_TEXT))
+def test_constcurv_text(name, capsys):
+    assert cli(["constcurv", _shipped(name)]) == 0
+    assert capsys.readouterr().out == CONSTCURV_TEXT[name]
