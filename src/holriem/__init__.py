@@ -1,7 +1,7 @@
 """Exact verification toolkit for left-invariant holomorphic Riemannian
 metrics on low-dimensional complex Lie algebras."""
 
-from .scalars import CPoly, GaussianRational, as_gr, gr, rational_sqrt
+from .scalars import CPoly, GaussianRational, as_gr, gr
 from .linalg import (
     CMatrix,
     LinearSolution,
@@ -33,15 +33,10 @@ from .liealg import (
     subalgebra,
 )
 from .geometry import (
-    AdaptedBasis,
-    BasisKind,
     ConnectionTable,
     CurvatureTensor,
-    build_adapted_basis,
     constant_curvature,
     curvature,
-    divergence,
-    isotropic_lines,
     levi_civita,
     ricci,
     sectional_curvature,
@@ -52,12 +47,10 @@ from .geometry import (
 from .models import (
     HomogeneousModel,
     IsotropyType,
-    center_check_semisimple_isotropy,
     check_invariance,
     induced_ad,
     invariant_forms,
     isotropy_type,
-    subalgebra_stabilizing,
 )
 from .catalog import (
     CatalogEntry,

@@ -400,20 +400,6 @@ def build_catalog() -> list[CatalogEntry]:
     return entries
 
 
-def mutate_structure_constant(
-    algebra: LieAlgebra, i: int, j: int, k: int, delta=1
-) -> LieAlgebra:
-    """Copy with ``c^k_{ij}`` shifted by delta (antisymmetry preserved)."""
-    if i == j:
-        raise ValueError("diagonal brackets stay zero")
-    grid = [
-        [list(v) for v in row] for row in algebra.constants
-    ]
-    grid[i][j][k] = grid[i][j][k] + as_gr(delta)
-    grid[j][i][k] = grid[j][i][k] - as_gr(delta)
-    return LieAlgebra(algebra.basis_names, grid)
-
-
 def check_prop_iv(params: ParamExtension) -> bool:
     """Flat-case criterion of the stabilizer family: c = 0, k = -beta^2.
 
@@ -697,7 +683,8 @@ def verify_section4(catalog: Sequence[CatalogEntry]) -> list[CheckResult]:
     checks.append(
         _check(
             "semisimple4/general_ab_report",
-            True,
+            generic_k is None,
+            witness=f"got {_render_constant(generic_k)}",
             value=_render_constant(generic_k),
         )
     )

@@ -247,13 +247,17 @@ def _cmd_constcurv(args) -> int:
     tensor = curvature(algebra, levi_civita(algebra, form))
     value = constant_curvature_value(form, tensor)
     rendered = cat._render_constant(value)
-    if args.json:
-        _print_json([cat._check("constcurv", True, value=rendered)])
-    elif value is None:
+    witness = None
+    if value is None:
         # A zero tensor is Constant(0), so a nonzero component always exists.
-        print(f"{rendered}  witness={cat._triple_str(algebra, flatness_defect(tensor))}")
-    else:
+        witness = cat._triple_str(algebra, flatness_defect(tensor))
+    if args.json:
+        # The certificate is data, not a check, so it passes and keeps its witness.
+        _print_json([cat.CheckResult("constcurv", "pass", witness, rendered)])
+    elif witness is None:
         print(rendered)
+    else:
+        print(f"{rendered}  witness={witness}")
     return 0
 
 

@@ -75,10 +75,3 @@ class QuadraticForm:
         if not self.nondegenerate:
             raise DegenerateForm("quadratic form is degenerate")
 
-    def restrict(self, vectors: Sequence[Sequence]) -> "QuadraticForm":
-        """Gram matrix of the form restricted to the given vectors."""
-        vecs = [as_vector(v) for v in vectors]
-        return QuadraticForm(
-            [[self.apply(u, v) for v in vecs] for u in vecs]
-        )
-

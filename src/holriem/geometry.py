@@ -20,9 +20,7 @@ Curvature convention used throughout (flatness does not depend on it):
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
-from enum import Enum
 from itertools import product
 from typing import Callable, Sequence
 
@@ -33,29 +31,13 @@ from .linalg import (
     Vector,
     as_vector,
     kernel,
-    solve_linear,
     span_basis,
     vadd,
     vscale,
     vsub,
     zero_vector,
 )
-from .scalars import CPoly, GaussianRational, ONE, ZERO, as_gr, ensure_finite, gr
-
-FLOAT_TOL = 1e-9
-
-
-class BadNorm(ValueError):
-    """Adapted bases require the anchor vector to have norm 0 or 1."""
-
-
-class NoExactRoot(ValueError):
-    """A required square root is irrational and exact mode was demanded."""
-
-
-class DegenerateRestriction(ValueError):
-    """The form restricted to the given subspace is degenerate."""
-
+from .scalars import CPoly, GaussianRational, ONE, ZERO, as_gr
 
 @dataclass(frozen=True, slots=True)
 class ConnectionTable:
@@ -112,9 +94,6 @@ class CurvatureTensor:
                         if r:
                             out[l] = out[l] + coeff * r
         return tuple(out)
-
-    def is_zero(self) -> bool:
-        return flatness_defect(self) is None
 
 
 def _first_index(
@@ -272,17 +251,6 @@ def ricci(form: QuadraticForm, tensor: CurvatureTensor) -> QuadraticForm:
     return QuadraticForm(gram)
 
 
-def divergence(connection: ConnectionTable, x: Sequence) -> GaussianRational:
-    """``div x = trace(a -> nabla_a x)`` in the left-invariant frame."""
-    v = as_vector(x)
-    n = connection.dim
-    total = ZERO
-    for i in range(n):
-        image = connection.nabla(connection_basis(n, i), v)
-        total = total + image[i]
-    return total
-
-
 def connection_basis(n: int, i: int) -> Vector:
     return tuple(ONE if k == i else ZERO for k in range(n))
 
@@ -391,216 +359,6 @@ def stabilizer_in_skew(
             CMatrix([[sol[c * n + r] for c in range(n)] for r in range(n)])
         )
     return matrices
-
-
-# -- isotropic lines and adapted bases ------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class IsotropicLines:
-    """The two isotropic directions of a nondegenerate binary form.
-
-    ``exact`` is False when the discriminant root is irrational and the
-    directions carry complex floating-point coordinates.
-    """
-
-    first: tuple
-    second: tuple
-    exact: bool
-
-
-def isotropic_lines(form: QuadraticForm, require_exact: bool = False) -> IsotropicLines:
-    if form.dim != 2:
-        raise ValueError("isotropic_lines expects a binary form")
-    if not form.nondegenerate:
-        raise DegenerateRestriction("restricted plane is degenerate")
-    a = form.gram.entries[0][0]
-    b = form.gram.entries[0][1]
-    c = form.gram.entries[1][1]
-    if not a and not c:
-        return IsotropicLines((ONE, ZERO), (ZERO, ONE), True)
-    if not a:
-        # q = y (2 b x + c y); nondegeneracy forces b != 0.
-        return IsotropicLines((ONE, ZERO), (-c, 2 * b), True)
-    discriminant = b * b - a * c
-    root = discriminant.sqrt()
-    if root is not None:
-        return IsotropicLines((-b + root, a), (-b - root, a), True)
-    if require_exact:
-        raise NoExactRoot("isotropic directions need an irrational square root")
-    root_c = cmath.sqrt(discriminant.to_complex())
-    bc, ac = b.to_complex(), a.to_complex()
-    return IsotropicLines(
-        (ensure_finite(-bc + root_c), ensure_finite(ac)),
-        (ensure_finite(-bc - root_c), ensure_finite(ac)),
-        False,
-    )
-
-
-class BasisKind(Enum):
-    UNIPOTENT = "UNIPOTENT"
-    SEMISIMPLE = "SEMISIMPLE"
-
-
-@dataclass(frozen=True, slots=True)
-class AdaptedBasis:
-    """Basis normalizing a 3-dimensional form around a norm-0 or norm-1 anchor.
-
-    UNIPOTENT (anchor e1 of norm 0):
-        q(e1,e1)=0, q(e1,e2)=0, q(e2,e2)=1, q(e3,e3)=0, q(e2,e3)=0, q(e3,e1)=1.
-    SEMISIMPLE (anchor e1 of norm 1):
-        q(e1,e1)=1, e2 and e3 isotropic in the complement of e1, q(e2,e3)=1.
-
-    When ``exact`` is False the vectors carry complex floats accurate to
-    FLOAT_TOL.
-    """
-
-    e1: tuple
-    e2: tuple
-    e3: tuple
-    kind: BasisKind
-    exact: bool
-
-
-def build_adapted_basis(
-    form: QuadraticForm,
-    anchor: Sequence,
-    require_exact: bool = False,
-    tol: float = FLOAT_TOL,
-) -> AdaptedBasis:
-    form.require_nondegenerate()
-    if form.dim != 3:
-        raise ValueError("adapted bases are defined in dimension 3")
-    e1 = as_vector(anchor)
-    if not any(e1):
-        raise BadNorm("anchor vector must be nonzero")
-    norm = form.norm(e1)
-    if norm == ONE:
-        return _adapted_semisimple(form, e1, require_exact, tol)
-    if not norm:
-        return _adapted_unipotent(form, e1, require_exact, tol)
-    raise BadNorm(f"anchor norm must be 0 or 1, got {norm}")
-
-
-def _orthogonal_complement(form: QuadraticForm, v: Vector) -> list[Vector]:
-    return kernel(CMatrix([form.gram.apply(v)]))
-
-
-def _adapted_unipotent(
-    form: QuadraticForm, e1: Vector, require_exact: bool, tol: float = FLOAT_TOL
-) -> AdaptedBasis:
-    complement = _orthogonal_complement(form, e1)
-    candidates = complement + [vadd(complement[0], complement[1])]
-    w = next((u for u in candidates if form.norm(u)), None)
-    if w is None:
-        raise DegenerateForm("no anisotropic vector orthogonal to the anchor")
-    scale = form.norm(w)
-    root = scale.sqrt()
-    # e3 depends on w only through q(w, .) = 0, so it stays exact even
-    # when normalizing e2 needs an irrational root.
-    constraints = CMatrix([form.gram.apply(e1), form.gram.apply(w)])
-    particular = solve_linear(constraints, (ONE, ZERO))
-    if particular is None:
-        raise DegenerateForm("anchor constraints are inconsistent")
-    p = particular.x
-    e3 = vsub(p, vscale(form.norm(p) / 2, e1))
-    if root is not None:
-        e2 = vscale(root.inverse(), w)
-        _check_adapted_exact(form, e1, e2, e3, BasisKind.UNIPOTENT)
-        return AdaptedBasis(e1, e2, e3, BasisKind.UNIPOTENT, True)
-    if require_exact:
-        raise NoExactRoot("normalizing e2 needs an irrational square root")
-    root_c = cmath.sqrt(scale.to_complex())
-    e1c = tuple(v.to_complex() for v in e1)
-    e2c = tuple(ensure_finite(v.to_complex() / root_c) for v in w)
-    e3c = tuple(v.to_complex() for v in e3)
-    _check_adapted_float(form, e1c, e2c, e3c, BasisKind.UNIPOTENT, tol)
-    return AdaptedBasis(e1c, e2c, e3c, BasisKind.UNIPOTENT, False)
-
-
-def _adapted_semisimple(
-    form: QuadraticForm, e1: Vector, require_exact: bool, tol: float = FLOAT_TOL
-) -> AdaptedBasis:
-    complement = _orthogonal_complement(form, e1)
-    restricted = form.restrict(complement)
-    lines = isotropic_lines(restricted, require_exact=require_exact)
-    if lines.exact:
-        w1 = vadd(
-            vscale(lines.first[0], complement[0]),
-            vscale(lines.first[1], complement[1]),
-        )
-        w2 = vadd(
-            vscale(lines.second[0], complement[0]),
-            vscale(lines.second[1], complement[1]),
-        )
-        pairing = form.apply(w1, w2)
-        e2 = w1
-        e3 = vscale(pairing.inverse(), w2)
-        _check_adapted_exact(form, e1, e2, e3, BasisKind.SEMISIMPLE)
-        return AdaptedBasis(e1, e2, e3, BasisKind.SEMISIMPLE, True)
-    u1 = tuple(v.to_complex() for v in complement[0])
-    u2 = tuple(v.to_complex() for v in complement[1])
-    w1 = tuple(lines.first[0] * a + lines.first[1] * b for a, b in zip(u1, u2))
-    w2 = tuple(lines.second[0] * a + lines.second[1] * b for a, b in zip(u1, u2))
-    gram_c = _gram_complex(form)
-    pairing = _bilinear_complex(gram_c, w1, w2)
-    e1c = tuple(v.to_complex() for v in e1)
-    e3c = tuple(ensure_finite(v / pairing) for v in w2)
-    _check_adapted_float(form, e1c, w1, e3c, BasisKind.SEMISIMPLE, tol)
-    return AdaptedBasis(e1c, w1, e3c, BasisKind.SEMISIMPLE, False)
-
-
-def _adapted_relations(kind: BasisKind):
-    # Pairs ((slot_a, slot_b), expected value) over basis slots 0,1,2.
-    if kind is BasisKind.UNIPOTENT:
-        return (
-            ((0, 0), 0),
-            ((0, 1), 0),
-            ((1, 1), 1),
-            ((2, 2), 0),
-            ((1, 2), 0),
-            ((2, 0), 1),
-        )
-    return (
-        ((0, 0), 1),
-        ((0, 1), 0),
-        ((0, 2), 0),
-        ((1, 1), 0),
-        ((2, 2), 0),
-        ((1, 2), 1),
-    )
-
-
-def _check_adapted_exact(form, e1, e2, e3, kind) -> None:
-    vectors = (e1, e2, e3)
-    for (a, b), expected in _adapted_relations(kind):
-        if form.apply(vectors[a], vectors[b]) != gr(expected):
-            raise AssertionError("adapted basis construction violated a relation")
-
-
-def _gram_complex(form: QuadraticForm):
-    return [
-        [v.to_complex() for v in row] for row in form.gram.entries
-    ]
-
-
-def _bilinear_complex(gram, x, y) -> complex:
-    total = 0j
-    for i, a in enumerate(x):
-        for j, b in enumerate(y):
-            total += a * gram[i][j] * b
-    return ensure_finite(total)
-
-
-def _check_adapted_float(form, e1, e2, e3, kind, tol: float = FLOAT_TOL) -> None:
-    gram = _gram_complex(form)
-    vectors = (e1, e2, e3)
-    for (a, b), expected in _adapted_relations(kind):
-        value = _bilinear_complex(gram, vectors[a], vectors[b])
-        if abs(value - expected) > tol:
-            raise AssertionError(
-                f"adapted basis relation ({a},{b}) off by {abs(value - expected)}"
-            )
 
 
 # -- the unipotent isotropy flow -------------------------------------------

@@ -40,10 +40,6 @@ def vscale(scalar, v: Vector) -> Vector:
     return tuple(s * a for a in v)
 
 
-def is_zero_vector(v: Vector) -> bool:
-    return not any(v)
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class CMatrix:
     """Immutable dense matrix with GaussianRational entries."""
@@ -88,9 +84,6 @@ class CMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 
@@ -99,15 +92,6 @@ class CMatrix:
         return CMatrix(
             [vadd(r, s) for r, s in zip(self.entries, other.entries)]
         )
-
-    def __sub__(self, other: "CMatrix") -> "CMatrix":
-        self._check_same_shape(other)
-        return CMatrix(
-            [vsub(r, s) for r, s in zip(self.entries, other.entries)]
-        )
-
-    def __neg__(self) -> "CMatrix":
-        return CMatrix([[-v for v in row] for row in self.entries])
 
     def scale(self, scalar) -> "CMatrix":
         s = as_gr(scalar)
@@ -290,7 +274,7 @@ def span_basis(vectors: Iterable[Sequence]) -> list[Vector]:
 def in_span(vectors: Sequence[Sequence], v: Sequence) -> bool:
     base = span_basis(vectors)
     if not base:
-        return is_zero_vector(as_vector(v))
+        return not any(as_vector(v))
     return len(span_basis(list(base) + [as_vector(v)])) == len(base)
 
 

@@ -12,7 +12,7 @@ from enum import Enum
 from typing import Sequence
 
 from .forms import QuadraticForm
-from .liealg import LieAlgebra, bracket, center
+from .liealg import LieAlgebra, bracket
 from .linalg import (
     CMatrix,
     Vector,
@@ -36,10 +36,6 @@ class WrongIsotropyDimension(ValueError):
 
 class MissingForm(ValueError):
     """The model carries no quotient form."""
-
-
-class WrongIsotropyType(ValueError):
-    """The operation expects a different isotropy type."""
 
 
 class IsotropyType(Enum):
@@ -174,53 +170,3 @@ def check_invariance(model: HomogeneousModel) -> bool:
         if not (a.transpose() @ s + s @ a).is_zero():
             return False
     return True
-
-
-@dataclass(frozen=True, slots=True)
-class StabilizerResult:
-    basis: tuple[Vector, ...]
-    bracket_closed: bool
-
-
-def subalgebra_stabilizing(
-    algebra: LieAlgebra, subspace: Sequence[Sequence]
-) -> StabilizerResult:
-    """Exact basis of ``{a : [a, W] inside W}`` with a closure certificate."""
-    w_basis = span_basis(subspace)
-    n = algebra.dim
-    if not w_basis:
-        return StabilizerResult(
-            tuple(algebra.basis_vector(i) for i in range(n)), True
-        )
-    # Coordinates modulo W: complete W to a basis and project away W.
-    extension = list(w_basis)
-    for i in range(n):
-        candidate = algebra.basis_vector(i)
-        if not in_span(extension, candidate):
-            extension.append(candidate)
-    transition = CMatrix.from_columns(extension).inverse()
-    m = len(w_basis)
-    rows = []
-    for w in w_basis:
-        images = [
-            transition.apply(bracket(algebra, algebra.basis_vector(i), w))[m:]
-            for i in range(n)
-        ]
-        for component in range(n - m):
-            rows.append([images[i][component] for i in range(n)])
-    basis = kernel(CMatrix(rows)) if rows else [
-        algebra.basis_vector(i) for i in range(n)
-    ]
-    closed = True
-    for u in basis:
-        for v in basis:
-            if not in_span(basis, bracket(algebra, u, v)):
-                closed = False
-    return StabilizerResult(tuple(basis), closed)
-
-
-def center_check_semisimple_isotropy(model: HomogeneousModel) -> bool:
-    """For semisimple isotropy: does the ambient algebra have a center?"""
-    if isotropy_type(model) is not IsotropyType.SEMISIMPLE:
-        raise WrongIsotropyType("check applies to semisimple isotropy only")
-    return bool(center(model.algebra))

@@ -2,13 +2,12 @@
 
 Every structure constant and metric coefficient handled by this package
 lies in Q(i), so curvature and invariance claims reduce to exact zero
-tests.  The few numeric spot checks use plain ``complex`` values;
-``ensure_finite`` guards that mode against NaN and infinity.
+tests.  The package's only floating-point code is the numeric Moebius
+check in ``catalog``, which uses plain ``complex`` values.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,17 +18,6 @@ def _frac(value: int | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
-
-
-def rational_sqrt(value: Fraction) -> Fraction | None:
-    """Exact nonnegative square root of ``value >= 0``, or None if irrational."""
-    if value < 0:
-        raise ValueError("rational_sqrt requires a nonnegative input")
-    num, den = value.numerator, value.denominator
-    root_num, root_den = math.isqrt(num), math.isqrt(den)
-    if root_num * root_num != num or root_den * root_den != den:
-        return None
-    return Fraction(root_num, root_den)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -114,9 +102,6 @@ class GaussianRational:
 
     # -- structure and predicates ---------------------------------------
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def norm_sq(self) -> Fraction:
         """``re**2 + im**2``; zero exactly when the value is zero."""
         return self.re * self.re + self.im * self.im
@@ -124,9 +109,6 @@ class GaussianRational:
     def maxabs(self) -> Fraction:
         """Exact magnitude proxy ``max(|re|, |im|)``; zero iff the value is zero."""
         return max(abs(self.re), abs(self.im))
-
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -139,34 +121,6 @@ class GaussianRational:
 
     def __hash__(self) -> int:
         return hash((self.re, self.im))
-
-    # -- roots and conversions ------------------------------------------
-
-    def sqrt(self) -> "GaussianRational | None":
-        """Canonical exact square root in Q(i), or None when it leaves Q(i).
-
-        The returned root ``w`` has ``w.re > 0``, or ``w.re == 0`` and
-        ``w.im >= 0``.
-        """
-        if not self:
-            return GaussianRational(0)
-        if self.im == 0:
-            if self.re > 0:
-                r = rational_sqrt(self.re)
-                return None if r is None else GaussianRational(r)
-            r = rational_sqrt(-self.re)
-            return None if r is None else GaussianRational(0, r)
-        modulus = rational_sqrt(self.norm_sq())
-        if modulus is None:
-            return None
-        c = rational_sqrt((self.re + modulus) / 2)
-        if c is None or c == 0:
-            return None
-        d = self.im / (2 * c)
-        return GaussianRational(c, d)
-
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
 
     # -- rendering -------------------------------------------------------
 
@@ -206,13 +160,6 @@ def gr(re: int | Fraction = 0, im: int | Fraction = 0) -> GaussianRational:
 ZERO = gr(0)
 ONE = gr(1)
 I = gr(0, 1)
-
-
-def ensure_finite(value: complex) -> complex:
-    """Reject NaN/infinite complex values produced by the numeric mode."""
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ArithmeticError(f"non-finite complex value {value!r}")
-    return value
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -301,12 +248,7 @@ class CPoly:
         return self.coeffs[k] if k < len(self.coeffs) else ZERO
 
     def __call__(self, value):
-        """Evaluate at an exact or complex point by Horner's rule."""
-        if isinstance(value, complex):
-            acc = 0j
-            for c in reversed(self.coeffs):
-                acc = acc * value + c.to_complex()
-            return ensure_finite(acc)
+        """Evaluate at an exact point by Horner's rule."""
         point = as_gr(value)
         acc = ZERO
         for c in reversed(self.coeffs):

@@ -22,7 +22,6 @@ from holriem.catalog import (
     heis_algebra,
     heis_stabilizer_model,
     mobius_invariance_check,
-    mutate_structure_constant,
     random_param_extension,
     sl2_algebra,
     sol_algebra,
@@ -217,7 +216,7 @@ def test_criterion_09_connection_and_curvature_identities():
     _report(9, "torsion, compatibility and curvature symmetries exact on all metrics", ok)
 
 
-def test_criterion_10_fault_injection_sensitivity():
+def test_criterion_10_fault_injection_sensitivity(mutate_structure_constant):
     catalog = build_catalog()
     sol = next(e for e in catalog if e.id == "sol3")
     ok = True

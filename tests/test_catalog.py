@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,13 +15,13 @@ from holriem.catalog import (
     fixed_matrix_residual,
     heis_stabilizer_model,
     mobius_invariance_check,
-    mutate_structure_constant,
     random_param_extension,
     report_to_json,
     verify_all,
     verify_entry,
     verify_isotropy_dimension_bounds,
     verify_prop_unimodular,
+    verify_section4,
     verify_section5_tables,
     verify_shipped_files,
 )
@@ -153,6 +154,23 @@ def test_verify_prop_unimodular_fragment():
     assert all(c.passed for c in checks)
 
 
+def test_general_ab_report_fails_on_a_constant(monkeypatch):
+    # The (a, b) = (1, 1) metric on sl(2) is not of constant curvature, so
+    # a computation that claims a constant must turn the check to fail.
+    def report():
+        by_id = {c.id: c for c in verify_section4(build_catalog())}
+        return by_id["semisimple4/general_ab_report"]
+
+    assert report().passed
+    monkeypatch.setattr(
+        "holriem.catalog.constant_curvature", lambda algebra, form: gr(Fraction(-1, 2))
+    )
+    check = report()
+    assert check.status == "fail"
+    assert check.witness == "got Constant(-1/2)"
+    assert check.value == "Constant(-1/2)"
+
+
 def test_verify_section5_fragment():
     checks = verify_section5_tables(build_catalog())
     assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
@@ -204,7 +222,7 @@ def test_verify_all_rejects_empty_catalog():
         verify_all(catalog=[])
 
 
-def test_verify_all_flags_corrupted_catalog():
+def test_verify_all_flags_corrupted_catalog(mutate_structure_constant):
     catalog = build_catalog()
     sol = _by_id(catalog, "sol3")
     mutated = CatalogEntry(
@@ -219,7 +237,7 @@ def test_verify_all_flags_corrupted_catalog():
     assert any(c.witness for c in report.failures())
 
 
-def test_mutation_keeps_antisymmetry():
+def test_mutation_keeps_antisymmetry(mutate_structure_constant):
     sol = _by_id(build_catalog(), "sol3").algebra
     mutated = mutate_structure_constant(sol, 1, 2, 0)
     assert jacobi_witness(mutated) is not None or jacobi_defect(mutated) == 0

@@ -1,7 +1,12 @@
 """Command-line interface contract: output shapes and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import holriem
 from holriem.cli import cli
 
 DATA = "src/holriem/data"
@@ -48,6 +53,16 @@ def test_constcurv_not_constant(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("NotConstant")
     assert "triple=(" in out
+    assert cli(["constcurv", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == [
+        {
+            "id": "constcurv",
+            "status": "pass",
+            "witness": out.split("witness=")[1].strip(),
+            "value": "NotConstant",
+        }
+    ]
 
 
 def test_connection_table(capsys):
@@ -174,3 +189,17 @@ def test_curvature_exact_rational_rendering(capsys):
     out = capsys.readouterr().out
     assert "R(E,F)E = - 1/2 E" in out
     assert "R(H,E)F = - 1/2 H" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    package = Path(holriem.__file__).parent
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    result = subprocess.run(
+        [sys.executable, "-m", "holriem", "classify", str(package / "data" / "sol3.liealg")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "SOL"

@@ -1,4 +1,4 @@
-"""Connection, curvature, orthogonal algebra and adapted-basis checks.
+"""Connection, curvature, orthogonal algebra and isotropy flow checks.
 
 The expected Christoffel tables for the heis and sol metrics were
 derived independently by expanding the frame identity
@@ -21,24 +21,16 @@ from holriem.catalog import (
 )
 from holriem.forms import DegenerateForm, QuadraticForm
 from holriem.geometry import (
-    AdaptedBasis,
-    BadNorm,
-    BasisKind,
-    DegenerateRestriction,
-    NoExactRoot,
     adapted_gram_unipotent,
     bianchi_defect,
-    build_adapted_basis,
     compatibility_defect,
     constant_curvature,
     constant_curvature_defect,
     curvature,
     curvature_antisymmetry_defect,
-    divergence,
     flatness_defect,
     flow_preserves_adapted_form,
     generator_is_skew_for_adapted_form,
-    isotropic_lines,
     levi_civita,
     pair_skew_defect,
     poly_mat_eval,
@@ -174,25 +166,6 @@ def test_ricci():
     assert ricci(q3, tensor).gram.is_zero()
 
 
-def test_divergence():
-    g, q = heis_algebra(), heis_isotropic_center_form()
-    conn = levi_civita(g, q)
-    assert divergence(conn, g.vector("X")) == gr(0)
-
-    s, qs = sol_algebra(), sol_flat_form()
-    conn_s = levi_civita(s, qs)
-    assert divergence(conn_s, s.vector("Z")) == gr(0)
-    assert divergence(conn_s, (gr(0),) * 3) == gr(0)
-
-    # Nonzero cross-check needs a non-unimodular algebra: the affine line
-    # with [Y, Z] = Z and the standard form has div Y = -1.
-    from holriem.liealg import LieAlgebra
-
-    affine = LieAlgebra.from_table(("Y", "Z"), {("Y", "Z"): {"Z": 1}})
-    conn_a = levi_civita(affine, QuadraticForm.diagonal([1, 1]))
-    assert divergence(conn_a, affine.vector("Y")) == gr(-1)
-
-
 def test_skew_algebra_dimensions():
     assert len(skew_algebra(QuadraticForm.diagonal([1, 1]))) == 1
     assert len(skew_algebra(QuadraticForm(adapted_gram_unipotent()))) == 3
@@ -239,120 +212,6 @@ def test_stabilizer_dimensions():
     assert len(stabilizer_in_skew(q, [unit, partner])) == 0
     for a in stabilizer_in_skew(q, [null]):
         assert not any(a.apply(null))
-
-
-def _lines_match(got, expected):
-    # Compare unordered pairs of directions up to scale.
-    def same_line(u, v):
-        return u[0] * v[1] - u[1] * v[0] == gr(0)
-
-    a, b = got
-    c, d = expected
-    return (same_line(a, c) and same_line(b, d)) or (
-        same_line(a, d) and same_line(b, c)
-    )
-
-
-def test_isotropic_lines_exact_cases():
-    hyperbolic = isotropic_lines(QuadraticForm([[0, 1], [1, 0]]))
-    assert hyperbolic.exact
-    assert _lines_match(
-        (hyperbolic.first, hyperbolic.second), ((gr(1), gr(0)), (gr(0), gr(1)))
-    )
-    euclid = isotropic_lines(QuadraticForm.diagonal([1, 1]))
-    assert euclid.exact
-    assert _lines_match(
-        (euclid.first, euclid.second), ((gr(1), gr(0, 1)), (gr(1), gr(0, -1)))
-    )
-    split = isotropic_lines(QuadraticForm.diagonal([1, -1]))
-    assert _lines_match(
-        (split.first, split.second), ((gr(1), gr(1)), (gr(1), gr(-1)))
-    )
-
-
-def test_isotropic_lines_degenerate():
-    with pytest.raises(DegenerateRestriction):
-        isotropic_lines(QuadraticForm.diagonal([1, 0]))
-
-
-def test_isotropic_lines_float_fallback():
-    q = QuadraticForm.diagonal([1, 3])  # discriminant -3 has no root in Q(i)
-    with pytest.raises(NoExactRoot):
-        isotropic_lines(q, require_exact=True)
-    lines = isotropic_lines(q)
-    assert not lines.exact
-    for direction in (lines.first, lines.second):
-        x, y = direction
-        assert abs(x * x + 3 * y * y) < 1e-9
-
-
-def _check_relations(form, basis: AdaptedBasis):
-    pairs = {
-        BasisKind.UNIPOTENT: [
-            ((0, 0), 0), ((0, 1), 0), ((1, 1), 1), ((2, 2), 0), ((1, 2), 0), ((2, 0), 1)
-        ],
-        BasisKind.SEMISIMPLE: [
-            ((0, 0), 1), ((0, 1), 0), ((0, 2), 0), ((1, 1), 0), ((2, 2), 0), ((1, 2), 1)
-        ],
-    }[basis.kind]
-    vectors = (basis.e1, basis.e2, basis.e3)
-    for (a, b), expected in pairs:
-        if basis.exact:
-            assert form.apply(vectors[a], vectors[b]) == gr(expected)
-        else:
-            gram = [[v.to_complex() for v in row] for row in form.gram.entries]
-            value = sum(
-                vectors[a][i] * gram[i][j] * vectors[b][j]
-                for i in range(3)
-                for j in range(3)
-            )
-            assert abs(value - expected) < 1e-9
-
-
-def test_adapted_basis_unipotent_exact():
-    q = QuadraticForm.diagonal([1, 1, 1])
-    anchor = (gr(1), gr(0, 1), gr(0))
-    assert q.norm(anchor) == gr(0)
-    basis = build_adapted_basis(q, anchor)
-    assert basis.kind is BasisKind.UNIPOTENT and basis.exact
-    _check_relations(q, basis)
-
-
-def test_adapted_basis_already_adapted():
-    q = QuadraticForm(adapted_gram_unipotent())
-    basis = build_adapted_basis(q, (gr(1), gr(0), gr(0)))
-    assert basis.e2 == (gr(0), gr(1), gr(0))
-    assert basis.e3 == (gr(0), gr(0), gr(1))
-
-
-def test_adapted_basis_semisimple_exact():
-    q = QuadraticForm(adapted_gram_unipotent())
-    basis = build_adapted_basis(q, (gr(0), gr(1), gr(0)))
-    assert basis.kind is BasisKind.SEMISIMPLE and basis.exact
-    _check_relations(q, basis)
-
-
-def test_adapted_basis_bad_norm():
-    q = QuadraticForm.diagonal([1, 1, 1])
-    with pytest.raises(BadNorm):
-        build_adapted_basis(q, (gr(1), gr(1), gr(0)))  # norm 2
-    with pytest.raises(BadNorm):
-        build_adapted_basis(q, (gr(0), gr(0), gr(0)))
-
-
-def test_adapted_basis_float_fallback():
-    q = QuadraticForm.diagonal([1, 1, 2])
-    anchor = (gr(1), gr(0, 1), gr(0))  # norm 0; the unit candidate has norm 2
-    with pytest.raises(NoExactRoot):
-        build_adapted_basis(q, anchor, require_exact=True)
-    basis = build_adapted_basis(q, anchor)
-    assert not basis.exact
-    _check_relations(q, basis)
-
-    qs = QuadraticForm.diagonal([1, 1, 3])
-    semi = build_adapted_basis(qs, (gr(1), gr(0), gr(0)))
-    assert semi.kind is BasisKind.SEMISIMPLE and not semi.exact
-    _check_relations(qs, semi)
 
 
 def test_unipotent_flow_matrix_values():

@@ -1,10 +1,9 @@
-"""Homogeneous models: induced actions, invariant forms, stabilizers."""
+"""Homogeneous models: induced actions, isotropy types, invariant forms."""
 
 import pytest
 
 from holriem.catalog import (
     ParamExtension,
-    c2_semidirect_c2_algebra,
     c_ltimes_heis_algebra,
     c_oplus_sl2_model,
     c_times_sl2_model,
@@ -24,13 +23,10 @@ from holriem.models import (
     MissingForm,
     NotSubalgebraInvariant,
     WrongIsotropyDimension,
-    WrongIsotropyType,
-    center_check_semisimple_isotropy,
     check_invariance,
     induced_ad,
     invariant_forms,
     isotropy_type,
-    subalgebra_stabilizing,
 )
 from holriem.scalars import gr
 
@@ -183,42 +179,6 @@ def test_check_invariance_trivial_isotropy():
     assert check_invariance(model)
 
 
-def test_subalgebra_stabilizing_leaf():
-    g = c_ltimes_heis_algebra()
-    leaf = [g.vector("Y"), g.vector("X"), g.vector("Z")]
-    result = subalgebra_stabilizing(g, leaf)
-    assert len(result.basis) == 3
-    assert result.bracket_closed
-    assert in_span(result.basis, g.vector("Y"))
-    for v in leaf:
-        assert in_span(result.basis, v)
-
-
-def test_subalgebra_stabilizing_full_space():
-    g = sol_algebra()
-    result = subalgebra_stabilizing(g, [g.basis_vector(k) for k in range(3)])
-    assert len(result.basis) == 3 and result.bracket_closed
-
-
-def test_subalgebra_stabilizing_central_line():
-    from holriem.catalog import c_oplus_sl2_algebra
-
-    g = c_oplus_sl2_algebra()
-    result = subalgebra_stabilizing(g, [g.vector("W")])
-    assert len(result.basis) == 4  # a central line is stabilized by everything
-    assert result.bracket_closed
-
-
-def test_center_check_semisimple_isotropy():
-    assert center_check_semisimple_isotropy(_semisimple_model(c_times_sol_algebra()))
-    assert center_check_semisimple_isotropy(_semisimple_model(c_ltimes_heis_algebra()))
-    assert not center_check_semisimple_isotropy(
-        _semisimple_model(c2_semidirect_c2_algebra())
-    )
-    with pytest.raises(WrongIsotropyType):
-        center_check_semisimple_isotropy(heis_stabilizer_model(ParamExtension()))
-
-
 def test_model_validation_errors():
     s = sol_algebra()
     with pytest.raises(ValueError):
@@ -250,7 +210,6 @@ def test_section4_models():
     second = c_times_sl2_model()
     assert isotropy_type(second) is IsotropyType.SEMISIMPLE
     assert check_invariance(second)
-    assert center_check_semisimple_isotropy(second)
 
 
 def test_isotropy_type_invariant_under_generator_rescaling():
@@ -271,25 +230,6 @@ def test_isotropy_type_invariant_under_generator_rescaling():
         quotient_form=semi.quotient_form,
     )
     assert isotropy_type(rescaled) is IsotropyType.SEMISIMPLE
-
-
-def test_stabilizer_contains_centralizer():
-    from holriem.liealg import bracket
-    from holriem.linalg import CMatrix as _CM, kernel as _kernel
-
-    g = c_ltimes_heis_algebra()
-    w_basis = [g.vector("X"), g.vector("Z")]
-    # Centralizer of W: rows of [ad(e_i) w]_k stacked over w and k.
-    rows = []
-    for w in w_basis:
-        images = [bracket(g, g.basis_vector(i), w) for i in range(g.dim)]
-        for component in range(g.dim):
-            rows.append([images[i][component] for i in range(g.dim)])
-    centralizer = _kernel(_CM(rows))
-    result = subalgebra_stabilizing(g, w_basis)
-    for v in centralizer:
-        assert in_span(result.basis, v)
-    assert result.bracket_closed
 
 
 def test_invariant_forms_satisfy_equation_exactly():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holriem.scalars import CPoly, ONE, ZERO, ensure_finite, gr, rational_sqrt
+from holriem.scalars import CPoly, ONE, ZERO, gr
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 scalars = st.builds(gr, small_fractions, small_fractions)
@@ -29,32 +29,6 @@ def test_field_axioms(a, b, c):
 def test_multiplicative_inverse(a):
     assert a * a.inverse() == ONE
     assert (ONE / a) * a == ONE
-
-
-@settings(max_examples=60, deadline=None)
-@given(scalars)
-def test_square_roots_of_squares_exist(a):
-    square = a * a
-    root = square.sqrt()
-    assert root is not None
-    assert root * root == square
-
-
-def test_sqrt_canonical_branch():
-    assert gr(-1).sqrt() == gr(0, 1)
-    assert gr(Fraction(1, 4)).sqrt() == gr(Fraction(1, 2))
-    assert gr(0, 2).sqrt() == gr(1, 1)
-    assert gr(2).sqrt() is None
-    assert gr(0).sqrt() == gr(0)
-    root = gr(3, 4).sqrt()
-    assert root == gr(2, 1)
-
-
-def test_rational_sqrt():
-    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_sqrt(Fraction(2)) is None
-    with pytest.raises(ValueError):
-        rational_sqrt(Fraction(-1))
 
 
 def test_division_by_zero():
@@ -81,14 +55,6 @@ def test_canonical_rendering():
 def test_maxabs_zero_iff_zero():
     assert gr(0).maxabs() == 0
     assert gr(Fraction(-1, 3), 2).maxabs() == 2
-
-
-def test_ensure_finite():
-    assert ensure_finite(1 + 2j) == 1 + 2j
-    with pytest.raises(ArithmeticError):
-        ensure_finite(complex("inf"))
-    with pytest.raises(ArithmeticError):
-        ensure_finite(complex("nan") * 1j)
 
 
 # -- polynomials -------------------------------------------------------------
@@ -139,9 +105,3 @@ def test_poly_derivative():
     t = CPoly.x()
     p = t * t * t - 2 * t
     assert p.derivative() == 3 * t * t - 2
-
-
-def test_poly_complex_evaluation():
-    t = CPoly.x()
-    value = (t * t)(1j)
-    assert abs(value - (-1 + 0j)) < 1e-15
