@@ -7,6 +7,7 @@ stay grep-able; ``verify_all`` is deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -949,8 +950,8 @@ def mobius_invariance_check(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be finite and positive")
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(samples):

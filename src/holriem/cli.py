@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
+from functools import cache
 from itertools import combinations
 
 from . import catalog as cat
 from . import dsl
 from .geometry import constant_curvature_value, curvature, flatness_defect, levi_civita
 from .liealg import (
+    LieAlgebra,
     NotUnimodular,
     WrongDimension,
     center,
@@ -47,7 +50,21 @@ def cli(argv) -> int:
         return 1
 
 
+def _tolerance(text: str) -> float:
+    """Argparse type for ``--tol``: a finite positive float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process; argparse looks up sys.stdout/sys.stderr when
+    # it prints, so a cached parser still writes to redirected streams.
     # The flags live on the main parser and on every subparser, so both
     # `holriem --json classify F` and `holriem classify F --json` work;
     # SUPPRESS keeps subparser defaults from clobbering main-level values.
@@ -91,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify-paper", parents=[common], help="run the full catalog verification suite"
     )
     vp.add_argument("--seed", type=int, default=cat.DEFAULT_SEED)
-    vp.add_argument("--tol", type=float, default=cat.DEFAULT_TOL)
+    vp.add_argument("--tol", type=_tolerance, default=cat.DEFAULT_TOL)
     vp.set_defaults(handler=_cmd_verify)
 
     mb = sub.add_parser(
@@ -99,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     mb.add_argument("--samples", type=int, default=1000)
     mb.add_argument("--seed", type=int, default=cat.DEFAULT_SEED)
-    mb.add_argument("--tol", type=float, default=cat.DEFAULT_TOL)
+    mb.add_argument("--tol", type=_tolerance, default=cat.DEFAULT_TOL)
     mb.set_defaults(handler=_cmd_mobius)
     return parser
 
@@ -107,6 +124,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(path: str) -> dsl.SpecFile:
     with open(path, "r", encoding="utf-8") as handle:
         return dsl.parse(handle.read())
+
+
+def _load_lie(path: str) -> tuple[dsl.SpecFile, LieAlgebra]:
+    """Parse a file and build its algebra; a table breaking Jacobi is an input error."""
+    spec = _load(path)
+    algebra = dsl.to_algebra(spec)
+    triple = jacobi_witness(algebra)
+    if triple is not None:
+        raise ValueError(
+            f"not a Lie algebra: Jacobi identity fails at {cat._triple_str(algebra, triple)}"
+        )
+    return spec, algebra
 
 
 def _print_json(records: list[cat.CheckResult]) -> None:
@@ -165,8 +194,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    spec = _load(args.file)
-    algebra = dsl.to_algebra(spec)
+    _, algebra = _load_lie(args.file)
     _print_facts(
         args,
         [
@@ -181,8 +209,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    spec = _load(args.file)
-    algebra = dsl.to_algebra(spec)
+    _, algebra = _load_lie(args.file)
     try:
         tag = classify_3d_unimodular(algebra).name
     except (NotUnimodular, WrongDimension) as exc:
@@ -195,7 +222,8 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _require_metric(spec: dsl.SpecFile):
+def _require_metric(path: str):
+    spec, algebra = _load_lie(path)
     if spec.isotropy:
         raise ValueError(
             "this command needs a metric file (a form on the full basis, no isotropy)"
@@ -203,7 +231,7 @@ def _require_metric(spec: dsl.SpecFile):
     form = dsl.to_metric(spec)
     if form is None:
         raise ValueError("the file declares no [form] section")
-    return dsl.to_algebra(spec), form
+    return algebra, form
 
 
 def _combination_record(names, record_id: str, vector) -> cat.CheckResult:
@@ -212,8 +240,7 @@ def _combination_record(names, record_id: str, vector) -> cat.CheckResult:
 
 
 def _cmd_connection(args) -> int:
-    spec = _load(args.file)
-    algebra, form = _require_metric(spec)
+    algebra, form = _require_metric(args.file)
     table = levi_civita(algebra, form)
     names = algebra.basis_names
     records = [
@@ -226,8 +253,7 @@ def _cmd_connection(args) -> int:
 
 
 def _cmd_curvature(args) -> int:
-    spec = _load(args.file)
-    algebra, form = _require_metric(spec)
+    algebra, form = _require_metric(args.file)
     tensor = curvature(algebra, levi_civita(algebra, form))
     names = algebra.basis_names
     records = [
@@ -242,8 +268,7 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_constcurv(args) -> int:
-    spec = _load(args.file)
-    algebra, form = _require_metric(spec)
+    algebra, form = _require_metric(args.file)
     tensor = curvature(algebra, levi_civita(algebra, form))
     value = constant_curvature_value(form, tensor)
     rendered = cat._render_constant(value)
@@ -262,10 +287,10 @@ def _cmd_constcurv(args) -> int:
 
 
 def _cmd_model(args) -> int:
-    spec = _load(args.file)
+    spec, algebra = _load_lie(args.file)
     if not spec.isotropy:
         raise ValueError("the file declares no [isotropy] section")
-    model = dsl.to_model(spec)
+    model = dsl.to_model(spec, algebra)
     facts = [("isotropy", isotropy_type(model).name)]
     if model.quotient_form is not None:
         facts.append(("invariance", "true" if check_invariance(model) else "false"))

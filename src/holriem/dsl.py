@@ -74,6 +74,10 @@ _BOOL_KEYS = {"unimodular", "solvable", "nilpotent", "semisimple", "invariance"}
 _INT_KEYS = {"center_dim", "invariant_form_dim"}
 _TAG_KEYS = {"class", "isotropy"}
 
+# Parentheses and unary minus signs nest by recursion; deeper input is
+# rejected with a located error before it can exhaust the interpreter stack.
+MAX_NESTING = 200
+
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
 _PAIR_KEY_RE = re.compile(
@@ -104,6 +108,7 @@ class _Tokens:
         self.line = line
         self.col0 = col0
         self.pos = 0
+        self.depth = 0
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -128,7 +133,7 @@ class _Tokens:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        return int(self.text[start : self.pos])
+        return _to_int(self.text[start : self.pos], self.line, self.col0 + start)
 
     def take_ident(self) -> str:
         self._skip_ws()
@@ -145,19 +150,33 @@ class _Tokens:
         return MalformedScalar(reason, self.line, self.col())
 
 
+def _to_int(digits: str, line: int, col: int) -> int:
+    """``int(digits)``, with the column of a literal Python refuses to convert."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise MalformedScalar(
+            f"cannot convert integer literal of length {len(digits)}", line, col
+        ) from None
+
+
 def _parse_factor(tk: _Tokens) -> GaussianRational:
     ch = tk.peek()
     if ch is None:
         raise tk.error("unexpected end of scalar expression")
-    if ch == "-":
+    if ch == "-" or ch == "(":
+        if tk.depth == MAX_NESTING:
+            raise tk.error(f"scalar expression nested deeper than {MAX_NESTING} levels")
+        tk.depth += 1
         tk.take_char()
-        return -_parse_factor(tk)
-    if ch == "(":
-        tk.take_char()
-        value = _parse_sum(tk)
-        if tk.peek() != ")":
-            raise tk.error("missing closing parenthesis")
-        tk.take_char()
+        if ch == "-":
+            value = -_parse_factor(tk)
+        else:
+            value = _parse_sum(tk)
+            if tk.peek() != ")":
+                raise tk.error("missing closing parenthesis")
+            tk.take_char()
+        tk.depth -= 1
         return value
     if ch.isdigit():
         numerator = tk.take_number()
@@ -385,7 +404,7 @@ def parse(text: str) -> SpecFile:
         elif key == "dim":
             if not value.isdigit():
                 raise DslError("dim must be a nonnegative integer", line_no, value_col)
-            dim = int(value)
+            dim = _to_int(value, line_no, value_col)
         elif key == "basis":
             parts = [p.strip() for p in value.split(",")]
             if any(not _IDENT_RE.fullmatch(p) or p == "i" for p in parts):
@@ -482,14 +501,14 @@ def _normalize_expected(key: str, value: str, line: int, col: int) -> str:
     if key in _INT_KEYS:
         if not value.isdigit():
             raise DslError(f"{key} must be a nonnegative integer", line, col)
-        return str(int(value))
+        return str(_to_int(value, line, col))
     if key in _TAG_KEYS:
         return value.upper()
     if key == "derived_dims":
         parts = [p.strip() for p in value.split(",")]
         if any(not p.isdigit() for p in parts):
             raise DslError("derived_dims must be a comma list of integers", line, col)
-        return ",".join(str(int(p)) for p in parts)
+        return ",".join(str(_to_int(p, line, col)) for p in parts)
     if key == "constant_curvature":
         if value.lower() == "none":
             return "none"
@@ -614,11 +633,15 @@ def to_metric(spec: SpecFile) -> QuadraticForm | None:
     return QuadraticForm.from_sparse(spec.labels, spec.form)
 
 
-def to_model(spec: SpecFile) -> HomogeneousModel:
-    """Model with the greedy complement; form keys must use complement labels."""
+def to_model(spec: SpecFile, algebra: LieAlgebra | None = None) -> HomogeneousModel:
+    """Model with the greedy complement; form keys must use complement labels.
+
+    ``algebra`` is ``to_algebra(spec)``, passed by a caller that built it already.
+    """
     if not spec.isotropy:
         raise ValueError("file declares no isotropy section")
-    algebra = to_algebra(spec)
+    if algebra is None:
+        algebra = to_algebra(spec)
     generators = [algebra.vector(combo) for combo in spec.isotropy]
     chosen = greedy_complement(algebra, generators)
     complement_labels = [label for label, _ in chosen]

@@ -18,12 +18,12 @@ from .forms import QuadraticForm
 from .linalg import (
     CMatrix,
     Vector,
+    _dot,
     as_vector,
     in_span,
     kernel,
     solve_linear,
     span_basis,
-    vadd,
     zero_vector,
 )
 from .scalars import ZERO, as_gr
@@ -166,16 +166,17 @@ def _jacobiators(algebra: LieAlgebra):
     Basis triples i < j < k come lazily in lexicographic order, so a
     caller that stops at the first violation computes nothing further.
     """
-    basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
-    for i, j, k in combinations(range(algebra.dim), 3):
-        x, y, z = basis[i], basis[j], basis[k]
-        yield (i, j, k), vadd(
-            vadd(
-                bracket(algebra, bracket(algebra, x, y), z),
-                bracket(algebra, bracket(algebra, y, z), x),
-            ),
-            bracket(algebra, bracket(algebra, z, x), y),
-        )
+    c, n = algebra.constants, algebra.dim
+    for i, j, k in combinations(range(n), 3):
+        total = [ZERO] * n
+        # [[e_a, e_b], e_d] = sum_l c_ab^l [e_l, e_d], read from the table.
+        for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, x in enumerate(c[a][b]):
+                if x:
+                    for m, y in enumerate(c[l][d]):
+                        if y:
+                            total[m] = total[m] + x * y
+        yield (i, j, k), total
 
 
 def jacobi_defect(algebra: LieAlgebra) -> Fraction:
@@ -196,13 +197,16 @@ def jacobi_witness(algebra: LieAlgebra) -> tuple[int, int, int] | None:
 
 
 def killing_form(algebra: LieAlgebra) -> QuadraticForm:
-    """``B(x, y) = trace(ad x . ad y)``, exact and symmetric."""
-    ads = [ad(algebra, algebra.basis_vector(i)) for i in range(algebra.dim)]
-    gram = [
-        [(ads[i] @ ads[j]).trace() for j in range(algebra.dim)]
-        for i in range(algebra.dim)
-    ]
-    return QuadraticForm(gram)
+    """``B(x, y) = trace(ad x . ad y)``, exact and symmetric.
+
+    Read straight from the structure constants, with no ``ad`` matrices:
+    ``B_ij = sum_{k,l} c_ik^l c_jl^k``.
+    """
+    c, n = algebra.constants, algebra.dim
+    pairs = [(k, l) for k in range(n) for l in range(n)]
+    ads = [[c[i][k][l] for k, l in pairs] for i in range(n)]
+    transposed = [[c[j][l][k] for k, l in pairs] for j in range(n)]
+    return QuadraticForm([[_dot(ads[i], transposed[j]) for j in range(n)] for i in range(n)])
 
 
 def _bracket_span(
@@ -248,10 +252,9 @@ def center(algebra: LieAlgebra) -> list[Vector]:
 
 
 def is_unimodular(algebra: LieAlgebra) -> bool:
-    return all(
-        not ad(algebra, algebra.basis_vector(i)).trace()
-        for i in range(algebra.dim)
-    )
+    """True iff every ``trace(ad e_i) = sum_k c_ik^k`` vanishes."""
+    c, n = algebra.constants, algebra.dim
+    return all(not sum((c[i][k][k] for k in range(n)), ZERO) for i in range(n))
 
 
 def is_solvable(algebra: LieAlgebra) -> bool:

@@ -1,6 +1,6 @@
 """Dense exact matrices over Q(i) and the linear-algebra kernels.
 
-Gaussian elimination with Fraction arithmetic keeps every rank, kernel
+Gaussian elimination over exact Q(i) scalars keeps every rank, kernel
 and solve exact; there is no numerical pivoting or tolerance anywhere in
 this module.
 """
@@ -16,7 +16,11 @@ Vector = tuple[GaussianRational, ...]
 
 
 def as_vector(values: Iterable) -> Vector:
-    return tuple(as_gr(v) for v in values)
+    vec = tuple(values)
+    for v in vec:
+        if type(v) is not GaussianRational:
+            return tuple(map(as_gr, vec))
+    return vec
 
 
 def zero_vector(n: int) -> Vector:
@@ -47,7 +51,7 @@ class CMatrix:
     entries: tuple[tuple[GaussianRational, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable]):
-        grid = tuple(tuple(as_gr(v) for v in row) for row in rows)
+        grid = tuple(map(as_vector, rows))
         if not grid or not grid[0]:
             raise ValueError("matrices must have at least one row and column")
         width = len(grid[0])

@@ -2,7 +2,10 @@
 
 Every structure constant and metric coefficient handled by this package
 lies in Q(i), so curvature and invariance claims reduce to exact zero
-tests.  The package's only floating-point code is the numeric Moebius
+tests.  A ``GaussianRational`` is ``(a + b*i)/d`` held as three ints in
+lowest terms, so each sum, product or quotient costs one ``math.gcd``;
+``Fraction`` appears only where inputs are coerced and in the ``re``/``im``
+views.  The package's only floating-point code is the numeric Moebius
 check in ``catalog``, which uses plain ``complex`` values.
 """
 
@@ -10,42 +13,62 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 
-def _frac(value: int | Fraction) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _ratio(value: int | Fraction) -> tuple[int, int]:
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class GaussianRational:
-    """An element ``re + im*i`` of Q(i) with exact Fraction components."""
+    """An element ``re + im*i`` of Q(i), stored as ``(a + b*i)/d``.
 
-    re: Fraction
-    im: Fraction
+    The triple is canonical: ``gcd(a, b, d) == 1`` and ``d > 0``, so
+    equal values have equal triples.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        p, q = _ratio(re)
+        r, s = _ratio(im)
+        a, b, d = p * s, r * q, q * s
+        g = gcd(a, b, d)
+        self._a, self._b, self._d = a // g, b // g, d // g
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- ring structure -------------------------------------------------
 
     def __add__(self, other) -> "GaussianRational":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._a + other._a, self._b + other._b, d)
+        return _make(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "GaussianRational":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._a - other._a, self._b - other._b, d)
+        return _make(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other) -> "GaussianRational":
         other = _coerce(other)
@@ -54,16 +77,15 @@ class GaussianRational:
         return other - self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __mul__(self, other) -> "GaussianRational":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _make(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -71,20 +93,20 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self * other.inverse()
+        return _divide(self, other)
 
     def __rtruediv__(self, other) -> "GaussianRational":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other * self.inverse()
+        return _divide(other, self)
 
     def __pow__(self, exponent: int) -> "GaussianRational":
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = GaussianRational(1)
+        result = ONE
         base = self
         k = exponent
         while k:
@@ -95,53 +117,79 @@ class GaussianRational:
         return result
 
     def inverse(self) -> "GaussianRational":
-        n = self.norm_sq()
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _divide(ONE, self)
 
     # -- structure and predicates ---------------------------------------
 
     def norm_sq(self) -> Fraction:
         """``re**2 + im**2``; zero exactly when the value is zero."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def maxabs(self) -> Fraction:
         """Exact magnitude proxy ``max(|re|, |im|)``; zero iff the value is zero."""
-        return max(abs(self.re), abs(self.im))
+        return Fraction(max(abs(self._a), abs(self._b)), self._d)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # A real value hashes like the int or Fraction it equals.
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        return hash(self.re)
 
     # -- rendering -------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        imag = "i" if abs(self.im) == 1 else f"{abs(self.im)} i"
-        if self.re == 0:
-            return imag if self.im > 0 else f"-{imag}"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re} {sign} {imag}"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        imag = "i" if abs(im) == 1 else f"{abs(im)} i"
+        if re == 0:
+            return imag if im > 0 else f"-{imag}"
+        sign = "+" if im > 0 else "-"
+        return f"{re} {sign} {imag}"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self})"
 
 
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """``(a + b*i)/d`` for ``d > 0``, reduced by one gcd."""
+    g = gcd(a, b, d)
+    z = _new(GaussianRational)
+    if g == 1:
+        z._a, z._b, z._d = a, b, d
+    else:
+        z._a, z._b, z._d = a // g, b // g, d // g
+    return z
+
+
+def _divide(x: GaussianRational, y: GaussianRational) -> GaussianRational:
+    """``x / y = x * conj(y) * e / (c**2 + f**2)`` for ``y = (c + f*i)/e``."""
+    c, f, e = y._a, y._b, y._d
+    n = c * c + f * f
+    if not n:
+        raise ZeroDivisionError("division by zero Gaussian rational")
+    a, b = x._a, x._b
+    return _make((a * c + b * f) * e, (b * c - a * f) * e, x._d * n)
+
+
 def _coerce(value) -> GaussianRational | None:
-    if isinstance(value, GaussianRational):
+    if type(value) is GaussianRational:
         return value
     if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
+        return _make(value.numerator, 0, value.denominator)
     return None
 
 

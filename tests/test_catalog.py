@@ -202,8 +202,9 @@ def test_mobius_random_samples():
 def test_mobius_argument_validation():
     with pytest.raises(ValueError):
         mobius_invariance_check(0, 42, 1e-9)
-    with pytest.raises(ValueError):
-        mobius_invariance_check(10, 42, 0.0)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            mobius_invariance_check(10, 42, tol)
 
 
 def test_verify_all_green_and_deterministic():

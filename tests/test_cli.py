@@ -6,8 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import holriem
-from holriem.cli import cli
+from holriem.cli import _build_parser, cli
+from holriem.dsl import MAX_NESTING
 
 DATA = "src/holriem/data"
 
@@ -142,6 +145,60 @@ def test_unknown_subcommand(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert cli([]) == 2
+
+
+def test_parser_built_once_prints_to_current_streams(capsys):
+    assert _build_parser() is _build_parser()
+    assert cli(["classify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: holriem classify" in captured.err
+    assert cli(["classify", f"{DATA}/sol3.liealg"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("SOL\n", "")
+
+
+@pytest.mark.parametrize(
+    "command", ["connection", "curvature", "constcurv", "invariants", "classify", "model"]
+)
+def test_file_commands_reject_a_table_that_breaks_jacobi(command, tmp_path, capsys):
+    path = tmp_path / "broken.liealg"
+    path.write_text(
+        "[algebra]\nname = broken\ndim = 3\nbasis = X, Y, Z\n\n"
+        '[brackets]\n"Y,Z" = X\n"X,Z" = Z\n\n'
+        '[form]\n"X,X" = 1\n"Y,Y" = 1\n"Z,Z" = 1\n'
+    )
+    assert cli([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not a Lie algebra: Jacobi identity fails at triple=(X,Y,Z)\n"
+
+
+@pytest.mark.parametrize("command", ["verify-paper", "mobius-check"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_tol_must_be_finite_and_positive(command, tol, capsys):
+    assert cli([command, f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --tol: must be finite and positive" in captured.err
+
+
+@pytest.mark.parametrize(
+    "col, value",
+    [
+        # The value starts at column 9; the error points at the first
+        # bracket or sign past the nesting limit, or at the literal.
+        (9 + MAX_NESTING, "(" * 3000 + "1" + ")" * 3000),
+        (9 + MAX_NESTING, "-" * 5000 + "1"),
+        (9, "1" * 4400),
+    ],
+    ids=["3000-parentheses", "5000-minus-signs", "4400-digits"],
+)
+def test_pathological_scalars_give_located_errors(col, value, tmp_path, capsys):
+    path = tmp_path / "deep.liealg"
+    path.write_text(f'[algebra]\nname = deep\ndim = 1\nbasis = A\n\n[form]\n"A,A" = {value}\n')
+    assert cli(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: line 7, col {col}: ")
 
 
 def test_verify_paper_json_deterministic(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from holriem.catalog import build_catalog, shipped_file_text, specfile_for_entry
 from holriem.dsl import (
+    MAX_NESTING,
     DslError,
     DuplicateKey,
     MalformedScalar,
@@ -317,3 +318,16 @@ def test_random_specfile_round_trip():
         )
         text = serialize(spec)
         assert parse(text) == spec, text
+
+
+def test_nesting_up_to_the_limit_parses():
+    assert parse_scalar("(" * MAX_NESTING + "1/2" + ")" * MAX_NESTING) == gr(Fraction(1, 2))
+    assert parse_scalar("-" * MAX_NESTING + "i") == gr(0, 1)
+    with pytest.raises(MalformedScalar):
+        parse_scalar("-" * (MAX_NESTING + 1) + "i")
+
+
+def test_unconvertible_integers_are_located():
+    with pytest.raises(MalformedScalar) as excinfo:
+        parse(HEIS_TEXT.replace("dim = 3", "dim = " + "9" * 5000))
+    assert (excinfo.value.line, excinfo.value.col) == (5, 7)

@@ -7,6 +7,7 @@ import pytest
 
 from holriem.catalog import (
     abelian3_algebra,
+    build_catalog,
     c2_semidirect_c2_algebra,
     heis_algebra,
     sl2_algebra,
@@ -99,6 +100,52 @@ def test_killing_form_sl2():
 def test_killing_form_degenerate_cases():
     assert killing_form(abelian3_algebra()).gram.is_zero()
     assert killing_form(heis_algebra()).gram.is_zero()
+
+
+def _random_table(rng: random.Random, n: int) -> LieAlgebra:
+    """Antisymmetric table with Q(i) constants; Jacobi generally fails."""
+    names = [f"e{k}" for k in range(n)]
+    table = {
+        (names[i], names[j]): {
+            names[k]: gr(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+            for k in range(n)
+            if rng.random() < 0.4
+        }
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    return LieAlgebra.from_table(names, table)
+
+
+def test_kernels_from_constants_match_ad_and_bracket():
+    """killing_form, is_unimodular and the Jacobi scans read the structure
+    constants directly; the oracles here build ad matrices and brackets."""
+    rng = random.Random(5)
+    algebras = [entry.algebra for entry in build_catalog()]
+    algebras += [_random_table(rng, n) for n in (2, 3, 4, 5) for _ in range(3)]
+    for algebra in algebras:
+        n = algebra.dim
+        ads = [ad(algebra, algebra.basis_vector(i)) for i in range(n)]
+        assert killing_form(algebra).gram == CMatrix([[(x @ y).trace() for y in ads] for x in ads])
+        assert is_unimodular(algebra) == all(not x.trace() for x in ads)
+        e = [algebra.basis_vector(i) for i in range(n)]
+        jacobiators = {
+            (i, j, k): [
+                p + q + r
+                for p, q, r in zip(
+                    bracket(algebra, bracket(algebra, e[i], e[j]), e[k]),
+                    bracket(algebra, bracket(algebra, e[j], e[k]), e[i]),
+                    bracket(algebra, bracket(algebra, e[k], e[i]), e[j]),
+                )
+            ]
+            for i in range(n)
+            for j in range(i + 1, n)
+            for k in range(j + 1, n)
+        }
+        assert jacobi_witness(algebra) == next((t for t, v in jacobiators.items() if any(v)), None)
+        assert jacobi_defect(algebra) == max(
+            (c.maxabs() for v in jacobiators.values() for c in v), default=0
+        )
 
 
 def test_series():
