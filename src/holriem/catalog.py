@@ -1,6 +1,11 @@
 """Built-in catalog of algebras, metrics and homogeneous models, plus the
 verification suite that machine-checks every expected property.
 
+The catalog is the shipped ``.liealg`` files under ``data/``: one file per
+id of ``CATALOG_IDS``, named for its entry and stored in canonical form.
+``build_catalog`` parses them; only the stabilizer family, which takes
+parameters, is built in code (``build_param_extension``).
+
 Check results are flat (id, status, witness, value) records so reports
 stay grep-able; ``verify_all`` is deterministic for a fixed seed.
 """
@@ -9,11 +14,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
-from typing import Sequence
+from itertools import zip_longest
+from typing import Iterable, Sequence
 
 from . import dsl
 from .forms import QuadraticForm
@@ -52,7 +58,6 @@ from .liealg import (
     is_unimodular,
     derived_series,
     jacobi_witness,
-    killing_form,
     subalgebra,
 )
 from .linalg import CMatrix, in_span
@@ -67,6 +72,34 @@ from .scalars import GaussianRational, as_gr, gr
 
 DEFAULT_SEED = 42
 DEFAULT_TOL = 1e-9
+
+# The shipped files under data/, one per entry, in report order.
+CATALOG_IDS = (
+    "flat_c3",
+    "heis3",
+    "sol3",
+    "sl2",
+    "c_oplus_sl2",
+    "c_times_sl2",
+    "c_times_sol",
+    "c_ltimes_heis",
+    "c2_semidirect_c2",
+    "heis_stab_zero",
+    "heis_stab_generic",
+)
+# Report order of the [expected] keys of metric files and of model files;
+# they disagree on unimodular against center_dim, so one order cannot serve both.
+_METRIC_KEYS = (
+    "class",
+    "constant_curvature",
+    "unimodular",
+    "solvable",
+    "nilpotent",
+    "semisimple",
+    "center_dim",
+    "derived_dims",
+)
+_MODEL_KEYS = ("isotropy", "invariance", "invariant_form_dim", "center_dim", "unimodular")
 
 
 # -- catalog ---------------------------------------------------------------
@@ -97,7 +130,6 @@ class CatalogEntry:
     form: QuadraticForm | None = None
     model: HomogeneousModel | None = None
     expected: dict[str, str] | None = None
-    params: ParamExtension | None = None
 
     @cached_property
     def connection(self) -> ConnectionTable:
@@ -106,43 +138,6 @@ class CatalogEntry:
     @cached_property
     def tensor(self) -> CurvatureTensor:
         return curvature(self.algebra, self.connection)
-
-
-def abelian3_algebra() -> LieAlgebra:
-    return LieAlgebra.from_table(("X", "Y", "Z"), {})
-
-
-def heis_algebra() -> LieAlgebra:
-    """Heisenberg: [Y, Z] = X with X central."""
-    return LieAlgebra.from_table(("X", "Y", "Z"), {("Y", "Z"): {"X": 1}})
-
-
-def sol_algebra() -> LieAlgebra:
-    """SOL: [Y, Z] = Z, [Y, T] = -T, [Z, T] = 0."""
-    return LieAlgebra.from_table(
-        ("Y", "Z", "T"), {("Y", "Z"): {"Z": 1}, ("Y", "T"): {"T": -1}}
-    )
-
-
-def sl2_algebra() -> LieAlgebra:
-    """sl(2): [H, E] = 2E, [H, F] = -2F, [E, F] = H."""
-    return LieAlgebra.from_table(
-        ("H", "E", "F"),
-        {("H", "E"): {"E": 2}, ("H", "F"): {"F": -2}, ("E", "F"): {"H": 1}},
-    )
-
-
-def heis_isotropic_center_form() -> QuadraticForm:
-    """Flat metric on heis: the center pairs with Z and is isotropic."""
-    return QuadraticForm.from_sparse(
-        ("X", "Y", "Z"), {("X", "Z"): 1, ("Y", "Y"): 1}
-    )
-
-
-def sol_flat_form() -> QuadraticForm:
-    return QuadraticForm.from_sparse(
-        ("Y", "Z", "T"), {("Y", "Y"): 1, ("Z", "T"): 1}
-    )
 
 
 def build_param_extension(params: ParamExtension) -> LieAlgebra:
@@ -175,229 +170,50 @@ def heis_stabilizer_model(params: ParamExtension) -> HomogeneousModel:
     )
 
 
-def c_times_sol_algebra() -> LieAlgebra:
-    return LieAlgebra.from_table(
-        ("X", "Y", "Z", "T"),
-        {("Y", "Z"): {"Z": 1}, ("Y", "T"): {"T": -1}},
+def shipped_file_text(entry_id: str) -> str:
+    return (resources.files("holriem") / "data" / f"{entry_id}.liealg").read_text(
+        encoding="utf-8"
     )
 
 
-def c_ltimes_heis_algebra() -> LieAlgebra:
-    return LieAlgebra.from_table(
-        ("X", "Y", "Z", "T"),
-        {("Y", "Z"): {"Z": 1}, ("Y", "T"): {"T": -1}, ("T", "Z"): {"X": 1}},
-    )
+@cache
+def _shipped(entry_id: str) -> tuple[str, dsl.SpecFile]:
+    """Text and parse of one shipped file, read once per process.
 
-
-def c2_semidirect_c2_algebra() -> LieAlgebra:
-    return LieAlgebra.from_table(
-        ("X", "Y", "Z", "T"),
-        {("Y", "Z"): {"Z": 1}, ("Y", "T"): {"T": -1}, ("T", "X"): {"T": 1}},
-    )
-
-
-def _semisimple_quotient_model(algebra: LieAlgebra) -> HomogeneousModel:
-    """Isotropy Y with complement (X, Z, T) and form pairing Z with T."""
-    return HomogeneousModel(
-        algebra,
-        isotropy=[algebra.vector("Y")],
-        complement=[algebra.vector("X"), algebra.vector("Z"), algebra.vector("T")],
-        quotient_form=QuadraticForm.from_sparse(
-            ("X", "Z", "T"), {("X", "X"): 1, ("Z", "T"): 1}
-        ),
-    )
-
-
-def c_oplus_sl2_algebra() -> LieAlgebra:
-    """sl(2) plus a central line W."""
-    return LieAlgebra.from_table(
-        ("H", "E", "F", "W"),
-        {("H", "E"): {"E": 2}, ("H", "F"): {"F": -2}, ("E", "F"): {"H": 1}},
-    )
-
-
-def c_oplus_sl2_model(a=2, b=1) -> HomogeneousModel:
-    """Left-invariant metrics on the simple factor, isotropy along W + H.
-
-    Quotient form q(H,H) = a, q(E,F) = b on the complement (H, E, F); the
-    Killing-proportional case is a = 2b.
+    Package data is read-only; callers share the result and must not mutate it.
     """
-    algebra = c_oplus_sl2_algebra()
-    return HomogeneousModel(
-        algebra,
-        isotropy=[algebra.vector({"W": 1, "H": 1})],
-        complement=[algebra.vector("H"), algebra.vector("E"), algebra.vector("F")],
-        quotient_form=QuadraticForm.from_sparse(
-            ("H", "E", "F"), {("H", "H"): a, ("E", "F"): b}
-        ),
-    )
+    text = shipped_file_text(entry_id)
+    return text, dsl.parse(text)
 
 
-def c_times_sl2_algebra() -> LieAlgebra:
-    return LieAlgebra.from_table(
-        ("W", "H", "E", "F"),
-        {("H", "E"): {"E": 2}, ("H", "F"): {"F": -2}, ("E", "F"): {"H": 1}},
-    )
-
-
-def c_times_sl2_model() -> HomogeneousModel:
-    """Product of a line with the constant-curvature surface; isotropy H."""
-    algebra = c_times_sl2_algebra()
-    return HomogeneousModel(
-        algebra,
-        isotropy=[algebra.vector("H")],
-        complement=[algebra.vector("W"), algebra.vector("E"), algebra.vector("F")],
-        quotient_form=QuadraticForm.from_sparse(
-            ("W", "E", "F"), {("W", "W"): 1, ("E", "F"): 1}
-        ),
-    )
+def _report_order(expected: dict[str, str], order: tuple[str, ...]) -> dict[str, str]:
+    """Files store ``[expected]`` keys sorted; the report lists them in ``order``,
+    with unknown keys last."""
+    rank = {key: position for position, key in enumerate(order)}
+    return dict(sorted(expected.items(), key=lambda item: rank.get(item[0], len(order))))
 
 
 def build_catalog() -> list[CatalogEntry]:
-    entries = [
-        CatalogEntry(
-            id="flat_c3",
-            algebra=abelian3_algebra(),
-            form=QuadraticForm.diagonal([1, 1, 1]),
-            expected={
-                "class": "ABELIAN_C3",
-                "constant_curvature": "0",
-                "unimodular": "true",
-                "solvable": "true",
-                "nilpotent": "true",
-                "center_dim": "3",
-                "derived_dims": "3,0",
-            },
-        ),
-        CatalogEntry(
-            id="heis3",
-            algebra=heis_algebra(),
-            form=heis_isotropic_center_form(),
-            expected={
-                "class": "HEIS",
-                "constant_curvature": "0",
-                "unimodular": "true",
-                "solvable": "true",
-                "nilpotent": "true",
-                "center_dim": "1",
-                "derived_dims": "3,1,0",
-            },
-        ),
-        CatalogEntry(
-            id="sol3",
-            algebra=sol_algebra(),
-            form=sol_flat_form(),
-            expected={
-                "class": "SOL",
-                "constant_curvature": "0",
-                "unimodular": "true",
-                "solvable": "true",
-                "nilpotent": "false",
-                "center_dim": "0",
-                "derived_dims": "3,2,0",
-            },
-        ),
-        CatalogEntry(
-            id="sl2",
-            algebra=sl2_algebra(),
-            form=killing_form(sl2_algebra()),
-            expected={
-                "class": "SL2",
-                "constant_curvature": "-1/8",
-                "unimodular": "true",
-                "solvable": "false",
-                "semisimple": "true",
-                "center_dim": "0",
-                "derived_dims": "3,3",
-            },
-        ),
-        CatalogEntry(
-            id="c_oplus_sl2",
-            algebra=c_oplus_sl2_algebra(),
-            model=c_oplus_sl2_model(),
-            expected={
-                "isotropy": "SEMISIMPLE",
-                "invariance": "true",
-                "invariant_form_dim": "2",
-                "center_dim": "1",
-                "unimodular": "true",
-            },
-        ),
-        CatalogEntry(
-            id="c_times_sl2",
-            algebra=c_times_sl2_algebra(),
-            model=c_times_sl2_model(),
-            expected={
-                "isotropy": "SEMISIMPLE",
-                "invariance": "true",
-                "invariant_form_dim": "2",
-                "center_dim": "1",
-                "unimodular": "true",
-            },
-        ),
-        CatalogEntry(
-            id="c_times_sol",
-            algebra=c_times_sol_algebra(),
-            model=_semisimple_quotient_model(c_times_sol_algebra()),
-            expected={
-                "isotropy": "SEMISIMPLE",
-                "invariance": "true",
-                "invariant_form_dim": "2",
-                "center_dim": "1",
-                "unimodular": "true",
-            },
-        ),
-        CatalogEntry(
-            id="c_ltimes_heis",
-            algebra=c_ltimes_heis_algebra(),
-            model=_semisimple_quotient_model(c_ltimes_heis_algebra()),
-            expected={
-                "isotropy": "SEMISIMPLE",
-                "invariance": "true",
-                "invariant_form_dim": "2",
-                "center_dim": "1",
-                "unimodular": "true",
-            },
-        ),
-        CatalogEntry(
-            id="c2_semidirect_c2",
-            algebra=c2_semidirect_c2_algebra(),
-            model=_semisimple_quotient_model(c2_semidirect_c2_algebra()),
-            expected={
-                "isotropy": "SEMISIMPLE",
-                "invariance": "true",
-                "invariant_form_dim": "2",
-                "center_dim": "0",
-                "unimodular": "false",
-            },
-        ),
-        CatalogEntry(
-            id="heis_stab_zero",
-            algebra=build_param_extension(ParamExtension()),
-            model=heis_stabilizer_model(ParamExtension()),
-            params=ParamExtension(),
-            expected={
-                "isotropy": "UNIPOTENT",
-                "invariance": "true",
-                "invariant_form_dim": "2",
-                "center_dim": "1",
-            },
-        ),
-        CatalogEntry(
-            id="heis_stab_generic",
-            algebra=build_param_extension(
-                ParamExtension(1, Fraction(1, 2), -1, 3)
-            ),
-            model=heis_stabilizer_model(ParamExtension(1, Fraction(1, 2), -1, 3)),
-            params=ParamExtension(1, Fraction(1, 2), -1, 3),
-            expected={
-                "isotropy": "UNIPOTENT",
-                "invariance": "true",
-                "invariant_form_dim": "2",
-                "center_dim": "0",
-            },
-        ),
-    ]
+    """One entry per id of ``CATALOG_IDS``, built from its shipped file."""
+    entries = []
+    for entry_id in CATALOG_IDS:
+        spec = _shipped(entry_id)[1]
+        algebra = dsl.to_algebra(spec)
+        if spec.isotropy:
+            entry = CatalogEntry(
+                entry_id,
+                algebra,
+                model=dsl.to_model(spec, algebra),
+                expected=_report_order(spec.expected, _MODEL_KEYS),
+            )
+        else:
+            entry = CatalogEntry(
+                entry_id,
+                algebra,
+                form=dsl.to_metric(spec),
+                expected=_report_order(spec.expected, _METRIC_KEYS),
+            )
+        entries.append(entry)
     return entries
 
 
@@ -614,6 +430,11 @@ def _entry_by_id(catalog: Sequence[CatalogEntry], entry_id: str) -> CatalogEntry
     return None
 
 
+def _missing(check_ids: Iterable[str]) -> list[CheckResult]:
+    """A fragment's usual checks, failing, for an entry absent from the catalog."""
+    return [_check(check_id, False, witness="entry missing") for check_id in check_ids]
+
+
 def verify_prop_unimodular(catalog: Sequence[CatalogEntry]) -> list[CheckResult]:
     """Constant-curvature certificates for the four unimodular classes.
 
@@ -624,9 +445,7 @@ def verify_prop_unimodular(catalog: Sequence[CatalogEntry]) -> list[CheckResult]
     for entry_id in ("flat_c3", "heis3", "sol3", "sl2"):
         entry = _entry_by_id(catalog, entry_id)
         if entry is None or entry.form is None:
-            checks.append(
-                _check(f"unimodular3/{entry_id}", False, witness="entry missing")
-            )
+            checks.extend(_missing((f"unimodular3/{entry_id}",)))
             continue
         k = constant_curvature_value(entry.form, entry.tensor)
         value = _render_constant(k)
@@ -637,10 +456,7 @@ def verify_prop_unimodular(catalog: Sequence[CatalogEntry]) -> list[CheckResult]
         checks.append(
             _check(f"unimodular3/{entry_id}", ok, witness=f"got {value}", value=value)
         )
-        if k is not None:
-            flat_solvable.append((entry_id, not k, is_solvable(entry.algebra)))
-        else:
-            flat_solvable.append((entry_id, False, is_solvable(entry.algebra)))
+        flat_solvable.append((entry_id, k is not None and not k, is_solvable(entry.algebra)))
     mismatches = [name for name, flat, solv in flat_solvable if flat != solv]
     checks.append(
         _check(
@@ -654,55 +470,77 @@ def verify_prop_unimodular(catalog: Sequence[CatalogEntry]) -> list[CheckResult]
 
 
 def verify_section4(catalog: Sequence[CatalogEntry]) -> list[CheckResult]:
-    """Semisimple-part models: curvature of the invariant metrics on sl(2)."""
-    checks = []
-    algebra = sl2_algebra()
-    proportional = QuadraticForm.from_sparse(
-        ("H", "E", "F"), {("H", "H"): 2, ("E", "F"): 1}
+    """Semisimple-part models: curvature of the invariant metrics on sl(2).
+
+    The quotient form q(H,H) = 2, q(E,F) = 1 of ``c_oplus_sl2`` is the
+    Killing-proportional case; (a, b) = (1, 1) is a generic one.
+    """
+    sl2 = _entry_by_id(catalog, "sl2")
+    entry = _entry_by_id(catalog, "c_oplus_sl2")
+    model = None if entry is None else entry.model
+    if sl2 is None or model is None or model.quotient_form is None:
+        return _missing(
+            (
+                "semisimple4/killing_proportional_constant",
+                "semisimple4/general_ab_invariance",
+                "semisimple4/general_ab_report",
+            )
+        )
+    k = constant_curvature(sl2.algebra, model.quotient_form)
+    generic_form = QuadraticForm.from_sparse(
+        ("H", "E", "F"), {("H", "H"): 1, ("E", "F"): 1}
     )
-    k = constant_curvature(algebra, proportional)
-    checks.append(
+    generic_k = constant_curvature(sl2.algebra, generic_form)
+    return [
         _check(
             "semisimple4/killing_proportional_constant",
             k is not None and str(k) == "-1/2",
             witness=f"got {_render_constant(k)}",
             value=_render_constant(k),
-        )
-    )
-    generic = c_oplus_sl2_model(a=1, b=1)
-    checks.append(
+        ),
         _check(
             "semisimple4/general_ab_invariance",
-            check_invariance(generic),
+            check_invariance(replace(model, quotient_form=generic_form)),
             witness="invariance failed for (a,b)=(1,1)",
-        )
-    )
-    generic_form = QuadraticForm.from_sparse(
-        ("H", "E", "F"), {("H", "H"): 1, ("E", "F"): 1}
-    )
-    generic_k = constant_curvature(algebra, generic_form)
-    checks.append(
+        ),
         _check(
             "semisimple4/general_ab_report",
             generic_k is None,
             witness=f"got {_render_constant(generic_k)}",
             value=_render_constant(generic_k),
-        )
-    )
-    return checks
+        ),
+    ]
+
+
+def _center_is_x_line(check_id: str, g: LieAlgebra) -> CheckResult:
+    central = center(g)
+    ok = len(central) == 1 and in_span([g.basis_vector("X")], central[0])
+    return _check(check_id, ok, witness="center is not the X line")
+
+
+def _isotropy_check(
+    check_id: str, catalog: Sequence[CatalogEntry], entry_ids: tuple[str, ...], tag: str
+) -> CheckResult:
+    """Every listed entry is a model of isotropy type ``tag``; a missing one is wrong."""
+    wrong = [
+        entry_id
+        for entry_id in entry_ids
+        if (entry := _entry_by_id(catalog, entry_id)) is None
+        or entry.model is None
+        or isotropy_type(entry.model).name != tag
+    ]
+    return _check(check_id, not wrong, witness=f"unexpected type at {','.join(wrong)}")
 
 
 def verify_section5_tables(catalog: Sequence[CatalogEntry]) -> list[CheckResult]:
     checks = []
 
     case1 = _entry_by_id(catalog, "c_times_sol")
-    if case1 is not None:
+    if case1 is None:
+        checks.extend(_missing(("solvable4/case1_center", "solvable4/case1_sol_span")))
+    else:
         g = case1.algebra
-        central = center(g)
-        ok = len(central) == 1 and in_span([g.basis_vector("X")], central[0])
-        checks.append(
-            _check("solvable4/case1_center", ok, witness="center is not the X line")
-        )
+        checks.append(_center_is_x_line("solvable4/case1_center", g))
         try:
             span = subalgebra(g, [g.vector("Y"), g.vector("Z"), g.vector("T")])
             tag = classify_3d_unimodular(span).name
@@ -718,13 +556,13 @@ def verify_section5_tables(catalog: Sequence[CatalogEntry]) -> list[CheckResult]
             checks.append(_check("solvable4/case1_sol_span", False, witness=str(exc)))
 
     case2 = _entry_by_id(catalog, "c_ltimes_heis")
-    if case2 is not None:
-        g = case2.algebra
-        central = center(g)
-        ok = len(central) == 1 and in_span([g.basis_vector("X")], central[0])
-        checks.append(
-            _check("solvable4/case2_center", ok, witness="center is not the X line")
+    if case2 is None:
+        checks.extend(
+            _missing(("solvable4/case2_center", "solvable4/case2_heis_ideal", "solvable4/case2_weights"))
         )
+    else:
+        g = case2.algebra
+        checks.append(_center_is_x_line("solvable4/case2_center", g))
         ideal_vectors = [g.vector("X"), g.vector("Z"), g.vector("T")]
         try:
             span = subalgebra(g, ideal_vectors)
@@ -739,7 +577,11 @@ def verify_section5_tables(catalog: Sequence[CatalogEntry]) -> list[CheckResult]
             checks.append(
                 _check("solvable4/case2_heis_ideal", False, witness=str(exc))
             )
-        if case2.model is not None:
+        if case2.model is None:
+            checks.append(
+                _check("solvable4/case2_weights", False, witness="entry carries no model")
+            )
+        else:
             action = induced_ad(case2.model, case2.model.isotropy[0])
             expected = CMatrix.diagonal([0, 1, -1])
             checks.append(
@@ -752,7 +594,9 @@ def verify_section5_tables(catalog: Sequence[CatalogEntry]) -> list[CheckResult]
             )
 
     case3 = _entry_by_id(catalog, "c2_semidirect_c2")
-    if case3 is not None:
+    if case3 is None:
+        checks.extend(_missing(("solvable4/case3_center",)))
+    else:
         dim = len(center(case3.algebra))
         checks.append(
             _check(
@@ -763,34 +607,20 @@ def verify_section5_tables(catalog: Sequence[CatalogEntry]) -> list[CheckResult]
             )
         )
 
-    semisimple_ids = ("c_times_sol", "c_ltimes_heis", "c2_semidirect_c2")
-    wrong = []
-    for entry_id in semisimple_ids:
-        entry = _entry_by_id(catalog, entry_id)
-        if entry is None or entry.model is None:
-            wrong.append(entry_id)
-            continue
-        if isotropy_type(entry.model).name != "SEMISIMPLE":
-            wrong.append(entry_id)
     checks.append(
-        _check(
+        _isotropy_check(
             "solvable4/isotropy_semisimple",
-            not wrong,
-            witness=f"unexpected type at {','.join(wrong)}" if wrong else None,
+            catalog,
+            ("c_times_sol", "c_ltimes_heis", "c2_semidirect_c2"),
+            "SEMISIMPLE",
         )
     )
-
-    wrong = []
-    for entry in catalog:
-        if entry.params is None or entry.model is None:
-            continue
-        if isotropy_type(entry.model).name != "UNIPOTENT":
-            wrong.append(entry.id)
     checks.append(
-        _check(
+        _isotropy_check(
             "solvable4/family_isotropy_unipotent",
-            not wrong,
-            witness=f"unexpected type at {','.join(wrong)}" if wrong else None,
+            catalog,
+            ("heis_stab_zero", "heis_stab_generic"),
+            "UNIPOTENT",
         )
     )
     return checks
@@ -998,37 +828,28 @@ def verify_mobius(seed: int, tol: float) -> list[CheckResult]:
     ]
 
 
-# -- shipped file agreement -------------------------------------------------
+# -- shipped files -----------------------------------------------------------
 
 
-def shipped_file_text(entry_id: str) -> str:
-    return (resources.files("holriem") / "data" / f"{entry_id}.liealg").read_text(
-        encoding="utf-8"
-    )
-
-
-def specfile_for_entry(entry: CatalogEntry) -> "dsl.SpecFile":
-    return dsl.specfile_from_parts(
-        entry.id, entry.algebra, entry.form, entry.model, entry.expected
-    )
-
-
-def verify_shipped_files(catalog: Sequence[CatalogEntry]) -> list[CheckResult]:
+def verify_shipped_files() -> list[CheckResult]:
+    """Each shipped file reads, parses, names its entry and is stored canonically."""
     checks = []
-    for entry in catalog:
-        check_id = f"files/{entry.id}"
+    for entry_id in CATALOG_IDS:
+        check_id = f"files/{entry_id}"
         try:
-            text = shipped_file_text(entry.id)
-        except OSError as exc:
+            text, spec = _shipped(entry_id)
+        except (OSError, dsl.DslError) as exc:
             checks.append(_check(check_id, False, witness=str(exc)))
             continue
-        try:
-            parsed = dsl.parse(text)
-        except dsl.DslError as exc:
-            checks.append(_check(check_id, False, witness=str(exc)))
+        if spec.name != entry_id:
+            checks.append(_check(check_id, False, witness=f"name is {spec.name!r}"))
             continue
-        ok = parsed == specfile_for_entry(entry)
-        checks.append(_check(check_id, ok, witness="file and catalog disagree"))
+        pairs = zip_longest(
+            text.splitlines(keepends=True),
+            dsl.serialize(spec).splitlines(keepends=True),
+        )
+        line = next((n for n, (got, want) in enumerate(pairs, 1) if got != want), None)
+        checks.append(_check(check_id, line is None, witness=f"not canonical at line {line}"))
     return checks
 
 
@@ -1039,7 +860,6 @@ def verify_all(
     seed: int = DEFAULT_SEED,
     tol: float = DEFAULT_TOL,
     catalog: Sequence[CatalogEntry] | None = None,
-    check_files: bool = True,
 ) -> VerifyReport:
     """Run the full verification suite; deterministic for a fixed seed."""
     if catalog is None:
@@ -1049,14 +869,15 @@ def verify_all(
     checks: list[CheckResult] = []
     for entry in catalog:
         checks.extend(verify_entry(entry))
+    present = {entry.id for entry in catalog}
+    checks.extend(_missing(f"{i}/entry" for i in CATALOG_IDS if i not in present))
     checks.extend(verify_prop_unimodular(catalog))
     checks.extend(verify_section4(catalog))
     checks.extend(verify_section5_tables(catalog))
     checks.extend(verify_isotropy_dimension_bounds())
     checks.extend(verify_heis_family(seed))
     checks.extend(verify_flow_identities())
-    if check_files:
-        checks.extend(verify_shipped_files(catalog))
+    checks.extend(verify_shipped_files())
     checks.extend(verify_mobius(seed, tol))
     ids = [c.id for c in checks]
     if len(set(ids)) != len(ids):

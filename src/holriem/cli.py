@@ -61,6 +61,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type for ``--samples``: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process; argparse looks up sys.stdout/sys.stderr when
@@ -114,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mb = sub.add_parser(
         "mobius-check", parents=[common], help="numeric invariance of the surface metric"
     )
-    mb.add_argument("--samples", type=int, default=1000)
+    mb.add_argument("--samples", type=_positive_int, default=1000)
     mb.add_argument("--seed", type=int, default=cat.DEFAULT_SEED)
     mb.add_argument("--tol", type=_tolerance, default=cat.DEFAULT_TOL)
     mb.set_defaults(handler=_cmd_mobius)

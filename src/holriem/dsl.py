@@ -660,56 +660,3 @@ def to_model(spec: SpecFile, algebra: LieAlgebra | None = None) -> HomogeneousMo
         complement=[v for _, v in chosen],
         quotient_form=quotient_form,
     )
-
-
-def specfile_from_parts(
-    name: str,
-    algebra: LieAlgebra,
-    form: QuadraticForm | None = None,
-    model: HomogeneousModel | None = None,
-    expected: dict[str, str] | None = None,
-) -> SpecFile:
-    """Canonical SpecFile mirroring in-memory catalog data."""
-    labels = algebra.basis_names
-    spec = SpecFile(name=name, labels=labels)
-    n = algebra.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            combo = {
-                labels[k]: c
-                for k, c in enumerate(algebra.constants[i][j])
-                if c
-            }
-            if combo:
-                spec.brackets[(labels[i], labels[j])] = combo
-    if form is not None and model is not None:
-        raise ValueError("give either a metric or a model, not both")
-    if form is not None:
-        _fill_form(spec, labels, form)
-    if model is not None:
-        complement_labels = []
-        for v in model.complement:
-            hits = [k for k, c in enumerate(v) if c]
-            if len(hits) != 1 or v[hits[0]] != ONE:
-                raise ValueError("complement vectors must be plain basis vectors")
-            complement_labels.append(labels[hits[0]])
-        if model.quotient_form is not None:
-            _fill_form(spec, complement_labels, model.quotient_form)
-        spec.isotropy = tuple(
-            {labels[k]: c for k, c in enumerate(v) if c} for v in model.isotropy
-        )
-    if expected:
-        spec.expected = dict(expected)
-    return spec
-
-
-def _fill_form(spec: SpecFile, labels: Sequence[str], form: QuadraticForm) -> None:
-    index = {label: k for k, label in enumerate(spec.labels)}
-    for i in range(form.dim):
-        for j in range(i, form.dim):
-            value = form.gram.entries[i][j]
-            if value:
-                a, b = labels[i], labels[j]
-                if index[a] > index[b]:
-                    a, b = b, a
-                spec.form[(a, b)] = value

@@ -14,17 +14,13 @@ from fractions import Fraction
 from holriem.catalog import (
     CatalogEntry,
     ParamExtension,
-    abelian3_algebra,
     build_catalog,
     build_param_extension,
     check_prop_iv,
     fixed_matrix_residual,
-    heis_algebra,
     heis_stabilizer_model,
     mobius_invariance_check,
     random_param_extension,
-    sl2_algebra,
-    sol_algebra,
     verify_all,
 )
 from holriem.cli import cli
@@ -54,6 +50,8 @@ from holriem.linalg import CMatrix, vadd
 from holriem.models import isotropy_type
 from holriem.scalars import gr
 
+CATALOG = {entry.id: entry for entry in build_catalog()}
+
 
 def _report(number: int, description: str, ok: bool) -> None:
     status = "PASS" if ok else "FAIL"
@@ -81,7 +79,7 @@ def test_criterion_01_constant_curvature_of_unimodular_classes():
 
 
 def test_criterion_02_sl2_sectional_value():
-    g = sl2_algebra()
+    g = CATALOG["sl2"].algebra
     b = killing_form(g)
     tensor = curvature(g, levi_civita(g, b))
     h, e, f = (g.basis_vector(k) for k in range(3))
@@ -112,10 +110,10 @@ def test_criterion_03_classification_conjugation_robust():
                 return candidate
 
     algebras = [
-        (abelian3_algebra(), "ABELIAN_C3"),
-        (heis_algebra(), "HEIS"),
-        (sol_algebra(), "SOL"),
-        (sl2_algebra(), "SL2"),
+        (CATALOG["flat_c3"].algebra, "ABELIAN_C3"),
+        (CATALOG["heis3"].algebra, "HEIS"),
+        (CATALOG["sol3"].algebra, "SOL"),
+        (CATALOG["sl2"].algebra, "SL2"),
     ]
     ok = True
     for algebra, tag in algebras:
@@ -230,7 +228,7 @@ def test_criterion_10_fault_injection_sensitivity(mutate_structure_constant):
                     expected=sol.expected,
                 )
                 swapped = [mutated_entry if e.id == "sol3" else e for e in catalog]
-                report = verify_all(catalog=swapped, check_files=False)
+                report = verify_all(catalog=swapped)
                 failures = report.failures()
                 if not failures:
                     ok = False

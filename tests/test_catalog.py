@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from holriem import catalog
 from holriem.catalog import (
+    CATALOG_IDS,
     CatalogEntry,
     ParamExtension,
     build_catalog,
@@ -17,6 +19,7 @@ from holriem.catalog import (
     mobius_invariance_check,
     random_param_extension,
     report_to_json,
+    shipped_file_text,
     verify_all,
     verify_entry,
     verify_isotropy_dimension_bounds,
@@ -25,7 +28,7 @@ from holriem.catalog import (
     verify_section5_tables,
     verify_shipped_files,
 )
-from holriem.liealg import LieAlgebra, ad, jacobi_defect, jacobi_witness
+from holriem.liealg import LieAlgebra, ad, jacobi_defect, jacobi_witness, killing_form
 from holriem.linalg import CMatrix
 from holriem.models import isotropy_type
 from holriem.scalars import gr
@@ -185,9 +188,105 @@ def test_verify_isotropy_bounds_fragment():
 
 
 def test_shipped_files_agree_with_catalog():
-    checks = verify_shipped_files(build_catalog())
+    checks = verify_shipped_files()
     assert len(checks) == len(build_catalog())
     assert all(c.passed for c in checks), [c.witness for c in checks if not c.passed]
+
+
+@pytest.fixture
+def shipped_text(monkeypatch):
+    """Override the text of shipped files by id (a str, or an exception to raise).
+
+    The loader's cache is cleared before and after, so no other test sees it.
+    """
+    real = catalog.shipped_file_text
+    overrides = {}
+
+    def fake(entry_id):
+        value = overrides.get(entry_id)
+        if value is None:
+            return real(entry_id)
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    monkeypatch.setattr(catalog, "shipped_file_text", fake)
+    catalog._shipped.cache_clear()
+    yield overrides
+    catalog._shipped.cache_clear()
+
+
+def _unsorted_expected(text):
+    head, keys = text.split("[expected]\n")
+    return head + "[expected]\n" + "".join(reversed(keys.splitlines(keepends=True)))
+
+
+@pytest.mark.parametrize("fault", ["misnamed", "unsorted", "unreadable", "unparsable"])
+@pytest.mark.parametrize("entry_id", CATALOG_IDS)
+def test_file_check_fails_on_a_bad_file(entry_id, fault, shipped_text):
+    text = shipped_file_text(entry_id)
+    first_key_line = text.splitlines().index("[expected]") + 2
+    shipped_text[entry_id], witness = {
+        "misnamed": (text.replace(f"name = {entry_id}\n", "name = other\n"), "name is 'other'"),
+        "unsorted": (_unsorted_expected(text), f"not canonical at line {first_key_line}"),
+        "unreadable": (FileNotFoundError("gone"), "gone"),
+        "unparsable": ("[algebra]\nname = x\n", "line 1, col 1: [algebra] must declare"),
+    }[fault]
+    checks = verify_shipped_files()
+    assert [c.id for c in checks] == [f"files/{i}" for i in CATALOG_IDS]
+    failures = [c for c in checks if not c.passed]
+    assert [c.id for c in failures] == [f"files/{entry_id}"]
+    assert failures[0].witness.startswith(witness)
+
+
+def test_unknown_expected_key_is_checked_last(shipped_text):
+    shipped_text["sl2"] = shipped_file_text("sl2") + "zeta = 1\n"
+    entry = _by_id(build_catalog(), "sl2")
+    assert list(entry.expected)[-2:] == ["derived_dims", "zeta"]
+    checks = verify_entry(entry)
+    unknown = next(c for c in checks if c.id == "sl2/zeta")
+    assert unknown.witness == "unknown expected property 'zeta'"
+    assert [c.id for c in verify_shipped_files() if not c.passed] == []
+
+
+@pytest.fixture(scope="module")
+def full_report_ids():
+    return [c.id for c in verify_all().checks]
+
+
+@pytest.mark.parametrize("entry_id", CATALOG_IDS)
+def test_missing_entry_fails_the_report(entry_id, full_report_ids):
+    report = verify_all(catalog=[e for e in build_catalog() if e.id != entry_id])
+    assert not report.all_pass
+    by_id = {c.id: c for c in report.checks}
+    assert by_id[f"{entry_id}/entry"].witness == "entry missing"
+    outside = {i for i in full_report_ids if not i.startswith(f"{entry_id}/")}
+    assert outside <= set(by_id)
+
+
+def test_fragments_keep_their_checks_without_entries():
+    full = verify_section4(build_catalog()) + verify_section5_tables(build_catalog())
+    empty = verify_section4([]) + verify_section5_tables([])
+    assert [c.id for c in empty] == [c.id for c in full]
+    assert all(c.status == "fail" and c.witness for c in empty)
+
+
+@pytest.mark.parametrize(
+    "entry_id, params",
+    [
+        ("heis_stab_zero", ParamExtension()),
+        ("heis_stab_generic", ParamExtension(1, Fraction(1, 2), -1, 3)),
+    ],
+)
+def test_stabilizer_files_are_the_family_at_their_parameters(entry_id, params):
+    entry = _by_id(build_catalog(), entry_id)
+    assert entry.algebra == build_param_extension(params)
+    assert entry.model == heis_stabilizer_model(params)
+
+
+def test_sl2_form_is_the_killing_form():
+    entry = _by_id(build_catalog(), "sl2")
+    assert entry.form == killing_form(entry.algebra)
 
 
 def test_mobius_fixed_matrices():
@@ -233,7 +332,7 @@ def test_verify_all_flags_corrupted_catalog(mutate_structure_constant):
         expected=sol.expected,
     )
     swapped = [mutated if e.id == "sol3" else e for e in catalog]
-    report = verify_all(catalog=swapped, check_files=False)
+    report = verify_all(catalog=swapped)
     assert not report.all_pass
     assert any(c.witness for c in report.failures())
 

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holriem
 from holriem.cli import _build_parser, cli
@@ -183,6 +185,15 @@ def test_tol_must_be_finite_and_positive(command, tol, capsys):
     assert "argument --tol: must be finite and positive" in captured.err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_samples_must_be_positive(samples, capsys):
+    assert cli(["mobius-check", f"--samples={samples}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --samples: must be a positive integer, got '{samples}'" in captured.err
+    assert cli(["mobius-check", "--samples=1"]) == 0
+
+
 @pytest.mark.parametrize(
     "col, value",
     [
@@ -260,3 +271,90 @@ def test_python_dash_m_runs_the_cli():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "SOL"
+
+
+FILE_COMMANDS = ("validate", "invariants", "classify", "connection", "curvature", "constcurv", "model")
+FUZZ_LABELS = ("X", "Y", "Z", "T", "W")
+FUZZ_SCALARS = ("1", "-2", "1/2", "3/4 i", "i", "1 + i", "2 (1 - i)", "0")
+FUZZ_MALFORMED = ("1/0", "i i", "7 X", "", "((1)")
+
+
+@st.composite
+def _scalar(draw, noisy):
+    """A scalar; a noisy one may be malformed or nested up to 250 deep (the limit is 200)."""
+    atom = draw(st.sampled_from(FUZZ_SCALARS + FUZZ_MALFORMED if noisy else FUZZ_SCALARS))
+    depth = draw(st.integers(0, 250 if noisy else 2))
+    if draw(st.booleans()):
+        return "(" * depth + atom + ")" * depth
+    return "-" * depth + atom
+
+
+@st.composite
+def _combination(draw, label, noisy):
+    terms = draw(st.lists(st.tuples(_scalar(noisy), label), max_size=3))
+    return " + ".join(f"({coefficient}) {name}" for coefficient, name in terms) or "0"
+
+
+def _pairs(label, noisy, max_size):
+    """Label pairs: any in a noisy file, else distinct pairs in ascending order."""
+    if noisy:
+        return st.lists(st.tuples(label, label), max_size=max_size)
+    return st.lists(
+        st.tuples(label, label).filter(lambda pair: pair[0] < pair[1]),
+        unique=True,
+        max_size=max_size,
+    )
+
+
+@st.composite
+def _liealg_text(draw):
+    """Structured `.liealg` text; a noisy one also gets undeclared labels,
+    malformed or deep scalars, replaced characters and truncation."""
+    noisy = draw(st.booleans())
+    dim = draw(st.integers(0 if noisy else 1, 5))
+    labels = FUZZ_LABELS[:dim]
+    # "Q" is never declared.
+    label = st.sampled_from(labels + ("Q",) if noisy else labels)
+    declared = dim + draw(st.integers(0, 1)) if noisy else dim
+    lines = ["[algebra]", "name = fuzz", f"dim = {declared}", f"basis = {', '.join(labels)}"]
+    # A table with at most one bracket always satisfies Jacobi.
+    brackets = draw(_pairs(label, noisy, draw(st.sampled_from((1, 3)))))
+    if brackets:
+        lines.append("[brackets]")
+        lines += [f'"{a},{b}" = {draw(_combination(label, noisy))}' for a, b in brackets]
+    # A model file declares its form on the complement of its isotropy.
+    isotropy = draw(st.sampled_from((None,) + labels)) if draw(st.booleans()) else None
+    complement = tuple(name for name in labels if name != isotropy)
+    if complement and draw(st.integers(0, 3)):
+        extra = label if noisy else st.sampled_from(complement)
+        form = [(name, name) for name in complement] + draw(_pairs(extra, noisy, 2))
+        lines.append("[form]")
+        lines += [f'"{a},{b}" = {draw(_scalar(noisy))}' for a, b in form]
+    if isotropy is not None:
+        gen = draw(_combination(label, noisy)) if noisy else isotropy
+        lines += ["[isotropy]", f"gen = {gen}"]
+    if draw(st.booleans()):
+        key, value = draw(
+            st.sampled_from((("class", "SOL"), ("center_dim", "1"), ("solvable", "true")))
+        )
+        lines += ["[expected]", f"{key} = {draw(_scalar(noisy)) if noisy else value}"]
+    text = "\n".join(lines) + "\n"
+    if not noisy:
+        return text
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text) - 1))
+        text = text[:at] + draw(st.sampled_from('[]"=,#()+-*/ i0X\n')) + text[at + 1 :]
+    return text[: draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.liealg"
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_liealg_text())
+def test_file_commands_never_raise_on_fuzzed_input(fuzz_path, text):
+    fuzz_path.write_text(text, encoding="utf-8")
+    for command in FILE_COMMANDS:
+        assert cli([command, str(fuzz_path)]) in (0, 1, 2)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from holriem.catalog import build_catalog, shipped_file_text, specfile_for_entry
+from holriem.catalog import build_catalog, shipped_file_text
 from holriem.dsl import (
     MAX_NESTING,
     DslError,
@@ -158,11 +158,6 @@ def test_round_trip_all_shipped_files():
         spec = parse(text)
         assert parse(serialize(spec)) == spec
         assert serialize(spec) == text  # files are stored in canonical form
-
-
-def test_specfile_matches_catalog():
-    for entry in build_catalog():
-        assert parse(shipped_file_text(entry.id)) == specfile_for_entry(entry)
 
 
 def test_serialize_canonicalizes_scalars():

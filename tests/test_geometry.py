@@ -11,14 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from holriem.catalog import (
-    build_catalog,
-    heis_algebra,
-    heis_isotropic_center_form,
-    sl2_algebra,
-    sol_algebra,
-    sol_flat_form,
-)
+from holriem.catalog import build_catalog
 from holriem.forms import DegenerateForm, QuadraticForm
 from holriem.geometry import (
     adapted_gram_unipotent,
@@ -46,9 +39,11 @@ from holriem.liealg import bracket, killing_form
 from holriem.linalg import CMatrix, span_basis, vadd, vscale
 from holriem.scalars import gr
 
+CATALOG = {entry.id: entry for entry in build_catalog()}
+
 
 def test_sol_connection_oracle_values():
-    g, q = sol_algebra(), sol_flat_form()
+    g, q = CATALOG["sol3"].algebra, CATALOG["sol3"].form
     conn = levi_civita(g, q)
     y, z, t = (g.basis_vector(k) for k in range(3))
     assert conn.nabla(y, z) == z
@@ -58,7 +53,7 @@ def test_sol_connection_oracle_values():
 
 
 def test_heis_connection_oracle_values():
-    g, q = heis_algebra(), heis_isotropic_center_form()
+    g, q = CATALOG["heis3"].algebra, CATALOG["heis3"].form
     conn = levi_civita(g, q)
     x, y, z = (g.basis_vector(k) for k in range(3))
     assert conn.nabla(z, z) == y
@@ -69,7 +64,7 @@ def test_heis_connection_oracle_values():
 
 
 def test_biinvariant_connection_is_half_bracket():
-    g = sl2_algebra()
+    g = CATALOG["sl2"].algebra
     b = killing_form(g)
     conn = levi_civita(g, b)
     half = gr(Fraction(1, 2))
@@ -80,13 +75,14 @@ def test_biinvariant_connection_is_half_bracket():
 
 
 def test_flat_catalog_curvatures_vanish():
-    for g, q in ((sol_algebra(), sol_flat_form()), (heis_algebra(), heis_isotropic_center_form())):
+    for entry in (CATALOG["sol3"], CATALOG["heis3"]):
+        g, q = entry.algebra, entry.form
         tensor = curvature(g, levi_civita(g, q))
         assert flatness_defect(tensor) is None
 
 
 def test_sl2_curvature_is_quarter_double_bracket():
-    g = sl2_algebra()
+    g = CATALOG["sl2"].algebra
     b = killing_form(g)
     tensor = curvature(g, levi_civita(g, b))
     minus_quarter = gr(Fraction(-1, 4))
@@ -102,7 +98,7 @@ def test_sl2_curvature_is_quarter_double_bracket():
 
 
 def test_sectional_curvature_sl2_planes():
-    g = sl2_algebra()
+    g = CATALOG["sl2"].algebra
     b = killing_form(g)
     tensor = curvature(g, levi_civita(g, b))
     h, e, f = (g.basis_vector(k) for k in range(3))
@@ -113,14 +109,14 @@ def test_sectional_curvature_sl2_planes():
 
 
 def test_sectional_curvature_degenerate_plane():
-    g, q = sol_algebra(), sol_flat_form()
+    g, q = CATALOG["sol3"].algebra, CATALOG["sol3"].form
     tensor = curvature(g, levi_civita(g, q))
     y, z = g.basis_vector("Y"), g.basis_vector("Z")
     assert sectional_curvature(q, tensor, y, z) is None
 
 
 def test_sectional_curvature_dependent_vectors():
-    g, q = sol_algebra(), sol_flat_form()
+    g, q = CATALOG["sol3"].algebra, CATALOG["sol3"].form
     tensor = curvature(g, levi_civita(g, q))
     y = g.basis_vector("Y")
     with pytest.raises(ValueError):
@@ -128,14 +124,15 @@ def test_sectional_curvature_dependent_vectors():
 
 
 def test_constant_curvature_results():
-    assert constant_curvature(heis_algebra(), heis_isotropic_center_form()) == gr(0)
-    assert constant_curvature(sl2_algebra(), killing_form(sl2_algebra())) == gr(
+    assert constant_curvature(CATALOG["heis3"].algebra, CATALOG["heis3"].form) == gr(0)
+    sl2 = CATALOG["sl2"].algebra
+    assert constant_curvature(sl2, killing_form(sl2)) == gr(
         Fraction(-1, 8)
     )
 
 
 def test_constant_curvature_rejects_non_isotropic_center_metric():
-    g = heis_algebra()
+    g = CATALOG["heis3"].algebra
     q = QuadraticForm.diagonal([1, 1, 1])
     assert constant_curvature(g, q) is None
     tensor = curvature(g, levi_civita(g, q))
@@ -144,23 +141,23 @@ def test_constant_curvature_rejects_non_isotropic_center_metric():
 
 def test_constant_curvature_requires_nondegenerate_form():
     with pytest.raises(DegenerateForm):
-        constant_curvature(heis_algebra(), QuadraticForm.diagonal([1, 1, 0]))
+        constant_curvature(
+            CATALOG["heis3"].algebra, QuadraticForm.diagonal([1, 1, 0])
+        )
 
 
 def test_ricci():
-    g, q = sol_algebra(), sol_flat_form()
+    g, q = CATALOG["sol3"].algebra, CATALOG["sol3"].form
     tensor = curvature(g, levi_civita(g, q))
     assert ricci(q, tensor).gram.is_zero()
 
-    s = sl2_algebra()
+    s = CATALOG["sl2"].algebra
     b = killing_form(s)
     tensor = curvature(s, levi_civita(s, b))
     # Constant curvature k gives Ric = 2 k q in dimension 3: here -B/4.
     assert ricci(b, tensor).gram == b.gram.scale(gr(Fraction(-1, 4)))
 
-    from holriem.catalog import abelian3_algebra
-
-    a = abelian3_algebra()
+    a = CATALOG["flat_c3"].algebra
     q3 = QuadraticForm.diagonal([1, 2, gr(0, 1)])
     tensor = curvature(a, levi_civita(a, q3))
     assert ricci(q3, tensor).gram.is_zero()
@@ -260,7 +257,7 @@ def test_identities_hold_for_all_catalog_metrics():
 
 
 def test_constant_curvature_matches_sectional_on_coordinate_planes():
-    g = sl2_algebra()
+    g = CATALOG["sl2"].algebra
     b = killing_form(g)
     k = constant_curvature(g, b)
     tensor = curvature(g, levi_civita(g, b))
@@ -276,7 +273,7 @@ def test_constant_curvature_matches_sectional_on_coordinate_planes():
 
 
 def test_killing_form_is_ad_invariant():
-    g = sl2_algebra()
+    g = CATALOG["sl2"].algebra
     b = killing_form(g)
     basis = [g.basis_vector(k) for k in range(3)]
     for x in basis:
@@ -299,10 +296,8 @@ def _random_nondegenerate_form(rng, n):
 
 
 def test_connection_identities_on_random_metrics():
-    from holriem.catalog import abelian3_algebra
-
     rng = random.Random(812)
-    algebras = [abelian3_algebra(), heis_algebra(), sol_algebra(), sl2_algebra()]
+    algebras = [CATALOG[i].algebra for i in ("flat_c3", "heis3", "sol3", "sl2")]
     for algebra in algebras:
         for _ in range(3):
             q = _random_nondegenerate_form(rng, 3)
@@ -316,7 +311,7 @@ def test_connection_identities_on_random_metrics():
 
 
 def test_constant_curvature_agrees_with_random_planes():
-    g = sl2_algebra()
+    g = CATALOG["sl2"].algebra
     b = killing_form(g)
     k = constant_curvature(g, b)
     tensor = curvature(g, levi_civita(g, b))

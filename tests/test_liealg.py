@@ -5,14 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from holriem.catalog import (
-    abelian3_algebra,
-    build_catalog,
-    c2_semidirect_c2_algebra,
-    heis_algebra,
-    sl2_algebra,
-    sol_algebra,
-)
+from holriem.catalog import build_catalog
 from holriem.liealg import (
     AlgebraClass,
     LieAlgebra,
@@ -39,16 +32,18 @@ from holriem.liealg import (
 from holriem.linalg import CMatrix, in_span
 from holriem.scalars import gr
 
+CATALOG = {entry.id: entry for entry in build_catalog()}
+
 
 def test_bracket_examples():
-    h = heis_algebra()
+    h = CATALOG["heis3"].algebra
     assert bracket(h, h.vector("Y"), h.vector("Z")) == h.vector("X")
-    s = sol_algebra()
+    s = CATALOG["sol3"].algebra
     assert bracket(s, s.vector("Y"), s.vector("T")) == tuple(-c for c in s.vector("T"))
 
 
 def test_bracket_antisymmetry_random():
-    s = sol_algebra()
+    s = CATALOG["sol3"].algebra
     rng = random.Random(101)
     for _ in range(20):
         x = tuple(gr(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(3))
@@ -65,7 +60,7 @@ def test_antisymmetry_enforced_at_construction():
 
 
 def test_jacobi_defect_known_algebras():
-    assert jacobi_defect(sl2_algebra()) == 0
+    assert jacobi_defect(CATALOG["sl2"].algebra) == 0
     rotations = LieAlgebra.from_table(
         ("e1", "e2", "e3"),
         {("e1", "e2"): {"e3": 1}, ("e2", "e3"): {"e1": 1}, ("e3", "e1"): {"e2": 1}},
@@ -84,22 +79,22 @@ def test_jacobi_defect_corrupted_heis():
 
 
 def test_ad_examples():
-    h = heis_algebra()
+    h = CATALOG["heis3"].algebra
     assert ad(h, h.vector("X")).is_zero()
-    s = sol_algebra()
+    s = CATALOG["sol3"].algebra
     assert ad(s, s.vector("Y")) == CMatrix.diagonal([0, 1, -1])
     assert ad(s, (gr(0), gr(0), gr(0))).is_zero()
 
 
 def test_killing_form_sl2():
     # Oracle: traces of the explicit 3x3 products of ad matrices.
-    b = killing_form(sl2_algebra())
+    b = killing_form(CATALOG["sl2"].algebra)
     assert b.gram == CMatrix([[8, 0, 0], [0, 0, 4], [0, 4, 0]])
 
 
 def test_killing_form_degenerate_cases():
-    assert killing_form(abelian3_algebra()).gram.is_zero()
-    assert killing_form(heis_algebra()).gram.is_zero()
+    assert killing_form(CATALOG["flat_c3"].algebra).gram.is_zero()
+    assert killing_form(CATALOG["heis3"].algebra).gram.is_zero()
 
 
 def _random_table(rng: random.Random, n: int) -> LieAlgebra:
@@ -149,35 +144,35 @@ def test_kernels_from_constants_match_ad_and_bracket():
 
 
 def test_series():
-    assert derived_series(heis_algebra()) == (3, 1, 0)
-    assert derived_series(sol_algebra()) == (3, 2, 0)
-    assert derived_series(sl2_algebra()) == (3, 3)
-    assert lower_central_series(heis_algebra()) == (3, 1, 0)
-    assert lower_central_series(sol_algebra()) == (3, 2, 2)
+    assert derived_series(CATALOG["heis3"].algebra) == (3, 1, 0)
+    assert derived_series(CATALOG["sol3"].algebra) == (3, 2, 0)
+    assert derived_series(CATALOG["sl2"].algebra) == (3, 3)
+    assert lower_central_series(CATALOG["heis3"].algebra) == (3, 1, 0)
+    assert lower_central_series(CATALOG["sol3"].algebra) == (3, 2, 2)
 
 
 def test_center():
-    h = heis_algebra()
+    h = CATALOG["heis3"].algebra
     central = center(h)
     assert len(central) == 1
     assert in_span([h.vector("X")], central[0])
-    assert center(c2_semidirect_c2_algebra()) == []
-    assert len(center(abelian3_algebra())) == 3
+    assert center(CATALOG["c2_semidirect_c2"].algebra) == []
+    assert len(center(CATALOG["flat_c3"].algebra)) == 3
 
 
 def test_predicates():
-    s = sol_algebra()
+    s = CATALOG["sol3"].algebra
     assert is_unimodular(s) and is_solvable(s) and not is_nilpotent(s)
-    assert is_nilpotent(heis_algebra())
-    assert is_semisimple(sl2_algebra()) and not is_solvable(sl2_algebra())
-    assert not is_semisimple(sol_algebra())
+    assert is_nilpotent(CATALOG["heis3"].algebra)
+    assert is_semisimple(CATALOG["sl2"].algebra) and not is_solvable(CATALOG["sl2"].algebra)
+    assert not is_semisimple(CATALOG["sol3"].algebra)
 
 
 def test_classification_tags():
-    assert classify_3d_unimodular(abelian3_algebra()) is AlgebraClass.ABELIAN_C3
-    assert classify_3d_unimodular(heis_algebra()) is AlgebraClass.HEIS
-    assert classify_3d_unimodular(sol_algebra()) is AlgebraClass.SOL
-    assert classify_3d_unimodular(sl2_algebra()) is AlgebraClass.SL2
+    assert classify_3d_unimodular(CATALOG["flat_c3"].algebra) is AlgebraClass.ABELIAN_C3
+    assert classify_3d_unimodular(CATALOG["heis3"].algebra) is AlgebraClass.HEIS
+    assert classify_3d_unimodular(CATALOG["sol3"].algebra) is AlgebraClass.SOL
+    assert classify_3d_unimodular(CATALOG["sl2"].algebra) is AlgebraClass.SL2
 
 
 def test_classification_errors():
@@ -186,7 +181,7 @@ def test_classification_errors():
     with pytest.raises(NotUnimodular):
         classify_3d_unimodular(affine)
     with pytest.raises(WrongDimension):
-        classify_3d_unimodular(c2_semidirect_c2_algebra())
+        classify_3d_unimodular(CATALOG["c2_semidirect_c2"].algebra)
 
 
 def _random_invertible(rng):
@@ -210,10 +205,10 @@ def test_classification_invariant_under_conjugation():
     # smoke-level version across all four classes.
     rng = random.Random(424242)
     algebras = [
-        (abelian3_algebra(), AlgebraClass.ABELIAN_C3),
-        (heis_algebra(), AlgebraClass.HEIS),
-        (sol_algebra(), AlgebraClass.SOL),
-        (sl2_algebra(), AlgebraClass.SL2),
+        (CATALOG["flat_c3"].algebra, AlgebraClass.ABELIAN_C3),
+        (CATALOG["heis3"].algebra, AlgebraClass.HEIS),
+        (CATALOG["sol3"].algebra, AlgebraClass.SOL),
+        (CATALOG["sl2"].algebra, AlgebraClass.SL2),
     ]
     for algebra, tag in algebras:
         for _ in range(10):
@@ -224,11 +219,11 @@ def test_classification_invariant_under_conjugation():
 def test_conjugation_preserves_jacobi():
     rng = random.Random(7)
     p = _random_invertible(rng)
-    assert jacobi_defect(conjugate(sl2_algebra(), p)) == 0
+    assert jacobi_defect(conjugate(CATALOG["sl2"].algebra, p)) == 0
 
 
 def test_subalgebra_restriction():
-    s = sol_algebra()
+    s = CATALOG["sol3"].algebra
     sub = subalgebra(s, [s.vector("Z"), s.vector("T")])
     assert sub.dim == 2
     assert jacobi_defect(sub) == 0
@@ -236,24 +231,24 @@ def test_subalgebra_restriction():
 
 
 def test_subalgebra_not_closed():
-    s = sl2_algebra()
+    s = CATALOG["sl2"].algebra
     with pytest.raises(NotClosed):
         subalgebra(s, [s.vector("E"), s.vector("F")])
 
 
 def test_subalgebra_dependent_generators():
-    s = sol_algebra()
+    s = CATALOG["sol3"].algebra
     with pytest.raises(ValueError):
         subalgebra(s, [s.vector("Z"), s.vector("Z")])
 
 
 def test_is_ideal():
-    s = sol_algebra()
+    s = CATALOG["sol3"].algebra
     assert is_ideal(s, [s.vector("Z"), s.vector("T")])
     assert not is_ideal(s, [s.vector("Y")])
 
 
 def test_center_vectors_have_zero_ad():
-    for algebra in (heis_algebra(), abelian3_algebra(), c2_semidirect_c2_algebra()):
+    for algebra in (CATALOG["heis3"].algebra, CATALOG["flat_c3"].algebra, CATALOG["c2_semidirect_c2"].algebra):
         for v in center(algebra):
             assert ad(algebra, v).is_zero()

@@ -1,18 +1,10 @@
 """Homogeneous models: induced actions, isotropy types, invariant forms."""
 
+from dataclasses import replace
+
 import pytest
 
-from holriem.catalog import (
-    ParamExtension,
-    c_ltimes_heis_algebra,
-    c_oplus_sl2_model,
-    c_times_sl2_model,
-    c_times_sol_algebra,
-    build_catalog,
-    heis_algebra,
-    heis_stabilizer_model,
-    sol_algebra,
-)
+from holriem.catalog import ParamExtension, build_catalog, heis_stabilizer_model
 from holriem.forms import QuadraticForm
 from holriem.geometry import adapted_gram_unipotent, unipotent_isotropy_generator
 from holriem.liealg import LieAlgebra
@@ -31,24 +23,17 @@ from holriem.models import (
 from holriem.scalars import gr
 
 
-def _semisimple_model(algebra, form_entries=None):
-    entries = form_entries or {("X", "X"): 1, ("Z", "T"): 1}
-    return HomogeneousModel(
-        algebra,
-        isotropy=[algebra.vector("Y")],
-        complement=[algebra.vector("X"), algebra.vector("Z"), algebra.vector("T")],
-        quotient_form=QuadraticForm.from_sparse(("X", "Z", "T"), entries),
-    )
+CATALOG = {entry.id: entry for entry in build_catalog()}
 
 
 def test_induced_ad_weights():
-    model = _semisimple_model(c_ltimes_heis_algebra())
+    model = CATALOG["c_ltimes_heis"].model
     action = induced_ad(model, model.isotropy[0])
     assert action == CMatrix.diagonal([0, 1, -1])
 
 
 def test_induced_ad_two_dim_quotient():
-    h = heis_algebra()
+    h = CATALOG["heis3"].algebra
     model = HomogeneousModel(
         h,
         isotropy=[h.vector("Y")],
@@ -59,12 +44,12 @@ def test_induced_ad_two_dim_quotient():
 
 
 def test_induced_ad_zero_vector():
-    model = _semisimple_model(c_times_sol_algebra())
+    model = CATALOG["c_times_sol"].model
     assert induced_ad(model, (gr(0),) * 4).is_zero()
 
 
 def test_induced_ad_requires_invariant_isotropy():
-    s = sol_algebra()
+    s = CATALOG["sol3"].algebra
     model = HomogeneousModel(
         s,
         isotropy=[s.vector("Y")],
@@ -75,7 +60,7 @@ def test_induced_ad_requires_invariant_isotropy():
 
 
 def test_isotropy_types():
-    assert isotropy_type(_semisimple_model(c_times_sol_algebra())) is IsotropyType.SEMISIMPLE
+    assert isotropy_type(CATALOG["c_times_sol"].model) is IsotropyType.SEMISIMPLE
     assert isotropy_type(heis_stabilizer_model(ParamExtension())) is IsotropyType.UNIPOTENT
 
 
@@ -98,7 +83,7 @@ def test_isotropy_type_mixed():
 
 
 def test_isotropy_type_wrong_dimension():
-    a = c_times_sol_algebra()
+    a = CATALOG["c_times_sol"].algebra
     model = HomogeneousModel(
         a,
         isotropy=[a.vector("X"), a.vector("Y")],
@@ -109,18 +94,17 @@ def test_isotropy_type_wrong_dimension():
 
 
 def test_invariant_forms_trivial_isotropy():
-    from holriem.catalog import abelian3_algebra
-
+    a = CATALOG["flat_c3"].algebra
     model = HomogeneousModel(
-        abelian3_algebra(),
+        a,
         isotropy=[],
-        complement=[abelian3_algebra().basis_vector(k) for k in range(3)],
+        complement=[a.basis_vector(k) for k in range(3)],
     )
     assert len(invariant_forms(model)) == 6
 
 
 def test_invariant_forms_semisimple_weights():
-    model = _semisimple_model(c_times_sol_algebra())
+    model = CATALOG["c_times_sol"].model
     forms = invariant_forms(model)
     assert len(forms) == 2
     # The solution space is spanned by the (X,X) slot and the Z-T pairing.
@@ -148,17 +132,19 @@ def test_invariant_forms_unipotent_contains_adapted_gram():
 
 
 def test_check_invariance():
-    good = _semisimple_model(c_ltimes_heis_algebra())
+    good = CATALOG["c_ltimes_heis"].model
     assert check_invariance(good)
-    bad = _semisimple_model(
-        c_ltimes_heis_algebra(),
-        form_entries={("X", "X"): 1, ("Z", "Z"): 1, ("T", "T"): 1},
+    bad = replace(
+        good,
+        quotient_form=QuadraticForm.from_sparse(
+            ("X", "Z", "T"), {("X", "X"): 1, ("Z", "Z"): 1, ("T", "T"): 1}
+        ),
     )
     assert not check_invariance(bad)
 
 
 def test_check_invariance_missing_form():
-    h = heis_algebra()
+    h = CATALOG["heis3"].algebra
     model = HomogeneousModel(
         h, isotropy=[h.vector("Y")], complement=[h.vector("X"), h.vector("Z")]
     )
@@ -167,9 +153,7 @@ def test_check_invariance_missing_form():
 
 
 def test_check_invariance_trivial_isotropy():
-    from holriem.catalog import abelian3_algebra
-
-    a = abelian3_algebra()
+    a = CATALOG["flat_c3"].algebra
     model = HomogeneousModel(
         a,
         isotropy=[],
@@ -180,12 +164,12 @@ def test_check_invariance_trivial_isotropy():
 
 
 def test_model_validation_errors():
-    s = sol_algebra()
+    s = CATALOG["sol3"].algebra
     with pytest.raises(ValueError):
         HomogeneousModel(
             s, isotropy=[s.vector("Z")], complement=[s.vector("Y")]
         )  # sizes do not add up
-    g = c_ltimes_heis_algebra()
+    g = CATALOG["c_ltimes_heis"].algebra
     with pytest.raises(ValueError):
         HomogeneousModel(
             g,
@@ -204,10 +188,10 @@ def test_catalog_models_wellformed():
 
 
 def test_section4_models():
-    first = c_oplus_sl2_model()
+    first = CATALOG["c_oplus_sl2"].model
     assert isotropy_type(first) is IsotropyType.SEMISIMPLE
     assert induced_ad(first, first.isotropy[0]) == CMatrix.diagonal([0, 2, -2])
-    second = c_times_sl2_model()
+    second = CATALOG["c_times_sl2"].model
     assert isotropy_type(second) is IsotropyType.SEMISIMPLE
     assert check_invariance(second)
 
@@ -222,7 +206,7 @@ def test_isotropy_type_invariant_under_generator_rescaling():
             quotient_form=base.quotient_form,
         )
         assert isotropy_type(rescaled) is isotropy_type(base)
-    semi = _semisimple_model(c_times_sol_algebra())
+    semi = CATALOG["c_times_sol"].model
     rescaled = HomogeneousModel(
         semi.algebra,
         isotropy=[tuple(gr(0, 2) * c for c in semi.isotropy[0])],
@@ -235,8 +219,8 @@ def test_isotropy_type_invariant_under_generator_rescaling():
 def test_invariant_forms_satisfy_equation_exactly():
     for model in (
         heis_stabilizer_model(ParamExtension(1, 2, -3, 4)),
-        _semisimple_model(c_times_sol_algebra()),
-        c_oplus_sl2_model(),
+        CATALOG["c_times_sol"].model,
+        CATALOG["c_oplus_sl2"].model,
     ):
         actions = [induced_ad(model, y) for y in model.isotropy]
         for f in invariant_forms(model):
