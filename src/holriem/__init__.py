@@ -27,7 +27,7 @@ from .liealg import (
     is_semisimple,
     is_solvable,
     is_unimodular,
-    jacobi_defect,
+    jacobi_witness,
     killing_form,
     lower_central_series,
     subalgebra,

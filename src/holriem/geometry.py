@@ -199,7 +199,10 @@ def constant_curvature_value(
         lambda i, j: i < j
         and sectional_curvature(form, tensor, basis[i], basis[j]) is not None,
     )
-    if plane is not None:
+    if n < 2:
+        # No plane, and the model tensor vanishes: only R = 0 qualifies.
+        candidate = ZERO
+    elif plane is not None:
         i, j = plane
         candidate = sectional_curvature(form, tensor, basis[i], basis[j])
     else:
@@ -274,13 +277,10 @@ def compatibility_defect(
     form: QuadraticForm, connection: ConnectionTable
 ) -> tuple[int, int, int] | None:
     """First triple violating q(nabla_z x, y) + q(x, nabla_z y) = 0."""
-    n = connection.dim
-    basis = [connection_basis(n, i) for i in range(n)]
-    c = connection.coeffs
+    # low[z][x][y] = q(nabla_z x, e_y); the Gram matrix is symmetric.
+    low = [[form.gram.apply(v) for v in row] for row in connection.coeffs]
     return _first_index(
-        n,
-        3,
-        lambda z, x, y: form.apply(c[z][x], basis[y]) + form.apply(basis[x], c[z][y]),
+        connection.dim, 3, lambda z, x, y: low[z][x][y] + low[z][y][x]
     )
 
 
@@ -307,14 +307,10 @@ def pair_skew_defect(
     form: QuadraticForm, tensor: CurvatureTensor
 ) -> tuple[int, int, int, int] | None:
     """First quadruple violating q(R(x,y)z, w) = -q(R(x,y)w, z)."""
-    n = tensor.dim
-    basis = [connection_basis(n, i) for i in range(n)]
-    r = tensor.comps
+    # low[i][j][k][l] = q(R(e_i,e_j)e_k, e_l); the Gram matrix is symmetric.
+    low = [[[form.gram.apply(v) for v in fibers] for fibers in plane] for plane in tensor.comps]
     return _first_index(
-        n,
-        4,
-        lambda i, j, k, l: form.apply(r[i][j][k], basis[l])
-        + form.apply(r[i][j][l], basis[k]),
+        tensor.dim, 4, lambda i, j, k, l: low[i][j][k][l] + low[i][j][l][k]
     )
 
 

@@ -2,7 +2,7 @@
 
 An algebra is a basis-labelled antisymmetric table ``[e_i, e_j] = sum_k
 c[i][j][k] e_k`` over Q(i).  Antisymmetry is enforced at construction;
-the Jacobi identity is measured by ``jacobi_defect`` so that corrupted
+the Jacobi identity is checked by ``jacobi_witness`` so that corrupted
 tables can be built on purpose and diagnosed.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -177,18 +176,6 @@ def _jacobiators(algebra: LieAlgebra):
                         if y:
                             total[m] = total[m] + x * y
         yield (i, j, k), total
-
-
-def jacobi_defect(algebra: LieAlgebra) -> Fraction:
-    """Largest exact violation of the Jacobi identity over basis triples.
-
-    Zero iff the table is a Lie algebra; the magnitude of a coefficient
-    ``a + b*i`` is measured as ``max(|a|, |b|)``.
-    """
-    return max(
-        (c.maxabs() for _, total in _jacobiators(algebra) for c in total),
-        default=Fraction(0),
-    )
 
 
 def jacobi_witness(algebra: LieAlgebra) -> tuple[int, int, int] | None:

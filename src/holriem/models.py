@@ -89,6 +89,8 @@ def induced_ad(model: HomogeneousModel, y: Sequence) -> CMatrix:
     Well-definedness needs ``[y, isotropy]`` inside the isotropy; a
     violation raises NotSubalgebraInvariant.
     """
+    if not model.complement:
+        raise ValueError("isotropy spans the whole algebra; the quotient is empty")
     vec = as_vector(y)
     inverse = model.transition().inverse()
     k = len(model.isotropy)

@@ -121,14 +121,6 @@ class GaussianRational:
 
     # -- structure and predicates ---------------------------------------
 
-    def norm_sq(self) -> Fraction:
-        """``re**2 + im**2``; zero exactly when the value is zero."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
-
-    def maxabs(self) -> Fraction:
-        """Exact magnitude proxy ``max(|re|, |im|)``; zero iff the value is zero."""
-        return Fraction(max(abs(self._a), abs(self._b)), self._d)
-
     def __bool__(self) -> bool:
         return bool(self._a or self._b)
 

@@ -1,8 +1,12 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import settings
 
+from holriem.catalog import ParamExtension
 from holriem.liealg import LieAlgebra
-from holriem.scalars import as_gr
+from holriem.scalars import GaussianRational, as_gr, gr
 
 settings.register_profile("exact", derandomize=True)
 settings.load_profile("exact")
@@ -23,3 +27,16 @@ def _mutate_structure_constant(
 def mutate_structure_constant():
     """Fault injector: copy with ``c^k_{ij}`` shifted by delta (antisymmetry preserved)."""
     return _mutate_structure_constant
+
+
+def _random_gaussian_rational(rng: random.Random, span: int = 3) -> GaussianRational:
+    return gr(
+        Fraction(rng.randint(-span, span), rng.randint(1, 2)),
+        Fraction(rng.randint(-span, span), rng.randint(1, 2)),
+    )
+
+
+@pytest.fixture
+def random_param_extension():
+    """Stabilizer-family parameters with small random Q(i) entries, from ``rng``."""
+    return lambda rng: ParamExtension(*(_random_gaussian_rational(rng) for _ in range(4)))

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +18,6 @@ from holriem.catalog import (
     fixed_matrix_residual,
     heis_stabilizer_model,
     mobius_invariance_check,
-    random_param_extension,
     report_to_json,
     shipped_file_text,
     verify_all,
@@ -28,9 +28,9 @@ from holriem.catalog import (
     verify_section5_tables,
     verify_shipped_files,
 )
-from holriem.liealg import LieAlgebra, ad, jacobi_defect, jacobi_witness, killing_form
+from holriem.liealg import LieAlgebra, ad, jacobi_witness, killing_form
 from holriem.linalg import CMatrix
-from holriem.models import isotropy_type
+from holriem.models import HomogeneousModel, isotropy_type
 from holriem.scalars import gr
 
 
@@ -55,7 +55,7 @@ def test_catalog_entries_present_and_jacobi_clean():
         "heis_stab_generic",
     } <= ids
     for entry in catalog:
-        assert jacobi_defect(entry.algebra) == 0, entry.id
+        assert jacobi_witness(entry.algebra) is None, entry.id
 
 
 def test_heis3_bracket_table():
@@ -87,7 +87,7 @@ def test_c2_semidirect_action_matrices():
 
 def test_param_extension_zero_point():
     g = build_param_extension(ParamExtension())
-    assert jacobi_defect(g) == 0
+    assert jacobi_witness(g) is None
     full = ad(g, g.vector("T"))
     order = [g.index("X"), g.index("Z"), g.index("Y")]
     restricted = CMatrix(
@@ -96,11 +96,11 @@ def test_param_extension_zero_point():
     assert restricted == CMatrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
 
 
-def test_param_extension_random_points_jacobi():
+def test_param_extension_random_points_jacobi(random_param_extension):
     rng = random.Random(2024)
     for _ in range(100):
         params = random_param_extension(rng)
-        assert jacobi_defect(build_param_extension(params)) == 0
+        assert jacobi_witness(build_param_extension(params)) is None
 
 
 def test_param_extension_corrupted_table():
@@ -114,7 +114,7 @@ def test_param_extension_corrupted_table():
             ("T", "Y"): {"Z": 1},
         },
     )
-    assert jacobi_defect(corrupted) != 0
+    assert jacobi_witness(corrupted) is not None
 
 
 def test_check_prop_iv_cases():
@@ -134,11 +134,117 @@ def test_check_prop_iv_precondition():
         check_prop_iv(ParamExtension(c=1, m=1, k=0, beta=0))
 
 
-def test_family_isotropy_unipotent_random():
+def test_family_isotropy_unipotent_random(random_param_extension):
     rng = random.Random(17)
     for _ in range(20):
         model = heis_stabilizer_model(random_param_extension(rng))
         assert isotropy_type(model).name == "UNIPOTENT"
+
+
+def _family_with(brackets):
+    """``build_param_extension`` with some brackets replaced by functions of the params."""
+
+    def build(p):
+        table = {
+            ("Y", "Z"): {"X": 1},
+            ("T", "X"): {"X": p.c},
+            ("T", "Z"): {"X": p.m, "Z": p.c + p.beta, "Y": p.k},
+            ("T", "Y"): {"Z": 1, "Y": -p.beta},
+        }
+        table.update({pair: combo(p) for pair, combo in brackets.items()})
+        return LieAlgebra.from_table(("X", "Y", "Z", "T"), table)
+
+    return build
+
+
+FLAT_CASES = tuple(f"heis-family/iv_{tag}" for tag in ("beta0", "beta1", "betai", "beta3_2"))
+
+# Mutation of the family builder -> the failing checks, by the start of their witness.
+FAMILY_MUTATIONS = {
+    # ad(T) X = c X + Z breaks the derivation condition at every point; the
+    # flat cases read the same builder, and their span is no longer closed.
+    "corrupted_TX": (
+        {("T", "X"): lambda p: {"X": p.c, "Z": 1}},
+        {"heis-family/jacobi": "at (0, 0, 0, 0): Jacobi fails, triple=(X,Y,T)"}
+        | {check_id: "params" for check_id in FLAT_CASES},
+    ),
+    # m + c^2 keeps Jacobi (m never enters it) but is not affine.
+    "c_squared": (
+        {("T", "Z"): lambda p: {"X": p.m + p.c * p.c, "Z": p.c + p.beta, "Y": p.k}},
+        {"heis-family/jacobi": "at (2, 0, 0, 0): structure constants not affine"},
+    ),
+    # [T,Y] = (1 + c) Z - beta Y keeps Jacobi and a nilpotent action, but the
+    # action is no longer the flow generator.
+    "TY_scaled": (
+        {("T", "Y"): lambda p: {"Z": 1 + p.c, "Y": -p.beta}},
+        {"heis-family/isotropy_unipotent": "at (1, 0, 0, 0): induced action"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_MUTATIONS))
+def test_family_proofs_fail_on_a_mutated_builder(name, monkeypatch):
+    brackets, failing = FAMILY_MUTATIONS[name]
+    monkeypatch.setattr(catalog, "build_param_extension", _family_with(brackets))
+    failures = {c.id: c.witness for c in catalog.verify_heis_family() if not c.passed}
+    assert failures.keys() == failing.keys()
+    for check_id, witness in failing.items():
+        assert failures[check_id].startswith(witness), failures[check_id]
+
+
+def test_family_isotropy_fails_when_the_frame_moves(monkeypatch):
+    real = catalog.heis_stabilizer_model
+
+    def moved(params):
+        # T + c Y: the induced action stays the generator, the frame does not.
+        model = real(params)
+        g = model.algebra
+        complement = [g.vector("X"), g.vector("Z"), g.vector({"T": 1, "Y": params.c})]
+        return HomogeneousModel(g, model.isotropy, complement, model.quotient_form)
+
+    monkeypatch.setattr(catalog, "heis_stabilizer_model", moved)
+    failures = {c.id: c.witness for c in catalog.verify_heis_family() if not c.passed}
+    assert failures == {
+        "heis-family/isotropy_unipotent": "at (1, 0, 0, 0): isotropy or complement moved"
+    }
+
+
+def test_family_isotropy_needs_a_nilpotent_generator(monkeypatch):
+    not_nilpotent = CMatrix.diagonal([1, 0, 0])
+    monkeypatch.setattr(catalog, "unipotent_isotropy_generator", lambda: not_nilpotent)
+    failures = {c.id: c.witness for c in catalog.verify_heis_family() if not c.passed}
+    assert list(failures) == ["heis-family/isotropy_unipotent"]
+    assert failures["heis-family/isotropy_unipotent"].endswith("is not nilpotent")
+
+
+def test_family_proofs_build_the_family_on_the_grids_only(monkeypatch):
+    calls = []
+    real = catalog.build_param_extension
+
+    def counted(params):
+        calls.append(params)
+        return real(params)
+
+    monkeypatch.setattr(catalog, "build_param_extension", counted)
+    assert all(c.passed for c in catalog.verify_heis_family())
+    # 15 lattice points, 5 affine points for the models, 4 flat cases.
+    assert len(calls) <= 15 + 5 + 4
+
+
+def test_report_ignores_the_seed_outside_mobius():
+    a, b = verify_all(42), verify_all(11)
+    assert [c.id for c in a.checks] == [c.id for c in b.checks]
+    differ = {x.id for x, y in zip(a.checks, b.checks) if x != y}
+    assert all(check_id.startswith("mobius/") for check_id in differ), differ
+
+
+def test_only_mobius_draws_random_numbers(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a check outside mobius/ drew a random number")
+
+    monkeypatch.setattr(catalog, "random", SimpleNamespace(Random=refuse))
+    monkeypatch.setattr(catalog, "verify_mobius", lambda seed, tol: [])
+    assert verify_all(42).all_pass
 
 
 def test_verify_entry_passes_on_catalog():
@@ -340,7 +446,6 @@ def test_verify_all_flags_corrupted_catalog(mutate_structure_constant):
 def test_mutation_keeps_antisymmetry(mutate_structure_constant):
     sol = _by_id(build_catalog(), "sol3").algebra
     mutated = mutate_structure_constant(sol, 1, 2, 0)
-    assert jacobi_witness(mutated) is not None or jacobi_defect(mutated) == 0
     for i in range(3):
         for j in range(3):
             for k in range(3):

@@ -70,6 +70,14 @@ def test_constcurv_not_constant(tmp_path, capsys):
     ]
 
 
+def test_constcurv_one_dimensional_metric_is_flat(tmp_path, capsys):
+    # No plane exists in dimension 1; the curvature vanishes identically.
+    path = tmp_path / "line.liealg"
+    path.write_text('[algebra]\nname = line\ndim = 1\nbasis = X\n\n[form]\n"X,X" = 1\n')
+    assert cli(["constcurv", str(path)]) == 0
+    assert capsys.readouterr().out == "Constant(0)\n"
+
+
 def test_connection_table(capsys):
     assert cli(["connection", f"{DATA}/sol3.liealg"]) == 0
     out = capsys.readouterr().out
@@ -105,6 +113,15 @@ def test_model_command(capsys):
 
 def test_model_command_needs_isotropy(capsys):
     assert cli(["model", f"{DATA}/sol3.liealg"]) == 1
+
+
+def test_model_command_names_an_empty_quotient(tmp_path, capsys):
+    path = tmp_path / "point.liealg"
+    path.write_text("[algebra]\nname = point\ndim = 1\nbasis = X\n\n[isotropy]\ngen = X\n")
+    assert cli(["model", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: isotropy spans the whole algebra; the quotient is empty\n"
 
 
 def test_validate(capsys, tmp_path):

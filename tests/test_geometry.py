@@ -8,12 +8,15 @@ every basis triple; those frozen values are asserted here.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from holriem.catalog import build_catalog
 from holriem.forms import DegenerateForm, QuadraticForm
 from holriem.geometry import (
+    ConnectionTable,
+    CurvatureTensor,
     adapted_gram_unipotent,
     bianchi_defect,
     compatibility_defect,
@@ -308,6 +311,38 @@ def test_connection_identities_on_random_metrics():
             assert curvature_antisymmetry_defect(tensor) is None
             assert bianchi_defect(tensor) is None
             assert pair_skew_defect(q, tensor) is None
+
+
+def test_lowered_defect_scans_match_the_bilinear_reference():
+    # Reference: two ``q.apply`` calls on basis vectors per index tuple.
+    rng = random.Random(4)
+    for algebra in (CATALOG[i].algebra for i in ("heis3", "sol3", "sl2")):
+        q = _random_nondegenerate_form(rng, 3)
+        conn = levi_civita(algebra, q)
+        tensor = curvature(algebra, conn)
+        e = [algebra.basis_vector(i) for i in range(3)]
+        for _ in range(10):
+            c = [[list(v) for v in row] for row in conn.coeffs]
+            r = [[[list(v) for v in fibers] for fibers in plane] for plane in tensor.comps]
+            i, j, k, l = (rng.randrange(3) for _ in range(4))
+            c[i][j][k] += gr(rng.randint(-2, 2), 1)
+            r[i][j][k][l] += gr(1, rng.randint(-2, 2))
+            compatibility = next(
+                (t for t in product(range(3), repeat=3)
+                 if q.apply(c[t[0]][t[1]], e[t[2]]) + q.apply(e[t[1]], c[t[0]][t[2]])),
+                None,
+            )
+            skew = next(
+                (t for t in product(range(3), repeat=4)
+                 if q.apply(r[t[0]][t[1]][t[2]], e[t[3]]) + q.apply(r[t[0]][t[1]][t[3]], e[t[2]])),
+                None,
+            )
+            lowered_conn = ConnectionTable(tuple(tuple(map(tuple, row)) for row in c))
+            lowered_tensor = CurvatureTensor(
+                tuple(tuple(tuple(map(tuple, fibers)) for fibers in plane) for plane in r)
+            )
+            assert compatibility_defect(q, lowered_conn) == compatibility
+            assert pair_skew_defect(q, lowered_tensor) == skew
 
 
 def test_constant_curvature_agrees_with_random_planes():

@@ -14,8 +14,8 @@ from holriem.catalog import report_to_json, verify_all
 from holriem.cli import cli
 
 REPORT_SHA256 = {
-    42: "f57f384db09359264b8d041f418d188832394273b07cc2022b94967647fc289f",
-    11: "12f3de133605f9a61e10c5ac79570a0b063005a0aac020eeff2fce09b9eda01d",
+    42: "e871228e13ee8d28cc379dceed6a85d53924538f16f7261e1998ea687c55fbfc",
+    11: "02319e2439917196c69bc83d65b6e50acb2980d8acfc0eaf5e4ff4146ffef5ec",
 }
 
 # SHA-256 of the stdout of ``holriem <command> <file>`` on shipped metric files.

@@ -23,7 +23,6 @@ from holriem.liealg import (
     is_semisimple,
     is_solvable,
     is_unimodular,
-    jacobi_defect,
     jacobi_witness,
     killing_form,
     lower_central_series,
@@ -59,22 +58,21 @@ def test_antisymmetry_enforced_at_construction():
         LieAlgebra.from_table(("A", "B"), {("A", "A"): {"B": 1}})
 
 
-def test_jacobi_defect_known_algebras():
-    assert jacobi_defect(CATALOG["sl2"].algebra) == 0
+def test_jacobi_witness_known_algebras():
+    assert jacobi_witness(CATALOG["sl2"].algebra) is None
     rotations = LieAlgebra.from_table(
         ("e1", "e2", "e3"),
         {("e1", "e2"): {"e3": 1}, ("e2", "e3"): {"e1": 1}, ("e3", "e1"): {"e2": 1}},
     )
-    assert jacobi_defect(rotations) == 0
+    assert jacobi_witness(rotations) is None
 
 
-def test_jacobi_defect_corrupted_heis():
+def test_jacobi_witness_corrupted_heis():
     # Adding [X,Z] = Z breaks exactly one triple: expansion by hand gives
     # [[X,Y],Z] + [[Y,Z],X] + [[Z,X],Y] = 0 + [X,X] + [-Z,Y] = X.
     corrupted = LieAlgebra.from_table(
         ("X", "Y", "Z"), {("Y", "Z"): {"X": 1}, ("X", "Z"): {"Z": 1}}
     )
-    assert jacobi_defect(corrupted) == Fraction(1)
     assert jacobi_witness(corrupted) == (0, 1, 2)
 
 
@@ -138,9 +136,6 @@ def test_kernels_from_constants_match_ad_and_bracket():
             for k in range(j + 1, n)
         }
         assert jacobi_witness(algebra) == next((t for t, v in jacobiators.items() if any(v)), None)
-        assert jacobi_defect(algebra) == max(
-            (c.maxabs() for v in jacobiators.values() for c in v), default=0
-        )
 
 
 def test_series():
@@ -219,14 +214,14 @@ def test_classification_invariant_under_conjugation():
 def test_conjugation_preserves_jacobi():
     rng = random.Random(7)
     p = _random_invertible(rng)
-    assert jacobi_defect(conjugate(CATALOG["sl2"].algebra, p)) == 0
+    assert jacobi_witness(conjugate(CATALOG["sl2"].algebra, p)) is None
 
 
 def test_subalgebra_restriction():
     s = CATALOG["sol3"].algebra
     sub = subalgebra(s, [s.vector("Z"), s.vector("T")])
     assert sub.dim == 2
-    assert jacobi_defect(sub) == 0
+    assert jacobi_witness(sub) is None
     assert derived_series(sub) == (2, 0)
 
 

@@ -146,11 +146,6 @@ def test_canonical_rendering():
     assert str(gr(Fraction(1, 2), Fraction(-3, 4))) == "1/2 - 3/4 i"
 
 
-def test_maxabs_zero_iff_zero():
-    assert gr(0).maxabs() == 0
-    assert gr(Fraction(-1, 3), 2).maxabs() == 2
-
-
 # -- polynomials -------------------------------------------------------------
 
 
