@@ -59,7 +59,6 @@ from .catalog import (
     build_catalog,
     build_param_extension,
     check_prop_iv,
-    mobius_invariance_check,
     verify_all,
 )
 

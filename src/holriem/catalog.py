@@ -7,16 +7,16 @@ id of ``CATALOG_IDS``, named for its entry and stored in canonical form.
 parameters, is built in code (``build_param_extension``).
 
 Check results are flat (id, status, witness, value) records so reports
-stay grep-able; ``verify_all`` is deterministic for a fixed seed.
+stay grep-able.  Every check is exact and draws no random numbers: a claim
+about a parameter family is proved on a finite grid whose size the degree
+of the claim bounds, so ``verify_all`` gives the same checks for every seed.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from importlib import resources
 from itertools import product, zip_longest
 from typing import Iterable, Sequence
@@ -26,6 +26,7 @@ from .forms import QuadraticForm
 from .geometry import (
     ConnectionTable,
     CurvatureTensor,
+    _first_index,
     adapted_gram_unipotent,
     bianchi_defect,
     compatibility_defect,
@@ -72,7 +73,6 @@ from .models import (
 from .scalars import GaussianRational, as_gr, gr
 
 DEFAULT_SEED = 42
-DEFAULT_TOL = 1e-9
 
 # The shipped files under data/, one per entry, in report order.
 CATALOG_IDS = (
@@ -745,109 +745,73 @@ def verify_flow_identities() -> list[CheckResult]:
     # Entries of L(s) L(t) - L(s+t) have degree <= 2 in each variable, so
     # vanishing on a 3 x 3 grid proves the polynomial identity.
     flow = unipotent_isotropy_matrix()
-    ok = True
-    for s in range(3):
-        for t in range(3):
-            left = poly_mat_eval(flow, s) @ poly_mat_eval(flow, t)
-            right = poly_mat_eval(flow, s + t)
-            if left != right:
-                ok = False
-    checks.append(_check("flow/one_parameter_group", ok))
+    point = _first_index(
+        3,
+        2,
+        lambda s, t: poly_mat_eval(flow, s) @ poly_mat_eval(flow, t)
+        != poly_mat_eval(flow, s + t),
+    )
+    checks.append(_check("flow/one_parameter_group", point is None, f"at (s,t)={point}"))
     return checks
 
 
-# -- numeric invariance of the surface model -------------------------------
+# -- the surface model -------------------------------------------------------
 
 
-def _mobius_residual(a, b, c, d, z1, z2) -> float:
-    w1 = (a * z1 + b) / (c * z1 + d)
-    w2 = (a * z2 + b) / (c * z2 + d)
-    det = a * d - b * c
-    dw1 = det / (c * z1 + d) ** 2
-    dw2 = det / (c * z2 + d) ** 2
-    value = dw1 * dw2 / (w1 - w2) ** 2 - 1.0 / (z1 - z2) ** 2
-    return abs(value) * abs(z1 - z2) ** 2
+def _mobius_numerator(a, b, c, d, z1, z2):
+    """N with w1 - w2 = N / ((c z1 + d)(c z2 + d)) for w = (az + b)/(cz + d)."""
+    return (a * z1 + b) * (c * z2 + d) - (a * z2 + b) * (c * z1 + d)
 
 
-def _sample_pair(rng: random.Random, c, d):
-    while True:
-        z1 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        z2 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        if abs(z1 - z2) < 1e-6:
-            continue  # degenerate sample: resample
-        if abs(c * z1 + d) < 1e-6 or abs(c * z2 + d) < 1e-6:
-            continue
-        return z1, z2
+def _difference_defect(a, b, c, d, z1, z2):
+    return _mobius_numerator(a, b, c, d, z1, z2) - (a * d - b * c) * (z1 - z2)
 
 
-def _random_sl2_matrix(rng: random.Random):
-    while True:
-        a = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if abs(a) >= 0.3:
-            break
-    b = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    d = (1 + b * c) / a
-    return a, b, c, d
+def _derivative_defect(a, b, c, d, z):
+    return a * (c * z + d) - c * (a * z + b) - (a * d - b * c)
 
 
-def mobius_invariance_check(
-    samples: int = 1000, seed: int = DEFAULT_SEED, tol: float = DEFAULT_TOL
-) -> float:
-    """Max residual of the cross-ratio metric invariance over random samples.
+def _grid_witness(names: tuple[str, ...], defect, claim: str) -> str | None:
+    """First point of {0,1}^len(names), in lexicographic order, where
+    ``defect`` is nonzero, or None."""
+    point = _first_index(2, len(names), lambda *p: defect(*map(gr, p)))
+    return None if point is None else f"at ({','.join(names)})={point}: {claim}"
 
-    The surface metric in affine coordinates is dz1 dz2 / (z1 - z2)^2;
-    diagonal fractional-linear maps preserve it, and the residual of each
-    sample is |w'(z1) w'(z2) / (w1-w2)^2 - 1 / (z1-z2)^2| * |z1-z2|^2.
+
+def verify_mobius() -> list[CheckResult]:
+    """Invariance of the surface metric dz1 dz2 / (z1 - z2)^2 under every
+    fractional-linear map w = (az + b)/(cz + d), proved exactly.
+
+    With D = ad - bc and N = (a z1 + b)(c z2 + d) - (a z2 + b)(c z1 + d):
+
+        N = D (z1 - z2),           so  w1 - w2 = D (z1 - z2) / ((c z1 + d)(c z2 + d)),
+        a(cz + d) - c(az + b) = D, so  w'(z) = D / (cz + d)^2 (quotient rule),
+
+    hence w'(z1) w'(z2) / (w1 - w2)^2 = 1 / (z1 - z2)^2 wherever D, c z1 + d,
+    c z2 + d and z1 - z2 are nonzero.  Each identity's difference of sides has
+    degree <= 1 in every variable, so it vanishes identically once it vanishes
+    on {0,1}^6, respectively {0,1}^5 (Alon, "Combinatorial Nullstellensatz",
+    Combin. Probab. Comput. 1999).  ``mobius/identity`` and
+    ``mobius/translation`` prove the first identity for the fixed matrices
+    ((1,0),(0,1)) and ((1,1),(0,1)) on {0,1}^2 in (z1, z2);
+    ``mobius/invariance`` proves both identities on their full grids.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tolerance must be finite and positive")
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(samples):
-        a, b, c, d = _random_sl2_matrix(rng)
-        z1, z2 = _sample_pair(rng, c, d)
-        worst = max(worst, _mobius_residual(a, b, c, d, z1, z2))
-    return worst
-
-
-def fixed_matrix_residual(matrix, samples: int, seed: int) -> float:
-    """Worst residual for one fixed coefficient matrix ((a, b), (c, d))."""
-    (a, b), (c, d) = matrix
-    rng = random.Random(f"{seed}/fixed")
-    worst = 0.0
-    for _ in range(samples):
-        z1, z2 = _sample_pair(rng, c, d)
-        worst = max(worst, _mobius_residual(a, b, c, d, z1, z2))
-    return worst
-
-
-def verify_mobius(seed: int, tol: float) -> list[CheckResult]:
-    identity = fixed_matrix_residual(((1, 0), (0, 1)), 100, seed)
-    translation = fixed_matrix_residual(((1, 1), (0, 1)), 100, seed)
-    worst = mobius_invariance_check(1000, seed, tol)
-    return [
-        _check(
-            "mobius/identity",
-            identity <= 1e-15,
-            witness=f"residual {identity!r}",
-            value=repr(identity),
-        ),
-        _check(
-            "mobius/translation",
-            translation <= 1e-15,
-            witness=f"residual {translation!r}",
-            value=repr(translation),
-        ),
-        _check(
-            "mobius/invariance",
-            worst < tol,
-            witness=f"residual {worst!r}",
-            value=repr(worst),
-        ),
-    ]
+    difference = "N != (ad-bc)(z1-z2)"
+    checks = []
+    for check_id, matrix in (
+        ("mobius/identity", (1, 0, 0, 1)),
+        ("mobius/translation", (1, 1, 0, 1)),
+    ):
+        defect = partial(_difference_defect, *map(gr, matrix))
+        witness = _grid_witness(("z1", "z2"), defect, difference)
+        checks.append(_check(check_id, witness is None, witness, "4 grid points"))
+    witness = _grid_witness(
+        ("a", "b", "c", "d", "z1", "z2"), _difference_defect, difference
+    ) or _grid_witness(
+        ("a", "b", "c", "d", "z"), _derivative_defect, "a(cz+d) - c(az+b) != ad-bc"
+    )
+    checks.append(_check("mobius/invariance", witness is None, witness, "96 grid points"))
+    return checks
 
 
 # -- shipped files -----------------------------------------------------------
@@ -879,11 +843,13 @@ def verify_shipped_files() -> list[CheckResult]:
 
 
 def verify_all(
-    seed: int = DEFAULT_SEED,
-    tol: float = DEFAULT_TOL,
-    catalog: Sequence[CatalogEntry] | None = None,
+    seed: int = DEFAULT_SEED, catalog: Sequence[CatalogEntry] | None = None
 ) -> VerifyReport:
-    """Run the full verification suite; only the ``mobius/*`` checks read the seed."""
+    """Run the full verification suite.
+
+    No check reads ``seed``; the report only echoes it, so the report
+    format stays stable.
+    """
     if catalog is None:
         catalog = build_catalog()
     if not catalog:
@@ -900,7 +866,7 @@ def verify_all(
     checks.extend(verify_heis_family())
     checks.extend(verify_flow_identities())
     checks.extend(verify_shipped_files())
-    checks.extend(verify_mobius(seed, tol))
+    checks.extend(verify_mobius())
     ids = [c.id for c in checks]
     if len(set(ids)) != len(ids):
         raise AssertionError("duplicate check ids in report")

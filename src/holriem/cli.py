@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 from functools import cache
@@ -48,28 +47,6 @@ def cli(argv) -> int:
     except (dsl.DslError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _tolerance(text: str) -> float:
-    """Argparse type for ``--tol``: a finite positive float."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    """Argparse type for ``--samples``: a positive integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
 
 
 @cache
@@ -118,17 +95,12 @@ def _build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser(
         "verify-paper", parents=[common], help="run the full catalog verification suite"
     )
-    vp.add_argument("--seed", type=int, default=cat.DEFAULT_SEED)
-    vp.add_argument("--tol", type=_tolerance, default=cat.DEFAULT_TOL)
+    vp.add_argument("--seed", type=int, default=cat.DEFAULT_SEED, help="echoed in the report")
     vp.set_defaults(handler=_cmd_verify)
 
-    mb = sub.add_parser(
-        "mobius-check", parents=[common], help="numeric invariance of the surface metric"
-    )
-    mb.add_argument("--samples", type=_positive_int, default=1000)
-    mb.add_argument("--seed", type=int, default=cat.DEFAULT_SEED)
-    mb.add_argument("--tol", type=_tolerance, default=cat.DEFAULT_TOL)
-    mb.set_defaults(handler=_cmd_mobius)
+    sub.add_parser(
+        "mobius-check", parents=[common], help="exact invariance of the surface metric"
+    ).set_defaults(handler=_cmd_mobius)
     return parser
 
 
@@ -313,7 +285,7 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = cat.verify_all(seed=args.seed, tol=args.tol)
+    report = cat.verify_all(seed=args.seed)
     if args.json:
         print(cat.report_to_json(report))
     else:
@@ -322,18 +294,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mobius(args) -> int:
-    worst = cat.mobius_invariance_check(args.samples, args.seed, args.tol)
-    if args.json:
-        _print_json(
-            [
-                cat._check(
-                    "mobius",
-                    worst < args.tol,
-                    witness=f"residual {worst!r}",
-                    value=repr(worst),
-                )
-            ]
-        )
-    else:
-        print(f"max residual: {worst!r} (tol {args.tol!r})")
-    return 0 if worst < args.tol else 1
+    records = cat.verify_mobius()
+    _emit_records(args, records)
+    return 0 if all(r.passed for r in records) else 1

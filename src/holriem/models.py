@@ -64,6 +64,8 @@ class HomogeneousModel:
             raise ValueError("isotropy and complement sizes must add up to the dimension")
         if len(span_basis(list(iso) + list(comp))) != algebra.dim:
             raise ValueError("isotropy plus complement must span the algebra")
+        if not comp:
+            raise ValueError("isotropy spans the whole algebra; the quotient is empty")
         for u in iso:
             for v in iso:
                 if not in_span(iso, bracket(algebra, u, v)):
@@ -89,8 +91,6 @@ def induced_ad(model: HomogeneousModel, y: Sequence) -> CMatrix:
     Well-definedness needs ``[y, isotropy]`` inside the isotropy; a
     violation raises NotSubalgebraInvariant.
     """
-    if not model.complement:
-        raise ValueError("isotropy spans the whole algebra; the quotient is empty")
     vec = as_vector(y)
     inverse = model.transition().inverse()
     k = len(model.isotropy)

@@ -5,8 +5,7 @@ lies in Q(i), so curvature and invariance claims reduce to exact zero
 tests.  A ``GaussianRational`` is ``(a + b*i)/d`` held as three ints in
 lowest terms, so each sum, product or quotient costs one ``math.gcd``;
 ``Fraction`` appears only where inputs are coerced and in the ``re``/``im``
-views.  The package's only floating-point code is the numeric Moebius
-check in ``catalog``, which uses plain ``complex`` values.
+views.  The package has no floating-point code.
 """
 
 from __future__ import annotations

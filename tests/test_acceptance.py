@@ -1,8 +1,6 @@
 """Acceptance suite: the exit criteria of the build, one pass/fail line each.
 
-Every numeric claim is exact (tolerance 0) except the numeric surface-model
-invariance checks, whose tolerances are pinned here (1e-9 random sweep,
-1e-15 for the identity/translation coefficient matrices).
+Every claim is exact (tolerance 0).
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the summary lines.
 """
@@ -17,10 +15,9 @@ from holriem.catalog import (
     build_catalog,
     build_param_extension,
     check_prop_iv,
-    fixed_matrix_residual,
     heis_stabilizer_model,
-    mobius_invariance_check,
     verify_all,
+    verify_mobius,
 )
 from holriem.cli import cli
 from holriem.forms import QuadraticForm
@@ -185,12 +182,14 @@ def test_criterion_07_flow_polynomial_identities():
     _report(7, "unipotent flow preserves the adapted gram as a polynomial identity", ok)
 
 
-def test_criterion_08_surface_model_numeric_invariance():
-    sweep = mobius_invariance_check(samples=1000, seed=42, tol=1e-9)
-    identity = fixed_matrix_residual(((1, 0), (0, 1)), 100, 42)
-    translation = fixed_matrix_residual(((1, 1), (0, 1)), 100, 42)
-    ok = sweep < 1e-9 and identity <= 1e-15 and translation <= 1e-15
-    _report(8, "surface-metric invariance: sweep < 1e-9, fixed matrices <= 1e-15", ok)
+def test_criterion_08_surface_model_exact_invariance():
+    checks = [(c.id, c.status, c.value) for c in verify_mobius()]
+    ok = checks == [
+        ("mobius/identity", "pass", "4 grid points"),
+        ("mobius/translation", "pass", "4 grid points"),
+        ("mobius/invariance", "pass", "96 grid points"),
+    ]
+    _report(8, "surface-metric invariance proved exactly on {0,1} grids", ok)
 
 
 def test_criterion_09_connection_and_curvature_identities():

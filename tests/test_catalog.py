@@ -3,7 +3,6 @@
 import json
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -15,9 +14,7 @@ from holriem.catalog import (
     build_catalog,
     build_param_extension,
     check_prop_iv,
-    fixed_matrix_residual,
     heis_stabilizer_model,
-    mobius_invariance_check,
     report_to_json,
     shipped_file_text,
     verify_all,
@@ -31,7 +28,7 @@ from holriem.catalog import (
 from holriem.liealg import LieAlgebra, ad, jacobi_witness, killing_form
 from holriem.linalg import CMatrix
 from holriem.models import HomogeneousModel, isotropy_type
-from holriem.scalars import gr
+from holriem.scalars import CPoly, GaussianRational, gr
 
 
 def _by_id(catalog, entry_id):
@@ -231,19 +228,19 @@ def test_family_proofs_build_the_family_on_the_grids_only(monkeypatch):
     assert len(calls) <= 15 + 5 + 4
 
 
-def test_report_ignores_the_seed_outside_mobius():
+def test_report_ignores_the_seed():
     a, b = verify_all(42), verify_all(11)
-    assert [c.id for c in a.checks] == [c.id for c in b.checks]
-    differ = {x.id for x, y in zip(a.checks, b.checks) if x != y}
-    assert all(check_id.startswith("mobius/") for check_id in differ), differ
+    assert (a.seed, b.seed) == (42, 11)
+    assert a.checks == b.checks
 
 
-def test_only_mobius_draws_random_numbers(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a check outside mobius/ drew a random number")
+def test_no_check_draws_random_numbers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check drew a random number")
 
-    monkeypatch.setattr(catalog, "random", SimpleNamespace(Random=refuse))
-    monkeypatch.setattr(catalog, "verify_mobius", lambda seed, tol: [])
+    for name in ("Random", "SystemRandom", "random", "randrange", "randint", "getrandbits",
+                 "uniform", "choice", "choices", "sample", "shuffle"):
+        monkeypatch.setattr(random, name, refuse)
     assert verify_all(42).all_pass
 
 
@@ -395,21 +392,79 @@ def test_sl2_form_is_the_killing_form():
     assert entry.form == killing_form(entry.algebra)
 
 
-def test_mobius_fixed_matrices():
-    assert fixed_matrix_residual(((1, 0), (0, 1)), 100, 42) == 0.0
-    assert fixed_matrix_residual(((1, 1), (0, 1)), 100, 42) <= 1e-15
+MOBIUS_IDS = ["mobius/identity", "mobius/translation", "mobius/invariance"]
 
 
-def test_mobius_random_samples():
-    assert mobius_invariance_check(1000, 42, 1e-9) < 1e-9
+def test_mobius_fixed_matrices(monkeypatch):
+    real = catalog._difference_defect
+    fixed = {(gr(1), gr(0), gr(0), gr(1)), (gr(1), gr(1), gr(0), gr(1))}
+
+    def wrong_off_the_fixed_matrices(a, b, c, d, z1, z2):
+        return real(a, b, c, d, z1, z2) + int((a, b, c, d) not in fixed)
+
+    monkeypatch.setattr(catalog, "_difference_defect", wrong_off_the_fixed_matrices)
+    checks = catalog.verify_mobius()
+    assert [(c.id, c.passed, c.value) for c in checks] == [
+        ("mobius/identity", True, "4 grid points"),
+        ("mobius/translation", True, "4 grid points"),
+        ("mobius/invariance", False, "96 grid points"),
+    ]
 
 
-def test_mobius_argument_validation():
-    with pytest.raises(ValueError):
-        mobius_invariance_check(0, 42, 1e-9)
-    for tol in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            mobius_invariance_check(10, 42, tol)
+def test_mobius_certificate_evaluates_its_grids_exactly(monkeypatch):
+    points = []
+
+    def recorded(defect):
+        def evaluate(*args):
+            assert all(type(x) is GaussianRational for x in args)
+            points.append(args)
+            return defect(*args)
+
+        return evaluate
+
+    monkeypatch.setattr(catalog, "_difference_defect", recorded(catalog._difference_defect))
+    monkeypatch.setattr(catalog, "_derivative_defect", recorded(catalog._derivative_defect))
+    assert all(c.passed for c in catalog.verify_mobius())
+    # {0,1}^2 twice for the fixed matrices, {0,1}^6 and {0,1}^5 for the invariance.
+    assert len(points) == 4 + 4 + 64 + 32
+    assert len(set(points[8:72])) == 64 and len(set(points[72:])) == 32
+
+
+def test_mobius_checks_fail_on_a_wrong_numerator(monkeypatch):
+    monkeypatch.setattr(
+        catalog,
+        "_mobius_numerator",
+        lambda a, b, c, d, z1, z2: (a * z1 + b) * (c * z2 + d) + (a * z2 + b) * (c * z1 + d),
+    )
+    report = verify_all()
+    assert [c.id for c in report.failures()] == MOBIUS_IDS
+    witnesses = [c.witness for c in report.failures()]
+    assert witnesses == [
+        "at (z1,z2)=(0, 1): N != (ad-bc)(z1-z2)",
+        "at (z1,z2)=(0, 0): N != (ad-bc)(z1-z2)",
+        "at (a,b,c,d,z1,z2)=(0, 1, 0, 1, 0, 0): N != (ad-bc)(z1-z2)",
+    ]
+
+
+def test_mobius_invariance_fails_on_a_wrong_derivative(monkeypatch):
+    monkeypatch.setattr(
+        catalog,
+        "_derivative_defect",
+        lambda a, b, c, d, z: a * (c * z + d) - c * (a * z + b) - (a * d + b * c),
+    )
+    failures = verify_all().failures()
+    assert [c.id for c in failures] == ["mobius/invariance"]
+    assert failures[0].witness == "at (a,b,c,d,z)=(0, 1, 1, 0, 0): a(cz+d) - c(az+b) != ad-bc"
+
+
+def test_flow_group_law_fails_on_a_wrong_flow(monkeypatch):
+    flow = catalog.unipotent_isotropy_matrix()
+    # -t^2 in place of -t^2/2: L(s) L(t) and L(s+t) differ by s*t in one entry.
+    wrong = ((flow[0][0], flow[0][1], CPoly((0, 0, -1))), *flow[1:])
+    monkeypatch.setattr(catalog, "unipotent_isotropy_matrix", lambda: wrong)
+    failures = verify_all().failures()
+    assert [c.id for c in failures] == ["flow/one_parameter_group"]
+    assert failures[0].witness == "at (s,t)=(1, 1)"
 
 
 def test_verify_all_green_and_deterministic():

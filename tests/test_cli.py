@@ -124,6 +124,16 @@ def test_model_command_names_an_empty_quotient(tmp_path, capsys):
     assert captured.err == "error: isotropy spans the whole algebra; the quotient is empty\n"
 
 
+def test_validate_rejects_an_empty_quotient(tmp_path, capsys):
+    path = tmp_path / "point.liealg"
+    path.write_text("[algebra]\nname = point\ndim = 1\nbasis = X\n\n[isotropy]\ngen = X\n")
+    assert cli(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "PASS jacobi\n"
+        "FAIL model_wellformed  witness=isotropy spans the whole algebra; the quotient is empty\n"
+    )
+
+
 def test_validate(capsys, tmp_path):
     assert cli(["validate", f"{DATA}/sl2.liealg"]) == 0
     bad = tmp_path / "bad.liealg"
@@ -193,22 +203,20 @@ def test_file_commands_reject_a_table_that_breaks_jacobi(command, tmp_path, caps
     assert captured.err == "error: not a Lie algebra: Jacobi identity fails at triple=(X,Y,Z)\n"
 
 
-@pytest.mark.parametrize("command", ["verify-paper", "mobius-check"])
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-def test_tol_must_be_finite_and_positive(command, tol, capsys):
-    assert cli([command, f"--tol={tol}"]) == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-paper", "--tol", "1e-9"],
+        ["mobius-check", "--tol", "1e-9"],
+        ["mobius-check", "--samples", "5"],
+        ["mobius-check", "--seed", "3"],
+    ],
+)
+def test_removed_options_are_usage_errors(argv, capsys):
+    assert cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "argument --tol: must be finite and positive" in captured.err
-
-
-@pytest.mark.parametrize("samples", ["0", "-3"])
-def test_samples_must_be_positive(samples, capsys):
-    assert cli(["mobius-check", f"--samples={samples}"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"argument --samples: must be a positive integer, got '{samples}'" in captured.err
-    assert cli(["mobius-check", "--samples=1"]) == 0
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -248,16 +256,36 @@ def test_verify_paper_text_quiet(capsys):
 
 
 def test_mobius_check(capsys):
-    assert cli(["mobius-check", "--samples", "200", "--seed", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "max residual" in out
+    assert cli(["mobius-check"]) == 0
+    assert capsys.readouterr().out == (
+        "PASS mobius/identity  value=4 grid points\n"
+        "PASS mobius/translation  value=4 grid points\n"
+        "PASS mobius/invariance  value=96 grid points\n"
+    )
+    assert cli(["mobius-check", "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_mobius_check_json(capsys):
-    assert cli(["mobius-check", "--samples", "50", "--json"]) == 0
+    assert cli(["mobius-check", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload[0]["id"] == "mobius"
-    assert payload[0]["status"] == "pass"
+    assert [record["id"] for record in payload] == [
+        "mobius/identity",
+        "mobius/translation",
+        "mobius/invariance",
+    ]
+    assert all(record["status"] == "pass" for record in payload)
+
+
+def test_mobius_check_fails_with_the_report(monkeypatch, capsys):
+    monkeypatch.setattr(
+        holriem.catalog, "_derivative_defect", lambda a, b, c, d, z: a * b + c * d + z
+    )
+    assert cli(["mobius-check", "--quiet"]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL mobius/invariance  value=96 grid points"
+        "  witness=at (a,b,c,d,z)=(0, 0, 0, 0, 1): a(cz+d) - c(az+b) != ad-bc\n"
+    )
 
 
 def test_global_flags_before_subcommand(capsys):

@@ -2,7 +2,9 @@
 
 The digests were taken before the metric pipeline moved to the closed-form
 Koszul formula and the shared index scan; any change to a value, a witness
-or the formatting shows up here.
+or the formatting shows up here.  The report digests were last retaken when
+the Möbius checks became exact grid proofs; the reports for the two seeds
+differ only in their ``seed`` line.
 """
 
 import hashlib
@@ -14,8 +16,8 @@ from holriem.catalog import report_to_json, verify_all
 from holriem.cli import cli
 
 REPORT_SHA256 = {
-    42: "e871228e13ee8d28cc379dceed6a85d53924538f16f7261e1998ea687c55fbfc",
-    11: "02319e2439917196c69bc83d65b6e50acb2980d8acfc0eaf5e4ff4146ffef5ec",
+    42: "c7d326dab67a744de10562e32bb5b90163aa3b13d02d715298842a070f9f25c1",
+    11: "a590d4da4203815c0db1287236aaa647d056078c8b8d8f4cbe3c07ae6f89a58e",
 }
 
 # SHA-256 of the stdout of ``holriem <command> <file>`` on shipped metric files.

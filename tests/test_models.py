@@ -169,6 +169,8 @@ def test_model_validation_errors():
         HomogeneousModel(
             s, isotropy=[s.vector("Z")], complement=[s.vector("Y")]
         )  # sizes do not add up
+    with pytest.raises(ValueError, match="the quotient is empty"):
+        HomogeneousModel(s, isotropy=[s.basis_vector(k) for k in range(3)], complement=[])
     g = CATALOG["c_ltimes_heis"].algebra
     with pytest.raises(ValueError):
         HomogeneousModel(
