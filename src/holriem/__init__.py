@@ -17,11 +17,9 @@ from .liealg import (
     LieAlgebra,
     NotUnimodular,
     WrongDimension,
-    ad,
     bracket,
     center,
     classify_3d_unimodular,
-    conjugate,
     derived_series,
     is_nilpotent,
     is_semisimple,

@@ -246,7 +246,8 @@ def _cmd_curvature(args) -> int:
         for i, j in combinations(range(algebra.dim), 2)
         for k in range(algebra.dim)
     ]
-    _emit_records(args, records, data=True)
+    # Below dimension 2 there is no pair x < y to list, and R vanishes.
+    _emit_records(args, records or [cat._check("R", True, value="0")], data=True)
     return 0
 
 

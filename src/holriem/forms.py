@@ -61,9 +61,6 @@ class QuadraticForm:
     def apply(self, x: Sequence, y: Sequence) -> GaussianRational:
         return _dot(as_vector(x), self.gram.apply(y))
 
-    def norm(self, x: Sequence) -> GaussianRational:
-        return self.apply(x, x)
-
     def determinant(self) -> GaussianRational:
         return self.gram.det()
 

@@ -16,6 +16,21 @@ Curvature convention used throughout (flatness does not depend on it):
 
     R(x, y) z = nabla_x nabla_y z - nabla_y nabla_x z - nabla_[x,y] z,
     K(x, y) = q(R(x,y)y, x) / (q(x,x) q(y,y) - q(x,y)^2).
+
+In operator form, with Lambda(x) = nabla_x as an endomorphism of the
+algebra, R(x, y) = [Lambda(x), Lambda(y)] - Lambda([x, y]).  With
+Gamma_ij^l the components of nabla_{e_i} e_j, each fiber is
+
+    R(e_i,e_j)e_k = sum_l Gamma_jk^l nabla_{e_i} e_l
+                    - Gamma_ik^l nabla_{e_j} e_l - c_ij^l nabla_{e_l} e_k.
+
+Most entries of these tables are zero, so the kernels first list the
+nonzero entries of each slot (of G, G^-1, c_ij and Gamma_ij) and loop
+over those lists only.  ``levi_civita`` adds each nonzero term of the
+lowered constants into its three Koszul slots and then applies G^-1 / 2
+row by row; ``curvature`` evaluates all n^3 fibers by the sum above.  No
+fiber is copied from another by antisymmetry, Bianchi or pair skew, the
+identities that ``*_defect`` checks on the result.
 """
 
 from __future__ import annotations
@@ -29,15 +44,18 @@ from .liealg import LieAlgebra
 from .linalg import (
     CMatrix,
     Vector,
+    _dot,
     as_vector,
     kernel,
     span_basis,
     vadd,
-    vscale,
     vsub,
     zero_vector,
 )
 from .scalars import CPoly, GaussianRational, ONE, ZERO, as_gr
+
+_HALF = ONE / 2
+
 
 @dataclass(frozen=True, slots=True)
 class ConnectionTable:
@@ -48,22 +66,6 @@ class ConnectionTable:
     @property
     def dim(self) -> int:
         return len(self.coeffs)
-
-    def nabla(self, x: Sequence, y: Sequence) -> Vector:
-        """Bilinear extension; valid for constant-coefficient fields."""
-        u, v = as_vector(x), as_vector(y)
-        out = list(zero_vector(self.dim))
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                coeff = a * b
-                for k, c in enumerate(self.coeffs[i][j]):
-                    if c:
-                        out[k] = out[k] + coeff * c
-        return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,48 +105,68 @@ def _first_index(
     return next((t for t in product(range(n), repeat=arity) if bad(*t)), None)
 
 
+def _nonzero(vector: Sequence) -> list[tuple[int, GaussianRational]]:
+    return [(k, x) for k, x in enumerate(vector) if x]
+
+
 def levi_civita(algebra: LieAlgebra, form: QuadraticForm) -> ConnectionTable:
     """Unique torsion-free metric connection of a left-invariant metric."""
     form.require_nondegenerate()
     n = algebra.dim
     if form.dim != n:
         raise ValueError("form dimension does not match the algebra")
-    gram_inverse = form.gram.inverse()
-    c = [[form.gram.apply(v) for v in row] for row in algebra.constants]
-    return ConnectionTable(
-        tuple(
-            tuple(
-                gram_inverse.apply(
-                    [(c[i][j][k] - c[j][k][i] + c[k][i][j]) / 2 for k in range(n)]
-                )
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-    )
+    gram_rows = [_nonzero(row) for row in form.gram.entries]
+    # G^-1 is symmetric, so its rows are its columns; the 1/2 rides along.
+    half_inverse = [
+        [(l, h * _HALF) for l, h in _nonzero(row)] for row in form.gram.inverse().entries
+    ]
+    # koszul[i][j][k] = c_ijk - c_jki + c_kij: each term of a lowered
+    # c_abd = sum_l c_ab^l G_ld lands in three slots.
+    koszul = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for a, b in product(range(n), repeat=2):
+        for l, x in _nonzero(algebra.constants[a][b]):
+            for d, g in gram_rows[l]:
+                term = x * g
+                koszul[a][b][d] = koszul[a][b][d] + term
+                koszul[d][a][b] = koszul[d][a][b] - term
+                koszul[b][d][a] = koszul[b][d][a] + term
+
+    def nabla(i: int, j: int) -> Vector:
+        out = [ZERO] * n
+        for k, w in _nonzero(koszul[i][j]):
+            for l, h in half_inverse[k]:
+                out[l] = out[l] + w * h
+        return tuple(out)
+
+    return ConnectionTable(tuple(tuple(nabla(i, j) for j in range(n)) for i in range(n)))
 
 
 def curvature(algebra: LieAlgebra, connection: ConnectionTable) -> CurvatureTensor:
+    """R(e_i,e_j)e_k, each of the n^3 fibers from the nonzero entries only."""
     n = algebra.dim
-    basis = [algebra.basis_vector(i) for i in range(n)]
-    comps = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            fibers = []
-            bij = algebra.constants[i][j]
-            for k in range(n):
-                value = vsub(
-                    vsub(
-                        connection.nabla(basis[i], connection.coeffs[j][k]),
-                        connection.nabla(basis[j], connection.coeffs[i][k]),
-                    ),
-                    connection.nabla(bij, basis[k]),
-                )
-                fibers.append(value)
-            plane.append(tuple(fibers))
-        comps.append(tuple(plane))
-    return CurvatureTensor(tuple(comps))
+    gamma = [[_nonzero(v) for v in row] for row in connection.coeffs]
+    brackets = [[_nonzero(v) for v in row] for row in algebra.constants]
+
+    def fiber(i: int, j: int, k: int) -> Vector:
+        out = [ZERO] * n
+        # Gamma_jk^l nabla_i e_l - Gamma_ik^l nabla_j e_l - c_ij^l nabla_l e_k
+        for l, a in gamma[j][k]:
+            for m, b in gamma[i][l]:
+                out[m] = out[m] + a * b
+        for l, a in gamma[i][k]:
+            for m, b in gamma[j][l]:
+                out[m] = out[m] - a * b
+        for l, a in brackets[i][j]:
+            for m, b in gamma[l][k]:
+                out[m] = out[m] - a * b
+        return tuple(out)
+
+    return CurvatureTensor(
+        tuple(
+            tuple(tuple(fiber(i, j, k) for k in range(n)) for j in range(n))
+            for i in range(n)
+        )
+    )
 
 
 def sectional_curvature(
@@ -164,15 +186,10 @@ def sectional_curvature(
     return numerator / denominator
 
 
-def _model_component(
-    form: QuadraticForm, i: int, j: int, k: int, n: int
-) -> Vector:
-    """Component vector of q(e_j,e_k) e_i - q(e_i,e_k) e_j."""
-    out = list(zero_vector(n))
-    gram = form.gram.entries
-    out[i] = out[i] + gram[j][k]
-    out[j] = out[j] - gram[i][k]
-    return tuple(out)
+def _model_entry(gram, i: int, j: int, k: int, l: int) -> GaussianRational:
+    """Entry l of q(e_j,e_k) e_i - q(e_i,e_k) e_j."""
+    value = gram[j][k] if l == i else ZERO
+    return value - gram[i][k] if l == j else value
 
 
 def constant_curvature(
@@ -191,28 +208,24 @@ def constant_curvature_value(
     coordinate plane (falling back to the first nonzero model-tensor
     component) and then the identity is verified on all basis triples.
     """
-    n = tensor.dim
-    basis = [connection_basis(n, i) for i in range(n)]
-    plane = _first_index(
-        n,
-        2,
-        lambda i, j: i < j
-        and sectional_curvature(form, tensor, basis[i], basis[j]) is not None,
-    )
+    n, r, gram = tensor.dim, tensor.comps, form.gram.entries
+
+    def denominator(i: int, j: int) -> GaussianRational:
+        return gram[i][i] * gram[j][j] - gram[i][j] * gram[i][j]
+
+    plane = _first_index(n, 2, lambda i, j: i < j and denominator(i, j))
     if n < 2:
         # No plane, and the model tensor vanishes: only R = 0 qualifies.
         candidate = ZERO
     elif plane is not None:
+        # K(e_i, e_j) = q(R(e_i,e_j)e_j, e_i) / (q_ii q_jj - q_ij^2)
         i, j = plane
-        candidate = sectional_curvature(form, tensor, basis[i], basis[j])
+        candidate = _dot(r[i][j][j], gram[i]) / denominator(i, j)
     else:
-        slot = _first_index(
-            n, 4, lambda i, j, k, l: _model_component(form, i, j, k, n)[l]
-        )
+        slot = _first_index(n, 4, lambda i, j, k, l: _model_entry(gram, i, j, k, l))
         if slot is None:
             raise DegenerateForm("no usable plane for the curvature candidate")
-        i, j, k, l = slot
-        candidate = tensor.comps[i][j][k][l] / _model_component(form, i, j, k, n)[l]
+        candidate = r[slot[0]][slot[1]][slot[2]][slot[3]] / _model_entry(gram, *slot)
     if constant_curvature_defect(form, tensor, candidate) is not None:
         return None
     return candidate
@@ -223,14 +236,22 @@ def constant_curvature_defect(
 ) -> tuple[int, int, int] | None:
     """First basis triple violating ``R(x,y)z = k (q(y,z)x - q(x,z)y)``."""
     value = as_gr(k)
-    n = tensor.dim
-    return _first_index(
-        n,
-        3,
-        lambda i, j, m: any(
-            vsub(tensor.comps[i][j][m], vscale(value, _model_component(form, i, j, m, n)))
-        ),
-    )
+    r = tensor.comps
+    # The model fiber is k q_jm at slot i and -k q_im at slot j, zero when i = j.
+    kq = [[value * g for g in row] for row in form.gram.entries]
+    minus_kq = [[-x for x in row] for row in kq]
+
+    def bad(i: int, j: int, m: int) -> bool:
+        fiber = r[i][j][m]
+        if i == j:
+            return any(fiber)
+        return (
+            fiber[i] != kq[j][m]
+            or fiber[j] != minus_kq[i][m]
+            or any(x for l, x in enumerate(fiber) if l != i and l != j)
+        )
+
+    return _first_index(tensor.dim, 3, bad)
 
 
 def flatness_defect(tensor: CurvatureTensor) -> tuple[int, int, int] | None:
@@ -252,10 +273,6 @@ def ricci(form: QuadraticForm, tensor: CurvatureTensor) -> QuadraticForm:
         for a in range(n)
     ]
     return QuadraticForm(gram)
-
-
-def connection_basis(n: int, i: int) -> Vector:
-    return tuple(ONE if k == i else ZERO for k in range(n))
 
 
 # -- connection/curvature identity checks --------------------------------
@@ -369,9 +386,8 @@ def unipotent_isotropy_matrix() -> tuple[tuple[CPoly, ...], ...]:
     t = CPoly.x()
     one = CPoly.constant(1)
     zero = CPoly()
-    half = as_gr(1) / as_gr(2)
     return (
-        (one, t, CPoly((ZERO, ZERO, -half))),
+        (one, t, CPoly((ZERO, ZERO, -_HALF))),
         (zero, one, -t),
         (zero, zero, one),
     )

@@ -151,14 +151,6 @@ def bracket(algebra: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
     return tuple(out)
 
 
-def ad(algebra: LieAlgebra, x: Sequence) -> CMatrix:
-    """Matrix of ``y -> [x, y]`` in the algebra basis."""
-    columns = [
-        bracket(algebra, x, algebra.basis_vector(j)) for j in range(algebra.dim)
-    ]
-    return CMatrix.from_columns(columns)
-
-
 def _jacobiators(algebra: LieAlgebra):
     """Yield ``((i, j, k), [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j])``.
 
@@ -274,28 +266,6 @@ def classify_3d_unimodular(algebra: LieAlgebra) -> AlgebraClass:
     if is_nilpotent(algebra):
         return AlgebraClass.HEIS
     return AlgebraClass.SOL
-
-
-def conjugate(
-    algebra: LieAlgebra, change: CMatrix, basis_names: Sequence[str] | None = None
-) -> LieAlgebra:
-    """Pull the bracket back through an invertible basis change P.
-
-    New constants satisfy ``[e_i, e_j]_new = P^-1 [P e_i, P e_j]``.
-    """
-    n = algebra.dim
-    if change.rows != n or change.cols != n:
-        raise ValueError("basis change has the wrong shape")
-    inverse = change.inverse()
-    grid = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            image = bracket(algebra, change.column(i), change.column(j))
-            row.append(inverse.apply(image))
-        grid.append(row)
-    names = tuple(basis_names) if basis_names else algebra.basis_names
-    return LieAlgebra(names, grid)
 
 
 def subalgebra(

@@ -64,10 +64,6 @@ class CMatrix:
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "CMatrix":
-        return cls([[ZERO] * cols for _ in range(rows)])
-
-    @classmethod
     def diagonal(cls, values: Iterable) -> "CMatrix":
         vals = [as_gr(v) for v in values]
         n = len(vals)
@@ -96,10 +92,6 @@ class CMatrix:
         return CMatrix(
             [vadd(r, s) for r, s in zip(self.entries, other.entries)]
         )
-
-    def scale(self, scalar) -> "CMatrix":
-        s = as_gr(scalar)
-        return CMatrix([[s * v for v in row] for row in self.entries])
 
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
         if self.cols != other.rows:

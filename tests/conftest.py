@@ -1,11 +1,19 @@
+"""Shared fixtures and the test-only helpers and dense references.
+
+Tests import the plain functions with ``from conftest import ...``.
+"""
+
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import settings
 
 from holriem.catalog import ParamExtension
-from holriem.liealg import LieAlgebra
+from holriem.geometry import ConnectionTable, CurvatureTensor
+from holriem.liealg import LieAlgebra, bracket
+from holriem.linalg import CMatrix, Vector, as_vector, vsub, zero_vector
 from holriem.scalars import GaussianRational, as_gr, gr
 
 settings.register_profile("exact", derandomize=True)
@@ -40,3 +48,98 @@ def _random_gaussian_rational(rng: random.Random, span: int = 3) -> GaussianRati
 def random_param_extension():
     """Stabilizer-family parameters with small random Q(i) entries, from ``rng``."""
     return lambda rng: ParamExtension(*(_random_gaussian_rational(rng) for _ in range(4)))
+
+
+# -- test-only matrix and algebra helpers -------------------------------------
+
+
+def zeros(rows: int, cols: int) -> CMatrix:
+    return CMatrix([[0] * cols for _ in range(rows)])
+
+
+def scale(matrix: CMatrix, scalar) -> CMatrix:
+    s = as_gr(scalar)
+    return CMatrix([[s * v for v in row] for row in matrix.entries])
+
+
+def ad(algebra: LieAlgebra, x: Sequence) -> CMatrix:
+    """Matrix of ``y -> [x, y]`` in the algebra basis."""
+    columns = [bracket(algebra, x, algebra.basis_vector(j)) for j in range(algebra.dim)]
+    return CMatrix.from_columns(columns)
+
+
+def conjugate(
+    algebra: LieAlgebra, change: CMatrix, basis_names: Sequence[str] | None = None
+) -> LieAlgebra:
+    """Pull the bracket back through an invertible basis change P.
+
+    New constants satisfy ``[e_i, e_j]_new = P^-1 [P e_i, P e_j]``.
+    """
+    n = algebra.dim
+    if change.rows != n or change.cols != n:
+        raise ValueError("basis change has the wrong shape")
+    inverse = change.inverse()
+    grid = [
+        [inverse.apply(bracket(algebra, change.column(i), change.column(j))) for j in range(n)]
+        for i in range(n)
+    ]
+    return LieAlgebra(tuple(basis_names) if basis_names else algebra.basis_names, grid)
+
+
+# -- dense references for the sparse geometry kernels -------------------------
+
+
+def nabla(connection: ConnectionTable, x: Sequence, y: Sequence) -> Vector:
+    """Bilinear extension of the Christoffel table to constant fields."""
+    u, v = as_vector(x), as_vector(y)
+    out = list(zero_vector(connection.dim))
+    for i, a in enumerate(u):
+        if not a:
+            continue
+        for j, b in enumerate(v):
+            if not b:
+                continue
+            coeff = a * b
+            for k, c in enumerate(connection.coeffs[i][j]):
+                if c:
+                    out[k] = out[k] + coeff * c
+    return tuple(out)
+
+
+def dense_levi_civita(algebra: LieAlgebra, form) -> ConnectionTable:
+    """Koszul closed form with dense lowering and a dense G^-1 per pair."""
+    n = algebra.dim
+    gram_inverse = form.gram.inverse()
+    c = [[form.gram.apply(v) for v in row] for row in algebra.constants]
+    return ConnectionTable(
+        tuple(
+            tuple(
+                gram_inverse.apply([(c[i][j][k] - c[j][k][i] + c[k][i][j]) / 2 for k in range(n)])
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+    )
+
+
+def dense_curvature(algebra: LieAlgebra, connection: ConnectionTable) -> CurvatureTensor:
+    """R(e_i,e_j)e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k - nabla_[e_i,e_j] e_k,
+    term by term on basis vectors."""
+    n = algebra.dim
+    basis = [algebra.basis_vector(i) for i in range(n)]
+    c = connection.coeffs
+    return CurvatureTensor(
+        tuple(
+            tuple(
+                tuple(
+                    vsub(
+                        vsub(nabla(connection, basis[i], c[j][k]), nabla(connection, basis[j], c[i][k])),
+                        nabla(connection, algebra.constants[i][j], basis[k]),
+                    )
+                    for k in range(n)
+                )
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+    )

@@ -9,6 +9,7 @@ import json
 import random
 from fractions import Fraction
 
+from conftest import conjugate
 from holriem.catalog import (
     CatalogEntry,
     ParamExtension,
@@ -38,7 +39,6 @@ from holriem.geometry import (
 )
 from holriem.liealg import (
     classify_3d_unimodular,
-    conjugate,
     jacobi_witness,
     killing_form,
 )

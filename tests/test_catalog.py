@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import ad
 
 from holriem import catalog
 from holriem.catalog import (
@@ -25,7 +26,7 @@ from holriem.catalog import (
     verify_section5_tables,
     verify_shipped_files,
 )
-from holriem.liealg import LieAlgebra, ad, jacobi_witness, killing_form
+from holriem.liealg import LieAlgebra, jacobi_witness, killing_form
 from holriem.linalg import CMatrix
 from holriem.models import HomogeneousModel, isotropy_type
 from holriem.scalars import CPoly, GaussianRational, gr

@@ -78,6 +78,32 @@ def test_constcurv_one_dimensional_metric_is_flat(tmp_path, capsys):
     assert capsys.readouterr().out == "Constant(0)\n"
 
 
+def test_curvature_one_dimensional_metric_is_zero(tmp_path, capsys):
+    # No basis pair x < y exists, so the table would be empty; R = 0 says it.
+    path = tmp_path / "line.liealg"
+    path.write_text('[algebra]\nname = line\ndim = 1\nbasis = X\n\n[form]\n"X,X" = 2\n')
+    assert cli(["curvature", str(path)]) == 0
+    assert capsys.readouterr().out == "R = 0\n"
+    assert cli(["curvature", str(path), "--quiet"]) == 0
+    assert capsys.readouterr().out == "R = 0\n"
+    assert cli(["curvature", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == [
+        {"id": "R", "status": "pass", "witness": None, "value": "0"}
+    ]
+
+
+def test_curvature_two_dimensional_metric_lists_the_pair(tmp_path, capsys):
+    path = tmp_path / "aff.liealg"
+    path.write_text(
+        '[algebra]\nname = aff\ndim = 2\nbasis = A, B\n\n[brackets]\n"A,B" = B\n\n'
+        '[form]\n"A,A" = 1\n"B,B" = 1\n'
+    )
+    assert cli(["curvature", str(path)]) == 0
+    assert capsys.readouterr().out == "R(A,B)A = B\nR(A,B)B = - A\n"
+    assert cli(["curvature", str(path), "--json"]) == 0
+    assert [r["id"] for r in json.loads(capsys.readouterr().out)] == ["R(A,B)A", "R(A,B)B"]
+
+
 def test_connection_table(capsys):
     assert cli(["connection", f"{DATA}/sol3.liealg"]) == 0
     out = capsys.readouterr().out

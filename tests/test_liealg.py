@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import ad, conjugate
 
 from holriem.catalog import build_catalog
 from holriem.liealg import (
@@ -12,11 +13,9 @@ from holriem.liealg import (
     NotClosed,
     NotUnimodular,
     WrongDimension,
-    ad,
     bracket,
     center,
     classify_3d_unimodular,
-    conjugate,
     derived_series,
     is_ideal,
     is_nilpotent,

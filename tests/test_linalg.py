@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import scale, zeros
 
 from holriem.linalg import (
     CMatrix,
@@ -51,7 +52,7 @@ def test_solve_shape_mismatch():
 
 
 def test_kernel_zero_matrix():
-    assert len(kernel(CMatrix.zeros(3, 3))) == 3
+    assert len(kernel(zeros(3, 3))) == 3
 
 
 def test_kernel_invertible():
@@ -116,10 +117,10 @@ def test_min_poly_annihilates_random_matrices():
         n = rng.choice([2, 3])
         a = _random_matrix(rng, n)
         p = min_poly(a)
-        acc = CMatrix.zeros(n, n)
+        acc = zeros(n, n)
         power = CMatrix.identity(n)
         for c in p.coeffs:
-            acc = acc + power.scale(c)
+            acc = acc + scale(power, c)
             power = power @ a
         assert acc.is_zero()
 
