@@ -1,7 +1,7 @@
 """Exact verification toolkit for left-invariant holomorphic Riemannian
 metrics on low-dimensional complex Lie algebras."""
 
-from .scalars import CPoly, GaussianRational, as_gr, gr
+from .scalars import GaussianRational, as_gr, gr
 from .linalg import (
     CMatrix,
     LinearSolution,
@@ -40,7 +40,7 @@ from .geometry import (
     sectional_curvature,
     skew_algebra,
     stabilizer_in_skew,
-    unipotent_isotropy_matrix,
+    unipotent_flow,
 )
 from .models import (
     HomogeneousModel,

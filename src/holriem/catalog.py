@@ -35,16 +35,13 @@ from .geometry import (
     constant_curvature_value,
     curvature,
     curvature_antisymmetry_defect,
-    flow_preserves_adapted_form,
-    generator_is_skew_for_adapted_form,
     levi_civita,
     pair_skew_defect,
-    poly_mat_eval,
     skew_algebra,
     stabilizer_in_skew,
     torsion_defect,
+    unipotent_flow,
     unipotent_isotropy_generator,
-    unipotent_isotropy_matrix,
 )
 from .liealg import (
     AlgebraClass,
@@ -738,21 +735,33 @@ def verify_heis_family() -> list[CheckResult]:
 
 
 def verify_flow_identities() -> list[CheckResult]:
-    checks = [
-        _check("flow/gram_polynomial", flow_preserves_adapted_form()),
-        _check("flow/generator_skew", generator_is_skew_for_adapted_form()),
-    ]
-    # Entries of L(s) L(t) - L(s+t) have degree <= 2 in each variable, so
-    # vanishing on a 3 x 3 grid proves the polynomial identity.
-    flow = unipotent_isotropy_matrix()
-    point = _first_index(
-        3,
-        2,
-        lambda s, t: poly_mat_eval(flow, s) @ poly_mat_eval(flow, t)
-        != poly_mat_eval(flow, s + t),
+    """The unipotent isotropy flow L_t = exp(tN) preserves the adapted form Q
+    and is a one-parameter group, proved on grids.
+
+    The entries of L_t have degree <= 2 in t, so those of L_t^T Q L_t - Q
+    have degree <= 4 and vanish identically once they vanish at the five
+    points t = 0, ..., 4.  The entries of L_s L_t - L_(s+t) have degree <= 2
+    in each of s and t, so vanishing on {0,1,2}^2 proves the group law (Alon,
+    "Combinatorial Nullstellensatz", 1999).  N^T Q + Q N = 0, the derivative
+    of the first identity at t = 0, is checked entry by entry.
+    """
+    q, generator = adapted_gram_unipotent(), unipotent_isotropy_generator()
+
+    def moves_q(t: int) -> bool:
+        flow = unipotent_flow(t)
+        return flow.transpose() @ q @ flow != q
+
+    gram = _first_index(5, 1, moves_q)
+    skew = (generator.transpose() @ q + q @ generator).entries
+    entry = _first_index(3, 2, lambda i, j: skew[i][j])
+    group = _first_index(
+        3, 2, lambda s, t: unipotent_flow(s) @ unipotent_flow(t) != unipotent_flow(s + t)
     )
-    checks.append(_check("flow/one_parameter_group", point is None, f"at (s,t)={point}"))
-    return checks
+    return [
+        _check("flow/gram_polynomial", gram is None, f"at t={gram[0]}" if gram else None),
+        _check("flow/generator_skew", entry is None, f"N^T Q + Q N nonzero at (i,j)={entry}"),
+        _check("flow/one_parameter_group", group is None, f"at (s,t)={group}"),
+    ]
 
 
 # -- the surface model -------------------------------------------------------

@@ -52,7 +52,7 @@ from .linalg import (
     vsub,
     zero_vector,
 )
-from .scalars import CPoly, GaussianRational, ONE, ZERO, as_gr
+from .scalars import GaussianRational, ONE, ZERO, as_gr
 
 _HALF = ONE / 2
 
@@ -304,6 +304,12 @@ def compatibility_defect(
 def curvature_antisymmetry_defect(
     tensor: CurvatureTensor,
 ) -> tuple[int, int, int] | None:
+    """First triple violating R(x,y)z + R(y,x)z = 0, or None.
+
+    For ``curvature`` output the sum is -sum_l (c_ij^l + c_ji^l) nabla_l e_k,
+    which ``LieAlgebra`` already keeps zero; so this guards the kernel,
+    which evaluates every fiber on its own, not the input.
+    """
     r = tensor.comps
     return _first_index(
         tensor.dim, 3, lambda i, j, k: any(vadd(r[i][j][k], r[j][i][k]))
@@ -377,20 +383,14 @@ def stabilizer_in_skew(
 # -- the unipotent isotropy flow -------------------------------------------
 
 
-def unipotent_isotropy_matrix() -> tuple[tuple[CPoly, ...], ...]:
-    """One-parameter unipotent isotropy action on an adapted basis.
+def unipotent_flow(t) -> CMatrix:
+    """One-parameter unipotent isotropy L_t = exp(t N) on an adapted basis.
 
-    Entries are exact polynomials in the flow time t:
+    Every entry has degree <= 2 in the exact flow time t:
         [[1, t, -t^2/2], [0, 1, -t], [0, 0, 1]].
     """
-    t = CPoly.x()
-    one = CPoly.constant(1)
-    zero = CPoly()
-    return (
-        (one, t, CPoly((ZERO, ZERO, -_HALF))),
-        (zero, one, -t),
-        (zero, zero, one),
-    )
+    t = as_gr(t)
+    return CMatrix([[1, t, -(t * t) * _HALF], [0, 1, -t], [0, 0, 1]])
 
 
 def unipotent_isotropy_generator() -> CMatrix:
@@ -401,61 +401,3 @@ def unipotent_isotropy_generator() -> CMatrix:
 def adapted_gram_unipotent() -> CMatrix:
     """Gram matrix of the unipotent adapted relations."""
     return CMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-
-
-PolyMatrix = tuple[tuple[CPoly, ...], ...]
-
-
-def poly_matrix_from_cmatrix(matrix: CMatrix) -> PolyMatrix:
-    return tuple(
-        tuple(CPoly.constant(v) for v in row) for row in matrix.entries
-    )
-
-
-def poly_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    n, m, p = len(a), len(b), len(b[0])
-    if len(a[0]) != m:
-        raise ValueError("shape mismatch in polynomial matrix product")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            total = CPoly()
-            for k in range(m):
-                total = total + a[i][k] * b[k][j]
-            row.append(total)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def poly_mat_transpose(a: PolyMatrix) -> PolyMatrix:
-    return tuple(zip(*a))
-
-
-def poly_mat_sub(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return tuple(
-        tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
-def poly_mat_is_zero(a: PolyMatrix) -> bool:
-    return all(entry.is_zero() for row in a for entry in row)
-
-
-def poly_mat_eval(a: PolyMatrix, value) -> CMatrix:
-    return CMatrix([[entry(as_gr(value)) for entry in row] for row in a])
-
-
-def flow_preserves_adapted_form() -> bool:
-    """Polynomial identity L_t^T Q L_t = Q for the unipotent flow."""
-    flow = unipotent_isotropy_matrix()
-    q = poly_matrix_from_cmatrix(adapted_gram_unipotent())
-    product = poly_matmul(poly_matmul(poly_mat_transpose(flow), q), flow)
-    return poly_mat_is_zero(poly_mat_sub(product, q))
-
-
-def generator_is_skew_for_adapted_form() -> bool:
-    """Infinitesimal identity N^T Q + Q N = 0 for the flow generator."""
-    n = unipotent_isotropy_generator()
-    q = adapted_gram_unipotent()
-    return (n.transpose() @ q + q @ n).is_zero()

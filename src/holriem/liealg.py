@@ -66,8 +66,9 @@ class LieAlgebra:
             len(row) != n or any(len(v) != n for v in row) for row in table
         ):
             raise ValueError("structure constant tensor has wrong shape")
+        # Symmetric in (i, j): the first bad pair has i <= j.
         for i in range(n):
-            for j in range(n):
+            for j in range(i, n):
                 if any(a + b for a, b in zip(table[i][j], table[j][i])):
                     raise ValueError(
                         f"structure constants not antisymmetric at ({names[i]},{names[j]})"

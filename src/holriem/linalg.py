@@ -2,7 +2,10 @@
 
 Gaussian elimination over exact Q(i) scalars keeps every rank, kernel
 and solve exact; there is no numerical pivoting or tolerance anywhere in
-this module.
+this module.  A minimal polynomial is the tuple of its coefficients in
+ascending degree, and semisimplicity is one determinant: A is
+diagonalizable exactly when p'(A) is invertible for its minimal
+polynomial p (Hoffman and Kunze, *Linear Algebra*, section 6.4).
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .scalars import CPoly, GaussianRational, ONE, ZERO, as_gr
+from .scalars import GaussianRational, ONE, ZERO, as_gr
 
 Vector = tuple[GaussianRational, ...]
 
@@ -37,11 +40,6 @@ def vsub(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise ValueError("vector length mismatch")
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(scalar, v: Vector) -> Vector:
-    s = as_gr(scalar)
-    return tuple(s * a for a in v)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -112,14 +110,6 @@ class CMatrix:
 
     def transpose(self) -> "CMatrix":
         return CMatrix(list(zip(*self.entries)))
-
-    def trace(self) -> GaussianRational:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        total = ZERO
-        for i in range(self.rows):
-            total = total + self.entries[i][i]
-        return total
 
     def is_zero(self) -> bool:
         return all(not v for row in self.entries for v in row)
@@ -274,8 +264,8 @@ def in_span(vectors: Sequence[Sequence], v: Sequence) -> bool:
     return len(span_basis(list(base) + [as_vector(v)])) == len(base)
 
 
-def min_poly(matrix: CMatrix) -> CPoly:
-    """Monic minimal polynomial, exact.
+def min_poly(matrix: CMatrix) -> Vector:
+    """Monic minimal polynomial, exact, as coefficients in ascending degree.
 
     Finds the first power of A that is a linear combination of the lower
     powers; Cayley-Hamilton caps the search at the matrix dimension.
@@ -294,7 +284,7 @@ def min_poly(matrix: CMatrix) -> CPoly:
         target = flatten(power)
         solution = solve_linear(CMatrix.from_columns(columns), target)
         if solution is not None:
-            return CPoly(tuple(-c for c in solution.x) + (ONE,))
+            return tuple(-c for c in solution.x) + (ONE,)
         columns.append(target)
     raise AssertionError("unreachable: degree bounded by Cayley-Hamilton")
 
@@ -312,6 +302,16 @@ def is_nilpotent_matrix(matrix: CMatrix) -> bool:
 
 
 def is_semisimple_matrix(matrix: CMatrix) -> bool:
-    """True iff the minimal polynomial is squarefree (diagonalizable over C)."""
+    """True iff A is diagonalizable over C: p'(A) is invertible for the
+    minimal polynomial p.
+
+    The eigenvalues of p'(A) are the p'(lambda) over the roots lambda of
+    p, and p'(lambda) vanishes exactly at a repeated root.
+    """
     p = min_poly(matrix)
-    return CPoly.gcd(p, p.derivative()).degree == 0
+    n, d = matrix.rows, len(p) - 1
+    # Horner's rule on p'(t) = sum_k k p_k t^(k-1), from the leading term d t^(d-1) down.
+    acc = CMatrix.diagonal([d] * n)
+    for k in range(d - 1, 0, -1):
+        acc = acc @ matrix + CMatrix.diagonal([k * p[k]] * n)
+    return bool(acc.det())

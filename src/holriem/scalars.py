@@ -1,16 +1,17 @@
-"""Exact scalars: Gaussian rationals and univariate polynomials over them.
+"""Exact scalars: the Gaussian rationals Q(i), the package's one number type.
 
 Every structure constant and metric coefficient handled by this package
 lies in Q(i), so curvature and invariance claims reduce to exact zero
 tests.  A ``GaussianRational`` is ``(a + b*i)/d`` held as three ints in
 lowest terms, so each sum, product or quotient costs one ``math.gcd``;
 ``Fraction`` appears only where inputs are coerced and in the ``re``/``im``
-views.  The package has no floating-point code.
+views.  The package has no floating-point code and no second number type:
+a polynomial is a tuple of its coefficients, and a matrix polynomial such
+as the unipotent flow is a function returning a ``CMatrix``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -198,159 +199,3 @@ def gr(re: int | Fraction = 0, im: int | Fraction = 0) -> GaussianRational:
 
 ZERO = gr(0)
 ONE = gr(1)
-I = gr(0, 1)
-
-
-@dataclass(frozen=True, slots=True, init=False)
-class CPoly:
-    """Univariate polynomial over Q(i), coefficients in ascending degree.
-
-    Trailing zero coefficients are stripped; the zero polynomial is the
-    empty coefficient tuple and has degree -1.
-    """
-
-    coeffs: tuple[GaussianRational, ...]
-
-    def __init__(self, coeffs=()):
-        normalized = [as_gr(c) for c in coeffs]
-        while normalized and not normalized[-1]:
-            normalized.pop()
-        object.__setattr__(self, "coeffs", tuple(normalized))
-
-    @classmethod
-    def constant(cls, value) -> "CPoly":
-        return cls((as_gr(value),))
-
-    @classmethod
-    def x(cls) -> "CPoly":
-        return cls((ZERO, ONE))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> GaussianRational:
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other) -> "CPoly":
-        other = _poly_coerce(other)
-        if other is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return CPoly(
-            tuple(self._coeff(k) + other._coeff(k) for k in range(n))
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "CPoly":
-        other = _poly_coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "CPoly":
-        other = _poly_coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self) -> "CPoly":
-        return CPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other) -> "CPoly":
-        other = _poly_coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return CPoly()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for a, ca in enumerate(self.coeffs):
-            if not ca:
-                continue
-            for b, cb in enumerate(other.coeffs):
-                out[a + b] = out[a + b] + ca * cb
-        return CPoly(tuple(out))
-
-    __rmul__ = __mul__
-
-    def _coeff(self, k: int) -> GaussianRational:
-        return self.coeffs[k] if k < len(self.coeffs) else ZERO
-
-    def __call__(self, value):
-        """Evaluate at an exact point by Horner's rule."""
-        point = as_gr(value)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
-
-    def derivative(self) -> "CPoly":
-        return CPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
-
-    def monic(self) -> "CPoly":
-        if self.is_zero():
-            return self
-        lead = self.leading
-        return CPoly(tuple(c / lead for c in self.coeffs))
-
-    def __divmod__(self, other) -> tuple["CPoly", "CPoly"]:
-        other = _poly_coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        quotient = [ZERO] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rest = list(self.coeffs)
-        lead = other.leading
-        while len(rest) >= len(other.coeffs) and any(rest):
-            while rest and not rest[-1]:
-                rest.pop()
-            if len(rest) < len(other.coeffs):
-                break
-            factor = rest[-1] / lead
-            shift = len(rest) - len(other.coeffs)
-            quotient[shift] = factor
-            for k, c in enumerate(other.coeffs):
-                rest[shift + k] = rest[shift + k] - factor * c
-        return CPoly(tuple(quotient)), CPoly(tuple(rest))
-
-    @staticmethod
-    def gcd(a: "CPoly", b: "CPoly") -> "CPoly":
-        """Monic greatest common divisor via the Euclidean algorithm."""
-        while not b.is_zero():
-            _, r = divmod(a, b)
-            a, b = b, r
-        return a.monic()
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                power = "t" if k == 1 else f"t^{k}"
-                coeff = "" if c == ONE else f"({c})*"
-                parts.append(f"{coeff}{power}")
-        return " + ".join(parts)
-
-
-def _poly_coerce(value) -> CPoly | None:
-    if isinstance(value, CPoly):
-        return value
-    if isinstance(value, (int, Fraction, GaussianRational)):
-        return CPoly((as_gr(value),))
-    return None

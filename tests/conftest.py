@@ -62,6 +62,15 @@ def scale(matrix: CMatrix, scalar) -> CMatrix:
     return CMatrix([[s * v for v in row] for row in matrix.entries])
 
 
+def vscale(scalar, v: Sequence) -> Vector:
+    s = as_gr(scalar)
+    return tuple(s * a for a in v)
+
+
+def trace(matrix: CMatrix) -> GaussianRational:
+    return sum((matrix.entries[i][i] for i in range(matrix.rows)), start=gr(0))
+
+
 def ad(algebra: LieAlgebra, x: Sequence) -> CMatrix:
     """Matrix of ``y -> [x, y]`` in the algebra basis."""
     columns = [bracket(algebra, x, algebra.basis_vector(j)) for j in range(algebra.dim)]

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import ad
+from conftest import ad, nabla
 
 from holriem import catalog
 from holriem.catalog import (
@@ -27,9 +27,10 @@ from holriem.catalog import (
     verify_shipped_files,
 )
 from holriem.liealg import LieAlgebra, jacobi_witness, killing_form
-from holriem.linalg import CMatrix
+from holriem.geometry import CurvatureTensor
+from holriem.linalg import CMatrix, vadd
 from holriem.models import HomogeneousModel, isotropy_type
-from holriem.scalars import CPoly, GaussianRational, gr
+from holriem.scalars import GaussianRational, gr
 
 
 def _by_id(catalog, entry_id):
@@ -459,13 +460,76 @@ def test_mobius_invariance_fails_on_a_wrong_derivative(monkeypatch):
 
 
 def test_flow_group_law_fails_on_a_wrong_flow(monkeypatch):
-    flow = catalog.unipotent_isotropy_matrix()
-    # -t^2 in place of -t^2/2: L(s) L(t) and L(s+t) differ by s*t in one entry.
-    wrong = ((flow[0][0], flow[0][1], CPoly((0, 0, -1))), *flow[1:])
-    monkeypatch.setattr(catalog, "unipotent_isotropy_matrix", lambda: wrong)
+    right = catalog.unipotent_flow
+    # exp(t^2 N) preserves Q for every t but is not a group: L_1 L_1 != L_2.
+    monkeypatch.setattr(catalog, "unipotent_flow", lambda t: right(t * t))
     failures = verify_all().failures()
     assert [c.id for c in failures] == ["flow/one_parameter_group"]
     assert failures[0].witness == "at (s,t)=(1, 1)"
+
+
+def test_flow_gram_proof_fails_on_a_group_that_moves_the_form(monkeypatch):
+    # exp(tM) with M: e2 -> e1, e3 -> e2 is a group, but M is not Q-skew.
+    monkeypatch.setattr(
+        catalog,
+        "unipotent_flow",
+        lambda t: CMatrix([[1, t, Fraction(t * t, 2)], [0, 1, t], [0, 0, 1]]),
+    )
+    failures = verify_all().failures()
+    assert [c.id for c in failures] == ["flow/gram_polynomial"]
+    assert failures[0].witness == "at t=1"
+
+
+def test_flow_generator_skew_fails_on_a_non_skew_generator(monkeypatch):
+    # Nilpotent, so only the skew check and the family isotropy, which
+    # compares the induced action with this generator, can object.
+    not_skew = CMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    monkeypatch.setattr(catalog, "unipotent_isotropy_generator", lambda: not_skew)
+    failures = {c.id: c.witness for c in verify_all().failures()}
+    assert list(failures) == ["heis-family/isotropy_unipotent", "flow/generator_skew"]
+    assert failures["heis-family/isotropy_unipotent"].startswith("at (0, 0, 0, 0): induced action")
+    assert failures["flow/generator_skew"] == "N^T Q + Q N nonzero at (i,j)=(1, 2)"
+
+
+def test_flow_proofs_evaluate_their_grids(monkeypatch):
+    calls = []
+    right = catalog.unipotent_flow
+
+    def recorded(t):
+        calls.append(t)
+        return right(t)
+
+    monkeypatch.setattr(catalog, "unipotent_flow", recorded)
+    assert all(c.passed for c in catalog.verify_flow_identities())
+    group = [x for s in range(3) for t in range(3) for x in (s, t, s + t)]
+    assert calls == [0, 1, 2, 3, 4, *group]
+
+
+def test_curvature_antisymmetry_fails_on_a_kernel_fault(monkeypatch):
+    right = catalog.curvature
+
+    def lopsided(algebra, connection):
+        """The curvature kernel without its -c_ij^l nabla_l e_k term for i > j."""
+        r = right(algebra, connection).comps
+        n = algebra.dim
+
+        def fiber(i, j, k):
+            if i <= j:
+                return r[i][j][k]
+            dropped = nabla(connection, algebra.constants[i][j], algebra.basis_vector(k))
+            return vadd(r[i][j][k], dropped)
+
+        return CurvatureTensor(
+            tuple(tuple(tuple(fiber(i, j, k) for k in range(n)) for j in range(n)) for i in range(n))
+        )
+
+    monkeypatch.setattr(catalog, "curvature", lopsided)
+    failures = {c.id: c.witness for c in verify_all().failures()}
+    assert failures["sl2/curvature_antisymmetry"] == "triple=(H,E,H)"
+    # On the three flat entries nabla_[x,y] = 0, so the dropped term is zero there.
+    assert [i for i in failures if i.endswith("/curvature_antisymmetry")] == [
+        "sl2/curvature_antisymmetry"
+    ]
 
 
 def test_verify_all_green_and_deterministic():

@@ -1,4 +1,5 @@
-"""The package is exact: no float or complex value and no random number in its source."""
+"""The package is exact: no float or complex value and no random number in its
+source; and every check of the catalog that can fail names a witness."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,47 @@ def test_the_scan_finds_inexact_code():
         "v = gcd(4, 6)\n"
     )
     assert [line for line, _ in _inexact(ast.parse(source))] == [1, 2, 4, 5, 6, 7]
+
+
+def _unwitnessed(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, check id source) for each ``_check(...)`` call whose status is not
+    the literal ``True`` and that passes no witness, neither as its third
+    positional argument nor as ``witness=`` (a literal ``None`` is no witness)."""
+    found = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "_check"
+        ):
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        named = (*node.args, None, None, None)
+        check_id = named[0] or keywords.get("check_id")
+        status = named[1] or keywords.get("ok")
+        witness = named[2] or keywords.get("witness")
+        if isinstance(status, ast.Constant) and status.value is True:
+            continue
+        if witness is None or (isinstance(witness, ast.Constant) and witness.value is None):
+            found.append((node.lineno, ast.unparse(check_id)))
+    return sorted(found)
+
+
+def test_every_failing_check_names_a_witness():
+    catalog = next(path for path in SOURCES if path.name == "catalog.py")
+    assert _unwitnessed(ast.parse(catalog.read_text(encoding="utf-8"))) == []
+
+
+def test_the_scan_finds_checks_without_a_witness():
+    source = (
+        "_check('a', ok)\n"
+        "_check('b', ok, 'w')\n"
+        "_check('c', ok, witness=w)\n"
+        "_check('d', True, value='v')\n"
+        "_check('e', ok, value='v')\n"
+        "_check('f', ok, None, 'v')\n"
+        "_check(check_id='g', ok=False)\n"
+        "_check(check_id='h', ok=x, witness=w)\n"
+        "other('i', ok)\n"
+    )
+    assert _unwitnessed(ast.parse(source)) == [(1, "'a'"), (5, "'e'"), (6, "'f'"), (7, "'g'")]

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import nabla, scale
+from conftest import nabla, scale, vscale
 
 from holriem.catalog import build_catalog
 from holriem.forms import DegenerateForm, QuadraticForm
@@ -26,21 +26,18 @@ from holriem.geometry import (
     curvature,
     curvature_antisymmetry_defect,
     flatness_defect,
-    flow_preserves_adapted_form,
-    generator_is_skew_for_adapted_form,
     levi_civita,
     pair_skew_defect,
-    poly_mat_eval,
     ricci,
     sectional_curvature,
     skew_algebra,
     stabilizer_in_skew,
     torsion_defect,
+    unipotent_flow,
     unipotent_isotropy_generator,
-    unipotent_isotropy_matrix,
 )
 from holriem.liealg import bracket, killing_form
-from holriem.linalg import CMatrix, span_basis, vadd, vscale
+from holriem.linalg import CMatrix, span_basis, vadd
 from holriem.scalars import gr
 
 CATALOG = {entry.id: entry for entry in build_catalog()}
@@ -216,35 +213,34 @@ def test_stabilizer_dimensions():
 
 
 def test_unipotent_flow_matrix_values():
-    flow = unipotent_isotropy_matrix()
-    assert poly_mat_eval(flow, 0) == CMatrix.identity(3)
-    assert poly_mat_eval(flow, 1) == CMatrix(
+    assert unipotent_flow(0) == CMatrix.identity(3)
+    assert unipotent_flow(1) == CMatrix(
         [[1, 1, gr(Fraction(-1, 2))], [0, 1, -1], [0, 0, 1]]
     )
+    assert unipotent_flow(gr(0, 2)) == CMatrix([[1, gr(0, 2), 2], [0, 1, gr(0, -2)], [0, 0, 1]])
 
 
 def test_unipotent_flow_group_law_grid():
     # Entries of L(s)L(t) - L(s+t) have degree <= 2 in each variable, so
     # vanishing on the 3x3 grid proves the identity.
-    flow = unipotent_isotropy_matrix()
     for s in range(3):
         for t in range(3):
-            assert poly_mat_eval(flow, s) @ poly_mat_eval(flow, t) == poly_mat_eval(
-                flow, s + t
-            )
+            assert unipotent_flow(s) @ unipotent_flow(t) == unipotent_flow(s + t)
 
 
 def test_flow_polynomial_identities():
-    assert flow_preserves_adapted_form()
-    assert generator_is_skew_for_adapted_form()
+    # Entries of L_t^T Q L_t - Q have degree <= 4 in t: five points prove it.
+    q, n = adapted_gram_unipotent(), unipotent_isotropy_generator()
+    for t in range(5):
+        assert unipotent_flow(t).transpose() @ q @ unipotent_flow(t) == q
+    assert (n.transpose() @ q + q @ n).is_zero()
 
 
 def test_generator_is_flow_derivative():
-    flow = unipotent_isotropy_matrix()
-    derivative = CMatrix(
-        [[p.derivative()(gr(0)) for p in row] for row in flow]
-    )
-    assert derivative == unipotent_isotropy_generator()
+    # The central difference (L_1 - L_-1) / 2 is the exact derivative at 0
+    # of a matrix whose entries have degree <= 2.
+    difference = unipotent_flow(1) + scale(unipotent_flow(-1), -1)
+    assert scale(difference, Fraction(1, 2)) == unipotent_isotropy_generator()
 
 
 def test_identities_hold_for_all_catalog_metrics():

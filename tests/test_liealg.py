@@ -1,10 +1,11 @@
 """Lie algebra structure: brackets, invariants, classification."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from conftest import ad, conjugate
+from conftest import ad, conjugate, trace
 
 from holriem.catalog import build_catalog
 from holriem.liealg import (
@@ -55,6 +56,22 @@ def test_bracket_antisymmetry_random():
 def test_antisymmetry_enforced_at_construction():
     with pytest.raises(ValueError):
         LieAlgebra.from_table(("A", "B"), {("A", "A"): {"B": 1}})
+
+
+@pytest.mark.parametrize(
+    "entries, pair",
+    [
+        ({(0, 2): (0, 1, 0)}, "(X,Z)"),  # [X,Z] = Y, [Z,X] = 0
+        ({(2, 0): (0, 1, 0)}, "(X,Z)"),  # the bad entry below the diagonal
+        ({(1, 1): (1, 0, 0)}, "(Y,Y)"),  # c_ii != 0
+        ({(2, 1): (1, 0, 0), (2, 0): (0, 1, 0)}, "(X,Z)"),  # the first pair in basis order
+        ({(1, 1): (1, 0, 0), (0, 2): (0, 0, 1)}, "(X,Z)"),
+    ],
+)
+def test_antisymmetry_error_names_the_first_pair(entries, pair):
+    table = [[entries.get((i, j), (0, 0, 0)) for j in range(3)] for i in range(3)]
+    with pytest.raises(ValueError, match=re.escape(f"not antisymmetric at {pair}") + "$"):
+        LieAlgebra(("X", "Y", "Z"), table)
 
 
 def test_jacobi_witness_known_algebras():
@@ -118,8 +135,8 @@ def test_kernels_from_constants_match_ad_and_bracket():
     for algebra in algebras:
         n = algebra.dim
         ads = [ad(algebra, algebra.basis_vector(i)) for i in range(n)]
-        assert killing_form(algebra).gram == CMatrix([[(x @ y).trace() for y in ads] for x in ads])
-        assert is_unimodular(algebra) == all(not x.trace() for x in ads)
+        assert killing_form(algebra).gram == CMatrix([[trace(x @ y) for y in ads] for x in ads])
+        assert is_unimodular(algebra) == all(not trace(x) for x in ads)
         e = [algebra.basis_vector(i) for i in range(n)]
         jacobiators = {
             (i, j, k): [

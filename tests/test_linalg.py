@@ -8,7 +8,6 @@ from conftest import scale, zeros
 
 from holriem.linalg import (
     CMatrix,
-    CPoly,
     is_nilpotent_matrix,
     is_semisimple_matrix,
     kernel,
@@ -69,19 +68,16 @@ def test_kernel_rank_one():
 
 
 def test_min_poly_identity():
-    t = CPoly.x()
-    assert min_poly(CMatrix.identity(3)) == t - 1
+    assert min_poly(CMatrix.identity(3)) == (-1, 1)
 
 
 def test_min_poly_nilpotent_block():
     a = CMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    t = CPoly.x()
-    assert min_poly(a) == t * t * t
+    assert min_poly(a) == (0, 0, 0, 1)
 
 
 def test_min_poly_diagonal():
-    t = CPoly.x()
-    assert min_poly(CMatrix.diagonal([1, -1])) == t * t - 1
+    assert min_poly(CMatrix.diagonal([1, -1])) == (-1, 0, 1)
 
 
 def test_nilpotent_examples():
@@ -119,10 +115,57 @@ def test_min_poly_annihilates_random_matrices():
         p = min_poly(a)
         acc = zeros(n, n)
         power = CMatrix.identity(n)
-        for c in p.coeffs:
+        for c in p:
             acc = acc + scale(power, c)
             power = power @ a
         assert acc.is_zero()
+
+
+def _jordan(blocks):
+    """Block-diagonal Jordan matrix of ``(eigenvalue, size)`` blocks."""
+    n = sum(size for _, size in blocks)
+    rows = [[gr(0)] * n for _ in range(n)]
+    start = 0
+    for value, size in blocks:
+        for k in range(start, start + size):
+            rows[k][k] = value
+            if k + 1 < start + size:
+                rows[k][k + 1] = gr(1)
+        start += size
+    return CMatrix(rows)
+
+
+def _times_linear(p, root):
+    """Coefficients of p(t) (t - root), ascending."""
+    return tuple(a - root * b for a, b in zip((gr(0), *p), (*p, gr(0))))
+
+
+def test_semisimple_exactly_when_the_jordan_form_is_diagonal():
+    # Eigenvalues from a pool of two, so most matrices repeat one.
+    rng = random.Random(20261018)
+    seen = {True: 0, False: 0}
+    for _ in range(80):
+        pool = rng.sample([gr(0), gr(1), gr(-2), gr(0, 1), gr(1, -1)], 2)
+        n = rng.randint(1, 4)
+        blocks = []
+        while sum(size for _, size in blocks) < n:
+            size = rng.randint(1, n - sum(size for _, size in blocks))
+            blocks.append((rng.choice(pool), size))
+        while True:
+            change = _random_matrix(rng, n)
+            if change.det():
+                break
+        a = change @ _jordan(blocks) @ change.inverse()
+        diagonal = all(size == 1 for _, size in blocks)
+        assert is_semisimple_matrix(a) == diagonal
+        # The minimal polynomial is prod (t - value)^(largest block of value).
+        expected = (gr(1),)
+        for value in {value for value, _ in blocks}:
+            for _ in range(max(size for v, size in blocks if v == value)):
+                expected = _times_linear(expected, value)
+        assert min_poly(a) == expected
+        seen[diagonal] += 1
+    assert min(seen.values()) >= 20
 
 
 def test_solve_residual_random():

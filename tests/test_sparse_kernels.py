@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import conjugate, dense_curvature, dense_levi_civita
+from conftest import conjugate, dense_curvature, dense_levi_civita, vscale
 
 from holriem.catalog import build_catalog
 from holriem.forms import QuadraticForm
@@ -27,7 +27,7 @@ from holriem.geometry import (
     sectional_curvature,
 )
 from holriem.liealg import LieAlgebra, jacobi_witness, killing_form
-from holriem.linalg import CMatrix, vscale, vsub
+from holriem.linalg import CMatrix, vsub
 from holriem.scalars import GaussianRational, gr
 
 METRICS = [entry for entry in build_catalog() if entry.form is not None]
