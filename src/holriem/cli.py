@@ -25,7 +25,6 @@ from .liealg import (
     classify_3d_unimodular,
     derived_series,
     is_nilpotent,
-    is_solvable,
     is_unimodular,
     jacobi_witness,
 )
@@ -155,7 +154,7 @@ def _cmd_validate(args) -> int:
     records = [cat._check("jacobi", triple is None, cat._triple_str(algebra, triple))]
     if spec.isotropy:
         try:
-            model = dsl.to_model(spec)
+            model = dsl.to_model(spec, algebra)
             if model.quotient_form is not None:
                 records.append(
                     cat._check(
@@ -178,14 +177,15 @@ def _cmd_validate(args) -> int:
 
 def _cmd_invariants(args) -> int:
     _, algebra = _load_lie(args.file)
+    series = derived_series(algebra)
     _print_facts(
         args,
         [
             ("unimodular", "true" if is_unimodular(algebra) else "false"),
-            ("solvable", "true" if is_solvable(algebra) else "false"),
+            ("solvable", "true" if series[-1] == 0 else "false"),
             ("nilpotent", "true" if is_nilpotent(algebra) else "false"),
             ("center_dim", str(len(center(algebra)))),
-            ("derived_dims", ",".join(str(d) for d in derived_series(algebra))),
+            ("derived_dims", ",".join(str(d) for d in series)),
         ],
     )
     return 0

@@ -24,13 +24,14 @@ Gamma_ij^l the components of nabla_{e_i} e_j, each fiber is
     R(e_i,e_j)e_k = sum_l Gamma_jk^l nabla_{e_i} e_l
                     - Gamma_ik^l nabla_{e_j} e_l - c_ij^l nabla_{e_l} e_k.
 
-Most entries of these tables are zero, so the kernels first list the
-nonzero entries of each slot (of G, G^-1, c_ij and Gamma_ij) and loop
-over those lists only.  ``levi_civita`` adds each nonzero term of the
-lowered constants into its three Koszul slots and then applies G^-1 / 2
-row by row; ``curvature`` evaluates all n^3 fibers by the sum above.  No
-fiber is copied from another by antisymmetry, Bianchi or pair skew, the
-identities that ``*_defect`` checks on the result.
+Most entries of these tables are zero, so the kernels loop over lists
+of the nonzero entries of each slot only: the algebra's ``terms`` for
+c_ij, and lists made here for G, G^-1 and Gamma_ij.  ``levi_civita``
+adds each nonzero term of the lowered constants into its three Koszul
+slots and then applies G^-1 / 2 row by row; ``curvature`` evaluates all
+n^3 fibers by the sum above.  No fiber is copied from another by
+antisymmetry, Bianchi or pair skew, the identities that ``*_defect``
+checks on the result.
 """
 
 from __future__ import annotations
@@ -111,20 +112,21 @@ def _nonzero(vector: Sequence) -> list[tuple[int, GaussianRational]]:
 
 def levi_civita(algebra: LieAlgebra, form: QuadraticForm) -> ConnectionTable:
     """Unique torsion-free metric connection of a left-invariant metric."""
-    form.require_nondegenerate()
+    try:
+        inverse = form.gram.inverse()
+    except ZeroDivisionError:
+        raise DegenerateForm("quadratic form is degenerate") from None
     n = algebra.dim
     if form.dim != n:
         raise ValueError("form dimension does not match the algebra")
     gram_rows = [_nonzero(row) for row in form.gram.entries]
     # G^-1 is symmetric, so its rows are its columns; the 1/2 rides along.
-    half_inverse = [
-        [(l, h * _HALF) for l, h in _nonzero(row)] for row in form.gram.inverse().entries
-    ]
+    half_inverse = [[(l, h * _HALF) for l, h in _nonzero(row)] for row in inverse.entries]
     # koszul[i][j][k] = c_ijk - c_jki + c_kij: each term of a lowered
     # c_abd = sum_l c_ab^l G_ld lands in three slots.
     koszul = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     for a, b in product(range(n), repeat=2):
-        for l, x in _nonzero(algebra.constants[a][b]):
+        for l, x in algebra.terms[a][b]:
             for d, g in gram_rows[l]:
                 term = x * g
                 koszul[a][b][d] = koszul[a][b][d] + term
@@ -145,7 +147,7 @@ def curvature(algebra: LieAlgebra, connection: ConnectionTable) -> CurvatureTens
     """R(e_i,e_j)e_k, each of the n^3 fibers from the nonzero entries only."""
     n = algebra.dim
     gamma = [[_nonzero(v) for v in row] for row in connection.coeffs]
-    brackets = [[_nonzero(v) for v in row] for row in algebra.constants]
+    brackets = algebra.terms
 
     def fiber(i: int, j: int, k: int) -> Vector:
         out = [ZERO] * n

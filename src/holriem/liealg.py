@@ -4,11 +4,16 @@ An algebra is a basis-labelled antisymmetric table ``[e_i, e_j] = sum_k
 c[i][j][k] e_k`` over Q(i).  Antisymmetry is enforced at construction;
 the Jacobi identity is checked by ``jacobi_witness`` so that corrupted
 tables can be built on purpose and diagnosed.
+
+``constants`` is the canonical dense table.  Construction also derives
+``terms``, the nonzero ``(k, c_ij^k)`` of every bracket, once; the
+antisymmetry test, ``bracket``, the Jacobi scan and the connection and
+curvature kernels loop over these terms and never rescan the table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -53,6 +58,8 @@ class AlgebraClass(Enum):
 class LieAlgebra:
     basis_names: tuple[str, ...]
     constants: tuple[tuple[Vector, ...], ...]
+    # terms[i][j]: the tuple of the nonzero (k, c_ij^k), derived from constants.
+    terms: tuple = field(init=False, compare=False, repr=False)
 
     def __init__(self, basis_names: Sequence[str], constants: Sequence[Sequence[Sequence]]):
         names = tuple(basis_names)
@@ -66,15 +73,19 @@ class LieAlgebra:
             len(row) != n or any(len(v) != n for v in row) for row in table
         ):
             raise ValueError("structure constant tensor has wrong shape")
+        terms = tuple(
+            tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row) for row in table
+        )
         # Symmetric in (i, j): the first bad pair has i <= j.
         for i in range(n):
             for j in range(i, n):
-                if any(a + b for a, b in zip(table[i][j], table[j][i])):
+                if terms[i][j] != tuple((k, -c) for k, c in terms[j][i]):
                     raise ValueError(
                         f"structure constants not antisymmetric at ({names[i]},{names[j]})"
                     )
         object.__setattr__(self, "basis_names", names)
         object.__setattr__(self, "constants", table)
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def from_table(
@@ -139,15 +150,15 @@ def bracket(algebra: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
     if len(u) != n or len(v) != n:
         raise ValueError("vector length does not match the algebra dimension")
     out = list(zero_vector(n))
+    right = [(j, b) for j, b in enumerate(v) if b]
     for i, a in enumerate(u):
         if not a:
             continue
-        for j, b in enumerate(v):
-            if not b:
-                continue
-            coeff = a * b
-            for k, c in enumerate(algebra.constants[i][j]):
-                if c:
+        row = algebra.terms[i]
+        for j, b in right:
+            if row[j]:
+                coeff = a * b
+                for k, c in row[j]:
                     out[k] = out[k] + coeff * c
     return tuple(out)
 
@@ -158,16 +169,14 @@ def _jacobiators(algebra: LieAlgebra):
     Basis triples i < j < k come lazily in lexicographic order, so a
     caller that stops at the first violation computes nothing further.
     """
-    c, n = algebra.constants, algebra.dim
+    t, n = algebra.terms, algebra.dim
     for i, j, k in combinations(range(n), 3):
         total = [ZERO] * n
-        # [[e_a, e_b], e_d] = sum_l c_ab^l [e_l, e_d], read from the table.
+        # [[e_a, e_b], e_d] = sum_l c_ab^l [e_l, e_d], read from the terms.
         for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
-            for l, x in enumerate(c[a][b]):
-                if x:
-                    for m, y in enumerate(c[l][d]):
-                        if y:
-                            total[m] = total[m] + x * y
+            for l, x in t[a][b]:
+                for m, y in t[l][d]:
+                    total[m] = total[m] + x * y
         yield (i, j, k), total
 
 

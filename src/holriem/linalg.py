@@ -2,10 +2,12 @@
 
 Gaussian elimination over exact Q(i) scalars keeps every rank, kernel
 and solve exact; there is no numerical pivoting or tolerance anywhere in
-this module.  A minimal polynomial is the tuple of its coefficients in
-ascending degree, and semisimplicity is one determinant: A is
-diagonalizable exactly when p'(A) is invertible for its minimal
-polynomial p (Hoffman and Kunze, *Linear Algebra*, section 6.4).
+this module.  Every elimination runs through ``_reduce``, which visits
+only the nonzero entries of each pivot row.  A minimal polynomial is the
+tuple of its coefficients in ascending degree, and semisimplicity is one
+determinant: A is diagonalizable exactly when p'(A) is invertible for
+its minimal polynomial p (Hoffman and Kunze, *Linear Algebra*, section
+6.4).
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ class CMatrix:
         cols = [list(c) for c in columns]
         if not cols:
             raise ValueError("need at least one column")
+        if any(len(c) != len(cols[0]) for c in cols):
+            raise ValueError("ragged columns in matrix")
         return cls(list(zip(*cols)))
 
     @property
@@ -172,7 +176,12 @@ def _dot(u: Sequence[GaussianRational], v: Sequence[GaussianRational]) -> Gaussi
 
 
 def _reduce(rows: list[list[GaussianRational]]) -> tuple[list[list[GaussianRational]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+    """In-place reduced row echelon form; returns (rows, pivot columns).
+
+    Each step divides and subtracts only at the nonzero columns of the
+    pivot row, so the cost of a step follows that row's nonzero entries,
+    not the width of the matrix.
+    """
     if not rows:
         return rows, []
     n_rows, n_cols = len(rows), len(rows[0])
@@ -183,13 +192,18 @@ def _reduce(rows: list[list[GaussianRational]]) -> tuple[list[list[GaussianRatio
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
+        row = rows[r]
+        pivot = row[c]
+        # Left of c the pivot row is already zero.
+        support = [j for j in range(c, n_cols) if row[j]]
         if pivot != ONE:
-            rows[r] = [v / pivot for v in rows[r]]
-        for k in range(n_rows):
-            if k != r and rows[k][c]:
-                factor = rows[k][c]
-                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[r])]
+            for j in support:
+                row[j] = row[j] / pivot
+        for k, other in enumerate(rows):
+            if k != r and other[c]:
+                factor = other[c]
+                for j in support:
+                    other[j] = other[j] - factor * row[j]
         pivots.append(c)
         r += 1
         if r == n_rows:

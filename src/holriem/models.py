@@ -2,12 +2,15 @@
 
 A model stores an explicit complement basis for the quotient, so the
 induced isotropy action is a concrete exact matrix: reductions project
-modulo the isotropy onto the complement.
+modulo the isotropy onto the complement.  Construction inverts the
+(isotropy, complement) frame once; that inverse certifies that the frame
+spans the algebra, tests that the isotropy is a subalgebra, and gives
+every ``induced_ad`` its coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -17,11 +20,9 @@ from .linalg import (
     CMatrix,
     Vector,
     as_vector,
-    in_span,
     is_nilpotent_matrix,
     is_semisimple_matrix,
     kernel,
-    span_basis,
 )
 from .scalars import ZERO
 
@@ -50,6 +51,8 @@ class HomogeneousModel:
     isotropy: tuple[Vector, ...]
     complement: tuple[Vector, ...]
     quotient_form: QuadraticForm | None
+    # Inverse of transition(): coordinates in the (isotropy, complement) frame.
+    frame_inverse: CMatrix = field(init=False, compare=False, repr=False)
 
     def __init__(
         self,
@@ -62,13 +65,17 @@ class HomogeneousModel:
         comp = tuple(as_vector(v) for v in complement)
         if len(iso) + len(comp) != algebra.dim:
             raise ValueError("isotropy and complement sizes must add up to the dimension")
-        if len(span_basis(list(iso) + list(comp))) != algebra.dim:
-            raise ValueError("isotropy plus complement must span the algebra")
+        frame = iso + comp
+        # Wrong-length vectors do not span either; dim 0 fails the next check.
+        try:
+            inverse = CMatrix.from_columns(frame).inverse() if frame else None
+        except (ValueError, ZeroDivisionError):
+            raise ValueError("isotropy plus complement must span the algebra") from None
         if not comp:
             raise ValueError("isotropy spans the whole algebra; the quotient is empty")
         for u in iso:
             for v in iso:
-                if not in_span(iso, bracket(algebra, u, v)):
+                if any(inverse.apply(bracket(algebra, u, v))[len(iso):]):
                     raise ValueError("isotropy vectors do not span a subalgebra")
         if quotient_form is not None and quotient_form.dim != len(comp):
             raise ValueError("quotient form dimension must match the complement")
@@ -76,6 +83,7 @@ class HomogeneousModel:
         object.__setattr__(self, "isotropy", iso)
         object.__setattr__(self, "complement", comp)
         object.__setattr__(self, "quotient_form", quotient_form)
+        object.__setattr__(self, "frame_inverse", inverse)
 
     @property
     def quotient_dim(self) -> int:
@@ -92,7 +100,7 @@ def induced_ad(model: HomogeneousModel, y: Sequence) -> CMatrix:
     violation raises NotSubalgebraInvariant.
     """
     vec = as_vector(y)
-    inverse = model.transition().inverse()
+    inverse = model.frame_inverse
     k = len(model.isotropy)
     for u in model.isotropy:
         coords = inverse.apply(bracket(model.algebra, vec, u))

@@ -5,6 +5,7 @@ Tests import the plain functions with ``from conftest import ...``.
 
 import random
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 import pytest
@@ -13,8 +14,8 @@ from hypothesis import settings
 from holriem.catalog import ParamExtension
 from holriem.geometry import ConnectionTable, CurvatureTensor
 from holriem.liealg import LieAlgebra, bracket
-from holriem.linalg import CMatrix, Vector, as_vector, vsub, zero_vector
-from holriem.scalars import GaussianRational, as_gr, gr
+from holriem.linalg import CMatrix, Vector, as_vector, vadd, vsub, zero_vector
+from holriem.scalars import ONE, ZERO, GaussianRational, as_gr, gr
 
 settings.register_profile("exact", derandomize=True)
 settings.load_profile("exact")
@@ -152,3 +153,58 @@ def dense_curvature(algebra: LieAlgebra, connection: ConnectionTable) -> Curvatu
             for i in range(n)
         )
     )
+
+
+# -- dense references for the sparse elimination and bracket terms -----------
+
+
+def dense_reduce(rows: list[list[GaussianRational]]) -> tuple[list[list[GaussianRational]], list[int]]:
+    """Reduced row echelon form that divides and subtracts every entry of
+    each pivot row, zero or not; returns (rows, pivot columns)."""
+    if not rows:
+        return rows, []
+    n_rows, n_cols = len(rows), len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((k for k in range(r, n_rows) if rows[k][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r][c]
+        if pivot != ONE:
+            rows[r] = [v / pivot for v in rows[r]]
+        for k in range(n_rows):
+            if k != r and rows[k][c]:
+                factor = rows[k][c]
+                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return rows, pivots
+
+
+def dense_bracket(algebra: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
+    """``[x, y] = sum_ijk x_i y_j c_ij^k e_k`` over the whole dense table."""
+    u, v = as_vector(x), as_vector(y)
+    n = algebra.dim
+    out = [ZERO] * n
+    for i, j, k in product(range(n), repeat=3):
+        out[k] = out[k] + u[i] * v[j] * algebra.constants[i][j][k]
+    return tuple(out)
+
+
+def dense_jacobi_witness(algebra: LieAlgebra) -> tuple[int, int, int] | None:
+    """First triple i < j < k whose Jacobiator, built from dense brackets of
+    basis vectors, is nonzero."""
+    n = algebra.dim
+    e = [algebra.basis_vector(i) for i in range(n)]
+    for i, j, k in product(range(n), repeat=3):
+        if i < j < k:
+            total = zero_vector(n)
+            for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+                total = vadd(total, dense_bracket(algebra, dense_bracket(algebra, e[a], e[b]), e[d]))
+            if any(total):
+                return i, j, k
+    return None

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import holriem
 from holriem.cli import _build_parser, cli
-from holriem.dsl import MAX_NESTING
+from holriem.dsl import MAX_DIM, MAX_NESTING
 
 DATA = "src/holriem/data"
 
@@ -261,6 +261,36 @@ def test_pathological_scalars_give_located_errors(col, value, tmp_path, capsys):
     path.write_text(f'[algebra]\nname = deep\ndim = 1\nbasis = A\n\n[form]\n"A,A" = {value}\n')
     assert cli(["validate", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: line 7, col {col}: ")
+
+
+@pytest.mark.parametrize("command", ["validate", "invariants", "curvature", "model"])
+def test_dim_above_the_limit_is_a_located_error(command, tmp_path, capsys):
+    labels = ", ".join(f"e{k}" for k in range(MAX_DIM + 1))
+    path = tmp_path / "huge.liealg"
+    path.write_text(f'[algebra]\nname = huge\ndim = {MAX_DIM + 1}\nbasis = {labels}\n\n[form]\n"e0,e0" = 1\n')
+    assert cli([command, str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: line 3, col 7: dim = {MAX_DIM + 1} exceeds the limit of {MAX_DIM}\n")
+
+
+def test_dim_at_the_limit_is_accepted(tmp_path, capsys):
+    # sl2 blocks with the form of sl2.liealg, padded by an abelian part.
+    labels = [f"{x}{c}" for c in range(MAX_DIM // 3) for x in "hef"]
+    labels += [f"a{k}" for k in range(MAX_DIM - len(labels))]
+    lines = [f"[algebra]\nname = largest\ndim = {MAX_DIM}\nbasis = {', '.join(labels)}\n\n[brackets]"]
+    for c in range(MAX_DIM // 3):
+        lines += [f'"e{c},f{c}" = h{c}', f'"h{c},e{c}" = 2 e{c}', f'"h{c},f{c}" = - 2 f{c}']
+    lines.append("\n[form]")
+    for c in range(MAX_DIM // 3):
+        lines += [f'"e{c},f{c}" = 4', f'"h{c},h{c}" = 8']
+    lines += [f'"{a},{a}" = 1' for a in labels[3 * (MAX_DIM // 3):]]
+    path = tmp_path / "largest.liealg"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli(["curvature", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == MAX_DIM * MAX_DIM * (MAX_DIM - 1) // 2
+    assert out[:3] == ["R(h0,e0)h0 = e0", "R(h0,e0)e0 = 0", "R(h0,e0)f0 = - 1/2 h0"]
+    assert cli(["constcurv", str(path)]) == 0
+    assert capsys.readouterr().out == "NotConstant  witness=triple=(h0,e0,h0)\n"
 
 
 def test_verify_paper_json_deterministic(capsys):

@@ -1,9 +1,11 @@
-"""Each (algebra, form) pair gets its connection and curvature derived once."""
+"""Each (algebra, form) pair gets its connection and curvature derived once,
+and each metric or model command eliminates each matrix once."""
 
 import pytest
 
 import holriem.cli as cli_module
-from holriem import catalog, geometry
+from holriem import catalog, geometry, linalg
+from holriem.linalg import CMatrix
 
 SL2_PLUS_LINE = """[algebra]
 name = sl2_plus_line
@@ -51,3 +53,46 @@ def test_constcurv_not_constant_derives_once(calls, tmp_path, capsys):
     assert cli_module.cli(["constcurv", str(path)]) == 0
     assert capsys.readouterr().out == "NotConstant  witness=triple=(H,E,H)\n"
     assert calls == {"levi_civita": 1, "curvature": 1}
+
+
+DATA = "src/holriem/data"
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Count eliminations (``linalg._reduce``), determinants and inverses."""
+    counts = {"_reduce": 0, "det": 0, "inverse": 0}
+
+    def counting(real, name):
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return counted
+
+    monkeypatch.setattr(linalg, "_reduce", counting(linalg._reduce, "_reduce"))
+    for name in ("det", "inverse"):
+        monkeypatch.setattr(CMatrix, name, counting(getattr(CMatrix, name), name))
+    return counts
+
+
+@pytest.mark.parametrize("command", ["connection", "curvature", "constcurv"])
+@pytest.mark.parametrize("name", ["sl2", "sol3"])
+def test_metric_commands_eliminate_once(command, name, eliminations, capsys):
+    assert cli_module.cli([command, f"{DATA}/{name}.liealg"]) == 0
+    # The inverse of the Gram matrix, and no determinant.
+    assert eliminations == {"_reduce": 1, "det": 0, "inverse": 1}
+
+
+@pytest.mark.parametrize("name", ["c_ltimes_heis", "heis_stab_generic", "c_times_sl2"])
+def test_model_inverts_its_frame_once(name, eliminations, capsys):
+    assert cli_module.cli(["model", f"{DATA}/{name}.liealg"]) == 0
+    assert eliminations["inverse"] == 1
+
+
+@pytest.mark.parametrize("command", ["connection", "curvature", "constcurv"])
+def test_degenerate_metric_is_an_input_error(command, tmp_path, capsys):
+    path = tmp_path / "degenerate.liealg"
+    path.write_text(SL2_PLUS_LINE.replace('"W,W" = 1\n', ""), encoding="utf-8")
+    assert cli_module.cli([command, str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: quadratic form is degenerate\n")

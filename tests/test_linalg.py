@@ -50,6 +50,12 @@ def test_solve_shape_mismatch():
         solve_linear(CMatrix.identity(2), (1, 2, 3))
 
 
+@pytest.mark.parametrize("columns", [[[1, 0], [0, 1, 0]], [[1, 0, 0], [0, 1]]])
+def test_from_columns_rejects_ragged_columns(columns):
+    with pytest.raises(ValueError, match="ragged columns"):
+        CMatrix.from_columns(columns)
+
+
 def test_kernel_zero_matrix():
     assert len(kernel(zeros(3, 3))) == 3
 

@@ -228,3 +228,13 @@ def test_invariant_forms_satisfy_equation_exactly():
         for f in invariant_forms(model):
             for a in actions:
                 assert (a.transpose() @ f.gram + f.gram @ a).is_zero()
+
+
+@pytest.mark.parametrize("position", [0, 2])  # an isotropy or a complement vector
+@pytest.mark.parametrize("length", [2, 4])
+def test_model_rejects_frame_vectors_of_the_wrong_length(position, length):
+    s = CATALOG["sol3"].algebra
+    frame = [list(s.basis_vector(k)) for k in range(3)]
+    frame[position] = (frame[position] + [0])[:length]
+    with pytest.raises(ValueError, match="isotropy plus complement must span the algebra"):
+        HomogeneousModel(s, isotropy=frame[:1], complement=frame[1:])

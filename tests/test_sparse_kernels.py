@@ -225,9 +225,10 @@ def _nine_dimensional_metric():
 
 
 # Scalar products and zero tests of levi_civita + curvature on the metric
-# above (352 nonzero curvature entries) with the sparse kernels.  The dense
-# references make 8920 products and 89426 zero tests.
-SPARSE_COST = {"__mul__": 6022, "__bool__": 3209}
+# above (352 nonzero curvature entries) with the sparse kernels, the bracket
+# terms and the sparse elimination of the Gram matrix.  The dense references
+# make 8564 products and 89552 zero tests.
+SPARSE_COST = {"__mul__": 5593, "__bool__": 1829}
 
 
 def _count_scalar_ops(monkeypatch, run):
