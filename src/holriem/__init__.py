@@ -37,7 +37,6 @@ from .geometry import (
     curvature,
     levi_civita,
     ricci,
-    sectional_curvature,
     skew_algebra,
     stabilizer_in_skew,
     unipotent_flow,

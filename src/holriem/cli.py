@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from functools import cache
 from itertools import combinations
 
@@ -121,7 +120,7 @@ def _load_lie(path: str) -> tuple[dsl.SpecFile, LieAlgebra]:
 
 
 def _print_json(records: list[cat.CheckResult]) -> None:
-    print(json.dumps([asdict(r) for r in records], indent=2))
+    print(json.dumps([cat._as_json(r) for r in records], indent=2))
 
 
 def _emit_records(args, records: list[cat.CheckResult], data: bool = False) -> None:

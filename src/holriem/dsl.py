@@ -37,7 +37,7 @@ from typing import Sequence
 
 from .forms import QuadraticForm
 from .liealg import LieAlgebra
-from .linalg import Vector, in_span
+from .linalg import CMatrix, Vector, rref
 from .models import HomogeneousModel
 from .scalars import GaussianRational, ONE, ZERO, gr
 
@@ -618,17 +618,19 @@ def greedy_complement(
     algebra: LieAlgebra, isotropy: Sequence[Vector]
 ) -> list[tuple[str, Vector]]:
     """Deterministic complement: basis vectors completing the isotropy,
-    taken in declared order."""
-    current = [v for v in isotropy]
-    chosen: list[tuple[str, Vector]] = []
-    for position, label in enumerate(algebra.basis_names):
-        if len(chosen) == algebra.dim - len(isotropy):
-            break
-        candidate = algebra.basis_vector(position)
-        if not in_span(current, candidate):
-            current.append(candidate)
-            chosen.append((label, candidate))
-    return chosen
+    taken in declared order.
+
+    One elimination of ``[isotropy | I]``: its pivot columns past the
+    isotropy are the basis vectors a scan in declared order keeps, up to
+    the first n - k of them (all, when k > n).
+    """
+    n, k = algebra.dim, len(isotropy)
+    identity = CMatrix.identity(n)
+    _, pivots = rref(CMatrix.from_columns([*isotropy, *identity.entries]))
+    positions = [p - k for p in pivots if p >= k]
+    if k <= n:
+        del positions[n - k:]
+    return [(algebra.basis_names[p], identity.entries[p]) for p in positions]
 
 
 def to_metric(spec: SpecFile) -> QuadraticForm | None:

@@ -48,10 +48,8 @@ from .linalg import (
     _dot,
     as_vector,
     kernel,
-    span_basis,
     vadd,
     vsub,
-    zero_vector,
 )
 from .scalars import GaussianRational, ONE, ZERO, as_gr
 
@@ -78,25 +76,6 @@ class CurvatureTensor:
     @property
     def dim(self) -> int:
         return len(self.comps)
-
-    def apply(self, x: Sequence, y: Sequence, z: Sequence) -> Vector:
-        u, v, w = as_vector(x), as_vector(y), as_vector(z)
-        out = list(zero_vector(self.dim))
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                ab = a * b
-                for k, c in enumerate(w):
-                    if not c:
-                        continue
-                    coeff = ab * c
-                    for l, r in enumerate(self.comps[i][j][k]):
-                        if r:
-                            out[l] = out[l] + coeff * r
-        return tuple(out)
 
 
 def _first_index(
@@ -169,23 +148,6 @@ def curvature(algebra: LieAlgebra, connection: ConnectionTable) -> CurvatureTens
             for i in range(n)
         )
     )
-
-
-def sectional_curvature(
-    form: QuadraticForm,
-    tensor: CurvatureTensor,
-    x: Sequence,
-    y: Sequence,
-) -> GaussianRational | None:
-    """Sectional curvature of the plane span{x, y}; None when degenerate."""
-    u, v = as_vector(x), as_vector(y)
-    if len(span_basis([u, v])) != 2:
-        raise ValueError("sectional curvature needs independent vectors")
-    denominator = form.apply(u, u) * form.apply(v, v) - form.apply(u, v) ** 2
-    if not denominator:
-        return None
-    numerator = form.apply(tensor.apply(u, v, v), u)
-    return numerator / denominator
 
 
 def _model_entry(gram, i: int, j: int, k: int, l: int) -> GaussianRational:

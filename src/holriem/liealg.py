@@ -9,6 +9,8 @@ tables can be built on purpose and diagnosed.
 ``terms``, the nonzero ``(k, c_ij^k)`` of every bracket, once; the
 antisymmetry test, ``bracket``, the Jacobi scan and the connection and
 curvature kernels loop over these terms and never rescan the table.
+Both series start from one [g, g], the span of the ``c_ij`` with i < j
+read from the table with no bracket call.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .linalg import (
     Vector,
     _dot,
     as_vector,
-    in_span,
     kernel,
     solve_linear,
     span_basis,
@@ -198,36 +199,41 @@ def killing_form(algebra: LieAlgebra) -> QuadraticForm:
     return QuadraticForm([[_dot(ads[i], transposed[j]) for j in range(n)] for i in range(n)])
 
 
-def _bracket_span(
-    algebra: LieAlgebra, left: Sequence[Vector], right: Sequence[Vector]
-) -> list[Vector]:
-    products = [bracket(algebra, u, v) for u in left for v in right]
-    return span_basis(products)
+def _series(algebra: LieAlgebra, step) -> tuple[int, ...]:
+    """Dimensions of g, [g, g], step([g, g]), ... until stabilization or zero.
+
+    [g, g] is the span of the constants ``c_ij`` for i < j, read from the
+    table with no bracket call.
+    """
+    c = algebra.constants
+    current = span_basis(c[i][j] for i, j in combinations(range(algebra.dim), 2))
+    dims = [algebra.dim]
+    while True:
+        dims.append(len(current))
+        if not current or len(current) == dims[-2]:
+            return tuple(dims)
+        current = step(current)
 
 
 def derived_series(algebra: LieAlgebra) -> tuple[int, ...]:
-    """Dimensions of the derived series until stabilization or zero."""
-    current = [algebra.basis_vector(i) for i in range(algebra.dim)]
-    dims = [algebra.dim]
-    while True:
-        nxt = _bracket_span(algebra, current, current)
-        dims.append(len(nxt))
-        if len(nxt) == 0 or len(nxt) == len(current):
-            return tuple(dims)
-        current = nxt
+    """Dimensions of the derived series until stabilization or zero.
+
+    A step spans ``[u, v]`` over the pairs u < v of the current basis;
+    antisymmetry makes the other pairs redundant.
+    """
+    return _series(
+        algebra,
+        lambda current: span_basis(bracket(algebra, u, v) for u, v in combinations(current, 2)),
+    )
 
 
 def lower_central_series(algebra: LieAlgebra) -> tuple[int, ...]:
     """Dimensions of the lower central series until stabilization or zero."""
-    full = [algebra.basis_vector(i) for i in range(algebra.dim)]
-    current = full
-    dims = [algebra.dim]
-    while True:
-        nxt = _bracket_span(algebra, full, current)
-        dims.append(len(nxt))
-        if len(nxt) == 0 or len(nxt) == len(current):
-            return tuple(dims)
-        current = nxt
+    basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    return _series(
+        algebra,
+        lambda current: span_basis(bracket(algebra, e, v) for e in basis for v in current),
+    )
 
 
 def center(algebra: LieAlgebra) -> list[Vector]:
@@ -315,8 +321,7 @@ def subalgebra(
 def is_ideal(algebra: LieAlgebra, vectors: Sequence[Sequence]) -> bool:
     """True iff the span of the vectors absorbs brackets with the whole algebra."""
     vecs = [as_vector(v) for v in vectors]
-    for i in range(algebra.dim):
-        for v in vecs:
-            if not in_span(vecs, bracket(algebra, algebra.basis_vector(i), v)):
-                return False
-    return True
+    products = [
+        bracket(algebra, algebra.basis_vector(i), v) for i in range(algebra.dim) for v in vecs
+    ]
+    return len(span_basis(vecs + products)) == len(span_basis(vecs))

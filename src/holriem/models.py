@@ -4,8 +4,10 @@ A model stores an explicit complement basis for the quotient, so the
 induced isotropy action is a concrete exact matrix: reductions project
 modulo the isotropy onto the complement.  Construction inverts the
 (isotropy, complement) frame once; that inverse certifies that the frame
-spans the algebra, tests that the isotropy is a subalgebra, and gives
-every ``induced_ad`` its coordinates.
+spans the algebra and gives every ``induced_ad`` its coordinates.  It
+then derives ``actions``, the induced action of each isotropy vector,
+once; computing them tests that the isotropy is a subalgebra, and the
+isotropy type, the invariance check and the invariant forms read them.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ class HomogeneousModel:
     quotient_form: QuadraticForm | None
     # Inverse of transition(): coordinates in the (isotropy, complement) frame.
     frame_inverse: CMatrix = field(init=False, compare=False, repr=False)
+    # actions[a] = induced_ad(self, isotropy[a]), derived once.
+    actions: tuple[CMatrix, ...] = field(init=False, compare=False, repr=False)
 
     def __init__(
         self,
@@ -73,17 +77,20 @@ class HomogeneousModel:
             raise ValueError("isotropy plus complement must span the algebra") from None
         if not comp:
             raise ValueError("isotropy spans the whole algebra; the quotient is empty")
-        for u in iso:
-            for v in iso:
-                if any(inverse.apply(bracket(algebra, u, v))[len(iso):]):
-                    raise ValueError("isotropy vectors do not span a subalgebra")
-        if quotient_form is not None and quotient_form.dim != len(comp):
-            raise ValueError("quotient form dimension must match the complement")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "isotropy", iso)
         object.__setattr__(self, "complement", comp)
-        object.__setattr__(self, "quotient_form", quotient_form)
         object.__setattr__(self, "frame_inverse", inverse)
+        # induced_ad(self, u) raises when some [u, v], v in the isotropy,
+        # leaves the isotropy, so deriving the actions tests closure.
+        try:
+            actions = tuple(induced_ad(self, u) for u in iso)
+        except NotSubalgebraInvariant:
+            raise ValueError("isotropy vectors do not span a subalgebra") from None
+        if quotient_form is not None and quotient_form.dim != len(comp):
+            raise ValueError("quotient form dimension must match the complement")
+        object.__setattr__(self, "quotient_form", quotient_form)
+        object.__setattr__(self, "actions", actions)
 
     @property
     def quotient_dim(self) -> int:
@@ -119,7 +126,7 @@ def isotropy_type(model: HomogeneousModel) -> IsotropyType:
     """Classify a one-dimensional isotropy through its induced action."""
     if len(model.isotropy) != 1:
         raise WrongIsotropyDimension("isotropy type needs a 1-dimensional isotropy")
-    action = induced_ad(model, model.isotropy[0])
+    action = model.actions[0]
     if is_nilpotent_matrix(action):
         return IsotropyType.UNIPOTENT
     if is_semisimple_matrix(action):
@@ -134,7 +141,6 @@ def invariant_forms(model: HomogeneousModel) -> list[QuadraticForm]:
     need a metric.
     """
     d = model.quotient_dim
-    actions = [induced_ad(model, y) for y in model.isotropy]
     # Unknowns: entries s_{ij}, i <= j, of the symmetric matrix S.
     slots = [(i, j) for i in range(d) for j in range(i, d)]
     position = {pair: k for k, pair in enumerate(slots)}
@@ -143,7 +149,7 @@ def invariant_forms(model: HomogeneousModel) -> list[QuadraticForm]:
         return position[(i, j) if i <= j else (j, i)]
 
     rows = []
-    for action in actions:
+    for action in model.actions:
         a = action.entries
         for p in range(d):
             for q in range(p, d):
@@ -175,8 +181,7 @@ def check_invariance(model: HomogeneousModel) -> bool:
     if model.quotient_form is None:
         raise MissingForm("model carries no quotient form")
     s = model.quotient_form.gram
-    for y in model.isotropy:
-        a = induced_ad(model, y)
+    for a in model.actions:
         if not (a.transpose() @ s + s @ a).is_zero():
             return False
     return True

@@ -14,7 +14,7 @@ from hypothesis import settings
 from holriem.catalog import ParamExtension
 from holriem.geometry import ConnectionTable, CurvatureTensor
 from holriem.liealg import LieAlgebra, bracket
-from holriem.linalg import CMatrix, Vector, as_vector, vadd, vsub, zero_vector
+from holriem.linalg import CMatrix, Vector, as_vector, in_span, span_basis, vadd, vsub, zero_vector
 from holriem.scalars import ONE, ZERO, GaussianRational, as_gr, gr
 
 settings.register_profile("exact", derandomize=True)
@@ -94,6 +94,33 @@ def conjugate(
         for i in range(n)
     ]
     return LieAlgebra(tuple(basis_names) if basis_names else algebra.basis_names, grid)
+
+
+def failed_checks(report) -> list:
+    """The failing checks of a ``VerifyReport``, in report order."""
+    return [c for c in report.checks if not c.passed]
+
+
+def curvature_apply(tensor: CurvatureTensor, x: Sequence, y: Sequence, z: Sequence) -> Vector:
+    """Trilinear extension ``R(x, y) z`` of the tensor's basis fibers."""
+    u, v, w = as_vector(x), as_vector(y), as_vector(z)
+    out = list(zero_vector(tensor.dim))
+    for i, j, k in product(range(tensor.dim), repeat=3):
+        coeff = u[i] * v[j] * w[k]
+        if coeff:
+            out = [a + coeff * r for a, r in zip(out, tensor.comps[i][j][k])]
+    return tuple(out)
+
+
+def sectional_curvature(form, tensor: CurvatureTensor, x: Sequence, y: Sequence):
+    """``K(x, y) = q(R(x,y)y, x) / (q(x,x)q(y,y) - q(x,y)^2)``; None on a degenerate plane."""
+    u, v = as_vector(x), as_vector(y)
+    if len(span_basis([u, v])) != 2:
+        raise ValueError("sectional curvature needs independent vectors")
+    denominator = form.apply(u, u) * form.apply(v, v) - form.apply(u, v) ** 2
+    if not denominator:
+        return None
+    return form.apply(curvature_apply(tensor, u, v, v), u) / denominator
 
 
 # -- dense references for the sparse geometry kernels -------------------------
@@ -208,3 +235,59 @@ def dense_jacobi_witness(algebra: LieAlgebra) -> tuple[int, int, int] | None:
             if any(total):
                 return i, j, k
     return None
+
+
+# -- references for the structure kernels -------------------------------------
+
+
+def _bracket_span(algebra: LieAlgebra, left: Sequence[Vector], right: Sequence[Vector]) -> list[Vector]:
+    return span_basis([bracket(algebra, u, v) for u in left for v in right])
+
+
+def reference_derived_series(algebra: LieAlgebra) -> tuple[int, ...]:
+    """Derived series with every step bracketing all ordered pairs, [g, g] included."""
+    current = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    dims = [algebra.dim]
+    while True:
+        nxt = _bracket_span(algebra, current, current)
+        dims.append(len(nxt))
+        if len(nxt) == 0 or len(nxt) == len(current):
+            return tuple(dims)
+        current = nxt
+
+
+def reference_lower_central_series(algebra: LieAlgebra) -> tuple[int, ...]:
+    """Lower central series with [g, g] bracketed from all ordered pairs."""
+    full = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    current = full
+    dims = [algebra.dim]
+    while True:
+        nxt = _bracket_span(algebra, full, current)
+        dims.append(len(nxt))
+        if len(nxt) == 0 or len(nxt) == len(current):
+            return tuple(dims)
+        current = nxt
+
+
+def reference_is_ideal(algebra: LieAlgebra, vectors: Sequence[Sequence]) -> bool:
+    """One span-membership test per bracket ``[e_i, v]``."""
+    vecs = [as_vector(v) for v in vectors]
+    return all(
+        in_span(vecs, bracket(algebra, algebra.basis_vector(i), v))
+        for i in range(algebra.dim)
+        for v in vecs
+    )
+
+
+def reference_greedy_complement(algebra: LieAlgebra, isotropy: Sequence[Vector]) -> list:
+    """Scan the basis in declared order, keeping each vector outside the span so far."""
+    current = list(isotropy)
+    chosen = []
+    for position, label in enumerate(algebra.basis_names):
+        if len(chosen) == algebra.dim - len(isotropy):
+            break
+        candidate = algebra.basis_vector(position)
+        if not in_span(current, candidate):
+            current.append(candidate)
+            chosen.append((label, candidate))
+    return chosen

@@ -9,7 +9,7 @@ import json
 import random
 from fractions import Fraction
 
-from conftest import conjugate
+from conftest import conjugate, failed_checks, sectional_curvature
 from holriem.catalog import (
     CatalogEntry,
     ParamExtension,
@@ -31,7 +31,6 @@ from holriem.geometry import (
     curvature_antisymmetry_defect,
     levi_civita,
     pair_skew_defect,
-    sectional_curvature,
     skew_algebra,
     stabilizer_in_skew,
     torsion_defect,
@@ -231,7 +230,7 @@ def test_criterion_10_fault_injection_sensitivity(mutate_structure_constant):
                 )
                 swapped = [mutated_entry if e.id == "sol3" else e for e in catalog]
                 report = verify_all(catalog=swapped)
-                failures = report.failures()
+                failures = failed_checks(report)
                 if not failures:
                     ok = False
                     continue

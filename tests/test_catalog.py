@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import ad, nabla
+from conftest import ad, failed_checks, nabla
 
 from holriem import catalog
 from holriem.catalog import (
@@ -439,8 +439,8 @@ def test_mobius_checks_fail_on_a_wrong_numerator(monkeypatch):
         lambda a, b, c, d, z1, z2: (a * z1 + b) * (c * z2 + d) + (a * z2 + b) * (c * z1 + d),
     )
     report = verify_all()
-    assert [c.id for c in report.failures()] == MOBIUS_IDS
-    witnesses = [c.witness for c in report.failures()]
+    assert [c.id for c in failed_checks(report)] == MOBIUS_IDS
+    witnesses = [c.witness for c in failed_checks(report)]
     assert witnesses == [
         "at (z1,z2)=(0, 1): N != (ad-bc)(z1-z2)",
         "at (z1,z2)=(0, 0): N != (ad-bc)(z1-z2)",
@@ -454,7 +454,7 @@ def test_mobius_invariance_fails_on_a_wrong_derivative(monkeypatch):
         "_derivative_defect",
         lambda a, b, c, d, z: a * (c * z + d) - c * (a * z + b) - (a * d + b * c),
     )
-    failures = verify_all().failures()
+    failures = failed_checks(verify_all())
     assert [c.id for c in failures] == ["mobius/invariance"]
     assert failures[0].witness == "at (a,b,c,d,z)=(0, 1, 1, 0, 0): a(cz+d) - c(az+b) != ad-bc"
 
@@ -463,7 +463,7 @@ def test_flow_group_law_fails_on_a_wrong_flow(monkeypatch):
     right = catalog.unipotent_flow
     # exp(t^2 N) preserves Q for every t but is not a group: L_1 L_1 != L_2.
     monkeypatch.setattr(catalog, "unipotent_flow", lambda t: right(t * t))
-    failures = verify_all().failures()
+    failures = failed_checks(verify_all())
     assert [c.id for c in failures] == ["flow/one_parameter_group"]
     assert failures[0].witness == "at (s,t)=(1, 1)"
 
@@ -475,7 +475,7 @@ def test_flow_gram_proof_fails_on_a_group_that_moves_the_form(monkeypatch):
         "unipotent_flow",
         lambda t: CMatrix([[1, t, Fraction(t * t, 2)], [0, 1, t], [0, 0, 1]]),
     )
-    failures = verify_all().failures()
+    failures = failed_checks(verify_all())
     assert [c.id for c in failures] == ["flow/gram_polynomial"]
     assert failures[0].witness == "at t=1"
 
@@ -485,7 +485,7 @@ def test_flow_generator_skew_fails_on_a_non_skew_generator(monkeypatch):
     # compares the induced action with this generator, can object.
     not_skew = CMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     monkeypatch.setattr(catalog, "unipotent_isotropy_generator", lambda: not_skew)
-    failures = {c.id: c.witness for c in verify_all().failures()}
+    failures = {c.id: c.witness for c in failed_checks(verify_all())}
     assert list(failures) == ["heis-family/isotropy_unipotent", "flow/generator_skew"]
     assert failures["heis-family/isotropy_unipotent"].startswith("at (0, 0, 0, 0): induced action")
     assert failures["flow/generator_skew"] == "N^T Q + Q N nonzero at (i,j)=(1, 2)"
@@ -524,7 +524,7 @@ def test_curvature_antisymmetry_fails_on_a_kernel_fault(monkeypatch):
         )
 
     monkeypatch.setattr(catalog, "curvature", lopsided)
-    failures = {c.id: c.witness for c in verify_all().failures()}
+    failures = {c.id: c.witness for c in failed_checks(verify_all())}
     assert failures["sl2/curvature_antisymmetry"] == "triple=(H,E,H)"
     # On the three flat entries nabla_[x,y] = 0, so the dropped term is zero there.
     assert [i for i in failures if i.endswith("/curvature_antisymmetry")] == [
@@ -560,7 +560,7 @@ def test_verify_all_flags_corrupted_catalog(mutate_structure_constant):
     swapped = [mutated if e.id == "sol3" else e for e in catalog]
     report = verify_all(catalog=swapped)
     assert not report.all_pass
-    assert any(c.witness for c in report.failures())
+    assert any(c.witness for c in failed_checks(report))
 
 
 def test_mutation_keeps_antisymmetry(mutate_structure_constant):

@@ -1,10 +1,13 @@
 """Each (algebra, form) pair gets its connection and curvature derived once,
-and each metric or model command eliminates each matrix once."""
+each metric or model command eliminates each matrix once, and each
+structural fact ([g, g], an isotropy action, a complement) is derived once."""
+
+import sys
 
 import pytest
 
 import holriem.cli as cli_module
-from holriem import catalog, geometry, linalg
+from holriem import catalog, geometry, liealg, linalg, models
 from holriem.linalg import CMatrix
 
 SL2_PLUS_LINE = """[algebra]
@@ -96,3 +99,41 @@ def test_degenerate_metric_is_an_input_error(command, tmp_path, capsys):
     path.write_text(SL2_PLUS_LINE.replace('"W,W" = 1\n', ""), encoding="utf-8")
     assert cli_module.cli([command, str(path)]) == 1
     assert capsys.readouterr() == ("", "error: quadratic form is degenerate\n")
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Count eliminations, brackets and induced actions, through any module."""
+    counts = {"_reduce": 0, "bracket": 0, "induced_ad": 0}
+    for module, name in ((linalg, "_reduce"), (liealg, "bracket"), (models, "induced_ad")):
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        for holder in [m for key, m in sys.modules.items() if key.split(".")[0] == "holriem"]:
+            if getattr(holder, name, None) is real:
+                monkeypatch.setattr(holder, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "command, name, expected",
+    [
+        # One action at construction serves isotropy type, invariance and forms.
+        ("model", "c_oplus_sl2", {"_reduce": 6, "bracket": 4, "induced_ad": 1}),
+        # [g, g] from the constants, then the pairs u < v of its basis.
+        ("invariants", "c_oplus_sl2", {"_reduce": 5, "bracket": 15, "induced_ad": 0}),
+        # One elimination each for the complement and the frame inverse.
+        ("validate", "c_ltimes_heis", {"_reduce": 2, "bracket": 4, "induced_ad": 1}),
+    ],
+)
+def test_structure_commands_work_budget(command, name, expected, work, capsys):
+    assert cli_module.cli([command, f"{DATA}/{name}.liealg"]) == 0
+    assert work == expected
+
+
+def test_verify_all_derives_each_isotropy_action_once(work):
+    assert catalog.verify_all(42).all_pass
+    assert work["induced_ad"] == 13

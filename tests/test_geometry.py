@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import nabla, scale, vscale
+from conftest import nabla, scale, sectional_curvature, vscale
 
 from holriem.catalog import build_catalog
 from holriem.forms import DegenerateForm, QuadraticForm
@@ -29,7 +29,6 @@ from holriem.geometry import (
     levi_civita,
     pair_skew_defect,
     ricci,
-    sectional_curvature,
     skew_algebra,
     stabilizer_in_skew,
     torsion_defect,

@@ -180,6 +180,24 @@ def test_model_validation_errors():
         )
 
 
+def test_subalgebra_error_comes_before_the_form_size_error():
+    g = CATALOG["c_ltimes_heis"].algebra
+    with pytest.raises(ValueError, match="isotropy vectors do not span a subalgebra"):
+        HomogeneousModel(
+            g,
+            isotropy=[g.vector("Z"), g.vector("T")],  # [Z,T] = X leaves the span
+            complement=[g.vector("X"), g.vector("Y")],
+            quotient_form=QuadraticForm.diagonal([1, 2, 3]),  # 3 != 2 complement vectors
+        )
+    with pytest.raises(ValueError, match="quotient form dimension must match the complement"):
+        HomogeneousModel(
+            g,
+            isotropy=[g.vector("X"), g.vector("T")],
+            complement=[g.vector("Y"), g.vector("Z")],
+            quotient_form=QuadraticForm.diagonal([1, 2, 3]),
+        )
+
+
 def test_catalog_models_wellformed():
     for entry in build_catalog():
         if entry.model is None:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import conjugate, dense_curvature, dense_levi_civita, vscale
+from conftest import conjugate, dense_curvature, dense_levi_civita, sectional_curvature, vscale
 
 from holriem.catalog import build_catalog
 from holriem.forms import QuadraticForm
@@ -24,7 +24,6 @@ from holriem.geometry import (
     curvature,
     levi_civita,
     pair_skew_defect,
-    sectional_curvature,
 )
 from holriem.liealg import LieAlgebra, jacobi_witness, killing_form
 from holriem.linalg import CMatrix, vsub

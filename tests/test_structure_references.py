@@ -1,0 +1,166 @@
+"""The series, ``is_ideal``, the greedy complement and the model actions
+against the references they replaced.
+
+``derived_series`` and ``lower_central_series`` read [g, g] from the
+constants and bracket only the pairs u < v in a derived step; ``is_ideal``
+and ``greedy_complement`` eliminate once; a model derives its isotropy
+actions at construction.  The references in ``conftest`` bracket every
+ordered pair and test span membership vector by vector.  The outputs
+agree for any antisymmetric table, Jacobi or not.
+"""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from conftest import (
+    conjugate,
+    reference_derived_series,
+    reference_greedy_complement,
+    reference_is_ideal,
+    reference_lower_central_series,
+)
+
+from holriem.catalog import (
+    ParamExtension,
+    build_catalog,
+    build_param_extension,
+    heis_stabilizer_model,
+)
+from holriem.dsl import greedy_complement
+from holriem.liealg import (
+    LieAlgebra,
+    bracket,
+    derived_series,
+    is_ideal,
+    jacobi_witness,
+    lower_central_series,
+)
+from holriem.linalg import CMatrix, span_basis
+from holriem.models import HomogeneousModel, induced_ad
+from holriem.scalars import gr
+
+CATALOG = build_catalog()
+# The stabilizer family's degree-2 lattice, as the report proves Jacobi on it.
+GRID = tuple(p for p in product(range(3), repeat=4) if sum(p) <= 2)
+GRID_ALGEBRAS = [build_param_extension(ParamExtension(*p)) for p in GRID]
+MODELS = [entry.model for entry in CATALOG if entry.model is not None] + [
+    heis_stabilizer_model(ParamExtension(*p)) for p in GRID
+]
+
+
+def _scalar(rng):
+    return gr(Fraction(rng.randint(-2, 2), rng.randint(1, 2)), rng.randint(-1, 1))
+
+
+def _random_table(rng, n, density):
+    grid = [[[gr(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if rng.random() < density:
+                    c = _scalar(rng)
+                    grid[i][j][k], grid[j][i][k] = c, -c
+    return LieAlgebra([f"e{k}" for k in range(n)], grid)
+
+
+def _random_algebras():
+    """30 seeded antisymmetric tables of dims 1-6, plus conjugated catalog algebras."""
+    rng = random.Random(2718)
+    tables = [
+        _random_table(rng, 1 + index % 6, (0.15, 0.35, 0.7)[index % 3]) for index in range(30)
+    ]
+    for entry in CATALOG[:8]:
+        n = entry.algebra.dim
+        change = CMatrix([[_scalar(rng) for _ in range(n)] for _ in range(n)])
+        if change.det():
+            tables.append(conjugate(entry.algebra, change))
+    return tables
+
+
+RANDOM = _random_algebras()
+
+
+def _random_isotropy(rng, n):
+    """Up to n random vectors; half of the sets get a dependent one appended
+    (a zero vector when the set is empty), so a set can hold n + 1."""
+    vectors = [
+        tuple(_scalar(rng) if rng.random() < 0.5 else gr(0) for _ in range(n))
+        for _ in range(rng.randint(0, n))
+    ]
+    if rng.random() < 0.5:
+        if vectors:
+            a, b = rng.choice(vectors), rng.choice(vectors)
+            vectors.append(tuple(2 * x - y for x, y in zip(a, b)))
+        else:
+            vectors.append(tuple(gr(0) for _ in range(n)))
+    return vectors
+
+
+def test_random_tables_cover_jacobi_and_its_failure():
+    broken = sum(jacobi_witness(g) is not None for g in RANDOM)
+    assert 0 < broken < len(RANDOM)
+    assert {g.dim for g in RANDOM} == {1, 2, 3, 4, 5, 6}
+
+
+@pytest.mark.parametrize("algebras", [[e.algebra for e in CATALOG], GRID_ALGEBRAS, RANDOM],
+                         ids=["catalog", "heis-family-grid", "random"])
+def test_series_match_the_all_pairs_reference(algebras):
+    assert len(GRID) == 15
+    for g in algebras:
+        assert derived_series(g) == reference_derived_series(g)
+        assert lower_central_series(g) == reference_lower_central_series(g)
+
+
+@pytest.mark.parametrize("algebras", [[e.algebra for e in CATALOG], GRID_ALGEBRAS, RANDOM],
+                         ids=["catalog", "heis-family-grid", "random"])
+def test_is_ideal_and_greedy_complement_match_the_span_scan(algebras):
+    rng = random.Random(314)
+    dependent = 0
+    for g in algebras:
+        for _ in range(4):
+            vectors = _random_isotropy(rng, g.dim)
+            dependent += len(span_basis(vectors)) < len(vectors)
+            assert is_ideal(g, vectors) == reference_is_ideal(g, vectors)
+            assert greedy_complement(g, vectors) == reference_greedy_complement(g, vectors)
+    assert dependent > 0
+
+
+def test_model_isotropies_match_the_span_scan():
+    for model in MODELS:
+        g, iso = model.algebra, list(model.isotropy)
+        assert is_ideal(g, iso) == reference_is_ideal(g, iso)
+        assert greedy_complement(g, iso) == reference_greedy_complement(g, iso)
+
+
+def test_model_actions_are_the_induced_actions():
+    assert len(MODELS) == 7 + 15
+    for model in MODELS:
+        assert model.actions == tuple(induced_ad(model, u) for u in model.isotropy)
+
+
+def test_construction_rejects_what_the_subalgebra_loop_rejects():
+    """On random tables, a model builds exactly when no bracket of two
+    isotropy vectors leaves the isotropy, as the pairwise loop tested."""
+    rng = random.Random(1414)
+    built = rejected = 0
+    for g in RANDOM:
+        for _ in range(4):
+            iso = _random_isotropy(rng, g.dim)
+            if not iso or len(span_basis(iso)) != len(iso) or len(iso) == g.dim:
+                continue
+            complement = [v for _, v in reference_greedy_complement(g, iso)]
+            inverse = CMatrix.from_columns(iso + complement).inverse()
+            closed = not any(
+                any(inverse.apply(bracket(g, u, v))[len(iso):]) for u in iso for v in iso
+            )
+            if closed:
+                model = HomogeneousModel(g, iso, complement)
+                assert model.actions == tuple(induced_ad(model, u) for u in iso)
+                built += 1
+            else:
+                with pytest.raises(ValueError, match="isotropy vectors do not span a subalgebra"):
+                    HomogeneousModel(g, iso, complement)
+                rejected += 1
+    assert built and rejected
