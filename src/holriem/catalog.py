@@ -6,6 +6,11 @@ id of ``CATALOG_IDS``, named for its entry and stored in canonical form.
 ``build_catalog`` parses them; only the stabilizer family, which takes
 parameters, is built in code (``build_param_extension``).
 
+``FACTS`` renders each structural fact an ``[expected]`` key can name;
+the per-entry checks compare its text with the file's, and the CLI prints
+the same text.  An entry derives its center, derived series and isotropy
+type once, as it does its connection and curvature.
+
 Check results are flat (id, status, witness, value) records so reports
 stay grep-able.  Every check is exact and draws no random numbers: a claim
 about a parameter family is proved on a finite grid whose size the degree
@@ -14,12 +19,12 @@ of the claim bounds, so ``verify_all`` gives the same checks for every seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from importlib import resources
 from itertools import product, zip_longest
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import dsl
 from .forms import QuadraticForm
@@ -37,7 +42,6 @@ from .geometry import (
     curvature_antisymmetry_defect,
     levi_civita,
     pair_skew_defect,
-    skew_algebra,
     stabilizer_in_skew,
     torsion_defect,
     unipotent_flow,
@@ -50,18 +54,19 @@ from .liealg import (
     WrongDimension,
     center,
     classify_3d_unimodular,
+    derived_algebra,
+    derived_series,
     is_ideal,
     is_nilpotent,
     is_semisimple,
-    is_solvable,
     is_unimodular,
-    derived_series,
     jacobi_witness,
     subalgebra,
 )
-from .linalg import CMatrix, in_span, is_nilpotent_matrix
+from .linalg import CMatrix, Vector, in_span, is_nilpotent_matrix
 from .models import (
     HomogeneousModel,
+    IsotropyType,
     check_invariance,
     invariant_forms,
     isotropy_type,
@@ -120,7 +125,8 @@ class ParamExtension:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One catalog item; its metric data is derived once, on first use."""
+    """One catalog item; its metric data and its structural facts are
+    derived once, on first use."""
 
     id: str
     algebra: LieAlgebra
@@ -135,6 +141,49 @@ class CatalogEntry:
     @cached_property
     def tensor(self) -> CurvatureTensor:
         return curvature(self.algebra, self.connection)
+
+    @cached_property
+    def derived_algebra(self) -> list[Vector]:
+        return derived_algebra(self.algebra)
+
+    @cached_property
+    def derived_series(self) -> tuple[int, ...]:
+        return derived_series(self.algebra, self.derived_algebra)
+
+    @cached_property
+    def center(self) -> list[Vector]:
+        return center(self.algebra)
+
+    @cached_property
+    def isotropy_type(self) -> IsotropyType:
+        return isotropy_type(self.model)
+
+
+def _yes_no(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def _invariance(entry: CatalogEntry) -> str:
+    if entry.model.quotient_form is None:
+        return "n/a"
+    return _yes_no(check_invariance(entry.model))
+
+
+# Every [expected] key but constant_curvature, mapped to the text of that fact
+# of an entry; the report and the CLI print these and nothing else.  A fact
+# the entry does not have (the class of a 4-dimensional algebra) raises ValueError.
+FACTS: dict[str, Callable[[CatalogEntry], str]] = {
+    "class": lambda e: classify_3d_unimodular(e.algebra).name,
+    "unimodular": lambda e: _yes_no(is_unimodular(e.algebra)),
+    "solvable": lambda e: _yes_no(e.derived_series[-1] == 0),
+    "nilpotent": lambda e: _yes_no(is_nilpotent(e.algebra, e.derived_algebra)),
+    "semisimple": lambda e: _yes_no(is_semisimple(e.algebra)),
+    "center_dim": lambda e: str(len(e.center)),
+    "derived_dims": lambda e: ",".join(map(str, e.derived_series)),
+    "isotropy": lambda e: e.isotropy_type.name,
+    "invariance": _invariance,
+    "invariant_form_dim": lambda e: str(len(invariant_forms(e.model))),
+}
 
 
 def build_param_extension(params: ParamExtension) -> LieAlgebra:
@@ -346,41 +395,16 @@ def verify_entry(entry: CatalogEntry) -> list[CheckResult]:
 
 
 def _entry_property_check(entry: CatalogEntry, key: str, expected: str) -> CheckResult:
-    algebra = entry.algebra
     check_id = f"{entry.id}/{key}"
-    if key == "class":
-        try:
-            tag = classify_3d_unimodular(algebra).name
-        except (NotUnimodular, WrongDimension) as exc:
-            return _check(check_id, False, witness=str(exc))
-        return _check(check_id, tag == expected, witness=f"got {tag}", value=tag)
-    if key in ("unimodular", "solvable", "nilpotent", "semisimple"):
-        predicate = {
-            "unimodular": is_unimodular,
-            "solvable": is_solvable,
-            "nilpotent": is_nilpotent,
-            "semisimple": is_semisimple,
-        }[key]
-        got = "true" if predicate(algebra) else "false"
-        return _check(check_id, got == expected, witness=f"got {got}", value=got)
-    if key == "center_dim":
-        got = str(len(center(algebra)))
-        return _check(check_id, got == expected, witness=f"got {got}", value=got)
-    if key == "derived_dims":
-        got = ",".join(str(d) for d in derived_series(algebra))
-        return _check(check_id, got == expected, witness=f"got {got}", value=got)
     if key == "constant_curvature":
         return _constant_curvature_check(entry, check_id, expected)
-    if key == "isotropy":
-        got = isotropy_type(entry.model).name
-        return _check(check_id, got == expected, witness=f"got {got}", value=got)
-    if key == "invariance":
-        got = "true" if check_invariance(entry.model) else "false"
-        return _check(check_id, got == expected, witness=f"got {got}", value=got)
-    if key == "invariant_form_dim":
-        got = str(len(invariant_forms(entry.model)))
-        return _check(check_id, got == expected, witness=f"got {got}", value=got)
-    return _check(check_id, False, witness=f"unknown expected property {key!r}")
+    if key not in FACTS:
+        return _check(check_id, False, witness=f"unknown expected property {key!r}")
+    try:
+        got = FACTS[key](entry)
+    except ValueError as exc:
+        return _check(check_id, False, witness=str(exc))
+    return _check(check_id, got == expected, witness=f"got {got}", value=got)
 
 
 def _constant_curvature_check(
@@ -463,7 +487,7 @@ def verify_prop_unimodular(catalog: Sequence[CatalogEntry]) -> list[CheckResult]
         checks.append(
             _check(f"unimodular3/{entry_id}", ok, witness=f"got {value}", value=value)
         )
-        flat_solvable.append((entry_id, k is not None and not k, is_solvable(entry.algebra)))
+        flat_solvable.append((entry_id, k is not None and not k, entry.derived_series[-1] == 0))
     mismatches = [name for name, flat, solv in flat_solvable if flat != solv]
     checks.append(
         _check(
@@ -476,11 +500,16 @@ def verify_prop_unimodular(catalog: Sequence[CatalogEntry]) -> list[CheckResult]
     return checks
 
 
+# The (a, b) = (1, 1) member q(H,H) = a, q(E,F) = b of the invariant forms on sl(2).
+_GENERIC_AB_FORM = QuadraticForm.from_sparse(("H", "E", "F"), {("H", "H"): 1, ("E", "F"): 1})
+
+
 def verify_section4(catalog: Sequence[CatalogEntry]) -> list[CheckResult]:
     """Semisimple-part models: curvature of the invariant metrics on sl(2).
 
     The quotient form q(H,H) = 2, q(E,F) = 1 of ``c_oplus_sl2`` is the
-    Killing-proportional case; (a, b) = (1, 1) is a generic one.
+    Killing-proportional case; (a, b) = (1, 1) is a generic one, tested
+    against the model's isotropy actions.
     """
     sl2 = _entry_by_id(catalog, "sl2")
     entry = _entry_by_id(catalog, "c_oplus_sl2")
@@ -494,10 +523,7 @@ def verify_section4(catalog: Sequence[CatalogEntry]) -> list[CheckResult]:
             )
         )
     k = constant_curvature(sl2.algebra, model.quotient_form)
-    generic_form = QuadraticForm.from_sparse(
-        ("H", "E", "F"), {("H", "H"): 1, ("E", "F"): 1}
-    )
-    generic_k = constant_curvature(sl2.algebra, generic_form)
+    generic_k = constant_curvature(sl2.algebra, _GENERIC_AB_FORM)
     return [
         _check(
             "semisimple4/killing_proportional_constant",
@@ -507,7 +533,7 @@ def verify_section4(catalog: Sequence[CatalogEntry]) -> list[CheckResult]:
         ),
         _check(
             "semisimple4/general_ab_invariance",
-            check_invariance(replace(model, quotient_form=generic_form)),
+            check_invariance(model, _GENERIC_AB_FORM),
             witness="invariance failed for (a,b)=(1,1)",
         ),
         _check(
@@ -519,10 +545,24 @@ def verify_section4(catalog: Sequence[CatalogEntry]) -> list[CheckResult]:
     ]
 
 
-def _center_is_x_line(check_id: str, g: LieAlgebra) -> CheckResult:
-    central = center(g)
-    ok = len(central) == 1 and in_span([g.basis_vector("X")], central[0])
+def _center_is_x_line(check_id: str, entry: CatalogEntry) -> CheckResult:
+    central = entry.center
+    ok = len(central) == 1 and in_span([entry.algebra.basis_vector("X")], central[0])
     return _check(check_id, ok, witness="center is not the X line")
+
+
+def _span_class_check(
+    check_id: str, g: LieAlgebra, labels: tuple[str, ...], tag: str, ideal: bool = False
+) -> CheckResult:
+    """The span of the labelled basis vectors is a subalgebra of class ``tag``,
+    and an ideal when ``ideal`` is set."""
+    vectors = [g.vector(label) for label in labels]
+    try:
+        got = FACTS["class"](CatalogEntry(check_id, subalgebra(g, vectors)))
+    except ValueError as exc:
+        return _check(check_id, False, witness=str(exc))
+    ok = got == tag and (not ideal or is_ideal(g, vectors))
+    return _check(check_id, ok, witness=f"got {got}", value=got)
 
 
 def _isotropy_check(
@@ -534,7 +574,7 @@ def _isotropy_check(
         for entry_id in entry_ids
         if (entry := _entry_by_id(catalog, entry_id)) is None
         or entry.model is None
-        or isotropy_type(entry.model).name != tag
+        or FACTS["isotropy"](entry) != tag
     ]
     return _check(check_id, not wrong, witness=f"unexpected type at {','.join(wrong)}")
 
@@ -546,21 +586,10 @@ def verify_section5_tables(catalog: Sequence[CatalogEntry]) -> list[CheckResult]
     if case1 is None:
         checks.extend(_missing(("solvable4/case1_center", "solvable4/case1_sol_span")))
     else:
-        g = case1.algebra
-        checks.append(_center_is_x_line("solvable4/case1_center", g))
-        try:
-            span = subalgebra(g, [g.vector("Y"), g.vector("Z"), g.vector("T")])
-            tag = classify_3d_unimodular(span).name
-            checks.append(
-                _check(
-                    "solvable4/case1_sol_span",
-                    tag == "SOL",
-                    witness=f"got {tag}",
-                    value=tag,
-                )
-            )
-        except ValueError as exc:
-            checks.append(_check("solvable4/case1_sol_span", False, witness=str(exc)))
+        checks.append(_center_is_x_line("solvable4/case1_center", case1))
+        checks.append(
+            _span_class_check("solvable4/case1_sol_span", case1.algebra, ("Y", "Z", "T"), "SOL")
+        )
 
     case2 = _entry_by_id(catalog, "c_ltimes_heis")
     if case2 is None:
@@ -568,22 +597,12 @@ def verify_section5_tables(catalog: Sequence[CatalogEntry]) -> list[CheckResult]
             _missing(("solvable4/case2_center", "solvable4/case2_heis_ideal", "solvable4/case2_weights"))
         )
     else:
-        g = case2.algebra
-        checks.append(_center_is_x_line("solvable4/case2_center", g))
-        ideal_vectors = [g.vector("X"), g.vector("Z"), g.vector("T")]
-        try:
-            span = subalgebra(g, ideal_vectors)
-            tag = classify_3d_unimodular(span).name
-            ok = tag == "HEIS" and is_ideal(g, ideal_vectors)
-            checks.append(
-                _check(
-                    "solvable4/case2_heis_ideal", ok, witness=f"got {tag}", value=tag
-                )
+        checks.append(_center_is_x_line("solvable4/case2_center", case2))
+        checks.append(
+            _span_class_check(
+                "solvable4/case2_heis_ideal", case2.algebra, ("X", "Z", "T"), "HEIS", ideal=True
             )
-        except ValueError as exc:
-            checks.append(
-                _check("solvable4/case2_heis_ideal", False, witness=str(exc))
-            )
+        )
         if case2.model is None:
             checks.append(
                 _check("solvable4/case2_weights", False, witness="entry carries no model")
@@ -604,13 +623,13 @@ def verify_section5_tables(catalog: Sequence[CatalogEntry]) -> list[CheckResult]
     if case3 is None:
         checks.extend(_missing(("solvable4/case3_center",)))
     else:
-        dim = len(center(case3.algebra))
+        dim = FACTS["center_dim"](case3)
         checks.append(
             _check(
                 "solvable4/case3_center",
-                dim == 0,
+                dim == "0",
                 witness=f"center dimension {dim}",
-                value=str(dim),
+                value=dim,
             )
         )
 
@@ -634,35 +653,22 @@ def verify_section5_tables(catalog: Sequence[CatalogEntry]) -> list[CheckResult]
 
 
 def verify_isotropy_dimension_bounds() -> list[CheckResult]:
+    """Dimensions of so(q) and of the stabilizers in it of a unit vector, a
+    null vector and a frame, for the adapted form q."""
     form = QuadraticForm(adapted_gram_unipotent())
-    so_dim = len(skew_algebra(form))
     unit = (gr(0), gr(1), gr(0))
     null = (gr(1), gr(0), gr(0))
     frame_partner = (gr(1), gr(0), gr(1))
-    dim_unit = len(stabilizer_in_skew(form, [unit]))
-    dim_null = len(stabilizer_in_skew(form, [null]))
-    dim_frame = len(stabilizer_in_skew(form, [unit, frame_partner]))
-    return [
-        _check("isotropy-bounds/so_q_dim", so_dim == 3, f"got {so_dim}", str(so_dim)),
-        _check(
-            "isotropy-bounds/fix_unit_vector",
-            dim_unit == 1,
-            f"got {dim_unit}",
-            str(dim_unit),
-        ),
-        _check(
-            "isotropy-bounds/fix_null_vector",
-            dim_null == 1,
-            f"got {dim_null}",
-            str(dim_null),
-        ),
-        _check(
-            "isotropy-bounds/fix_frame",
-            dim_frame == 0,
-            f"got {dim_frame}",
-            str(dim_frame),
-        ),
-    ]
+    checks = []
+    for name, fixed, want in (
+        ("so_q_dim", [], 3),
+        ("fix_unit_vector", [unit], 1),
+        ("fix_null_vector", [null], 1),
+        ("fix_frame", [unit, frame_partner], 0),
+    ):
+        dim = len(stabilizer_in_skew(form, fixed))
+        checks.append(_check(f"isotropy-bounds/{name}", dim == want, f"got {dim}", str(dim)))
+    return checks
 
 
 # Parameter points (c, m, k, beta): the principal lattice {p in N^4 : sum(p) <= 2}

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success / all checks pass, 1 check failure or input error,
 2 usage error.  ``--json`` emits machine output with the stable key names
-id, status, witness, value.
+id, status, witness, value.  ``invariants``, ``classify`` and ``model``
+print the ``catalog.FACTS`` values of an entry built from the file, the
+same text the report compares with a file's ``[expected]`` keys.
 """
 
 from __future__ import annotations
@@ -16,18 +18,7 @@ from itertools import combinations
 from . import catalog as cat
 from . import dsl
 from .geometry import constant_curvature_value, curvature, flatness_defect, levi_civita
-from .liealg import (
-    LieAlgebra,
-    NotUnimodular,
-    WrongDimension,
-    center,
-    classify_3d_unimodular,
-    derived_series,
-    is_nilpotent,
-    is_unimodular,
-    jacobi_witness,
-)
-from .models import check_invariance, invariant_forms, isotropy_type
+from .liealg import LieAlgebra, jacobi_witness
 
 
 def main() -> None:
@@ -138,7 +129,9 @@ def _emit_records(args, records: list[cat.CheckResult], data: bool = False) -> N
             print(record.status_line())
 
 
-def _print_facts(args, facts: list[tuple[str, str]]) -> None:
+def _print_facts(args, entry: cat.CatalogEntry, keys: tuple[str, ...]) -> None:
+    """Print the ``cat.FACTS`` values of an entry built from the input file."""
+    facts = [(key, cat.FACTS[key](entry)) for key in keys]
     if args.json:
         _print_json([cat._check(key, True, value=value) for key, value in facts])
     else:
@@ -151,52 +144,30 @@ def _cmd_validate(args) -> int:
     algebra = dsl.to_algebra(spec)
     triple = jacobi_witness(algebra)
     records = [cat._check("jacobi", triple is None, cat._triple_str(algebra, triple))]
+    form, degenerate = None, "quotient form is degenerate"
     if spec.isotropy:
         try:
-            model = dsl.to_model(spec, algebra)
-            if model.quotient_form is not None:
-                records.append(
-                    cat._check(
-                        "form_nondegenerate",
-                        model.quotient_form.nondegenerate,
-                        "quotient form is degenerate",
-                    )
-                )
+            form = dsl.to_model(spec, algebra).quotient_form
         except ValueError as exc:
             records.append(cat._check("model_wellformed", False, str(exc)))
     else:
-        form = dsl.to_metric(spec)
-        if form is not None:
-            records.append(
-                cat._check("form_nondegenerate", form.nondegenerate, "form is degenerate")
-            )
+        form, degenerate = dsl.to_metric(spec), "form is degenerate"
+    if form is not None:
+        records.append(cat._check("form_nondegenerate", form.nondegenerate, degenerate))
     _emit_records(args, records)
     return 0 if all(r.passed for r in records) else 1
 
 
 def _cmd_invariants(args) -> int:
-    _, algebra = _load_lie(args.file)
-    series = derived_series(algebra)
-    _print_facts(
-        args,
-        [
-            ("unimodular", "true" if is_unimodular(algebra) else "false"),
-            ("solvable", "true" if series[-1] == 0 else "false"),
-            ("nilpotent", "true" if is_nilpotent(algebra) else "false"),
-            ("center_dim", str(len(center(algebra)))),
-            ("derived_dims", ",".join(str(d) for d in series)),
-        ],
-    )
+    spec, algebra = _load_lie(args.file)
+    keys = ("unimodular", "solvable", "nilpotent", "center_dim", "derived_dims")
+    _print_facts(args, cat.CatalogEntry(spec.name, algebra), keys)
     return 0
 
 
 def _cmd_classify(args) -> int:
-    _, algebra = _load_lie(args.file)
-    try:
-        tag = classify_3d_unimodular(algebra).name
-    except (NotUnimodular, WrongDimension) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    spec, algebra = _load_lie(args.file)
+    tag = cat.FACTS["class"](cat.CatalogEntry(spec.name, algebra))
     if args.json:
         _print_json([cat._check("classify", True, value=tag)])
     else:
@@ -273,14 +244,8 @@ def _cmd_model(args) -> int:
     spec, algebra = _load_lie(args.file)
     if not spec.isotropy:
         raise ValueError("the file declares no [isotropy] section")
-    model = dsl.to_model(spec, algebra)
-    facts = [("isotropy", isotropy_type(model).name)]
-    if model.quotient_form is not None:
-        facts.append(("invariance", "true" if check_invariance(model) else "false"))
-    else:
-        facts.append(("invariance", "n/a"))
-    facts.append(("invariant_form_dim", str(len(invariant_forms(model)))))
-    _print_facts(args, facts)
+    entry = cat.CatalogEntry(spec.name, algebra, model=dsl.to_model(spec, algebra))
+    _print_facts(args, entry, ("isotropy", "invariance", "invariant_form_dim"))
     return 0
 
 

@@ -318,21 +318,22 @@ def _parse_combination(
 # -- file scanning -----------------------------------------------------------
 
 
-def _strip_comment(line: str) -> str:
+def _find_unquoted(line: str, char: str) -> int | None:
+    """Position of the first ``char`` outside double quotes, or None."""
     in_quote = False
     for pos, ch in enumerate(line):
         if ch == '"':
             in_quote = not in_quote
-        elif ch == "#" and not in_quote:
-            return line[:pos]
-    return line
+        elif ch == char and not in_quote:
+            return pos
+    return None
 
 
 def _scan_sections(text: str):
     sections: list[tuple[str, int, list[tuple[str, int, str, int, int]]]] = []
     current: list[tuple[str, int, str, int, int]] | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).rstrip()
+        line = raw[: _find_unquoted(raw, "#")].rstrip()
         stripped = line.strip()
         if not stripped:
             continue
@@ -350,7 +351,7 @@ def _scan_sections(text: str):
             continue
         if current is None:
             raise DslError("content before the first section header", line_no, 1)
-        eq = _find_equals(line)
+        eq = _find_unquoted(line, "=")
         if eq is None:
             raise DslError("expected 'key = value'", line_no, 1)
         key = line[:eq].strip()
@@ -361,16 +362,6 @@ def _scan_sections(text: str):
             raise DslError("empty key", line_no, 1)
         current.append((key, key_col, value, value_col, line_no))
     return sections
-
-
-def _find_equals(line: str) -> int | None:
-    in_quote = False
-    for pos, ch in enumerate(line):
-        if ch == '"':
-            in_quote = not in_quote
-        elif ch == "=" and not in_quote:
-            return pos
-    return None
 
 
 def _pair_key(

@@ -18,7 +18,7 @@ class QuadraticForm:
     """Symmetric complex bilinear form given by its exact Gram matrix.
 
     Nondegeneracy is not required at construction; it is certified by
-    ``nondegenerate`` (determinant test) where operations demand it.
+    ``nondegenerate`` (full rank, through ``linalg._reduce``) where operations demand it.
     """
 
     gram: CMatrix
@@ -61,12 +61,9 @@ class QuadraticForm:
     def apply(self, x: Sequence, y: Sequence) -> GaussianRational:
         return _dot(as_vector(x), self.gram.apply(y))
 
-    def determinant(self) -> GaussianRational:
-        return self.gram.det()
-
     @property
     def nondegenerate(self) -> bool:
-        return bool(self.determinant())
+        return self.gram.rank() == self.dim
 
     def require_nondegenerate(self) -> None:
         if not self.nondegenerate:

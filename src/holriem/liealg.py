@@ -9,8 +9,9 @@ tables can be built on purpose and diagnosed.
 ``terms``, the nonzero ``(k, c_ij^k)`` of every bracket, once; the
 antisymmetry test, ``bracket``, the Jacobi scan and the connection and
 curvature kernels loop over these terms and never rescan the table.
-Both series start from one [g, g], the span of the ``c_ij`` with i < j
-read from the table with no bracket call.
+Both series start from [g, g], the span of the ``c_ij`` with i < j read
+from the table with no bracket call; a caller that needs both passes
+one [g, g] to each.
 """
 
 from __future__ import annotations
@@ -199,14 +200,21 @@ def killing_form(algebra: LieAlgebra) -> QuadraticForm:
     return QuadraticForm([[_dot(ads[i], transposed[j]) for j in range(n)] for i in range(n)])
 
 
-def _series(algebra: LieAlgebra, step) -> tuple[int, ...]:
+def derived_algebra(algebra: LieAlgebra) -> list[Vector]:
+    """Canonical basis of [g, g], the span of the constants ``c_ij`` for
+    i < j, read from the table with no bracket call."""
+    c = algebra.constants
+    return span_basis(c[i][j] for i, j in combinations(range(algebra.dim), 2))
+
+
+def _series(algebra: LieAlgebra, current: list[Vector] | None, step) -> tuple[int, ...]:
     """Dimensions of g, [g, g], step([g, g]), ... until stabilization or zero.
 
-    [g, g] is the span of the constants ``c_ij`` for i < j, read from the
-    table with no bracket call.
+    ``current`` is a basis of [g, g] the caller already holds, or None to
+    derive it here.
     """
-    c = algebra.constants
-    current = span_basis(c[i][j] for i, j in combinations(range(algebra.dim), 2))
+    if current is None:
+        current = derived_algebra(algebra)
     dims = [algebra.dim]
     while True:
         dims.append(len(current))
@@ -215,7 +223,9 @@ def _series(algebra: LieAlgebra, step) -> tuple[int, ...]:
         current = step(current)
 
 
-def derived_series(algebra: LieAlgebra) -> tuple[int, ...]:
+def derived_series(
+    algebra: LieAlgebra, commutator: list[Vector] | None = None
+) -> tuple[int, ...]:
     """Dimensions of the derived series until stabilization or zero.
 
     A step spans ``[u, v]`` over the pairs u < v of the current basis;
@@ -223,15 +233,19 @@ def derived_series(algebra: LieAlgebra) -> tuple[int, ...]:
     """
     return _series(
         algebra,
+        commutator,
         lambda current: span_basis(bracket(algebra, u, v) for u, v in combinations(current, 2)),
     )
 
 
-def lower_central_series(algebra: LieAlgebra) -> tuple[int, ...]:
+def lower_central_series(
+    algebra: LieAlgebra, commutator: list[Vector] | None = None
+) -> tuple[int, ...]:
     """Dimensions of the lower central series until stabilization or zero."""
     basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
     return _series(
         algebra,
+        commutator,
         lambda current: span_basis(bracket(algebra, e, v) for e in basis for v in current),
     )
 
@@ -256,8 +270,8 @@ def is_solvable(algebra: LieAlgebra) -> bool:
     return derived_series(algebra)[-1] == 0
 
 
-def is_nilpotent(algebra: LieAlgebra) -> bool:
-    return lower_central_series(algebra)[-1] == 0
+def is_nilpotent(algebra: LieAlgebra, commutator: list[Vector] | None = None) -> bool:
+    return lower_central_series(algebra, commutator)[-1] == 0
 
 
 def is_semisimple(algebra: LieAlgebra) -> bool:
@@ -269,7 +283,7 @@ def classify_3d_unimodular(algebra: LieAlgebra) -> AlgebraClass:
 
     The tag is decided by basis-free data (Killing rank, derived
     dimension, nilpotency), so it is invariant under any exact change of
-    basis.
+    basis.  The one [g, g] it derives also starts the lower central series.
     """
     if algebra.dim != 3:
         raise WrongDimension("classification requires a 3-dimensional algebra")
@@ -277,9 +291,10 @@ def classify_3d_unimodular(algebra: LieAlgebra) -> AlgebraClass:
         raise NotUnimodular("classification requires a unimodular algebra")
     if is_semisimple(algebra):
         return AlgebraClass.SL2
-    if derived_series(algebra)[1] == 0:
+    commutator = derived_algebra(algebra)
+    if not commutator:
         return AlgebraClass.ABELIAN_C3
-    if is_nilpotent(algebra):
+    if is_nilpotent(algebra, commutator):
         return AlgebraClass.HEIS
     return AlgebraClass.SOL
 

@@ -7,7 +7,8 @@ modulo the isotropy onto the complement.  Construction inverts the
 spans the algebra and gives every ``induced_ad`` its coordinates.  It
 then derives ``actions``, the induced action of each isotropy vector,
 once; computing them tests that the isotropy is a subalgebra, and the
-isotropy type, the invariance check and the invariant forms read them.
+isotropy type, the invariance check (of the quotient form or of any
+other form on the quotient) and the invariant forms read them.
 """
 
 from __future__ import annotations
@@ -176,11 +177,13 @@ def invariant_forms(model: HomogeneousModel) -> list[QuadraticForm]:
     return forms
 
 
-def check_invariance(model: HomogeneousModel) -> bool:
-    """True iff the quotient form is killed by every induced isotropy action."""
-    if model.quotient_form is None:
+def check_invariance(model: HomogeneousModel, form: QuadraticForm | None = None) -> bool:
+    """True iff ``form``, by default the quotient form, is killed by every
+    induced isotropy action."""
+    form = model.quotient_form if form is None else form
+    if form is None:
         raise MissingForm("model carries no quotient form")
-    s = model.quotient_form.gram
+    s = form.gram
     for a in model.actions:
         if not (a.transpose() @ s + s @ a).is_zero():
             return False

@@ -100,7 +100,7 @@ def test_criterion_03_classification_conjugation_robust():
                     for _ in range(3)
                 ]
             )
-            if candidate.det():
+            if candidate.rank() == 3:
                 return candidate
 
     algebras = [

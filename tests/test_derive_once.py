@@ -63,8 +63,8 @@ DATA = "src/holriem/data"
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """Count eliminations (``linalg._reduce``), determinants and inverses."""
-    counts = {"_reduce": 0, "det": 0, "inverse": 0}
+    """Count eliminations (``linalg._reduce``) and inverses."""
+    counts = {"_reduce": 0, "inverse": 0}
 
     def counting(real, name):
         def counted(*args):
@@ -74,8 +74,7 @@ def eliminations(monkeypatch):
         return counted
 
     monkeypatch.setattr(linalg, "_reduce", counting(linalg._reduce, "_reduce"))
-    for name in ("det", "inverse"):
-        monkeypatch.setattr(CMatrix, name, counting(getattr(CMatrix, name), name))
+    monkeypatch.setattr(CMatrix, "inverse", counting(CMatrix.inverse, "inverse"))
     return counts
 
 
@@ -83,8 +82,8 @@ def eliminations(monkeypatch):
 @pytest.mark.parametrize("name", ["sl2", "sol3"])
 def test_metric_commands_eliminate_once(command, name, eliminations, capsys):
     assert cli_module.cli([command, f"{DATA}/{name}.liealg"]) == 0
-    # The inverse of the Gram matrix, and no determinant.
-    assert eliminations == {"_reduce": 1, "det": 0, "inverse": 1}
+    # The inverse of the Gram matrix, and no other elimination.
+    assert eliminations == {"_reduce": 1, "inverse": 1}
 
 
 @pytest.mark.parametrize("name", ["c_ltimes_heis", "heis_stab_generic", "c_times_sl2"])
@@ -101,11 +100,10 @@ def test_degenerate_metric_is_an_input_error(command, tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: quadratic form is degenerate\n")
 
 
-@pytest.fixture
-def work(monkeypatch):
-    """Count eliminations, brackets and induced actions, through any module."""
-    counts = {"_reduce": 0, "bracket": 0, "induced_ad": 0}
-    for module, name in ((linalg, "_reduce"), (liealg, "bracket"), (models, "induced_ad")):
+def _count_everywhere(monkeypatch, functions):
+    """Count calls of each (module, name) made through any holriem module."""
+    counts = {name: 0 for _, name in functions}
+    for module, name in functions:
         real = getattr(module, name)
 
         def counted(*args, _real=real, _name=name):
@@ -118,15 +116,29 @@ def work(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def work(monkeypatch):
+    """Count eliminations, brackets and induced actions."""
+    return _count_everywhere(
+        monkeypatch, ((linalg, "_reduce"), (liealg, "bracket"), (models, "induced_ad"))
+    )
+
+
 @pytest.mark.parametrize(
     "command, name, expected",
     [
-        # One action at construction serves isotropy type, invariance and forms.
-        ("model", "c_oplus_sl2", {"_reduce": 6, "bracket": 4, "induced_ad": 1}),
-        # [g, g] from the constants, then the pairs u < v of its basis.
-        ("invariants", "c_oplus_sl2", {"_reduce": 5, "bracket": 15, "induced_ad": 0}),
-        # One elimination each for the complement and the frame inverse.
-        ("validate", "c_ltimes_heis", {"_reduce": 2, "bracket": 4, "induced_ad": 1}),
+        # One action at construction serves isotropy type, invariance and forms;
+        # the semisimplicity test of that action is one rank.
+        ("model", "c_oplus_sl2", {"_reduce": 7, "bracket": 4, "induced_ad": 1}),
+        # One [g, g] from the constants starts both series; a derived step
+        # spans the pairs u < v of its basis.
+        ("invariants", "c_oplus_sl2", {"_reduce": 4, "bracket": 15, "induced_ad": 0}),
+        # One elimination each for the complement, the frame inverse and the
+        # rank of the quotient form.
+        ("validate", "c_ltimes_heis", {"_reduce": 3, "bracket": 4, "induced_ad": 1}),
+        # The rank of the Killing form and one [g, g], whose dimension decides
+        # abelian and which starts the lower central series (2 steps).
+        ("classify", "sol3", {"_reduce": 3, "bracket": 6, "induced_ad": 0}),
     ],
 )
 def test_structure_commands_work_budget(command, name, expected, work, capsys):
@@ -136,4 +148,31 @@ def test_structure_commands_work_budget(command, name, expected, work, capsys):
 
 def test_verify_all_derives_each_isotropy_action_once(work):
     assert catalog.verify_all(42).all_pass
-    assert work["induced_ad"] == 13
+    # Seven catalog models and five stabilizer-family models; section 4 tests
+    # its generic form against the actions of c_oplus_sl2 (13 with a rebuilt model).
+    assert work["induced_ad"] == 12
+
+
+def test_verify_all_inverts_no_frame_twice(eliminations):
+    assert catalog.verify_all(42).all_pass
+    # 19 when section 4 rebuilt the c_oplus_sl2 model to swap its form.
+    assert eliminations["inverse"] == 18
+
+
+@pytest.fixture
+def facts(monkeypatch):
+    """Count the structural facts a catalog entry derives once."""
+    return _count_everywhere(
+        monkeypatch,
+        ((liealg, "center"), (liealg, "derived_series"), (models, "isotropy_type")),
+    )
+
+
+def test_verify_all_derives_each_fact_once_per_entry(facts):
+    assert catalog.verify_all(42).all_pass
+    # Recomputed per use, the report made 18 center, 21 derived_series and
+    # 12 isotropy_type calls.  Now: one center per entry (11) plus the four
+    # spans of the flat case (iv); one derived series per entry declaring
+    # derived_dims or solvable (flat_iff_solvable reads it too); one isotropy
+    # type per model entry (section 5 reads it too).
+    assert facts == {"center": 15, "derived_series": 4, "isotropy_type": 7}

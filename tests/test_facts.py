@@ -1,0 +1,136 @@
+"""One table of structural facts (``catalog.FACTS``) for the report and the CLI."""
+
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from conftest import failed_checks
+
+from holriem import catalog, dsl
+from holriem.catalog import CATALOG_IDS, FACTS, build_catalog, verify_all
+from holriem.cli import cli
+from holriem.forms import QuadraticForm
+
+DATA = Path(catalog.__file__).parent / "data"
+
+
+@pytest.fixture(scope="module")
+def report_values():
+    return {c.id: c.value for c in verify_all(42).checks}
+
+
+def _json_records(capsys, command, entry_id):
+    assert cli([command, str(DATA / f"{entry_id}.liealg"), "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("entry_id", CATALOG_IDS)
+def test_cli_prints_the_report_values(entry_id, report_values, capsys):
+    spec = dsl.parse(catalog.shipped_file_text(entry_id))
+    commands = ["invariants"]
+    commands += ["model"] if spec.isotropy else []
+    commands += ["classify"] if "class" in spec.expected else []
+    compared = set()
+    for command in commands:
+        for record in _json_records(capsys, command, entry_id):
+            key = "class" if record["id"] == "classify" else record["id"]
+            if key in spec.expected:
+                assert record["value"] == report_values[f"{entry_id}/{key}"], (command, key)
+                compared.add(key)
+    # No command prints constant_curvature as a fact, nor semisimple.
+    assert compared == set(spec.expected) - {"constant_curvature", "semisimple"}
+
+
+def test_dsl_normalizes_exactly_the_fact_keys():
+    # A key is normalized when some value comes back changed or is rejected;
+    # an unknown key passes through as written.
+    probes = ("TRUE", "007", "sol", "3, 02", "NONE")
+
+    def normalizes(key):
+        for value in probes:
+            try:
+                if dsl._normalize_expected(key, value, 1, 1) != value:
+                    return True
+            except dsl.DslError:
+                return True
+        return False
+
+    candidates = (
+        dsl._BOOL_KEYS
+        | dsl._INT_KEYS
+        | dsl._TAG_KEYS
+        | set(FACTS)
+        | {"constant_curvature", "derived_dims", "unknown_key"}
+    )
+    assert {key for key in candidates if normalizes(key)} == set(FACTS) | {"constant_curvature"}
+    # The report orders every one of these keys.
+    assert set(catalog._METRIC_KEYS) | set(catalog._MODEL_KEYS) == set(FACTS) | {
+        "constant_curvature"
+    }
+
+
+def test_entry_derives_each_fact_once(monkeypatch):
+    entry = next(e for e in build_catalog() if e.id == "sol3")
+    calls = []
+    for name in ("center", "derived_algebra", "derived_series"):
+        real = getattr(catalog, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(catalog, name, counted)
+    for key in ("center_dim", "derived_dims", "solvable", "nilpotent", "center_dim"):
+        FACTS[key](entry)
+    assert sorted(calls) == ["center", "derived_algebra", "derived_series"]
+
+
+def test_model_without_quotient_form_fails_only_its_invariance():
+    entries = build_catalog()
+    k = next(i for i, e in enumerate(entries) if e.id == "c_times_sol")
+    entries[k] = replace(entries[k], model=replace(entries[k].model, quotient_form=None))
+    assert FACTS["invariance"](entries[k]) == "n/a"
+    failed = failed_checks(verify_all(42, entries))
+    assert [(c.id, c.witness, c.value) for c in failed] == [
+        ("c_times_sol/invariance", "got n/a", "n/a")
+    ]
+
+
+def test_non_invariant_generic_form_fails_only_its_check(monkeypatch):
+    # Nondegenerate and not of constant curvature, but E,E = 1 is not killed
+    # by the isotropy action of c_oplus_sl2.
+    form = QuadraticForm.from_sparse(
+        ("H", "E", "F"), {("H", "H"): 1, ("E", "F"): 1, ("E", "E"): 1}
+    )
+    monkeypatch.setattr(catalog, "_GENERIC_AB_FORM", form)
+    failed = failed_checks(verify_all(42))
+    assert [(c.id, c.witness) for c in failed] == [
+        ("semisimple4/general_ab_invariance", "invariance failed for (a,b)=(1,1)")
+    ]
+
+
+def test_a_fact_the_entry_lacks_fails_its_check():
+    entry = next(e for e in build_catalog() if e.id == "c_times_sol")
+    check = catalog._entry_property_check(entry, "class", "SOL")
+    assert (check.status, check.witness, check.value) == (
+        "fail",
+        "classification requires a 3-dimensional algebra",
+        None,
+    )
+
+
+@pytest.mark.parametrize(
+    "line, char, position",
+    [
+        ('"A,B" = C  # c = d', "#", 11),
+        ('"A,B" = C  # c = d', "=", 6),
+        ('"A=B" = C', "=", 6),
+        ('"A#B" = C', "#", None),
+        ("name = x", "=", 5),
+        ("no equals", "=", None),
+    ],
+)
+def test_find_unquoted(line, char, position):
+    assert dsl._find_unquoted(line, char) == position
+

@@ -207,7 +207,7 @@ def _random_invertible(rng):
                 for _ in range(3)
             ]
         )
-        if p.det():
+        if p.rank() == 3:
             return p
 
 

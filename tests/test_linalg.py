@@ -159,7 +159,7 @@ def test_semisimple_exactly_when_the_jordan_form_is_diagonal():
             blocks.append((rng.choice(pool), size))
         while True:
             change = _random_matrix(rng, n)
-            if change.det():
+            if change.rank() == n:
                 break
         a = change @ _jordan(blocks) @ change.inverse()
         diagonal = all(size == 1 for _, size in blocks)
@@ -212,7 +212,6 @@ def test_nilpotent_and_semisimple_exclusive_for_nonzero():
 
 def test_matrix_inverse_and_det():
     a = CMatrix([[1, gr(0, 1)], [0, 2]])
-    assert a.det() == gr(2)
     assert a.inverse() @ a == CMatrix.identity(2)
     with pytest.raises(ZeroDivisionError):
         CMatrix([[1, 1], [1, 1]]).inverse()
