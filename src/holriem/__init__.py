@@ -23,7 +23,6 @@ from .liealg import (
     derived_series,
     is_nilpotent,
     is_semisimple,
-    is_solvable,
     is_unimodular,
     jacobi_witness,
     killing_form,
@@ -37,7 +36,6 @@ from .geometry import (
     curvature,
     levi_civita,
     ricci,
-    skew_algebra,
     stabilizer_in_skew,
     unipotent_flow,
 )

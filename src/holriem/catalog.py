@@ -156,7 +156,13 @@ class CatalogEntry:
 
     @cached_property
     def isotropy_type(self) -> IsotropyType:
-        return isotropy_type(self.model)
+        return isotropy_type(_model(self))
+
+
+def _model(entry: CatalogEntry) -> HomogeneousModel:
+    if entry.model is None:
+        raise ValueError("entry carries no model")
+    return entry.model
 
 
 def _yes_no(flag: bool) -> str:
@@ -164,14 +170,16 @@ def _yes_no(flag: bool) -> str:
 
 
 def _invariance(entry: CatalogEntry) -> str:
-    if entry.model.quotient_form is None:
+    model = _model(entry)
+    if model.quotient_form is None:
         return "n/a"
-    return _yes_no(check_invariance(entry.model))
+    return _yes_no(check_invariance(model))
 
 
 # Every [expected] key but constant_curvature, mapped to the text of that fact
 # of an entry; the report and the CLI print these and nothing else.  A fact
-# the entry does not have (the class of a 4-dimensional algebra) raises ValueError.
+# the entry does not have (the class of a 4-dimensional algebra, the isotropy
+# of an entry without a model) raises ValueError.
 FACTS: dict[str, Callable[[CatalogEntry], str]] = {
     "class": lambda e: classify_3d_unimodular(e.algebra).name,
     "unimodular": lambda e: _yes_no(is_unimodular(e.algebra)),
@@ -182,7 +190,7 @@ FACTS: dict[str, Callable[[CatalogEntry], str]] = {
     "derived_dims": lambda e: ",".join(map(str, e.derived_series)),
     "isotropy": lambda e: e.isotropy_type.name,
     "invariance": _invariance,
-    "invariant_form_dim": lambda e: str(len(invariant_forms(e.model))),
+    "invariant_form_dim": lambda e: str(len(invariant_forms(_model(e)))),
 }
 
 

@@ -21,9 +21,22 @@ Format (one key per line, `#` starts a comment, whitespace insignificant):
     [expected]           # optional property assertions
     class = SOL
 
-Scalars are Gaussian rationals: integers, fractions `a/b`, the imaginary
-unit `i`, products, sums and parentheses, e.g. `1/2 + 3/4 i`.  Bracket and
-isotropy values are linear combinations of declared basis labels.
+A `#` or `=` inside double quotes is text, and an unclosed quote runs to the
+end of the line.  One regex splits each value into tokens: a number (a run of
+decimal digits), an identifier `[A-Za-z_][A-Za-z0-9_']*`, or any other single
+non-space character; whitespace only separates tokens.  Over these tokens:
+
+    sum         = product {("+" | "-") product}
+    product     = factor {["*"] factor}     # implicit before "i" or "(" only
+    factor      = "-" factor | "(" sum ")" | number ["/" number] | "i"
+    combination = ["+" | "-"] term {("+" | "-") term}
+    term        = [coeff] ["i"] label | coeff
+
+where a coeff is a product that opens with a number or "(", and a term
+without a label must be 0 and cannot stand beside one with a label.
+
+Scalars are Gaussian rationals, e.g. `1/2 + 3/4 i`.  Bracket and isotropy
+values are linear combinations of declared basis labels.
 Serialization is canonical (fixed section order, keys sorted, scalars in
 lowest terms) and ``parse(serialize(s)) == s``.
 """
@@ -39,7 +52,7 @@ from .forms import QuadraticForm
 from .liealg import LieAlgebra
 from .linalg import CMatrix, Vector, rref
 from .models import HomogeneousModel
-from .scalars import GaussianRational, ONE, ZERO, gr
+from .scalars import GaussianRational, ONE, ZERO, as_gr, gr
 
 
 class DslError(ValueError):
@@ -68,6 +81,8 @@ class MissingSection(DslError):
     pass
 
 
+_I = gr(0, 1)
+
 SECTION_ORDER = ("algebra", "brackets", "form", "isotropy", "expected")
 
 _BOOL_KEYS = {"unimodular", "solvable", "nilpotent", "semisimple", "invariance"}
@@ -84,6 +99,10 @@ MAX_NESTING = 200
 MAX_DIM = 32
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+_TOKEN_RE = re.compile(rf"\d+|{_IDENT_RE.pattern}|\S")
+# The text before the first `#` or `=` outside quotes; an open quote runs to the end.
+_BEFORE_COMMENT_RE = re.compile(r'(?:[^"#]|"[^"]*"?)*')
+_BEFORE_EQUALS_RE = re.compile(r'(?:[^"=]|"[^"]*"?)*')
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
 _PAIR_KEY_RE = re.compile(
     r'^"\s*([A-Za-z_][A-Za-z0-9_\']*)\s*,\s*([A-Za-z_][A-Za-z0-9_\']*)\s*"$'
@@ -108,51 +127,50 @@ class SpecFile:
 
 
 class _Tokens:
+    """The tokens of one value, as ``(offset, text)`` pairs ending with
+    ``(len(value), None)``, and the parser's place among them."""
+
     def __init__(self, text: str, line: int, col0: int):
-        self.text = text
+        self.items = [(m.start(), m.group()) for m in _TOKEN_RE.finditer(text)]
+        self.items.append((len(text), None))
+        self.at = 0
         self.line = line
         self.col0 = col0
-        self.pos = 0
         self.depth = 0
 
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str | None:
-        self._skip_ws()
-        if self.pos >= len(self.text):
+        return self.items[self.at][1]
+
+    def take(self) -> str:
+        self.at += 1
+        return self.items[self.at - 1][1]
+
+    def take_int(self) -> int:
+        col = self.col()
+        return _to_int(self.take(), self.line, col)
+
+    def take_ident(self) -> str | None:
+        """The next token if it is an identifier, else None; a letter that
+        cannot start one is an error."""
+        tok = self.peek()
+        if tok is None or not (tok[0].isalpha() or tok[0] == "_"):
             return None
-        return self.text[self.pos]
+        if not tok.isascii():
+            # Identifier tokens are ASCII; any other letter is a token of its own.
+            raise self.error("expected an identifier")
+        return self.take()
 
     def col(self) -> int:
-        return self.col0 + self.pos
+        """Column of the next token."""
+        return self.col0 + self.items[self.at][0]
 
-    def take_char(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        return ch
+    def end(self) -> int:
+        """Column just past the last token taken."""
+        offset, text = self.items[self.at - 1]
+        return self.col0 + offset + len(text)
 
-    def take_number(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        return _to_int(self.text[start : self.pos], self.line, self.col0 + start)
-
-    def take_ident(self) -> str:
-        self._skip_ws()
-        match = _IDENT_RE.match(self.text, self.pos)
-        if match is None:
-            raise MalformedScalar("expected an identifier", self.line, self.col())
-        self.pos = match.end()
-        return match.group(0)
-
-    def at_end(self) -> bool:
-        return self.peek() is None
-
-    def error(self, reason: str) -> MalformedScalar:
-        return MalformedScalar(reason, self.line, self.col())
+    def error(self, reason: str, col: int | None = None) -> MalformedScalar:
+        return MalformedScalar(reason, self.line, self.col() if col is None else col)
 
 
 def _to_int(digits: str, line: int, col: int) -> int:
@@ -165,91 +183,72 @@ def _to_int(digits: str, line: int, col: int) -> int:
         ) from None
 
 
+def _is_number(tok: str | None) -> bool:
+    return tok is not None and tok[0].isdigit()
+
+
 def _parse_factor(tk: _Tokens) -> GaussianRational:
-    ch = tk.peek()
-    if ch is None:
+    tok = tk.peek()
+    if tok is None:
         raise tk.error("unexpected end of scalar expression")
-    if ch == "-" or ch == "(":
+    if tok == "-" or tok == "(":
         if tk.depth == MAX_NESTING:
             raise tk.error(f"scalar expression nested deeper than {MAX_NESTING} levels")
         tk.depth += 1
-        tk.take_char()
-        if ch == "-":
+        tk.take()
+        if tok == "-":
             value = -_parse_factor(tk)
         else:
             value = _parse_sum(tk)
             if tk.peek() != ")":
                 raise tk.error("missing closing parenthesis")
-            tk.take_char()
+            tk.take()
         tk.depth -= 1
         return value
-    if ch.isdigit():
-        numerator = tk.take_number()
+    if _is_number(tok):
+        numerator = tk.take_int()
         if tk.peek() == "/":
-            tk.take_char()
-            if tk.peek() is None or not tk.peek().isdigit():
+            tk.take()
+            if not _is_number(tk.peek()):
                 raise tk.error("expected a denominator")
-            denominator = tk.take_number()
+            denominator = tk.take_int()
             if denominator == 0:
-                raise tk.error("zero denominator")
-            return gr(Fraction(numerator, denominator))
-        return gr(numerator)
-    if ch.isalpha() or ch == "_":
-        ident = tk.take_ident()
-        if ident == "i":
-            return gr(0, 1)
-        raise MalformedScalar(
-            f"unexpected identifier {ident!r} in scalar", tk.line, tk.col()
-        )
-    raise tk.error(f"unexpected character {ch!r}")
-
-
-def _starts_factor(ch: str | None) -> bool:
-    return ch is not None and (ch == "(" or ch.isdigit())
+                raise tk.error("zero denominator", tk.end())
+            return as_gr(Fraction(numerator, denominator))
+        return as_gr(numerator)
+    ident = tk.take_ident()
+    if ident == "i":
+        return _I
+    if ident is not None:
+        raise tk.error(f"unexpected identifier {ident!r} in scalar", tk.end())
+    raise tk.error(f"unexpected character {tok!r}")
 
 
 def _parse_product(tk: _Tokens) -> GaussianRational:
     value = _parse_factor(tk)
-    while True:
-        ch = tk.peek()
-        if ch == "*":
-            tk.take_char()
-            value = value * _parse_factor(tk)
-            continue
-        # Implicit product: "3 i", "2 (1+i)", "3/4 i".
-        if ch == "i":
-            save = tk.pos
-            ident = tk.take_ident()
-            if ident == "i":
-                value = value * gr(0, 1)
-                continue
-            tk.pos = save
-            return value
-        if ch == "(":
-            value = value * _parse_factor(tk)
-            continue
-        return value
+    # `*`, or an implicit product: "3 i", "2 (1+i)", "3/4 i".
+    while (tok := tk.peek()) in ("*", "i", "("):
+        if tok == "*":
+            tk.take()
+        value = value * _parse_factor(tk)
+    return value
 
 
 def _parse_sum(tk: _Tokens) -> GaussianRational:
     value = _parse_product(tk)
-    while True:
-        ch = tk.peek()
-        if ch == "+":
-            tk.take_char()
+    while tk.peek() in ("+", "-"):
+        if tk.take() == "+":
             value = value + _parse_product(tk)
-        elif ch == "-":
-            tk.take_char()
-            value = value - _parse_product(tk)
         else:
-            return value
+            value = value - _parse_product(tk)
+    return value
 
 
 def parse_scalar(text: str, line: int = 0, col0: int = 1) -> GaussianRational:
     """Parse a standalone scalar expression to a GaussianRational."""
     tk = _Tokens(text, line, col0)
     value = _parse_sum(tk)
-    if not tk.at_end():
+    if tk.peek() is not None:
         raise tk.error("trailing input after scalar expression")
     return value
 
@@ -257,59 +256,51 @@ def parse_scalar(text: str, line: int = 0, col0: int = 1) -> GaussianRational:
 def _parse_combination(
     text: str, labels: Sequence[str], line: int, col0: int
 ) -> dict[str, GaussianRational]:
-    """Parse a linear combination of labels; a bare scalar 0 is allowed."""
+    """Parse a linear combination of labels; a bare scalar 0 is allowed.
+
+    Each term after the first starts at its ``+`` or ``-``: anything else
+    after a term is an error.
+    """
     tk = _Tokens(text, line, col0)
     label_set = set(labels)
     combo: dict[str, GaussianRational] = {}
-    first = True
     saw_scalar_only = False
     while True:
-        sign = ONE
-        ch = tk.peek()
-        if ch == "+" or ch == "-":
-            tk.take_char()
-            if ch == "-":
-                sign = -ONE
-        elif not first:
-            raise tk.error("expected '+' or '-' between terms")
+        sign = -ONE if tk.peek() == "-" else ONE
+        if tk.peek() in ("+", "-"):
+            tk.take()
         coefficient = ONE
         has_coefficient = False
-        ch = tk.peek()
-        if ch == "-":
+        tok = tk.peek()
+        if tok == "-":
             raise tk.error("doubled sign in combination")
-        if _starts_factor(ch):
+        if tok == "(" or _is_number(tok):
             coefficient = _parse_product(tk)
             has_coefficient = True
-        ch = tk.peek()
-        if ch is not None and (ch.isalpha() or ch == "_"):
+        col = tk.col()
+        ident = tk.take_ident()
+        if ident == "i":
+            # `i` binds as a coefficient factor, e.g. "i X".
+            coefficient = coefficient * _I
             col = tk.col()
             ident = tk.take_ident()
-            if ident == "i":
-                # `i` binds as a coefficient factor, e.g. "i X".
-                coefficient = coefficient * gr(0, 1)
-                ch = tk.peek()
-                if ch is None or not (ch.isalpha() or ch == "_"):
-                    raise tk.error("expected a basis label after coefficient")
-                col = tk.col()
-                ident = tk.take_ident()
-            if ident not in label_set:
-                raise UndeclaredLabel(
-                    f"undeclared basis label {ident!r}", line, col
-                )
-            value = combo.get(ident, ZERO) + sign * coefficient
-            combo[ident] = value
-        else:
+            if ident is None:
+                raise tk.error("expected a basis label after coefficient")
+        if ident is None:
             if not has_coefficient:
                 raise tk.error("expected a term")
             if sign * coefficient != ZERO:
                 raise tk.error("scalar term in a combination must be zero")
             saw_scalar_only = True
-        first = False
-        ch = tk.peek()
-        if ch is None:
+        elif ident not in label_set:
+            raise UndeclaredLabel(f"undeclared basis label {ident!r}", line, col)
+        else:
+            combo[ident] = combo.get(ident, ZERO) + sign * coefficient
+        tok = tk.peek()
+        if tok is None:
             break
-        if ch not in "+-":
-            raise tk.error(f"unexpected character {ch!r} in combination")
+        if tok not in ("+", "-"):
+            raise tk.error(f"unexpected character {tok[0]!r} in combination")
     if saw_scalar_only and combo:
         raise tk.error("cannot mix labels with scalar terms")
     return {label: value for label, value in combo.items() if value}
@@ -318,22 +309,11 @@ def _parse_combination(
 # -- file scanning -----------------------------------------------------------
 
 
-def _find_unquoted(line: str, char: str) -> int | None:
-    """Position of the first ``char`` outside double quotes, or None."""
-    in_quote = False
-    for pos, ch in enumerate(line):
-        if ch == '"':
-            in_quote = not in_quote
-        elif ch == char and not in_quote:
-            return pos
-    return None
-
-
 def _scan_sections(text: str):
     sections: list[tuple[str, int, list[tuple[str, int, str, int, int]]]] = []
     current: list[tuple[str, int, str, int, int]] | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw[: _find_unquoted(raw, "#")].rstrip()
+        line = raw[: _BEFORE_COMMENT_RE.match(raw).end()].rstrip()
         stripped = line.strip()
         if not stripped:
             continue
@@ -351,8 +331,8 @@ def _scan_sections(text: str):
             continue
         if current is None:
             raise DslError("content before the first section header", line_no, 1)
-        eq = _find_unquoted(line, "=")
-        if eq is None:
+        eq = _BEFORE_EQUALS_RE.match(line).end()
+        if eq == len(line):
             raise DslError("expected 'key = value'", line_no, 1)
         key = line[:eq].strip()
         key_col = len(line[:eq]) - len(line[:eq].lstrip()) + 1
@@ -535,7 +515,7 @@ def format_combination(
         sign, magnitude = _split_sign(coeff)
         if magnitude == ONE:
             body = label
-        elif magnitude == gr(0, 1):
+        elif magnitude == _I:
             body = f"i {label}"
         else:
             text = format_scalar(magnitude)

@@ -42,15 +42,7 @@ from typing import Callable, Sequence
 
 from .forms import DegenerateForm, QuadraticForm
 from .liealg import LieAlgebra
-from .linalg import (
-    CMatrix,
-    Vector,
-    _dot,
-    as_vector,
-    kernel,
-    vadd,
-    vsub,
-)
+from .linalg import CMatrix, Vector, as_vector, kernel, vadd, vsub
 from .scalars import GaussianRational, ONE, ZERO, as_gr
 
 _HALF = ONE / 2
@@ -168,28 +160,21 @@ def constant_curvature_value(
 ) -> GaussianRational | None:
     """The constant of ``constant_curvature`` for an already derived tensor.
 
-    The candidate is read from the lexicographically first nondegenerate
-    coordinate plane (falling back to the first nonzero model-tensor
-    component) and then the identity is verified on all basis triples.
+    The candidate is R / M at the first nonzero entry of the model tensor
+    M(x,y)z = q(y,z)x - q(x,z)y; the identity is then verified on all basis
+    triples.  Under constant curvature every nonzero entry of M gives the
+    same candidate, so which one is read does not change the result.
     """
     n, r, gram = tensor.dim, tensor.comps, form.gram.entries
-
-    def denominator(i: int, j: int) -> GaussianRational:
-        return gram[i][i] * gram[j][j] - gram[i][j] * gram[i][j]
-
-    plane = _first_index(n, 2, lambda i, j: i < j and denominator(i, j))
     if n < 2:
-        # No plane, and the model tensor vanishes: only R = 0 qualifies.
+        # The model tensor vanishes: only R = 0 qualifies.
         candidate = ZERO
-    elif plane is not None:
-        # K(e_i, e_j) = q(R(e_i,e_j)e_j, e_i) / (q_ii q_jj - q_ij^2)
-        i, j = plane
-        candidate = _dot(r[i][j][j], gram[i]) / denominator(i, j)
     else:
         slot = _first_index(n, 4, lambda i, j, k, l: _model_entry(gram, i, j, k, l))
         if slot is None:
             raise DegenerateForm("no usable plane for the curvature candidate")
-        candidate = r[slot[0]][slot[1]][slot[2]][slot[3]] / _model_entry(gram, *slot)
+        i, j, k, l = slot
+        candidate = r[i][j][k][l] / _model_entry(gram, *slot)
     if constant_curvature_defect(form, tensor, candidate) is not None:
         return None
     return candidate
@@ -302,11 +287,6 @@ def pair_skew_defect(
 
 
 # -- orthogonal algebra ---------------------------------------------------
-
-
-def skew_algebra(form: QuadraticForm) -> list[CMatrix]:
-    """Exact basis of ``so(q) = {A : A^T G + G A = 0}``; dim n(n-1)/2."""
-    return stabilizer_in_skew(form, [])
 
 
 def stabilizer_in_skew(

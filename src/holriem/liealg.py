@@ -266,10 +266,6 @@ def is_unimodular(algebra: LieAlgebra) -> bool:
     return all(not sum((c[i][k][k] for k in range(n)), ZERO) for i in range(n))
 
 
-def is_solvable(algebra: LieAlgebra) -> bool:
-    return derived_series(algebra)[-1] == 0
-
-
 def is_nilpotent(algebra: LieAlgebra, commutator: list[Vector] | None = None) -> bool:
     return lower_central_series(algebra, commutator)[-1] == 0
 

@@ -1,5 +1,7 @@
 """Input-format parser, canonical serializer, and converters."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -326,3 +328,97 @@ def test_unconvertible_integers_are_located():
     with pytest.raises(MalformedScalar) as excinfo:
         parse(HEIS_TEXT.replace("dim = 3", "dim = " + "9" * 5000))
     assert (excinfo.value.line, excinfo.value.col) == (5, 7)
+
+
+# -- golden parse corpus --------------------------------------------------------
+#
+# Seeded character mutations of the shipped files, and seeded scalar and
+# combination strings, over printable ASCII plus a non-ASCII letter, a
+# non-ASCII decimal digit and a no-break space.  Each outcome (the value, or
+# the error's type, line, column and message) goes into one SHA-256, so any
+# change to what the parser accepts or how it locates an error shows here.
+
+CORPUS_ALPHABET = [chr(c) for c in range(32, 127)] + ["\t", "\n", "é", "\u0663", "\u00a0"]
+CORPUS_PIECES = [
+    *"0123456789", "12", "\u0663", "i", "I", "X", "Y", "Z", "Q", "Xi", "_", "'",
+    *"/()+-*", " ", "\u00a0", "é", "#", "=", '"', ",",
+]
+CORPUS_DIGEST = "08da06a6d9dd4169aecedae2f1725234b7f68a72923ff649472979869c0b6650"
+
+
+def _corpus_outcome(parse_value):
+    try:
+        return ("ok", parse_value())
+    except DslError as error:
+        return ("error", type(error).__name__, error.line, error.col, error.reason)
+
+
+def _corpus_scalar(rng, depth=0):
+    """A seeded scalar expression: numbers, fractions, i, signs, products,
+    sums and parentheses."""
+    kind = rng.randrange(8 if depth < 3 else 3)
+    if kind == 0:
+        return rng.choice(("0", "1", "2", "12", "\u0663", "i"))
+    if kind == 1:
+        return f"{rng.randrange(10)}/{rng.randrange(5)}"
+    if kind == 2:
+        return f"{rng.randrange(1, 20)} i"
+    if kind == 3:
+        return "-" + _corpus_scalar(rng, depth + 1)
+    if kind == 4:
+        return f"({_corpus_scalar(rng, depth + 1)})"
+    glue = rng.choice((" + ", " - ", " * ", " ", "*", "+"))
+    return _corpus_scalar(rng, depth + 1) + glue + _corpus_scalar(rng, depth + 1)
+
+
+def _corpus_combination(rng):
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        label = rng.choice(("X", "Y", "Z", "Q", "i X", "Xi"))
+        coefficient = rng.choice(("", "", "2 ", "i ", "1/2 ", f"({_corpus_scalar(rng)}) "))
+        terms.append(rng.choice(("", "+ ", "- ")) + coefficient + label)
+    return " ".join(terms) if rng.randrange(6) else "0"
+
+
+def _corpus_mutant(rng, text, edits):
+    """``text`` after ``edits`` seeded one-piece replacements, insertions or deletions."""
+    for _ in range(edits):
+        at = rng.randrange(len(text) + 1)
+        piece = rng.choice(CORPUS_PIECES + CORPUS_ALPHABET)
+        kind = rng.randrange(3)
+        if kind == 0:
+            text = text[:at] + piece + text[at + 1 :]
+        elif kind == 1:
+            text = text[:at] + piece + text[at:]
+        else:
+            text = text[:at] + text[at + 1 :]
+    return text
+
+
+def _golden_corpus():
+    """3000 (input, thunk that parses it) pairs, the same on every run."""
+    from holriem.dsl import _parse_combination
+
+    rng = random.Random(20240613)
+    files = [shipped_file_text(e.id) for e in build_catalog()]
+    labels = ("X", "Y", "Z")
+    for _ in range(1500):
+        text = _corpus_mutant(rng, rng.choice(files), rng.randint(1, 3))
+        yield text, lambda text=text: serialize(parse(text))
+    for _ in range(750):
+        text = _corpus_mutant(rng, _corpus_scalar(rng), rng.randrange(4))
+        yield text, lambda text=text: str(parse_scalar(text, 3, 9))
+    for _ in range(750):
+        text = _corpus_mutant(rng, _corpus_combination(rng), rng.randrange(4))
+        yield text, lambda text=text: sorted(
+            (k, str(v)) for k, v in _parse_combination(text, labels, 3, 9).items()
+        )
+
+
+def test_golden_parse_corpus():
+    digest = hashlib.sha256()
+    outcomes = [_corpus_outcome(parse_value) for _, parse_value in _golden_corpus()]
+    for outcome in outcomes:
+        digest.update(repr(outcome).encode("utf-8") + b"\n")
+    errors = sum(outcome[0] == "error" for outcome in outcomes)
+    assert (len(outcomes), errors, digest.hexdigest()) == (3000, 2288, CORPUS_DIGEST)

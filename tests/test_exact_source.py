@@ -1,7 +1,9 @@
 """The package is exact: no float or complex value and no random number in its
-source; and every check of the catalog that can fail names a witness."""
+source; every check of the catalog that can fail names a witness; and every
+module-level function and class is used in the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -96,3 +98,46 @@ def test_the_scan_finds_checks_without_a_witness():
         "other('i', ok)\n"
     )
     assert _unwitnessed(ast.parse(source)) == [(1, "'a'"), (5, "'e'"), (6, "'f'"), (7, "'g'")]
+
+
+def _unnamed(trees: dict[str, ast.Module]) -> list[str]:
+    """``module.name`` for each module-level function and class that no code of
+    the package names outside its own definition.  Names are matched by
+    spelling, as a bare name or an attribute; the exports of ``__init__`` are
+    no use."""
+    defined, named = [], Counter()
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for top in tree.body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            if own is not None:
+                defined.append((module, own))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id != own:
+                    named[node.id] += 1
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    named[node.attr] += 1
+    return sorted(f"{module}.{name}" for module, name in defined if not named[name])
+
+
+def test_every_definition_is_used_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    # geometry.ricci is kept for the planned Ricci cross-check of constant curvature.
+    assert _unnamed(trees) == ["geometry.ricci"]
+
+
+def test_the_scan_finds_unused_definitions():
+    trees = {
+        "__init__": ast.parse("from .a import exported\nexported()\n"),
+        "a": ast.parse(
+            "def exported(): pass\n"
+            "def recursive(): return recursive()\n"
+            "def used(): pass\n"
+            "def used_as_attribute(): pass\n"
+            "class Unused: pass\n"
+            "TABLE = {'f': used}\n"
+        ),
+        "b": ast.parse("from . import a\nfrom .a import Unused\na.used_as_attribute()\n"),
+    }
+    assert _unnamed(trees) == ["a.Unused", "a.exported", "a.recursive"]

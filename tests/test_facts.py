@@ -132,5 +132,33 @@ def test_a_fact_the_entry_lacks_fails_its_check():
     ],
 )
 def test_find_unquoted(line, char, position):
-    assert dsl._find_unquoted(line, char) == position
+    # The parser cuts a line at its first `#` outside double quotes, then
+    # splits it at its first `=` outside them.  An unknown `[expected]` key
+    # keeps its value as written, so the parse shows both cuts.
+    text = "[algebra]\nname = a\ndim = 1\nbasis = X\n[expected]\n" + line + "\n"
+    if char == "=" and position is None:
+        with pytest.raises(dsl.DslError) as info:
+            dsl.parse(text)
+        assert (info.value.line, info.value.col, info.value.reason) == (
+            6,
+            1,
+            "expected 'key = value'",
+        )
+        return
+    ((key, value),) = dsl.parse(text).expected.items()
+    if char == "=":
+        assert key == line[:position].strip()
+    else:
+        assert f"{key} = {value}" == line[:position].strip()
+
+
+def test_a_model_fact_on_a_metric_entry_fails_its_check():
+    entries = build_catalog()
+    k = next(i for i, e in enumerate(entries) if e.id == "sol3")
+    entries[k] = replace(entries[k], expected={**entries[k].expected, "isotropy": "UNIPOTENT"})
+    for key in ("isotropy", "invariance", "invariant_form_dim"):
+        with pytest.raises(ValueError, match="entry carries no model"):
+            FACTS[key](entries[k])
+    failed = failed_checks(verify_all(42, entries))
+    assert [(c.id, c.witness) for c in failed] == [("sol3/isotropy", "entry carries no model")]
 

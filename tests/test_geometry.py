@@ -29,7 +29,6 @@ from holriem.geometry import (
     levi_civita,
     pair_skew_defect,
     ricci,
-    skew_algebra,
     stabilizer_in_skew,
     torsion_defect,
     unipotent_flow,
@@ -164,9 +163,9 @@ def test_ricci():
 
 
 def test_skew_algebra_dimensions():
-    assert len(skew_algebra(QuadraticForm.diagonal([1, 1]))) == 1
-    assert len(skew_algebra(QuadraticForm(adapted_gram_unipotent()))) == 3
-    assert len(skew_algebra(QuadraticForm.diagonal([1, 2, -1, gr(0, 1)]))) == 6
+    assert len(stabilizer_in_skew(QuadraticForm.diagonal([1, 1]), [])) == 1
+    assert len(stabilizer_in_skew(QuadraticForm(adapted_gram_unipotent()), [])) == 3
+    assert len(stabilizer_in_skew(QuadraticForm.diagonal([1, 2, -1, gr(0, 1)]), [])) == 6
 
 
 def test_skew_algebra_random_forms():
@@ -188,7 +187,7 @@ def test_skew_algebra_random_forms():
                 q = QuadraticForm(gram)
                 if q.nondegenerate:
                     break
-            basis = skew_algebra(q)
+            basis = stabilizer_in_skew(q, [])
             assert len(basis) == n * (n - 1) // 2
             for a in basis:
                 assert (a.transpose() @ q.gram + q.gram @ a).is_zero()

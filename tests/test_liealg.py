@@ -21,7 +21,6 @@ from holriem.liealg import (
     is_ideal,
     is_nilpotent,
     is_semisimple,
-    is_solvable,
     is_unimodular,
     jacobi_witness,
     killing_form,
@@ -173,9 +172,9 @@ def test_center():
 
 def test_predicates():
     s = CATALOG["sol3"].algebra
-    assert is_unimodular(s) and is_solvable(s) and not is_nilpotent(s)
+    assert is_unimodular(s) and derived_series(s)[-1] == 0 and not is_nilpotent(s)
     assert is_nilpotent(CATALOG["heis3"].algebra)
-    assert is_semisimple(CATALOG["sl2"].algebra) and not is_solvable(CATALOG["sl2"].algebra)
+    assert is_semisimple(CATALOG["sl2"].algebra) and derived_series(CATALOG["sl2"].algebra)[-1] != 0
     assert not is_semisimple(CATALOG["sol3"].algebra)
 
 
