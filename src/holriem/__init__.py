@@ -4,7 +4,6 @@ metrics on low-dimensional complex Lie algebras."""
 from .scalars import GaussianRational, as_gr, gr
 from .linalg import (
     CMatrix,
-    LinearSolution,
     is_nilpotent_matrix,
     is_semisimple_matrix,
     kernel,

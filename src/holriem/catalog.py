@@ -15,6 +15,13 @@ Check results are flat (id, status, witness, value) records so reports
 stay grep-able.  Every check is exact and draws no random numbers: a claim
 about a parameter family is proved on a finite grid whose size the degree
 of the claim bounds, so ``verify_all`` gives the same checks for every seed.
+
+One rule covers a check that cannot be computed (``_run``): the
+``ValueError`` its computation raises fails it, with the message as
+witness.  So a missing entry (``entry missing``), an entry without the
+model, metric or quotient form a check reads, a fact that does not apply
+and a span that is not a subalgebra each fail the checks that read them;
+the report never gets shorter.
 """
 
 from __future__ import annotations
@@ -48,10 +55,7 @@ from .geometry import (
     unipotent_isotropy_generator,
 )
 from .liealg import (
-    AlgebraClass,
     LieAlgebra,
-    NotUnimodular,
-    WrongDimension,
     center,
     classify_3d_unimodular,
     derived_algebra,
@@ -136,11 +140,16 @@ class CatalogEntry:
 
     @cached_property
     def connection(self) -> ConnectionTable:
-        return levi_civita(self.algebra, self.form)
+        return levi_civita(self.algebra, _metric(self))
 
     @cached_property
     def tensor(self) -> CurvatureTensor:
         return curvature(self.algebra, self.connection)
+
+    @cached_property
+    def constant_curvature(self) -> GaussianRational | None:
+        """The constant k of a metric of constant curvature k, else None."""
+        return constant_curvature_value(self.form, self.tensor)
 
     @cached_property
     def derived_algebra(self) -> list[Vector]:
@@ -163,6 +172,19 @@ def _model(entry: CatalogEntry) -> HomogeneousModel:
     if entry.model is None:
         raise ValueError("entry carries no model")
     return entry.model
+
+
+def _metric(entry: CatalogEntry) -> QuadraticForm:
+    if entry.form is None:
+        raise ValueError("entry carries no metric")
+    return entry.form
+
+
+def _quotient_form(entry: CatalogEntry) -> QuadraticForm:
+    form = _model(entry).quotient_form
+    if form is None:
+        raise ValueError("model carries no quotient form")
+    return form
 
 
 def _yes_no(flag: bool) -> str:
@@ -277,9 +299,9 @@ def build_catalog() -> list[CatalogEntry]:
 def check_prop_iv(params: ParamExtension) -> bool:
     """Flat-case criterion of the stabilizer family: c = 0, k = -beta^2.
 
-    True iff span{X, Z - beta*Y, T} is bracket-closed, 3-dimensional and
-    is a Heisenberg algebra whose center is spanned by X.  A nonzero m
-    parameter is what makes the span literally Heisenberg.
+    True iff span{X, Z - beta*Y, T} is bracket-closed and is a Heisenberg
+    algebra whose center is spanned by X.  A nonzero m parameter is what
+    makes the span literally Heisenberg.
     """
     if params.c != gr(0) or params.k + params.beta * params.beta != gr(0):
         raise ValueError("requires c = 0 and k + beta^2 = 0 exactly")
@@ -290,21 +312,10 @@ def check_prop_iv(params: ParamExtension) -> bool:
         algebra.vector("T"),
     ]
     try:
-        span = subalgebra(algebra, generators, basis_names=("X", "V", "T"))
+        span = CatalogEntry("iv", subalgebra(algebra, generators, basis_names=("X", "V", "T")))
+        return FACTS["class"](span) == "HEIS" and _center_is_x_line(span)
     except ValueError:
         return False
-    if span.dim != 3:
-        return False
-    try:
-        tag = classify_3d_unimodular(span)
-    except (NotUnimodular, WrongDimension):
-        return False
-    if tag is not AlgebraClass.HEIS:
-        return False
-    central = center(span)
-    return len(central) == 1 and in_span(
-        [span.basis_vector("X")], central[0]
-    )
 
 
 # -- check plumbing --------------------------------------------------------
@@ -369,6 +380,15 @@ def _check(
     )
 
 
+def _run(check_id: str, check: Callable[..., CheckResult], *args) -> CheckResult:
+    """``check(check_id, *args)``, or a failing record whose witness is the
+    message of the ValueError raised while computing it."""
+    try:
+        return check(check_id, *args)
+    except ValueError as exc:
+        return _check(check_id, False, witness=str(exc))
+
+
 def _triple_str(algebra: LieAlgebra, indices: tuple[int, ...] | None) -> str | None:
     if indices is None:
         return None
@@ -403,34 +423,25 @@ def verify_entry(entry: CatalogEntry) -> list[CheckResult]:
 
 
 def _entry_property_check(entry: CatalogEntry, key: str, expected: str) -> CheckResult:
-    check_id = f"{entry.id}/{key}"
+    return _run(f"{entry.id}/{key}", _property_check, entry, key, expected)
+
+
+def _property_check(check_id: str, entry: CatalogEntry, key: str, expected: str) -> CheckResult:
     if key == "constant_curvature":
-        return _constant_curvature_check(entry, check_id, expected)
+        return _constant_curvature_check(check_id, entry, expected)
     if key not in FACTS:
         return _check(check_id, False, witness=f"unknown expected property {key!r}")
-    try:
-        got = FACTS[key](entry)
-    except ValueError as exc:
-        return _check(check_id, False, witness=str(exc))
+    got = FACTS[key](entry)
     return _check(check_id, got == expected, witness=f"got {got}", value=got)
 
 
-def _constant_curvature_check(
-    entry: CatalogEntry, check_id: str, expected: str
-) -> CheckResult:
-    if entry.form is None:
-        return _check(check_id, False, witness="entry carries no metric")
-    expected_k = dsl.parse_scalar(expected)
-    defect = constant_curvature_defect(entry.form, entry.tensor, expected_k)
-    if defect is None:
-        return _check(check_id, True, value=_render_constant(expected_k))
-    got = constant_curvature_value(entry.form, entry.tensor)
-    return _check(
-        check_id,
-        False,
-        witness=f"{_triple_str(entry.algebra, defect)} got {_render_constant(got)}",
-        value=_render_constant(got),
-    )
+def _constant_curvature_check(check_id: str, entry: CatalogEntry, expected: str) -> CheckResult:
+    """``expected`` is the constant, or ``none`` for a metric of no constant curvature."""
+    got = _render_constant(entry.constant_curvature)
+    if expected == "none":
+        return _check(check_id, entry.constant_curvature is None, f"got {got}", got)
+    defect = constant_curvature_defect(entry.form, entry.tensor, dsl.parse_scalar(expected))
+    return _check(check_id, defect is None, f"{_triple_str(entry.algebra, defect)} got {got}", got)
 
 
 def _metric_identity_checks(entry: CatalogEntry) -> list[CheckResult]:
@@ -462,16 +473,17 @@ def _metric_identity_checks(entry: CatalogEntry) -> list[CheckResult]:
 # -- fragments -------------------------------------------------------------
 
 
-def _entry_by_id(catalog: Sequence[CatalogEntry], entry_id: str) -> CatalogEntry | None:
-    for entry in catalog:
-        if entry.id == entry_id:
-            return entry
-    return None
+class _Entries(dict):
+    """A catalog's entries by id; an absent one raises ValueError("entry missing")."""
+
+    def __init__(self, catalog: Iterable[CatalogEntry]):
+        super().__init__((entry.id, entry) for entry in catalog)
+
+    def __missing__(self, entry_id: str) -> CatalogEntry:
+        raise ValueError("entry missing")
 
 
-def _missing(check_ids: Iterable[str]) -> list[CheckResult]:
-    """A fragment's usual checks, failing, for an entry absent from the catalog."""
-    return [_check(check_id, False, witness="entry missing") for check_id in check_ids]
+_UNIMODULAR_IDS = ("flat_c3", "heis3", "sol3", "sl2")
 
 
 def verify_prop_unimodular(catalog: Sequence[CatalogEntry]) -> list[CheckResult]:
@@ -479,33 +491,27 @@ def verify_prop_unimodular(catalog: Sequence[CatalogEntry]) -> list[CheckResult]
 
     Flat exactly for the solvable three; nonzero constant for sl(2).
     """
-    checks = []
-    flat_solvable = []
-    for entry_id in ("flat_c3", "heis3", "sol3", "sl2"):
-        entry = _entry_by_id(catalog, entry_id)
-        if entry is None or entry.form is None:
-            checks.extend(_missing((f"unimodular3/{entry_id}",)))
-            continue
-        k = constant_curvature_value(entry.form, entry.tensor)
-        value = _render_constant(k)
-        if entry_id == "sl2":
-            ok = k is not None and bool(k)
-        else:
-            ok = k is not None and not k
-        checks.append(
-            _check(f"unimodular3/{entry_id}", ok, witness=f"got {value}", value=value)
-        )
-        flat_solvable.append((entry_id, k is not None and not k, entry.derived_series[-1] == 0))
-    mismatches = [name for name, flat, solv in flat_solvable if flat != solv]
-    checks.append(
-        _check(
-            "unimodular3/flat_iff_solvable",
-            not mismatches,
-            witness=f"mismatch at {','.join(mismatches)}" if mismatches else None,
-            value=f"{len(flat_solvable)} entries",
-        )
-    )
+    entries = _Entries(catalog)
+    checks = [_run(f"unimodular3/{i}", _unimodular_curvature, entries, i) for i in _UNIMODULAR_IDS]
+    checks.append(_run("unimodular3/flat_iff_solvable", _flat_iff_solvable, entries))
     return checks
+
+
+def _unimodular_curvature(check_id: str, entries: _Entries, entry_id: str) -> CheckResult:
+    k = entries[entry_id].constant_curvature
+    value = _render_constant(k)
+    ok = k is not None and bool(k) == (entry_id == "sl2")
+    return _check(check_id, ok, witness=f"got {value}", value=value)
+
+
+def _flat_iff_solvable(check_id: str, entries: _Entries) -> CheckResult:
+    mismatches = [
+        entry_id
+        for entry_id in _UNIMODULAR_IDS
+        if (entries[entry_id].constant_curvature == 0) != (entries[entry_id].derived_series[-1] == 0)
+    ]
+    value = f"{len(_UNIMODULAR_IDS)} entries"
+    return _check(check_id, not mismatches, f"mismatch at {','.join(mismatches)}", value)
 
 
 # The (a, b) = (1, 1) member q(H,H) = a, q(E,F) = b of the invariant forms on sl(2).
@@ -519,145 +525,105 @@ def verify_section4(catalog: Sequence[CatalogEntry]) -> list[CheckResult]:
     Killing-proportional case; (a, b) = (1, 1) is a generic one, tested
     against the model's isotropy actions.
     """
-    sl2 = _entry_by_id(catalog, "sl2")
-    entry = _entry_by_id(catalog, "c_oplus_sl2")
-    model = None if entry is None else entry.model
-    if sl2 is None or model is None or model.quotient_form is None:
-        return _missing(
+    entries = _Entries(catalog)
+    return [
+        _run(check_id, check, entries, *args)
+        for check_id, check, *args in (
             (
                 "semisimple4/killing_proportional_constant",
-                "semisimple4/general_ab_invariance",
-                "semisimple4/general_ab_report",
-            )
+                _sl2_curvature,
+                "c_oplus_sl2",
+                "Constant(-1/2)",
+            ),
+            ("semisimple4/general_ab_invariance", _general_ab_invariance),
+            ("semisimple4/general_ab_report", _sl2_curvature, None, "NotConstant"),
         )
-    k = constant_curvature(sl2.algebra, model.quotient_form)
-    generic_k = constant_curvature(sl2.algebra, _GENERIC_AB_FORM)
-    return [
-        _check(
-            "semisimple4/killing_proportional_constant",
-            k is not None and str(k) == "-1/2",
-            witness=f"got {_render_constant(k)}",
-            value=_render_constant(k),
-        ),
-        _check(
-            "semisimple4/general_ab_invariance",
-            check_invariance(model, _GENERIC_AB_FORM),
-            witness="invariance failed for (a,b)=(1,1)",
-        ),
-        _check(
-            "semisimple4/general_ab_report",
-            generic_k is None,
-            witness=f"got {_render_constant(generic_k)}",
-            value=_render_constant(generic_k),
-        ),
     ]
 
 
-def _center_is_x_line(check_id: str, entry: CatalogEntry) -> CheckResult:
+def _sl2_curvature(check_id: str, entries: _Entries, model_id: str | None, want: str) -> CheckResult:
+    """The curvature on sl(2) of the quotient form of the model ``model_id``,
+    or of the generic form when that is None, renders as ``want``."""
+    form = _GENERIC_AB_FORM if model_id is None else _quotient_form(entries[model_id])
+    value = _render_constant(constant_curvature(entries["sl2"].algebra, form))
+    return _check(check_id, value == want, witness=f"got {value}", value=value)
+
+
+def _general_ab_invariance(check_id: str, entries: _Entries) -> CheckResult:
+    ok = check_invariance(_model(entries["c_oplus_sl2"]), _GENERIC_AB_FORM)
+    return _check(check_id, ok, witness="invariance failed for (a,b)=(1,1)")
+
+
+def verify_section5_tables(catalog: Sequence[CatalogEntry]) -> list[CheckResult]:
+    entries = _Entries(catalog)
+    semisimple = ("c_times_sol", "c_ltimes_heis", "c2_semidirect_c2")
+    unipotent = ("heis_stab_zero", "heis_stab_generic")
+    return [
+        _run(check_id, check, entries, *args)
+        for check_id, check, *args in (
+            ("solvable4/case1_center", _x_line_center_check, "c_times_sol"),
+            ("solvable4/case1_sol_span", _span_class_check, "c_times_sol", ("Y", "Z", "T"), "SOL"),
+            ("solvable4/case2_center", _x_line_center_check, "c_ltimes_heis"),
+            (
+                "solvable4/case2_heis_ideal",
+                _span_class_check,
+                "c_ltimes_heis",
+                ("X", "Z", "T"),
+                "HEIS",
+                True,
+            ),
+            ("solvable4/case2_weights", _case2_weights_check),
+            ("solvable4/case3_center", _case3_center_check),
+            ("solvable4/isotropy_semisimple", _isotropy_check, semisimple, "SEMISIMPLE"),
+            ("solvable4/family_isotropy_unipotent", _isotropy_check, unipotent, "UNIPOTENT"),
+        )
+    ]
+
+
+def _center_is_x_line(entry: CatalogEntry) -> bool:
     central = entry.center
-    ok = len(central) == 1 and in_span([entry.algebra.basis_vector("X")], central[0])
+    return len(central) == 1 and in_span([entry.algebra.basis_vector("X")], central[0])
+
+
+def _x_line_center_check(check_id: str, entries: _Entries, entry_id: str) -> CheckResult:
+    ok = _center_is_x_line(entries[entry_id])
     return _check(check_id, ok, witness="center is not the X line")
 
 
 def _span_class_check(
-    check_id: str, g: LieAlgebra, labels: tuple[str, ...], tag: str, ideal: bool = False
+    check_id: str,
+    entries: _Entries,
+    entry_id: str,
+    labels: tuple[str, ...],
+    tag: str,
+    ideal: bool = False,
 ) -> CheckResult:
     """The span of the labelled basis vectors is a subalgebra of class ``tag``,
     and an ideal when ``ideal`` is set."""
+    g = entries[entry_id].algebra
     vectors = [g.vector(label) for label in labels]
-    try:
-        got = FACTS["class"](CatalogEntry(check_id, subalgebra(g, vectors)))
-    except ValueError as exc:
-        return _check(check_id, False, witness=str(exc))
+    got = FACTS["class"](CatalogEntry(check_id, subalgebra(g, vectors)))
     ok = got == tag and (not ideal or is_ideal(g, vectors))
     return _check(check_id, ok, witness=f"got {got}", value=got)
 
 
+def _case2_weights_check(check_id: str, entries: _Entries) -> CheckResult:
+    action = _model(entries["c_ltimes_heis"]).actions[0]
+    ok = action == CMatrix.diagonal([0, 1, -1])
+    return _check(check_id, ok, witness=f"induced action {action}", value="0,1,-1")
+
+
+def _case3_center_check(check_id: str, entries: _Entries) -> CheckResult:
+    dim = FACTS["center_dim"](entries["c2_semidirect_c2"])
+    return _check(check_id, dim == "0", witness=f"center dimension {dim}", value=dim)
+
+
 def _isotropy_check(
-    check_id: str, catalog: Sequence[CatalogEntry], entry_ids: tuple[str, ...], tag: str
+    check_id: str, entries: _Entries, entry_ids: tuple[str, ...], tag: str
 ) -> CheckResult:
-    """Every listed entry is a model of isotropy type ``tag``; a missing one is wrong."""
-    wrong = [
-        entry_id
-        for entry_id in entry_ids
-        if (entry := _entry_by_id(catalog, entry_id)) is None
-        or entry.model is None
-        or FACTS["isotropy"](entry) != tag
-    ]
+    """Every listed entry is a model of isotropy type ``tag``."""
+    wrong = [entry_id for entry_id in entry_ids if FACTS["isotropy"](entries[entry_id]) != tag]
     return _check(check_id, not wrong, witness=f"unexpected type at {','.join(wrong)}")
-
-
-def verify_section5_tables(catalog: Sequence[CatalogEntry]) -> list[CheckResult]:
-    checks = []
-
-    case1 = _entry_by_id(catalog, "c_times_sol")
-    if case1 is None:
-        checks.extend(_missing(("solvable4/case1_center", "solvable4/case1_sol_span")))
-    else:
-        checks.append(_center_is_x_line("solvable4/case1_center", case1))
-        checks.append(
-            _span_class_check("solvable4/case1_sol_span", case1.algebra, ("Y", "Z", "T"), "SOL")
-        )
-
-    case2 = _entry_by_id(catalog, "c_ltimes_heis")
-    if case2 is None:
-        checks.extend(
-            _missing(("solvable4/case2_center", "solvable4/case2_heis_ideal", "solvable4/case2_weights"))
-        )
-    else:
-        checks.append(_center_is_x_line("solvable4/case2_center", case2))
-        checks.append(
-            _span_class_check(
-                "solvable4/case2_heis_ideal", case2.algebra, ("X", "Z", "T"), "HEIS", ideal=True
-            )
-        )
-        if case2.model is None:
-            checks.append(
-                _check("solvable4/case2_weights", False, witness="entry carries no model")
-            )
-        else:
-            action = case2.model.actions[0]
-            expected = CMatrix.diagonal([0, 1, -1])
-            checks.append(
-                _check(
-                    "solvable4/case2_weights",
-                    action == expected,
-                    witness=f"induced action {action}",
-                    value="0,1,-1",
-                )
-            )
-
-    case3 = _entry_by_id(catalog, "c2_semidirect_c2")
-    if case3 is None:
-        checks.extend(_missing(("solvable4/case3_center",)))
-    else:
-        dim = FACTS["center_dim"](case3)
-        checks.append(
-            _check(
-                "solvable4/case3_center",
-                dim == "0",
-                witness=f"center dimension {dim}",
-                value=dim,
-            )
-        )
-
-    checks.append(
-        _isotropy_check(
-            "solvable4/isotropy_semisimple",
-            catalog,
-            ("c_times_sol", "c_ltimes_heis", "c2_semidirect_c2"),
-            "SEMISIMPLE",
-        )
-    )
-    checks.append(
-        _isotropy_check(
-            "solvable4/family_isotropy_unipotent",
-            catalog,
-            ("heis_stab_zero", "heis_stab_generic"),
-            "UNIPOTENT",
-        )
-    )
-    return checks
 
 
 def verify_isotropy_dimension_bounds() -> list[CheckResult]:
@@ -887,7 +853,7 @@ def verify_all(
     for entry in catalog:
         checks.extend(verify_entry(entry))
     present = {entry.id for entry in catalog}
-    checks.extend(_missing(f"{i}/entry" for i in CATALOG_IDS if i not in present))
+    checks.extend(_check(f"{i}/entry", False, "entry missing") for i in CATALOG_IDS if i not in present)
     checks.extend(verify_prop_unimodular(catalog))
     checks.extend(verify_section4(catalog))
     checks.extend(verify_section5_tables(catalog))

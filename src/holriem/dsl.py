@@ -184,7 +184,7 @@ def _to_int(digits: str, line: int, col: int) -> int:
 
 
 def _is_number(tok: str | None) -> bool:
-    return tok is not None and tok[0].isdigit()
+    return tok is not None and tok[0].isdecimal()
 
 
 def _parse_factor(tk: _Tokens) -> GaussianRational:
@@ -378,7 +378,7 @@ def parse(text: str) -> SpecFile:
                 raise DslError("name must be an identifier", line_no, value_col)
             name = value
         elif key == "dim":
-            if not value.isdigit():
+            if not value.isdecimal():
                 raise DslError("dim must be a nonnegative integer", line_no, value_col)
             dim = _to_int(value, line_no, value_col)
             if dim > MAX_DIM:
@@ -411,32 +411,32 @@ def parse(text: str) -> SpecFile:
     index = {label: k for k, label in enumerate(labels)}
 
     if "brackets" in by_name:
+        given = set()  # every pair given, also those with a zero value, which is not stored
         for key, key_col, value, value_col, line_no in by_name["brackets"][1]:
             a, b = _pair_key(key, labels, line_no, key_col)
             combo = _parse_combination(value, labels, line_no, value_col)
-            if a == b:
-                if combo:
-                    raise DslError(
-                        f'bracket "{a},{a}" must be zero', line_no, value_col
-                    )
-                continue
+            if a == b and combo:
+                raise DslError(f'bracket "{a},{a}" must be zero', line_no, value_col)
             if index[a] > index[b]:
                 a, b = b, a
                 combo = {label: -v for label, v in combo.items()}
-            if (a, b) in spec.brackets:
+            if (a, b) in given:
                 raise DuplicateKey(
                     f'bracket "{a},{b}" specified twice', line_no, key_col
                 )
+            given.add((a, b))
             if combo:
                 spec.brackets[(a, b)] = combo
 
     if "form" in by_name:
+        given = set()
         for key, key_col, value, value_col, line_no in by_name["form"][1]:
             a, b = _pair_key(key, labels, line_no, key_col)
             if index[a] > index[b]:
                 a, b = b, a
-            if (a, b) in spec.form:
+            if (a, b) in given:
                 raise DuplicateKey(f'form entry "{a},{b}" given twice', line_no, key_col)
+            given.add((a, b))
             scalar = parse_scalar(value, line_no, value_col)
             if scalar:
                 spec.form[(a, b)] = scalar
@@ -477,14 +477,14 @@ def _normalize_expected(key: str, value: str, line: int, col: int) -> str:
             raise DslError(f"{key} must be true or false", line, col)
         return lowered
     if key in _INT_KEYS:
-        if not value.isdigit():
+        if not value.isdecimal():
             raise DslError(f"{key} must be a nonnegative integer", line, col)
         return str(_to_int(value, line, col))
     if key in _TAG_KEYS:
         return value.upper()
     if key == "derived_dims":
         parts = [p.strip() for p in value.split(",")]
-        if any(not p.isdigit() for p in parts):
+        if any(not p.isdecimal() for p in parts):
             raise DslError("derived_dims must be a comma list of integers", line, col)
         return ",".join(str(_to_int(p, line, col)) for p in parts)
     if key == "constant_curvature":

@@ -324,7 +324,7 @@ def subalgebra(
                 raise NotClosed(
                     f"bracket of generators {i} and {j} leaves the span"
                 )
-            row.append(solution.x)
+            row.append(solution)
         grid.append(row)
     return LieAlgebra(names, grid)
 

@@ -193,20 +193,11 @@ def rref(matrix: CMatrix) -> tuple[CMatrix, tuple[int, ...]]:
     return CMatrix(rows), tuple(pivots)
 
 
-@dataclass(frozen=True, slots=True)
-class LinearSolution:
-    """One exact solution of ``A x = b`` plus the kernel dimension of A."""
-
-    x: Vector
-    kernel_dim: int
-
-
-def solve_linear(matrix: CMatrix, rhs: Sequence) -> LinearSolution | None:
+def solve_linear(matrix: CMatrix, rhs: Sequence) -> Vector | None:
     """Solve ``A x = b`` exactly; None when the system is inconsistent.
 
     Underdetermined systems yield the particular solution with all free
-    variables set to zero, with ``kernel_dim`` reporting the solution
-    space dimension.
+    variables set to zero.
     """
     b = as_vector(rhs)
     if len(b) != matrix.rows:
@@ -219,7 +210,7 @@ def solve_linear(matrix: CMatrix, rhs: Sequence) -> LinearSolution | None:
     x = [ZERO] * n
     for r, c in enumerate(pivots):
         x[c] = reduced[r][n]
-    return LinearSolution(tuple(x), n - len(pivots))
+    return tuple(x)
 
 
 def kernel(matrix: CMatrix) -> list[Vector]:
@@ -275,7 +266,7 @@ def min_poly(matrix: CMatrix) -> Vector:
         target = flatten(power)
         solution = solve_linear(CMatrix.from_columns(columns), target)
         if solution is not None:
-            return tuple(-c for c in solution.x) + (ONE,)
+            return tuple(-c for c in solution) + (ONE,)
         columns.append(target)
     raise AssertionError("unreachable: degree bounded by Cayley-Hamilton")
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -359,6 +360,39 @@ def full_report_ids():
     return [c.id for c in verify_all().checks]
 
 
+# The fragment checks that read each entry: exactly these fail without it.
+READERS = {
+    "flat_c3": {"unimodular3/flat_c3", "unimodular3/flat_iff_solvable"},
+    "heis3": {"unimodular3/heis3", "unimodular3/flat_iff_solvable"},
+    "sol3": {"unimodular3/sol3", "unimodular3/flat_iff_solvable"},
+    "sl2": {
+        "unimodular3/sl2",
+        "unimodular3/flat_iff_solvable",
+        "semisimple4/killing_proportional_constant",
+        "semisimple4/general_ab_report",
+    },
+    "c_oplus_sl2": {
+        "semisimple4/killing_proportional_constant",
+        "semisimple4/general_ab_invariance",
+    },
+    "c_times_sl2": set(),
+    "c_times_sol": {
+        "solvable4/case1_center",
+        "solvable4/case1_sol_span",
+        "solvable4/isotropy_semisimple",
+    },
+    "c_ltimes_heis": {
+        "solvable4/case2_center",
+        "solvable4/case2_heis_ideal",
+        "solvable4/case2_weights",
+        "solvable4/isotropy_semisimple",
+    },
+    "c2_semidirect_c2": {"solvable4/case3_center", "solvable4/isotropy_semisimple"},
+    "heis_stab_zero": {"solvable4/family_isotropy_unipotent"},
+    "heis_stab_generic": {"solvable4/family_isotropy_unipotent"},
+}
+
+
 @pytest.mark.parametrize("entry_id", CATALOG_IDS)
 def test_missing_entry_fails_the_report(entry_id, full_report_ids):
     report = verify_all(catalog=[e for e in build_catalog() if e.id != entry_id])
@@ -367,6 +401,40 @@ def test_missing_entry_fails_the_report(entry_id, full_report_ids):
     assert by_id[f"{entry_id}/entry"].witness == "entry missing"
     outside = {i for i in full_report_ids if not i.startswith(f"{entry_id}/")}
     assert outside <= set(by_id)
+
+
+@pytest.mark.parametrize("entry_id", CATALOG_IDS)
+def test_missing_entry_fails_exactly_the_checks_that_read_it(entry_id, full_report_ids):
+    report = verify_all(catalog=[e for e in build_catalog() if e.id != entry_id])
+    outside = [i for i in full_report_ids if not i.startswith(f"{entry_id}/")]
+    assert [c.id for c in report.checks if c.id != f"{entry_id}/entry"] == outside
+    failed = {c.id: c.witness for c in report.checks if not c.passed}
+    assert failed == dict.fromkeys({f"{entry_id}/entry", *READERS[entry_id]}, "entry missing")
+
+
+@pytest.mark.parametrize("entry_id", ["flat_c3", "heis3", "sol3", "sl2"])
+def test_flat_iff_solvable_fails_without_any_of_its_entries(entry_id):
+    checks = verify_prop_unimodular([e for e in build_catalog() if e.id != entry_id])
+    check = next(c for c in checks if c.id == "unimodular3/flat_iff_solvable")
+    assert (check.status, check.witness, check.value) == ("fail", "entry missing", None)
+
+
+def test_constant_curvature_none_passes_on_a_metric_of_no_constant_curvature():
+    sl2 = next(e for e in build_catalog() if e.id == "sl2")
+    generic = replace(
+        sl2, form=catalog._GENERIC_AB_FORM, expected={"constant_curvature": "none"}
+    )
+    (check,) = [c for c in verify_entry(generic) if c.id == "sl2/constant_curvature"]
+    assert (check.status, check.value) == ("pass", "NotConstant")
+
+
+def test_constant_curvature_none_fails_on_a_flat_entry(shipped_text):
+    text = shipped_file_text("heis3")
+    shipped_text["heis3"] = text.replace("constant_curvature = 0", "constant_curvature = none")
+    failed = failed_checks(verify_all(42))
+    assert [(c.id, c.witness, c.value) for c in failed] == [
+        ("heis3/constant_curvature", "got Constant(0)", "Constant(0)")
+    ]
 
 
 def test_fragments_keep_their_checks_without_entries():

@@ -129,6 +129,33 @@ def test_self_bracket_must_vanish():
     assert parse(zero_self).brackets == {("Y", "Z"): {"X": gr(1)}}
 
 
+@pytest.mark.parametrize(
+    "section, first, second, reason",
+    [
+        ("brackets", '"X,Y" = 0', '"X,Y" = Z', 'bracket "X,Y" specified twice'),
+        ("brackets", '"Y,X" = 0', '"X,Y" = Z', 'bracket "X,Y" specified twice'),
+        ("brackets", '"Y,Y" = 0', '"Y,Y" = 0', 'bracket "Y,Y" specified twice'),
+        ("form", '"X,Y" = 0', '"X,Y" = 1', 'form entry "X,Y" given twice'),
+        ("form", '"Y,X" = 0', '"X,Y" = 1', 'form entry "X,Y" given twice'),
+        ("form", '"Y,Y" = 0', '"Y,Y" = 0', 'form entry "Y,Y" given twice'),
+    ],
+)
+def test_a_pair_given_twice_is_a_duplicate_also_when_zero(section, first, second, reason):
+    text = f"[algebra]\nname = a\ndim = 3\nbasis = X, Y, Z\n[{section}]\n{first}\n{second}\n"
+    with pytest.raises(DuplicateKey) as info:
+        parse(text)
+    assert (info.value.line, info.value.col, info.value.reason) == (7, 1, reason)
+
+
+def test_superscript_digits_are_not_numbers():
+    with pytest.raises(DslError) as info:
+        parse(HEIS_TEXT.replace("dim = 3", "dim = \u00b2"))
+    assert info.value.reason == "dim must be a nonnegative integer"
+    with pytest.raises(MalformedScalar) as info:
+        parse_scalar("\u00b2")
+    assert (info.value.col, info.value.reason) == (1, "unexpected character '\u00b2'")
+
+
 def test_zero_entries_dropped():
     text = HEIS_TEXT + '\n[isotropy]\ngen = Y + 0 Z\n'
     spec = parse(text)
