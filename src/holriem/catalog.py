@@ -26,7 +26,6 @@ the report never gets shorter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from importlib import resources
@@ -75,7 +74,7 @@ from .models import (
     invariant_forms,
     isotropy_type,
 )
-from .scalars import GaussianRational, as_gr, gr
+from .scalars import GaussianRational, Record, as_gr, gr
 
 DEFAULT_SEED = 42
 
@@ -111,14 +110,10 @@ _MODEL_KEYS = ("isotropy", "invariance", "invariant_form_dim", "center_dim", "un
 # -- catalog ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ParamExtension:
+class ParamExtension(Record):
     """Parameters (c, m, k, beta) of the 4-dimensional stabilizer family."""
 
-    c: GaussianRational
-    m: GaussianRational
-    k: GaussianRational
-    beta: GaussianRational
+    __slots__ = _fields = ("c", "m", "k", "beta")
 
     def __init__(self, c=0, m=0, k=0, beta=0):
         object.__setattr__(self, "c", as_gr(c))
@@ -127,16 +122,26 @@ class ParamExtension:
         object.__setattr__(self, "beta", as_gr(beta))
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     """One catalog item; its metric data and its structural facts are
-    derived once, on first use."""
+    derived once, on first use, into ``__dict__``."""
 
-    id: str
-    algebra: LieAlgebra
-    form: QuadraticForm | None = None
-    model: HomogeneousModel | None = None
-    expected: dict[str, str] | None = None
+    _fields = ("id", "algebra", "form", "model", "expected")
+    __slots__ = _fields + ("__dict__",)
+
+    def __init__(
+        self,
+        id: str,
+        algebra: LieAlgebra,
+        form: QuadraticForm | None = None,
+        model: HomogeneousModel | None = None,
+        expected: dict[str, str] | None = None,
+    ):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "expected", expected)
 
     @cached_property
     def connection(self) -> ConnectionTable:
@@ -321,12 +326,14 @@ def check_prop_iv(params: ParamExtension) -> bool:
 # -- check plumbing --------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
-    id: str
-    status: str  # "pass" | "fail"
-    witness: str | None = None
-    value: str | None = None
+class CheckResult(Record):
+    __slots__ = _fields = ("id", "status", "witness", "value")
+
+    def __init__(self, id: str, status: str, witness: str | None = None, value: str | None = None):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "status", status)  # "pass" | "fail"
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "value", value)
 
     @property
     def passed(self) -> bool:
@@ -341,10 +348,12 @@ class CheckResult:
         return line
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    seed: int
-    checks: tuple[CheckResult, ...]
+class VerifyReport(Record):
+    __slots__ = _fields = ("seed", "checks")
+
+    def __init__(self, seed: int, checks: tuple[CheckResult, ...]):
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def pass_count(self) -> int:

@@ -44,7 +44,6 @@ lowest terms) and ``parse(serialize(s)) == s``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -52,7 +51,7 @@ from .forms import QuadraticForm
 from .liealg import LieAlgebra
 from .linalg import CMatrix, Vector, rref
 from .models import HomogeneousModel
-from .scalars import GaussianRational, ONE, ZERO, as_gr, gr
+from .scalars import GaussianRational, ONE, Record, ZERO, as_gr, gr
 
 
 class DslError(ValueError):
@@ -109,18 +108,27 @@ _PAIR_KEY_RE = re.compile(
 )
 
 
-@dataclass(eq=True)
-class SpecFile:
-    """Parsed declarative description of an algebra with optional extras."""
+class SpecFile(Record):
+    """Parsed declarative description of an algebra with optional extras;
+    unlike the other records it is mutable, so it is unhashable."""
 
-    name: str
-    labels: tuple[str, ...]
-    brackets: dict[tuple[str, str], dict[str, GaussianRational]] = field(
-        default_factory=dict
-    )
-    form: dict[tuple[str, str], GaussianRational] = field(default_factory=dict)
-    isotropy: tuple[dict[str, GaussianRational], ...] = ()
-    expected: dict[str, str] = field(default_factory=dict)
+    __slots__ = _fields = ("name", "labels", "brackets", "form", "isotropy", "expected")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        name: str,
+        labels: tuple[str, ...],
+        brackets: dict[tuple[str, str], dict[str, GaussianRational]] | None = None,
+        form: dict[tuple[str, str], GaussianRational] | None = None,
+        isotropy: tuple[dict[str, GaussianRational], ...] = (),
+        expected: dict[str, str] | None = None,
+    ):
+        self.name, self.labels, self.isotropy = name, labels, isotropy
+        self.brackets = {} if brackets is None else brackets
+        self.form = {} if form is None else form
+        self.expected = {} if expected is None else expected
 
 
 # -- scalar / combination expression parsing --------------------------------

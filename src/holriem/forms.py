@@ -2,25 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import CMatrix, _dot, as_vector
-from .scalars import GaussianRational, ZERO, as_gr
+from .scalars import GaussianRational, Record, ZERO, as_gr
 
 
 class DegenerateForm(ValueError):
     """Raised when an operation needs a nondegenerate quadratic form."""
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class QuadraticForm:
+class QuadraticForm(Record):
     """Symmetric complex bilinear form given by its exact Gram matrix.
 
     Nondegeneracy is not required at construction; it is certified by
     ``nondegenerate`` (full rank, through ``linalg._reduce``) where operations demand it.
     """
 
+    __slots__ = _fields = ("gram",)
     gram: CMatrix
 
     def __init__(self, gram: CMatrix | Iterable[Iterable]):

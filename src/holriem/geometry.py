@@ -36,34 +36,37 @@ checks on the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
 from .forms import DegenerateForm, QuadraticForm
 from .liealg import LieAlgebra
 from .linalg import CMatrix, Vector, as_vector, kernel, vadd, vsub
-from .scalars import GaussianRational, ONE, ZERO, as_gr
+from .scalars import GaussianRational, ONE, Record, ZERO, as_gr
 
 _HALF = ONE / 2
 
 
-@dataclass(frozen=True, slots=True)
-class ConnectionTable:
+class ConnectionTable(Record):
     """Christoffel data: ``coeffs[i][j]`` is nabla_{e_i} e_j in the frame."""
 
-    coeffs: tuple[tuple[Vector, ...], ...]
+    __slots__ = _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[tuple[Vector, ...], ...]):
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def dim(self) -> int:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True, slots=True)
-class CurvatureTensor:
+class CurvatureTensor(Record):
     """Full tensor: ``comps[i][j][k]`` is R(e_i, e_j) e_k in the frame."""
 
-    comps: tuple[tuple[tuple[Vector, ...], ...], ...]
+    __slots__ = _fields = ("comps",)
+
+    def __init__(self, comps: tuple[tuple[tuple[Vector, ...], ...], ...]):
+        object.__setattr__(self, "comps", comps)
 
     @property
     def dim(self) -> int:

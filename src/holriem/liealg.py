@@ -16,7 +16,6 @@ one [g, g] to each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -26,13 +25,13 @@ from .linalg import (
     CMatrix,
     Vector,
     _dot,
+    _reduce,
     as_vector,
     kernel,
-    solve_linear,
     span_basis,
     zero_vector,
 )
-from .scalars import ZERO, as_gr
+from .scalars import Record, ZERO, as_gr
 
 
 class WrongDimension(ValueError):
@@ -56,12 +55,12 @@ class AlgebraClass(Enum):
     SL2 = "SL2"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class LieAlgebra:
+class LieAlgebra(Record):
+    _fields = ("basis_names", "constants")
+    # terms[i][j]: the tuple of the nonzero (k, c_ij^k), derived from constants.
+    __slots__ = _fields + ("terms",)
     basis_names: tuple[str, ...]
     constants: tuple[tuple[Vector, ...], ...]
-    # terms[i][j]: the tuple of the nonzero (k, c_ij^k), derived from constants.
-    terms: tuple = field(init=False, compare=False, repr=False)
 
     def __init__(self, basis_names: Sequence[str], constants: Sequence[Sequence[Sequence]]):
         names = tuple(basis_names)
@@ -306,25 +305,25 @@ def subalgebra(
     generators are dependent.
     """
     vecs = [as_vector(v) for v in vectors]
-    if len(span_basis(vecs)) != len(vecs):
-        raise ValueError("subalgebra generators are linearly dependent")
+    k = len(vecs)
     transition = CMatrix.from_columns(vecs)
-    names = (
-        tuple(basis_names)
-        if basis_names
-        else tuple(f"s{k}" for k in range(len(vecs)))
-    )
+    # One elimination of [T | I]: if T has rank k, the rows [I_k | L] give the
+    # coordinates L b of a b in the span, and the rows [0 | N] test N b = 0.
+    identity = CMatrix.identity(transition.rows).entries
+    rows, pivots = _reduce([list(t + e) for t, e in zip(transition.entries, identity)])
+    if pivots[:k] != list(range(k)):
+        raise ValueError("subalgebra generators are linearly dependent")
+    coords = [row[k:] for row in rows[:k]]
+    members = [row[k:] for row in rows[k:]]
+    names = tuple(basis_names) if basis_names else tuple(f"s{i}" for i in range(k))
     grid = []
     for i, u in enumerate(vecs):
         row = []
         for j, v in enumerate(vecs):
             image = bracket(algebra, u, v)
-            solution = solve_linear(transition, image)
-            if solution is None:
-                raise NotClosed(
-                    f"bracket of generators {i} and {j} leaves the span"
-                )
-            row.append(solution)
+            if any(_dot(r, image) for r in members):
+                raise NotClosed(f"bracket of generators {i} and {j} leaves the span")
+            row.append(tuple(_dot(r, image) for r in coords))
         grid.append(row)
     return LieAlgebra(names, grid)
 

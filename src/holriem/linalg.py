@@ -11,10 +11,9 @@ minimal polynomial p (Hoffman and Kunze, *Linear Algebra*, section 6.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .scalars import GaussianRational, ONE, ZERO, as_gr
+from .scalars import GaussianRational, ONE, Record, ZERO, as_gr
 
 Vector = tuple[GaussianRational, ...]
 
@@ -43,10 +42,11 @@ def vsub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class CMatrix:
+class CMatrix(Record):
     """Immutable dense matrix with GaussianRational entries."""
 
+    __slots__ = _fields = ("entries",)
+    __hash__ = Record.__hash__  # a class that defines __eq__ drops the inherited one
     entries: tuple[tuple[GaussianRational, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable]):
@@ -57,6 +57,9 @@ class CMatrix:
         if any(len(row) != width for row in grid):
             raise ValueError("ragged rows in matrix")
         object.__setattr__(self, "entries", grid)
+
+    def __eq__(self, other) -> bool:  # hot: every QuadraticForm tests its symmetry with it
+        return self.entries == other.entries if other.__class__ is CMatrix else NotImplemented
 
     @classmethod
     def identity(cls, n: int) -> "CMatrix":

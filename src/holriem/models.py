@@ -13,7 +13,6 @@ other form on the quotient) and the invariant forms read them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -27,7 +26,7 @@ from .linalg import (
     is_semisimple_matrix,
     kernel,
 )
-from .scalars import ZERO
+from .scalars import Record, ZERO
 
 
 class NotSubalgebraInvariant(ValueError):
@@ -48,16 +47,14 @@ class IsotropyType(Enum):
     MIXED = "MIXED"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class HomogeneousModel:
+class HomogeneousModel(Record):
+    _fields = ("algebra", "isotropy", "complement", "quotient_form")
+    # Derived once: frame_inverse = transition()^-1, actions[a] = induced_ad(self, isotropy[a]).
+    __slots__ = _fields + ("frame_inverse", "actions")
     algebra: LieAlgebra
     isotropy: tuple[Vector, ...]
     complement: tuple[Vector, ...]
     quotient_form: QuadraticForm | None
-    # Inverse of transition(): coordinates in the (isotropy, complement) frame.
-    frame_inverse: CMatrix = field(init=False, compare=False, repr=False)
-    # actions[a] = induced_ad(self, isotropy[a]), derived once.
-    actions: tuple[CMatrix, ...] = field(init=False, compare=False, repr=False)
 
     def __init__(
         self,

@@ -14,6 +14,38 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
+
+
+class Record:
+    """Immutable ``__slots__`` value: equality, hash and repr read only the
+    fields named in ``_fields``, so derived slots stay out.  ``__init__``
+    sets each slot with ``object.__setattr__``; any later assignment raises."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)  # a value for one field, a tuple for more
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle call __init__, which takes the fields in order
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _ratio(value: int | Fraction) -> tuple[int, int]:

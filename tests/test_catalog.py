@@ -2,7 +2,6 @@
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -421,8 +420,8 @@ def test_flat_iff_solvable_fails_without_any_of_its_entries(entry_id):
 
 def test_constant_curvature_none_passes_on_a_metric_of_no_constant_curvature():
     sl2 = next(e for e in build_catalog() if e.id == "sl2")
-    generic = replace(
-        sl2, form=catalog._GENERIC_AB_FORM, expected={"constant_curvature": "none"}
+    generic = CatalogEntry(
+        sl2.id, sl2.algebra, catalog._GENERIC_AB_FORM, expected={"constant_curvature": "none"}
     )
     (check,) = [c for c in verify_entry(generic) if c.id == "sl2/constant_curvature"]
     assert (check.status, check.value) == ("pass", "NotConstant")

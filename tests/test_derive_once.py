@@ -153,6 +153,13 @@ def test_verify_all_derives_each_isotropy_action_once(work):
     assert work["induced_ad"] == 12
 
 
+def test_verify_all_eliminates_each_subalgebra_once(work):
+    assert catalog.verify_all(42).all_pass
+    # Six subalgebra spans of three generators: one elimination of [T | I]
+    # each, where one span_basis and nine solve_linear made 184 in all.
+    assert work["_reduce"] == 130
+
+
 def test_verify_all_inverts_no_frame_twice(eliminations):
     assert catalog.verify_all(42).all_pass
     # 19 when section 4 rebuilt the c_oplus_sl2 model to swap its form.

@@ -1,16 +1,16 @@
 """One table of structural facts (``catalog.FACTS``) for the report and the CLI."""
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from conftest import failed_checks
 
 from holriem import catalog, dsl
-from holriem.catalog import CATALOG_IDS, FACTS, build_catalog, verify_all
+from holriem.catalog import CATALOG_IDS, FACTS, CatalogEntry, build_catalog, verify_all
 from holriem.cli import cli
 from holriem.forms import QuadraticForm
+from holriem.models import HomogeneousModel
 
 DATA = Path(catalog.__file__).parent / "data"
 
@@ -89,7 +89,9 @@ def test_entry_derives_each_fact_once(monkeypatch):
 def test_model_without_quotient_form_fails_only_its_invariance():
     entries = build_catalog()
     k = next(i for i, e in enumerate(entries) if e.id == "c_times_sol")
-    entries[k] = replace(entries[k], model=replace(entries[k].model, quotient_form=None))
+    entry, model = entries[k], entries[k].model
+    model = HomogeneousModel(model.algebra, model.isotropy, model.complement)
+    entries[k] = CatalogEntry(entry.id, entry.algebra, entry.form, model, entry.expected)
     assert FACTS["invariance"](entries[k]) == "n/a"
     failed = failed_checks(verify_all(42, entries))
     assert [(c.id, c.witness, c.value) for c in failed] == [
@@ -155,7 +157,9 @@ def test_find_unquoted(line, char, position):
 def test_a_model_fact_on_a_metric_entry_fails_its_check():
     entries = build_catalog()
     k = next(i for i, e in enumerate(entries) if e.id == "sol3")
-    entries[k] = replace(entries[k], expected={**entries[k].expected, "isotropy": "UNIPOTENT"})
+    entry = entries[k]
+    expected = {**entry.expected, "isotropy": "UNIPOTENT"}
+    entries[k] = CatalogEntry(entry.id, entry.algebra, entry.form, entry.model, expected)
     for key in ("isotropy", "invariance", "invariant_form_dim"):
         with pytest.raises(ValueError, match="entry carries no model"):
             FACTS[key](entries[k])

@@ -1,7 +1,5 @@
 """Homogeneous models: induced actions, isotropy types, invariant forms."""
 
-from dataclasses import replace
-
 import pytest
 
 from holriem.catalog import ParamExtension, build_catalog, heis_stabilizer_model
@@ -134,9 +132,11 @@ def test_invariant_forms_unipotent_contains_adapted_gram():
 def test_check_invariance():
     good = CATALOG["c_ltimes_heis"].model
     assert check_invariance(good)
-    bad = replace(
-        good,
-        quotient_form=QuadraticForm.from_sparse(
+    bad = HomogeneousModel(
+        good.algebra,
+        good.isotropy,
+        good.complement,
+        QuadraticForm.from_sparse(
             ("X", "Z", "T"), {("X", "X"): 1, ("Z", "Z"): 1, ("T", "T"): 1}
         ),
     )
