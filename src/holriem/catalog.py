@@ -12,22 +12,25 @@ the same text.  An entry derives its center, derived series and isotropy
 type once, as it does its connection and curvature.
 
 Check results are flat (id, status, witness, value) records so reports
-stay grep-able.  Every check is exact and draws no random numbers: a claim
-about a parameter family is proved on a finite grid whose size the degree
-of the claim bounds, so ``verify_all`` gives the same checks for every seed.
+stay grep-able.  ``verify_all`` runs the fragments of ``FRAGMENTS`` in
+report order.  Every check is exact and draws no random numbers: a claim
+about a parameter family is proved by ``_prove`` on a finite grid whose
+size the degree of the claim bounds, so ``verify_all`` gives the same
+checks for every seed.
 
 One rule covers a check that cannot be computed (``_run``): the
 ``ValueError`` its computation raises fails it, with the message as
 witness.  So a missing entry (``entry missing``), an entry without the
 model, metric or quotient form a check reads, a fact that does not apply
-and a span that is not a subalgebra each fail the checks that read them;
-the report never gets shorter.
+and a span that is not a subalgebra each fail the checks that read them,
+and a grid point where the claim cannot be evaluated fails its proof with
+``at <point>: <message>``; the report never gets shorter.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from importlib import resources
 from itertools import product, zip_longest
 from typing import Callable, Iterable, Sequence
@@ -37,7 +40,7 @@ from .forms import QuadraticForm
 from .geometry import (
     ConnectionTable,
     CurvatureTensor,
-    _first_index,
+    _first,
     adapted_gram_unipotent,
     bianchi_defect,
     compatibility_defect,
@@ -142,6 +145,10 @@ class CatalogEntry(Record):
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "expected", expected)
+
+    def __hash__(self):
+        # Every field but the mutable ``expected`` dict, which equality still compares.
+        return hash(self._key(self)[:-1])
 
     @cached_property
     def connection(self) -> ConnectionTable:
@@ -414,25 +421,14 @@ def _render_constant(k: GaussianRational | None) -> str:
 
 
 def verify_entry(entry: CatalogEntry) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-    algebra = entry.algebra
-    prefix = entry.id
-
-    triple = jacobi_witness(algebra)
-    checks.append(
-        _check(f"{prefix}/jacobi", triple is None, _triple_str(algebra, triple))
-    )
-
+    """Jacobi, then each ``[expected]`` property, then the identities of the metric."""
+    triple = jacobi_witness(entry.algebra)
+    checks = [_check(f"{entry.id}/jacobi", triple is None, _triple_str(entry.algebra, triple))]
     for key, expected in (entry.expected or {}).items():
-        checks.append(_entry_property_check(entry, key, expected))
-
+        checks.append(_run(f"{entry.id}/{key}", _property_check, entry, key, expected))
     if entry.form is not None:
         checks.extend(_metric_identity_checks(entry))
     return checks
-
-
-def _entry_property_check(entry: CatalogEntry, key: str, expected: str) -> CheckResult:
-    return _run(f"{entry.id}/{key}", _property_check, entry, key, expected)
 
 
 def _property_check(check_id: str, entry: CatalogEntry, key: str, expected: str) -> CheckResult:
@@ -454,29 +450,24 @@ def _constant_curvature_check(check_id: str, entry: CatalogEntry, expected: str)
 
 
 def _metric_identity_checks(entry: CatalogEntry) -> list[CheckResult]:
-    prefix, algebra, form = entry.id, entry.algebra, entry.form
-    torsion = torsion_defect(algebra, entry.connection)
-    compat = compatibility_defect(form, entry.connection)
-    antisym = curvature_antisymmetry_defect(entry.tensor)
-    bianchi = bianchi_defect(entry.tensor)
-    skew = pair_skew_defect(form, entry.tensor)
+    """The identities of the connection and the curvature, each computed
+    under ``_run``, so that a metric without a connection fails them."""
     return [
-        _check(f"{prefix}/torsion_free", torsion is None, _triple_str(algebra, torsion)),
-        _check(
-            f"{prefix}/metric_compatible", compat is None, _triple_str(algebra, compat)
-        ),
-        _check(
-            f"{prefix}/curvature_antisymmetry",
-            antisym is None,
-            _triple_str(algebra, antisym),
-        ),
-        _check(
-            f"{prefix}/first_bianchi", bianchi is None, _triple_str(algebra, bianchi)
-        ),
-        _check(
-            f"{prefix}/curvature_pair_skew", skew is None, _triple_str(algebra, skew)
-        ),
+        _run(f"{entry.id}/{suffix}", _index_check, entry.algebra, defect)
+        for suffix, defect in (
+            ("torsion_free", lambda: torsion_defect(entry.algebra, entry.connection)),
+            ("metric_compatible", lambda: compatibility_defect(entry.form, entry.connection)),
+            ("curvature_antisymmetry", lambda: curvature_antisymmetry_defect(entry.tensor)),
+            ("first_bianchi", lambda: bianchi_defect(entry.tensor)),
+            ("curvature_pair_skew", lambda: pair_skew_defect(entry.form, entry.tensor)),
+        )
     ]
+
+
+def _index_check(check_id: str, algebra: LieAlgebra, defect: Callable[[], tuple | None]) -> CheckResult:
+    """Passes when ``defect()`` finds no violating index tuple; the witness names the first."""
+    indices = defect()
+    return _check(check_id, indices is None, _triple_str(algebra, indices))
 
 
 # -- fragments -------------------------------------------------------------
@@ -492,6 +483,11 @@ class _Entries(dict):
         raise ValueError("entry missing")
 
 
+def _run_rows(rows: Iterable[tuple], *shared) -> list[CheckResult]:
+    """``_run`` of each (check id, check, *args) row, with ``shared`` passed before ``args``."""
+    return [_run(check_id, check, *shared, *args) for check_id, check, *args in rows]
+
+
 _UNIMODULAR_IDS = ("flat_c3", "heis3", "sol3", "sl2")
 
 
@@ -500,10 +496,9 @@ def verify_prop_unimodular(catalog: Sequence[CatalogEntry]) -> list[CheckResult]
 
     Flat exactly for the solvable three; nonzero constant for sl(2).
     """
-    entries = _Entries(catalog)
-    checks = [_run(f"unimodular3/{i}", _unimodular_curvature, entries, i) for i in _UNIMODULAR_IDS]
-    checks.append(_run("unimodular3/flat_iff_solvable", _flat_iff_solvable, entries))
-    return checks
+    rows = [(f"unimodular3/{i}", _unimodular_curvature, i) for i in _UNIMODULAR_IDS]
+    rows.append(("unimodular3/flat_iff_solvable", _flat_iff_solvable))
+    return _run_rows(rows, _Entries(catalog))
 
 
 def _unimodular_curvature(check_id: str, entries: _Entries, entry_id: str) -> CheckResult:
@@ -534,10 +529,8 @@ def verify_section4(catalog: Sequence[CatalogEntry]) -> list[CheckResult]:
     Killing-proportional case; (a, b) = (1, 1) is a generic one, tested
     against the model's isotropy actions.
     """
-    entries = _Entries(catalog)
-    return [
-        _run(check_id, check, entries, *args)
-        for check_id, check, *args in (
+    return _run_rows(
+        (
             (
                 "semisimple4/killing_proportional_constant",
                 _sl2_curvature,
@@ -546,8 +539,9 @@ def verify_section4(catalog: Sequence[CatalogEntry]) -> list[CheckResult]:
             ),
             ("semisimple4/general_ab_invariance", _general_ab_invariance),
             ("semisimple4/general_ab_report", _sl2_curvature, None, "NotConstant"),
-        )
-    ]
+        ),
+        _Entries(catalog),
+    )
 
 
 def _sl2_curvature(check_id: str, entries: _Entries, model_id: str | None, want: str) -> CheckResult:
@@ -564,12 +558,10 @@ def _general_ab_invariance(check_id: str, entries: _Entries) -> CheckResult:
 
 
 def verify_section5_tables(catalog: Sequence[CatalogEntry]) -> list[CheckResult]:
-    entries = _Entries(catalog)
     semisimple = ("c_times_sol", "c_ltimes_heis", "c2_semidirect_c2")
     unipotent = ("heis_stab_zero", "heis_stab_generic")
-    return [
-        _run(check_id, check, entries, *args)
-        for check_id, check, *args in (
+    return _run_rows(
+        (
             ("solvable4/case1_center", _x_line_center_check, "c_times_sol"),
             ("solvable4/case1_sol_span", _span_class_check, "c_times_sol", ("Y", "Z", "T"), "SOL"),
             ("solvable4/case2_center", _x_line_center_check, "c_ltimes_heis"),
@@ -585,8 +577,9 @@ def verify_section5_tables(catalog: Sequence[CatalogEntry]) -> list[CheckResult]
             ("solvable4/case3_center", _case3_center_check),
             ("solvable4/isotropy_semisimple", _isotropy_check, semisimple, "SEMISIMPLE"),
             ("solvable4/family_isotropy_unipotent", _isotropy_check, unipotent, "UNIPOTENT"),
-        )
-    ]
+        ),
+        _Entries(catalog),
+    )
 
 
 def _center_is_x_line(entry: CatalogEntry) -> bool:
@@ -642,91 +635,138 @@ def verify_isotropy_dimension_bounds() -> list[CheckResult]:
     unit = (gr(0), gr(1), gr(0))
     null = (gr(1), gr(0), gr(0))
     frame_partner = (gr(1), gr(0), gr(1))
-    checks = []
-    for name, fixed, want in (
-        ("so_q_dim", [], 3),
-        ("fix_unit_vector", [unit], 1),
-        ("fix_null_vector", [null], 1),
-        ("fix_frame", [unit, frame_partner], 0),
-    ):
-        dim = len(stabilizer_in_skew(form, fixed))
-        checks.append(_check(f"isotropy-bounds/{name}", dim == want, f"got {dim}", str(dim)))
-    return checks
-
-
-# Parameter points (c, m, k, beta): the principal lattice {p in N^4 : sum(p) <= 2}
-# in lexicographic order, and its affine points, the origin and the unit vectors.
-# Each set is unisolvent for polynomials of its degree (Chung and Yao, SIAM J.
-# Numer. Anal. 1977): such a polynomial vanishing on the set vanishes everywhere.
-_GRID = tuple(p for p in product(range(3), repeat=4) if sum(p) <= 2)
-_AFFINE = ((0, 0, 0, 0), *(tuple(int(i == j) for j in range(4)) for i in range(4)))
-
-
-def _heis_family_jacobi() -> str | None:
-    """First grid point that breaks Jacobi, or where the structure constants
-    differ from their interpolation from the affine points, or None."""
-    algebras = {p: build_param_extension(ParamExtension(*p)) for p in _GRID}
-    flat = {p: [x for row in g.constants for v in row for x in v] for p, g in algebras.items()}
-    origin = flat[_AFFINE[0]]
-    # Sparse slopes: (position, difference) where a unit point differs from the origin.
-    slopes = [
-        [(s, a - b) for s, (a, b) in enumerate(zip(flat[e], origin)) if a != b]
-        for e in _AFFINE[1:]
+    return [
+        _run(f"isotropy-bounds/{name}", _stabilizer_dim_check, form, fixed, want)
+        for name, fixed, want in (
+            ("so_q_dim", [], 3),
+            ("fix_unit_vector", [unit], 1),
+            ("fix_null_vector", [null], 1),
+            ("fix_frame", [unit, frame_partner], 0),
+        )
     ]
-    for p, algebra in algebras.items():
+
+
+def _stabilizer_dim_check(check_id: str, form: QuadraticForm, fixed: list, want: int) -> CheckResult:
+    dim = len(stabilizer_in_skew(form, fixed))
+    return _check(check_id, dim == want, f"got {dim}", str(dim))
+
+
+# -- grid proofs -------------------------------------------------------------
+
+
+def _lattice(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """The principal lattice {p in N^nvars : sum(p) <= degree}, in lexicographic order."""
+    return tuple(p for p in product(range(degree + 1), repeat=nvars) if sum(p) <= degree)
+
+
+def _box(size: int, nvars: int) -> tuple[tuple[int, ...], ...]:
+    """The product grid range(size)^nvars, in lexicographic order."""
+    return tuple(product(range(size), repeat=nvars))
+
+
+def _prove(points: Sequence[tuple], defect: Callable[..., object]) -> tuple[tuple | None, int]:
+    """The first point p of ``points`` where ``defect(*p)`` is nonzero, or
+    None, and the number of points.  A ValueError raised at p is raised again
+    as ``at <p>: <message>``.
+
+    A polynomial of total degree <= d that vanishes on the principal lattice
+    of degree d is zero (Chung and Yao, SIAM J. Numer. Anal. 1977); so is one
+    of degree <= d in each variable that vanishes on {0, ..., d}^n (Alon,
+    "Combinatorial Nullstellensatz", Combin. Probab. Comput. 1999).
+    """
+
+    def bad(*point):
+        try:
+            return defect(*point)
+        except ValueError as exc:
+            raise ValueError(f"at {point}: {exc}") from None
+
+    return _first(points, bad), len(points)
+
+
+def _grid_check(
+    check_id: str,
+    points: Sequence[tuple],
+    defect: Callable[..., object],
+    witness: Callable[[tuple], str],
+    unit: str | None = None,
+) -> CheckResult:
+    """Passes when ``defect`` vanishes on ``points``; ``witness`` describes the
+    first point where it does not, and the value counts the points in ``unit``."""
+    point, count = _prove(points, defect)
+    return _check(check_id, point is None, point and witness(point), unit and f"{count} {unit}")
+
+
+def _heis_family_jacobi(check_id: str) -> CheckResult:
+    """Jacobi at every point (c, m, k, beta) of the degree-2 lattice, then the
+    structure constants there equal to their interpolation from the affine points."""
+    grid, flat = _lattice(4, 2), {}
+
+    def jacobi(*p):
+        algebra = build_param_extension(ParamExtension(*p))
+        flat[p] = [x for row in algebra.constants for v in row for x in v]
         triple = jacobi_witness(algebra)
-        if triple is not None:
-            return f"at {p}: Jacobi fails, {_triple_str(algebra, triple)}"
-        line = list(origin)
-        for t, slope in zip(p, slopes):
+        return triple and f"Jacobi fails, {_triple_str(algebra, triple)}"
+
+    point, count = _prove(grid, jacobi)
+    if point is not None:
+        return _check(check_id, False, f"at {point}: {jacobi(*point)}", f"{count} grid points")
+    origin, *units = _lattice(4, 1)
+    # Per unit point e_i: i, and (position, difference) where its constants differ from the origin's.
+    slopes = [
+        (u.index(1), [(s, a - b) for s, (a, b) in enumerate(zip(flat[u], flat[origin])) if a != b])
+        for u in units
+    ]
+
+    def not_affine(*p):
+        line = list(flat[origin])
+        for i, slope in slopes:
             for s, d in slope:
-                line[s] += t * d
-        if flat[p] != line:
-            return f"at {p}: structure constants not affine"
-    return None
+                line[s] += p[i] * d
+        return flat[p] != line
+
+    return _grid_check(
+        check_id, grid, not_affine, lambda p: f"at {p}: structure constants not affine", "grid points"
+    )
 
 
-def _heis_family_isotropy() -> str | None:
-    """First affine point where the isotropy frame moves or the induced action
-    is not the nilpotent flow generator, or None.
+def _heis_family_isotropy(check_id: str) -> CheckResult:
+    """At every affine point the isotropy frame is the origin's and the induced
+    action is the nilpotent flow generator.
 
     With the frame fixed, ``induced_ad`` is affine in the parameters.
     """
-    generator = unipotent_isotropy_generator()
+    generator, grid, frames = unipotent_isotropy_generator(), _lattice(4, 1), {}
+
+    def defect(*p):
+        model = heis_stabilizer_model(ParamExtension(*p))
+        frames[p] = model.isotropy + model.complement
+        if frames[p] != frames[grid[0]]:
+            return "isotropy or complement moved"
+        return model.actions[0] != generator and f"induced action {model.actions[0]}"
+
     if not is_nilpotent_matrix(generator):
-        return f"generator {generator} is not nilpotent"
-    models = {p: heis_stabilizer_model(ParamExtension(*p)) for p in _AFFINE}
-    frame = models[_AFFINE[0]].transition()
-    for p, model in models.items():
-        if model.transition() != frame:
-            return f"at {p}: isotropy or complement moved"
-        action = model.actions[0]
-        if action != generator:
-            return f"at {p}: induced action {action}"
-    return None
+        witness = f"generator {generator} is not nilpotent"
+        return _check(check_id, False, witness, f"{len(grid)} affine points")
+    return _grid_check(check_id, grid, defect, lambda p: f"at {p}: {defect(*p)}", "affine points")
 
 
 def verify_heis_family() -> list[CheckResult]:
     """Jacobi and unipotent isotropy proved for every parameter value, and the
     flat case (iv) at four parameter values."""
-    jacobi, isotropy = _heis_family_jacobi(), _heis_family_isotropy()
-    checks = [
-        _check("heis-family/jacobi", jacobi is None, jacobi, "15 grid points"),
-        _check("heis-family/isotropy_unipotent", isotropy is None, isotropy, "5 affine points"),
-    ]
-    flat_cases = [
-        ("beta0", gr(0)),
-        ("beta1", gr(1)),
-        ("betai", gr(0, 1)),
-        ("beta3_2", gr(Fraction(3, 2))),
-    ]
-    for tag, beta in flat_cases:
-        params = ParamExtension(c=0, m=1, k=-(beta * beta), beta=beta)
-        ok = check_prop_iv(params)
-        checks.append(
-            _check(f"heis-family/iv_{tag}", ok, witness=f"params {params}")
+    betas = (("beta0", gr(0)), ("beta1", gr(1)), ("betai", gr(0, 1)), ("beta3_2", gr(Fraction(3, 2))))
+    return _run_rows(
+        (
+            ("heis-family/jacobi", _heis_family_jacobi),
+            ("heis-family/isotropy_unipotent", _heis_family_isotropy),
+            *((f"heis-family/iv_{tag}", _flat_case_check, beta) for tag, beta in betas),
         )
-    return checks
+    )
+
+
+def _flat_case_check(check_id: str, beta: GaussianRational) -> CheckResult:
+    params = ParamExtension(c=0, m=1, k=-(beta * beta), beta=beta)
+    return _check(check_id, check_prop_iv(params), f"params {params}")
 
 
 def verify_flow_identities() -> list[CheckResult]:
@@ -736,26 +776,32 @@ def verify_flow_identities() -> list[CheckResult]:
     The entries of L_t have degree <= 2 in t, so those of L_t^T Q L_t - Q
     have degree <= 4 and vanish identically once they vanish at the five
     points t = 0, ..., 4.  The entries of L_s L_t - L_(s+t) have degree <= 2
-    in each of s and t, so vanishing on {0,1,2}^2 proves the group law (Alon,
-    "Combinatorial Nullstellensatz", 1999).  N^T Q + Q N = 0, the derivative
-    of the first identity at t = 0, is checked entry by entry.
+    in each of s and t, so vanishing on {0,1,2}^2 proves the group law.
+    N^T Q + Q N = 0, the derivative of the first identity at t = 0, is
+    checked entry by entry.
     """
     q, generator = adapted_gram_unipotent(), unipotent_isotropy_generator()
+    skew = (generator.transpose() @ q + q @ generator).entries
 
     def moves_q(t: int) -> bool:
         flow = unipotent_flow(t)
         return flow.transpose() @ q @ flow != q
 
-    gram = _first_index(5, 1, moves_q)
-    skew = (generator.transpose() @ q + q @ generator).entries
-    entry = _first_index(3, 2, lambda i, j: skew[i][j])
-    group = _first_index(
-        3, 2, lambda s, t: unipotent_flow(s) @ unipotent_flow(t) != unipotent_flow(s + t)
-    )
+    def not_a_group(s: int, t: int) -> bool:
+        return unipotent_flow(s) @ unipotent_flow(t) != unipotent_flow(s + t)
+
     return [
-        _check("flow/gram_polynomial", gram is None, f"at t={gram[0]}" if gram else None),
-        _check("flow/generator_skew", entry is None, f"N^T Q + Q N nonzero at (i,j)={entry}"),
-        _check("flow/one_parameter_group", group is None, f"at (s,t)={group}"),
+        _run(check_id, _grid_check, points, defect, witness)
+        for check_id, points, defect, witness in (
+            ("flow/gram_polynomial", _lattice(1, 4), moves_q, lambda p: f"at t={p[0]}"),
+            (
+                "flow/generator_skew",
+                _box(3, 2),
+                lambda i, j: skew[i][j],
+                lambda p: f"N^T Q + Q N nonzero at (i,j)={p}",
+            ),
+            ("flow/one_parameter_group", _box(3, 2), not_a_group, lambda p: f"at (s,t)={p}"),
+        )
     ]
 
 
@@ -775,13 +821,6 @@ def _derivative_defect(a, b, c, d, z):
     return a * (c * z + d) - c * (a * z + b) - (a * d - b * c)
 
 
-def _grid_witness(names: tuple[str, ...], defect, claim: str) -> str | None:
-    """First point of {0,1}^len(names), in lexicographic order, where
-    ``defect`` is nonzero, or None."""
-    point = _first_index(2, len(names), lambda *p: defect(*map(gr, p)))
-    return None if point is None else f"at ({','.join(names)})={point}: {claim}"
-
-
 def verify_mobius() -> list[CheckResult]:
     """Invariance of the surface metric dz1 dz2 / (z1 - z2)^2 under every
     fractional-linear map w = (az + b)/(cz + d), proved exactly.
@@ -794,28 +833,29 @@ def verify_mobius() -> list[CheckResult]:
     hence w'(z1) w'(z2) / (w1 - w2)^2 = 1 / (z1 - z2)^2 wherever D, c z1 + d,
     c z2 + d and z1 - z2 are nonzero.  Each identity's difference of sides has
     degree <= 1 in every variable, so it vanishes identically once it vanishes
-    on {0,1}^6, respectively {0,1}^5 (Alon, "Combinatorial Nullstellensatz",
-    Combin. Probab. Comput. 1999).  ``mobius/identity`` and
+    on {0,1}^6, respectively {0,1}^5.  ``mobius/identity`` and
     ``mobius/translation`` prove the first identity for the fixed matrices
     ((1,0),(0,1)) and ((1,1),(0,1)) on {0,1}^2 in (z1, z2);
     ``mobius/invariance`` proves both identities on their full grids.
     """
-    difference = "N != (ad-bc)(z1-z2)"
-    checks = []
-    for check_id, matrix in (
-        ("mobius/identity", (1, 0, 0, 1)),
-        ("mobius/translation", (1, 1, 0, 1)),
-    ):
-        defect = partial(_difference_defect, *map(gr, matrix))
-        witness = _grid_witness(("z1", "z2"), defect, difference)
-        checks.append(_check(check_id, witness is None, witness, "4 grid points"))
-    witness = _grid_witness(
-        ("a", "b", "c", "d", "z1", "z2"), _difference_defect, difference
-    ) or _grid_witness(
-        ("a", "b", "c", "d", "z"), _derivative_defect, "a(cz+d) - c(az+b) != ad-bc"
-    )
-    checks.append(_check("mobius/invariance", witness is None, witness, "96 grid points"))
-    return checks
+    difference, derivative = "N != (ad-bc)(z1-z2)", "a(cz+d) - c(az+b) != ad-bc"
+    # A point of {0,1}^5 tests the derivative identity, one of {0,1}^2 or {0,1}^6 the difference.
+    names = {2: "z1,z2", 5: "a,b,c,d,z", 6: "a,b,c,d,z1,z2"}
+
+    def witness(p: tuple[int, ...]) -> str:
+        return f"at ({names[len(p)]})={p}: {derivative if len(p) == 5 else difference}"
+
+    def invariance(*p: int):
+        return (_derivative_defect if len(p) == 5 else _difference_defect)(*map(gr, p))
+
+    return [
+        _run(check_id, _grid_check, points, defect, witness, "grid points")
+        for check_id, points, defect in (
+            ("mobius/identity", _box(2, 2), lambda *z: _difference_defect(*map(gr, (1, 0, 0, 1, *z)))),
+            ("mobius/translation", _box(2, 2), lambda *z: _difference_defect(*map(gr, (1, 1, 0, 1, *z)))),
+            ("mobius/invariance", _box(2, 6) + _box(2, 5), invariance),
+        )
+    ]
 
 
 # -- shipped files -----------------------------------------------------------
@@ -823,27 +863,44 @@ def verify_mobius() -> list[CheckResult]:
 
 def verify_shipped_files() -> list[CheckResult]:
     """Each shipped file reads, parses, names its entry and is stored canonically."""
-    checks = []
-    for entry_id in CATALOG_IDS:
-        check_id = f"files/{entry_id}"
-        try:
-            text, spec = _shipped(entry_id)
-        except (OSError, dsl.DslError) as exc:
-            checks.append(_check(check_id, False, witness=str(exc)))
-            continue
-        if spec.name != entry_id:
-            checks.append(_check(check_id, False, witness=f"name is {spec.name!r}"))
-            continue
-        pairs = zip_longest(
-            text.splitlines(keepends=True),
-            dsl.serialize(spec).splitlines(keepends=True),
-        )
-        line = next((n for n, (got, want) in enumerate(pairs, 1) if got != want), None)
-        checks.append(_check(check_id, line is None, witness=f"not canonical at line {line}"))
-    return checks
+    return _run_rows((f"files/{entry_id}", _shipped_file_check, entry_id) for entry_id in CATALOG_IDS)
+
+
+def _shipped_file_check(check_id: str, entry_id: str) -> CheckResult:
+    try:
+        text, spec = _shipped(entry_id)
+    except OSError as exc:
+        return _check(check_id, False, witness=str(exc))
+    if spec.name != entry_id:
+        return _check(check_id, False, witness=f"name is {spec.name!r}")
+    pairs = zip_longest(text.splitlines(keepends=True), dsl.serialize(spec).splitlines(keepends=True))
+    line = next((n for n, (got, want) in enumerate(pairs, 1) if got != want), None)
+    return _check(check_id, line is None, witness=f"not canonical at line {line}")
 
 
 # -- top level ---------------------------------------------------------------
+
+
+def _entry_checks(catalog: Sequence[CatalogEntry]) -> list[CheckResult]:
+    """The checks of each entry, then a failing one for each entry the catalog lacks."""
+    checks = [check for entry in catalog for check in verify_entry(entry)]
+    present = {entry.id for entry in catalog}
+    checks.extend(_check(f"{i}/entry", False, "entry missing") for i in CATALOG_IDS if i not in present)
+    return checks
+
+
+# The fragments of the report in report order, each with whether it takes the catalog.
+FRAGMENTS: tuple[tuple[Callable[..., list[CheckResult]], bool], ...] = (
+    (_entry_checks, True),
+    (verify_prop_unimodular, True),
+    (verify_section4, True),
+    (verify_section5_tables, True),
+    (verify_isotropy_dimension_bounds, False),
+    (verify_heis_family, False),
+    (verify_flow_identities, False),
+    (verify_shipped_files, False),
+    (verify_mobius, False),
+)
 
 
 def verify_all(
@@ -859,18 +916,10 @@ def verify_all(
     if not catalog:
         raise ValueError("empty catalog")
     checks: list[CheckResult] = []
-    for entry in catalog:
-        checks.extend(verify_entry(entry))
-    present = {entry.id for entry in catalog}
-    checks.extend(_check(f"{i}/entry", False, "entry missing") for i in CATALOG_IDS if i not in present)
-    checks.extend(verify_prop_unimodular(catalog))
-    checks.extend(verify_section4(catalog))
-    checks.extend(verify_section5_tables(catalog))
-    checks.extend(verify_isotropy_dimension_bounds())
-    checks.extend(verify_heis_family())
-    checks.extend(verify_flow_identities())
-    checks.extend(verify_shipped_files())
-    checks.extend(verify_mobius())
+    for fragment, takes_catalog in FRAGMENTS:
+        # Called by its module-level name, so that a wrapper put in its place runs.
+        run = globals()[fragment.__name__]
+        checks.extend(run(catalog) if takes_catalog else run())
     ids = [c.id for c in checks]
     if len(set(ids)) != len(ids):
         raise AssertionError("duplicate check ids in report")

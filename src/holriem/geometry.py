@@ -37,7 +37,7 @@ checks on the result.
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .forms import DegenerateForm, QuadraticForm
 from .liealg import LieAlgebra
@@ -73,11 +73,16 @@ class CurvatureTensor(Record):
         return len(self.comps)
 
 
+def _first(points: Iterable[tuple], bad: Callable[..., object]) -> tuple | None:
+    """First point of ``points``, in their order, where ``bad`` holds, or None."""
+    return next((p for p in points if bad(*p)), None)
+
+
 def _first_index(
     n: int, arity: int, bad: Callable[..., object]
 ) -> tuple[int, ...] | None:
     """Lexicographically first index tuple in ``range(n)^arity`` where ``bad`` holds."""
-    return next((t for t in product(range(n), repeat=arity) if bad(*t)), None)
+    return _first(product(range(n), repeat=arity), bad)
 
 
 def _nonzero(vector: Sequence) -> list[tuple[int, GaussianRational]]:

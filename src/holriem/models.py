@@ -49,7 +49,8 @@ class IsotropyType(Enum):
 
 class HomogeneousModel(Record):
     _fields = ("algebra", "isotropy", "complement", "quotient_form")
-    # Derived once: frame_inverse = transition()^-1, actions[a] = induced_ad(self, isotropy[a]).
+    # Derived once: frame_inverse, the inverse of the isotropy and complement columns,
+    # and actions[a] = induced_ad(self, isotropy[a]).
     __slots__ = _fields + ("frame_inverse", "actions")
     algebra: LieAlgebra
     isotropy: tuple[Vector, ...]
@@ -93,9 +94,6 @@ class HomogeneousModel(Record):
     @property
     def quotient_dim(self) -> int:
         return len(self.complement)
-
-    def transition(self) -> CMatrix:
-        return CMatrix.from_columns(list(self.isotropy) + list(self.complement))
 
 
 def induced_ad(model: HomogeneousModel, y: Sequence) -> CMatrix:

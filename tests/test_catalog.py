@@ -27,6 +27,7 @@ from holriem.catalog import (
     verify_shipped_files,
 )
 from holriem.liealg import LieAlgebra, jacobi_witness, killing_form
+from holriem.forms import QuadraticForm
 from holriem.geometry import CurvatureTensor
 from holriem.linalg import CMatrix, vadd
 from holriem.models import HomogeneousModel, isotropy_type
@@ -230,6 +231,32 @@ def test_family_proofs_build_the_family_on_the_grids_only(monkeypatch):
     assert len(calls) <= 15 + 5 + 4
 
 
+def test_a_model_that_cannot_be_built_fails_the_family_isotropy_at_its_point(monkeypatch):
+    real = catalog.heis_stabilizer_model
+
+    def degenerate(params):
+        # c T + Y: at c = 0 the complement holds the isotropy vector Y.
+        model = real(params)
+        g = model.algebra
+        complement = [g.vector("X"), g.vector("Z"), g.vector({"T": params.c, "Y": 1})]
+        return HomogeneousModel(g, model.isotropy, complement, model.quotient_form)
+
+    monkeypatch.setattr(catalog, "heis_stabilizer_model", degenerate)
+    report = verify_all(42)
+    assert len(report.checks) == 135
+    assert [(c.id, c.witness) for c in failed_checks(report)] == [
+        (
+            "heis-family/isotropy_unipotent",
+            "at (0, 0, 0, 0): isotropy plus complement must span the algebra",
+        )
+    ]
+
+
+def test_principal_lattices_have_their_point_counts():
+    assert len(catalog._lattice(4, 2)) == 15 and len(catalog._lattice(4, 1)) == 5
+    assert catalog._lattice(4, 1)[0] == (0, 0, 0, 0)
+
+
 def test_report_ignores_the_seed():
     a, b = verify_all(42), verify_all(11)
     assert (a.seed, b.seed) == (42, 11)
@@ -290,6 +317,18 @@ def test_verify_section5_fragment():
 def test_verify_isotropy_bounds_fragment():
     checks = verify_isotropy_dimension_bounds()
     assert [c.status for c in checks] == ["pass"] * 4
+
+
+def test_isotropy_bounds_fail_instead_of_raising(monkeypatch):
+    def refuse(form, vectors):
+        raise ValueError("no stabilizer")
+
+    monkeypatch.setattr(catalog, "stabilizer_in_skew", refuse)
+    failed = failed_checks(verify_all(42))
+    assert {c.id: c.witness for c in failed} == {
+        f"isotropy-bounds/{name}": "no stabilizer"
+        for name in ("so_q_dim", "fix_unit_vector", "fix_null_vector", "fix_frame")
+    }
 
 
 def test_shipped_files_agree_with_catalog():
@@ -610,9 +649,59 @@ def test_verify_all_green_and_deterministic():
     assert all(set(c) == {"id", "status", "witness", "value"} for c in payload["checks"])
 
 
+def test_the_fragment_table_walked_by_hand_is_the_report():
+    entries = build_catalog()
+    walked = [
+        check
+        for fragment, takes_catalog in catalog.FRAGMENTS
+        for check in (fragment(entries) if takes_catalog else fragment())
+    ]
+    assert tuple(walked) == verify_all(42).checks
+
+
+def test_verify_all_calls_a_fragment_by_its_module_name(monkeypatch):
+    calls = []
+    real = catalog.verify_mobius
+
+    def wrapper():
+        calls.append("verify_mobius")
+        return real()
+
+    monkeypatch.setattr(catalog, "verify_mobius", wrapper)
+    assert verify_all(42).all_pass
+    assert calls == ["verify_mobius"]
+
+
 def test_verify_all_rejects_empty_catalog():
     with pytest.raises(ValueError):
         verify_all(catalog=[])
+
+
+@pytest.mark.parametrize(
+    "gram, reason",
+    [
+        ([[1, 0, 0], [0, 0, 0], [0, 0, 1]], "quadratic form is degenerate"),
+        ([[1, 0], [0, 1]], "form dimension does not match the algebra"),
+    ],
+)
+def test_a_metric_without_a_connection_fails_the_checks_that_read_it(gram, reason):
+    entries = build_catalog()
+    k = next(i for i, e in enumerate(entries) if e.id == "sol3")
+    sol = entries[k]
+    entries[k] = CatalogEntry(sol.id, sol.algebra, QuadraticForm(gram), expected=sol.expected)
+    report = verify_all(42, entries)
+    assert len(report.checks) == 135
+    readers = [
+        "sol3/constant_curvature",
+        "sol3/torsion_free",
+        "sol3/metric_compatible",
+        "sol3/curvature_antisymmetry",
+        "sol3/first_bianchi",
+        "sol3/curvature_pair_skew",
+        "unimodular3/sol3",
+        "unimodular3/flat_iff_solvable",
+    ]
+    assert {c.id: c.witness for c in failed_checks(report)} == dict.fromkeys(readers, reason)
 
 
 def test_verify_all_flags_corrupted_catalog(mutate_structure_constant):

@@ -1,5 +1,6 @@
 """Command-line interface contract: output shapes and exit codes."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -449,13 +450,17 @@ def _liealg_text(draw):
 
 
 @pytest.fixture(scope="module")
-def fuzz_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz") / "fuzz.liealg"
+def fresh_fuzz_path(tmp_path_factory):
+    """A new path in one directory per call: creating a file is far cheaper
+    than rewriting one on some file systems."""
+    directory, numbers = tmp_path_factory.mktemp("fuzz"), itertools.count()
+    return lambda: directory / f"fuzz{next(numbers)}.liealg"
 
 
 @settings(max_examples=100, deadline=None)
 @given(text=_liealg_text())
-def test_file_commands_never_raise_on_fuzzed_input(fuzz_path, text):
+def test_file_commands_never_raise_on_fuzzed_input(fresh_fuzz_path, text):
+    fuzz_path = fresh_fuzz_path()
     fuzz_path.write_text(text, encoding="utf-8")
     for command in FILE_COMMANDS:
         assert cli([command, str(fuzz_path)]) in (0, 1, 2)

@@ -7,7 +7,14 @@ import pytest
 from conftest import failed_checks
 
 from holriem import catalog, dsl
-from holriem.catalog import CATALOG_IDS, FACTS, CatalogEntry, build_catalog, verify_all
+from holriem.catalog import (
+    CATALOG_IDS,
+    FACTS,
+    CatalogEntry,
+    build_catalog,
+    verify_all,
+    verify_entry,
+)
 from holriem.cli import cli
 from holriem.forms import QuadraticForm
 from holriem.models import HomogeneousModel
@@ -114,7 +121,8 @@ def test_non_invariant_generic_form_fails_only_its_check(monkeypatch):
 
 def test_a_fact_the_entry_lacks_fails_its_check():
     entry = next(e for e in build_catalog() if e.id == "c_times_sol")
-    check = catalog._entry_property_check(entry, "class", "SOL")
+    lacking = CatalogEntry(entry.id, entry.algebra, entry.form, entry.model, {"class": "SOL"})
+    (check,) = [c for c in verify_entry(lacking) if c.id == "c_times_sol/class"]
     assert (check.status, check.witness, check.value) == (
         "fail",
         "classification requires a 3-dimensional algebra",

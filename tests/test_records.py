@@ -97,6 +97,14 @@ def test_derived_slots_stay_out_of_equality_hash_and_repr():
     assert fresh == used and hash(fresh) == hash(used) and repr(fresh) == repr(used)
 
 
+def test_shipped_entries_hash_and_compare_their_expected_facts():
+    for entry in build_catalog():
+        twin = CatalogEntry(entry.id, entry.algebra, entry.form, entry.model, dict(entry.expected))
+        assert twin == entry and hash(twin) == hash(entry)
+        other = CatalogEntry(entry.id, entry.algebra, entry.form, entry.model, {})
+        assert other != entry
+
+
 def test_reprs_keep_the_dataclass_text():
     # The stabilizer family's witness in a failing heis-family/iv_* check.
     assert repr(ParamExtension(c=0, m=1, k=-1, beta=1)) == (
