@@ -3,8 +3,9 @@ verification suite that machine-checks every expected property.
 
 The catalog is the shipped ``.liealg`` files under ``data/``: one file per
 id of ``CATALOG_IDS``, named for its entry and stored in canonical form.
-``build_catalog`` parses them; only the stabilizer family, which takes
-parameters, is built in code (``build_param_extension``).
+``entry_from_spec`` turns a parsed file into its entry, for the catalog and
+the CLI alike; only the stabilizer family, which takes parameters, is built
+in code (``build_param_extension``).
 
 ``FACTS`` renders each structural fact an ``[expected]`` key can name;
 the per-entry checks compare its text with the file's, and the CLI prints
@@ -284,28 +285,25 @@ def _report_order(expected: dict[str, str], order: tuple[str, ...]) -> dict[str,
     return dict(sorted(expected.items(), key=lambda item: rank.get(item[0], len(order))))
 
 
+def entry_from_spec(entry_id: str, spec: dsl.SpecFile, algebra: LieAlgebra) -> CatalogEntry:
+    """The entry of a parsed file whose algebra ``dsl.to_algebra(spec)`` is
+    ``algebra``: a model when the file declares an isotropy, else the algebra
+    with its metric (or none); ``[expected]`` in report order."""
+    if spec.isotropy:
+        model = dsl.to_model(spec, algebra)
+        return CatalogEntry(
+            entry_id, algebra, model=model, expected=_report_order(spec.expected, _MODEL_KEYS)
+        )
+    form = dsl.to_metric(spec)
+    return CatalogEntry(
+        entry_id, algebra, form=form, expected=_report_order(spec.expected, _METRIC_KEYS)
+    )
+
+
 def build_catalog() -> list[CatalogEntry]:
     """One entry per id of ``CATALOG_IDS``, built from its shipped file."""
-    entries = []
-    for entry_id in CATALOG_IDS:
-        spec = _shipped(entry_id)[1]
-        algebra = dsl.to_algebra(spec)
-        if spec.isotropy:
-            entry = CatalogEntry(
-                entry_id,
-                algebra,
-                model=dsl.to_model(spec, algebra),
-                expected=_report_order(spec.expected, _MODEL_KEYS),
-            )
-        else:
-            entry = CatalogEntry(
-                entry_id,
-                algebra,
-                form=dsl.to_metric(spec),
-                expected=_report_order(spec.expected, _METRIC_KEYS),
-            )
-        entries.append(entry)
-    return entries
+    specs = {entry_id: _shipped(entry_id)[1] for entry_id in CATALOG_IDS}
+    return [entry_from_spec(i, spec, dsl.to_algebra(spec)) for i, spec in specs.items()]
 
 
 def check_prop_iv(params: ParamExtension) -> bool:

@@ -2,9 +2,11 @@
 
 Exit codes: 0 success / all checks pass, 1 check failure or input error,
 2 usage error.  ``--json`` emits machine output with the stable key names
-id, status, witness, value.  ``invariants``, ``classify`` and ``model``
-print the ``catalog.FACTS`` values of an entry built from the file, the
-same text the report compares with a file's ``[expected]`` keys.
+id, status, witness, value.  Every file command reads a
+``catalog.CatalogEntry`` built from the file: ``invariants``, ``classify``
+and ``model`` print its ``catalog.FACTS`` values, the same text the report
+compares with a file's ``[expected]`` keys, and ``connection``,
+``curvature`` and ``constcurv`` print its derived metric data.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import combinations
 
 from . import catalog as cat
 from . import dsl
-from .geometry import constant_curvature_value, curvature, flatness_defect, levi_civita
+from .geometry import flatness_defect
 from .liealg import LieAlgebra, jacobi_witness
 
 
@@ -144,16 +146,17 @@ def _cmd_validate(args) -> int:
     algebra = dsl.to_algebra(spec)
     triple = jacobi_witness(algebra)
     records = [cat._check("jacobi", triple is None, cat._triple_str(algebra, triple))]
-    form, degenerate = None, "quotient form is degenerate"
-    if spec.isotropy:
-        try:
-            form = dsl.to_model(spec, algebra).quotient_form
-        except ValueError as exc:
-            records.append(cat._check("model_wellformed", False, str(exc)))
+    try:
+        entry = cat.entry_from_spec(spec.name, spec, algebra)
+    except ValueError as exc:
+        records.append(cat._check("model_wellformed", False, str(exc)))
     else:
-        form, degenerate = dsl.to_metric(spec), "form is degenerate"
-    if form is not None:
-        records.append(cat._check("form_nondegenerate", form.nondegenerate, degenerate))
+        if entry.model is None:
+            form, degenerate = entry.form, "form is degenerate"
+        else:
+            form, degenerate = entry.model.quotient_form, "quotient form is degenerate"
+        if form is not None:
+            records.append(cat._check("form_nondegenerate", form.nondegenerate, degenerate))
     _emit_records(args, records)
     return 0 if all(r.passed for r in records) else 1
 
@@ -175,16 +178,20 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _require_metric(path: str):
+def _load_entry(path: str, model: bool) -> cat.CatalogEntry:
+    """The entry of a model file, or of a metric file with a form; a file of
+    the other kind is an input error before any model is built from it."""
     spec, algebra = _load_lie(path)
-    if spec.isotropy:
+    if bool(spec.isotropy) != model:
         raise ValueError(
-            "this command needs a metric file (a form on the full basis, no isotropy)"
+            "the file declares no [isotropy] section"
+            if model
+            else "this command needs a metric file (a form on the full basis, no isotropy)"
         )
-    form = dsl.to_metric(spec)
-    if form is None:
+    entry = cat.entry_from_spec(spec.name, spec, algebra)
+    if not model and entry.form is None:
         raise ValueError("the file declares no [form] section")
-    return algebra, form
+    return entry
 
 
 def _combination_record(names, record_id: str, vector) -> cat.CheckResult:
@@ -193,11 +200,10 @@ def _combination_record(names, record_id: str, vector) -> cat.CheckResult:
 
 
 def _cmd_connection(args) -> int:
-    algebra, form = _require_metric(args.file)
-    table = levi_civita(algebra, form)
-    names = algebra.basis_names
+    entry = _load_entry(args.file, model=False)
+    names = entry.algebra.basis_names
     records = [
-        _combination_record(names, f"nabla({a},{b})", table.coeffs[i][j])
+        _combination_record(names, f"nabla({a},{b})", entry.connection[i][j])
         for i, a in enumerate(names)
         for j, b in enumerate(names)
     ]
@@ -206,15 +212,14 @@ def _cmd_connection(args) -> int:
 
 
 def _cmd_curvature(args) -> int:
-    algebra, form = _require_metric(args.file)
-    tensor = curvature(algebra, levi_civita(algebra, form))
-    names = algebra.basis_names
+    entry = _load_entry(args.file, model=False)
+    names = entry.algebra.basis_names
     records = [
         _combination_record(
-            names, f"R({names[i]},{names[j]}){names[k]}", tensor.comps[i][j][k]
+            names, f"R({names[i]},{names[j]}){names[k]}", entry.tensor[i][j][k]
         )
-        for i, j in combinations(range(algebra.dim), 2)
-        for k in range(algebra.dim)
+        for i, j in combinations(range(len(names)), 2)
+        for k in range(len(names))
     ]
     # Below dimension 2 there is no pair x < y to list, and R vanishes.
     _emit_records(args, records or [cat._check("R", True, value="0")], data=True)
@@ -222,14 +227,13 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_constcurv(args) -> int:
-    algebra, form = _require_metric(args.file)
-    tensor = curvature(algebra, levi_civita(algebra, form))
-    value = constant_curvature_value(form, tensor)
+    entry = _load_entry(args.file, model=False)
+    value = entry.constant_curvature
     rendered = cat._render_constant(value)
     witness = None
     if value is None:
         # A zero tensor is Constant(0), so a nonzero component always exists.
-        witness = cat._triple_str(algebra, flatness_defect(tensor))
+        witness = cat._triple_str(entry.algebra, flatness_defect(entry.tensor))
     if args.json:
         # The certificate is data, not a check, so it passes and keeps its witness.
         _print_json([cat.CheckResult("constcurv", "pass", witness, rendered)])
@@ -241,10 +245,7 @@ def _cmd_constcurv(args) -> int:
 
 
 def _cmd_model(args) -> int:
-    spec, algebra = _load_lie(args.file)
-    if not spec.isotropy:
-        raise ValueError("the file declares no [isotropy] section")
-    entry = cat.CatalogEntry(spec.name, algebra, model=dsl.to_model(spec, algebra))
+    entry = _load_entry(args.file, model=True)
     _print_facts(args, entry, ("isotropy", "invariance", "invariant_form_dim"))
     return 0
 

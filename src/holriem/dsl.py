@@ -49,7 +49,8 @@ from typing import Sequence
 
 from .forms import QuadraticForm
 from .liealg import LieAlgebra
-from .linalg import CMatrix, Vector, rref
+from . import linalg
+from .linalg import CMatrix, Vector
 from .models import HomogeneousModel
 from .scalars import GaussianRational, ONE, Record, ZERO, as_gr, gr
 
@@ -604,12 +605,13 @@ def greedy_complement(
     the first n - k of them (all, when k > n).
     """
     n, k = algebra.dim, len(isotropy)
-    identity = CMatrix.identity(n)
-    _, pivots = rref(CMatrix.from_columns([*isotropy, *identity.entries]))
+    identity = CMatrix.identity(n).entries
+    # Through the module, so that a wrapper of linalg._reduce sees this elimination.
+    _, pivots = linalg._reduce([[v[r] for v in isotropy] + list(identity[r]) for r in range(n)])
     positions = [p - k for p in pivots if p >= k]
     if k <= n:
         del positions[n - k:]
-    return [(algebra.basis_names[p], identity.entries[p]) for p in positions]
+    return [(algebra.basis_names[p], identity[p]) for p in positions]
 
 
 def to_metric(spec: SpecFile) -> QuadraticForm | None:

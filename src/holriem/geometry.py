@@ -42,35 +42,15 @@ from typing import Callable, Iterable, Sequence
 from .forms import DegenerateForm, QuadraticForm
 from .liealg import LieAlgebra
 from .linalg import CMatrix, Vector, as_vector, kernel, vadd, vsub
-from .scalars import GaussianRational, ONE, Record, ZERO, as_gr
+from .scalars import GaussianRational, ONE, ZERO, as_gr
 
 _HALF = ONE / 2
 
 
-class ConnectionTable(Record):
-    """Christoffel data: ``coeffs[i][j]`` is nabla_{e_i} e_j in the frame."""
-
-    __slots__ = _fields = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[tuple[Vector, ...], ...]):
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs)
-
-
-class CurvatureTensor(Record):
-    """Full tensor: ``comps[i][j][k]`` is R(e_i, e_j) e_k in the frame."""
-
-    __slots__ = _fields = ("comps",)
-
-    def __init__(self, comps: tuple[tuple[tuple[Vector, ...], ...], ...]):
-        object.__setattr__(self, "comps", comps)
-
-    @property
-    def dim(self) -> int:
-        return len(self.comps)
+# nabla_{e_i} e_j is ``connection[i][j]`` and R(e_i, e_j) e_k is
+# ``tensor[i][j][k]``, each a vector in the frame.
+ConnectionTable = tuple[tuple[Vector, ...], ...]
+CurvatureTensor = tuple[tuple[tuple[Vector, ...], ...], ...]
 
 
 def _first(points: Iterable[tuple], bad: Callable[..., object]) -> tuple | None:
@@ -119,13 +99,13 @@ def levi_civita(algebra: LieAlgebra, form: QuadraticForm) -> ConnectionTable:
                 out[l] = out[l] + w * h
         return tuple(out)
 
-    return ConnectionTable(tuple(tuple(nabla(i, j) for j in range(n)) for i in range(n)))
+    return tuple(tuple(nabla(i, j) for j in range(n)) for i in range(n))
 
 
 def curvature(algebra: LieAlgebra, connection: ConnectionTable) -> CurvatureTensor:
     """R(e_i,e_j)e_k, each of the n^3 fibers from the nonzero entries only."""
     n = algebra.dim
-    gamma = [[_nonzero(v) for v in row] for row in connection.coeffs]
+    gamma = [[_nonzero(v) for v in row] for row in connection]
     brackets = algebra.terms
 
     def fiber(i: int, j: int, k: int) -> Vector:
@@ -142,11 +122,9 @@ def curvature(algebra: LieAlgebra, connection: ConnectionTable) -> CurvatureTens
                 out[m] = out[m] - a * b
         return tuple(out)
 
-    return CurvatureTensor(
-        tuple(
-            tuple(tuple(fiber(i, j, k) for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
+    return tuple(
+        tuple(tuple(fiber(i, j, k) for k in range(n)) for j in range(n))
+        for i in range(n)
     )
 
 
@@ -173,7 +151,7 @@ def constant_curvature_value(
     triples.  Under constant curvature every nonzero entry of M gives the
     same candidate, so which one is read does not change the result.
     """
-    n, r, gram = tensor.dim, tensor.comps, form.gram.entries
+    n, gram = len(tensor), form.gram.entries
     if n < 2:
         # The model tensor vanishes: only R = 0 qualifies.
         candidate = ZERO
@@ -182,7 +160,7 @@ def constant_curvature_value(
         if slot is None:
             raise DegenerateForm("no usable plane for the curvature candidate")
         i, j, k, l = slot
-        candidate = r[i][j][k][l] / _model_entry(gram, *slot)
+        candidate = tensor[i][j][k][l] / _model_entry(gram, *slot)
     if constant_curvature_defect(form, tensor, candidate) is not None:
         return None
     return candidate
@@ -193,13 +171,12 @@ def constant_curvature_defect(
 ) -> tuple[int, int, int] | None:
     """First basis triple violating ``R(x,y)z = k (q(y,z)x - q(x,z)y)``."""
     value = as_gr(k)
-    r = tensor.comps
     # The model fiber is k q_jm at slot i and -k q_im at slot j, zero when i = j.
     kq = [[value * g for g in row] for row in form.gram.entries]
     minus_kq = [[-x for x in row] for row in kq]
 
     def bad(i: int, j: int, m: int) -> bool:
-        fiber = r[i][j][m]
+        fiber = tensor[i][j][m]
         if i == j:
             return any(fiber)
         return (
@@ -208,21 +185,21 @@ def constant_curvature_defect(
             or any(x for l, x in enumerate(fiber) if l != i and l != j)
         )
 
-    return _first_index(tensor.dim, 3, bad)
+    return _first_index(len(tensor), 3, bad)
 
 
 def flatness_defect(tensor: CurvatureTensor) -> tuple[int, int, int] | None:
     """First basis triple with a nonzero curvature component, or None."""
-    return _first_index(tensor.dim, 3, lambda i, j, k: any(tensor.comps[i][j][k]))
+    return _first_index(len(tensor), 3, lambda i, j, k: any(tensor[i][j][k]))
 
 
 def ricci(form: QuadraticForm, tensor: CurvatureTensor) -> QuadraticForm:
     """``Ric(x, y) = trace(z -> R(z, x) y)``, exact and symmetric."""
-    n = tensor.dim
+    n = len(tensor)
     gram = [
         [
             sum(
-                (tensor.comps[i][a][b][i] for i in range(n)),
+                (tensor[i][a][b][i] for i in range(n)),
                 start=ZERO,
             )
             for b in range(n)
@@ -239,11 +216,10 @@ def torsion_defect(
     algebra: LieAlgebra, connection: ConnectionTable
 ) -> tuple[int, int] | None:
     """First basis pair with nabla_x y - nabla_y x != [x, y], or None."""
-    c = connection.coeffs
     return _first_index(
         algebra.dim,
         2,
-        lambda i, j: any(vsub(vsub(c[i][j], c[j][i]), algebra.constants[i][j])),
+        lambda i, j: any(vsub(vsub(connection[i][j], connection[j][i]), algebra.constants[i][j])),
     )
 
 
@@ -252,9 +228,9 @@ def compatibility_defect(
 ) -> tuple[int, int, int] | None:
     """First triple violating q(nabla_z x, y) + q(x, nabla_z y) = 0."""
     # low[z][x][y] = q(nabla_z x, e_y); the Gram matrix is symmetric.
-    low = [[form.gram.apply(v) for v in row] for row in connection.coeffs]
+    low = [[form.gram.apply(v) for v in row] for row in connection]
     return _first_index(
-        connection.dim, 3, lambda z, x, y: low[z][x][y] + low[z][y][x]
+        len(connection), 3, lambda z, x, y: low[z][x][y] + low[z][y][x]
     )
 
 
@@ -267,19 +243,17 @@ def curvature_antisymmetry_defect(
     which ``LieAlgebra`` already keeps zero; so this guards the kernel,
     which evaluates every fiber on its own, not the input.
     """
-    r = tensor.comps
     return _first_index(
-        tensor.dim, 3, lambda i, j, k: any(vadd(r[i][j][k], r[j][i][k]))
+        len(tensor), 3, lambda i, j, k: any(vadd(tensor[i][j][k], tensor[j][i][k]))
     )
 
 
 def bianchi_defect(tensor: CurvatureTensor) -> tuple[int, int, int] | None:
     """First triple violating R(x,y)z + R(y,z)x + R(z,x)y = 0."""
-    r = tensor.comps
     return _first_index(
-        tensor.dim,
+        len(tensor),
         3,
-        lambda i, j, k: any(vadd(vadd(r[i][j][k], r[j][k][i]), r[k][i][j])),
+        lambda i, j, k: any(vadd(vadd(tensor[i][j][k], tensor[j][k][i]), tensor[k][i][j])),
     )
 
 
@@ -288,9 +262,9 @@ def pair_skew_defect(
 ) -> tuple[int, int, int, int] | None:
     """First quadruple violating q(R(x,y)z, w) = -q(R(x,y)w, z)."""
     # low[i][j][k][l] = q(R(e_i,e_j)e_k, e_l); the Gram matrix is symmetric.
-    low = [[[form.gram.apply(v) for v in fibers] for fibers in plane] for plane in tensor.comps]
+    low = [[[form.gram.apply(v) for v in fibers] for fibers in plane] for plane in tensor]
     return _first_index(
-        tensor.dim, 4, lambda i, j, k, l: low[i][j][k][l] + low[i][j][l][k]
+        len(tensor), 4, lambda i, j, k, l: low[i][j][k][l] + low[i][j][l][k]
     )
 
 

@@ -191,11 +191,6 @@ def _reduce(rows: list[list[GaussianRational]]) -> tuple[list[list[GaussianRatio
     return rows, pivots
 
 
-def rref(matrix: CMatrix) -> tuple[CMatrix, tuple[int, ...]]:
-    rows, pivots = _reduce([list(row) for row in matrix.entries])
-    return CMatrix(rows), tuple(pivots)
-
-
 def solve_linear(matrix: CMatrix, rhs: Sequence) -> Vector | None:
     """Solve ``A x = b`` exactly; None when the system is inconsistent.
 
@@ -218,7 +213,7 @@ def solve_linear(matrix: CMatrix, rhs: Sequence) -> Vector | None:
 
 def kernel(matrix: CMatrix) -> list[Vector]:
     """Canonical exact basis of the null space ``{x : A x = 0}``."""
-    reduced, pivots = rref(matrix)
+    reduced, pivots = _reduce([list(row) for row in matrix.entries])
     n = matrix.cols
     pivot_set = set(pivots)
     basis = []
@@ -228,7 +223,7 @@ def kernel(matrix: CMatrix) -> list[Vector]:
         v = [ZERO] * n
         v[free] = ONE
         for r, c in enumerate(pivots):
-            v[c] = -reduced.entries[r][free]
+            v[c] = -reduced[r][free]
         basis.append(tuple(v))
     return basis
 

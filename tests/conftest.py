@@ -104,11 +104,11 @@ def failed_checks(report) -> list:
 def curvature_apply(tensor: CurvatureTensor, x: Sequence, y: Sequence, z: Sequence) -> Vector:
     """Trilinear extension ``R(x, y) z`` of the tensor's basis fibers."""
     u, v, w = as_vector(x), as_vector(y), as_vector(z)
-    out = list(zero_vector(tensor.dim))
-    for i, j, k in product(range(tensor.dim), repeat=3):
+    out = list(zero_vector(len(tensor)))
+    for i, j, k in product(range(len(tensor)), repeat=3):
         coeff = u[i] * v[j] * w[k]
         if coeff:
-            out = [a + coeff * r for a, r in zip(out, tensor.comps[i][j][k])]
+            out = [a + coeff * r for a, r in zip(out, tensor[i][j][k])]
     return tuple(out)
 
 
@@ -129,7 +129,7 @@ def sectional_curvature(form, tensor: CurvatureTensor, x: Sequence, y: Sequence)
 def nabla(connection: ConnectionTable, x: Sequence, y: Sequence) -> Vector:
     """Bilinear extension of the Christoffel table to constant fields."""
     u, v = as_vector(x), as_vector(y)
-    out = list(zero_vector(connection.dim))
+    out = list(zero_vector(len(connection)))
     for i, a in enumerate(u):
         if not a:
             continue
@@ -137,7 +137,7 @@ def nabla(connection: ConnectionTable, x: Sequence, y: Sequence) -> Vector:
             if not b:
                 continue
             coeff = a * b
-            for k, c in enumerate(connection.coeffs[i][j]):
+            for k, c in enumerate(connection[i][j]):
                 if c:
                     out[k] = out[k] + coeff * c
     return tuple(out)
@@ -148,14 +148,12 @@ def dense_levi_civita(algebra: LieAlgebra, form) -> ConnectionTable:
     n = algebra.dim
     gram_inverse = form.gram.inverse()
     c = [[form.gram.apply(v) for v in row] for row in algebra.constants]
-    return ConnectionTable(
+    return tuple(
         tuple(
-            tuple(
-                gram_inverse.apply([(c[i][j][k] - c[j][k][i] + c[k][i][j]) / 2 for k in range(n)])
-                for j in range(n)
-            )
-            for i in range(n)
+            gram_inverse.apply([(c[i][j][k] - c[j][k][i] + c[k][i][j]) / 2 for k in range(n)])
+            for j in range(n)
         )
+        for i in range(n)
     )
 
 
@@ -164,21 +162,19 @@ def dense_curvature(algebra: LieAlgebra, connection: ConnectionTable) -> Curvatu
     term by term on basis vectors."""
     n = algebra.dim
     basis = [algebra.basis_vector(i) for i in range(n)]
-    c = connection.coeffs
-    return CurvatureTensor(
+    c = connection
+    return tuple(
         tuple(
             tuple(
-                tuple(
-                    vsub(
-                        vsub(nabla(connection, basis[i], c[j][k]), nabla(connection, basis[j], c[i][k])),
-                        nabla(connection, algebra.constants[i][j], basis[k]),
-                    )
-                    for k in range(n)
+                vsub(
+                    vsub(nabla(connection, basis[i], c[j][k]), nabla(connection, basis[j], c[i][k])),
+                    nabla(connection, algebra.constants[i][j], basis[k]),
                 )
-                for j in range(n)
+                for k in range(n)
             )
-            for i in range(n)
+            for j in range(n)
         )
+        for i in range(n)
     )
 
 

@@ -28,7 +28,6 @@ from holriem.catalog import (
 )
 from holriem.liealg import LieAlgebra, jacobi_witness, killing_form
 from holriem.forms import QuadraticForm
-from holriem.geometry import CurvatureTensor
 from holriem.linalg import CMatrix, vadd
 from holriem.models import HomogeneousModel, isotropy_type
 from holriem.scalars import GaussianRational, gr
@@ -616,7 +615,7 @@ def test_curvature_antisymmetry_fails_on_a_kernel_fault(monkeypatch):
 
     def lopsided(algebra, connection):
         """The curvature kernel without its -c_ij^l nabla_l e_k term for i > j."""
-        r = right(algebra, connection).comps
+        r = right(algebra, connection)
         n = algebra.dim
 
         def fiber(i, j, k):
@@ -625,8 +624,8 @@ def test_curvature_antisymmetry_fails_on_a_kernel_fault(monkeypatch):
             dropped = nabla(connection, algebra.constants[i][j], algebra.basis_vector(k))
             return vadd(r[i][j][k], dropped)
 
-        return CurvatureTensor(
-            tuple(tuple(tuple(fiber(i, j, k) for k in range(n)) for j in range(n)) for i in range(n))
+        return tuple(
+            tuple(tuple(fiber(i, j, k) for k in range(n)) for j in range(n)) for i in range(n)
         )
 
     monkeypatch.setattr(catalog, "curvature", lopsided)

@@ -29,7 +29,7 @@ basis = H, E, F, W
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count ``levi_civita`` and ``curvature`` calls made through any module."""
+    """Count ``levi_civita`` and ``curvature`` calls; the CLI reaches them through ``catalog``."""
     counts = {"levi_civita": 0, "curvature": 0}
     for name in counts:
         real = getattr(geometry, name)
@@ -38,7 +38,7 @@ def calls(monkeypatch):
             counts[_name] += 1
             return _real(*args)
 
-        for module in (geometry, catalog, cli_module):
+        for module in (geometry, catalog):
             monkeypatch.setattr(module, name, counted)
     return counts
 
@@ -50,12 +50,17 @@ def test_verify_all_derives_each_metric_once(calls):
     assert calls == {"levi_civita": 6, "curvature": 6}
 
 
-def test_constcurv_not_constant_derives_once(calls, tmp_path, capsys):
+# A connection table needs no curvature; every command derives the connection once.
+@pytest.mark.parametrize(
+    "command, curvature_calls", [("constcurv", 1), ("connection", 0), ("curvature", 1)]
+)
+def test_metric_commands_derive_once(command, curvature_calls, calls, tmp_path, capsys):
     path = tmp_path / "sl2_plus_line.liealg"
     path.write_text(SL2_PLUS_LINE, encoding="utf-8")
-    assert cli_module.cli(["constcurv", str(path)]) == 0
-    assert capsys.readouterr().out == "NotConstant  witness=triple=(H,E,H)\n"
-    assert calls == {"levi_civita": 1, "curvature": 1}
+    assert cli_module.cli([command, str(path)]) == 0
+    if command == "constcurv":
+        assert capsys.readouterr().out == "NotConstant  witness=triple=(H,E,H)\n"
+    assert calls == {"levi_civita": 1, "curvature": curvature_calls}
 
 
 DATA = "src/holriem/data"

@@ -1,6 +1,7 @@
 """The package is exact: no float or complex value and no random number in its
 source; every check of the catalog that can fail names a witness; and every
-module-level function and class is used in the package."""
+module-level function and class, and every named method and property of such
+a class, is used in the package."""
 
 import ast
 from collections import Counter
@@ -100,25 +101,41 @@ def test_the_scan_finds_checks_without_a_witness():
     assert _unwitnessed(ast.parse(source)) == [(1, "'a'"), (5, "'e'"), (6, "'f'"), (7, "'g'")]
 
 
+def _spellings(node: ast.AST) -> Counter:
+    """How often each name is spelled in ``node``, as a bare name or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of each module-level function and class, and of
+    each method or property of such a class but the dunders, which Python calls."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            yield top.name, top
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef) and not (
+                    node.name.startswith("__") and node.name.endswith("__")
+                ):
+                    yield f"{top.name}.{node.name}", node
+
+
 def _unnamed(trees: dict[str, ast.Module]) -> list[str]:
-    """``module.name`` for each module-level function and class that no code of
-    the package names outside its own definition.  Names are matched by
-    spelling, as a bare name or an attribute; the exports of ``__init__`` are
-    no use."""
-    defined, named = [], Counter()
-    for module, tree in trees.items():
-        if module == "__init__":
-            continue
-        for top in tree.body:
-            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
-            if own is not None:
-                defined.append((module, own))
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name) and node.id != own:
-                    named[node.id] += 1
-                elif isinstance(node, ast.Attribute) and node.attr != own:
-                    named[node.attr] += 1
-    return sorted(f"{module}.{name}" for module, name in defined if not named[name])
+    """``module.name`` for each definition of ``_definitions`` that no code of
+    the package names outside its own body.  Names are matched by spelling,
+    as a bare name or an attribute; the exports of ``__init__`` are no use."""
+    modules = {module: tree for module, tree in trees.items() if module != "__init__"}
+    named = sum((_spellings(tree) for tree in modules.values()), Counter())
+    return sorted(
+        f"{module}.{qualified}"
+        for module, tree in modules.items()
+        for qualified, node in _definitions(tree)
+        if named[node.name] == _spellings(node)[node.name]
+    )
 
 
 def test_every_definition_is_used_in_the_package():
@@ -137,7 +154,22 @@ def test_the_scan_finds_unused_definitions():
             "def used_as_attribute(): pass\n"
             "class Unused: pass\n"
             "TABLE = {'f': used}\n"
+            "class Used:\n"
+            "    def __len__(self): return 0\n"
+            "    def method(self): return self.helper()\n"
+            "    def helper(self): return self.helper()\n"
+            "    @property\n"
+            "    def unread(self): return self.method()\n"
+            "    def unnamed(self): return self.unnamed()\n"
         ),
-        "b": ast.parse("from . import a\nfrom .a import Unused\na.used_as_attribute()\n"),
+        "b": ast.parse(
+            "from . import a\nfrom .a import Unused\na.used_as_attribute()\na.Used()\n"
+        ),
     }
-    assert _unnamed(trees) == ["a.Unused", "a.exported", "a.recursive"]
+    assert _unnamed(trees) == [
+        "a.Unused",
+        "a.Used.unnamed",
+        "a.Used.unread",
+        "a.exported",
+        "a.recursive",
+    ]

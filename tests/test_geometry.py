@@ -16,8 +16,6 @@ from conftest import nabla, scale, sectional_curvature, vscale
 from holriem.catalog import build_catalog
 from holriem.forms import DegenerateForm, QuadraticForm
 from holriem.geometry import (
-    ConnectionTable,
-    CurvatureTensor,
     adapted_gram_unipotent,
     bianchi_defect,
     compatibility_defect,
@@ -70,7 +68,7 @@ def test_biinvariant_connection_is_half_bracket():
     for i in range(3):
         for j in range(3):
             expected = vscale(half, bracket(g, g.basis_vector(i), g.basis_vector(j)))
-            assert conn.coeffs[i][j] == expected
+            assert conn[i][j] == expected
 
 
 def test_flat_catalog_curvatures_vanish():
@@ -93,7 +91,7 @@ def test_sl2_curvature_is_quarter_double_bracket():
                     bracket(g, g.basis_vector(i), g.basis_vector(j)),
                     g.basis_vector(k),
                 )
-                assert tensor.comps[i][j][k] == vscale(minus_quarter, double)
+                assert tensor[i][j][k] == vscale(minus_quarter, double)
 
 
 def test_sectional_curvature_sl2_planes():
@@ -317,8 +315,8 @@ def test_lowered_defect_scans_match_the_bilinear_reference():
         tensor = curvature(algebra, conn)
         e = [algebra.basis_vector(i) for i in range(3)]
         for _ in range(10):
-            c = [[list(v) for v in row] for row in conn.coeffs]
-            r = [[[list(v) for v in fibers] for fibers in plane] for plane in tensor.comps]
+            c = [[list(v) for v in row] for row in conn]
+            r = [[[list(v) for v in fibers] for fibers in plane] for plane in tensor]
             i, j, k, l = (rng.randrange(3) for _ in range(4))
             c[i][j][k] += gr(rng.randint(-2, 2), 1)
             r[i][j][k][l] += gr(1, rng.randint(-2, 2))
@@ -332,9 +330,9 @@ def test_lowered_defect_scans_match_the_bilinear_reference():
                  if q.apply(r[t[0]][t[1]][t[2]], e[t[3]]) + q.apply(r[t[0]][t[1]][t[3]], e[t[2]])),
                 None,
             )
-            lowered_conn = ConnectionTable(tuple(tuple(map(tuple, row)) for row in c))
-            lowered_tensor = CurvatureTensor(
-                tuple(tuple(tuple(map(tuple, fibers)) for fibers in plane) for plane in r)
+            lowered_conn = tuple(tuple(map(tuple, row)) for row in c)
+            lowered_tensor = tuple(
+                tuple(tuple(map(tuple, fibers)) for fibers in plane) for plane in r
             )
             assert compatibility_defect(q, lowered_conn) == compatibility
             assert pair_skew_defect(q, lowered_tensor) == skew

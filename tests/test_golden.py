@@ -12,7 +12,7 @@ from importlib import resources
 
 import pytest
 
-from holriem.catalog import report_to_json, verify_all
+from holriem.catalog import CATALOG_IDS, report_to_json, verify_all
 from holriem.cli import cli
 
 REPORT_SHA256 = {
@@ -61,3 +61,30 @@ def test_metric_command_text_digest(command, name, capsys):
 def test_constcurv_text(name, capsys):
     assert cli(["constcurv", _shipped(name)]) == 0
     assert capsys.readouterr().out == CONSTCURV_TEXT[name]
+
+
+# One SHA-256 over every file command, with each flag set, on every shipped
+# file: models through the metric commands included, and --quiet included.
+SWEEP_COMMANDS = (
+    "validate",
+    "invariants",
+    "classify",
+    "connection",
+    "curvature",
+    "constcurv",
+    "model",
+)
+SWEEP_FLAGS = ((), ("--json",), ("--quiet",))
+SWEEP_SHA256 = "da7d195a132c1df59ff7a5bc6c904b181e7ef98227469b2e8ad6aee947be5868"
+
+
+def test_file_command_sweep_digest(capsys):
+    digest = hashlib.sha256()
+    for command in SWEEP_COMMANDS:
+        for entry_id in CATALOG_IDS:
+            for flags in SWEEP_FLAGS:
+                code = cli([command, _shipped(entry_id), *flags])
+                out, err = capsys.readouterr()
+                record = (command, entry_id, " ".join(flags), str(code), out, err)
+                digest.update(repr(record).encode())
+    assert digest.hexdigest() == SWEEP_SHA256

@@ -13,7 +13,6 @@ import holriem
 from holriem.catalog import CatalogEntry, CheckResult, ParamExtension, VerifyReport, build_catalog
 from holriem.dsl import SpecFile
 from holriem.forms import QuadraticForm
-from holriem.geometry import ConnectionTable, CurvatureTensor
 from holriem.liealg import LieAlgebra
 from holriem.linalg import CMatrix
 from holriem.models import HomogeneousModel
@@ -26,13 +25,10 @@ MODEL = CATALOG["c_ltimes_heis"].model
 
 def _records():
     """One instance of each immutable record class, built twice."""
-    zero = ((gr(0),),)
     return [
         CMatrix([[1, gr(0, 1)]]),
         QuadraticForm([[1, 0], [0, 2]]),
         LieAlgebra(HEIS.basis_names, HEIS.constants),
-        ConnectionTable((zero,)),
-        CurvatureTensor(((zero,),)),
         HomogeneousModel(MODEL.algebra, MODEL.isotropy, MODEL.complement, MODEL.quotient_form),
         ParamExtension(c=0, m=1, k=-1, beta=1),
         CatalogEntry("heis3", HEIS),

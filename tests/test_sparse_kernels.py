@@ -16,8 +16,6 @@ from conftest import conjugate, dense_curvature, dense_levi_civita, sectional_cu
 from holriem.catalog import build_catalog
 from holriem.forms import QuadraticForm
 from holriem.geometry import (
-    ConnectionTable,
-    CurvatureTensor,
     bianchi_defect,
     constant_curvature_defect,
     constant_curvature_value,
@@ -41,12 +39,12 @@ def _model_vector(form, i, j, k, n):
 
 
 def _dense_defect(form, tensor, k):
-    n = tensor.dim
+    n = len(tensor)
     return next(
         (
             t
             for t in product(range(n), repeat=3)
-            if any(vsub(tensor.comps[t[0]][t[1]][t[2]], vscale(k, _model_vector(form, *t, n))))
+            if any(vsub(tensor[t[0]][t[1]][t[2]], vscale(k, _model_vector(form, *t, n))))
         ),
         None,
     )
@@ -55,7 +53,7 @@ def _dense_defect(form, tensor, k):
 def _dense_candidate(form, tensor):
     """First nondegenerate coordinate plane's sectional curvature, else the
     first nonzero model-tensor slot; None when neither exists."""
-    n = tensor.dim
+    n = len(tensor)
     if n < 2:
         return gr(0)
     e = [tuple(gr(int(k == i)) for k in range(n)) for i in range(n)]
@@ -67,7 +65,7 @@ def _dense_candidate(form, tensor):
     for i, j, k, l in product(range(n), repeat=4):
         model = _model_vector(form, i, j, k, n)[l]
         if model:
-            return tensor.comps[i][j][k][l] / model
+            return tensor[i][j][k][l] / model
     return None
 
 
@@ -162,18 +160,18 @@ def test_defect_scan_matches_the_reference_on_perturbed_tensors(entry):
     tensor = curvature(entry.algebra, levi_civita(entry.algebra, entry.form))
     k = constant_curvature_value(entry.form, tensor)
     assert k is not None
-    for i, j, m, l in product(range(tensor.dim), repeat=4):
-        comps = [[[list(v) for v in fibers] for fibers in plane] for plane in tensor.comps]
+    for i, j, m, l in product(range(len(tensor)), repeat=4):
+        comps = [[[list(v) for v in fibers] for fibers in plane] for plane in tensor]
         comps[i][j][m][l] = comps[i][j][m][l] + gr(1, 1)
-        perturbed = CurvatureTensor(tuple(tuple(tuple(map(tuple, f)) for f in p) for p in comps))
+        perturbed = tuple(tuple(tuple(map(tuple, f)) for f in p) for p in comps)
         defect = constant_curvature_defect(entry.form, perturbed, k)
         assert defect == _dense_defect(entry.form, perturbed, k) == (i, j, m)
 
 
 def _perturbed(table, i, j, k):
-    coeffs = [[list(v) for v in row] for row in table.coeffs]
+    coeffs = [[list(v) for v in row] for row in table]
     coeffs[i][j][k] = coeffs[i][j][k] + gr(1, 1)
-    return ConnectionTable(tuple(tuple(map(tuple, row)) for row in coeffs))
+    return tuple(tuple(map(tuple, row)) for row in coeffs)
 
 
 # Of the 27 single-symbol perturbations, how many break Bianchi or pair skew.
