@@ -153,7 +153,9 @@ class CatalogEntry(Record):
 
     @cached_property
     def connection(self) -> ConnectionTable:
-        return levi_civita(self.algebra, _metric(self))
+        if self.form is None:
+            raise ValueError("entry carries no metric")
+        return levi_civita(self.algebra, self.form)
 
     @cached_property
     def tensor(self) -> CurvatureTensor:
@@ -185,19 +187,6 @@ def _model(entry: CatalogEntry) -> HomogeneousModel:
     if entry.model is None:
         raise ValueError("entry carries no model")
     return entry.model
-
-
-def _metric(entry: CatalogEntry) -> QuadraticForm:
-    if entry.form is None:
-        raise ValueError("entry carries no metric")
-    return entry.form
-
-
-def _quotient_form(entry: CatalogEntry) -> QuadraticForm:
-    form = _model(entry).quotient_form
-    if form is None:
-        raise ValueError("model carries no quotient form")
-    return form
 
 
 def _yes_no(flag: bool) -> str:
@@ -418,10 +407,15 @@ def _render_constant(k: GaussianRational | None) -> str:
 # -- per-entry checks ------------------------------------------------------
 
 
+def _jacobi_check(check_id: str, algebra: LieAlgebra) -> CheckResult:
+    """Passes when the Jacobi identity holds; the witness names the first failing triple."""
+    triple = jacobi_witness(algebra)
+    return _check(check_id, triple is None, _triple_str(algebra, triple))
+
+
 def verify_entry(entry: CatalogEntry) -> list[CheckResult]:
     """Jacobi, then each ``[expected]`` property, then the identities of the metric."""
-    triple = jacobi_witness(entry.algebra)
-    checks = [_check(f"{entry.id}/jacobi", triple is None, _triple_str(entry.algebra, triple))]
+    checks = [_jacobi_check(f"{entry.id}/jacobi", entry.algebra)]
     for key, expected in (entry.expected or {}).items():
         checks.append(_run(f"{entry.id}/{key}", _property_check, entry, key, expected))
     if entry.form is not None:
@@ -545,7 +539,9 @@ def verify_section4(catalog: Sequence[CatalogEntry]) -> list[CheckResult]:
 def _sl2_curvature(check_id: str, entries: _Entries, model_id: str | None, want: str) -> CheckResult:
     """The curvature on sl(2) of the quotient form of the model ``model_id``,
     or of the generic form when that is None, renders as ``want``."""
-    form = _GENERIC_AB_FORM if model_id is None else _quotient_form(entries[model_id])
+    form = _GENERIC_AB_FORM if model_id is None else _model(entries[model_id]).quotient_form
+    if form is None:
+        raise ValueError("model carries no quotient form")
     value = _render_constant(constant_curvature(entries["sl2"].algebra, form))
     return _check(check_id, value == want, witness=f"got {value}", value=value)
 
@@ -934,11 +930,3 @@ def report_to_json(report: VerifyReport) -> str:
         "summary": {"pass": report.pass_count, "fail": report.fail_count},
     }
     return json.dumps(payload, indent=2)
-
-
-def render_report_text(report: VerifyReport, quiet: bool = False) -> str:
-    lines = [c.status_line() for c in report.checks if not (quiet and c.passed)]
-    lines.append(
-        f"summary: {report.pass_count} passed, {report.fail_count} failed, seed={report.seed}"
-    )
-    return "\n".join(lines)

@@ -16,11 +16,12 @@ import json
 import sys
 from functools import cache
 from itertools import combinations
+from typing import Sequence
 
 from . import catalog as cat
 from . import dsl
 from .geometry import flatness_defect
-from .liealg import LieAlgebra, jacobi_witness
+from .liealg import LieAlgebra
 
 
 def main() -> None:
@@ -48,25 +49,17 @@ def _build_parser() -> argparse.ArgumentParser:
     # `holriem --json classify F` and `holriem classify F --json` work;
     # SUPPRESS keeps subparser defaults from clobbering main-level values.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="machine-readable output",
-    )
-    common.add_argument(
-        "--quiet",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="suppress passing lines",
-    )
-
     parser = argparse.ArgumentParser(
         prog="holriem",
         description="Exact checks for left-invariant holomorphic Riemannian metrics",
     )
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--quiet", action="store_true", help="suppress passing lines")
+    for holder, default in ((common, argparse.SUPPRESS), (parser, False)):
+        holder.add_argument(
+            "--json", action="store_true", default=default, help="machine-readable output"
+        )
+        holder.add_argument(
+            "--quiet", action="store_true", default=default, help="suppress passing lines"
+        )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def file_command(name: str, handler, help_text: str):
@@ -104,11 +97,9 @@ def _load_lie(path: str) -> tuple[dsl.SpecFile, LieAlgebra]:
     """Parse a file and build its algebra; a table breaking Jacobi is an input error."""
     spec = _load(path)
     algebra = dsl.to_algebra(spec)
-    triple = jacobi_witness(algebra)
-    if triple is not None:
-        raise ValueError(
-            f"not a Lie algebra: Jacobi identity fails at {cat._triple_str(algebra, triple)}"
-        )
+    jacobi = cat._jacobi_check("jacobi", algebra)
+    if not jacobi.passed:
+        raise ValueError(f"not a Lie algebra: Jacobi identity fails at {jacobi.witness}")
     return spec, algebra
 
 
@@ -116,7 +107,7 @@ def _print_json(records: list[cat.CheckResult]) -> None:
     print(json.dumps([cat._as_json(r) for r in records], indent=2))
 
 
-def _emit_records(args, records: list[cat.CheckResult], data: bool = False) -> None:
+def _emit_records(args, records: Sequence[cat.CheckResult], data: bool = False) -> None:
     """Print check records as status lines or one JSON array.
 
     ``data`` marks informational output that --quiet must not suppress.
@@ -144,8 +135,7 @@ def _print_facts(args, entry: cat.CatalogEntry, keys: tuple[str, ...]) -> None:
 def _cmd_validate(args) -> int:
     spec = _load(args.file)
     algebra = dsl.to_algebra(spec)
-    triple = jacobi_witness(algebra)
-    records = [cat._check("jacobi", triple is None, cat._triple_str(algebra, triple))]
+    records = [cat._jacobi_check("jacobi", algebra)]
     try:
         entry = cat.entry_from_spec(spec.name, spec, algebra)
     except ValueError as exc:
@@ -255,7 +245,8 @@ def _cmd_verify(args) -> int:
     if args.json:
         print(cat.report_to_json(report))
     else:
-        print(cat.render_report_text(report, quiet=args.quiet))
+        _emit_records(args, report.checks)
+        print(f"summary: {report.pass_count} passed, {report.fail_count} failed, seed={report.seed}")
     return 0 if report.all_pass else 1
 
 

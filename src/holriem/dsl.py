@@ -506,10 +506,6 @@ def _normalize_expected(key: str, value: str, line: int, col: int) -> str:
 # -- serialization -----------------------------------------------------------
 
 
-def format_scalar(value: GaussianRational) -> str:
-    return str(value)
-
-
 def format_combination(
     labels: Sequence[str], combo: dict[str, GaussianRational]
 ) -> str:
@@ -527,7 +523,7 @@ def format_combination(
         elif magnitude == _I:
             body = f"i {label}"
         else:
-            text = format_scalar(magnitude)
+            text = str(magnitude)
             body = f"({text}) {label}" if _needs_parens(magnitude) else f"{text} {label}"
         if position == 0:
             parts.append(body if sign > 0 else f"- {body}")
@@ -566,7 +562,7 @@ def serialize(spec: SpecFile) -> str:
         lines.append("")
         lines.append("[form]")
         for a, b in sorted(spec.form):
-            lines.append(f'"{a},{b}" = {format_scalar(spec.form[(a, b)])}')
+            lines.append(f'"{a},{b}" = {spec.form[(a, b)]}')
 
     if spec.isotropy:
         lines.append("")
@@ -590,8 +586,7 @@ def serialize(spec: SpecFile) -> str:
 
 
 def to_algebra(spec: SpecFile) -> LieAlgebra:
-    table = {pair: dict(combo) for pair, combo in spec.brackets.items()}
-    return LieAlgebra.from_table(spec.labels, table)
+    return LieAlgebra.from_table(spec.labels, spec.brackets)
 
 
 def greedy_complement(

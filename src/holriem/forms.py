@@ -15,8 +15,8 @@ class DegenerateForm(ValueError):
 class QuadraticForm(Record):
     """Symmetric complex bilinear form given by its exact Gram matrix.
 
-    Nondegeneracy is not required at construction; it is certified by
-    ``nondegenerate`` (full rank, through ``linalg._reduce``) where operations demand it.
+    Nondegeneracy is not required at construction.  ``nondegenerate`` tests
+    it by one rank; the operations that demand it certify it by inverting G.
     """
 
     __slots__ = _fields = ("gram",)
@@ -63,8 +63,4 @@ class QuadraticForm(Record):
     @property
     def nondegenerate(self) -> bool:
         return self.gram.rank() == self.dim
-
-    def require_nondegenerate(self) -> None:
-        if not self.nondegenerate:
-            raise DegenerateForm("quadratic form is degenerate")
 

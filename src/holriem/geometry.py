@@ -32,11 +32,15 @@ slots and then applies G^-1 / 2 row by row; ``curvature`` evaluates all
 n^3 fibers by the sum above.  No fiber is copied from another by
 antisymmetry, Bianchi or pair skew, the identities that ``*_defect``
 checks on the result.
+
+The orthogonal algebra so(q) = {A : A^T G + G A = 0} is read from G^-1,
+whose existence certifies that q is nondegenerate: A is in so(q) exactly
+when G A is antisymmetric, so G^-1 (E_ab - E_ba), a < b, is a basis.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Iterable, Sequence
 
 from .forms import DegenerateForm, QuadraticForm
@@ -69,12 +73,17 @@ def _nonzero(vector: Sequence) -> list[tuple[int, GaussianRational]]:
     return [(k, x) for k, x in enumerate(vector) if x]
 
 
-def levi_civita(algebra: LieAlgebra, form: QuadraticForm) -> ConnectionTable:
-    """Unique torsion-free metric connection of a left-invariant metric."""
+def _gram_inverse(form: QuadraticForm) -> CMatrix:
+    """G^-1, which exists exactly when the form is nondegenerate."""
     try:
-        inverse = form.gram.inverse()
+        return form.gram.inverse()
     except ZeroDivisionError:
         raise DegenerateForm("quadratic form is degenerate") from None
+
+
+def levi_civita(algebra: LieAlgebra, form: QuadraticForm) -> ConnectionTable:
+    """Unique torsion-free metric connection of a left-invariant metric."""
+    inverse = _gram_inverse(form)
     n = algebra.dim
     if form.dim != n:
         raise ValueError("form dimension does not match the algebra")
@@ -274,35 +283,29 @@ def pair_skew_defect(
 def stabilizer_in_skew(
     form: QuadraticForm, vectors: Sequence[Sequence]
 ) -> list[CMatrix]:
-    """Basis of ``{A in so(q) : A v = 0 for each given v}``."""
-    form.require_nondegenerate()
+    """Basis of ``{A in so(q) : A v = 0 for each given v}``: the kernel of
+    the rows (B_ab v)_r over the coefficients x_ab of A = G^-1 S, where
+    B_ab = G^-1 (E_ab - E_ba) and S_ab = -S_ba = x_ab for a < b."""
+    inverse = _gram_inverse(form)
     n = form.dim
-    gram = form.gram.entries
+    pairs = list(combinations(range(n), 2))
     rows = []
-    # Unknowns: column-major entries A[r][c] at index c*n + r.
-    for a in range(n):
-        for b in range(a, n):
-            row = [ZERO] * (n * n)
-            for k in range(n):
-                # (A^T G)_{ab} = sum_k A[k][a] G[k][b]
-                row[a * n + k] = row[a * n + k] + gram[k][b]
-                # (G A)_{ab} = sum_k G[a][k] A[k][b]
-                row[b * n + k] = row[b * n + k] + gram[a][k]
-            rows.append(row)
     for v in vectors:
         vec = as_vector(v)
         if len(vec) != n:
             raise ValueError("vector length does not match the form")
-        for r in range(n):
-            row = [ZERO] * (n * n)
-            for c in range(n):
-                row[c * n + r] = vec[c]
-            rows.append(row)
+        # (B_ab v)_r = v_b (G^-1)_ra - v_a (G^-1)_rb: column b of B_ab is
+        # column a of G^-1, and column a is minus column b.
+        rows.extend([vec[b] * g[a] - vec[a] * g[b] for a, b in pairs] for g in inverse.entries)
+    if not pairs:
+        return []
     matrices = []
-    for sol in kernel(CMatrix(rows)):
-        matrices.append(
-            CMatrix([[sol[c * n + r] for c in range(n)] for r in range(n)])
-        )
+    # With no vector given, one zero row keeps all of so(q).
+    for sol in kernel(CMatrix(rows or [[ZERO] * len(pairs)])):
+        skew = [[ZERO] * n for _ in range(n)]
+        for (a, b), x in zip(pairs, sol):
+            skew[a][b], skew[b][a] = x, -x
+        matrices.append(inverse @ CMatrix(skew))
     return matrices
 
 

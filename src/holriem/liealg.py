@@ -20,12 +20,12 @@ from enum import Enum
 from itertools import combinations
 from typing import Mapping, Sequence
 
+from . import linalg
 from .forms import QuadraticForm
 from .linalg import (
     CMatrix,
     Vector,
     _dot,
-    _reduce,
     as_vector,
     kernel,
     span_basis,
@@ -310,7 +310,8 @@ def subalgebra(
     # One elimination of [T | I]: if T has rank k, the rows [I_k | L] give the
     # coordinates L b of a b in the span, and the rows [0 | N] test N b = 0.
     identity = CMatrix.identity(transition.rows).entries
-    rows, pivots = _reduce([list(t + e) for t, e in zip(transition.entries, identity)])
+    # Through the module, so that a wrapper of linalg._reduce sees this elimination.
+    rows, pivots = linalg._reduce([list(t + e) for t, e in zip(transition.entries, identity)])
     if pivots[:k] != list(range(k)):
         raise ValueError("subalgebra generators are linearly dependent")
     coords = [row[k:] for row in rows[:k]]

@@ -92,7 +92,8 @@ class CMatrix(Record):
         return tuple(row[j] for row in self.entries)
 
     def __add__(self, other: "CMatrix") -> "CMatrix":
-        self._check_same_shape(other)
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
         return CMatrix(
             [vadd(r, s) for r, s in zip(self.entries, other.entries)]
         )
@@ -136,10 +137,6 @@ class CMatrix(Record):
         if len(pivots) < n or any(p >= n for p in pivots):
             raise ZeroDivisionError("matrix is singular")
         return CMatrix([row[n:] for row in reduced[:n]])
-
-    def _check_same_shape(self, other: "CMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
 
     def __str__(self) -> str:
         return "[" + "; ".join(

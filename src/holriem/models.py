@@ -91,10 +91,6 @@ class HomogeneousModel(Record):
         object.__setattr__(self, "quotient_form", quotient_form)
         object.__setattr__(self, "actions", actions)
 
-    @property
-    def quotient_dim(self) -> int:
-        return len(self.complement)
-
 
 def induced_ad(model: HomogeneousModel, y: Sequence) -> CMatrix:
     """Matrix of ad(y) modulo the isotropy on the complement basis.
@@ -136,7 +132,7 @@ def invariant_forms(model: HomogeneousModel) -> list[QuadraticForm]:
     Members may be degenerate; callers pick a nondegenerate one when they
     need a metric.
     """
-    d = model.quotient_dim
+    d = len(model.complement)
     # Unknowns: entries s_{ij}, i <= j, of the symmetric matrix S.
     slots = [(i, j) for i in range(d) for j in range(i, d)]
     position = {pair: k for k, pair in enumerate(slots)}
@@ -155,15 +151,9 @@ def invariant_forms(model: HomogeneousModel) -> list[QuadraticForm]:
                     row[s_index(k, q)] = row[s_index(k, q)] + a[k][p]
                     row[s_index(p, k)] = row[s_index(p, k)] + a[k][q]
                 rows.append(row)
-    if not rows:
-        solutions = [
-            tuple(1 if t == s else 0 for t in range(len(slots)))
-            for s in range(len(slots))
-        ]
-    else:
-        solutions = kernel(CMatrix(rows))
     forms = []
-    for sol in solutions:
+    # With no isotropy, one zero row leaves every symmetric S.
+    for sol in kernel(CMatrix(rows or [[ZERO] * len(slots)])):
         gram = [[ZERO] * d for _ in range(d)]
         for (i, j), k in position.items():
             gram[i][j] = sol[k]

@@ -167,8 +167,18 @@ def test_verify_all_eliminates_each_subalgebra_once(work):
 
 def test_verify_all_inverts_no_frame_twice(eliminations):
     assert catalog.verify_all(42).all_pass
-    # 19 when section 4 rebuilt the c_oplus_sl2 model to swap its form.
-    assert eliminations["inverse"] == 18
+    # 19 when section 4 rebuilt the c_oplus_sl2 model to swap its form.  Each
+    # frame is still inverted once; the other 4 inverses are the Gram inverses
+    # of the four isotropy bounds, whose so(q) basis is read from G^-1.
+    assert eliminations["inverse"] == 22
+
+
+def test_elimination_counters_agree(work, eliminations):
+    # ``work`` is set up first, so it wraps every module's binding of the real
+    # ``_reduce`` and ``eliminations`` wraps linalg's only: the counts agree
+    # when every elimination is called through the module, as a tracer sees it.
+    assert catalog.verify_all(42).all_pass
+    assert eliminations["_reduce"] == work["_reduce"] == 130
 
 
 @pytest.fixture

@@ -168,27 +168,35 @@ def test_skew_algebra_dimensions():
 
 def test_skew_algebra_random_forms():
     rng = random.Random(31)
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5, 6):
         for _ in range(3):
-            while True:
-                entries = [
-                    [gr(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
-                    for _ in range(n)
-                ]
-                gram = [
-                    [
-                        entries[i][j] + entries[j][i]
-                        for j in range(n)
-                    ]
-                    for i in range(n)
-                ]
-                q = QuadraticForm(gram)
-                if q.nondegenerate:
-                    break
+            q = _random_nondegenerate_form(rng, n)
             basis = stabilizer_in_skew(q, [])
             assert len(basis) == n * (n - 1) // 2
             for a in basis:
                 assert (a.transpose() @ q.gram + q.gram @ a).is_zero()
+            v = (gr(0),) * n
+            while not any(v):
+                v = tuple(gr(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n))
+            fixing = stabilizer_in_skew(q, [v])
+            # so(q) acts transitively on the nonzero vectors of each length.
+            assert len(fixing) == (n - 1) * (n - 2) // 2
+            for a in fixing:
+                assert (a.transpose() @ q.gram + q.gram @ a).is_zero()
+                assert not any(a.apply(v))
+
+
+def test_stabilizer_rejects_bad_input():
+    with pytest.raises(DegenerateForm, match="^quadratic form is degenerate$"):
+        stabilizer_in_skew(QuadraticForm.diagonal([1, 0, 1]), [])
+    with pytest.raises(ValueError, match="vector length"):
+        stabilizer_in_skew(QuadraticForm.diagonal([1, 1, 1]), [(gr(1), gr(0))])
+
+
+def test_stabilizer_in_one_dimension_is_zero():
+    q = QuadraticForm.diagonal([gr(0, 1)])
+    assert stabilizer_in_skew(q, []) == []
+    assert stabilizer_in_skew(q, [(gr(1),)]) == []
 
 
 def test_stabilizer_dimensions():

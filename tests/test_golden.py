@@ -12,6 +12,7 @@ from importlib import resources
 
 import pytest
 
+import holriem.catalog
 from holriem.catalog import CATALOG_IDS, report_to_json, verify_all
 from holriem.cli import cli
 
@@ -88,3 +89,55 @@ def test_file_command_sweep_digest(capsys):
                 record = (command, entry_id, " ".join(flags), str(code), out, err)
                 digest.update(repr(record).encode())
     assert digest.hexdigest() == SWEEP_SHA256
+
+
+# SHA-256 of the stdout of ``holriem verify-paper`` (seed 42) with each flag set,
+# and of the same report made to fail by a broken Möbius derivative defect.
+# Taken before the report printer moved to the CLI's record printer.
+VERIFY_TEXT_SHA256 = {
+    ((), 0): "3eafdc5d83a4f03e550b5c1f40322deadf802bb9f65341847302dcf72bc2687d",
+    (("--quiet",), 0): "097fe2097ed76a85e4c98d81f86c26b15d75d8ebffabc660fcd2d1bde553a24d",
+    ((), 1): "5ccf2674e92d1d24349b520cd7c4995c0d4beac45e994d4e2d8bbda97fad7e59",
+}
+
+
+@pytest.mark.parametrize("flags,code", sorted(VERIFY_TEXT_SHA256))
+def test_verify_paper_text_digest(flags, code, monkeypatch, capsys):
+    if code:
+        monkeypatch.setattr(
+            holriem.catalog, "_derivative_defect", lambda a, b, c, d, z: a * b + c * d + z
+        )
+    assert cli(["verify-paper", *flags]) == code
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_TEXT_SHA256[(flags, code)]
+
+
+# One SHA-256 over (arguments, exit code, stdout, stderr) of ``--help`` at the top
+# level and on each subcommand, and one over a set of usage errors, 80 columns wide.
+HELP_ARGS = ((), *((command,) for command in SWEEP_COMMANDS), ("verify-paper",), ("mobius-check",))
+HELP_SHA256 = "24074b8e913ad4c45fde404e8cc937e3aea52894aef89b77cf695629f0224653"
+USAGE_ERRORS = (
+    (),
+    ("--bogus",),
+    ("validate",),
+    ("verify-paper", "--seed", "x"),
+    ("nosuch",),
+    ("classify", "a", "b"),
+)
+USAGE_SHA256 = "fb03baa9df6e6a7e9d0713ac2495534b412b263cb1382b5770b7dd292bc8b358"
+
+
+@pytest.mark.parametrize(
+    "runs,suffix,want",
+    [(HELP_ARGS, ("--help",), HELP_SHA256), (USAGE_ERRORS, (), USAGE_SHA256)],
+    ids=["help", "usage-errors"],
+)
+def test_parser_output_digest(runs, suffix, want, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for args in runs:
+        code = cli([*args, *suffix])
+        assert code == (0 if suffix else 2)
+        digest.update(repr((args, code, *capsys.readouterr())).encode())
+    assert digest.hexdigest() == want
