@@ -52,6 +52,7 @@ from .geometry import (
     curvature_antisymmetry_defect,
     levi_civita,
     pair_skew_defect,
+    stabilizer,
     stabilizer_in_skew,
     torsion_defect,
     unipotent_flow,
@@ -626,11 +627,13 @@ def verify_isotropy_dimension_bounds() -> list[CheckResult]:
     """Dimensions of so(q) and of the stabilizers in it of a unit vector, a
     null vector and a frame, for the adapted form q."""
     form = QuadraticForm(adapted_gram_unipotent())
+    # so(q), and with it G^-1, is derived once per report; each stabilizer is cut from it.
+    so_q = cache(lambda: stabilizer_in_skew(form, []))
     unit = (gr(0), gr(1), gr(0))
     null = (gr(1), gr(0), gr(0))
     frame_partner = (gr(1), gr(0), gr(1))
     return [
-        _run(f"isotropy-bounds/{name}", _stabilizer_dim_check, form, fixed, want)
+        _run(f"isotropy-bounds/{name}", _stabilizer_dim_check, so_q, fixed, want)
         for name, fixed, want in (
             ("so_q_dim", [], 3),
             ("fix_unit_vector", [unit], 1),
@@ -640,8 +643,8 @@ def verify_isotropy_dimension_bounds() -> list[CheckResult]:
     ]
 
 
-def _stabilizer_dim_check(check_id: str, form: QuadraticForm, fixed: list, want: int) -> CheckResult:
-    dim = len(stabilizer_in_skew(form, fixed))
+def _stabilizer_dim_check(check_id: str, so_q: Callable, fixed: list, want: int) -> CheckResult:
+    dim = len(stabilizer(so_q(), fixed))
     return _check(check_id, dim == want, f"got {dim}", str(dim))
 
 

@@ -33,6 +33,16 @@ n^3 fibers by the sum above.  No fiber is copied from another by
 antisymmetry, Bianchi or pair skew, the identities that ``*_defect``
 checks on the result.
 
+Each ``*_defect`` scan returns the first index tuple, in lexicographic
+order, where its identity fails.  On any input the defect takes one value
+on each orbit of an index symmetry: torsion is antisymmetric in (i, j),
+as ``LieAlgebra`` keeps c_ji = -c_ij; the compatibility, antisymmetry and
+pair-skew sums are symmetric in the two indices they swap; the Bianchi
+sum is cyclic.  So a scan tests only the first tuple of each orbit, and
+finds the same witness: the first member of the orbit of the full scan's
+first violating tuple t violates too and cannot come before t, so it is t.
+Per tuple, the scans add nonzero components only.
+
 The orthogonal algebra so(q) = {A : A^T G + G A = 0} is read from G^-1,
 whose existence certifies that q is nondegenerate: A is in so(q) exactly
 when G A is antisymmetric, so G^-1 (E_ab - E_ba), a < b, is a basis.
@@ -40,12 +50,12 @@ when G A is antisymmetric, so G^-1 (E_ab - E_ba), a < b, is a basis.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Callable, Iterable, Sequence
 
 from .forms import DegenerateForm, QuadraticForm
 from .liealg import LieAlgebra
-from .linalg import CMatrix, Vector, as_vector, kernel, vadd, vsub
+from .linalg import CMatrix, Vector, kernel
 from .scalars import GaussianRational, ONE, ZERO, as_gr
 
 _HALF = ONE / 2
@@ -60,13 +70,6 @@ CurvatureTensor = tuple[tuple[tuple[Vector, ...], ...], ...]
 def _first(points: Iterable[tuple], bad: Callable[..., object]) -> tuple | None:
     """First point of ``points``, in their order, where ``bad`` holds, or None."""
     return next((p for p in points if bad(*p)), None)
-
-
-def _first_index(
-    n: int, arity: int, bad: Callable[..., object]
-) -> tuple[int, ...] | None:
-    """Lexicographically first index tuple in ``range(n)^arity`` where ``bad`` holds."""
-    return _first(product(range(n), repeat=arity), bad)
 
 
 def _nonzero(vector: Sequence) -> list[tuple[int, GaussianRational]]:
@@ -165,7 +168,7 @@ def constant_curvature_value(
         # The model tensor vanishes: only R = 0 qualifies.
         candidate = ZERO
     else:
-        slot = _first_index(n, 4, lambda i, j, k, l: _model_entry(gram, i, j, k, l))
+        slot = _first(product(range(n), repeat=4), lambda i, j, k, l: _model_entry(gram, i, j, k, l))
         if slot is None:
             raise DegenerateForm("no usable plane for the curvature candidate")
         i, j, k, l = slot
@@ -194,12 +197,12 @@ def constant_curvature_defect(
             or any(x for l, x in enumerate(fiber) if l != i and l != j)
         )
 
-    return _first_index(len(tensor), 3, bad)
+    return _first(product(range(len(tensor)), repeat=3), bad)
 
 
 def flatness_defect(tensor: CurvatureTensor) -> tuple[int, int, int] | None:
     """First basis triple with a nonzero curvature component, or None."""
-    return _first_index(len(tensor), 3, lambda i, j, k: any(tensor[i][j][k]))
+    return _first(product(range(len(tensor)), repeat=3), lambda i, j, k: any(tensor[i][j][k]))
 
 
 def ricci(form: QuadraticForm, tensor: CurvatureTensor) -> QuadraticForm:
@@ -221,14 +224,48 @@ def ricci(form: QuadraticForm, tensor: CurvatureTensor) -> QuadraticForm:
 # -- connection/curvature identity checks --------------------------------
 
 
-def torsion_defect(
-    algebra: LieAlgebra, connection: ConnectionTable
-) -> tuple[int, int] | None:
+def _add(a: GaussianRational, b: GaussianRational) -> GaussianRational:
+    """a + b, added only when both are nonzero."""
+    if a:
+        return a + b if b else a
+    return b
+
+
+def _nonzero_sum(*vectors: Sequence) -> bool:
+    """Whether the sum of the vectors has a nonzero component."""
+    for m in range(len(vectors[0])):
+        total = None
+        for v in vectors:
+            if v[m]:
+                total = v[m] if total is None else total + v[m]
+        if total:
+            return True
+    return False
+
+
+def _lower(gram_rows: list, v: Sequence) -> list[GaussianRational]:
+    """(q(v, e_y))_y, from the nonzero entries of each Gram row."""
+    out = [ZERO] * len(gram_rows)
+    for l, x in enumerate(v):
+        if x:
+            for y, g in gram_rows[l]:
+                out[y] = _add(out[y], x * g)
+    return out
+
+
+def _pairs(n: int) -> Iterable[tuple[int, int]]:
+    """The pairs i <= j in lexicographic order: the first of each swap orbit."""
+    return combinations_with_replacement(range(n), 2)
+
+
+def torsion_defect(algebra: LieAlgebra, connection: ConnectionTable) -> tuple[int, int] | None:
     """First basis pair with nabla_x y - nabla_y x != [x, y], or None."""
-    return _first_index(
-        algebra.dim,
-        2,
-        lambda i, j: any(vsub(vsub(connection[i][j], connection[j][i]), algebra.constants[i][j])),
+    c, r = algebra.constants, range(algebra.dim)
+    return _first(
+        _pairs(algebra.dim),
+        lambda i, j: any(
+            connection[i][j][m] != _add(connection[j][i][m], c[i][j][m]) for m in r
+        ),
     )
 
 
@@ -237,32 +274,35 @@ def compatibility_defect(
 ) -> tuple[int, int, int] | None:
     """First triple violating q(nabla_z x, y) + q(x, nabla_z y) = 0."""
     # low[z][x][y] = q(nabla_z x, e_y); the Gram matrix is symmetric.
-    low = [[form.gram.apply(v) for v in row] for row in connection]
-    return _first_index(
-        len(connection), 3, lambda z, x, y: low[z][x][y] + low[z][y][x]
+    rows, n = [_nonzero(row) for row in form.gram.entries], len(connection)
+    low = [[_lower(rows, v) for v in vectors] for vectors in connection]
+    return _first(
+        ((z, x, y) for z in range(n) for x, y in _pairs(n)),
+        lambda z, x, y: _add(low[z][x][y], low[z][y][x]),
     )
 
 
-def curvature_antisymmetry_defect(
-    tensor: CurvatureTensor,
-) -> tuple[int, int, int] | None:
+def curvature_antisymmetry_defect(tensor: CurvatureTensor) -> tuple[int, int, int] | None:
     """First triple violating R(x,y)z + R(y,x)z = 0, or None.
 
     For ``curvature`` output the sum is -sum_l (c_ij^l + c_ji^l) nabla_l e_k,
     which ``LieAlgebra`` already keeps zero; so this guards the kernel,
     which evaluates every fiber on its own, not the input.
     """
-    return _first_index(
-        len(tensor), 3, lambda i, j, k: any(vadd(tensor[i][j][k], tensor[j][i][k]))
+    n = len(tensor)
+    return _first(
+        ((i, j, k) for i, j in _pairs(n) for k in range(n)),
+        lambda i, j, k: _nonzero_sum(tensor[i][j][k], tensor[j][i][k]),
     )
 
 
 def bianchi_defect(tensor: CurvatureTensor) -> tuple[int, int, int] | None:
     """First triple violating R(x,y)z + R(y,z)x + R(z,x)y = 0."""
-    return _first_index(
-        len(tensor),
-        3,
-        lambda i, j, k: any(vadd(vadd(tensor[i][j][k], tensor[j][k][i]), tensor[k][i][j])),
+    n = len(tensor)
+    # (i, j, k) comes first among its rotations when i < j, k or i = j <= k.
+    return _first(
+        ((i, j, k) for i, j, k in product(range(n), repeat=3) if i < min(j, k) or i == j <= k),
+        lambda i, j, k: _nonzero_sum(tensor[i][j][k], tensor[j][k][i], tensor[k][i][j]),
     )
 
 
@@ -271,42 +311,42 @@ def pair_skew_defect(
 ) -> tuple[int, int, int, int] | None:
     """First quadruple violating q(R(x,y)z, w) = -q(R(x,y)w, z)."""
     # low[i][j][k][l] = q(R(e_i,e_j)e_k, e_l); the Gram matrix is symmetric.
-    low = [[[form.gram.apply(v) for v in fibers] for fibers in plane] for plane in tensor]
-    return _first_index(
-        len(tensor), 4, lambda i, j, k, l: low[i][j][k][l] + low[i][j][l][k]
+    rows, n = [_nonzero(row) for row in form.gram.entries], len(tensor)
+    low = [[[_lower(rows, v) for v in fibers] for fibers in plane] for plane in tensor]
+    return _first(
+        ((i, j, k, l) for i, j in product(range(n), repeat=2) for k, l in _pairs(n)),
+        lambda i, j, k, l: _add(low[i][j][k][l], low[i][j][l][k]),
     )
 
 
 # -- orthogonal algebra ---------------------------------------------------
 
 
-def stabilizer_in_skew(
-    form: QuadraticForm, vectors: Sequence[Sequence]
-) -> list[CMatrix]:
-    """Basis of ``{A in so(q) : A v = 0 for each given v}``: the kernel of
-    the rows (B_ab v)_r over the coefficients x_ab of A = G^-1 S, where
-    B_ab = G^-1 (E_ab - E_ba) and S_ab = -S_ba = x_ab for a < b."""
-    inverse = _gram_inverse(form)
-    n = form.dim
-    pairs = list(combinations(range(n), 2))
-    rows = []
-    for v in vectors:
-        vec = as_vector(v)
-        if len(vec) != n:
-            raise ValueError("vector length does not match the form")
-        # (B_ab v)_r = v_b (G^-1)_ra - v_a (G^-1)_rb: column b of B_ab is
-        # column a of G^-1, and column a is minus column b.
-        rows.extend([vec[b] * g[a] - vec[a] * g[b] for a, b in pairs] for g in inverse.entries)
-    if not pairs:
-        return []
-    matrices = []
-    # With no vector given, one zero row keeps all of so(q).
-    for sol in kernel(CMatrix(rows or [[ZERO] * len(pairs)])):
-        skew = [[ZERO] * n for _ in range(n)]
-        for (a, b), x in zip(pairs, sol):
-            skew[a][b], skew[b][a] = x, -x
-        matrices.append(inverse @ CMatrix(skew))
-    return matrices
+def stabilizer_in_skew(form: QuadraticForm, vectors: Sequence[Sequence]) -> list[CMatrix]:
+    """Basis of ``{A in so(q) : A v = 0 for each given v}``, cut by
+    ``stabilizer`` from the basis B_ab = G^-1 (E_ab - E_ba), a < b, of so(q)."""
+    inverse, n = _gram_inverse(form).entries, form.dim
+    if any(len(v) != n for v in vectors):
+        raise ValueError("vector length does not match the form")
+    # Column b of B_ab is column a of G^-1, and column a is minus column b.
+    skew = [
+        CMatrix([[g[a] if c == b else -g[b] if c == a else ZERO for c in range(n)] for g in inverse])
+        for a, b in combinations(range(n), 2)
+    ]
+    return stabilizer(skew, vectors)
+
+
+def stabilizer(basis: Sequence[CMatrix], vectors: Sequence[Sequence]) -> list[CMatrix]:
+    """Basis of ``{A in span(basis) : A v = 0 for each given v}``: one kernel
+    over the coefficients of A in the basis, or the basis when no v is given."""
+    constraints = [row for v in vectors for row in zip(*(a.apply(v) for a in basis))]
+    if not constraints:
+        return list(basis)
+    rows, cols = range(basis[0].rows), range(basis[0].cols)
+    return [
+        CMatrix([[sum((x * a.entries[r][c] for x, a in terms), ZERO) for c in cols] for r in rows])
+        for terms in ([(x, a) for x, a in zip(sol, basis) if x] for sol in kernel(CMatrix(constraints)))
+    ]
 
 
 # -- the unipotent isotropy flow -------------------------------------------

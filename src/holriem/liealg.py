@@ -98,11 +98,13 @@ class LieAlgebra(Record):
 
         Each entry gives ``[a, b]`` as a label-to-coefficient mapping;
         omitted brackets are zero and ``[b, a]`` is filled by antisymmetry.
-        """
+        One pass builds the table and its terms, antisymmetric and of the right
+        shape by construction; of ``__init__``'s checks only the label one is left."""
         names = tuple(basis_names)
         n = len(names)
         index = {name: k for k, name in enumerate(names)}
-        grid = [[list(zero_vector(n)) for _ in range(n)] for _ in range(n)]
+        constants = [[zero_vector(n)] * n for _ in range(n)]
+        terms = [[()] * n for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for (a, b), combo in table.items():
             i, j = index[a], index[b]
@@ -117,9 +119,17 @@ class LieAlgebra(Record):
             if key in seen:
                 raise ValueError(f"bracket ({a},{b}) specified twice")
             seen.add(key)
-            grid[i][j] = value
-            grid[j][i] = [-v for v in value]
-        return cls(names, grid)
+            terms[i][j] = tuple((k, c) for k, c in enumerate(value) if c)
+            terms[j][i] = tuple((k, -c) for k, c in terms[i][j])
+            constants[i][j] = tuple(value)
+            constants[j][i] = tuple(-c if c else c for c in value)
+        if len(set(names)) != n:
+            raise ValueError("duplicate basis labels")
+        algebra = object.__new__(cls)
+        object.__setattr__(algebra, "basis_names", names)
+        object.__setattr__(algebra, "constants", tuple(map(tuple, constants)))
+        object.__setattr__(algebra, "terms", tuple(map(tuple, terms)))
+        return algebra
 
     @property
     def dim(self) -> int:

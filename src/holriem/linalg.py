@@ -36,12 +36,6 @@ def vadd(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vsub(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise ValueError("vector length mismatch")
-    return tuple(a - b for a, b in zip(u, v))
-
-
 class CMatrix(Record):
     """Immutable dense matrix with GaussianRational entries."""
 

@@ -11,10 +11,11 @@ from typing import Sequence
 import pytest
 from hypothesis import settings
 
+from holriem import geometry
 from holriem.catalog import ParamExtension
 from holriem.geometry import ConnectionTable, CurvatureTensor
 from holriem.liealg import LieAlgebra, bracket
-from holriem.linalg import CMatrix, Vector, as_vector, in_span, span_basis, vadd, vsub, zero_vector
+from holriem.linalg import CMatrix, Vector, as_vector, in_span, span_basis, vadd, zero_vector
 from holriem.scalars import ONE, ZERO, GaussianRational, as_gr, gr
 
 settings.register_profile("exact", derandomize=True)
@@ -61,6 +62,12 @@ def zeros(rows: int, cols: int) -> CMatrix:
 def scale(matrix: CMatrix, scalar) -> CMatrix:
     s = as_gr(scalar)
     return CMatrix([[s * v for v in row] for row in matrix.entries])
+
+
+def vsub(u: Vector, v: Vector) -> Vector:
+    if len(u) != len(v):
+        raise ValueError("vector length mismatch")
+    return tuple(a - b for a, b in zip(u, v))
 
 
 def vscale(scalar, v: Sequence) -> Vector:
@@ -175,6 +182,61 @@ def dense_curvature(algebra: LieAlgebra, connection: ConnectionTable) -> Curvatu
             for j in range(n)
         )
         for i in range(n)
+    )
+
+
+# -- dense references for the orbit-reduced identity scans --------------------
+#
+# The scans as they were before each tested one tuple per symmetry orbit:
+# every tuple of range(n)^arity, with dense lowering and vector sums.  They
+# call ``_first`` through the module, so a wrapper of it sees their visits.
+
+
+def _first_index(n: int, arity: int, bad) -> tuple[int, ...] | None:
+    """Lexicographically first index tuple in ``range(n)^arity`` where ``bad`` holds."""
+    return geometry._first(product(range(n), repeat=arity), bad)
+
+
+def dense_torsion_defect(algebra: LieAlgebra, connection: ConnectionTable) -> tuple[int, int] | None:
+    """First basis pair with nabla_x y - nabla_y x != [x, y], or None."""
+    return _first_index(
+        algebra.dim,
+        2,
+        lambda i, j: any(vsub(vsub(connection[i][j], connection[j][i]), algebra.constants[i][j])),
+    )
+
+
+def dense_compatibility_defect(form, connection: ConnectionTable) -> tuple[int, int, int] | None:
+    """First triple violating q(nabla_z x, y) + q(x, nabla_z y) = 0."""
+    # low[z][x][y] = q(nabla_z x, e_y); the Gram matrix is symmetric.
+    low = [[form.gram.apply(v) for v in row] for row in connection]
+    return _first_index(
+        len(connection), 3, lambda z, x, y: low[z][x][y] + low[z][y][x]
+    )
+
+
+def dense_curvature_antisymmetry_defect(tensor: CurvatureTensor) -> tuple[int, int, int] | None:
+    """First triple violating R(x,y)z + R(y,x)z = 0, or None."""
+    return _first_index(
+        len(tensor), 3, lambda i, j, k: any(vadd(tensor[i][j][k], tensor[j][i][k]))
+    )
+
+
+def dense_bianchi_defect(tensor: CurvatureTensor) -> tuple[int, int, int] | None:
+    """First triple violating R(x,y)z + R(y,z)x + R(z,x)y = 0."""
+    return _first_index(
+        len(tensor),
+        3,
+        lambda i, j, k: any(vadd(vadd(tensor[i][j][k], tensor[j][k][i]), tensor[k][i][j])),
+    )
+
+
+def dense_pair_skew_defect(form, tensor: CurvatureTensor) -> tuple[int, int, int, int] | None:
+    """First quadruple violating q(R(x,y)z, w) = -q(R(x,y)w, z)."""
+    # low[i][j][k][l] = q(R(e_i,e_j)e_k, e_l); the Gram matrix is symmetric.
+    low = [[[form.gram.apply(v) for v in fibers] for fibers in plane] for plane in tensor]
+    return _first_index(
+        len(tensor), 4, lambda i, j, k, l: low[i][j][k][l] + low[i][j][l][k]
     )
 
 

@@ -161,16 +161,19 @@ def test_verify_all_derives_each_isotropy_action_once(work):
 def test_verify_all_eliminates_each_subalgebra_once(work):
     assert catalog.verify_all(42).all_pass
     # Six subalgebra spans of three generators: one elimination of [T | I]
-    # each, where one span_basis and nine solve_linear made 184 in all.
-    assert work["_reduce"] == 130
+    # each, where one span_basis and nine solve_linear made 184 in all.  The
+    # isotropy bounds make 4: one Gram inverse for so(q) and one kernel for
+    # each of the three stabilizers cut from it (8 when each bound made its own).
+    assert work["_reduce"] == 126
 
 
 def test_verify_all_inverts_no_frame_twice(eliminations):
     assert catalog.verify_all(42).all_pass
-    # 19 when section 4 rebuilt the c_oplus_sl2 model to swap its form.  Each
-    # frame is still inverted once; the other 4 inverses are the Gram inverses
-    # of the four isotropy bounds, whose so(q) basis is read from G^-1.
-    assert eliminations["inverse"] == 22
+    # 19 when section 4 rebuilt the c_oplus_sl2 model to swap its form, and 22
+    # when each of the four isotropy bounds inverted its Gram matrix.  Each
+    # frame is inverted once; one more inverse is the Gram inverse from which
+    # the isotropy bounds read so(q), once per report.
+    assert eliminations["inverse"] == 19
 
 
 def test_elimination_counters_agree(work, eliminations):
@@ -178,7 +181,20 @@ def test_elimination_counters_agree(work, eliminations):
     # ``_reduce`` and ``eliminations`` wraps linalg's only: the counts agree
     # when every elimination is called through the module, as a tracer sees it.
     assert catalog.verify_all(42).all_pass
-    assert eliminations["_reduce"] == work["_reduce"] == 130
+    assert eliminations["_reduce"] == work["_reduce"] == 126
+
+
+def test_a_second_report_derives_as_much_as_the_first(calls, eliminations):
+    # No derived value (a Gram inverse, so(q), a connection) outlives its report.
+    counts = []
+    for _ in range(2):
+        assert catalog.verify_all(42).all_pass
+        counts.append((dict(calls), dict(eliminations)))
+        calls.update(dict.fromkeys(calls, 0))
+        eliminations.update(dict.fromkeys(eliminations, 0))
+    assert counts[0] == counts[1] == (
+        {"levi_civita": 6, "curvature": 6}, {"_reduce": 126, "inverse": 19}
+    )
 
 
 @pytest.fixture

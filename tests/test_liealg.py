@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from conftest import ad, conjugate, trace
 
-from holriem.catalog import build_catalog
+from holriem.catalog import build_catalog, shipped_file_text
+from holriem.dsl import DslError, parse
 from holriem.liealg import (
     AlgebraClass,
     LieAlgebra,
@@ -28,7 +29,7 @@ from holriem.liealg import (
     subalgebra,
 )
 from holriem.linalg import CMatrix, in_span
-from holriem.scalars import gr
+from holriem.scalars import as_gr, gr
 
 CATALOG = {entry.id: entry for entry in build_catalog()}
 
@@ -50,6 +51,99 @@ def test_bracket_antisymmetry_random():
         xy = bracket(s, x, y)
         yx = bracket(s, y, x)
         assert xy == tuple(-c for c in yx)
+
+
+# -- from_table against the dense constructor --------------------------------
+
+
+def _dense_grid(names, table):
+    """The full table of a sparse one, entry by entry, with [b, a] = -[a, b]."""
+    n = len(names)
+    index = {name: k for k, name in enumerate(names)}
+    grid = [[[gr(0)] * n for _ in range(n)] for _ in range(n)]
+    for (a, b), combo in table.items():
+        for label, coeff in combo.items():
+            grid[index[a]][index[b]][index[label]] = as_gr(coeff)
+            grid[index[b]][index[a]][index[label]] = -as_gr(coeff)
+    return grid
+
+
+def _assert_from_table_is_dense(names, table):
+    algebra = LieAlgebra.from_table(names, table)
+    dense = LieAlgebra(names, _dense_grid(names, table))
+    assert algebra == dense and algebra.terms == dense.terms
+
+
+def test_from_table_builds_the_dense_algebra_of_each_shipped_file():
+    for entry in build_catalog():
+        spec = parse(shipped_file_text(entry.id))
+        _assert_from_table_is_dense(spec.labels, spec.brackets)
+
+
+def test_from_table_builds_the_dense_algebra_of_each_parsed_corpus_file():
+    from test_dsl import _golden_corpus
+
+    parsed = 0
+    for text, _ in _golden_corpus():
+        try:
+            spec = parse(text)
+        except DslError:
+            continue
+        _assert_from_table_is_dense(spec.labels, spec.brackets)
+        parsed += 1
+    assert parsed > 100
+
+
+def test_from_table_builds_the_dense_algebra_of_random_sparse_tables():
+    rng = random.Random(1919)
+    coefficients = (0, 1, -2, Fraction(1, 3), gr(0, 1), gr(Fraction(-1, 2), 2))
+    for n in range(7):
+        for _ in range(20):
+            names = [f"e{k}" for k in range(n)]
+            table = {}
+            for i in range(n):
+                for j in range(i, n):
+                    if rng.random() < 0.5:
+                        # Either orientation; [a, a] only with zero coefficients.
+                        a, b = (names[i], names[j]) if rng.random() < 0.5 else (names[j], names[i])
+                        table[a, b] = {
+                            label: 0 if i == j else rng.choice(coefficients)
+                            for label in names
+                            if rng.random() < 0.4
+                        }
+            _assert_from_table_is_dense(names, table)
+
+
+# Each message was taken from the one-pass construction's predecessor, which
+# built the dense grid and passed it to ``LieAlgebra``.
+@pytest.mark.parametrize(
+    "names, table, error, message",
+    [
+        (("X", "Y", "X"), {("X", "Y"): {"Y": 1}}, ValueError, "duplicate basis labels"),
+        (("X", "X"), {}, ValueError, "duplicate basis labels"),
+        (("X", "Y"), {("X", "X"): {"Y": 1}}, ValueError, "[X,X] must vanish"),
+        (("X", "Y"), {("X", "Y"): {"X": 1}, ("Y", "X"): {"X": 1}}, ValueError, "bracket (Y,X) specified twice"),
+        (("X", "Y", "Z"), {("Y", "X"): {"Z": 1}, ("X", "Y"): {"Z": -1}}, ValueError, "bracket (X,Y) specified twice"),
+        (("X", "Y"), {("X", "Y"): {}, ("Y", "X"): {}}, ValueError, "bracket (Y,X) specified twice"),
+        (("X", "Y"), {("X", "Q"): {"Y": 1}}, KeyError, "'Q'"),
+        (("X", "Y"), {("X", "Y"): {"Q": 1}}, KeyError, "'Q'"),
+        (("X", "Y"), {("X", "X"): {"Q": 0}}, KeyError, "'Q'"),
+        (("X", "Y"), {("X", "Y"): {"X": 1.5}}, TypeError, "cannot interpret 1.5 as a Gaussian rational"),
+        # Combinations: the first error met, in table order, wins, and the
+        # duplicate-label error comes last.
+        (("X", "X"), {("X", "X"): {"X": 1}}, ValueError, "[X,X] must vanish"),
+        (("X", "Y", "X"), {("X", "Y"): {"Y": 1}, ("Y", "X"): {"Y": 1}}, ValueError, "bracket (Y,X) specified twice"),
+        (("X", "X"), {("X", "Q"): {"X": 1}}, KeyError, "'Q'"),
+        (("X", "Y"), {("Y", "Y"): {"X": 1}, ("X", "Y"): {"X": 1}, ("Y", "X"): {"X": 1}}, ValueError, "[Y,Y] must vanish"),
+        (("X", "Y"), {("X", "Y"): {"X": 1}, ("Y", "X"): {"X": 1}, ("Y", "Y"): {"X": 1}}, ValueError, "bracket (Y,X) specified twice"),
+        (("X", "Y"), {("X", "Y"): {"Q": 1}, ("Y", "X"): {"X": 1}}, KeyError, "'Q'"),
+        (("X", "Y"), {("X", "Y"): {"X": 1}, ("Y", "X"): {"X": 1}, ("Q", "X"): {}}, ValueError, "bracket (Y,X) specified twice"),
+    ],
+)
+def test_from_table_raises_as_before(names, table, error, message):
+    with pytest.raises(error) as excinfo:
+        LieAlgebra.from_table(names, table)
+    assert type(excinfo.value) is error and str(excinfo.value) == message
 
 
 def test_antisymmetry_enforced_at_construction():

@@ -11,20 +11,36 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import conjugate, dense_curvature, dense_levi_civita, sectional_curvature, vscale
+from conftest import (
+    conjugate,
+    dense_bianchi_defect,
+    dense_compatibility_defect,
+    dense_curvature,
+    dense_curvature_antisymmetry_defect,
+    dense_levi_civita,
+    dense_pair_skew_defect,
+    dense_torsion_defect,
+    sectional_curvature,
+    vscale,
+    vsub,
+)
 
+from holriem import geometry
 from holriem.catalog import build_catalog
 from holriem.forms import QuadraticForm
 from holriem.geometry import (
     bianchi_defect,
+    compatibility_defect,
     constant_curvature_defect,
     constant_curvature_value,
     curvature,
+    curvature_antisymmetry_defect,
     levi_civita,
     pair_skew_defect,
+    torsion_defect,
 )
 from holriem.liealg import LieAlgebra, jacobi_witness, killing_form
-from holriem.linalg import CMatrix, vsub
+from holriem.linalg import CMatrix
 from holriem.scalars import GaussianRational, gr
 
 METRICS = [entry for entry in build_catalog() if entry.form is not None]
@@ -253,3 +269,164 @@ def test_sparse_kernels_stay_sparse(monkeypatch):
     assert all(sparse[name] <= 1.5 * budget for name, budget in SPARSE_COST.items()), sparse
     # The guard can fail: the dense formulas break it.
     assert any(dense[name] > 1.5 * budget for name, budget in SPARSE_COST.items()), dense
+
+
+# -- orbit-reduced identity scans ---------------------------------------------
+#
+# Each scan tests the first tuple of each symmetry orbit only; its witness
+# must be the one the full dense scan (conftest) finds, on valid and invalid
+# inputs alike.
+
+# (name, scan, dense reference, its arguments from (algebra, form, connection, tensor),
+#  visits on a defect-free input of dimension n: the number of orbits)
+IDENTITY_SCANS = (
+    ("torsion", torsion_defect, dense_torsion_defect,
+     lambda a, q, c, r: (a, c), lambda n: n * (n + 1) // 2),
+    ("compatibility", compatibility_defect, dense_compatibility_defect,
+     lambda a, q, c, r: (q, c), lambda n: n * n * (n + 1) // 2),
+    ("antisymmetry", curvature_antisymmetry_defect, dense_curvature_antisymmetry_defect,
+     lambda a, q, c, r: (r,), lambda n: n * n * (n + 1) // 2),
+    ("bianchi", bianchi_defect, dense_bianchi_defect,
+     lambda a, q, c, r: (r,), lambda n: (n**3 + 2 * n) // 3),
+    ("pair_skew", pair_skew_defect, dense_pair_skew_defect,
+     lambda a, q, c, r: (q, r), lambda n: n**3 * (n + 1) // 2),
+)
+
+
+def _witnesses(algebra, form, connection, tensor):
+    """{scan name: its witness}, after asserting it equals the dense scan's."""
+    found = {}
+    for name, scan, dense, args, _ in IDENTITY_SCANS:
+        inputs = args(algebra, form, connection, tensor)
+        found[name] = scan(*inputs)
+        assert found[name] == dense(*inputs), name
+    return found
+
+
+def _tally(tally, found):
+    for name, witness in found.items():
+        tally[name] += witness is not None
+
+
+def _perturbed_tensor(tensor, i, j, k, l, delta):
+    comps = [[[list(v) for v in fibers] for fibers in plane] for plane in tensor]
+    comps[i][j][k][l] = comps[i][j][k][l] + delta
+    return tuple(tuple(tuple(map(tuple, f)) for f in p) for p in comps)
+
+
+@pytest.mark.parametrize("entry", METRICS, ids=[entry.id for entry in METRICS])
+def test_orbit_scans_find_the_dense_witness_on_every_one_entry_perturbation(entry):
+    algebra, form = entry.algebra, entry.form
+    connection = levi_civita(algebra, form)
+    tensor = curvature(algebra, connection)
+    n = algebra.dim
+    tally = dict.fromkeys((name for name, *_ in IDENTITY_SCANS), 0)
+    # Each connection slot, with the curvature of the perturbed table ...
+    for slot in product(range(n), repeat=3):
+        perturbed = _perturbed(connection, *slot)
+        _tally(tally, _witnesses(algebra, form, perturbed, curvature(algebra, perturbed)))
+    # ... and each tensor slot, on and off the planes R(e_i, e_i).
+    for slot in product(range(n), repeat=4):
+        _tally(tally, _witnesses(algebra, form, connection, _perturbed_tensor(tensor, *slot, gr(1, 1))))
+    # A perturbed symbol breaks compatibility, and torsion off the diagonal
+    # i = j.  A perturbed tensor entry breaks antisymmetry, Bianchi and pair
+    # skew; the curvature of a perturbed table keeps antisymmetry.
+    assert tally["torsion"] == n**3 - n**2 and tally["compatibility"] == n**3
+    assert tally["antisymmetry"] == n**4 <= min(tally["bianchi"], tally["pair_skew"])
+
+
+def _random_sparse(rng, shape, density):
+    if not shape:
+        return _random_scalar(rng) if rng.random() < density else gr(0)
+    return tuple(_random_sparse(rng, shape[1:], density) for _ in range(shape[0]))
+
+
+def test_orbit_scans_find_the_dense_witness_on_random_inputs():
+    rng = random.Random(1907)
+    tally = dict.fromkeys((name for name, *_ in IDENTITY_SCANS), 0)
+    for n in range(1, 6):
+        for trial in range(8):
+            algebra = _random_table(rng, n, density=0.3)
+            form = _random_form(rng, n)
+            connection = levi_civita(algebra, form)
+            tensor = curvature(algebra, connection)
+            # Valid up to Jacobi, which a random table breaks: Bianchi fails.
+            _tally(tally, _witnesses(algebra, form, connection, tensor))
+            # One random entry off in the table and in the tensor.
+            slot = [rng.randrange(n) for _ in range(4)]
+            delta = _random_scalar(rng) or gr(1)
+            _tally(tally, _witnesses(
+                algebra, form, _perturbed(connection, *slot[:3]),
+                _perturbed_tensor(tensor, *slot, delta),
+            ))
+            # Random sparse tables and tensors, not antisymmetric, and a
+            # possibly degenerate symmetric form.
+            density = (0.05, 0.2, 0.5)[trial % 3]
+            grid = _random_sparse(rng, (n, n), density)
+            symmetric = QuadraticForm([[grid[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+            _tally(tally, _witnesses(
+                algebra, symmetric,
+                _random_sparse(rng, (n, n, n), density), _random_sparse(rng, (n, n, n, n), density),
+            ))
+    # The comparisons are not vacuous: each scan found violations.
+    assert all(count >= 30 for count in tally.values()), tally
+
+
+def _sum_algebra(blocks):
+    """The direct sum of the given algebras, on basis e0, e1, ..."""
+    n = sum(block.dim for block in blocks)
+    constants = [[[gr(0)] * n for _ in range(n)] for _ in range(n)]
+    offset = 0
+    for block in blocks:
+        for i, j, k in product(range(block.dim), repeat=3):
+            constants[offset + i][offset + j][offset + k] = block.constants[i][j][k]
+        offset += block.dim
+    return LieAlgebra([f"e{k}" for k in range(n)], constants)
+
+
+def _defect_free_metrics():
+    """Jacobi-satisfying algebras of dims 1-5 under random nondegenerate forms,
+    and the 9-dimensional metric."""
+    rng = random.Random(33)
+    sl2 = next(entry.algebra for entry in METRICS if entry.id == "sl2")
+    line = LieAlgebra(["x"], [[[0]]])
+    affine = LieAlgebra.from_table(["x", "y"], {("x", "y"): {"y": 1}})
+    for blocks in ([line], [affine], [sl2], [sl2, line], [sl2, affine]):
+        algebra = _sum_algebra(blocks)
+        yield algebra, _random_form(rng, algebra.dim)
+    yield _nine_dimensional_metric()
+
+
+def _visits(monkeypatch, scan, inputs):
+    """The scan's witness and how many index tuples it tested."""
+    visits = 0
+    real = geometry._first
+
+    def counting(points, bad):
+        def counted(*point):
+            nonlocal visits
+            visits += 1
+            return bad(*point)
+
+        return real(points, counted)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "_first", counting)
+        return scan(*inputs), visits
+
+
+DEFECT_FREE = list(_defect_free_metrics())
+
+
+@pytest.mark.parametrize("algebra, form", DEFECT_FREE, ids=[f"dim{a.dim}" for a, _ in DEFECT_FREE])
+def test_orbit_scans_visit_one_tuple_per_orbit(algebra, form, monkeypatch):
+    connection = levi_civita(algebra, form)
+    tensor = curvature(algebra, connection)
+    n = algebra.dim
+    for name, scan, dense, args, orbits in IDENTITY_SCANS:
+        inputs = args(algebra, form, connection, tensor)
+        assert _visits(monkeypatch, scan, inputs) == (None, orbits(n)), name
+        # The guard can fail: the full dense scans break it (in dimension 1
+        # every orbit is one tuple).
+        witness, visits = _visits(monkeypatch, dense, inputs)
+        assert witness is None and (visits > orbits(n)) == (n > 1), name
