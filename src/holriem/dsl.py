@@ -21,10 +21,13 @@ Format (one key per line, `#` starts a comment, whitespace insignificant):
     [expected]           # optional property assertions
     class = SOL
 
-A `#` or `=` inside double quotes is text, and an unclosed quote runs to the
-end of the line.  One regex splits each value into tokens: a number (a run of
-decimal digits), an identifier `[A-Za-z_][A-Za-z0-9_']*`, or any other single
-non-space character; whitespace only separates tokens.  Over these tokens:
+Lines end where ``str.splitlines`` ends them.  One regex cuts each line at
+its comment and at its `=`; a `#` or `=` inside double quotes is text, and an
+unclosed quote runs to the end of the line.  One ``findall`` splits each value
+into tokens, taken once: a number (a run of decimal digits), an identifier
+`[A-Za-z_][A-Za-z0-9_']*`, or any other single non-space character;
+whitespace only separates tokens.  A token's column is found only when an
+error reports it.  Over these tokens:
 
     sum         = product {("+" | "-") product}
     product     = factor {["*"] factor}     # implicit before "i" or "(" only
@@ -44,7 +47,6 @@ lowest terms) and ``parse(serialize(s)) == s``.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Sequence
 
 from .forms import QuadraticForm
@@ -52,7 +54,7 @@ from .liealg import LieAlgebra
 from . import linalg
 from .linalg import CMatrix, Vector
 from .models import HomogeneousModel
-from .scalars import GaussianRational, ONE, Record, ZERO, as_gr, gr
+from .scalars import GaussianRational, ONE, Record, _make, gr
 
 
 class DslError(ValueError):
@@ -100,9 +102,10 @@ MAX_DIM = 32
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _TOKEN_RE = re.compile(rf"\d+|{_IDENT_RE.pattern}|\S")
-# The text before the first `#` or `=` outside quotes; an open quote runs to the end.
-_BEFORE_COMMENT_RE = re.compile(r'(?:[^"#]|"[^"]*"?)*')
-_BEFORE_EQUALS_RE = re.compile(r'(?:[^"=]|"[^"]*"?)*')
+# A line up to its comment: the text before the first `=` or `#` outside
+# quotes, then that `=` if it comes first and the text after it.  An open
+# quote runs to the end of the line.
+_LINE_RE = re.compile(r'([^"#=]*(?:"[^"]*"?[^"#=]*)*)(=?)[^"#]*(?:"[^"]*"?[^"#]*)*')
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
 _PAIR_KEY_RE = re.compile(
     r'^"\s*([A-Za-z_][A-Za-z0-9_\']*)\s*,\s*([A-Za-z_][A-Za-z0-9_\']*)\s*"$'
@@ -136,47 +139,49 @@ class SpecFile(Record):
 
 
 class _Tokens:
-    """The tokens of one value, as ``(offset, text)`` pairs ending with
-    ``(len(value), None)``, and the parser's place among them."""
+    """The tokens of one value, ending with None, and the parser's place
+    ``at`` among them; the descent reads ``items[at]`` and moves ``at``."""
 
     def __init__(self, text: str, line: int, col0: int):
-        self.items = [(m.start(), m.group()) for m in _TOKEN_RE.finditer(text)]
-        self.items.append((len(text), None))
+        self.text = text
+        self.items = _TOKEN_RE.findall(text)
+        self.items.append(None)
         self.at = 0
         self.line = line
         self.col0 = col0
         self.depth = 0
 
-    def peek(self) -> str | None:
-        return self.items[self.at][1]
-
-    def take(self) -> str:
-        self.at += 1
-        return self.items[self.at - 1][1]
-
     def take_int(self) -> int:
-        col = self.col()
-        return _to_int(self.take(), self.line, col)
+        digits = self.items[self.at]
+        try:
+            value = int(digits)
+        except ValueError:  # too long for int(); _to_int raises, located at the literal
+            value = _to_int(digits, self.line, self.col())
+        self.at += 1
+        return value
 
     def take_ident(self) -> str | None:
         """The next token if it is an identifier, else None; a letter that
         cannot start one is an error."""
-        tok = self.peek()
+        tok = self.items[self.at]
         if tok is None or not (tok[0].isalpha() or tok[0] == "_"):
             return None
         if not tok.isascii():
             # Identifier tokens are ASCII; any other letter is a token of its own.
             raise self.error("expected an identifier")
-        return self.take()
+        self.at += 1
+        return tok
 
-    def col(self) -> int:
-        """Column of the next token."""
-        return self.col0 + self.items[self.at][0]
+    def col(self, at: int | None = None) -> int:
+        """Column of token ``at``, by default the next one.  Only errors
+        report columns, so the offsets are found here, not while parsing."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)]
+        starts.append(len(self.text))
+        return self.col0 + starts[self.at if at is None else at]
 
     def end(self) -> int:
         """Column just past the last token taken."""
-        offset, text = self.items[self.at - 1]
-        return self.col0 + offset + len(text)
+        return self.col(self.at - 1) + len(self.items[self.at - 1])
 
     def error(self, reason: str, col: int | None = None) -> MalformedScalar:
         return MalformedScalar(reason, self.line, self.col() if col is None else col)
@@ -197,34 +202,34 @@ def _is_number(tok: str | None) -> bool:
 
 
 def _parse_factor(tk: _Tokens) -> GaussianRational:
-    tok = tk.peek()
+    tok = tk.items[tk.at]
     if tok is None:
         raise tk.error("unexpected end of scalar expression")
     if tok == "-" or tok == "(":
         if tk.depth == MAX_NESTING:
             raise tk.error(f"scalar expression nested deeper than {MAX_NESTING} levels")
         tk.depth += 1
-        tk.take()
+        tk.at += 1
         if tok == "-":
             value = -_parse_factor(tk)
         else:
             value = _parse_sum(tk)
-            if tk.peek() != ")":
+            if tk.items[tk.at] != ")":
                 raise tk.error("missing closing parenthesis")
-            tk.take()
+            tk.at += 1
         tk.depth -= 1
         return value
-    if _is_number(tok):
+    if tok[0].isdecimal():
         numerator = tk.take_int()
-        if tk.peek() == "/":
-            tk.take()
-            if not _is_number(tk.peek()):
-                raise tk.error("expected a denominator")
-            denominator = tk.take_int()
-            if denominator == 0:
-                raise tk.error("zero denominator", tk.end())
-            return as_gr(Fraction(numerator, denominator))
-        return as_gr(numerator)
+        if tk.items[tk.at] != "/":
+            return _make(numerator, 0, 1)
+        tk.at += 1
+        if not _is_number(tk.items[tk.at]):
+            raise tk.error("expected a denominator")
+        denominator = tk.take_int()
+        if denominator == 0:
+            raise tk.error("zero denominator", tk.end())
+        return _make(numerator, 0, denominator)
     ident = tk.take_ident()
     if ident == "i":
         return _I
@@ -236,17 +241,18 @@ def _parse_factor(tk: _Tokens) -> GaussianRational:
 def _parse_product(tk: _Tokens) -> GaussianRational:
     value = _parse_factor(tk)
     # `*`, or an implicit product: "3 i", "2 (1+i)", "3/4 i".
-    while (tok := tk.peek()) in ("*", "i", "("):
+    while (tok := tk.items[tk.at]) in ("*", "i", "("):
         if tok == "*":
-            tk.take()
+            tk.at += 1
         value = value * _parse_factor(tk)
     return value
 
 
 def _parse_sum(tk: _Tokens) -> GaussianRational:
     value = _parse_product(tk)
-    while tk.peek() in ("+", "-"):
-        if tk.take() == "+":
+    while (tok := tk.items[tk.at]) in ("+", "-"):
+        tk.at += 1
+        if tok == "+":
             value = value + _parse_product(tk)
         else:
             value = value - _parse_product(tk)
@@ -257,7 +263,7 @@ def parse_scalar(text: str, line: int = 0, col0: int = 1) -> GaussianRational:
     """Parse a standalone scalar expression to a GaussianRational."""
     tk = _Tokens(text, line, col0)
     value = _parse_sum(tk)
-    if tk.peek() is not None:
+    if tk.items[tk.at] is not None:
         raise tk.error("trailing input after scalar expression")
     return value
 
@@ -271,41 +277,42 @@ def _parse_combination(
     after a term is an error.
     """
     tk = _Tokens(text, line, col0)
+    items = tk.items
     label_set = set(labels)
     combo: dict[str, GaussianRational] = {}
     saw_scalar_only = False
     while True:
-        sign = -ONE if tk.peek() == "-" else ONE
-        if tk.peek() in ("+", "-"):
-            tk.take()
-        coefficient = ONE
-        has_coefficient = False
-        tok = tk.peek()
+        tok = items[tk.at]
+        negative = tok == "-"
+        if negative or tok == "+":
+            tk.at += 1
+            tok = items[tk.at]
         if tok == "-":
             raise tk.error("doubled sign in combination")
-        if tok == "(" or _is_number(tok):
-            coefficient = _parse_product(tk)
-            has_coefficient = True
-        col = tk.col()
+        has_coefficient = tok == "(" or _is_number(tok)
+        coefficient = _parse_product(tk) if has_coefficient else ONE
+        at = tk.at
         ident = tk.take_ident()
         if ident == "i":
             # `i` binds as a coefficient factor, e.g. "i X".
             coefficient = coefficient * _I
-            col = tk.col()
+            at = tk.at
             ident = tk.take_ident()
             if ident is None:
                 raise tk.error("expected a basis label after coefficient")
         if ident is None:
             if not has_coefficient:
                 raise tk.error("expected a term")
-            if sign * coefficient != ZERO:
+            if coefficient:
                 raise tk.error("scalar term in a combination must be zero")
             saw_scalar_only = True
         elif ident not in label_set:
-            raise UndeclaredLabel(f"undeclared basis label {ident!r}", line, col)
+            raise UndeclaredLabel(f"undeclared basis label {ident!r}", line, tk.col(at))
         else:
-            combo[ident] = combo.get(ident, ZERO) + sign * coefficient
-        tok = tk.peek()
+            if negative:
+                coefficient = -coefficient
+            combo[ident] = combo[ident] + coefficient if ident in combo else coefficient
+        tok = items[tk.at]
         if tok is None:
             break
         if tok not in ("+", "-"):
@@ -322,15 +329,17 @@ def _scan_sections(text: str):
     sections: list[tuple[str, int, list[tuple[str, int, str, int, int]]]] = []
     current: list[tuple[str, int, str, int, int]] | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw[: _BEFORE_COMMENT_RE.match(raw).end()].rstrip()
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("["):
-            match = _SECTION_RE.match(stripped)
-            if match is None:
+        match = _LINE_RE.match(raw)
+        before, eq = match.group(1, 2)  # the text before the first `=` or `#`, and that `=`
+        head = before.lstrip()
+        if not (head or eq):
+            continue  # blank, or a comment only
+        if head.startswith("["):
+            header = raw[: match.end()].strip()
+            section = _SECTION_RE.match(header)
+            if section is None:
                 raise DslError("malformed section header", line_no, 1)
-            name = match.group(1)
+            name = section.group(1)
             if name not in SECTION_ORDER:
                 raise DslError(f"unknown section [{name}]", line_no, 1)
             if any(existing == name for existing, _, _ in sections):
@@ -340,15 +349,15 @@ def _scan_sections(text: str):
             continue
         if current is None:
             raise DslError("content before the first section header", line_no, 1)
-        eq = _BEFORE_EQUALS_RE.match(line).end()
-        if eq == len(line):
+        if not eq:
             raise DslError("expected 'key = value'", line_no, 1)
-        key = line[:eq].strip()
-        key_col = len(line[:eq]) - len(line[:eq].lstrip()) + 1
-        value = line[eq + 1 :].strip()
-        value_col = eq + 2 + (len(line[eq + 1 :]) - len(line[eq + 1 :].lstrip()))
+        key = head.rstrip()
         if not key:
             raise DslError("empty key", line_no, 1)
+        after = raw[len(before) + 1 : match.end()].rstrip()
+        value = after.lstrip()
+        key_col = len(before) - len(head) + 1
+        value_col = len(before) + 2 + len(after) - len(value)
         current.append((key, key_col, value, value_col, line_no))
     return sections
 

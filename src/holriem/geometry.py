@@ -76,6 +76,11 @@ def _nonzero(vector: Sequence) -> list[tuple[int, GaussianRational]]:
     return [(k, x) for k, x in enumerate(vector) if x]
 
 
+def _same_dim(first: str, m: int, second: str, n: int) -> None:
+    if m != n:
+        raise ValueError(f"{first} dimension {m} does not match {second} dimension {n}")
+
+
 def _gram_inverse(form: QuadraticForm) -> CMatrix:
     """G^-1, which exists exactly when the form is nondegenerate."""
     try:
@@ -117,6 +122,7 @@ def levi_civita(algebra: LieAlgebra, form: QuadraticForm) -> ConnectionTable:
 def curvature(algebra: LieAlgebra, connection: ConnectionTable) -> CurvatureTensor:
     """R(e_i,e_j)e_k, each of the n^3 fibers from the nonzero entries only."""
     n = algebra.dim
+    _same_dim("connection", len(connection), "algebra", n)
     gamma = [[_nonzero(v) for v in row] for row in connection]
     brackets = algebra.terms
 
@@ -164,6 +170,7 @@ def constant_curvature_value(
     same candidate, so which one is read does not change the result.
     """
     n, gram = len(tensor), form.gram.entries
+    _same_dim("form", form.dim, "tensor", n)
     if n < 2:
         # The model tensor vanishes: only R = 0 qualifies.
         candidate = ZERO
@@ -182,6 +189,7 @@ def constant_curvature_defect(
     form: QuadraticForm, tensor: CurvatureTensor, k
 ) -> tuple[int, int, int] | None:
     """First basis triple violating ``R(x,y)z = k (q(y,z)x - q(x,z)y)``."""
+    _same_dim("form", form.dim, "tensor", len(tensor))
     value = as_gr(k)
     # The model fiber is k q_jm at slot i and -k q_im at slot j, zero when i = j.
     kq = [[value * g for g in row] for row in form.gram.entries]
@@ -260,6 +268,7 @@ def _pairs(n: int) -> Iterable[tuple[int, int]]:
 
 def torsion_defect(algebra: LieAlgebra, connection: ConnectionTable) -> tuple[int, int] | None:
     """First basis pair with nabla_x y - nabla_y x != [x, y], or None."""
+    _same_dim("connection", len(connection), "algebra", algebra.dim)
     c, r = algebra.constants, range(algebra.dim)
     return _first(
         _pairs(algebra.dim),
@@ -275,6 +284,7 @@ def compatibility_defect(
     """First triple violating q(nabla_z x, y) + q(x, nabla_z y) = 0."""
     # low[z][x][y] = q(nabla_z x, e_y); the Gram matrix is symmetric.
     rows, n = [_nonzero(row) for row in form.gram.entries], len(connection)
+    _same_dim("form", form.dim, "connection", n)
     low = [[_lower(rows, v) for v in vectors] for vectors in connection]
     return _first(
         ((z, x, y) for z in range(n) for x, y in _pairs(n)),
@@ -312,6 +322,7 @@ def pair_skew_defect(
     """First quadruple violating q(R(x,y)z, w) = -q(R(x,y)w, z)."""
     # low[i][j][k][l] = q(R(e_i,e_j)e_k, e_l); the Gram matrix is symmetric.
     rows, n = [_nonzero(row) for row in form.gram.entries], len(tensor)
+    _same_dim("form", form.dim, "tensor", n)
     low = [[[_lower(rows, v) for v in fibers] for fibers in plane] for plane in tensor]
     return _first(
         ((i, j, k, l) for i, j in product(range(n), repeat=2) for k, l in _pairs(n)),

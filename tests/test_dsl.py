@@ -449,3 +449,140 @@ def test_golden_parse_corpus():
         digest.update(repr(outcome).encode("utf-8") + b"\n")
     errors = sum(outcome[0] == "error" for outcome in outcomes)
     assert (len(outcomes), errors, digest.hexdigest()) == (3000, 2288, CORPUS_DIGEST)
+
+
+# -- line separators and Unicode spaces ------------------------------------------
+#
+# Like ``str.splitlines``, the parser ends a line at each of LINE_SEPARATORS;
+# SPACES are whitespace inside a line (U+001F is a space here, not a line end).
+# One SHA-256 over the outcomes of the shipped files re-joined with each
+# separator, and of lines that put each space around keys, `=`, values and
+# comments, pins both, so a line scanner that renumbers lines shows here.
+
+LINE_SEPARATORS = ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SPACES = [" ", "\t", "\x1f", "\u00a0", "\u2003", "\u3000"]
+UNDECLARED_TEXT = '[algebra]\nname = a\ndim = 3\nbasis = X, Y, Z\n[brackets]\n"X,Y" = Z\n"X,Z" = W\n'
+SEPARATOR_DIGEST = "a36e9602ae3a5fcff9d17df876272368bb3c1040ed912eebf2c982f60e675b00"
+
+
+def _spaced(text, space):
+    """``text`` with ``space`` around each section header, key, `=`, value and
+    comment, and in place of every space inside a value."""
+    lines = []
+    for line in text.split("\n"):
+        if " = " in line:
+            key, value = line.split(" = ", 1)
+            value = value.replace(" ", space)
+            line = f"{space}{key}{space}={space}{value}{space}#{space}note{space}"
+        elif line:
+            line = f"{space}{line}{space}#{space}note"
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def _separator_corpus():
+    files = [shipped_file_text(e.id) for e in build_catalog()] + [UNDECLARED_TEXT]
+    for separator in LINE_SEPARATORS:
+        for text in files:
+            yield separator.join(text.split("\n"))
+    for space in SPACES:
+        for text in files:
+            yield _spaced(text, space)
+
+
+def test_line_separators_and_unicode_spaces():
+    outcomes = [_corpus_outcome(lambda: serialize(parse(text))) for text in _separator_corpus()]
+    located = {outcome[2:4] for outcome in outcomes if outcome[0] == "error"}
+    assert located == {(7, 9), (7, 10)}
+    digest = hashlib.sha256()
+    for outcome in outcomes:
+        digest.update(repr(outcome).encode("utf-8") + b"\n")
+    assert (len(outcomes), digest.hexdigest()) == (192, SEPARATOR_DIGEST)
+
+
+# -- valid values beyond the corpus ------------------------------------------------
+#
+# Most corpus inputs are errors, and its successes stay close to the canonical
+# shipped text.  VALUES_DIGEST pins the value of seeded valid inputs that are
+# not canonical: the benchmark's "(a/b + c/d i) X" coefficients, implicit
+# products, `i X`, repeated and cancelled labels, a bare 0, nesting at
+# MAX_NESTING and long sums of fractions with distinct denominators.
+
+VALUES_DIGEST = "673960ac1c48e49af07636a452901e206c7c131aa2884451a3f13ff19cf4591e"
+
+
+def _valid_values():
+    """(text, thunk giving the str of its value) for 400 seeded valid inputs."""
+    from holriem.dsl import _parse_combination
+
+    rng = random.Random(20261019)
+    labels = ("X", "Y", "Z")
+
+    def ratio():
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+
+    def coefficient():
+        # As the benchmark writes one: "a/b", "c/d i" or "a/b + c/d i".
+        re, im = ratio(), ratio()
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im} i"
+        return f"{re} {'+' if im > 0 else '-'} {abs(im)} i"
+
+    def term(label):
+        return rng.choice((
+            f"({coefficient()}) {label}",
+            f"{rng.randint(1, 9)}/{rng.randint(1, 9)} i {label}",
+            f"{rng.randint(0, 9)} (1+i) {label}",
+            f"{rng.randint(0, 9)}*{rng.randint(0, 9)} {label}",
+            f"i {label}",
+            f"{label} + {rng.randint(2, 5)} {label}",
+            f"{label} - {label}",
+        ))
+
+    denominators = [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    for _ in range(380):
+        kind = rng.randrange(4)
+        if kind == 0:
+            text = coefficient()
+        elif kind == 1:
+            text = " + ".join(f"{rng.randint(-9, 9)}/{d}" for d in rng.sample(denominators, 8))
+        else:
+            chosen = rng.sample(labels, rng.randint(1, 3))
+            text = " ".join(
+                (rng.choice(("+ ", "- ")) if k else rng.choice(("", "- "))) + term(label)
+                for k, label in enumerate(chosen)
+            )
+        if kind < 2:
+            yield text, lambda text=text: str(parse_scalar(text, 3, 9))
+        else:
+            yield text, lambda text=text: sorted(
+                (k, str(v)) for k, v in _parse_combination(text, labels, 3, 9).items()
+            )
+    deep = "(" * MAX_NESTING + "{}" + ")" * MAX_NESTING
+    fixed = [
+        "0",
+        deep.format("3/4 + i"),
+        "-" * MAX_NESTING + "i",
+        " + ".join(f"1/{d}" for d in range(1, 61)),
+        " - ".join(f"{d}/{d + 1}" for d in range(1, 61)) + " i",
+    ]
+    for text in fixed:
+        yield text, lambda text=text: str(parse_scalar(text, 3, 9))
+    for text in ["0", "i X", "X + 2 X", "X - X", deep.format("2") + " X - Y", "3/4 i X",
+                 "2 (1+i) X", "2*3 X", "(" + " + ".join(f"1/{d}" for d in range(2, 40)) + ") Z",
+                 "- X - 2 Y - 3/5 i Z", "(1/2 + 1/3 i) X + (1/2 - 1/3 i) X", "- (2) X",
+                 "0 X + 1 Y", "+ X", "(0) Y + Z"]:
+        yield text, lambda text=text: sorted(
+            (k, str(v)) for k, v in _parse_combination(text, labels, 3, 9).items()
+        )
+
+
+def test_valid_values_beyond_the_corpus():
+    outcomes = [_corpus_outcome(parse_value) for _, parse_value in _valid_values()]
+    assert all(outcome[0] == "ok" for outcome in outcomes)
+    digest = hashlib.sha256()
+    for outcome in outcomes:
+        digest.update(repr(outcome).encode("utf-8") + b"\n")
+    assert (len(outcomes), digest.hexdigest()) == (400, VALUES_DIGEST)

@@ -1,7 +1,7 @@
 """The package is exact: no float or complex value and no random number in its
 source; every check of the catalog that can fail names a witness; and every
-module-level function and class, and every named method and property of such
-a class, is used in the package."""
+module-level function, class and assigned name, and every named method and
+property of such a class, is used in the package."""
 
 import ast
 from collections import Counter
@@ -110,18 +110,37 @@ def _spellings(node: ast.AST) -> Counter:
     )
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _assigned(target: ast.expr):
+    """The names that an assignment target binds: a name, or a tuple of them."""
+    if isinstance(target, ast.Name):
+        yield target.id
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _assigned(element)
+
+
 def _definitions(tree: ast.Module):
-    """(qualified name, node) of each module-level function and class, and of
-    each method or property of such a class but the dunders, which Python calls."""
+    """(qualified name, name, node) of each module-level function, class and
+    assigned name (``Assign`` or ``AnnAssign``, the node being the statement),
+    and of each method or property of such a class; dunders are left out,
+    as Python reads them."""
     for top in tree.body:
         if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-            yield top.name, top
+            yield top.name, top.name, top
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            for target in targets:
+                for name in _assigned(target):
+                    if not _is_dunder(name):
+                        yield name, name, top
         if isinstance(top, ast.ClassDef):
             for node in top.body:
-                if isinstance(node, ast.FunctionDef) and not (
-                    node.name.startswith("__") and node.name.endswith("__")
-                ):
-                    yield f"{top.name}.{node.name}", node
+                if isinstance(node, ast.FunctionDef) and not _is_dunder(node.name):
+                    yield f"{top.name}.{node.name}", node.name, node
 
 
 def _unnamed(trees: dict[str, ast.Module]) -> list[str]:
@@ -133,8 +152,8 @@ def _unnamed(trees: dict[str, ast.Module]) -> list[str]:
     return sorted(
         f"{module}.{qualified}"
         for module, tree in modules.items()
-        for qualified, node in _definitions(tree)
-        if named[node.name] == _spellings(node)[node.name]
+        for qualified, name, node in _definitions(tree)
+        if named[name] == _spellings(node)[name]
     )
 
 
@@ -154,6 +173,10 @@ def test_the_scan_finds_unused_definitions():
             "def used_as_attribute(): pass\n"
             "class Unused: pass\n"
             "TABLE = {'f': used}\n"
+            "UNUSED = 1\n"
+            "__all__ = ['exported']\n"
+            "first, second = 1, 2\n"
+            "annotated: int = first\n"
             "class Used:\n"
             "    def __len__(self): return 0\n"
             "    def method(self): return self.helper()\n"
@@ -164,12 +187,15 @@ def test_the_scan_finds_unused_definitions():
         ),
         "b": ast.parse(
             "from . import a\nfrom .a import Unused\na.used_as_attribute()\na.Used()\n"
+            "a.TABLE, a.second\n"
         ),
     }
     assert _unnamed(trees) == [
+        "a.UNUSED",
         "a.Unused",
         "a.Used.unnamed",
         "a.Used.unread",
+        "a.annotated",
         "a.exported",
         "a.recursive",
     ]

@@ -21,6 +21,7 @@ from holriem.geometry import (
     compatibility_defect,
     constant_curvature,
     constant_curvature_defect,
+    constant_curvature_value,
     curvature,
     curvature_antisymmetry_defect,
     flatness_defect,
@@ -258,6 +259,38 @@ def test_identities_hold_for_all_catalog_metrics():
         assert curvature_antisymmetry_defect(tensor) is None
         assert bianchi_defect(tensor) is None
         assert pair_skew_defect(entry.form, tensor) is None
+
+
+def _form(n):
+    return QuadraticForm.diagonal([1] * n)
+
+
+@pytest.mark.parametrize(
+    "scan, args, message",
+    [
+        (pair_skew_defect, (_form(4), "tensor"), "form dimension 4 does not match tensor dimension 3"),
+        (pair_skew_defect, (_form(2), "tensor"), "form dimension 2 does not match tensor dimension 3"),
+        (constant_curvature_defect, (_form(4), "tensor", 0), "form dimension 4 does not match tensor dimension 3"),
+        (constant_curvature_defect, (_form(2), "tensor", 0), "form dimension 2 does not match tensor dimension 3"),
+        (constant_curvature_value, (_form(2), "tensor"), "form dimension 2 does not match tensor dimension 3"),
+        (compatibility_defect, (_form(4), "connection"), "form dimension 4 does not match connection dimension 3"),
+        (compatibility_defect, (_form(2), "connection"), "form dimension 2 does not match connection dimension 3"),
+        (torsion_defect, ("algebra", "connection"), "connection dimension 3 does not match algebra dimension 4"),
+        (curvature, ("algebra", "connection"), "connection dimension 3 does not match algebra dimension 4"),
+    ],
+    ids=[
+        "pair_skew-4", "pair_skew-2", "constant_curvature_defect-4", "constant_curvature_defect-2",
+        "constant_curvature_value-2", "compatibility-4", "compatibility-2", "torsion", "curvature",
+    ],
+)
+def test_scans_reject_inputs_whose_dimensions_disagree(scan, args, message):
+    # heis3's connection and tensor, and the 4-dim algebra of a model, against
+    # inputs of another dimension: a ValueError names both, never a pass or an IndexError.
+    heis = CATALOG["heis3"]
+    inputs = {"tensor": heis.tensor, "connection": heis.connection, "algebra": CATALOG["c_times_sol"].algebra}
+    with pytest.raises(ValueError) as info:
+        scan(*(inputs.get(a, a) if isinstance(a, str) else a for a in args))
+    assert str(info.value) == message
 
 
 def test_constant_curvature_matches_sectional_on_coordinate_planes():
