@@ -71,7 +71,7 @@ from .liealg import (
     jacobi_witness,
     subalgebra,
 )
-from .linalg import CMatrix, Vector, in_span, is_nilpotent_matrix
+from .linalg import CMatrix, Vector, act, in_span, is_nilpotent_matrix
 from .models import (
     HomogeneousModel,
     IsotropyType,
@@ -775,10 +775,10 @@ def verify_flow_identities() -> list[CheckResult]:
     points t = 0, ..., 4.  The entries of L_s L_t - L_(s+t) have degree <= 2
     in each of s and t, so vanishing on {0,1,2}^2 proves the group law.
     N^T Q + Q N = 0, the derivative of the first identity at t = 0, is
-    checked entry by entry.
+    checked entry by entry on act(N, Q, "dd") = -(N^T Q + Q N).
     """
     q, generator = adapted_gram_unipotent(), unipotent_isotropy_generator()
-    skew = (generator.transpose() @ q + q @ generator).entries
+    skew = act(generator, q.flat, "dd")
 
     def moves_q(t: int) -> bool:
         flow = unipotent_flow(t)
@@ -794,7 +794,7 @@ def verify_flow_identities() -> list[CheckResult]:
             (
                 "flow/generator_skew",
                 _box(3, 2),
-                lambda i, j: skew[i][j],
+                lambda i, j: skew[3 * i + j],
                 lambda p: f"N^T Q + Q N nonzero at (i,j)={p}",
             ),
             ("flow/one_parameter_group", _box(3, 2), not_a_group, lambda p: f"at (s,t)={p}"),

@@ -45,7 +45,9 @@ Per tuple, the scans add nonzero components only.
 
 The orthogonal algebra so(q) = {A : A^T G + G A = 0} is read from G^-1,
 whose existence certifies that q is nondegenerate: A is in so(q) exactly
-when G A is antisymmetric, so G^-1 (E_ab - E_ba), a < b, is a basis.
+when G A is antisymmetric, so G^-1 (E_ab - E_ba), a < b, is a basis.  A
+stabilizer in it is one kernel, ``linalg._annihilated`` over the images
+``linalg.act(A, v, "u")`` of that basis.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from typing import Callable, Iterable, Sequence
 
 from .forms import DegenerateForm, QuadraticForm
 from .liealg import LieAlgebra
-from .linalg import CMatrix, Vector, kernel
+from .linalg import CMatrix, Vector, _annihilated, act
 from .scalars import GaussianRational, ONE, ZERO, as_gr
 
 _HALF = ONE / 2
@@ -213,20 +215,10 @@ def flatness_defect(tensor: CurvatureTensor) -> tuple[int, int, int] | None:
     return _first(product(range(len(tensor)), repeat=3), lambda i, j, k: any(tensor[i][j][k]))
 
 
-def ricci(form: QuadraticForm, tensor: CurvatureTensor) -> QuadraticForm:
-    """``Ric(x, y) = trace(z -> R(z, x) y)``, exact and symmetric."""
-    n = len(tensor)
-    gram = [
-        [
-            sum(
-                (tensor[i][a][b][i] for i in range(n)),
-                start=ZERO,
-            )
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
-    return QuadraticForm(gram)
+def ricci(tensor: CurvatureTensor) -> QuadraticForm:
+    """``Ric(x, y) = trace(z -> R(z, x) y)``, exact and symmetric; a trace needs no metric."""
+    r = range(len(tensor))
+    return QuadraticForm([[sum((tensor[i][a][b][i] for i in r), ZERO) for b in r] for a in r])
 
 
 # -- connection/curvature identity checks --------------------------------
@@ -348,16 +340,9 @@ def stabilizer_in_skew(form: QuadraticForm, vectors: Sequence[Sequence]) -> list
 
 
 def stabilizer(basis: Sequence[CMatrix], vectors: Sequence[Sequence]) -> list[CMatrix]:
-    """Basis of ``{A in span(basis) : A v = 0 for each given v}``: one kernel
-    over the coefficients of A in the basis, or the basis when no v is given."""
-    constraints = [row for v in vectors for row in zip(*(a.apply(v) for a in basis))]
-    if not constraints:
-        return list(basis)
-    rows, cols = range(basis[0].rows), range(basis[0].cols)
-    return [
-        CMatrix([[sum((x * a.entries[r][c] for x, a in terms), ZERO) for c in cols] for r in rows])
-        for terms in ([(x, a) for x, a in zip(sol, basis) if x] for sol in kernel(CMatrix(constraints)))
-    ]
+    """Basis of ``{A in span(basis) : A v = 0 for each given v}``, the combinations
+    of the basis whose images ``act(A, v, "u")`` vanish; the basis when no v is given."""
+    return _annihilated(basis, [[x for v in vectors for x in act(a, v, "u")] for a in basis])
 
 
 # -- the unipotent isotropy flow -------------------------------------------

@@ -85,6 +85,11 @@ class CMatrix(Record):
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 
+    @property
+    def flat(self) -> Vector:
+        """The entries row by row: the matrix as a tensor for ``act``."""
+        return tuple(x for row in self.entries for x in row)
+
     def __add__(self, other: "CMatrix") -> "CMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
@@ -219,6 +224,42 @@ def kernel(matrix: CMatrix) -> list[Vector]:
     return basis
 
 
+def _annihilated(basis: Sequence[CMatrix], images: Sequence[Sequence]) -> list[CMatrix]:
+    """Basis of the combinations of ``basis`` whose images under a linear map vanish,
+    ``images[b]`` being that of ``basis[b]``: one kernel over the coefficients, or
+    the basis itself when the images are empty."""
+    constraints = list(zip(*images))
+    if not constraints:
+        return list(basis)
+    cells, width = list(zip(*(b.flat for b in basis))), basis[0].cols
+    flats = [[_dot(sol, cell) for cell in cells] for sol in kernel(CMatrix(constraints))]
+    return [CMatrix(f[k : k + width] for k in range(0, len(f), width)) for f in flats]
+
+
+def act(a: CMatrix, tensor: Sequence[GaussianRational], kinds: str) -> Vector:
+    """A as a derivation of a tensor flat in lexicographic index order: with one
+    letter of ``kinds`` per slot, a ``u`` (vector) slot takes A and a ``d``
+    (covector) slot takes -A^T, so a form S goes to -(A^T S + S A).  Visits
+    the nonzero entries of the tensor and of A only."""
+    n, size = a.rows, len(tensor)
+    if a.cols != n or size != n ** len(kinds) or not set(kinds) <= {"u", "d"}:
+        raise ValueError(f"no {a.rows}x{a.cols} action on {size} entries of kinds {kinds!r}")
+    # x at index p of a slot adds A[r][p] x at r in a u slot (column p), -A[p][r] x in a d slot.
+    moves = {kind: [[(r, y) for r, y in enumerate(line) if y] for line in lines]
+             for kind, lines in (("u", zip(*a.entries)), ("d", a.entries)) if kind in kinds}
+    out = [ZERO] * size
+    for index, x in enumerate(tensor):
+        if x:
+            stride = size
+            for kind in kinds:
+                stride //= n
+                p = index // stride % n
+                for r, y in moves[kind][p]:
+                    k = index + (r - p) * stride
+                    out[k] = out[k] + y * x if kind == "u" else out[k] - y * x
+    return tuple(out)
+
+
 def span_basis(vectors: Iterable[Sequence]) -> list[Vector]:
     """Canonical (reduced row echelon) basis of the span of the inputs."""
     rows = [list(as_vector(v)) for v in vectors]
@@ -244,15 +285,11 @@ def min_poly(matrix: CMatrix) -> Vector:
     if matrix.rows != matrix.cols:
         raise ValueError("minimal polynomial of a non-square matrix")
     n = matrix.rows
-
-    def flatten(m: CMatrix) -> list[GaussianRational]:
-        return [m.entries[r][c] for r in range(n) for c in range(n)]
-
-    columns = [flatten(CMatrix.identity(n))]
+    columns = [CMatrix.identity(n).flat]
     power = CMatrix.identity(n)
     for degree in range(1, n + 1):
         power = power @ matrix
-        target = flatten(power)
+        target = power.flat
         solution = solve_linear(CMatrix.from_columns(columns), target)
         if solution is not None:
             return tuple(-c for c in solution) + (ONE,)

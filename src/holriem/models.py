@@ -6,14 +6,16 @@ modulo the isotropy onto the complement.  Construction inverts the
 (isotropy, complement) frame once; that inverse certifies that the frame
 spans the algebra and gives every ``induced_ad`` its coordinates.  It
 then derives ``actions``, the induced action of each isotropy vector,
-once; computing them tests that the isotropy is a subalgebra, and the
-isotropy type, the invariance check (of the quotient form or of any
-other form on the quotient) and the invariant forms read them.
+once; computing them tests that the isotropy is a subalgebra.  The
+isotropy type reads them, and so do the invariance check (of the quotient
+form or of any other form) and the invariant forms, through ``linalg.act``
+on forms: one zero test, and one kernel (``linalg._annihilated``).
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 from .forms import QuadraticForm
@@ -21,12 +23,13 @@ from .liealg import LieAlgebra, bracket
 from .linalg import (
     CMatrix,
     Vector,
+    _annihilated,
+    act,
     as_vector,
     is_nilpotent_matrix,
     is_semisimple_matrix,
-    kernel,
 )
-from .scalars import Record, ZERO
+from .scalars import ONE, Record, ZERO
 
 
 class NotSubalgebraInvariant(ValueError):
@@ -127,39 +130,17 @@ def isotropy_type(model: HomogeneousModel) -> IsotropyType:
 
 
 def invariant_forms(model: HomogeneousModel) -> list[QuadraticForm]:
-    """Exact basis of symmetric forms S with A^T S + S A = 0 for the isotropy.
-
-    Members may be degenerate; callers pick a nondegenerate one when they
-    need a metric.
-    """
-    d = len(model.complement)
-    # Unknowns: entries s_{ij}, i <= j, of the symmetric matrix S.
-    slots = [(i, j) for i in range(d) for j in range(i, d)]
-    position = {pair: k for k, pair in enumerate(slots)}
-
-    def s_index(i: int, j: int) -> int:
-        return position[(i, j) if i <= j else (j, i)]
-
-    rows = []
-    for action in model.actions:
-        a = action.entries
-        for p in range(d):
-            for q in range(p, d):
-                # (A^T S + S A)_{pq} = sum_k (A_{kp} S_{kq} + S_{pk} A_{kq})
-                row = [ZERO] * len(slots)
-                for k in range(d):
-                    row[s_index(k, q)] = row[s_index(k, q)] + a[k][p]
-                    row[s_index(p, k)] = row[s_index(p, k)] + a[k][q]
-                rows.append(row)
-    forms = []
-    # With no isotropy, one zero row leaves every symmetric S.
-    for sol in kernel(CMatrix(rows or [[ZERO] * len(slots)])):
-        gram = [[ZERO] * d for _ in range(d)]
-        for (i, j), k in position.items():
-            gram[i][j] = sol[k]
-            gram[j][i] = sol[k]
-        forms.append(QuadraticForm(gram))
-    return forms
+    """Exact basis of the symmetric forms S with act(A, S, "dd") = -(A^T S + S A) = 0
+    for every isotropy action A: the combinations of E_ii, E_ij + E_ji (i < j) kept by
+    ``linalg._annihilated``.  Members may be degenerate; callers pick a nondegenerate
+    one when they need a metric."""
+    d = range(len(model.complement))
+    basis = [
+        CMatrix([[ONE if (r, c) in ((i, j), (j, i)) else ZERO for c in d] for r in d])
+        for i, j in combinations_with_replacement(d, 2)
+    ]
+    images = [[x for a in model.actions for x in act(a, s.flat, "dd")] for s in basis]
+    return [QuadraticForm(s) for s in _annihilated(basis, images)]
 
 
 def check_invariance(model: HomogeneousModel, form: QuadraticForm | None = None) -> bool:
@@ -168,8 +149,5 @@ def check_invariance(model: HomogeneousModel, form: QuadraticForm | None = None)
     form = model.quotient_form if form is None else form
     if form is None:
         raise MissingForm("model carries no quotient form")
-    s = form.gram
-    for a in model.actions:
-        if not (a.transpose() @ s + s @ a).is_zero():
-            return False
-    return True
+    s = form.gram.flat
+    return not any(x for a in model.actions for x in act(a, s, "dd"))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from conftest import ad, failed_checks, nabla
 
-from holriem import catalog
+from holriem import catalog, geometry, linalg, models
 from holriem.catalog import (
     CATALOG_IDS,
     CatalogEntry,
@@ -594,6 +594,55 @@ def test_flow_generator_skew_fails_on_a_non_skew_generator(monkeypatch):
     assert list(failures) == ["heis-family/isotropy_unipotent", "flow/generator_skew"]
     assert failures["heis-family/isotropy_unipotent"].startswith("at (0, 0, 0, 0): induced action")
     assert failures["flow/generator_skew"] == "N^T Q + Q N nonzero at (i,j)=(1, 2)"
+
+
+# The modules that call ``linalg.act`` by name, so that a test can put a
+# wrapper in its place.
+ACT_CALLERS = (catalog, geometry, models)
+
+
+def test_act_on_its_first_slot_only_fails_exactly_the_form_checks(monkeypatch):
+    # Every check that acts on a form ("dd") fails, and no check that acts on a
+    # vector ("u", the isotropy bounds): one slot of a form is not enough.
+    def first_slot_only(a, tensor, kinds):
+        stride = len(tensor) // a.rows
+        out = [None] * len(tensor)
+        for rest in range(stride):
+            out[rest::stride] = linalg.act(a, tensor[rest::stride], kinds[0])
+        return tuple(out)
+
+    for module in ACT_CALLERS:
+        monkeypatch.setattr(module, "act", first_slot_only)
+    model_ids = [e.id for e in build_catalog() if e.model is not None]
+    assert len(model_ids) == 7
+    assert {c.id for c in failed_checks(verify_all())} == {
+        *(f"{i}/invariance" for i in model_ids),
+        *(f"{i}/invariant_form_dim" for i in model_ids),
+        "semisimple4/general_ab_invariance",
+        "flow/generator_skew",
+    }
+
+
+def test_the_form_and_stabilizer_kernels_reach_act(monkeypatch):
+    kinds = []
+
+    def recorded(a, tensor, k):
+        kinds.append(k)
+        return linalg.act(a, tensor, k)
+
+    for module in ACT_CALLERS:
+        monkeypatch.setattr(module, "act", recorded)
+    model = _by_id(build_catalog(), "c_oplus_sl2").model
+    unit = (gr(1), gr(0), gr(0))
+    for run, kind in (
+        (lambda: models.invariant_forms(model), "dd"),
+        (lambda: models.check_invariance(model), "dd"),
+        (lambda: geometry.stabilizer_in_skew(QuadraticForm.diagonal([1, 1, 1]), [unit]), "u"),
+        (catalog.verify_flow_identities, "dd"),
+    ):
+        kinds.clear()
+        run()
+        assert kinds and set(kinds) == {kind}
 
 
 def test_flow_proofs_evaluate_their_grids(monkeypatch):

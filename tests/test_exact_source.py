@@ -199,3 +199,75 @@ def test_the_scan_finds_unused_definitions():
         "a.exported",
         "a.recursive",
     ]
+
+
+def _unread_parameters(tree: ast.AST) -> list[str]:
+    """``function(parameter)`` for each parameter of a function or lambda
+    (``<lambda>@line``) that its body never reads as a name; ``self``,
+    ``cls``, ``_``-prefixed parameters and dunder methods, whose signatures
+    Python fixes, are left out.  A read in a nested function counts."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_dunder(node.name):
+            name, body = node.name, node.body
+        elif isinstance(node, ast.Lambda):
+            name, body = f"<lambda>@{node.lineno}", [node.body]
+        else:
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+        read = {
+            n.id
+            for statement in body
+            for n in ast.walk(statement)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        found.extend(
+            f"{name}({p.arg})"
+            for p in params
+            if p is not None
+            and p.arg not in read
+            and p.arg not in ("self", "cls")
+            and not p.arg.startswith("_")
+        )
+    return sorted(found)
+
+
+def test_every_parameter_is_read():
+    unread = [
+        f"{path.stem}.{hit}"
+        for path in SOURCES
+        for hit in _unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert unread == []
+
+
+def test_the_scan_finds_unread_parameters():
+    source = (
+        "def reads_all(a, /, b, *args, c, d=1, **kw): return a, b, args, c, d, kw\n"
+        "def unread(a, b=0, *args, c, **kw): return a\n"
+        "def closure(a, b):\n"
+        "    def inner(x): return a\n"
+        "    return inner\n"
+        "def default_only(a, b=a): return b\n"
+        "def written(a):\n"
+        "    a = 1\n"
+        "class C:\n"
+        "    def method(self, x): return 1\n"
+        "    @classmethod\n"
+        "    def build(cls, _spare): return cls\n"
+        "    def __eq__(self, other): return True\n"
+        "key = lambda item, spare: item\n"
+    )
+    assert _unread_parameters(ast.parse(source)) == [
+        "<lambda>@14(spare)",
+        "closure(b)",
+        "default_only(a)",
+        "inner(x)",
+        "method(x)",
+        "unread(args)",
+        "unread(b)",
+        "unread(c)",
+        "unread(kw)",
+        "written(a)",
+    ]

@@ -147,18 +147,18 @@ def test_constant_curvature_requires_nondegenerate_form():
 def test_ricci():
     g, q = CATALOG["sol3"].algebra, CATALOG["sol3"].form
     tensor = curvature(g, levi_civita(g, q))
-    assert ricci(q, tensor).gram.is_zero()
+    assert ricci(tensor).gram.is_zero()
 
     s = CATALOG["sl2"].algebra
     b = killing_form(s)
     tensor = curvature(s, levi_civita(s, b))
     # Constant curvature k gives Ric = 2 k q in dimension 3: here -B/4.
-    assert ricci(b, tensor).gram == scale(b.gram, gr(Fraction(-1, 4)))
+    assert ricci(tensor).gram == scale(b.gram, gr(Fraction(-1, 4)))
 
     a = CATALOG["flat_c3"].algebra
     q3 = QuadraticForm.diagonal([1, 2, gr(0, 1)])
     tensor = curvature(a, levi_civita(a, q3))
-    assert ricci(q3, tensor).gram.is_zero()
+    assert ricci(tensor).gram.is_zero()
 
 
 def test_skew_algebra_dimensions():
@@ -306,7 +306,7 @@ def test_constant_curvature_matches_sectional_on_coordinate_planes():
                 seen += 1
                 assert value == k
     assert seen >= 1
-    assert ricci(b, tensor).gram == scale(b.gram, gr(2) * k)
+    assert ricci(tensor).gram == scale(b.gram, gr(2) * k)
 
 
 def test_killing_form_is_ad_invariant():

@@ -2,12 +2,15 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from conftest import scale, zeros
 
 from holriem.linalg import (
     CMatrix,
+    _annihilated,
+    act,
     is_nilpotent_matrix,
     is_semisimple_matrix,
     kernel,
@@ -222,3 +225,79 @@ def test_solve_overdetermined_consistent():
     solution = solve_linear(a, (2, 2))
     assert solution == (gr(2),) and len(kernel(a)) == 0
     assert solve_linear(a, (2, 3)) is None
+
+
+def _sparse_vector(rng, size):
+    """Random Q(i) entries, each zero with probability one half."""
+    return tuple(
+        gr(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-3, 3))
+        if rng.random() < 0.5
+        else gr(0)
+        for _ in range(size)
+    )
+
+
+def _rows_flat(matrix):
+    return tuple(x for row in matrix.entries for x in row)
+
+
+def _dense_dddu(a, t, n):
+    """Entry (i,j,k,l) of A acting on a dddu tensor T, summed densely: sum_p of
+    A[l][p] T(i,j,k,p) - A[p][i] T(p,j,k,l) - A[p][j] T(i,p,k,l) - A[p][k] T(i,j,p,l)."""
+    m = a.entries
+
+    def at(i, j, k, l):
+        return t[((i * n + j) * n + k) * n + l]
+
+    return tuple(
+        sum(
+            (
+                m[l][p] * at(i, j, k, p)
+                - m[p][i] * at(p, j, k, l)
+                - m[p][j] * at(i, p, k, l)
+                - m[p][k] * at(i, j, p, l)
+                for p in range(n)
+            ),
+            gr(0),
+        )
+        for i, j, k, l in product(range(n), repeat=4)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_act_matches_dense_references(n):
+    # A is not symmetric (for n > 1), so a slot rule that takes A^T for A,
+    # or A for -A^T, shows; half the tensor entries are zero.
+    rng = random.Random(2100 + n)
+    for _ in range(5):
+        a = _random_matrix(rng, n)
+        assert n == 1 or a != a.transpose()
+        v = _sparse_vector(rng, n)
+        assert act(a, v, "u") == a.apply(v)
+        s = CMatrix([_sparse_vector(rng, n) for _ in range(n)])
+        assert act(a, _rows_flat(s), "dd") == _rows_flat(scale(a.transpose() @ s + s @ a, -1))
+        assert s.flat == _rows_flat(s)
+        t = _sparse_vector(rng, n**4)
+        assert act(a, t, "dddu") == _dense_dddu(a, t, n)
+        assert act(a, (gr(0),) * n**4, "dddu") == (gr(0),) * n**4
+
+
+def test_act_refuses_shapes_it_cannot_act_on():
+    a = CMatrix([[1, 2], [0, 1]])
+    for matrix, tensor, kinds in (
+        (a, (gr(1),) * 3, "u"),
+        (a, (gr(1),) * 2, "dd"),
+        (a, (gr(1),) * 4, "ux"),
+        (CMatrix([[1, 2]]), (gr(1),) * 2, "u"),
+    ):
+        with pytest.raises(ValueError, match="action on"):
+            act(matrix, tensor, kinds)
+
+
+def test_annihilated_is_the_basis_without_images_and_a_kernel_with_them():
+    basis = [CMatrix([[1, 0], [0, 0]]), CMatrix([[0, 1], [0, 0]]), CMatrix([[0, 0], [1, 1]])]
+    assert _annihilated(basis, [(), (), ()]) == basis
+    assert _annihilated([], []) == []
+    # Images (1, 1), (1, 1), (0, 0): the kernel is spanned by b0 - b1 and b2.
+    images = [(gr(1), gr(1)), (gr(1), gr(1)), (gr(0), gr(0))]
+    assert _annihilated(basis, images) == [CMatrix([[-1, 1], [0, 0]]), CMatrix([[0, 0], [1, 1]])]
