@@ -8,7 +8,6 @@ from .linalg import (
     is_semisimple_matrix,
     kernel,
     min_poly,
-    solve_linear,
 )
 from .forms import DegenerateForm, QuadraticForm
 from .liealg import (

@@ -1,12 +1,13 @@
 """Dense exact matrices over Q(i) and the linear-algebra kernels.
 
 Gaussian elimination over exact Q(i) scalars keeps every rank, kernel
-and solve exact; there is no numerical pivoting or tolerance anywhere in
+and inverse exact; there is no numerical pivoting or tolerance anywhere in
 this module.  Every elimination runs through ``_reduce``, which visits
 only the nonzero entries of each pivot row.  A minimal polynomial is the
-tuple of its coefficients in ascending degree, and semisimplicity is one
-rank: A is diagonalizable exactly when p'(A) is invertible for its
-minimal polynomial p (Hoffman and Kunze, *Linear Algebra*, section 6.4).
+tuple of its coefficients in ascending degree, read from one elimination
+over the powers of A, and semisimplicity is a gcd: A is diagonalizable
+exactly when its minimal polynomial p has no repeated root, that is when
+gcd(p, p') = 1 (Hoffman and Kunze, *Linear Algebra*, section 6.4).
 """
 
 from __future__ import annotations
@@ -187,26 +188,6 @@ def _reduce(rows: list[list[GaussianRational]]) -> tuple[list[list[GaussianRatio
     return rows, pivots
 
 
-def solve_linear(matrix: CMatrix, rhs: Sequence) -> Vector | None:
-    """Solve ``A x = b`` exactly; None when the system is inconsistent.
-
-    Underdetermined systems yield the particular solution with all free
-    variables set to zero.
-    """
-    b = as_vector(rhs)
-    if len(b) != matrix.rows:
-        raise ValueError("right-hand side length does not match row count")
-    augmented = [list(row) + [b[i]] for i, row in enumerate(matrix.entries)]
-    reduced, pivots = _reduce(augmented)
-    n = matrix.cols
-    if n in pivots:
-        return None
-    x = [ZERO] * n
-    for r, c in enumerate(pivots):
-        x[c] = reduced[r][n]
-    return tuple(x)
-
-
 def kernel(matrix: CMatrix) -> list[Vector]:
     """Canonical exact basis of the null space ``{x : A x = 0}``."""
     reduced, pivots = _reduce([list(row) for row in matrix.entries])
@@ -226,14 +207,22 @@ def kernel(matrix: CMatrix) -> list[Vector]:
 
 def _annihilated(basis: Sequence[CMatrix], images: Sequence[Sequence]) -> list[CMatrix]:
     """Basis of the combinations of ``basis`` whose images under a linear map vanish,
-    ``images[b]`` being that of ``basis[b]``: one kernel over the coefficients, or
-    the basis itself when the images are empty."""
+    ``images[b]`` being that of ``basis[b]``: one kernel over the coefficients, summed
+    over the nonzero basis entries, or the basis itself when the images are empty."""
     constraints = list(zip(*images))
     if not constraints:
         return list(basis)
-    cells, width = list(zip(*(b.flat for b in basis))), basis[0].cols
-    flats = [[_dot(sol, cell) for cell in cells] for sol in kernel(CMatrix(constraints))]
-    return [CMatrix(f[k : k + width] for k in range(0, len(f), width)) for f in flats]
+    height, width = basis[0].rows, basis[0].cols
+    cells = [[(r, c, x) for r, row in enumerate(b.entries) for c, x in enumerate(row) if x] for b in basis]
+    out = []
+    for sol in kernel(CMatrix(constraints)):
+        rows = [[ZERO] * width for _ in range(height)]
+        for coefficient, nonzero in zip(sol, cells):
+            if coefficient:
+                for r, c, x in nonzero:
+                    rows[r][c] = rows[r][c] + coefficient * x
+        out.append(CMatrix(rows))
+    return out
 
 
 def act(a: CMatrix, tensor: Sequence[GaussianRational], kinds: str) -> Vector:
@@ -279,22 +268,19 @@ def in_span(vectors: Sequence[Sequence], v: Sequence) -> bool:
 def min_poly(matrix: CMatrix) -> Vector:
     """Monic minimal polynomial, exact, as coefficients in ascending degree.
 
-    Finds the first power of A that is a linear combination of the lower
-    powers; Cayley-Hamilton caps the search at the matrix dimension.
+    One elimination over the columns I, A, ..., A^n (flat): the first non-pivot
+    column is the first power that is a combination of the lower ones (at most
+    A^n, by Cayley-Hamilton), and its reduced entries are the coefficients.
     """
     if matrix.rows != matrix.cols:
         raise ValueError("minimal polynomial of a non-square matrix")
     n = matrix.rows
-    columns = [CMatrix.identity(n).flat]
-    power = CMatrix.identity(n)
-    for degree in range(1, n + 1):
-        power = power @ matrix
-        target = power.flat
-        solution = solve_linear(CMatrix.from_columns(columns), target)
-        if solution is not None:
-            return tuple(-c for c in solution) + (ONE,)
-        columns.append(target)
-    raise AssertionError("unreachable: degree bounded by Cayley-Hamilton")
+    powers = [CMatrix.identity(n), matrix]
+    while len(powers) <= n:
+        powers.append(powers[-1] @ matrix)
+    reduced, pivots = _reduce([list(row) for row in zip(*(p.flat for p in powers))])
+    degree = next(j for j, c in enumerate(pivots + [n + 1]) if c != j)
+    return tuple(-reduced[r][degree] for r in range(degree)) + (ONE,)
 
 
 def is_nilpotent_matrix(matrix: CMatrix) -> bool:
@@ -310,16 +296,18 @@ def is_nilpotent_matrix(matrix: CMatrix) -> bool:
 
 
 def is_semisimple_matrix(matrix: CMatrix) -> bool:
-    """True iff A is diagonalizable over C: p'(A) is invertible for the
-    minimal polynomial p.
-
-    The eigenvalues of p'(A) are the p'(lambda) over the roots lambda of
-    p, and p'(lambda) vanishes exactly at a repeated root.
-    """
-    p = min_poly(matrix)
-    n, d = matrix.rows, len(p) - 1
-    # Horner's rule on p'(t) = sum_k k p_k t^(k-1), from the leading term d t^(d-1) down.
-    acc = CMatrix.diagonal([d] * n)
-    for k in range(d - 1, 0, -1):
-        acc = acc @ matrix + CMatrix.diagonal([k * p[k]] * n)
-    return acc.rank() == n
+    """True iff A is diagonalizable over C: gcd(p, p') = 1 for its minimal polynomial
+    p, by Euclid over Q(i), since a common root of p and p' is a repeated root of p."""
+    a = min_poly(matrix)
+    b = [k * c for k, c in enumerate(a)][1:]
+    while b:
+        # (a, b) -> (b, a mod b) on coefficients in ascending degree, stripped of zeros on top.
+        a = list(a)
+        while len(a) >= len(b):
+            factor, shift = a.pop() / b[-1], len(a) - len(b) + 1
+            for k, c in enumerate(b[:-1]):
+                a[shift + k] = a[shift + k] - factor * c
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1

@@ -7,14 +7,16 @@ modulo the isotropy onto the complement.  Construction inverts the
 spans the algebra and gives every ``induced_ad`` its coordinates.  It
 then derives ``actions``, the induced action of each isotropy vector,
 once; computing them tests that the isotropy is a subalgebra.  The
-isotropy type reads them, and so do the invariance check (of the quotient
-form or of any other form) and the invariant forms, through ``linalg.act``
-on forms: one zero test, and one kernel (``linalg._annihilated``).
+isotropy type reads them (nilpotent, else gcd(p, p') = 1 for the minimal
+polynomial p), and so does ``linalg.act`` on forms: one zero test for the
+invariance check, and for the invariant forms one kernel over the distinct
+entries p <= q of the images of the symmetric basis.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import cache
 from itertools import combinations_with_replacement
 from typing import Sequence
 
@@ -129,17 +131,28 @@ def isotropy_type(model: HomogeneousModel) -> IsotropyType:
     return IsotropyType.MIXED
 
 
+@cache
+def _symmetric_basis(d: int) -> tuple[tuple[CMatrix, ...], tuple[Vector, ...], tuple[int, ...]]:
+    """E_ii, E_ij + E_ji (i < j) in d dimensions, also flat, and the flat positions
+    p * d + q, p <= q, of the distinct entries of a symmetric matrix; a constant of d."""
+    pairs = list(combinations_with_replacement(range(d), 2))
+    basis = tuple(
+        CMatrix([[ONE if (r, c) in ((i, j), (j, i)) else ZERO for c in range(d)] for r in range(d)])
+        for i, j in pairs
+    )
+    return basis, tuple(b.flat for b in basis), tuple(p * d + q for p, q in pairs)
+
+
 def invariant_forms(model: HomogeneousModel) -> list[QuadraticForm]:
     """Exact basis of the symmetric forms S with act(A, S, "dd") = -(A^T S + S A) = 0
     for every isotropy action A: the combinations of E_ii, E_ij + E_ji (i < j) kept by
-    ``linalg._annihilated``.  Members may be degenerate; callers pick a nondegenerate
-    one when they need a metric."""
-    d = range(len(model.complement))
-    basis = [
-        CMatrix([[ONE if (r, c) in ((i, j), (j, i)) else ZERO for c in d] for r in d])
-        for i, j in combinations_with_replacement(d, 2)
+    ``linalg._annihilated``, constrained by the entries p <= q of each (symmetric)
+    image only.  Members may be degenerate; callers pick a nondegenerate one."""
+    basis, flats, upper = _symmetric_basis(len(model.complement))
+    images = [
+        [image[k] for image in (act(a, s, "dd") for a in model.actions) for k in upper]
+        for s in flats
     ]
-    images = [[x for a in model.actions for x in act(a, s.flat, "dd")] for s in basis]
     return [QuadraticForm(s) for s in _annihilated(basis, images)]
 
 

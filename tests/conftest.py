@@ -64,6 +64,29 @@ def scale(matrix: CMatrix, scalar) -> CMatrix:
     return CMatrix([[s * v for v in row] for row in matrix.entries])
 
 
+def jordan(blocks: Sequence[tuple[GaussianRational, int]]) -> CMatrix:
+    """Block-diagonal Jordan matrix of ``(eigenvalue, size)`` blocks."""
+    n = sum(size for _, size in blocks)
+    rows = [[gr(0)] * n for _ in range(n)]
+    start = 0
+    for value, size in blocks:
+        for k in range(start, start + size):
+            rows[k][k] = value
+            if k + 1 < start + size:
+                rows[k][k + 1] = gr(1)
+        start += size
+    return CMatrix(rows)
+
+
+def jordan_blocks(rng: random.Random, pool: Sequence[GaussianRational], n: int) -> list:
+    """Random ``(eigenvalue, size)`` blocks of total size n, eigenvalues from ``pool``."""
+    blocks = []
+    while sum(size for _, size in blocks) < n:
+        size = rng.randint(1, n - sum(size for _, size in blocks))
+        blocks.append((rng.choice(pool), size))
+    return blocks
+
+
 def vsub(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise ValueError("vector length mismatch")

@@ -132,9 +132,12 @@ def work(monkeypatch):
 @pytest.mark.parametrize(
     "command, name, expected",
     [
-        # One action at construction serves isotropy type, invariance and forms;
-        # the semisimplicity test of that action is one rank.
-        ("model", "c_oplus_sl2", {"_reduce": 7, "bracket": 4, "induced_ad": 1}),
+        # One action at construction serves isotropy type, invariance and forms.
+        # The frame inverse, one elimination over the powers of the action for
+        # its minimal polynomial (7 when each degree was solved again and
+        # semisimplicity was a rank), no elimination for gcd(p, p'), one kernel
+        # for the invariant forms and one rank of the quotient form.
+        ("model", "c_oplus_sl2", {"_reduce": 4, "bracket": 4, "induced_ad": 1}),
         # One [g, g] from the constants starts both series; a derived step
         # spans the pairs u < v of its basis.
         ("invariants", "c_oplus_sl2", {"_reduce": 4, "bracket": 15, "induced_ad": 0}),
@@ -151,6 +154,36 @@ def test_structure_commands_work_budget(command, name, expected, work, capsys):
     assert work == expected
 
 
+@pytest.fixture
+def products(monkeypatch):
+    """Count matrix products (``CMatrix.__matmul__``)."""
+    counts = {"__matmul__": 0}
+    real = CMatrix.__matmul__
+
+    def counted(self, other):
+        counts["__matmul__"] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(CMatrix, "__matmul__", counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        # A semisimple action: A^2 and A^3 for the nilpotency test, then A^2 and
+        # A^3 again for the powers of the minimal polynomial (7 when Horner's
+        # rule evaluated p'(A) and each degree recomputed I @ A).
+        ("c_oplus_sl2", 4),
+        # A nilpotent action stops at A^3 = 0 and needs no minimal polynomial.
+        ("heis_stab_generic", 2),
+    ],
+)
+def test_model_matrix_product_budget(name, expected, products, capsys):
+    assert cli_module.cli(["model", f"{DATA}/{name}.liealg"]) == 0
+    assert products["__matmul__"] == expected
+
+
 def test_verify_all_derives_each_isotropy_action_once(work):
     assert catalog.verify_all(42).all_pass
     # Seven catalog models and five stabilizer-family models; section 4 tests
@@ -164,7 +197,10 @@ def test_verify_all_eliminates_each_subalgebra_once(work):
     # each, where one span_basis and nine solve_linear made 184 in all.  The
     # isotropy bounds make 4: one Gram inverse for so(q) and one kernel for
     # each of the three stabilizers cut from it (8 when each bound made its own).
-    assert work["_reduce"] == 126
+    # Each of the five semisimple catalog models finds its minimal polynomial in
+    # one elimination and tests semisimplicity with no elimination: 126 when it
+    # made three solves and one rank.
+    assert work["_reduce"] == 111
 
 
 def test_verify_all_inverts_no_frame_twice(eliminations):
@@ -180,12 +216,15 @@ def test_elimination_counters_agree(work, eliminations):
     # ``work`` is set up first, so it wraps every module's binding of the real
     # ``_reduce`` and ``eliminations`` wraps linalg's only: the counts agree
     # when every elimination is called through the module, as a tracer sees it.
+    # 111, as counted above (126 before the one-elimination minimal polynomial).
     assert catalog.verify_all(42).all_pass
-    assert eliminations["_reduce"] == work["_reduce"] == 126
+    assert eliminations["_reduce"] == work["_reduce"] == 111
 
 
 def test_a_second_report_derives_as_much_as_the_first(calls, eliminations):
     # No derived value (a Gram inverse, so(q), a connection) outlives its report.
+    # 111 eliminations, as counted above (126 before the one-elimination
+    # minimal polynomial).
     counts = []
     for _ in range(2):
         assert catalog.verify_all(42).all_pass
@@ -193,7 +232,7 @@ def test_a_second_report_derives_as_much_as_the_first(calls, eliminations):
         calls.update(dict.fromkeys(calls, 0))
         eliminations.update(dict.fromkeys(eliminations, 0))
     assert counts[0] == counts[1] == (
-        {"levi_civita": 6, "curvature": 6}, {"_reduce": 126, "inverse": 19}
+        {"levi_civita": 6, "curvature": 6}, {"_reduce": 111, "inverse": 19}
     )
 
 

@@ -1,11 +1,11 @@
-"""Exact linear-algebra kernels: solve, kernel, minimal polynomials."""
+"""Exact linear-algebra kernels: kernel, minimal polynomials, semisimplicity."""
 
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import scale, zeros
+from conftest import jordan, jordan_blocks, scale, zeros
 
 from holriem.linalg import (
     CMatrix,
@@ -15,42 +15,38 @@ from holriem.linalg import (
     is_semisimple_matrix,
     kernel,
     min_poly,
-    solve_linear,
     span_basis,
 )
 from holriem.scalars import gr
 
 
+def _solve(a, b):
+    """A x = b through the kernel of [A | -b]: the kernel vector of the free last
+    column, with the other free variables zero; None when that column is a pivot,
+    that is when b lies outside the column space."""
+    basis = kernel(CMatrix([row + (-c,) for row, c in zip(a.entries, b)]))
+    return basis[-1][:-1] if basis and basis[-1][-1] else None
+
+
 def test_solve_identity():
     b = (gr(3), gr(0, 1), gr(Fraction(1, 2)))
-    solution = solve_linear(CMatrix.identity(3), b)
+    solution = _solve(CMatrix.identity(3), b)
     assert solution == b
     assert len(kernel(CMatrix.identity(3))) == 0
-
-
-def test_solve_back_substitution():
-    a = CMatrix([[gr(1), gr(0, 1)], [gr(0), gr(1)]])
-    solution = solve_linear(a, (gr(0), gr(1)))
-    assert solution == (gr(0, -1), gr(1))
 
 
 def test_solve_inconsistent_rank2():
     # Third row is the sum of the first two, b sits outside the column space.
     a = CMatrix([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
     assert a.rank() == 2
-    assert solve_linear(a, (0, 0, 1)) is None
+    assert _solve(a, (0, 0, 1)) is None
 
 
 def test_solve_underdetermined_reports_kernel_dim():
     a = CMatrix([[1, 1, 0]])
-    solution = solve_linear(a, (1,))
+    solution = _solve(a, (1,))
     assert len(kernel(a)) == 2
     assert a.apply(solution) == (gr(1),)
-
-
-def test_solve_shape_mismatch():
-    with pytest.raises(ValueError):
-        solve_linear(CMatrix.identity(2), (1, 2, 3))
 
 
 @pytest.mark.parametrize("columns", [[[1, 0], [0, 1, 0]], [[1, 0, 0], [0, 1]]])
@@ -130,20 +126,6 @@ def test_min_poly_annihilates_random_matrices():
         assert acc.is_zero()
 
 
-def _jordan(blocks):
-    """Block-diagonal Jordan matrix of ``(eigenvalue, size)`` blocks."""
-    n = sum(size for _, size in blocks)
-    rows = [[gr(0)] * n for _ in range(n)]
-    start = 0
-    for value, size in blocks:
-        for k in range(start, start + size):
-            rows[k][k] = value
-            if k + 1 < start + size:
-                rows[k][k + 1] = gr(1)
-        start += size
-    return CMatrix(rows)
-
-
 def _times_linear(p, root):
     """Coefficients of p(t) (t - root), ascending."""
     return tuple(a - root * b for a, b in zip((gr(0), *p), (*p, gr(0))))
@@ -155,16 +137,13 @@ def test_semisimple_exactly_when_the_jordan_form_is_diagonal():
     seen = {True: 0, False: 0}
     for _ in range(80):
         pool = rng.sample([gr(0), gr(1), gr(-2), gr(0, 1), gr(1, -1)], 2)
-        n = rng.randint(1, 4)
-        blocks = []
-        while sum(size for _, size in blocks) < n:
-            size = rng.randint(1, n - sum(size for _, size in blocks))
-            blocks.append((rng.choice(pool), size))
+        blocks = jordan_blocks(rng, pool, rng.randint(1, 4))
+        n = sum(size for _, size in blocks)
         while True:
             change = _random_matrix(rng, n)
             if change.rank() == n:
                 break
-        a = change @ _jordan(blocks) @ change.inverse()
+        a = change @ jordan(blocks) @ change.inverse()
         diagonal = all(size == 1 for _, size in blocks)
         assert is_semisimple_matrix(a) == diagonal
         # The minimal polynomial is prod (t - value)^(largest block of value).
@@ -177,15 +156,31 @@ def test_semisimple_exactly_when_the_jordan_form_is_diagonal():
     assert min(seen.values()) >= 20
 
 
-def test_solve_residual_random():
-    rng = random.Random(77)
-    for _ in range(25):
-        a = _random_matrix(rng, 3)
-        b = tuple(gr(rng.randint(-3, 3)) for _ in range(3))
-        solution = solve_linear(a, b)
-        if solution is None:
-            continue
-        assert a.apply(solution) == b
+@pytest.mark.parametrize(
+    "blocks, semisimple",
+    [
+        # (t - i)^2 (t + 1): the repeated root i is in Q(i) but not in Q.
+        (((gr(0, 1), 2), (gr(-1), 1)), False),
+        # (t^2 + 1)^2, a square over Q(i) of a polynomial irreducible over Q.
+        (((gr(0, 1), 2), (gr(0, -1), 2)), False),
+        # (t - (1 + i))^3 in a single block.
+        (((gr(1, 1), 3),), False),
+        # (t - i)(t + i)(t + 1) and (t - (1 + i))(t - i): distinct roots off Q.
+        (((gr(0, 1), 1), (gr(0, -1), 1), (gr(-1), 1)), True),
+        (((gr(1, 1), 1), (gr(0, 1), 1), (gr(1, 1), 1)), True),
+    ],
+)
+def test_semisimplicity_with_roots_in_q_i_only(blocks, semisimple):
+    n = sum(size for _, size in blocks)
+    change = CMatrix([[1, gr(0, 1), 0, 2], [0, 1, gr(1, -1), 0], [1, 0, 1, 0], [0, 0, 0, 1]])
+    change = CMatrix([row[:n] for row in change.entries[:n]])
+    a = change @ jordan(blocks) @ change.inverse()
+    expected = (gr(1),)
+    for value in {value for value, _ in blocks}:
+        for _ in range(max(size for v, size in blocks if v == value)):
+            expected = _times_linear(expected, value)
+    assert min_poly(a) == expected
+    assert is_semisimple_matrix(a) is semisimple
 
 
 def test_kernel_dimension_and_residual_random():
@@ -222,9 +217,9 @@ def test_matrix_inverse_and_det():
 
 def test_solve_overdetermined_consistent():
     a = CMatrix([[1], [1]])
-    solution = solve_linear(a, (2, 2))
+    solution = _solve(a, (2, 2))
     assert solution == (gr(2),) and len(kernel(a)) == 0
-    assert solve_linear(a, (2, 3)) is None
+    assert _solve(a, (2, 3)) is None
 
 
 def _sparse_vector(rng, size):

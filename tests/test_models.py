@@ -1,8 +1,14 @@
 """Homogeneous models: induced actions, isotropy types, invariant forms."""
 
-import pytest
+import hashlib
+import random
+from fractions import Fraction
+from itertools import combinations_with_replacement
 
-from holriem.catalog import ParamExtension, build_catalog, heis_stabilizer_model
+import pytest
+from conftest import jordan, jordan_blocks
+
+from holriem.catalog import ParamExtension, _lattice, build_catalog, heis_stabilizer_model
 from holriem.forms import QuadraticForm
 from holriem.geometry import adapted_gram_unipotent, unipotent_isotropy_generator
 from holriem.liealg import LieAlgebra
@@ -78,6 +84,59 @@ def test_isotropy_type_mixed():
         complement=[mixed.vector("A"), mixed.vector("B"), mixed.vector("C")],
     )
     assert isotropy_type(model) is IsotropyType.MIXED
+
+
+def _semidirect_model(actions):
+    """Isotropy Y_1, ..., Y_k acting on an abelian ideal C^d, Y_a by ``actions[a]``,
+    with [Y_a, Y_b] = 0.  With more than one action the table need not satisfy
+    Jacobi; the invariant forms read the actions only."""
+    k, d = len(actions), actions[0].rows
+    names = [f"Y{a}" for a in range(k)] + [f"e{i}" for i in range(d)]
+    grid = [[[gr(0)] * (k + d) for _ in range(k + d)] for _ in range(k + d)]
+    for a, action in enumerate(actions):
+        for i in range(d):
+            column = [gr(0)] * k + list(action.column(i))
+            grid[a][k + i] = column
+            grid[k + i][a] = [-x for x in column]
+    algebra = LieAlgebra(names, grid)
+    return HomogeneousModel(
+        algebra,
+        isotropy=[algebra.basis_vector(a) for a in range(k)],
+        complement=[algebra.basis_vector(k + i) for i in range(d)],
+    )
+
+
+def _random_scalar(rng):
+    return gr(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-2, 2))
+
+
+def _random_invertible(rng, n):
+    while True:
+        change = CMatrix([[_random_scalar(rng) for _ in range(n)] for _ in range(n)])
+        if change.rank() == n:
+            return change
+
+
+def test_isotropy_type_of_conjugated_jordan_actions():
+    # Eigenvalues from pools of two, so that repeats are common.
+    rng = random.Random(20261019)
+    seen = dict.fromkeys(IsotropyType, 0)
+    for _ in range(120):
+        pool = rng.sample([gr(0), gr(0), gr(1), gr(-2), gr(0, 1), gr(1, -1)], 2)
+        blocks = jordan_blocks(rng, pool, rng.randint(1, 4))
+        change = _random_invertible(rng, sum(size for _, size in blocks))
+        action = change @ jordan(blocks) @ change.inverse()
+        model = _semidirect_model([action])
+        assert model.actions == (action,)
+        if all(not value for value, _ in blocks):
+            expected = IsotropyType.UNIPOTENT
+        elif all(size == 1 for _, size in blocks):
+            expected = IsotropyType.SEMISIMPLE
+        else:
+            expected = IsotropyType.MIXED
+        assert isotropy_type(model) is expected, blocks
+        seen[expected] += 1
+    assert min(seen.values()) >= 15, seen
 
 
 def test_isotropy_type_wrong_dimension():
@@ -256,3 +315,40 @@ def test_model_rejects_frame_vectors_of_the_wrong_length(position, length):
     frame[position] = (frame[position] + [0])[:length]
     with pytest.raises(ValueError, match="isotropy plus complement must span the algebra"):
         HomogeneousModel(s, isotropy=frame[:1], complement=frame[1:])
+
+
+def test_invariant_forms_count_matches_the_dense_constraint_rank():
+    # dim = d(d+1)/2 - rank of the dense A^T S + S A over the symmetric basis.
+    rng = random.Random(20261020)
+    for _ in range(40):
+        d, k = rng.randint(1, 4), rng.randint(1, 2)
+        actions = [
+            CMatrix([[_random_scalar(rng) if rng.random() < 0.5 else gr(0) for _ in range(d)] for _ in range(d)])
+            for _ in range(k)
+        ]
+        basis = [
+            CMatrix([[int((r, c) in ((i, j), (j, i))) for c in range(d)] for r in range(d)])
+            for i, j in combinations_with_replacement(range(d), 2)
+        ]
+        columns = [
+            [x for a in actions for row in (a.transpose() @ s + s @ a).entries for x in row]
+            for s in basis
+        ]
+        forms = invariant_forms(_semidirect_model(actions))
+        assert len(forms) == len(basis) - CMatrix.from_columns(columns).rank()
+        assert len(span_basis([f.gram.flat for f in forms])) == len(forms)
+        for f in forms:
+            for a in actions:
+                assert (a.transpose() @ f.gram + f.gram @ a).is_zero()
+
+
+def test_invariant_forms_digest():
+    # The forms, and their order, on the catalog models and on the stabilizer
+    # family at the 15 points of the degree-2 lattice in (c, m, k, beta).
+    models = [entry.model for entry in build_catalog() if entry.model is not None]
+    models += [heis_stabilizer_model(ParamExtension(*p)) for p in _lattice(4, 2)]
+    assert len(models) == 22
+    text = "\n".join(" | ".join(str(f.gram) for f in invariant_forms(m)) for m in models)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9873e4eceb3844e07325d17aa3e97fd52c7d394a994d3fdd9e5f4a1d47a739d5"
+    )
