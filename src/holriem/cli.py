@@ -22,6 +22,7 @@ from . import catalog as cat
 from . import dsl
 from .geometry import flatness_defect
 from .liealg import LieAlgebra
+from .scalars import ZERO
 
 
 def main() -> None:
@@ -185,6 +186,8 @@ def _load_entry(path: str, model: bool) -> cat.CatalogEntry:
 
 
 def _combination_record(names, record_id: str, vector) -> cat.CheckResult:
+    if vector == (ZERO,) * len(names):
+        return cat._check(record_id, True, value="0")
     combo = {names[k]: c for k, c in enumerate(vector) if c}
     return cat._check(record_id, True, value=dsl.format_combination(names, combo))
 

@@ -54,7 +54,7 @@ from .liealg import LieAlgebra
 from . import linalg
 from .linalg import CMatrix, Vector
 from .models import HomogeneousModel
-from .scalars import GaussianRational, ONE, Record, _make, gr
+from .scalars import GaussianRational, ONE, Record, _make, _render, gr
 
 
 class DslError(ValueError):
@@ -526,31 +526,20 @@ def format_combination(
         return "0"
     parts: list[str] = []
     for position, (label, coeff) in enumerate(ordered):
-        sign, magnitude = _split_sign(coeff)
-        if magnitude == ONE:
+        # A real or imaginary sign joins the terms; a mixed one stays in parentheses.
+        a, b, d = coeff._a, coeff._b, coeff._d
+        negative = b < 0 if not a else a < 0 and not b
+        if negative:
+            a, b = -a, -b
+        if d == 1 and (a, b) == (1, 0):
             body = label
-        elif magnitude == _I:
+        elif d == 1 and (a, b) == (0, 1):
             body = f"i {label}"
         else:
-            text = str(magnitude)
-            body = f"({text}) {label}" if _needs_parens(magnitude) else f"{text} {label}"
-        if position == 0:
-            parts.append(body if sign > 0 else f"- {body}")
-        else:
-            parts.append(f"+ {body}" if sign > 0 else f"- {body}")
+            text = _render(a, b, d)
+            body = f"({text}) {label}" if a and b else f"{text} {label}"
+        parts.append(("- " if negative else "+ " if position else "") + body)
     return " ".join(parts)
-
-
-def _split_sign(value: GaussianRational) -> tuple[int, GaussianRational]:
-    if value.im == 0:
-        return (1, value) if value.re > 0 else (-1, -value)
-    if value.re == 0:
-        return (1, value) if value.im > 0 else (-1, -value)
-    return 1, value
-
-
-def _needs_parens(value: GaussianRational) -> bool:
-    return bool(value.re) and bool(value.im)
 
 
 def serialize(spec: SpecFile) -> str:

@@ -28,10 +28,14 @@ Most entries of these tables are zero, so the kernels loop over lists
 of the nonzero entries of each slot only: the algebra's ``terms`` for
 c_ij, and lists made here for G, G^-1 and Gamma_ij.  ``levi_civita``
 adds each nonzero term of the lowered constants into its three Koszul
-slots and then applies G^-1 / 2 row by row; ``curvature`` evaluates all
-n^3 fibers by the sum above.  No fiber is copied from another by
-antisymmetry, Bianchi or pair skew, the identities that ``*_defect``
-checks on the result.
+slots, held only where some term reaches, and then applies G^-1 / 2 row
+by row; ``curvature`` evaluates the n^3 fibers by the sum above, and
+shares one zero fiber among those that no term reaches.  No fiber is
+copied from another by antisymmetry, Bianchi or pair skew, the
+identities that ``*_defect`` checks on the result.  A whole fiber or
+vector is tested for zero by one tuple comparison with the zero vector,
+which CPython settles in C by identity where entries are the shared
+``ZERO`` (see ``scalars``); equality, not identity, decides the result.
 
 Each ``*_defect`` scan returns the first index tuple, in lexicographic
 order, where its identity fails.  On any input the defect takes one value
@@ -75,7 +79,7 @@ def _first(points: Iterable[tuple], bad: Callable[..., object]) -> tuple | None:
 
 
 def _nonzero(vector: Sequence) -> list[tuple[int, GaussianRational]]:
-    return [(k, x) for k, x in enumerate(vector) if x]
+    return [] if vector == (ZERO,) * len(vector) else [(k, x) for k, x in enumerate(vector) if x]
 
 
 def _same_dim(first: str, m: int, second: str, n: int) -> None:
@@ -101,21 +105,23 @@ def levi_civita(algebra: LieAlgebra, form: QuadraticForm) -> ConnectionTable:
     # G^-1 is symmetric, so its rows are its columns; the 1/2 rides along.
     half_inverse = [[(l, h * _HALF) for l, h in _nonzero(row)] for row in inverse.entries]
     # koszul[i][j][k] = c_ijk - c_jki + c_kij: each term of a lowered
-    # c_abd = sum_l c_ab^l G_ld lands in three slots.
-    koszul = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    # c_abd = sum_l c_ab^l G_ld lands in three slots, kept only once reached.
+    koszul = [[{} for _ in range(n)] for _ in range(n)]
     for a, b in product(range(n), repeat=2):
         for l, x in algebra.terms[a][b]:
             for d, g in gram_rows[l]:
                 term = x * g
-                koszul[a][b][d] = koszul[a][b][d] + term
-                koszul[d][a][b] = koszul[d][a][b] - term
-                koszul[b][d][a] = koszul[b][d][a] + term
+                ab, da, bd = koszul[a][b], koszul[d][a], koszul[b][d]
+                ab[d] = ab.get(d, ZERO) + term
+                da[b] = da.get(b, ZERO) - term
+                bd[a] = bd.get(a, ZERO) + term
 
     def nabla(i: int, j: int) -> Vector:
         out = [ZERO] * n
-        for k, w in _nonzero(koszul[i][j]):
-            for l, h in half_inverse[k]:
-                out[l] = out[l] + w * h
+        for k, w in koszul[i][j].items():
+            if w:
+                for l, h in half_inverse[k]:
+                    out[l] = out[l] + w * h
         return tuple(out)
 
     return tuple(tuple(nabla(i, j) for j in range(n)) for i in range(n))
@@ -127,8 +133,11 @@ def curvature(algebra: LieAlgebra, connection: ConnectionTable) -> CurvatureTens
     _same_dim("connection", len(connection), "algebra", n)
     gamma = [[_nonzero(v) for v in row] for row in connection]
     brackets = algebra.terms
+    zero = (ZERO,) * n
 
     def fiber(i: int, j: int, k: int) -> Vector:
+        if not (gamma[j][k] or gamma[i][k] or brackets[i][j]):
+            return zero  # no term reaches this fiber
         out = [ZERO] * n
         # Gamma_jk^l nabla_i e_l - Gamma_ik^l nabla_j e_l - c_ij^l nabla_l e_k
         for l, a in gamma[j][k]:
@@ -191,28 +200,25 @@ def constant_curvature_defect(
     form: QuadraticForm, tensor: CurvatureTensor, k
 ) -> tuple[int, int, int] | None:
     """First basis triple violating ``R(x,y)z = k (q(y,z)x - q(x,z)y)``."""
-    _same_dim("form", form.dim, "tensor", len(tensor))
+    n = len(tensor)
+    _same_dim("form", form.dim, "tensor", n)
     value = as_gr(k)
-    # The model fiber is k q_jm at slot i and -k q_im at slot j, zero when i = j.
     kq = [[value * g for g in row] for row in form.gram.entries]
     minus_kq = [[-x for x in row] for row in kq]
 
-    def bad(i: int, j: int, m: int) -> bool:
-        fiber = tensor[i][j][m]
-        if i == j:
-            return any(fiber)
-        return (
-            fiber[i] != kq[j][m]
-            or fiber[j] != minus_kq[i][m]
-            or any(x for l, x in enumerate(fiber) if l != i and l != j)
-        )
+    def model(i: int, j: int, m: int) -> Vector:
+        out = [ZERO] * n
+        if i != j:  # k q_jm at slot i and -k q_im at slot j, zero when i = j
+            out[i], out[j] = kq[j][m], minus_kq[i][m]
+        return tuple(out)
 
-    return _first(product(range(len(tensor)), repeat=3), bad)
+    return _first(product(range(n), repeat=3), lambda i, j, m: tensor[i][j][m] != model(i, j, m))
 
 
 def flatness_defect(tensor: CurvatureTensor) -> tuple[int, int, int] | None:
     """First basis triple with a nonzero curvature component, or None."""
-    return _first(product(range(len(tensor)), repeat=3), lambda i, j, k: any(tensor[i][j][k]))
+    zero = (ZERO,) * len(tensor)
+    return _first(product(range(len(tensor)), repeat=3), lambda i, j, k: tensor[i][j][k] != zero)
 
 
 def ricci(tensor: CurvatureTensor) -> QuadraticForm:
@@ -232,8 +238,10 @@ def _add(a: GaussianRational, b: GaussianRational) -> GaussianRational:
 
 
 def _nonzero_sum(*vectors: Sequence) -> bool:
-    """Whether the sum of the vectors has a nonzero component."""
-    for m in range(len(vectors[0])):
+    """Whether the sum of the vectors has a nonzero component; zero vectors drop out."""
+    zero = (ZERO,) * len(vectors[0])
+    vectors = [v for v in vectors if v != zero]
+    for m in range(len(zero)):
         total = None
         for v in vectors:
             if v[m]:

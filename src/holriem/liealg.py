@@ -193,7 +193,7 @@ def _jacobiators(algebra: LieAlgebra):
 
 def jacobi_witness(algebra: LieAlgebra) -> tuple[int, int, int] | None:
     """First basis triple violating the Jacobi identity, or None."""
-    return next((t for t, total in _jacobiators(algebra) if any(total)), None)
+    return next((t for t, total in _jacobiators(algebra) if total != [ZERO] * len(total)), None)
 
 
 def killing_form(algebra: LieAlgebra) -> QuadraticForm:

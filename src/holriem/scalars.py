@@ -3,11 +3,15 @@
 Every structure constant and metric coefficient handled by this package
 lies in Q(i), so curvature and invariance claims reduce to exact zero
 tests.  A ``GaussianRational`` is ``(a + b*i)/d`` held as three ints in
-lowest terms, so each sum, product or quotient costs one ``math.gcd``;
-``Fraction`` appears only where inputs are coerced and in the ``re``/``im``
-views.  The package has no floating-point code and no second number type:
-a polynomial is a tuple of its coefficients, and a matrix polynomial such
-as the unipotent flow is a function returning a ``CMatrix``.
+lowest terms, so each sum, product or quotient costs one ``math.gcd``,
+and its text is rendered from the triple; ``Fraction`` appears only where
+inputs are coerced and in the ``re``/``im`` views.  Every arithmetic zero
+is the one object ``ZERO``, so a zero vector equals ``(ZERO,) * n`` by
+identity, in C.  That is speed only: equality decides every test, and no
+code asks ``is ZERO``.  The package has no floating-point code and no
+second number type: a polynomial is a tuple of its coefficients, and a
+matrix polynomial such as the unipotent flow is a function returning a
+``CMatrix``.
 """
 
 from __future__ import annotations
@@ -172,14 +176,7 @@ class GaussianRational:
     # -- rendering -------------------------------------------------------
 
     def __str__(self) -> str:
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        imag = "i" if abs(im) == 1 else f"{abs(im)} i"
-        if re == 0:
-            return imag if im > 0 else f"-{imag}"
-        sign = "+" if im > 0 else "-"
-        return f"{re} {sign} {imag}"
+        return _render(self._a, self._b, self._d)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self})"
@@ -189,7 +186,9 @@ _new = object.__new__
 
 
 def _make(a: int, b: int, d: int) -> GaussianRational:
-    """``(a + b*i)/d`` for ``d > 0``, reduced by one gcd."""
+    """``(a + b*i)/d`` for ``d > 0``, reduced by one gcd; every zero is ``ZERO``."""
+    if not (a or b):
+        return ZERO
     g = gcd(a, b, d)
     z = _new(GaussianRational)
     if g == 1:
@@ -197,6 +196,21 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
     else:
         z._a, z._b, z._d = a // g, b // g, d // g
     return z
+
+
+def _ratio_str(n: int, d: int) -> str:  # as str(Fraction(n, d)) prints it
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _render(a: int, b: int, d: int) -> str:
+    """``(a + b*i)/d`` as ``re``, ``im i`` or ``re +/- im i``; ``i`` alone for ``|im| = 1``."""
+    if not b:
+        return _ratio_str(a, d)
+    imag = "i" if abs(b) == d else f"{_ratio_str(abs(b), d)} i"
+    if not a:
+        return imag if b > 0 else f"-{imag}"
+    return f"{_ratio_str(a, d)} {'+' if b > 0 else '-'} {imag}"
 
 
 def _divide(x: GaussianRational, y: GaussianRational) -> GaussianRational:

@@ -9,6 +9,7 @@ import pytest
 import holriem.cli as cli_module
 from holriem import catalog, geometry, liealg, linalg, models
 from holriem.linalg import CMatrix
+from holriem.scalars import GaussianRational
 
 SL2_PLUS_LINE = """[algebra]
 name = sl2_plus_line
@@ -253,3 +254,60 @@ def test_verify_all_derives_each_fact_once_per_entry(facts):
     # derived_dims or solvable (flat_iff_solvable reads it too); one isotropy
     # type per model entry (section 5 reads it too).
     assert facts == {"center": 15, "derived_series": 4, "isotropy_type": 7}
+
+
+# sl(2) + heis + sol, an orthogonal sum: ``curvature`` prints the 324 fibers
+# R(e_i, e_j) e_k with i < j, 6 of them nonzero.
+NINE_DIM_SUM = """[algebra]
+name = sl2_heis_sol
+dim = 9
+basis = H, E, F, X, Y, Z, U, V, T
+
+[brackets]
+"E,F" = H
+"H,E" = 2 E
+"H,F" = - 2 F
+"Y,Z" = X
+"U,T" = - T
+"U,V" = V
+
+[form]
+"E,F" = 4
+"H,H" = 8
+"X,Z" = 1
+"Y,Y" = 1
+"U,U" = 1
+"V,T" = 1
+"""
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        # 18 in parsing, 108 building the bracket terms, 211 in the elimination
+        # that inverts G, 252 listing the nonzero entries of the 9 Gram rows, the
+        # 9 rows of G^-1 and the 10 nonzero Christoffel vectors (the 71 zero ones
+        # take one tuple comparison each), 15 at the Koszul slots some term
+        # reaches, and 54 for the 6 nonzero fibers printed (the 318 zero ones
+        # print "0" after one tuple comparison).  5635 when every entry of every
+        # Koszul sum, Christoffel vector and printed fiber was tested.
+        ("curvature", 664),
+        # As above up to the fibers, then 83 in finding the first nonzero entry
+        # of the model tensor; the defect scans compare whole fibers and test
+        # no entry.  3086 when they tested every entry up to the witness.
+        ("constcurv", 687),
+    ],
+)
+def test_metric_commands_zero_test_budget(command, expected, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "sl2_heis_sol.liealg"
+    path.write_text(NINE_DIM_SUM, encoding="utf-8")
+    counts = {"__bool__": 0}
+    real = GaussianRational.__bool__
+
+    def counted(self):
+        counts["__bool__"] += 1
+        return real(self)
+
+    monkeypatch.setattr(GaussianRational, "__bool__", counted)
+    assert cli_module.cli([command, str(path)]) == 0
+    assert counts["__bool__"] == expected

@@ -1,7 +1,8 @@
 """The package is exact: no float or complex value and no random number in its
-source; every check of the catalog that can fail names a witness; and every
-module-level function, class and assigned name, and every named method and
-property of such a class, is used in the package."""
+source, and no identity test against the shared ``ZERO`` or ``ONE``; every
+check of the catalog that can fail names a witness; and every module-level
+function, class and assigned name, and every named method and property of
+such a class, is used in the package."""
 
 import ast
 from collections import Counter
@@ -55,6 +56,45 @@ def test_the_scan_finds_inexact_code():
         "v = gcd(4, 6)\n"
     )
     assert [line for line, _ in _inexact(ast.parse(source))] == [1, 2, 4, 5, 6, 7]
+
+
+def _identity_tests(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, source) for each ``is`` or ``is not`` comparison with ``ZERO`` or
+    ``ONE``, as a bare name or an attribute: every arithmetic zero is the one
+    ``ZERO`` object, but that is speed only, and equality decides each test."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        for k, op in enumerate(node.ops):
+            if isinstance(op, (ast.Is, ast.IsNot)) and any(
+                (isinstance(x, ast.Name) and x.id in ("ZERO", "ONE"))
+                or (isinstance(x, ast.Attribute) and x.attr in ("ZERO", "ONE"))
+                for x in operands[k : k + 2]
+            ):
+                found.append((node.lineno, ast.unparse(node)))
+                break
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_identity_test_against_shared_scalars(path):
+    assert _identity_tests(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_scan_finds_identity_tests():
+    source = (
+        "if x is ZERO: pass\n"
+        "y = ONE is not x\n"
+        "z = x is scalars.ZERO\n"
+        "w = x == ZERO\n"
+        "v = x is None\n"
+        "u = a < b is not ONE\n"
+        "t = ZERO_LIKE is x\n"
+        "s = x in (ZERO, ONE)\n"
+    )
+    assert [line for line, _ in _identity_tests(ast.parse(source))] == [1, 2, 3, 6]
 
 
 def _unwitnessed(tree: ast.AST) -> list[tuple[int, str]]:
