@@ -5,7 +5,6 @@ from .scalars import GaussianRational, as_gr, gr
 from .linalg import (
     CMatrix,
     is_nilpotent_matrix,
-    is_semisimple_matrix,
     kernel,
     min_poly,
 )

@@ -62,7 +62,7 @@ from typing import Callable, Iterable, Sequence
 from .forms import DegenerateForm, QuadraticForm
 from .liealg import LieAlgebra
 from .linalg import CMatrix, Vector, _annihilated, act
-from .scalars import GaussianRational, ONE, ZERO, as_gr
+from .scalars import GaussianRational, ONE, ZERO, addmul, as_gr, submul
 
 _HALF = ONE / 2
 
@@ -121,7 +121,7 @@ def levi_civita(algebra: LieAlgebra, form: QuadraticForm) -> ConnectionTable:
         for k, w in koszul[i][j].items():
             if w:
                 for l, h in half_inverse[k]:
-                    out[l] = out[l] + w * h
+                    out[l] = addmul(out[l], w, h)
         return tuple(out)
 
     return tuple(tuple(nabla(i, j) for j in range(n)) for i in range(n))
@@ -142,13 +142,13 @@ def curvature(algebra: LieAlgebra, connection: ConnectionTable) -> CurvatureTens
         # Gamma_jk^l nabla_i e_l - Gamma_ik^l nabla_j e_l - c_ij^l nabla_l e_k
         for l, a in gamma[j][k]:
             for m, b in gamma[i][l]:
-                out[m] = out[m] + a * b
+                out[m] = addmul(out[m], a, b)
         for l, a in gamma[i][k]:
             for m, b in gamma[j][l]:
-                out[m] = out[m] - a * b
+                out[m] = submul(out[m], a, b)
         for l, a in brackets[i][j]:
             for m, b in gamma[l][k]:
-                out[m] = out[m] - a * b
+                out[m] = submul(out[m], a, b)
         return tuple(out)
 
     return tuple(
@@ -257,7 +257,7 @@ def _lower(gram_rows: list, v: Sequence) -> list[GaussianRational]:
     for l, x in enumerate(v):
         if x:
             for y, g in gram_rows[l]:
-                out[y] = _add(out[y], x * g)
+                out[y] = addmul(out[y], x, g)
     return out
 
 

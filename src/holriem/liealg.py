@@ -31,7 +31,7 @@ from .linalg import (
     span_basis,
     zero_vector,
 )
-from .scalars import Record, ZERO, as_gr
+from .scalars import Record, ZERO, addmul, as_gr
 
 
 class WrongDimension(ValueError):
@@ -119,10 +119,10 @@ class LieAlgebra(Record):
             if key in seen:
                 raise ValueError(f"bracket ({a},{b}) specified twice")
             seen.add(key)
-            terms[i][j] = tuple((k, c) for k, c in enumerate(value) if c)
-            terms[j][i] = tuple((k, -c) for k, c in terms[i][j])
             constants[i][j] = tuple(value)
-            constants[j][i] = tuple(-c if c else c for c in value)
+            constants[j][i] = negated = tuple(-c if c else c for c in value)
+            terms[i][j] = tuple((k, c) for k, c in enumerate(value) if c)
+            terms[j][i] = tuple((k, negated[k]) for k, _ in terms[i][j])
         if len(set(names)) != n:
             raise ValueError("duplicate basis labels")
         algebra = object.__new__(cls)
@@ -170,7 +170,7 @@ def bracket(algebra: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
             if row[j]:
                 coeff = a * b
                 for k, c in row[j]:
-                    out[k] = out[k] + coeff * c
+                    out[k] = addmul(out[k], coeff, c)
     return tuple(out)
 
 
@@ -187,7 +187,7 @@ def _jacobiators(algebra: LieAlgebra):
         for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
             for l, x in t[a][b]:
                 for m, y in t[l][d]:
-                    total[m] = total[m] + x * y
+                    total[m] = addmul(total[m], x, y)
         yield (i, j, k), total
 
 

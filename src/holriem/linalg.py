@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .scalars import GaussianRational, ONE, Record, ZERO, as_gr
+from .scalars import GaussianRational, ONE, Record, ZERO, addmul, as_gr, submul
 
 Vector = tuple[GaussianRational, ...]
 
@@ -148,7 +148,7 @@ def _dot(u: Sequence[GaussianRational], v: Sequence[GaussianRational]) -> Gaussi
     total = ZERO
     for a, b in zip(u, v):
         if a and b:
-            total = total + a * b
+            total = addmul(total, a, b)
     return total
 
 
@@ -180,7 +180,7 @@ def _reduce(rows: list[list[GaussianRational]]) -> tuple[list[list[GaussianRatio
             if k != r and other[c]:
                 factor = other[c]
                 for j in support:
-                    other[j] = other[j] - factor * row[j]
+                    other[j] = submul(other[j], factor, row[j])
         pivots.append(c)
         r += 1
         if r == n_rows:
@@ -220,7 +220,7 @@ def _annihilated(basis: Sequence[CMatrix], images: Sequence[Sequence]) -> list[C
         for coefficient, nonzero in zip(sol, cells):
             if coefficient:
                 for r, c, x in nonzero:
-                    rows[r][c] = rows[r][c] + coefficient * x
+                    rows[r][c] = addmul(rows[r][c], coefficient, x)
         out.append(CMatrix(rows))
     return out
 
@@ -245,7 +245,7 @@ def act(a: CMatrix, tensor: Sequence[GaussianRational], kinds: str) -> Vector:
                 p = index // stride % n
                 for r, y in moves[kind][p]:
                     k = index + (r - p) * stride
-                    out[k] = out[k] + y * x if kind == "u" else out[k] - y * x
+                    out[k] = addmul(out[k], y, x) if kind == "u" else submul(out[k], y, x)
     return tuple(out)
 
 
@@ -295,10 +295,11 @@ def is_nilpotent_matrix(matrix: CMatrix) -> bool:
     return power.is_zero()
 
 
-def is_semisimple_matrix(matrix: CMatrix) -> bool:
-    """True iff A is diagonalizable over C: gcd(p, p') = 1 for its minimal polynomial
-    p, by Euclid over Q(i), since a common root of p and p' is a repeated root of p."""
-    a = min_poly(matrix)
+def _squarefree(a: Sequence[GaussianRational]) -> bool:
+    """True iff gcd(p, p') = 1 for the polynomial p with coefficients ``a`` in ascending
+    degree, by Euclid over Q(i), since a common root of p and p' is a repeated root of p.
+    Applied to the minimal polynomial, it is true exactly when the matrix is
+    diagonalizable over C."""
     b = [k * c for k, c in enumerate(a)][1:]
     while b:
         # (a, b) -> (b, a mod b) on coefficients in ascending degree, stripped of zeros on top.
@@ -306,7 +307,7 @@ def is_semisimple_matrix(matrix: CMatrix) -> bool:
         while len(a) >= len(b):
             factor, shift = a.pop() / b[-1], len(a) - len(b) + 1
             for k, c in enumerate(b[:-1]):
-                a[shift + k] = a[shift + k] - factor * c
+                a[shift + k] = submul(a[shift + k], factor, c)
             while a and not a[-1]:
                 a.pop()
         a, b = b, a

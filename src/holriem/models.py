@@ -7,10 +7,11 @@ modulo the isotropy onto the complement.  Construction inverts the
 spans the algebra and gives every ``induced_ad`` its coordinates.  It
 then derives ``actions``, the induced action of each isotropy vector,
 once; computing them tests that the isotropy is a subalgebra.  The
-isotropy type reads them (nilpotent, else gcd(p, p') = 1 for the minimal
-polynomial p), and so does ``linalg.act`` on forms: one zero test for the
-invariance check, and for the invariant forms one kernel over the distinct
-entries p <= q of the images of the symmetric basis.
+isotropy type reads one minimal polynomial of the action: nilpotent when it
+is t^k, else semisimple when it is coprime to its derivative.  ``linalg.act``
+on forms reads the actions too: one zero test for the invariance check, and
+for the invariant forms one kernel over the distinct entries p <= q of the
+images of the symmetric basis.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from .linalg import (
     CMatrix,
     Vector,
     _annihilated,
+    _squarefree,
     act,
     as_vector,
-    is_nilpotent_matrix,
-    is_semisimple_matrix,
+    min_poly,
 )
 from .scalars import ONE, Record, ZERO
 
@@ -123,10 +124,10 @@ def isotropy_type(model: HomogeneousModel) -> IsotropyType:
     """Classify a one-dimensional isotropy through its induced action."""
     if len(model.isotropy) != 1:
         raise WrongIsotropyDimension("isotropy type needs a 1-dimensional isotropy")
-    action = model.actions[0]
-    if is_nilpotent_matrix(action):
+    p = min_poly(model.actions[0])
+    if not any(p[:-1]):  # p = t^k: the action is nilpotent
         return IsotropyType.UNIPOTENT
-    if is_semisimple_matrix(action):
+    if _squarefree(p):
         return IsotropyType.SEMISIMPLE
     return IsotropyType.MIXED
 

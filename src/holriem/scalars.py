@@ -3,15 +3,19 @@
 Every structure constant and metric coefficient handled by this package
 lies in Q(i), so curvature and invariance claims reduce to exact zero
 tests.  A ``GaussianRational`` is ``(a + b*i)/d`` held as three ints in
-lowest terms, so each sum, product or quotient costs one ``math.gcd``,
-and its text is rendered from the triple; ``Fraction`` appears only where
-inputs are coerced and in the ``re``/``im`` views.  Every arithmetic zero
-is the one object ``ZERO``, so a zero vector equals ``(ZERO,) * n`` by
-identity, in C.  That is speed only: equality decides every test, and no
-code asks ``is ZERO``.  The package has no floating-point code and no
-second number type: a polynomial is a tuple of its coefficients, and a
-matrix polynomial such as the unipotent flow is a function returning a
-``CMatrix``.
+lowest terms, so each sum, product or quotient costs one ``math.gcd``
+(none when the denominator is 1), and its text is rendered from the triple.
+The kernels accumulate ``s + x*y`` and ``s - x*y`` through ``addmul`` and
+``submul``, which compute on the integer triples and reduce once, where the
+dunders would reduce twice and make two objects (Knuth, *TAOCP* vol. 2,
+section 4.5.1).  ``_make`` builds every arithmetic result.  ``Fraction``
+appears only where inputs are coerced and in the ``re``/``im`` views.
+Every arithmetic zero is the one object ``ZERO``, so a zero vector equals
+``(ZERO,) * n`` by identity, in C.  That is speed only: equality decides
+every test, and no code asks ``is ZERO``.  The package has no
+floating-point code and no second number type: a polynomial is a tuple of
+its coefficients, and a matrix polynomial such as the unipotent flow is a
+function returning a ``CMatrix``.
 """
 
 from __future__ import annotations
@@ -186,16 +190,35 @@ _new = object.__new__
 
 
 def _make(a: int, b: int, d: int) -> GaussianRational:
-    """``(a + b*i)/d`` for ``d > 0``, reduced by one gcd; every zero is ``ZERO``."""
+    """``(a + b*i)/d`` for ``d > 0``, reduced by one gcd, none for ``d = 1``;
+    every zero is ``ZERO``."""
     if not (a or b):
         return ZERO
-    g = gcd(a, b, d)
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
     z = _new(GaussianRational)
-    if g == 1:
-        z._a, z._b, z._d = a, b, d
-    else:
-        z._a, z._b, z._d = a // g, b // g, d // g
+    z._a, z._b, z._d = a, b, d
     return z
+
+
+def addmul(s: GaussianRational, x: GaussianRational, y: GaussianRational) -> GaussianRational:
+    """``s + x*y`` from the integer triples, reduced once by ``_make``."""
+    a, b, c, e = x._a, x._b, y._a, y._b
+    p, q, d, f = a * c - b * e, a * e + b * c, x._d * y._d, s._d
+    if d == f:
+        return _make(s._a + p, s._b + q, d)
+    return _make(s._a * d + p * f, s._b * d + q * f, d * f)
+
+
+def submul(s: GaussianRational, x: GaussianRational, y: GaussianRational) -> GaussianRational:
+    """``s - x*y`` from the integer triples, reduced once by ``_make``."""
+    a, b, c, e = x._a, x._b, y._a, y._b
+    p, q, d, f = a * c - b * e, a * e + b * c, x._d * y._d, s._d
+    if d == f:
+        return _make(s._a - p, s._b - q, d)
+    return _make(s._a * d - p * f, s._b * d - q * f, d * f)
 
 
 def _ratio_str(n: int, d: int) -> str:  # as str(Fraction(n, d)) prints it

@@ -172,11 +172,12 @@ def products(monkeypatch):
 @pytest.mark.parametrize(
     "name, expected",
     [
-        # A semisimple action: A^2 and A^3 for the nilpotency test, then A^2 and
-        # A^3 again for the powers of the minimal polynomial (7 when Horner's
-        # rule evaluated p'(A) and each degree recomputed I @ A).
-        ("c_oplus_sl2", 4),
-        # A nilpotent action stops at A^3 = 0 and needs no minimal polynomial.
+        # A semisimple action: A^2 and A^3 for the powers of the one minimal
+        # polynomial, which also decides nilpotency (4 when a nilpotency test
+        # built A^2 and A^3 first; 7 when, besides, Horner's rule evaluated
+        # p'(A) and each degree recomputed I @ A).
+        ("c_oplus_sl2", 2),
+        # A nilpotent action: the same two powers, for a minimal polynomial t^k.
         ("heis_stab_generic", 2),
     ],
 )
@@ -198,10 +199,12 @@ def test_verify_all_eliminates_each_subalgebra_once(work):
     # each, where one span_basis and nine solve_linear made 184 in all.  The
     # isotropy bounds make 4: one Gram inverse for so(q) and one kernel for
     # each of the three stabilizers cut from it (8 when each bound made its own).
-    # Each of the five semisimple catalog models finds its minimal polynomial in
-    # one elimination and tests semisimplicity with no elimination: 126 when it
-    # made three solves and one rank.
-    assert work["_reduce"] == 111
+    # Each of the seven catalog models finds its minimal polynomial in one
+    # elimination, which decides nilpotency too, and tests semisimplicity with
+    # no elimination: 111 when the two nilpotent ones stopped at a matrix power
+    # A^k = 0 with no minimal polynomial, 126 when each of the five others made
+    # three solves and one rank.
+    assert work["_reduce"] == 113
 
 
 def test_verify_all_inverts_no_frame_twice(eliminations):
@@ -217,15 +220,14 @@ def test_elimination_counters_agree(work, eliminations):
     # ``work`` is set up first, so it wraps every module's binding of the real
     # ``_reduce`` and ``eliminations`` wraps linalg's only: the counts agree
     # when every elimination is called through the module, as a tracer sees it.
-    # 111, as counted above (126 before the one-elimination minimal polynomial).
+    # 113, as counted above.
     assert catalog.verify_all(42).all_pass
-    assert eliminations["_reduce"] == work["_reduce"] == 111
+    assert eliminations["_reduce"] == work["_reduce"] == 113
 
 
 def test_a_second_report_derives_as_much_as_the_first(calls, eliminations):
     # No derived value (a Gram inverse, so(q), a connection) outlives its report.
-    # 111 eliminations, as counted above (126 before the one-elimination
-    # minimal polynomial).
+    # 113 eliminations, as counted above.
     counts = []
     for _ in range(2):
         assert catalog.verify_all(42).all_pass
@@ -233,7 +235,7 @@ def test_a_second_report_derives_as_much_as_the_first(calls, eliminations):
         calls.update(dict.fromkeys(calls, 0))
         eliminations.update(dict.fromkeys(eliminations, 0))
     assert counts[0] == counts[1] == (
-        {"levi_civita": 6, "curvature": 6}, {"_reduce": 111, "inverse": 19}
+        {"levi_civita": 6, "curvature": 6}, {"_reduce": 113, "inverse": 19}
     )
 
 

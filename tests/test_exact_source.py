@@ -1,5 +1,6 @@
 """The package is exact: no float or complex value and no random number in its
-source, and no identity test against the shared ``ZERO`` or ``ONE``; every
+source, no identity test against the shared ``ZERO`` or ``ONE``, and no
+``GaussianRational`` made without ``__init__`` outside ``scalars._make``; every
 check of the catalog that can fail names a witness; and every module-level
 function, class and assigned name, and every named method and property of
 such a class, is used in the package."""
@@ -95,6 +96,70 @@ def test_the_scan_finds_identity_tests():
         "s = x in (ZERO, ONE)\n"
     )
     assert [line for line, _ in _identity_tests(ast.parse(source))] == [1, 2, 3, 6]
+
+
+def _spelled(node: ast.AST) -> str | None:
+    """A bare name or an attribute's last part, else None."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _creations(tree: ast.AST, allowed: tuple[str, ...] = ()) -> list[tuple[int, str]]:
+    """(line, source) for each call, outside the functions named in ``allowed``,
+    that may make a ``GaussianRational`` with no ``__init__``: a call of the name
+    ``_new`` (``scalars``' alias of ``object.__new__``), or a call given the class
+    itself, as through ``object.__new__(GaussianRational)``, other than
+    ``isinstance`` and ``issubclass``.  Only ``scalars._make`` may, so that a
+    patched ``_make`` reaches every arithmetic result."""
+    found = []
+
+    def visit(node: ast.AST, inside: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, inside or child.name in allowed)
+                continue
+            if not inside and isinstance(child, ast.Call):
+                called = _spelled(child.func)
+                if called == "_new" or (
+                    called not in ("isinstance", "issubclass")
+                    and any(_spelled(arg) == "GaussianRational" for arg in child.args)
+                ):
+                    found.append((child.lineno, ast.unparse(child)))
+            visit(child, inside)
+
+    visit(tree, False)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_make_creates_scalars_without_init(path):
+    allowed = ("_make",) if path.name == "scalars.py" else ()
+    assert _creations(ast.parse(path.read_text(encoding="utf-8")), allowed) == []
+
+
+def test_the_scan_finds_scalars_made_without_init():
+    source = (
+        "def _make(a, b, d):\n"
+        "    return _new(GaussianRational)\n"
+        "def fast(a, b, d):\n"
+        "    z = _new(GaussianRational)\n"
+        "    w = object.__new__(GaussianRational)\n"
+        "    return scalars._new(scalars.GaussianRational)\n"
+        "v = GaussianRational.__new__(GaussianRational)\n"
+        "make = object.__new__\n"
+        "u = make(GaussianRational)\n"
+        "t = GaussianRational(1, 2)\n"
+        "s = isinstance(t, GaussianRational)\n"
+        "r = object.__new__(LieAlgebra)\n"
+        "q = _new(cls)\n"
+    )
+    tree = ast.parse(source)
+    assert [line for line, _ in _creations(tree, ("_make",))] == [4, 5, 6, 7, 9, 13]
+    assert [line for line, _ in _creations(tree)] == [2, 4, 5, 6, 7, 9, 13]
+    # The one creation in the package is the one ``_make`` holds.
+    scalars = next(path for path in SOURCES if path.name == "scalars.py")
+    assert [call for _, call in _creations(ast.parse(scalars.read_text(encoding="utf-8")))] == [
+        "_new(GaussianRational)"
+    ]
 
 
 def _unwitnessed(tree: ast.AST) -> list[tuple[int, str]]:

@@ -418,13 +418,13 @@ def test_vector_stabilizer_generators_realize_isotropy_dichotomy():
     # The 1-dim stabilizer of a null vector is nilpotent on the tangent
     # space; that of a unit vector is diagonalizable, matching the
     # unipotent/semisimple split of one-parameter isotropies.
-    from holriem.linalg import is_nilpotent_matrix, is_semisimple_matrix
+    from holriem.linalg import _squarefree, is_nilpotent_matrix, min_poly
 
     q = QuadraticForm(adapted_gram_unipotent())
     null_gen = stabilizer_in_skew(q, [(gr(1), gr(0), gr(0))])[0]
     unit_gen = stabilizer_in_skew(q, [(gr(0), gr(1), gr(0))])[0]
-    assert is_nilpotent_matrix(null_gen) and not is_semisimple_matrix(null_gen)
-    assert is_semisimple_matrix(unit_gen) and not is_nilpotent_matrix(unit_gen)
+    assert is_nilpotent_matrix(null_gen) and not _squarefree(min_poly(null_gen))
+    assert _squarefree(min_poly(unit_gen)) and not is_nilpotent_matrix(unit_gen)
 
 
 def test_semisimple_adapted_flow_generator_is_skew():

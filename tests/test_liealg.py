@@ -29,7 +29,7 @@ from holriem.liealg import (
     subalgebra,
 )
 from holriem.linalg import CMatrix, in_span
-from holriem.scalars import as_gr, gr
+from holriem.scalars import GaussianRational, as_gr, gr
 
 CATALOG = {entry.id: entry for entry in build_catalog()}
 
@@ -112,6 +112,17 @@ def test_from_table_builds_the_dense_algebra_of_random_sparse_tables():
                             if rng.random() < 0.4
                         }
             _assert_from_table_is_dense(names, table)
+
+
+def test_from_table_negates_each_nonzero_constant_once(monkeypatch):
+    # [e0, e1] = 2 e0 - i e2 and [e2, e1] = e1/3: three nonzero constants, so
+    # three negations build both [e1, e0] and [e1, e2], as constants and as terms.
+    negations = []
+    real = GaussianRational.__neg__
+    monkeypatch.setattr(GaussianRational, "__neg__", lambda x: negations.append(x) or real(x))
+    table = {("e0", "e1"): {"e0": 2, "e2": gr(0, -1)}, ("e2", "e1"): {"e1": Fraction(1, 3)}}
+    LieAlgebra.from_table(["e0", "e1", "e2"], table)
+    assert sorted(map(str, negations)) == ["-i", "1/3", "2"]
 
 
 # Each message was taken from the one-pass construction's predecessor, which

@@ -10,9 +10,9 @@ from conftest import jordan, jordan_blocks, scale, zeros
 from holriem.linalg import (
     CMatrix,
     _annihilated,
+    _squarefree,
     act,
     is_nilpotent_matrix,
-    is_semisimple_matrix,
     kernel,
     min_poly,
     span_basis,
@@ -94,9 +94,9 @@ def test_nilpotent_examples():
 
 
 def test_semisimple_examples():
-    assert is_semisimple_matrix(CMatrix.diagonal([1, 0, -1]))
-    assert not is_semisimple_matrix(CMatrix([[0, 1], [0, 0]]))
-    assert not is_semisimple_matrix(CMatrix([[1, 1], [0, 1]]))
+    assert _squarefree(min_poly(CMatrix.diagonal([1, 0, -1])))
+    assert not _squarefree(min_poly(CMatrix([[0, 1], [0, 0]])))
+    assert not _squarefree(min_poly(CMatrix([[1, 1], [0, 1]])))
 
 
 def _random_matrix(rng, n):
@@ -145,7 +145,7 @@ def test_semisimple_exactly_when_the_jordan_form_is_diagonal():
                 break
         a = change @ jordan(blocks) @ change.inverse()
         diagonal = all(size == 1 for _, size in blocks)
-        assert is_semisimple_matrix(a) == diagonal
+        assert _squarefree(min_poly(a)) == diagonal
         # The minimal polynomial is prod (t - value)^(largest block of value).
         expected = (gr(1),)
         for value in {value for value, _ in blocks}:
@@ -180,7 +180,7 @@ def test_semisimplicity_with_roots_in_q_i_only(blocks, semisimple):
         for _ in range(max(size for v, size in blocks if v == value)):
             expected = _times_linear(expected, value)
     assert min_poly(a) == expected
-    assert is_semisimple_matrix(a) is semisimple
+    assert _squarefree(min_poly(a)) is semisimple
 
 
 def test_kernel_dimension_and_residual_random():
@@ -203,9 +203,9 @@ def test_nilpotent_and_semisimple_exclusive_for_nonzero():
             continue
         if is_nilpotent_matrix(a):
             seen_nilpotent += 1
-            assert not is_semisimple_matrix(a)
+            assert not _squarefree(min_poly(a))
     upper = CMatrix([[0, 1], [0, 0]])
-    assert is_nilpotent_matrix(upper) and not is_semisimple_matrix(upper)
+    assert is_nilpotent_matrix(upper) and not _squarefree(min_poly(upper))
 
 
 def test_matrix_inverse_and_det():

@@ -1,6 +1,8 @@
 """Exact scalar arithmetic: the field Q(i) and its canonical representation."""
 
 import operator
+import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -8,7 +10,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holriem.scalars import ONE, ZERO, gr
+from holriem.scalars import ONE, ZERO, addmul, gr, submul
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 scalars = st.builds(gr, small_fractions, small_fractions)
@@ -144,3 +146,30 @@ def test_canonical_rendering():
     assert str(gr(0, Fraction(3, 4))) == "3/4 i"
     assert str(gr(Fraction(1, 2), 1)) == "1/2 + i"
     assert str(gr(Fraction(1, 2), Fraction(-3, 4))) == "1/2 - 3/4 i"
+
+
+@pytest.mark.parametrize("denominators", [(1,), (1, 2, 3, 4, 6, 9)], ids=["integers", "fractions"])
+def test_fused_steps_equal_the_dunders(denominators):
+    """``addmul(s, x, y)`` and ``submul(s, x, y)`` give the triple of ``s + x * y``
+    and ``s - x * y``, on seeded Q(i) values: s is ZERO, ±x·y (the result cancels
+    to ZERO) or another value, with the denominator of s equal to or unlike that
+    of the unreduced product; with integers every denominator is 1."""
+    rng = random.Random(24)
+
+    def value():
+        return gr(*(Fraction(rng.randint(-9, 9), rng.choice(denominators)) for _ in "ab"))
+
+    seen = Counter()
+    for _ in range(3000):
+        x, y = value(), value()
+        s = rng.choice((ZERO, x * y, -(x * y), value()))
+        for fused, reference in ((addmul, s + x * y), (submul, s - x * y)):
+            result = fused(s, x, y)
+            assert (result._a, result._b, result._d) == (reference._a, reference._b, reference._d)
+            if not reference:
+                assert result is ZERO
+                seen["cancels"] += 1
+        seen["s is ZERO" if not s else "s nonzero"] += 1
+        seen["same d" if s._d == x._d * y._d else "other d"] += 1
+    expected = {"cancels", "s is ZERO", "s nonzero", "same d"}
+    assert set(seen) == expected | ({"other d"} if max(denominators) > 1 else set())

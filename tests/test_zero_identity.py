@@ -10,7 +10,7 @@ import test_golden as golden
 
 from holriem import scalars
 from holriem.catalog import build_catalog
-from holriem.scalars import ZERO, GaussianRational, gr
+from holriem.scalars import ONE, ZERO, GaussianRational, addmul, gr
 
 
 @pytest.fixture
@@ -57,6 +57,12 @@ def test_the_patch_makes_new_zeros(fresh_zeros):
     x = gr(2, 3)
     assert x - x is not ZERO and x - x == ZERO and not x - x
     assert fresh_zeros["zeros"] == 3
+
+
+def test_the_patch_reaches_the_fused_steps(fresh_zeros):
+    x = gr(2, 3)
+    zero = addmul(x, -x, ONE)
+    assert zero is not ZERO and zero == ZERO and fresh_zeros["zeros"] == 1
 
 
 @pytest.mark.parametrize("seed", sorted(golden.REPORT_SHA256))
