@@ -34,6 +34,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from importlib import resources
 from itertools import product, zip_longest
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Sequence
 
 from . import dsl
@@ -79,7 +80,7 @@ from .models import (
     invariant_forms,
     isotropy_type,
 )
-from .scalars import GaussianRational, Record, as_gr, gr
+from .scalars import GaussianRational, ONE, Record, ZERO, as_gr, gr
 
 DEFAULT_SEED = 42
 
@@ -363,14 +364,18 @@ class VerifyReport(Record):
         return self.fail_count == 0
 
 
-def _as_json(record: CheckResult) -> dict:
-    """The record as a JSON object, keys in field order, with no deep copy."""
-    return {
-        "id": record.id,
-        "status": record.status,
-        "witness": record.witness,
-        "value": record.value,
-    }
+def _json_text(text: str | None) -> str:
+    return "null" if text is None else encode_basestring_ascii(text)
+
+
+def _json_records(records: Sequence[CheckResult]) -> str:
+    """The records as ``json.dumps`` writes them at indent 2, as objects with keys in
+    field order; ``encode_basestring_ascii`` quotes each string, in C."""
+    return "[\n" + ",\n".join(
+        '  {\n    "id": %s,\n    "status": %s,\n    "witness": %s,\n    "value": %s\n  }'
+        % (_json_text(r.id), _json_text(r.status), _json_text(r.witness), _json_text(r.value))
+        for r in records
+    ) + "\n]" if records else "[]"
 
 
 def _check(
@@ -838,18 +843,19 @@ def verify_mobius() -> list[CheckResult]:
     difference, derivative = "N != (ad-bc)(z1-z2)", "a(cz+d) - c(az+b) != ad-bc"
     # A point of {0,1}^5 tests the derivative identity, one of {0,1}^2 or {0,1}^6 the difference.
     names = {2: "z1,z2", 5: "a,b,c,d,z", 6: "a,b,c,d,z1,z2"}
+    scalar = (ZERO, ONE).__getitem__  # a grid coordinate 0 or 1 as the shared constant
 
     def witness(p: tuple[int, ...]) -> str:
         return f"at ({names[len(p)]})={p}: {derivative if len(p) == 5 else difference}"
 
     def invariance(*p: int):
-        return (_derivative_defect if len(p) == 5 else _difference_defect)(*map(gr, p))
+        return (_derivative_defect if len(p) == 5 else _difference_defect)(*map(scalar, p))
 
     return [
         _run(check_id, _grid_check, points, defect, witness, "grid points")
         for check_id, points, defect in (
-            ("mobius/identity", _box(2, 2), lambda *z: _difference_defect(*map(gr, (1, 0, 0, 1, *z)))),
-            ("mobius/translation", _box(2, 2), lambda *z: _difference_defect(*map(gr, (1, 1, 0, 1, *z)))),
+            ("mobius/identity", _box(2, 2), lambda *z: _difference_defect(*map(scalar, (1, 0, 0, 1, *z)))),
+            ("mobius/translation", _box(2, 2), lambda *z: _difference_defect(*map(scalar, (1, 1, 0, 1, *z)))),
             ("mobius/invariance", _box(2, 6) + _box(2, 5), invariance),
         )
     ]
@@ -924,12 +930,10 @@ def verify_all(
 
 
 def report_to_json(report: VerifyReport) -> str:
-    """Stable machine format: seed, checks[{id,status,witness,value}], summary."""
-    import json
-
-    payload = {
-        "seed": report.seed,
-        "checks": [_as_json(c) for c in report.checks],
-        "summary": {"pass": report.pass_count, "fail": report.fail_count},
-    }
-    return json.dumps(payload, indent=2)
+    """Stable machine format: seed, checks[{id,status,witness,value}], summary, as
+    ``json.dumps`` writes it at indent 2 (no quoted string holds a raw newline)."""
+    checks = _json_records(report.checks).replace("\n", "\n  ")
+    return (
+        f'{{\n  "seed": {report.seed},\n  "checks": {checks},\n  "summary": {{\n'
+        f'    "pass": {report.pass_count},\n    "fail": {report.fail_count}\n  }}\n}}'
+    )

@@ -12,7 +12,6 @@ compares with a file's ``[expected]`` keys, and ``connection``,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 from itertools import combinations
@@ -105,7 +104,7 @@ def _load_lie(path: str) -> tuple[dsl.SpecFile, LieAlgebra]:
 
 
 def _print_json(records: list[cat.CheckResult]) -> None:
-    print(json.dumps([cat._as_json(r) for r in records], indent=2))
+    print(cat._json_records(records))
 
 
 def _emit_records(args, records: Sequence[cat.CheckResult], data: bool = False) -> None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import CMatrix, _dot, as_vector
+from .linalg import CMatrix, _dot, _nonzero, as_vector
 from .scalars import GaussianRational, Record, ZERO, as_gr
 
 
@@ -26,7 +26,7 @@ class QuadraticForm(Record):
         matrix = gram if isinstance(gram, CMatrix) else CMatrix(gram)
         if matrix.rows != matrix.cols:
             raise ValueError("Gram matrix must be square")
-        if matrix != matrix.transpose():
+        if matrix.entries != tuple(zip(*matrix.entries)):
             raise ValueError("Gram matrix must be symmetric")
         object.__setattr__(self, "gram", matrix)
 
@@ -58,7 +58,7 @@ class QuadraticForm(Record):
         return self.gram.rows
 
     def apply(self, x: Sequence, y: Sequence) -> GaussianRational:
-        return _dot(as_vector(x), self.gram.apply(y))
+        return _dot(as_vector(x), _nonzero(self.gram.apply(y)))
 
     @property
     def nondegenerate(self) -> bool:

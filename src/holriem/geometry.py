@@ -61,7 +61,7 @@ from typing import Callable, Iterable, Sequence
 
 from .forms import DegenerateForm, QuadraticForm
 from .liealg import LieAlgebra
-from .linalg import CMatrix, Vector, _annihilated, act
+from .linalg import CMatrix, Vector, _annihilated, _nonzero, act
 from .scalars import GaussianRational, ONE, ZERO, addmul, as_gr, submul
 
 _HALF = ONE / 2
@@ -76,10 +76,6 @@ CurvatureTensor = tuple[tuple[tuple[Vector, ...], ...], ...]
 def _first(points: Iterable[tuple], bad: Callable[..., object]) -> tuple | None:
     """First point of ``points``, in their order, where ``bad`` holds, or None."""
     return next((p for p in points if bad(*p)), None)
-
-
-def _nonzero(vector: Sequence) -> list[tuple[int, GaussianRational]]:
-    return [] if vector == (ZERO,) * len(vector) else [(k, x) for k, x in enumerate(vector) if x]
 
 
 def _same_dim(first: str, m: int, second: str, n: int) -> None:
@@ -363,14 +359,14 @@ def unipotent_flow(t) -> CMatrix:
         [[1, t, -t^2/2], [0, 1, -t], [0, 0, 1]].
     """
     t = as_gr(t)
-    return CMatrix([[1, t, -(t * t) * _HALF], [0, 1, -t], [0, 0, 1]])
+    return CMatrix([[ONE, t, -(t * t) * _HALF], [ZERO, ONE, -t], [ZERO, ZERO, ONE]])
 
 
 def unipotent_isotropy_generator() -> CMatrix:
     """Derivative of the unipotent flow at t = 0."""
-    return CMatrix([[0, 1, 0], [0, 0, -1], [0, 0, 0]])
+    return CMatrix([[ZERO, ONE, ZERO], [ZERO, ZERO, -ONE], [ZERO, ZERO, ZERO]])
 
 
 def adapted_gram_unipotent() -> CMatrix:
     """Gram matrix of the unipotent adapted relations."""
-    return CMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    return CMatrix([[ZERO, ZERO, ONE], [ZERO, ONE, ZERO], [ONE, ZERO, ZERO]])

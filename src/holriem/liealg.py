@@ -26,12 +26,13 @@ from .linalg import (
     CMatrix,
     Vector,
     _dot,
+    _nonzero,
     as_vector,
     kernel,
     span_basis,
     zero_vector,
 )
-from .scalars import Record, ZERO, addmul, as_gr
+from .scalars import ONE, Record, ZERO, addmul, as_gr
 
 
 class WrongDimension(ValueError):
@@ -140,9 +141,7 @@ class LieAlgebra(Record):
 
     def basis_vector(self, which: int | str) -> Vector:
         i = which if isinstance(which, int) else self.index(which)
-        return tuple(
-            as_gr(1) if k == i else ZERO for k in range(self.dim)
-        )
+        return tuple(ONE if k == i else ZERO for k in range(self.dim))
 
     def vector(self, combo: Mapping[str, object] | str) -> Vector:
         """Vector from a label-to-coefficient mapping (or a single label)."""
@@ -205,7 +204,7 @@ def killing_form(algebra: LieAlgebra) -> QuadraticForm:
     c, n = algebra.constants, algebra.dim
     pairs = [(k, l) for k in range(n) for l in range(n)]
     ads = [[c[i][k][l] for k, l in pairs] for i in range(n)]
-    transposed = [[c[j][l][k] for k, l in pairs] for j in range(n)]
+    transposed = [_nonzero(tuple(c[j][l][k] for k, l in pairs)) for j in range(n)]
     return QuadraticForm([[_dot(ads[i], transposed[j]) for j in range(n)] for i in range(n)])
 
 
@@ -331,7 +330,7 @@ def subalgebra(
     for i, u in enumerate(vecs):
         row = []
         for j, v in enumerate(vecs):
-            image = bracket(algebra, u, v)
+            image = _nonzero(bracket(algebra, u, v))
             if any(_dot(r, image) for r in members):
                 raise NotClosed(f"bracket of generators {i} and {j} leaves the span")
             row.append(tuple(_dot(r, image) for r in coords))

@@ -3,11 +3,13 @@
 Gaussian elimination over exact Q(i) scalars keeps every rank, kernel
 and inverse exact; there is no numerical pivoting or tolerance anywhere in
 this module.  Every elimination runs through ``_reduce``, which visits
-only the nonzero entries of each pivot row.  A minimal polynomial is the
-tuple of its coefficients in ascending degree, read from one elimination
-over the powers of A, and semisimplicity is a gcd: A is diagonalizable
-exactly when its minimal polynomial p has no repeated root, that is when
-gcd(p, p') = 1 (Hoffman and Kunze, *Linear Algebra*, section 6.4).
+only the nonzero entries of each pivot row.  A product A B adds a B[k][j]
+over the nonzero a = A[i][k] and B[k][j] only, row by row (Gustavson, ACM
+TOMS 4(3), 1978).  A minimal polynomial is the tuple of its coefficients
+in ascending degree, read from one elimination over the powers of A, and
+semisimplicity is a gcd: A is diagonalizable exactly when its minimal
+polynomial p has no repeated root, that is when gcd(p, p') = 1 (Hoffman
+and Kunze, *Linear Algebra*, section 6.4).
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ class CMatrix(Record):
     """Immutable dense matrix with GaussianRational entries."""
 
     __slots__ = _fields = ("entries",)
-    __hash__ = Record.__hash__  # a class that defines __eq__ drops the inherited one
     entries: tuple[tuple[GaussianRational, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable]):
@@ -52,9 +53,6 @@ class CMatrix(Record):
         if any(len(row) != width for row in grid):
             raise ValueError("ragged rows in matrix")
         object.__setattr__(self, "entries", grid)
-
-    def __eq__(self, other) -> bool:  # hot: every QuadraticForm tests its symmetry with it
-        return self.entries == other.entries if other.__class__ is CMatrix else NotImplemented
 
     @classmethod
     def identity(cls, n: int) -> "CMatrix":
@@ -83,9 +81,6 @@ class CMatrix(Record):
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
-
     @property
     def flat(self) -> Vector:
         """The entries row by row: the matrix as a tensor for ``act``."""
@@ -94,29 +89,30 @@ class CMatrix(Record):
     def __add__(self, other: "CMatrix") -> "CMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-        return CMatrix(
-            [vadd(r, s) for r, s in zip(self.entries, other.entries)]
-        )
+        return _matrix(tuple(map(vadd, self.entries, other.entries)))
 
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        cols = [other.column(j) for j in range(other.cols)]
-        return CMatrix(
-            [
-                [_dot(row, col) for col in cols]
-                for row in self.entries
-            ]
-        )
+        right, width, out = [_nonzero(row) for row in other.entries], other.cols, []
+        for row in self.entries:
+            acc = [ZERO] * width
+            for a, nonzero in zip(row, right):
+                if a:
+                    for j, b in nonzero:
+                        acc[j] = addmul(acc[j], a, b)
+            out.append(tuple(acc))
+        return _matrix(tuple(out))
 
     def apply(self, v: Sequence) -> Vector:
         vec = as_vector(v)
         if len(vec) != self.cols:
             raise ValueError("shape mismatch in matrix-vector product")
-        return tuple(_dot(row, vec) for row in self.entries)
+        nonzero = _nonzero(vec)
+        return tuple(_dot(row, nonzero) for row in self.entries)
 
     def transpose(self) -> "CMatrix":
-        return CMatrix(list(zip(*self.entries)))
+        return _matrix(tuple(zip(*self.entries)))
 
     def is_zero(self) -> bool:
         return all(not v for row in self.entries for v in row)
@@ -136,18 +132,29 @@ class CMatrix(Record):
         reduced, pivots = _reduce(augmented)
         if len(pivots) < n or any(p >= n for p in pivots):
             raise ZeroDivisionError("matrix is singular")
-        return CMatrix([row[n:] for row in reduced[:n]])
+        return _matrix(tuple(tuple(row[n:]) for row in reduced[:n]))
 
     def __str__(self) -> str:
-        return "[" + "; ".join(
-            ", ".join(str(v) for v in row) for row in self.entries
-        ) + "]"
+        return "[" + "; ".join(", ".join(map(str, row)) for row in self.entries) + "]"
 
 
-def _dot(u: Sequence[GaussianRational], v: Sequence[GaussianRational]) -> GaussianRational:
+def _matrix(grid: tuple[Vector, ...]) -> CMatrix:
+    """A matrix of rows a kernel built as tuples of scalars, unchecked and uncoerced."""
+    matrix = object.__new__(CMatrix)
+    object.__setattr__(matrix, "entries", grid)
+    return matrix
+
+
+def _nonzero(vector: Sequence[GaussianRational]) -> list[tuple[int, GaussianRational]]:
+    return [] if vector == (ZERO,) * len(vector) else [(k, x) for k, x in enumerate(vector) if x]
+
+
+def _dot(u: Sequence[GaussianRational], nonzero: Iterable[tuple]) -> GaussianRational:
+    """u . v for the vector v given by ``_nonzero(v)``."""
     total = ZERO
-    for a, b in zip(u, v):
-        if a and b:
+    for k, b in nonzero:
+        a = u[k]
+        if a:
             total = addmul(total, a, b)
     return total
 
@@ -165,8 +172,10 @@ def _reduce(rows: list[list[GaussianRational]]) -> tuple[list[list[GaussianRatio
     pivots: list[int] = []
     r = 0
     for c in range(n_cols):
-        pivot_row = next((k for k in range(r, n_rows) if rows[k][c]), None)
-        if pivot_row is None:
+        for pivot_row in range(r, n_rows):
+            if rows[pivot_row][c]:
+                break
+        else:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         row = rows[r]
@@ -215,23 +224,25 @@ def _annihilated(basis: Sequence[CMatrix], images: Sequence[Sequence]) -> list[C
     height, width = basis[0].rows, basis[0].cols
     cells = [[(r, c, x) for r, row in enumerate(b.entries) for c, x in enumerate(row) if x] for b in basis]
     out = []
-    for sol in kernel(CMatrix(constraints)):
+    for sol in kernel(_matrix(tuple(constraints))):
         rows = [[ZERO] * width for _ in range(height)]
         for coefficient, nonzero in zip(sol, cells):
             if coefficient:
                 for r, c, x in nonzero:
                     rows[r][c] = addmul(rows[r][c], coefficient, x)
-        out.append(CMatrix(rows))
+        out.append(_matrix(tuple(map(tuple, rows))))
     return out
 
 
 def act(a: CMatrix, tensor: Sequence[GaussianRational], kinds: str) -> Vector:
     """A as a derivation of a tensor flat in lexicographic index order: with one
     letter of ``kinds`` per slot, a ``u`` (vector) slot takes A and a ``d``
-    (covector) slot takes -A^T, so a form S goes to -(A^T S + S A).  Visits
-    the nonzero entries of the tensor and of A only."""
+    (covector) slot takes -A^T, so a form S goes to -(A^T S + S A).  A tensor with
+    m times n^len(kinds) entries has one more slot, last, of size m, on which A does
+    not act: m tensors side by side, acted on in one call.  Visits the nonzero
+    entries of the tensor and of A only."""
     n, size = a.rows, len(tensor)
-    if a.cols != n or size != n ** len(kinds) or not set(kinds) <= {"u", "d"}:
+    if a.cols != n or not size or size % n ** len(kinds) or not set(kinds) <= {"u", "d"}:
         raise ValueError(f"no {a.rows}x{a.cols} action on {size} entries of kinds {kinds!r}")
     # x at index p of a slot adds A[r][p] x at r in a u slot (column p), -A[p][r] x in a d slot.
     moves = {kind: [[(r, y) for r, y in enumerate(line) if y] for line in lines]

@@ -133,27 +133,28 @@ def isotropy_type(model: HomogeneousModel) -> IsotropyType:
 
 
 @cache
-def _symmetric_basis(d: int) -> tuple[tuple[CMatrix, ...], tuple[Vector, ...], tuple[int, ...]]:
-    """E_ii, E_ij + E_ji (i < j) in d dimensions, also flat, and the flat positions
-    p * d + q, p <= q, of the distinct entries of a symmetric matrix; a constant of d."""
+def _symmetric_basis(d: int) -> tuple[tuple[CMatrix, ...], Vector, tuple[int, ...]]:
+    """E_ii, E_ij + E_ji (i < j) in d dimensions, also flat side by side (entry k of member
+    b at k * len(basis) + b), and the positions p * d + q, p <= q; a constant of d."""
     pairs = list(combinations_with_replacement(range(d), 2))
     basis = tuple(
         CMatrix([[ONE if (r, c) in ((i, j), (j, i)) else ZERO for c in range(d)] for r in range(d)])
         for i, j in pairs
     )
-    return basis, tuple(b.flat for b in basis), tuple(p * d + q for p, q in pairs)
+    side_by_side = tuple(x for entries in zip(*(b.flat for b in basis)) for x in entries)
+    return basis, side_by_side, tuple(p * d + q for p, q in pairs)
 
 
 def invariant_forms(model: HomogeneousModel) -> list[QuadraticForm]:
     """Exact basis of the symmetric forms S with act(A, S, "dd") = -(A^T S + S A) = 0
     for every isotropy action A: the combinations of E_ii, E_ij + E_ji (i < j) kept by
     ``linalg._annihilated``, constrained by the entries p <= q of each (symmetric)
-    image only.  Members may be degenerate; callers pick a nondegenerate one."""
-    basis, flats, upper = _symmetric_basis(len(model.complement))
-    images = [
-        [image[k] for image in (act(a, s, "dd") for a in model.actions) for k in upper]
-        for s in flats
-    ]
+    image only, one ``act`` per action on the whole basis side by side.  Members may
+    be degenerate; callers pick a nondegenerate one."""
+    basis, side_by_side, upper = _symmetric_basis(len(model.complement))
+    m = len(basis)
+    acted = [act(a, side_by_side, "dd") for a in model.actions]
+    images = [[image[k * m + b] for image in acted for k in upper] for b in range(m)]
     return [QuadraticForm(s) for s in _annihilated(basis, images)]
 
 

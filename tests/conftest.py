@@ -98,6 +98,11 @@ def vscale(scalar, v: Sequence) -> Vector:
     return tuple(s * a for a in v)
 
 
+def column(matrix: CMatrix, j: int) -> Vector:
+    """Column j of the matrix."""
+    return tuple(row[j] for row in matrix.entries)
+
+
 def trace(matrix: CMatrix) -> GaussianRational:
     return sum((matrix.entries[i][i] for i in range(matrix.rows)), start=gr(0))
 
@@ -120,7 +125,7 @@ def conjugate(
         raise ValueError("basis change has the wrong shape")
     inverse = change.inverse()
     grid = [
-        [inverse.apply(bracket(algebra, change.column(i), change.column(j))) for j in range(n)]
+        [inverse.apply(bracket(algebra, column(change, i), column(change, j))) for j in range(n)]
         for i in range(n)
     ]
     return LieAlgebra(tuple(basis_names) if basis_names else algebra.basis_names, grid)
@@ -261,6 +266,22 @@ def dense_pair_skew_defect(form, tensor: CurvatureTensor) -> tuple[int, int, int
     return _first_index(
         len(tensor), 4, lambda i, j, k, l: low[i][j][k][l] + low[i][j][l][k]
     )
+
+
+# -- dense references for the sparse matrix product and apply -----------------
+
+
+def dense_matmul(a: CMatrix, b: CMatrix) -> CMatrix:
+    """A B with each entry the full sum over k of A[i][k] B[k][j], zero terms included."""
+    return CMatrix(
+        [[sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*b.entries)] for row in a.entries]
+    )
+
+
+def dense_apply(a: CMatrix, v: Sequence) -> Vector:
+    """A v with each entry the full sum over k of A[i][k] v[k], zero terms included."""
+    vec = as_vector(v)
+    return tuple(sum((x * y for x, y in zip(row, vec)), ZERO) for row in a.entries)
 
 
 # -- dense references for the sparse elimination and bracket terms -----------

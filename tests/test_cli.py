@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holriem
-from holriem.cli import _build_parser, cli
+from holriem.catalog import CheckResult, VerifyReport, report_to_json, verify_all
+from holriem.cli import _build_parser, _print_json, cli
 from holriem.dsl import MAX_DIM, MAX_NESTING
 
 DATA = "src/holriem/data"
@@ -464,3 +465,53 @@ def test_file_commands_never_raise_on_fuzzed_input(fresh_fuzz_path, text):
     fuzz_path.write_text(text, encoding="utf-8")
     for command in FILE_COMMANDS:
         assert cli([command, str(fuzz_path)]) in (0, 1, 2)
+
+
+# -- the fixed-shape JSON writer ---------------------------------------------
+
+
+def _as_dict(record):
+    return {"id": record.id, "status": record.status, "witness": record.witness, "value": record.value}
+
+
+WRITER_RECORDS = {
+    "no checks": [],
+    "one check": [CheckResult("a/b", "pass", value="Constant(-1/2)")],
+    "failing records": [
+        CheckResult("quote", "fail", 'got "x"', None),
+        CheckResult("backslash", "fail", "a\\b\\", "\\"),
+        CheckResult("newline", "fail", "line 1\nline 2\r\n\t", "x\n"),
+        CheckResult("non-ascii", "fail", "∇_X Y = é", "é∇ \U0001d53d"),
+        CheckResult("nulls", "pass", None, None),
+        CheckResult("", "fail", "", ""),
+        CheckResult("control", "fail", "\x00\x1f\x7f", "</script>"),
+    ],
+}
+
+
+@pytest.mark.parametrize("records", WRITER_RECORDS.values(), ids=WRITER_RECORDS.keys())
+@pytest.mark.parametrize("seed", [42, 0, -7, 2**70])
+def test_report_json_is_what_json_dumps_writes(records, seed):
+    report = VerifyReport(seed, tuple(records))
+    payload = {
+        "seed": seed,
+        "checks": [_as_dict(r) for r in records],
+        "summary": {"pass": report.pass_count, "fail": report.fail_count},
+    }
+    assert report_to_json(report) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("records", WRITER_RECORDS.values(), ids=WRITER_RECORDS.keys())
+def test_cli_json_array_is_what_json_dumps_writes(records, capsys):
+    _print_json(records)
+    assert capsys.readouterr().out == json.dumps([_as_dict(r) for r in records], indent=2) + "\n"
+
+
+def test_a_whole_report_is_what_json_dumps_writes():
+    report = verify_all(11)
+    payload = {
+        "seed": 11,
+        "checks": [_as_dict(r) for r in report.checks],
+        "summary": {"pass": report.pass_count, "fail": report.fail_count},
+    }
+    assert report_to_json(report) == json.dumps(payload, indent=2)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import holriem.cli as cli_module
-from holriem import catalog, geometry, liealg, linalg, models
+from holriem import catalog, geometry, liealg, linalg, models, scalars
 from holriem.linalg import CMatrix
 from holriem.scalars import GaussianRational
 
@@ -313,3 +313,48 @@ def test_metric_commands_zero_test_budget(command, expected, tmp_path, monkeypat
     monkeypatch.setattr(GaussianRational, "__bool__", counted)
     assert cli_module.cli([command, str(path)]) == 0
     assert counts["__bool__"] == expected
+
+
+def _count_zero_tests_and_steps(monkeypatch):
+    """Count ``GaussianRational.__bool__`` calls and the fused steps ``addmul``
+    and ``submul``, in every holriem module that binds them."""
+    counts = {"__bool__": 0, "steps": 0}
+    real_bool = GaussianRational.__bool__
+
+    def counted_bool(self):
+        counts["__bool__"] += 1
+        return real_bool(self)
+
+    monkeypatch.setattr(GaussianRational, "__bool__", counted_bool)
+    for fused in (scalars.addmul, scalars.submul):
+
+        def counted_step(s, x, y, _fused=fused):
+            counts["steps"] += 1
+            return _fused(s, x, y)
+
+        for holder in [m for key, m in sys.modules.items() if key.split(".")[0] == "holriem"]:
+            if getattr(holder, fused.__name__, None) is fused:
+                monkeypatch.setattr(holder, fused.__name__, counted_step)
+    return counts
+
+
+def test_verify_all_zero_test_budget(monkeypatch):
+    # The first report of a process also parses the shipped files (60 more zero tests).
+    assert catalog.verify_all(42).all_pass
+    counts = _count_zero_tests_and_steps(monkeypatch)
+    assert catalog.verify_all(42).all_pass
+    # Zero tests, by the innermost kernel making them: 3381 in eliminations (pivot
+    # searches and pivot-row supports), 1152 in brackets, 747 in act (one call per
+    # action on a model's whole symmetric basis; 1062 with one call per basis form),
+    # 582 in products (1329 when each (row, column) pair tested both operands),
+    # 549 in _annihilated, 328 in subalgebra (1323 when each coordinate row was
+    # dotted with the whole bracket image), 312 in the Killing form (987), 200 in
+    # apply (964), 196 building algebras, 135 in levi_civita, 66 in curvature, 36 in
+    # induced_ad, 25 in _squarefree, 14 in is_zero, and 2412 in the checks and scans
+    # around them (1296 of them in any/all scans, 432 lowering an index, 376 in
+    # geometry._add): 10135, where the dense kernels in parentheses made 13631.
+    # Fused steps, one per nonzero product: 160 in products, 130 in act, 114 in
+    # curvature, 104 in eliminations, 80 in brackets, 32 in the Jacobi scan, 27 in
+    # _annihilated, 26 in apply, 22 in levi_civita, 22 lowering an index, 16 in the
+    # Killing form, 15 in _squarefree and 14 in subalgebra: 762, as before.
+    assert counts == {"__bool__": 10135, "steps": 762}

@@ -433,3 +433,15 @@ def test_semisimple_adapted_flow_generator_is_skew():
     gram = CMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
     generator = CMatrix.diagonal([0, 1, -1])
     assert (generator.transpose() @ gram + gram @ generator).is_zero()
+
+
+def test_quadratic_form_refuses_a_gram_matrix_that_is_not_symmetric():
+    # Symmetric, not Hermitian: q(x, y) = q(y, x) with no conjugation.
+    assert QuadraticForm([[1, gr(0, 1)], [gr(0, 1), 0]]).dim == 2
+    for gram, message in (
+        ([[1, 2], [3, 4]], "symmetric"),
+        ([[0, gr(0, 1)], [gr(0, -1), 0]], "symmetric"),
+        ([[1, 0, 0], [0, 1, 0]], "square"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            QuadraticForm(gram)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import jordan, jordan_blocks, scale, zeros
+from conftest import dense_apply, dense_matmul, jordan, jordan_blocks, scale, zeros
 
 from holriem.linalg import (
     CMatrix,
@@ -17,7 +17,7 @@ from holriem.linalg import (
     min_poly,
     span_basis,
 )
-from holriem.scalars import gr
+from holriem.scalars import ZERO, GaussianRational, gr
 
 
 def _solve(a, b):
@@ -296,3 +296,101 @@ def test_annihilated_is_the_basis_without_images_and_a_kernel_with_them():
     # Images (1, 1), (1, 1), (0, 0): the kernel is spanned by b0 - b1 and b2.
     images = [(gr(1), gr(1)), (gr(1), gr(1)), (gr(0), gr(0))]
     assert _annihilated(basis, images) == [CMatrix([[-1, 1], [0, 0]]), CMatrix([[0, 0], [1, 1]])]
+
+
+def test_act_on_tensors_side_by_side_acts_on_each():
+    # Entry k of tensor b sits at k * m + b: a last slot of size m that A does not act on.
+    rng = random.Random(2500)
+    for n, kinds, m in ((1, "u", 3), (2, "u", 1), (2, "dd", 3), (3, "dd", 6), (2, "dud", 2)):
+        a = _random_matrix(rng, n)
+        tensors = [_sparse_vector(rng, n ** len(kinds)) for _ in range(m)]
+        acted = act(a, tuple(x for entries in zip(*tensors) for x in entries), kinds)
+        assert [acted[b::m] for b in range(m)] == [act(a, t, kinds) for t in tensors]
+    with pytest.raises(ValueError, match="action on"):
+        act(CMatrix([[1, 2], [0, 1]]), (), "u")
+
+
+# -- the sparse product and apply ---------------------------------------------
+
+
+def _sparse_matrix(rng, rows, cols, zero_row=None, zero_col=None):
+    """Small Q(i) entries, about half of them zero, with row ``zero_row`` and
+    column ``zero_col`` all zero."""
+    return CMatrix(
+        [
+            [gr(0) if r == zero_row or c == zero_col else x for c, x in enumerate(_sparse_vector(rng, cols))]
+            for r in range(rows)
+        ]
+    )
+
+
+def _is_kernel_built(matrix, rows, cols):
+    """A result of the kernels' own constructor holds what the public one would."""
+    return (
+        type(matrix.entries) is tuple
+        and len(matrix.entries) == rows
+        and all(type(row) is tuple and len(row) == cols for row in matrix.entries)
+        and all(type(x) is GaussianRational for row in matrix.entries for x in row)
+        and matrix == CMatrix(matrix.entries)
+        and hash(matrix) == hash(CMatrix(matrix.entries))
+    )
+
+
+# (rows of A, columns of A = rows of B, columns of B): 1 x 1, square and non-square.
+SHAPES = [(1, 1, 1), (3, 3, 3), (2, 3, 4), (4, 2, 3), (1, 4, 1), (3, 1, 2), (4, 4, 1)]
+
+
+@pytest.mark.parametrize("m, k, n", SHAPES)
+def test_product_and_apply_equal_the_dense_references(m, k, n):
+    rng = random.Random(2400 + 100 * m + 10 * k + n)
+    cases = 0
+    for _ in range(6):
+        # A zero row and a zero column in each operand, one at a time and together.
+        for zeros_a, zeros_b in (((None, None), (None, None)), ((0, None), (None, n - 1)),
+                                 ((None, k - 1), (0, None)), ((m - 1, 0), (k - 1, 0))):
+            a, b = _sparse_matrix(rng, m, k, *zeros_a), _sparse_matrix(rng, k, n, *zeros_b)
+            v = _sparse_vector(rng, k)
+            product_ = a @ b
+            assert product_ == dense_matmul(a, b)
+            assert _is_kernel_built(product_, m, n)
+            assert a.apply(v) == dense_apply(a, v)
+            assert all(type(x) is GaussianRational for x in a.apply(v))
+            assert _is_kernel_built(a.transpose(), k, m)
+            cases += 1
+    assert cases == 24
+    zero_a, zero_v = CMatrix([[0] * k for _ in range(m)]), (gr(0),) * k
+    assert zero_a @ _sparse_matrix(rng, k, n) == CMatrix([[0] * n for _ in range(m)])
+    assert zero_a.apply(zero_v) == (ZERO,) * m == dense_apply(zero_a, zero_v)
+
+
+def test_inverse_and_sum_are_built_like_public_matrices():
+    a = CMatrix([[1, gr(0, 1), 0], [0, 2, 0], [gr(1, 1), 0, 1]])
+    inverse = a.inverse()
+    assert _is_kernel_built(inverse, 3, 3) and _is_kernel_built(a + inverse, 3, 3)
+    assert a @ inverse == inverse @ a == CMatrix.identity(3)
+
+
+def test_shape_mismatches_raise():
+    a, b = CMatrix([[1, 2, 3], [4, 5, 6]]), CMatrix([[1, 2], [3, 4]])
+    for bad in (lambda: a @ b, lambda: a @ a, lambda: a.apply((1, 2)), lambda: a.apply((1, 2, 3, 4)),
+                lambda: a + b, lambda: b.inverse() + a, lambda: a.inverse()):
+        with pytest.raises(ValueError):
+            bad()
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ([], ValueError),
+        ([[]], ValueError),
+        ([[], []], ValueError),
+        ([[1, 2], [3]], ValueError),
+        ([[1], [2, 3]], ValueError),
+        ([[1.5]], TypeError),
+        ([[1, "2"]], TypeError),
+        ([[1, None]], TypeError),
+    ],
+)
+def test_public_constructor_rejects_what_is_not_a_matrix(rows, error):
+    with pytest.raises(error):
+        CMatrix(rows)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from conftest import jordan, jordan_blocks
+from conftest import column, jordan, jordan_blocks
 
 from holriem.catalog import ParamExtension, _lattice, build_catalog, heis_stabilizer_model
 from holriem.forms import QuadraticForm
@@ -95,9 +95,9 @@ def _semidirect_model(actions):
     grid = [[[gr(0)] * (k + d) for _ in range(k + d)] for _ in range(k + d)]
     for a, action in enumerate(actions):
         for i in range(d):
-            column = [gr(0)] * k + list(action.column(i))
-            grid[a][k + i] = column
-            grid[k + i][a] = [-x for x in column]
+            image = [gr(0)] * k + list(column(action, i))
+            grid[a][k + i] = image
+            grid[k + i][a] = [-x for x in image]
     algebra = LieAlgebra(names, grid)
     return HomogeneousModel(
         algebra,
