@@ -7,10 +7,10 @@ id of ``CATALOG_IDS``, named for its entry and stored in canonical form.
 the CLI alike; only the stabilizer family, which takes parameters, is built
 in code (``build_param_extension``).
 
-``FACTS`` renders each structural fact an ``[expected]`` key can name;
-the per-entry checks compare its text with the file's, and the CLI prints
-the same text.  An entry derives its center, derived series and isotropy
-type once, as it does its connection and curvature.
+``FACTS`` renders the fact of each key of ``dsl.EXPECTED_KINDS``; the
+per-entry checks compare its text with the file's ``[expected]`` value,
+and the CLI prints the same text.  An entry derives its center, derived
+series and isotropy type once, as it does its connection and curvature.
 
 Check results are flat (id, status, witness, value) records so reports
 stay grep-able.  ``verify_all`` runs the fragments of ``FRAGMENTS`` in
@@ -202,12 +202,13 @@ def _invariance(entry: CatalogEntry) -> str:
     return _yes_no(check_invariance(model))
 
 
-# Every [expected] key but constant_curvature, mapped to the text of that fact
-# of an entry; the report and the CLI print these and nothing else.  A fact
-# the entry does not have (the class of a 4-dimensional algebra, the isotropy
-# of an entry without a model) raises ValueError.
+# Every [expected] key of ``dsl.EXPECTED_KINDS``, mapped to the text of that
+# fact of an entry; the report and the CLI print these and nothing else.  A
+# fact the entry does not have (the class of a 4-dimensional algebra, the
+# isotropy of an entry without a model) raises ValueError.
 FACTS: dict[str, Callable[[CatalogEntry], str]] = {
     "class": lambda e: classify_3d_unimodular(e.algebra).name,
+    "constant_curvature": lambda e: _render_constant(e.constant_curvature),
     "unimodular": lambda e: _yes_no(is_unimodular(e.algebra)),
     "solvable": lambda e: _yes_no(e.derived_series[-1] == 0),
     "nilpotent": lambda e: _yes_no(is_nilpotent(e.algebra, e.derived_algebra)),
@@ -430,21 +431,18 @@ def verify_entry(entry: CatalogEntry) -> list[CheckResult]:
 
 
 def _property_check(check_id: str, entry: CatalogEntry, key: str, expected: str) -> CheckResult:
-    if key == "constant_curvature":
-        return _constant_curvature_check(check_id, entry, expected)
     if key not in FACTS:
         return _check(check_id, False, witness=f"unknown expected property {key!r}")
     got = FACTS[key](entry)
-    return _check(check_id, got == expected, witness=f"got {got}", value=got)
-
-
-def _constant_curvature_check(check_id: str, entry: CatalogEntry, expected: str) -> CheckResult:
-    """``expected`` is the constant, or ``none`` for a metric of no constant curvature."""
-    got = _render_constant(entry.constant_curvature)
-    if expected == "none":
-        return _check(check_id, entry.constant_curvature is None, f"got {got}", got)
-    defect = constant_curvature_defect(entry.form, entry.tensor, dsl.parse_scalar(expected))
-    return _check(check_id, defect is None, f"{_triple_str(entry.algebra, defect)} got {got}", got)
+    ok, witness = got == expected, f"got {got}"
+    if key == "constant_curvature":
+        # ``none``, or a constant tested triple by triple: the witness names the first failing one.
+        if expected == "none":
+            ok = entry.constant_curvature is None
+        else:
+            defect = constant_curvature_defect(entry.form, entry.tensor, dsl.parse_scalar(expected))
+            ok, witness = defect is None, f"{_triple_str(entry.algebra, defect)} {witness}"
+    return _check(check_id, ok, witness, got)
 
 
 def _metric_identity_checks(entry: CatalogEntry) -> list[CheckResult]:

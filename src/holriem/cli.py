@@ -220,10 +220,9 @@ def _cmd_curvature(args) -> int:
 
 def _cmd_constcurv(args) -> int:
     entry = _load_entry(args.file, model=False)
-    value = entry.constant_curvature
-    rendered = cat._render_constant(value)
+    rendered = cat.FACTS["constant_curvature"](entry)
     witness = None
-    if value is None:
+    if entry.constant_curvature is None:
         # A zero tensor is Constant(0), so a nonzero component always exists.
         witness = cat._triple_str(entry.algebra, flatness_defect(entry.tensor))
     if args.json:

@@ -87,9 +87,14 @@ _I = gr(0, 1)
 
 SECTION_ORDER = ("algebra", "brackets", "form", "isotropy", "expected")
 
-_BOOL_KEYS = {"unimodular", "solvable", "nilpotent", "semisimple", "invariance"}
-_INT_KEYS = {"center_dim", "invariant_form_dim"}
-_TAG_KEYS = {"class", "isotropy"}
+# Each [expected] key's kind; a key of no kind keeps its value as written.
+EXPECTED_KINDS = {
+    **dict.fromkeys(("unimodular", "solvable", "nilpotent", "semisimple", "invariance"), "bool"),
+    **dict.fromkeys(("center_dim", "invariant_form_dim"), "int"),
+    "derived_dims": "int list",
+    **dict.fromkeys(("class", "isotropy"), "tag"),
+    "constant_curvature": "constant",
+}
 
 # Parentheses and unary minus signs nest by recursion; deeper input is
 # rejected with a located error before it can exhaust the interpreter stack.
@@ -396,9 +401,7 @@ def parse(text: str) -> SpecFile:
                 raise DslError("name must be an identifier", line_no, value_col)
             name = value
         elif key == "dim":
-            if not value.isdecimal():
-                raise DslError("dim must be a nonnegative integer", line_no, value_col)
-            dim = _to_int(value, line_no, value_col)
+            dim = int(_normalize("int", key, value, line_no, value_col))
             if dim > MAX_DIM:
                 raise DslError(f"dim = {dim} exceeds the limit of {MAX_DIM}", line_no, value_col)
         elif key == "basis":
@@ -482,30 +485,29 @@ def parse(text: str) -> SpecFile:
         for key, key_col, value, value_col, line_no in by_name["expected"][1]:
             if key in spec.expected:
                 raise DuplicateKey(f"key {key!r} repeated", line_no, key_col)
-            spec.expected[key] = _normalize_expected(key, value, line_no, value_col)
+            spec.expected[key] = _normalize(EXPECTED_KINDS.get(key), key, value, line_no, value_col)
 
     return spec
 
 
-def _normalize_expected(key: str, value: str, line: int, col: int) -> str:
-    value = value.strip()
-    if key in _BOOL_KEYS:
+def _normalize(kind: str | None, key: str, value: str, line: int, col: int) -> str:
+    if kind == "bool":
         lowered = value.lower()
         if lowered not in ("true", "false"):
             raise DslError(f"{key} must be true or false", line, col)
         return lowered
-    if key in _INT_KEYS:
+    if kind == "int":
         if not value.isdecimal():
             raise DslError(f"{key} must be a nonnegative integer", line, col)
         return str(_to_int(value, line, col))
-    if key in _TAG_KEYS:
-        return value.upper()
-    if key == "derived_dims":
+    if kind == "int list":
         parts = [p.strip() for p in value.split(",")]
         if any(not p.isdecimal() for p in parts):
-            raise DslError("derived_dims must be a comma list of integers", line, col)
+            raise DslError(f"{key} must be a comma list of integers", line, col)
         return ",".join(str(_to_int(p, line, col)) for p in parts)
-    if key == "constant_curvature":
+    if kind == "tag":
+        return value.upper()
+    if kind == "constant":
         if value.lower() == "none":
             return "none"
         return str(parse_scalar(value, line, col))

@@ -58,7 +58,10 @@ class QuadraticForm(Record):
         return self.gram.rows
 
     def apply(self, x: Sequence, y: Sequence) -> GaussianRational:
-        return _dot(as_vector(x), _nonzero(self.gram.apply(y)))
+        x = as_vector(x)
+        if len(x) != self.dim:
+            raise ValueError("shape mismatch in form application")
+        return _dot(x, _nonzero(self.gram.apply(y)))
 
     @property
     def nondegenerate(self) -> bool:

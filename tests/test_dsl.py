@@ -238,6 +238,32 @@ def test_expected_bad_bool():
         parse(HEIS_TEXT + "\n[expected]\nsolvable = maybe\n")
 
 
+ONE_DIM_TEXT = "[algebra]\nname = a\ndim = 1\nbasis = X\n[expected]\n"
+
+
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        (ONE_DIM_TEXT + "unimodular = yes\n", ("unimodular must be true or false", 6, 14)),
+        (ONE_DIM_TEXT + "center_dim = -1\n", ("center_dim must be a nonnegative integer", 6, 14)),
+        (ONE_DIM_TEXT + "derived_dims = 1, x\n", ("derived_dims must be a comma list of integers", 6, 16)),
+        (ONE_DIM_TEXT + "constant_curvature = 1/0\n", ("zero denominator", 6, 25)),
+        (ONE_DIM_TEXT.replace("dim = 1", "dim = one"), ("dim must be a nonnegative integer", 3, 7)),
+        (ONE_DIM_TEXT + "note = Mixed Case, 007 / none\n", {"note": "Mixed Case, 007 / none"}),
+    ],
+    ids=["bool", "int", "int-list", "constant", "algebra-dim", "unknown-key"],
+)
+def test_each_kind_of_expected_value_keeps_its_error(text, outcome):
+    # A bad value of each kind fails with its reason at the value's line and
+    # column; a key of no kind keeps its value as written.
+    if isinstance(outcome, dict):
+        assert parse(text).expected == outcome
+        return
+    with pytest.raises(DslError) as info:
+        parse(text)
+    assert (info.value.reason, info.value.line, info.value.col) == outcome
+
+
 def test_comments_and_whitespace_insignificant():
     text = """
 [algebra]

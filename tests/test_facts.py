@@ -49,7 +49,7 @@ def test_cli_prints_the_report_values(entry_id, report_values, capsys):
     assert compared == set(spec.expected) - {"constant_curvature", "semisimple"}
 
 
-def test_dsl_normalizes_exactly_the_fact_keys():
+def test_dsl_normalizes_exactly_the_fact_keys(capsys):
     # A key is normalized when some value comes back changed or is rejected;
     # an unknown key passes through as written.
     probes = ("TRUE", "007", "sol", "3, 02", "NONE")
@@ -57,24 +57,22 @@ def test_dsl_normalizes_exactly_the_fact_keys():
     def normalizes(key):
         for value in probes:
             try:
-                if dsl._normalize_expected(key, value, 1, 1) != value:
+                spec = dsl.parse(f"[algebra]\nname = a\ndim = 1\nbasis = X\n[expected]\n{key} = {value}\n")
+                if spec.expected[key] != value:
                     return True
             except dsl.DslError:
                 return True
         return False
 
-    candidates = (
-        dsl._BOOL_KEYS
-        | dsl._INT_KEYS
-        | dsl._TAG_KEYS
-        | set(FACTS)
-        | {"constant_curvature", "derived_dims", "unknown_key"}
-    )
-    assert {key for key in candidates if normalizes(key)} == set(FACTS) | {"constant_curvature"}
-    # The report orders every one of these keys.
-    assert set(catalog._METRIC_KEYS) | set(catalog._MODEL_KEYS) == set(FACTS) | {
-        "constant_curvature"
-    }
+    candidates = set(dsl.EXPECTED_KINDS) | set(FACTS) | {"unknown_key"}
+    assert {key for key in candidates if normalizes(key)} == set(FACTS)
+    # One table of keys: each has a kind, a fact and a place in a report order.
+    assert set(dsl.EXPECTED_KINDS) == set(FACTS) == set(catalog._METRIC_KEYS) | set(catalog._MODEL_KEYS)
+    # The CLI prints FACTS rows only, and every shipped file names FACTS rows only.
+    for command, entry_id in (("invariants", "sol3"), ("model", "c_times_sol")):
+        assert {record["id"] for record in _json_records(capsys, command, entry_id)} <= set(FACTS)
+    for entry_id in CATALOG_IDS:
+        assert set(dsl.parse(catalog.shipped_file_text(entry_id)).expected) <= set(FACTS), entry_id
 
 
 def test_entry_derives_each_fact_once(monkeypatch):

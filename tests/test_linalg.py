@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from conftest import dense_apply, dense_matmul, jordan, jordan_blocks, scale, zeros
 
+from holriem.forms import QuadraticForm
 from holriem.linalg import (
     CMatrix,
     _annihilated,
@@ -372,8 +373,11 @@ def test_inverse_and_sum_are_built_like_public_matrices():
 
 def test_shape_mismatches_raise():
     a, b = CMatrix([[1, 2, 3], [4, 5, 6]]), CMatrix([[1, 2], [3, 4]])
+    q = QuadraticForm.diagonal([1, 1])
     for bad in (lambda: a @ b, lambda: a @ a, lambda: a.apply((1, 2)), lambda: a.apply((1, 2, 3, 4)),
-                lambda: a + b, lambda: b.inverse() + a, lambda: a.inverse()):
+                lambda: a + b, lambda: b.inverse() + a, lambda: a.inverse(),
+                lambda: q.apply((1,), (1, 1)), lambda: q.apply((1, 1, 5), (1, 1)),
+                lambda: q.apply((1, 1), (1,)), lambda: q.apply((1, 1), (1, 1, 5))):
         with pytest.raises(ValueError):
             bad()
 
