@@ -336,14 +336,6 @@ class CheckResult(Record):
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def status_line(self) -> str:
-        line = f"{self.status.upper():4} {self.id}"
-        if self.value is not None:
-            line += f"  value={self.value}"
-        if self.witness is not None:
-            line += f"  witness={self.witness}"
-        return line
-
 
 class VerifyReport(Record):
     __slots__ = _fields = ("seed", "checks")
@@ -436,11 +428,12 @@ def _property_check(check_id: str, entry: CatalogEntry, key: str, expected: str)
     got = FACTS[key](entry)
     ok, witness = got == expected, f"got {got}"
     if key == "constant_curvature":
-        # ``none``, or a constant tested triple by triple: the witness names the first failing one.
-        if expected == "none":
-            ok = entry.constant_curvature is None
-        else:
-            defect = constant_curvature_defect(entry.form, entry.tensor, dsl.parse_scalar(expected))
+        # ``none`` or the entry's own constant passes unscanned; another constant is
+        # tested triple by triple, and the witness names the first failing triple.
+        k = None if expected == "none" else dsl.parse_scalar(expected)
+        ok = entry.constant_curvature == k
+        if not ok and k is not None:
+            defect = constant_curvature_defect(entry.form, entry.tensor, k)
             ok, witness = defect is None, f"{_triple_str(entry.algebra, defect)} {witness}"
     return _check(check_id, ok, witness, got)
 

@@ -1,12 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success / all checks pass, 1 check failure or input error,
-2 usage error.  ``--json`` emits machine output with the stable key names
-id, status, witness, value.  Every file command reads a
-``catalog.CatalogEntry`` built from the file: ``invariants``, ``classify``
-and ``model`` print its ``catalog.FACTS`` values, the same text the report
-compares with a file's ``[expected]`` keys, and ``connection``,
-``curvature`` and ``constcurv`` print its derived metric data.
+2 usage error.  ``_print_records`` prints the records of every command, as JSON
+with the stable keys id, status, witness, value, or in its text format, and takes
+the exit code from them.  File commands print the ``catalog.FACTS`` values
+(``invariants``, ``classify``, ``model``) or the derived metric data (``connection``,
+``curvature``, ``constcurv``) of a ``catalog.CatalogEntry`` built from the file.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument("file", help="a .liealg input file")
         p.set_defaults(handler=handler)
-        return p
 
     file_command("validate", _cmd_validate, "check Jacobi identity and form nondegeneracy")
     file_command("invariants", _cmd_invariants, "structural invariants of the algebra")
@@ -103,33 +101,36 @@ def _load_lie(path: str) -> tuple[dsl.SpecFile, LieAlgebra]:
     return spec, algebra
 
 
-def _print_json(records: list[cat.CheckResult]) -> None:
-    print(cat._json_records(records))
+def _status_line(record: cat.CheckResult) -> str:
+    line = f"{record.status.upper():4} {record.id}"
+    if record.value is not None:
+        line += f"  value={record.value}"
+    if record.witness is not None:
+        line += f"  witness={record.witness}"
+    return line
 
 
-def _emit_records(args, records: Sequence[cat.CheckResult], data: bool = False) -> None:
-    """Print check records as status lines or one JSON array.
-
-    ``data`` marks informational output that --quiet must not suppress.
-    """
-    if args.json:
-        _print_json(records)
-        return
+def _print_records(args, records: Sequence[cat.CheckResult], line=None) -> int:
+    """Print records as one JSON array, or one line each: ``line(record)``, or else the
+    status line, which --quiet drops when passing.  Returns 1 when a record failed, else 0."""
+    keep_passing = line is not None or not args.quiet
+    line = None if args.json else line or _status_line
+    failed, lines = False, []
     for record in records:
-        if data:
-            print(f"{record.id} = {record.value}")
-        elif not (args.quiet and record.passed):
-            print(record.status_line())
-
-
-def _print_facts(args, entry: cat.CatalogEntry, keys: tuple[str, ...]) -> None:
-    """Print the ``cat.FACTS`` values of an entry built from the input file."""
-    facts = [(key, cat.FACTS[key](entry)) for key in keys]
+        passed = record.status == "pass"
+        failed = failed or not passed
+        if line and (keep_passing or not passed):
+            lines.append(line(record))
     if args.json:
-        _print_json([cat._check(key, True, value=value) for key, value in facts])
-    else:
-        for key, value in facts:
-            print(f"{key}: {value}")
+        print(cat._json_records(records))
+    elif lines:
+        print("\n".join(lines))
+    return 1 if failed else 0
+
+
+def _facts(entry: cat.CatalogEntry, keys: tuple[str, ...]) -> list[cat.CheckResult]:
+    """The ``cat.FACTS`` values of an entry built from the input file."""
+    return [cat._check(key, True, value=cat.FACTS[key](entry)) for key in keys]
 
 
 def _cmd_validate(args) -> int:
@@ -147,25 +148,20 @@ def _cmd_validate(args) -> int:
             form, degenerate = entry.model.quotient_form, "quotient form is degenerate"
         if form is not None:
             records.append(cat._check("form_nondegenerate", form.nondegenerate, degenerate))
-    _emit_records(args, records)
-    return 0 if all(r.passed for r in records) else 1
+    return _print_records(args, records)
 
 
 def _cmd_invariants(args) -> int:
     spec, algebra = _load_lie(args.file)
     keys = ("unimodular", "solvable", "nilpotent", "center_dim", "derived_dims")
-    _print_facts(args, cat.CatalogEntry(spec.name, algebra), keys)
-    return 0
+    entry = cat.CatalogEntry(spec.name, algebra)
+    return _print_records(args, _facts(entry, keys), lambda r: f"{r.id}: {r.value}")
 
 
 def _cmd_classify(args) -> int:
     spec, algebra = _load_lie(args.file)
     tag = cat.FACTS["class"](cat.CatalogEntry(spec.name, algebra))
-    if args.json:
-        _print_json([cat._check("classify", True, value=tag)])
-    else:
-        print(tag)
-    return 0
+    return _print_records(args, [cat._check("classify", True, value=tag)], lambda r: r.value)
 
 
 def _load_entry(path: str, model: bool) -> cat.CatalogEntry:
@@ -199,23 +195,21 @@ def _cmd_connection(args) -> int:
         for i, a in enumerate(names)
         for j, b in enumerate(names)
     ]
-    _emit_records(args, records, data=True)
-    return 0
+    return _print_records(args, records, lambda r: f"{r.id} = {r.value}")
 
 
 def _cmd_curvature(args) -> int:
     entry = _load_entry(args.file, model=False)
     names = entry.algebra.basis_names
+    # Below dimension 2 there is no pair x < y to list, and R vanishes.
     records = [
         _combination_record(
             names, f"R({names[i]},{names[j]}){names[k]}", entry.tensor[i][j][k]
         )
         for i, j in combinations(range(len(names)), 2)
         for k in range(len(names))
-    ]
-    # Below dimension 2 there is no pair x < y to list, and R vanishes.
-    _emit_records(args, records or [cat._check("R", True, value="0")], data=True)
-    return 0
+    ] or [cat._check("R", True, value="0")]
+    return _print_records(args, records, lambda r: f"{r.id} = {r.value}")
 
 
 def _cmd_constcurv(args) -> int:
@@ -225,20 +219,18 @@ def _cmd_constcurv(args) -> int:
     if entry.constant_curvature is None:
         # A zero tensor is Constant(0), so a nonzero component always exists.
         witness = cat._triple_str(entry.algebra, flatness_defect(entry.tensor))
-    if args.json:
-        # The certificate is data, not a check, so it passes and keeps its witness.
-        _print_json([cat.CheckResult("constcurv", "pass", witness, rendered)])
-    elif witness is None:
-        print(rendered)
-    else:
-        print(f"{rendered}  witness={witness}")
-    return 0
+    # The certificate is data, not a check, so it passes and keeps its witness.
+    return _print_records(
+        args,
+        [cat.CheckResult("constcurv", "pass", witness, rendered)],
+        lambda r: r.value if r.witness is None else f"{r.value}  witness={r.witness}",
+    )
 
 
 def _cmd_model(args) -> int:
     entry = _load_entry(args.file, model=True)
-    _print_facts(args, entry, ("isotropy", "invariance", "invariant_form_dim"))
-    return 0
+    keys = ("isotropy", "invariance", "invariant_form_dim")
+    return _print_records(args, _facts(entry, keys), lambda r: f"{r.id}: {r.value}")
 
 
 def _cmd_verify(args) -> int:
@@ -246,12 +238,10 @@ def _cmd_verify(args) -> int:
     if args.json:
         print(cat.report_to_json(report))
     else:
-        _emit_records(args, report.checks)
+        _print_records(args, report.checks)
         print(f"summary: {report.pass_count} passed, {report.fail_count} failed, seed={report.seed}")
     return 0 if report.all_pass else 1
 
 
 def _cmd_mobius(args) -> int:
-    records = cat.verify_mobius()
-    _emit_records(args, records)
-    return 0 if all(r.passed for r in records) else 1
+    return _print_records(args, cat.verify_mobius())

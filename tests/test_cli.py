@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import holriem
 from holriem.catalog import CheckResult, VerifyReport, report_to_json, verify_all
-from holriem.cli import _build_parser, _print_json, cli
+from holriem.cli import _build_parser, _print_records, cli
 from holriem.dsl import MAX_DIM, MAX_NESTING
 
 DATA = "src/holriem/data"
@@ -58,8 +58,9 @@ def test_constcurv_not_constant(tmp_path, capsys):
     )
     assert cli(["constcurv", str(path)]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("NotConstant")
-    assert "triple=(" in out
+    assert out == "NotConstant  witness=triple=(X,Y,X)\n"
+    assert cli(["constcurv", str(path), "--quiet"]) == 0
+    assert capsys.readouterr().out == out
     assert cli(["constcurv", str(path), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == [
@@ -503,7 +504,9 @@ def test_report_json_is_what_json_dumps_writes(records, seed):
 
 @pytest.mark.parametrize("records", WRITER_RECORDS.values(), ids=WRITER_RECORDS.keys())
 def test_cli_json_array_is_what_json_dumps_writes(records, capsys):
-    _print_json(records)
+    args = _build_parser().parse_args(["--json", "mobius-check"])
+    code = _print_records(args, records, lambda r: pytest.fail("--json formats no text line"))
+    assert code == int(any(r.status == "fail" for r in records))
     assert capsys.readouterr().out == json.dumps([_as_dict(r) for r in records], indent=2) + "\n"
 
 

@@ -258,6 +258,15 @@ def test_verify_all_derives_each_fact_once_per_entry(facts):
     assert facts == {"center": 15, "derived_series": 4, "isotropy_type": 7}
 
 
+def test_verify_all_scans_each_constant_once(monkeypatch):
+    counts = _count_everywhere(monkeypatch, ((geometry, "constant_curvature_defect"),))
+    assert catalog.verify_all(42).all_pass
+    # One scan per derived constant: the four catalog metrics and the two sl(2)
+    # forms of section 4.  A `constant_curvature` key that gives the entry's own
+    # constant passes with no scan; 10 when each of the four scanned again.
+    assert counts == {"constant_curvature_defect": 6}
+
+
 # sl(2) + heis + sol, an orthogonal sum: ``curvature`` prints the 324 fibers
 # R(e_i, e_j) e_k with i < j, 6 of them nonzero.
 NINE_DIM_SUM = """[algebra]

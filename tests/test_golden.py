@@ -141,3 +141,51 @@ def test_parser_output_digest(runs, suffix, want, monkeypatch, capsys):
         assert code == (0 if suffix else 2)
         digest.update(repr((args, code, *capsys.readouterr())).encode())
     assert digest.hexdigest() == want
+
+
+# Edge files written to a temporary directory: each is named in the digest by its
+# key, never by its path.  One SHA-256 over every file command, with each flag set.
+_HEIS_MODEL = '[algebra]\nname = m\ndim = 4\nbasis = X, Y, Z, T\n\n[brackets]\n"Y,T" = - Z\n"Y,Z" = X\n\n'
+EDGE_FILES = {
+    "breaks_jacobi": (
+        '[algebra]\nname = bad\ndim = 3\nbasis = X, Y, Z\n\n[brackets]\n"Y,Z" = X\n"X,Z" = Z\n\n'
+        '[form]\n"X,X" = 1\n"Y,Y" = 1\n"Z,Z" = 1\n'
+    ),
+    "no_form": '[algebra]\nname = heis\ndim = 3\nbasis = X, Y, Z\n\n[brackets]\n"Y,Z" = X\n',
+    "degenerate_form": '[algebra]\nname = deg\ndim = 2\nbasis = A, B\n\n[form]\n"A,A" = 1\n',
+    "dim_1": '[algebra]\nname = line\ndim = 1\nbasis = X\n\n[form]\n"X,X" = 2\n',
+    "parse_error": '[algebra]\nname = broken\ndim = 1\nbasis = A\n\n[form]\n"A,A" = 1/\n',
+    "heis_diag": (
+        '[algebra]\nname = heis_diag\ndim = 3\nbasis = X, Y, Z\n\n[brackets]\n"Y,Z" = X\n\n'
+        '[form]\n"X,X" = 1\n"Y,Y" = 1\n"Z,Z" = 1\n'
+    ),
+    "form_pair_twice": (
+        '[algebra]\nname = twice\ndim = 2\nbasis = A, B\n\n[form]\n"A,B" = 1\n"B,A" = 2\n'
+    ),
+    "non_unimodular_2d": (
+        '[algebra]\nname = aff\ndim = 2\nbasis = A, B\n\n[brackets]\n"A,B" = B\n\n'
+        '[form]\n"A,A" = 1\n"B,B" = 1\n'
+    ),
+    "model_form_off_complement": _HEIS_MODEL + '[form]\n"Y,Y" = 1\n"X,T" = 1\n\n[isotropy]\ngen = Y\n',
+    "model_without_form": _HEIS_MODEL + "[isotropy]\ngen = Y\n",
+    "model_breaks_jacobi": (
+        '[algebra]\nname = m\ndim = 3\nbasis = X, Y, Z\n\n[brackets]\n"Y,Z" = X\n"X,Z" = Z\n\n'
+        '[form]\n"X,X" = 1\n"Y,Y" = 1\n\n[isotropy]\ngen = Z\n'
+    ),
+    "isotropy_spans_all": "[algebra]\nname = point\ndim = 1\nbasis = X\n\n[isotropy]\ngen = X\n",
+}
+EDGE_SWEEP_SHA256 = "670024e3d527ff87bc20fc814a25d008e5de98e3a65317c8033cb189cd56d897"
+
+
+def test_edge_file_command_sweep_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for key, text in EDGE_FILES.items():
+        path = tmp_path / f"{key}.liealg"
+        path.write_text(text, encoding="utf-8")
+        for command in SWEEP_COMMANDS:
+            for flags in SWEEP_FLAGS:
+                code = cli([command, str(path), *flags])
+                out, err = capsys.readouterr()
+                assert str(tmp_path) not in out + err
+                digest.update(repr((command, key, " ".join(flags), str(code), out, err)).encode())
+    assert digest.hexdigest() == EDGE_SWEEP_SHA256
