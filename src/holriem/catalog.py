@@ -338,19 +338,17 @@ class CheckResult(Record):
 
 
 class VerifyReport(Record):
-    __slots__ = _fields = ("seed", "checks")
+    _fields = ("seed", "checks")
+    __slots__ = _fields + ("fail_count",)  # fail_count: derived from checks, once
 
     def __init__(self, seed: int, checks: tuple[CheckResult, ...]):
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "fail_count", sum(not c.passed for c in checks))
 
     @property
     def pass_count(self) -> int:
-        return sum(1 for c in self.checks if c.passed)
-
-    @property
-    def fail_count(self) -> int:
-        return len(self.checks) - self.pass_count
+        return len(self.checks) - self.fail_count
 
     @property
     def all_pass(self) -> bool:

@@ -237,10 +237,10 @@ def _cmd_verify(args) -> int:
     report = cat.verify_all(seed=args.seed)
     if args.json:
         print(cat.report_to_json(report))
-    else:
-        _print_records(args, report.checks)
-        print(f"summary: {report.pass_count} passed, {report.fail_count} failed, seed={report.seed}")
-    return 0 if report.all_pass else 1
+        return 0 if report.all_pass else 1
+    code = _print_records(args, report.checks)
+    print(f"summary: {report.pass_count} passed, {report.fail_count} failed, seed={report.seed}")
+    return code
 
 
 def _cmd_mobius(args) -> int:

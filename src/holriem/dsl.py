@@ -51,8 +51,7 @@ from typing import Sequence
 
 from .forms import QuadraticForm
 from .liealg import LieAlgebra
-from . import linalg
-from .linalg import CMatrix, Vector
+from .linalg import Vector, _frame
 from .models import HomogeneousModel
 from .scalars import GaussianRational, ONE, Record, _make, _render, gr
 
@@ -595,18 +594,14 @@ def greedy_complement(
     """Deterministic complement: basis vectors completing the isotropy,
     taken in declared order.
 
-    One elimination of ``[isotropy | I]``: its pivot columns past the
-    isotropy are the basis vectors a scan in declared order keeps, up to
-    the first n - k of them (all, when k > n).
+    The pivots of ``linalg._frame`` past the isotropy are the basis vectors a
+    scan in declared order keeps, up to the first n - k of them (all, when k > n).
     """
     n, k = algebra.dim, len(isotropy)
-    identity = CMatrix.identity(n).entries
-    # Through the module, so that a wrapper of linalg._reduce sees this elimination.
-    _, pivots = linalg._reduce([[v[r] for v in isotropy] + list(identity[r]) for r in range(n)])
-    positions = [p - k for p in pivots if p >= k]
+    positions = [p - k for p in _frame(isotropy, n)[0] if p >= k]
     if k <= n:
         del positions[n - k:]
-    return [(algebra.basis_names[p], identity[p]) for p in positions]
+    return [(algebra.basis_names[p], algebra.basis_vector(p)) for p in positions]
 
 
 def to_metric(spec: SpecFile) -> QuadraticForm | None:

@@ -11,7 +11,8 @@ antisymmetry test, ``bracket``, the Jacobi scan and the connection and
 curvature kernels loop over these terms and never rescan the table.
 Both series start from [g, g], the span of the ``c_ij`` with i < j read
 from the table with no bracket call; a caller that needs both passes
-one [g, g] to each.
+one [g, g] to each.  ``subalgebra`` brackets its generators in the pairs
+i < j only and returns through ``from_table``, as every algebra here does.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from enum import Enum
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from . import linalg
 from .forms import QuadraticForm
 from .linalg import (
-    CMatrix,
     Vector,
     _dot,
+    _frame,
+    _matrix,
     _nonzero,
     as_vector,
     kernel,
@@ -260,12 +261,8 @@ def lower_central_series(
 
 def center(algebra: LieAlgebra) -> list[Vector]:
     """Exact basis of ``{x : [x, y] = 0 for all y}``."""
-    n = algebra.dim
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([algebra.constants[i][j][k] for i in range(n)])
-    return kernel(CMatrix(rows))
+    c, r = algebra.constants, range(algebra.dim)
+    return kernel(_matrix(tuple(tuple(c[i][j][k] for i in r) for j in r for k in r)))
 
 
 def is_unimodular(algebra: LieAlgebra) -> bool:
@@ -310,38 +307,33 @@ def subalgebra(
 ) -> LieAlgebra:
     """Restrict the bracket to the span of independent vectors.
 
-    Raises NotClosed when a bracket leaves the span, ValueError when the
-    generators are dependent.
-    """
+    Raises NotClosed when a bracket leaves the span, ValueError when the generators are
+    missing, dependent or of the wrong length, or the names not one per generator."""
     vecs = [as_vector(v) for v in vectors]
     k = len(vecs)
-    transition = CMatrix.from_columns(vecs)
-    # One elimination of [T | I]: if T has rank k, the rows [I_k | L] give the
-    # coordinates L b of a b in the span, and the rows [0 | N] test N b = 0.
-    identity = CMatrix.identity(transition.rows).entries
-    # Through the module, so that a wrapper of linalg._reduce sees this elimination.
-    rows, pivots = linalg._reduce([list(t + e) for t, e in zip(transition.entries, identity)])
+    if not vecs:
+        raise ValueError("subalgebra needs at least one generator")
+    pivots, rows = _frame(vecs, algebra.dim)
     if pivots[:k] != list(range(k)):
         raise ValueError("subalgebra generators are linearly dependent")
-    coords = [row[k:] for row in rows[:k]]
-    members = [row[k:] for row in rows[k:]]
     names = tuple(basis_names) if basis_names else tuple(f"s{i}" for i in range(k))
-    grid = []
-    for i, u in enumerate(vecs):
-        row = []
-        for j, v in enumerate(vecs):
-            image = _nonzero(bracket(algebra, u, v))
-            if any(_dot(r, image) for r in members):
-                raise NotClosed(f"bracket of generators {i} and {j} leaves the span")
-            row.append(tuple(_dot(r, image) for r in coords))
-        grid.append(row)
-    return LieAlgebra(names, grid)
+    if len(names) != k:
+        raise ValueError(f"{len(names)} basis names for {k} generators")
+    if len(set(names)) != k:
+        raise ValueError("duplicate basis labels")
+    table = {}
+    for i, j in combinations(range(k), 2):
+        image = _nonzero(bracket(algebra, vecs[i], vecs[j]))
+        if any(_dot(r, image) for r in rows[k:]):
+            raise NotClosed(f"bracket of generators {i} and {j} leaves the span")
+        table[names[i], names[j]] = {name: _dot(r, image) for name, r in zip(names, rows)}
+    return LieAlgebra.from_table(names, table)
 
 
 def is_ideal(algebra: LieAlgebra, vectors: Sequence[Sequence]) -> bool:
     """True iff the span of the vectors absorbs brackets with the whole algebra."""
-    vecs = [as_vector(v) for v in vectors]
-    products = [
-        bracket(algebra, algebra.basis_vector(i), v) for i in range(algebra.dim) for v in vecs
-    ]
-    return len(span_basis(vecs + products)) == len(span_basis(vecs))
+    n, vecs = algebra.dim, [as_vector(v) for v in vectors]
+    pivots, rows = _frame(vecs, n)
+    outside = rows[sum(p < len(vecs) for p in pivots):]
+    images = (_nonzero(bracket(algebra, algebra.basis_vector(i), v)) for i in range(n) for v in vecs)
+    return not any(_dot(r, image) for image in images for r in outside)

@@ -3,13 +3,15 @@
 Gaussian elimination over exact Q(i) scalars keeps every rank, kernel
 and inverse exact; there is no numerical pivoting or tolerance anywhere in
 this module.  Every elimination runs through ``_reduce``, which visits
-only the nonzero entries of each pivot row.  A product A B adds a B[k][j]
-over the nonzero a = A[i][k] and B[k][j] only, row by row (Gustavson, ACM
-TOMS 4(3), 1978).  A minimal polynomial is the tuple of its coefficients
-in ascending degree, read from one elimination over the powers of A, and
-semisimplicity is a gcd: A is diagonalizable exactly when its minimal
-polynomial p has no repeated root, that is when gcd(p, p') = 1 (Hoffman
-and Kunze, *Linear Algebra*, section 6.4).
+only the nonzero entries of each pivot row.  ``_frame``, one elimination of
+[T | I], answers every span question: ``CMatrix.inverse``, ``in_span``,
+``liealg.subalgebra``, ``liealg.is_ideal`` and ``dsl.greedy_complement``.
+A product A B adds a B[k][j] over the nonzero a = A[i][k] and B[k][j] only,
+row by row (Gustavson, ACM TOMS 4(3), 1978).  A minimal polynomial is the
+tuple of its coefficients in ascending degree, read from one elimination
+over the powers of A, and semisimplicity is a gcd: A is diagonalizable
+exactly when its minimal polynomial p has no repeated root, that is when
+gcd(p, p') = 1 (Hoffman and Kunze, *Linear Algebra*, section 6.4).
 """
 
 from __future__ import annotations
@@ -125,14 +127,10 @@ class CMatrix(Record):
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        augmented = [
-            list(row) + [ONE if i == j else ZERO for j in range(n)]
-            for i, row in enumerate(self.entries)
-        ]
-        reduced, pivots = _reduce(augmented)
-        if len(pivots) < n or any(p >= n for p in pivots):
+        pivots, rows = _frame(list(zip(*self.entries)), n)
+        if pivots[:n] != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
-        return _matrix(tuple(tuple(row[n:]) for row in reduced[:n]))
+        return _matrix(tuple(map(tuple, rows)))
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(map(str, row)) for row in self.entries) + "]"
@@ -195,6 +193,18 @@ def _reduce(rows: list[list[GaussianRational]]) -> tuple[list[list[GaussianRatio
         if r == n_rows:
             break
     return rows, pivots
+
+
+def _frame(vectors: Sequence[Vector], n: int) -> tuple[list[int], list[list[GaussianRational]]]:
+    """One elimination of [T | I], T the n-row matrix with the vectors as columns: its
+    pivots and the I part M of its rows.  With r pivots below k = len(vectors), the rows
+    of M past r send b to 0 exactly when b is in the span, and if r = k, the first k send
+    it to its coordinates.  A pivot k + p marks e_p outside the span of T, e_0, ..., e_(p-1)."""
+    if any(len(v) != n for v in vectors):
+        raise ValueError(f"vectors of length {n} expected")
+    identity = [[ONE if c == r else ZERO for c in range(n)] for r in range(n)]
+    rows, pivots = _reduce([[v[r] for v in vectors] + identity[r] for r in range(n)])
+    return pivots, [row[len(vectors):] for row in rows]
 
 
 def kernel(matrix: CMatrix) -> list[Vector]:
@@ -270,10 +280,10 @@ def span_basis(vectors: Iterable[Sequence]) -> list[Vector]:
 
 
 def in_span(vectors: Sequence[Sequence], v: Sequence) -> bool:
-    base = span_basis(vectors)
-    if not base:
-        return not any(as_vector(v))
-    return len(span_basis(list(base) + [as_vector(v)])) == len(base)
+    b, vecs = as_vector(v), [as_vector(u) for u in vectors]
+    pivots, rows = _frame(vecs, len(b))
+    nonzero = _nonzero(b)
+    return not any(_dot(row, nonzero) for row in rows[sum(p < len(vecs) for p in pivots):])
 
 
 def min_poly(matrix: CMatrix) -> Vector:

@@ -14,8 +14,8 @@ from hypothesis import settings
 from holriem import geometry
 from holriem.catalog import ParamExtension
 from holriem.geometry import ConnectionTable, CurvatureTensor
-from holriem.liealg import LieAlgebra, bracket
-from holriem.linalg import CMatrix, Vector, as_vector, in_span, span_basis, vadd, zero_vector
+from holriem.liealg import LieAlgebra, NotClosed, bracket
+from holriem.linalg import CMatrix, Vector, as_vector, span_basis, vadd, zero_vector
 from holriem.scalars import ONE, ZERO, GaussianRational, as_gr, gr
 
 settings.register_profile("exact", derandomize=True)
@@ -371,11 +371,17 @@ def reference_lower_central_series(algebra: LieAlgebra) -> tuple[int, ...]:
         current = nxt
 
 
+def reference_in_span(vectors: Sequence[Sequence], v: Sequence) -> bool:
+    """Span membership as a comparison of the ranks of two ``span_basis`` calls."""
+    base = span_basis(vectors)
+    return len(span_basis(base + [as_vector(v)])) == len(base)
+
+
 def reference_is_ideal(algebra: LieAlgebra, vectors: Sequence[Sequence]) -> bool:
     """One span-membership test per bracket ``[e_i, v]``."""
     vecs = [as_vector(v) for v in vectors]
     return all(
-        in_span(vecs, bracket(algebra, algebra.basis_vector(i), v))
+        reference_in_span(vecs, bracket(algebra, algebra.basis_vector(i), v))
         for i in range(algebra.dim)
         for v in vecs
     )
@@ -389,7 +395,32 @@ def reference_greedy_complement(algebra: LieAlgebra, isotropy: Sequence[Vector])
         if len(chosen) == algebra.dim - len(isotropy):
             break
         candidate = algebra.basis_vector(position)
-        if not in_span(current, candidate):
+        if not reference_in_span(current, candidate):
             current.append(candidate)
             chosen.append((label, candidate))
     return chosen
+
+
+def reference_subalgebra(
+    algebra: LieAlgebra, vectors: Sequence[Sequence], basis_names: Sequence[str] | None = None
+) -> LieAlgebra:
+    """Every ordered generator pair bracketed densely, k^2 in all, each image's
+    coordinates and closure read from a dense elimination of [T | I], and the
+    k x k table built by ``LieAlgebra``."""
+    vecs = [as_vector(v) for v in vectors]
+    k, n = len(vecs), algebra.dim
+    identity = [[ONE if c == r else ZERO for c in range(n)] for r in range(n)]
+    rows, pivots = dense_reduce([[v[r] for v in vecs] + identity[r] for r in range(n)])
+    if pivots[:k] != list(range(k)):
+        raise ValueError("subalgebra generators are linearly dependent")
+    coords, members = [row[k:] for row in rows[:k]], [row[k:] for row in rows[k:]]
+    grid = []
+    for i, u in enumerate(vecs):
+        grid.append([])
+        for j, w in enumerate(vecs):
+            image = dense_bracket(algebra, u, w)
+            if any(sum((a * b for a, b in zip(m, image)), ZERO) for m in members):
+                raise NotClosed(f"bracket of generators {i} and {j} leaves the span")
+            grid[-1].append([sum((a * b for a, b in zip(c, image)), ZERO) for c in coords])
+    names = tuple(basis_names) if basis_names else tuple(f"s{i}" for i in range(k))
+    return LieAlgebra(names, grid)

@@ -196,7 +196,9 @@ def test_verify_all_derives_each_isotropy_action_once(work):
 def test_verify_all_eliminates_each_subalgebra_once(work):
     assert catalog.verify_all(42).all_pass
     # Six subalgebra spans of three generators: one elimination of [T | I]
-    # each, where one span_basis and nine solve_linear made 184 in all.  The
+    # each, where one span_basis and nine solve_linear made 184 in all.  Each
+    # span question eliminates once: 113 when each of the six in_span calls and
+    # the one is_ideal call compared the ranks of two span_basis calls.  The
     # isotropy bounds make 4: one Gram inverse for so(q) and one kernel for
     # each of the three stabilizers cut from it (8 when each bound made its own).
     # Each of the seven catalog models finds its minimal polynomial in one
@@ -204,7 +206,14 @@ def test_verify_all_eliminates_each_subalgebra_once(work):
     # no elimination: 111 when the two nilpotent ones stopped at a matrix power
     # A^k = 0 with no minimal polynomial, 126 when each of the five others made
     # three solves and one rank.
-    assert work["_reduce"] == 113
+    assert work["_reduce"] == 106
+
+
+def test_verify_all_brackets_each_generator_pair_once(work):
+    assert catalog.verify_all(42).all_pass
+    # Each of the six subalgebra spans of three generators brackets its 3 pairs
+    # i < j, antisymmetry giving the rest: 154 when each bracketed all 9 pairs.
+    assert work["bracket"] == 118
 
 
 def test_verify_all_inverts_no_frame_twice(eliminations):
@@ -220,14 +229,14 @@ def test_elimination_counters_agree(work, eliminations):
     # ``work`` is set up first, so it wraps every module's binding of the real
     # ``_reduce`` and ``eliminations`` wraps linalg's only: the counts agree
     # when every elimination is called through the module, as a tracer sees it.
-    # 113, as counted above.
+    # 106, as counted above (113 when in_span and is_ideal eliminated twice).
     assert catalog.verify_all(42).all_pass
-    assert eliminations["_reduce"] == work["_reduce"] == 113
+    assert eliminations["_reduce"] == work["_reduce"] == 106
 
 
 def test_a_second_report_derives_as_much_as_the_first(calls, eliminations):
     # No derived value (a Gram inverse, so(q), a connection) outlives its report.
-    # 113 eliminations, as counted above.
+    # 106 eliminations, as counted above (113 when in_span and is_ideal eliminated twice).
     counts = []
     for _ in range(2):
         assert catalog.verify_all(42).all_pass
@@ -235,8 +244,25 @@ def test_a_second_report_derives_as_much_as_the_first(calls, eliminations):
         calls.update(dict.fromkeys(calls, 0))
         eliminations.update(dict.fromkeys(eliminations, 0))
     assert counts[0] == counts[1] == (
-        {"levi_civita": 6, "curvature": 6}, {"_reduce": 113, "inverse": 19}
+        {"levi_civita": 6, "curvature": 6}, {"_reduce": 106, "inverse": 19}
     )
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_verify_paper_reads_each_status_once(flags, monkeypatch, capsys):
+    counts = {"passed": 0}
+    real = catalog.CheckResult.passed.fget
+
+    def counted(record):
+        counts["passed"] += 1
+        return real(record)
+
+    monkeypatch.setattr(catalog.CheckResult, "passed", property(counted))
+    assert cli_module.cli(["verify-paper", *flags]) == 0
+    assert ('"pass": 135,' if flags else "summary: 135 passed, 0 failed") in capsys.readouterr().out
+    # One read per check, where VerifyReport counts the failures; 405 when the
+    # summary and the exit code scanned the 135 checks three times more.
+    assert counts["passed"] == 135
 
 
 @pytest.fixture
@@ -352,18 +378,23 @@ def test_verify_all_zero_test_budget(monkeypatch):
     assert catalog.verify_all(42).all_pass
     counts = _count_zero_tests_and_steps(monkeypatch)
     assert catalog.verify_all(42).all_pass
-    # Zero tests, by the innermost kernel making them: 3381 in eliminations (pivot
-    # searches and pivot-row supports), 1152 in brackets, 747 in act (one call per
-    # action on a model's whole symmetric basis; 1062 with one call per basis form),
-    # 582 in products (1329 when each (row, column) pair tested both operands),
-    # 549 in _annihilated, 328 in subalgebra (1323 when each coordinate row was
-    # dotted with the whole bracket image), 312 in the Killing form (987), 200 in
-    # apply (964), 196 building algebras, 135 in levi_civita, 66 in curvature, 36 in
-    # induced_ad, 25 in _squarefree, 14 in is_zero, and 2412 in the checks and scans
-    # around them (1296 of them in any/all scans, 432 lowering an index, 376 in
-    # geometry._add): 10135, where the dense kernels in parentheses made 13631.
+    # Zero tests, by the innermost function making them (_dot, _nonzero and generator
+    # expressions count to their caller): 3397 in eliminations (pivot searches and
+    # pivot-row supports), 1072 in from_table, 864 in brackets, 747 in act (one call
+    # per action on a model's whole symmetric basis; 1062 with one call per basis
+    # form), 582 in products (1329 when each (row, column) pair tested both
+    # operands), 549 in _annihilated, 312 in the Killing form (987), 200 in apply
+    # (964), 154 in span questions (74 in subalgebra, 48 in in_span, 32 in is_ideal),
+    # 135 in levi_civita, 66 in curvature, 36 in induced_ad, 25 in _squarefree, 14 in
+    # is_zero, and 1644 in the checks and scans around them (469 in geometry._first,
+    # 432 lowering an index, 376 in geometry._add): 9797.  10135 when subalgebra
+    # bracketed all k^2 generator pairs and rebuilt its table through LieAlgebra(...)
+    # (328 there, 288 more in brackets), and in_span and is_ideal compared the ranks
+    # of two span_basis calls.
     # Fused steps, one per nonzero product: 160 in products, 130 in act, 114 in
-    # curvature, 104 in eliminations, 80 in brackets, 32 in the Jacobi scan, 27 in
+    # curvature, 94 in eliminations, 55 in brackets, 32 in the Jacobi scan, 27 in
     # _annihilated, 26 in apply, 22 in levi_civita, 22 lowering an index, 16 in the
-    # Killing form, 15 in _squarefree and 14 in subalgebra: 762, as before.
-    assert counts == {"__bool__": 10135, "steps": 762}
+    # Killing form, 15 in _squarefree and 7 in subalgebra: 720.  762 with all k^2
+    # generator pairs (25 more in brackets, 7 in subalgebra) and two span_basis calls
+    # per in_span and is_ideal (10 more in eliminations).
+    assert counts == {"__bool__": 9797, "steps": 720}

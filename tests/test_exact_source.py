@@ -1,6 +1,7 @@
 """The package is exact: no float or complex value and no random number in its
 source, no identity test against the shared ``ZERO`` or ``ONE``, and no
-``GaussianRational`` made without ``__init__`` outside ``scalars._make``; every
+``GaussianRational`` made without ``__init__`` outside ``scalars._make``; no
+module but ``linalg`` names its elimination ``_reduce``; every
 check of the catalog that can fail names a witness; and every module-level
 function, class and assigned name, and every named method and property of
 such a class, is used in the package."""
@@ -160,6 +161,43 @@ def test_the_scan_finds_scalars_made_without_init():
     assert [call for _, call in _creations(ast.parse(scalars.read_text(encoding="utf-8")))] == [
         "_new(GaussianRational)"
     ]
+
+
+def _reduce_spellings(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, source) for each ``_reduce`` spelled as a bare name, an attribute, an
+    imported name or a function defined: outside ``linalg``, a span question asks
+    ``linalg._frame``, and no module lays out an elimination of its own."""
+    found = []
+    for node in ast.walk(tree):
+        spelled = node.name if isinstance(node, (ast.alias, ast.FunctionDef)) else _spelled(node)
+        if spelled == "_reduce":
+            found.append((node.lineno, ast.unparse(node).splitlines()[0]))
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "linalg.py"], ids=lambda path: path.name
+)
+def test_only_linalg_names_reduce(path):
+    assert _reduce_spellings(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_scan_finds_reduce_outside_linalg():
+    source = (
+        "from .linalg import _reduce, kernel\n"
+        "from . import linalg\n"
+        "rows, pivots = linalg._reduce(grid)\n"
+        "x = _reduce(grid)\n"
+        "def _reduce(rows):\n"
+        "    return rows\n"
+        "y = record.__reduce__()\n"
+        "z = reduce(f, xs)\n"
+        "w = '_reduce'\n"
+        "v = linalg._frame(vectors, n)\n"
+    )
+    assert [line for line, _ in _reduce_spellings(ast.parse(source))] == [1, 3, 4, 5]
+    linalg = next(path for path in SOURCES if path.name == "linalg.py")
+    assert _reduce_spellings(ast.parse(linalg.read_text(encoding="utf-8")))
 
 
 def _unwitnessed(tree: ast.AST) -> list[tuple[int, str]]:

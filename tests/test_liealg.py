@@ -357,6 +357,48 @@ def test_subalgebra_dependent_generators():
         subalgebra(s, [s.vector("Z"), s.vector("Z")])
 
 
+SL2 = CATALOG["sl2"].algebra
+H, E, F = (SL2.vector(label) for label in ("H", "E", "F"))
+
+
+# Malformed spans raise ValueError, never IndexError or a result.  A None message
+# is free; the others are kept verbatim.  ``in_span`` raised IndexError on a
+# vector or generator of the wrong length before it took one ``_frame``.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: subalgebra(SL2, []), None),
+        (lambda: subalgebra(SL2, [(1, 0, 0), (0, 1)]), None),
+        (lambda: subalgebra(SL2, [(1, 0), (0, 1)]), None),
+        (lambda: subalgebra(SL2, [(0, 1), (1, 0, 0)]), None),
+        (lambda: subalgebra(SL2, [(1, 0, 0, 0)]), None),
+        (lambda: subalgebra(SL2, [H, E], ["a"]), None),
+        (lambda: subalgebra(SL2, [H, E], ["a", "b", "c"]), None),
+        (lambda: subalgebra(SL2, [H, E], ["a", "a"]), "duplicate basis labels"),
+        (lambda: subalgebra(SL2, [E, E]), "subalgebra generators are linearly dependent"),
+        (lambda: subalgebra(SL2, [H, E, F, E]), "subalgebra generators are linearly dependent"),
+        (lambda: subalgebra(SL2, [E, F]), "bracket of generators 0 and 1 leaves the span"),
+        (lambda: in_span([(1, 0, 0)], (1, 0)), None),
+        (lambda: in_span([(1, 0)], (1, 0, 0)), None),
+        (lambda: in_span([(1, 0, 0), (0, 1)], (1, 0, 0)), None),
+        (lambda: in_span([(0, 1), (1, 0, 0)], (1, 0, 0)), None),
+        (lambda: is_ideal(SL2, [(1, 0)]), None),
+    ],
+    ids=[
+        "no-generators", "ragged", "short", "short-then-long", "long", "too-few-names",
+        "too-many-names", "duplicate-names", "dependent", "dependent-fourth", "not-closed",
+        "in-span-long-generator", "in-span-short-generator", "in-span-ragged",
+        "in-span-short-then-long", "is-ideal-short",
+    ],
+)
+def test_malformed_spans_raise_value_error(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    if message is not None:
+        assert str(excinfo.value) == message
+        assert (type(excinfo.value) is NotClosed) == message.startswith("bracket")
+
+
 def test_is_ideal():
     s = CATALOG["sol3"].algebra
     assert is_ideal(s, [s.vector("Z"), s.vector("T")])

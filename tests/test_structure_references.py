@@ -1,12 +1,13 @@
-"""The series, ``is_ideal``, the greedy complement and the model actions
-against the references they replaced.
+"""The series, ``in_span``, ``is_ideal``, the greedy complement, ``subalgebra``
+and the model actions against the references they replaced.
 
 ``derived_series`` and ``lower_central_series`` read [g, g] from the
-constants and bracket only the pairs u < v in a derived step; ``is_ideal``
-and ``greedy_complement`` eliminate once; a model derives its isotropy
+constants and bracket only the pairs u < v in a derived step; ``in_span``,
+``is_ideal`` and ``greedy_complement`` eliminate once; ``subalgebra``
+brackets only the generator pairs i < j; a model derives its isotropy
 actions at construction.  The references in ``conftest`` bracket every
-ordered pair and test span membership vector by vector.  The outputs
-agree for any antisymmetric table, Jacobi or not.
+ordered pair and test span membership vector by vector, as a comparison of
+two ranks.  The outputs agree for any antisymmetric table, Jacobi or not.
 """
 
 import random
@@ -18,10 +19,13 @@ from conftest import (
     conjugate,
     reference_derived_series,
     reference_greedy_complement,
+    reference_in_span,
     reference_is_ideal,
     reference_lower_central_series,
+    reference_subalgebra,
 )
 
+from holriem import catalog
 from holriem.catalog import (
     ParamExtension,
     build_catalog,
@@ -31,13 +35,15 @@ from holriem.catalog import (
 from holriem.dsl import greedy_complement
 from holriem.liealg import (
     LieAlgebra,
+    NotClosed,
     bracket,
     derived_series,
     is_ideal,
     jacobi_witness,
     lower_central_series,
+    subalgebra,
 )
-from holriem.linalg import CMatrix, span_basis
+from holriem.linalg import CMatrix, in_span, span_basis
 from holriem.models import HomogeneousModel, induced_ad
 from holriem.scalars import gr
 
@@ -116,15 +122,19 @@ def test_series_match_the_all_pairs_reference(algebras):
 @pytest.mark.parametrize("algebras", [[e.algebra for e in CATALOG], GRID_ALGEBRAS, RANDOM],
                          ids=["catalog", "heis-family-grid", "random"])
 def test_is_ideal_and_greedy_complement_match_the_span_scan(algebras):
-    rng = random.Random(314)
-    dependent = 0
+    rng, probes = random.Random(314), random.Random(315)
+    dependent = members = 0
     for g in algebras:
         for _ in range(4):
             vectors = _random_isotropy(rng, g.dim)
             dependent += len(span_basis(vectors)) < len(vectors)
             assert is_ideal(g, vectors) == reference_is_ideal(g, vectors)
             assert greedy_complement(g, vectors) == reference_greedy_complement(g, vectors)
-    assert dependent > 0
+            for v in _random_isotropy(probes, g.dim) + [bracket(g, u, w) for u in vectors for w in vectors]:
+                member = in_span(vectors, v)
+                assert member == reference_in_span(vectors, v)
+                members += member
+    assert dependent > 0 and members > 0
 
 
 def test_model_isotropies_match_the_span_scan():
@@ -164,3 +174,48 @@ def test_construction_rejects_what_the_subalgebra_loop_rejects():
                     HomogeneousModel(g, iso, complement)
                 rejected += 1
     assert built and rejected
+
+
+def _outcome(build, algebra, vectors, names=None):
+    """The algebra built with its derived terms, or the type and text of the error raised."""
+    try:
+        built = build(algebra, vectors, names)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return built, built.terms
+
+
+def test_report_spans_match_the_all_pairs_subalgebra(monkeypatch):
+    spans = []
+
+    def recorded(algebra, vectors, basis_names=None):
+        spans.append((algebra, vectors, basis_names))
+        return subalgebra(algebra, vectors, basis_names)
+
+    monkeypatch.setattr(catalog, "subalgebra", recorded)
+    assert catalog.verify_all(42).all_pass
+    assert len(spans) == 6
+    for span in spans:
+        assert _outcome(subalgebra, *span) == _outcome(reference_subalgebra, *span)
+
+
+def test_random_spans_match_the_all_pairs_subalgebra():
+    """Random spans, [g, g] and random bases of the random tables of dims 3-6, each
+    also with a dependent vector appended, sometimes with names given."""
+    rng = random.Random(4242)
+    kinds = {"closed": 0, "not closed": 0, "dependent": 0}
+    for g in [g for g in RANDOM if g.dim >= 3]:
+        n = g.dim
+        spans = [[tuple(_scalar(rng) for _ in range(n)) for _ in range(rng.randint(1, n))]]
+        spans += [span_basis(g.constants[i][j] for i in range(n) for j in range(n)) or spans[0]]
+        spans += [[tuple(_scalar(rng) for _ in range(n)) for _ in range(n)]]
+        spans += [span + [tuple(2 * x - y for x, y in zip(span[0], span[-1]))] for span in spans]
+        for span in spans:
+            names = [f"u{i}" for i in range(len(span))] if rng.random() < 0.5 else None
+            got = _outcome(subalgebra, g, span, names)
+            assert got == _outcome(reference_subalgebra, g, span, names)
+            if isinstance(got[0], LieAlgebra):
+                kinds["closed"] += len(span) > 1
+            else:
+                kinds["not closed" if got[0] is NotClosed else "dependent"] += 1
+    assert min(kinds.values()) > 0, kinds
