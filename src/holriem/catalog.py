@@ -72,7 +72,7 @@ from .liealg import (
     jacobi_witness,
     subalgebra,
 )
-from .linalg import CMatrix, Vector, act, in_span, is_nilpotent_matrix
+from .linalg import CMatrix, Vector, _completion, act, in_span, is_nilpotent_matrix
 from .models import (
     HomogeneousModel,
     IsotropyType,
@@ -278,24 +278,42 @@ def _report_order(expected: dict[str, str], order: tuple[str, ...]) -> dict[str,
 
 
 def entry_from_spec(entry_id: str, spec: dsl.SpecFile, algebra: LieAlgebra) -> CatalogEntry:
-    """The entry of a parsed file whose algebra ``dsl.to_algebra(spec)`` is
-    ``algebra``: a model when the file declares an isotropy, else the algebra
-    with its metric (or none); ``[expected]`` in report order."""
-    if spec.isotropy:
-        model = dsl.to_model(spec, algebra)
+    """The entry of a parsed file whose algebra ``LieAlgebra.from_table(spec.labels,
+    spec.brackets)`` is ``algebra``; ``[expected]`` in report order.  A file without an
+    isotropy gives the algebra with its form on the full basis (or none).  A file with
+    one gives a model: its complement is the basis vectors that complete the isotropy
+    in declared order, and its form keys must be their labels."""
+    if not spec.isotropy:
+        form = QuadraticForm.from_sparse(spec.labels, spec.form) if spec.form else None
         return CatalogEntry(
-            entry_id, algebra, model=model, expected=_report_order(spec.expected, _MODEL_KEYS)
+            entry_id, algebra, form=form, expected=_report_order(spec.expected, _METRIC_KEYS)
         )
-    form = dsl.to_metric(spec)
+    isotropy = [algebra.vector(combo) for combo in spec.isotropy]
+    positions = _completion(isotropy, algebra.dim)
+    labels = [algebra.basis_names[p] for p in positions]
+    form = None
+    if spec.form:
+        for a, b in spec.form:
+            if a not in labels or b not in labels:
+                raise ValueError(
+                    f"form entry ({a},{b}) uses a label outside the complement {labels}"
+                )
+        form = QuadraticForm.from_sparse(labels, spec.form)
+    model = HomogeneousModel(
+        algebra, isotropy, [algebra.basis_vector(p) for p in positions], quotient_form=form
+    )
     return CatalogEntry(
-        entry_id, algebra, form=form, expected=_report_order(spec.expected, _METRIC_KEYS)
+        entry_id, algebra, model=model, expected=_report_order(spec.expected, _MODEL_KEYS)
     )
 
 
 def build_catalog() -> list[CatalogEntry]:
     """One entry per id of ``CATALOG_IDS``, built from its shipped file."""
     specs = {entry_id: _shipped(entry_id)[1] for entry_id in CATALOG_IDS}
-    return [entry_from_spec(i, spec, dsl.to_algebra(spec)) for i, spec in specs.items()]
+    return [
+        entry_from_spec(i, spec, LieAlgebra.from_table(spec.labels, spec.brackets))
+        for i, spec in specs.items()
+    ]
 
 
 def check_prop_iv(params: ParamExtension) -> bool:

@@ -94,7 +94,7 @@ def _load(path: str) -> dsl.SpecFile:
 def _load_lie(path: str) -> tuple[dsl.SpecFile, LieAlgebra]:
     """Parse a file and build its algebra; a table breaking Jacobi is an input error."""
     spec = _load(path)
-    algebra = dsl.to_algebra(spec)
+    algebra = LieAlgebra.from_table(spec.labels, spec.brackets)
     jacobi = cat._jacobi_check("jacobi", algebra)
     if not jacobi.passed:
         raise ValueError(f"not a Lie algebra: Jacobi identity fails at {jacobi.witness}")
@@ -135,7 +135,7 @@ def _facts(entry: cat.CatalogEntry, keys: tuple[str, ...]) -> list[cat.CheckResu
 
 def _cmd_validate(args) -> int:
     spec = _load(args.file)
-    algebra = dsl.to_algebra(spec)
+    algebra = LieAlgebra.from_table(spec.labels, spec.brackets)
     records = [cat._jacobi_check("jacobi", algebra)]
     try:
         entry = cat.entry_from_spec(spec.name, spec, algebra)

@@ -1,4 +1,4 @@
-"""Line-oriented `.liealg` text format: parser, serializer, converters.
+"""Line-oriented `.liealg` text format: parser and serializer.
 
 Format (one key per line, `#` starts a comment, whitespace insignificant):
 
@@ -41,7 +41,8 @@ without a label must be 0 and cannot stand beside one with a label.
 Scalars are Gaussian rationals, e.g. `1/2 + 3/4 i`.  Bracket and isotropy
 values are linear combinations of declared basis labels.
 Serialization is canonical (fixed section order, keys sorted, scalars in
-lowest terms) and ``parse(serialize(s)) == s``.
+lowest terms) and ``parse(serialize(s)) == s``.  ``catalog.entry_from_spec``
+turns a parsed file into library objects.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-from .forms import QuadraticForm
-from .liealg import LieAlgebra
-from .linalg import Vector, _frame
-from .models import HomogeneousModel
 from .scalars import GaussianRational, ONE, Record, _make, _render, gr
 
 
@@ -580,63 +577,3 @@ def serialize(spec: SpecFile) -> str:
 
     return "\n".join(lines) + "\n"
 
-
-# -- conversion to domain objects ---------------------------------------------
-
-
-def to_algebra(spec: SpecFile) -> LieAlgebra:
-    return LieAlgebra.from_table(spec.labels, spec.brackets)
-
-
-def greedy_complement(
-    algebra: LieAlgebra, isotropy: Sequence[Vector]
-) -> list[tuple[str, Vector]]:
-    """Deterministic complement: basis vectors completing the isotropy,
-    taken in declared order.
-
-    The pivots of ``linalg._frame`` past the isotropy are the basis vectors a
-    scan in declared order keeps, up to the first n - k of them (all, when k > n).
-    """
-    n, k = algebra.dim, len(isotropy)
-    positions = [p - k for p in _frame(isotropy, n)[0] if p >= k]
-    if k <= n:
-        del positions[n - k:]
-    return [(algebra.basis_names[p], algebra.basis_vector(p)) for p in positions]
-
-
-def to_metric(spec: SpecFile) -> QuadraticForm | None:
-    """Form on the full basis; only for files without an isotropy section."""
-    if spec.isotropy:
-        raise ValueError("file declares an isotropy; use to_model instead")
-    if not spec.form:
-        return None
-    return QuadraticForm.from_sparse(spec.labels, spec.form)
-
-
-def to_model(spec: SpecFile, algebra: LieAlgebra | None = None) -> HomogeneousModel:
-    """Model with the greedy complement; form keys must use complement labels.
-
-    ``algebra`` is ``to_algebra(spec)``, passed by a caller that built it already.
-    """
-    if not spec.isotropy:
-        raise ValueError("file declares no isotropy section")
-    if algebra is None:
-        algebra = to_algebra(spec)
-    generators = [algebra.vector(combo) for combo in spec.isotropy]
-    chosen = greedy_complement(algebra, generators)
-    complement_labels = [label for label, _ in chosen]
-    quotient_form = None
-    if spec.form:
-        for a, b in spec.form:
-            if a not in complement_labels or b not in complement_labels:
-                raise ValueError(
-                    f"form entry ({a},{b}) uses a label outside the complement "
-                    f"{complement_labels}"
-                )
-        quotient_form = QuadraticForm.from_sparse(complement_labels, spec.form)
-    return HomogeneousModel(
-        algebra,
-        isotropy=generators,
-        complement=[v for _, v in chosen],
-        quotient_form=quotient_form,
-    )

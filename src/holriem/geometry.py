@@ -247,16 +247,6 @@ def _nonzero_sum(*vectors: Sequence) -> bool:
     return False
 
 
-def _lower(gram_rows: list, v: Sequence) -> list[GaussianRational]:
-    """(q(v, e_y))_y, from the nonzero entries of each Gram row."""
-    out = [ZERO] * len(gram_rows)
-    for l, x in enumerate(v):
-        if x:
-            for y, g in gram_rows[l]:
-                out[y] = addmul(out[y], x, g)
-    return out
-
-
 def _pairs(n: int) -> Iterable[tuple[int, int]]:
     """The pairs i <= j in lexicographic order: the first of each swap orbit."""
     return combinations_with_replacement(range(n), 2)
@@ -279,9 +269,9 @@ def compatibility_defect(
 ) -> tuple[int, int, int] | None:
     """First triple violating q(nabla_z x, y) + q(x, nabla_z y) = 0."""
     # low[z][x][y] = q(nabla_z x, e_y); the Gram matrix is symmetric.
-    rows, n = [_nonzero(row) for row in form.gram.entries], len(connection)
+    gram, n = form.gram, len(connection)
     _same_dim("form", form.dim, "connection", n)
-    low = [[_lower(rows, v) for v in vectors] for vectors in connection]
+    low = [[gram.apply(v) for v in vectors] for vectors in connection]
     return _first(
         ((z, x, y) for z in range(n) for x, y in _pairs(n)),
         lambda z, x, y: _add(low[z][x][y], low[z][y][x]),
@@ -317,9 +307,9 @@ def pair_skew_defect(
 ) -> tuple[int, int, int, int] | None:
     """First quadruple violating q(R(x,y)z, w) = -q(R(x,y)w, z)."""
     # low[i][j][k][l] = q(R(e_i,e_j)e_k, e_l); the Gram matrix is symmetric.
-    rows, n = [_nonzero(row) for row in form.gram.entries], len(tensor)
+    gram, n = form.gram, len(tensor)
     _same_dim("form", form.dim, "tensor", n)
-    low = [[[_lower(rows, v) for v in fibers] for fibers in plane] for plane in tensor]
+    low = [[[gram.apply(v) for v in fibers] for fibers in plane] for plane in tensor]
     return _first(
         ((i, j, k, l) for i, j in product(range(n), repeat=2) for k, l in _pairs(n)),
         lambda i, j, k, l: _add(low[i][j][k][l], low[i][j][l][k]),

@@ -5,7 +5,8 @@ and inverse exact; there is no numerical pivoting or tolerance anywhere in
 this module.  Every elimination runs through ``_reduce``, which visits
 only the nonzero entries of each pivot row.  ``_frame``, one elimination of
 [T | I], answers every span question: ``CMatrix.inverse``, ``in_span``,
-``liealg.subalgebra``, ``liealg.is_ideal`` and ``dsl.greedy_complement``.
+``liealg.subalgebra``, ``liealg.is_ideal`` and ``_completion``, the basis
+vectors that complete a span in order.
 A product A B adds a B[k][j] over the nonzero a = A[i][k] and B[k][j] only,
 row by row (Gustavson, ACM TOMS 4(3), 1978).  A minimal polynomial is the
 tuple of its coefficients in ascending degree, read from one elimination
@@ -205,6 +206,15 @@ def _frame(vectors: Sequence[Vector], n: int) -> tuple[list[int], list[list[Gaus
     identity = [[ONE if c == r else ZERO for c in range(n)] for r in range(n)]
     rows, pivots = _reduce([[v[r] for v in vectors] + identity[r] for r in range(n)])
     return pivots, [row[len(vectors):] for row in rows]
+
+
+def _completion(vectors: Sequence[Vector], n: int) -> list[int]:
+    """Positions p of the basis vectors e_p that complete the span of the vectors, taken
+    in order: the pivots of ``_frame`` past the vectors, the first n - k of them (all of
+    them when k = len(vectors) > n)."""
+    k = len(vectors)
+    positions = [p - k for p in _frame(vectors, n)[0] if p >= k]
+    return positions if k > n else positions[: n - k]
 
 
 def kernel(matrix: CMatrix) -> list[Vector]:

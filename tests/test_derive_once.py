@@ -383,18 +383,17 @@ def test_verify_all_zero_test_budget(monkeypatch):
     # pivot-row supports), 1072 in from_table, 864 in brackets, 747 in act (one call
     # per action on a model's whole symmetric basis; 1062 with one call per basis
     # form), 582 in products (1329 when each (row, column) pair tested both
-    # operands), 549 in _annihilated, 312 in the Killing form (987), 200 in apply
-    # (964), 154 in span questions (74 in subalgebra, 48 in in_span, 32 in is_ideal),
-    # 135 in levi_civita, 66 in curvature, 36 in induced_ad, 25 in _squarefree, 14 in
-    # is_zero, and 1644 in the checks and scans around them (469 in geometry._first,
-    # 432 lowering an index, 376 in geometry._add): 9797.  10135 when subalgebra
-    # bracketed all k^2 generator pairs and rebuilt its table through LieAlgebra(...)
-    # (328 there, 288 more in brackets), and in_span and is_ideal compared the ranks
-    # of two span_basis calls.
+    # operands), 549 in _annihilated, 332 in apply (132 of them lowering an index in
+    # the two defect scans; the other 200 were 964 before apply listed the vector's
+    # nonzero entries once), 312 in the Killing form (987), 154 in span questions (74
+    # in subalgebra, 48 in in_span, 32 in is_ideal), 135 in levi_civita, 66 in
+    # curvature, 36 in induced_ad, 25 in _squarefree, 14 in is_zero, and 1140 in the
+    # checks and scans around them (469 in geometry._first, 376 in geometry._add):
+    # 9425.  9797 when the defect scans lowered an index with a loop of their own
+    # over the nonzero Gram entries (432 there and 72 listing those entries, where
+    # apply now makes 132).
     # Fused steps, one per nonzero product: 160 in products, 130 in act, 114 in
-    # curvature, 94 in eliminations, 55 in brackets, 32 in the Jacobi scan, 27 in
-    # _annihilated, 26 in apply, 22 in levi_civita, 22 lowering an index, 16 in the
-    # Killing form, 15 in _squarefree and 7 in subalgebra: 720.  762 with all k^2
-    # generator pairs (25 more in brackets, 7 in subalgebra) and two span_basis calls
-    # per in_span and is_ideal (10 more in eliminations).
-    assert counts == {"__bool__": 9797, "steps": 720}
+    # curvature, 94 in eliminations, 55 in brackets, 48 in apply (22 of them lowering
+    # an index), 32 in the Jacobi scan, 27 in _annihilated, 22 in levi_civita, 16 in
+    # the Killing form, 15 in _squarefree and 7 in subalgebra: 720.
+    assert counts == {"__bool__": 9425, "steps": 720}

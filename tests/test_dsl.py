@@ -1,4 +1,4 @@
-"""Input-format parser, canonical serializer, and converters."""
+"""Input-format parser and canonical serializer, and the entries parsed files become."""
 
 import hashlib
 import random
@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from holriem.catalog import build_catalog, shipped_file_text
+from holriem.catalog import build_catalog, entry_from_spec, shipped_file_text
 from holriem.dsl import (
     MAX_NESTING,
     DslError,
@@ -15,15 +15,11 @@ from holriem.dsl import (
     MissingSection,
     UndeclaredLabel,
     format_combination,
-    greedy_complement,
     parse,
     parse_scalar,
     serialize,
-    to_algebra,
-    to_metric,
-    to_model,
 )
-from holriem.liealg import bracket
+from holriem.liealg import LieAlgebra, bracket
 from holriem.scalars import gr
 
 HEIS_TEXT = """
@@ -42,14 +38,19 @@ basis = X, Y, Z
 """
 
 
+def _entry(spec):
+    """The entry of a parsed file, its algebra built from the file's table."""
+    return entry_from_spec(spec.name, spec, LieAlgebra.from_table(spec.labels, spec.brackets))
+
+
 def test_parse_heis_file():
     spec = parse(HEIS_TEXT)
     assert spec.name == "heis3"
     assert spec.labels == ("X", "Y", "Z")
     assert spec.brackets == {("Y", "Z"): {"X": gr(1)}}
-    algebra = to_algebra(spec)
+    entry = _entry(spec)
+    algebra, form = entry.algebra, entry.form
     assert bracket(algebra, algebra.vector("Y"), algebra.vector("Z")) == algebra.vector("X")
-    form = to_metric(spec)
     assert form.apply(algebra.vector("X"), algebra.vector("Z")) == gr(1)
 
 
@@ -201,28 +202,20 @@ def test_empty_optional_sections_omitted():
 
 
 def test_to_model_greedy_complement():
-    text = shipped_file_text("c_oplus_sl2")
-    spec = parse(text)
-    model = to_model(spec)
-    labels = [label for label, _ in greedy_complement(to_algebra(spec), model.isotropy)]
+    model = _entry(parse(shipped_file_text("c_oplus_sl2"))).model
+    labels = [model.algebra.basis_names[complement.index(1)] for complement in model.complement]
     assert labels == ["H", "E", "F"]
 
 
 def test_to_model_quotient_form_on_complement():
     # With isotropy Y the greedy complement is (X, Z); form keys must stay there.
     good = HEIS_TEXT.replace('"Y,Y" = 1', '"Z,Z" = 1') + '\n[isotropy]\ngen = Y\n'
-    model = to_model(parse(good))
+    model = _entry(parse(good)).model
     assert model.quotient_form is not None
     assert model.quotient_form.dim == 2
     bad = HEIS_TEXT + '\n[isotropy]\ngen = Y\n'  # keeps the (Y,Y) entry
     with pytest.raises(ValueError):
-        to_model(parse(bad))
-
-
-def test_to_metric_rejects_model_files():
-    spec = parse(HEIS_TEXT + '\n[isotropy]\ngen = Y\n')
-    with pytest.raises(ValueError):
-        to_metric(spec)
+        _entry(parse(bad))
 
 
 def test_expected_normalization():
@@ -293,8 +286,8 @@ def test_complex_diagonal_form_entry():
     text = HEIS_TEXT.replace('"X,Z" = 1', '"X,Z" = 1\n"X,X" = 1/2 + i')
     spec = parse(text)
     assert spec.form[("X", "X")] == gr(Fraction(1, 2), 1)
-    algebra = to_algebra(spec)
-    form = to_metric(spec)
+    entry = _entry(spec)
+    algebra, form = entry.algebra, entry.form
     assert form.apply(algebra.vector("X"), algebra.vector("X")) == gr(Fraction(1, 2), 1)
 
 

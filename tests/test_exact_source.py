@@ -1,10 +1,11 @@
 """The package is exact: no float or complex value and no random number in its
 source, no identity test against the shared ``ZERO`` or ``ONE``, and no
 ``GaussianRational`` made without ``__init__`` outside ``scalars._make``; no
-module but ``linalg`` names its elimination ``_reduce``; every
-check of the catalog that can fail names a witness; and every module-level
-function, class and assigned name, and every named method and property of
-such a class, is used in the package."""
+module but ``linalg`` names its elimination ``_reduce``; ``dsl`` imports
+nothing from the package but ``scalars``; every check of the catalog that
+can fail names a witness; and every module-level function, class and
+assigned name, and every named method and property of such a class, is
+used in the package."""
 
 import ast
 from collections import Counter
@@ -198,6 +199,64 @@ def test_the_scan_finds_reduce_outside_linalg():
     assert [line for line, _ in _reduce_spellings(ast.parse(source))] == [1, 3, 4, 5]
     linalg = next(path for path in SOURCES if path.name == "linalg.py")
     assert _reduce_spellings(ast.parse(linalg.read_text(encoding="utf-8")))
+
+
+def _package_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, module) for each ``holriem`` module an import names: ``from .a import x``,
+    ``from holriem.a import x`` and ``import holriem.a`` name a; ``from . import a, b``
+    and ``from holriem import a, b`` name a and b; a bare ``import holriem`` names it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "holriem":
+                    found.append((node.lineno, parts[1] if len(parts) > 1 else "holriem"))
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if not node.level:
+                if parts[0] != "holriem":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.append((node.lineno, parts[0]))
+            else:
+                found.extend((node.lineno, alias.name) for alias in node.names)
+    return sorted(found)
+
+
+def test_dsl_imports_only_scalars_from_the_package():
+    # The text format knows no library object: catalog.entry_from_spec builds them.
+    dsl = next(path for path in SOURCES if path.name == "dsl.py")
+    imported = _package_imports(ast.parse(dsl.read_text(encoding="utf-8")))
+    assert [module for _, module in imported] == ["scalars"]
+
+
+def test_the_scan_finds_package_imports():
+    source = (
+        "from .scalars import gr\n"
+        "from .linalg import _frame, Vector\n"
+        "from . import liealg, models\n"
+        "import holriem.forms\n"
+        "from holriem.geometry import curvature\n"
+        "from holriem import catalog\n"
+        "import re, holriem\n"
+        "from typing import Sequence\n"
+        "import holriemish\n"
+    )
+    assert _package_imports(ast.parse(source)) == [
+        (1, "scalars"),
+        (2, "linalg"),
+        (3, "liealg"),
+        (3, "models"),
+        (4, "forms"),
+        (5, "geometry"),
+        (6, "catalog"),
+        (7, "holriem"),
+    ]
+    catalog = next(path for path in SOURCES if path.name == "catalog.py")
+    imported = _package_imports(ast.parse(catalog.read_text(encoding="utf-8")))
+    assert "dsl" in [module for _, module in imported]
 
 
 def _unwitnessed(tree: ast.AST) -> list[tuple[int, str]]:

@@ -3,11 +3,12 @@ and the model actions against the references they replaced.
 
 ``derived_series`` and ``lower_central_series`` read [g, g] from the
 constants and bracket only the pairs u < v in a derived step; ``in_span``,
-``is_ideal`` and ``greedy_complement`` eliminate once; ``subalgebra``
-brackets only the generator pairs i < j; a model derives its isotropy
-actions at construction.  The references in ``conftest`` bracket every
-ordered pair and test span membership vector by vector, as a comparison of
-two ranks.  The outputs agree for any antisymmetric table, Jacobi or not.
+``is_ideal`` and the greedy complement ``linalg._completion`` eliminate
+once; ``subalgebra`` brackets only the generator pairs i < j; a model
+derives its isotropy actions at construction.  The references in
+``conftest`` bracket every ordered pair and test span membership vector by
+vector, as a comparison of two ranks.  The outputs agree for any
+antisymmetric table, Jacobi or not.
 """
 
 import random
@@ -32,7 +33,6 @@ from holriem.catalog import (
     build_param_extension,
     heis_stabilizer_model,
 )
-from holriem.dsl import greedy_complement
 from holriem.liealg import (
     LieAlgebra,
     NotClosed,
@@ -43,7 +43,7 @@ from holriem.liealg import (
     lower_central_series,
     subalgebra,
 )
-from holriem.linalg import CMatrix, in_span, span_basis
+from holriem.linalg import CMatrix, _completion, in_span, span_basis
 from holriem.models import HomogeneousModel, induced_ad
 from holriem.scalars import gr
 
@@ -54,6 +54,11 @@ GRID_ALGEBRAS = [build_param_extension(ParamExtension(*p)) for p in GRID]
 MODELS = [entry.model for entry in CATALOG if entry.model is not None] + [
     heis_stabilizer_model(ParamExtension(*p)) for p in GRID
 ]
+
+
+def _greedy_complement(g, vectors):
+    """(label, basis vector) at each position ``_completion`` keeps, as the reference lists them."""
+    return [(g.basis_names[p], g.basis_vector(p)) for p in _completion(vectors, g.dim)]
 
 
 def _scalar(rng):
@@ -129,7 +134,7 @@ def test_is_ideal_and_greedy_complement_match_the_span_scan(algebras):
             vectors = _random_isotropy(rng, g.dim)
             dependent += len(span_basis(vectors)) < len(vectors)
             assert is_ideal(g, vectors) == reference_is_ideal(g, vectors)
-            assert greedy_complement(g, vectors) == reference_greedy_complement(g, vectors)
+            assert _greedy_complement(g, vectors) == reference_greedy_complement(g, vectors)
             for v in _random_isotropy(probes, g.dim) + [bracket(g, u, w) for u in vectors for w in vectors]:
                 member = in_span(vectors, v)
                 assert member == reference_in_span(vectors, v)
@@ -141,7 +146,7 @@ def test_model_isotropies_match_the_span_scan():
     for model in MODELS:
         g, iso = model.algebra, list(model.isotropy)
         assert is_ideal(g, iso) == reference_is_ideal(g, iso)
-        assert greedy_complement(g, iso) == reference_greedy_complement(g, iso)
+        assert _greedy_complement(g, iso) == reference_greedy_complement(g, iso)
 
 
 def test_model_actions_are_the_induced_actions():
