@@ -3,9 +3,9 @@ verification suite that machine-checks every expected property.
 
 The catalog is the shipped ``.liealg`` files under ``data/``: one file per
 id of ``CATALOG_IDS``, named for its entry and stored in canonical form.
-``entry_from_spec`` turns a parsed file into its entry, for the catalog and
-the CLI alike; only the stabilizer family, which takes parameters, is built
-in code (``build_param_extension``).
+``read_text`` parses a file's text and builds its algebra once while its memo
+holds the text, and ``entry_from_spec`` turns the two into an entry, for the catalog
+and the CLI alike; only the stabilizer family is built in code (``build_param_extension``).
 
 ``FACTS`` renders the fact of each key of ``dsl.EXPECTED_KINDS``; the
 per-entry checks compare its text with the file's ``[expected]`` value,
@@ -31,7 +31,7 @@ and a grid point where the claim cannot be evaluated fails its proof with
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from importlib import resources
 from itertools import product, zip_longest
 from json.encoder import encode_basestring_ascii
@@ -83,6 +83,7 @@ from .models import (
 from .scalars import GaussianRational, ONE, Record, ZERO, as_gr, gr
 
 DEFAULT_SEED = 42
+READ_TEXT_BOUND = 32  # texts ``read_text`` holds; a round bound: files cycled up to 32 are read once
 
 # The shipped files under data/, one per entry, in report order.
 CATALOG_IDS = (
@@ -260,14 +261,20 @@ def shipped_file_text(entry_id: str) -> str:
     )
 
 
-@cache
-def _shipped(entry_id: str) -> tuple[str, dsl.SpecFile]:
-    """Text and parse of one shipped file, read once per process.
+@lru_cache(maxsize=READ_TEXT_BOUND)
+def read_text(text: str) -> tuple[dsl.SpecFile, LieAlgebra]:
+    """Parse and algebra of a text, held with the text for the last ``READ_TEXT_BOUND`` that parsed:
+    O(text size) each, no byte limit (a dense file at ``dsl.MAX_DIM``, 273 KB, takes 6.1 MB).  Input
+    only: callers share it and must not mutate it; derived data stays per report or command."""
+    spec = dsl.parse(text)
+    return spec, LieAlgebra.from_table(spec.labels, spec.brackets)
 
-    Package data is read-only; callers share the result and must not mutate it.
-    """
+
+@cache
+def _shipped(entry_id: str) -> tuple[str, dsl.SpecFile, LieAlgebra]:
+    """Text, parse and algebra of a shipped file, read-only, once per process via ``read_text``."""
     text = shipped_file_text(entry_id)
-    return text, dsl.parse(text)
+    return (text, *read_text(text))
 
 
 def _report_order(expected: dict[str, str], order: tuple[str, ...]) -> dict[str, str]:
@@ -278,11 +285,10 @@ def _report_order(expected: dict[str, str], order: tuple[str, ...]) -> dict[str,
 
 
 def entry_from_spec(entry_id: str, spec: dsl.SpecFile, algebra: LieAlgebra) -> CatalogEntry:
-    """The entry of a parsed file whose algebra ``LieAlgebra.from_table(spec.labels,
-    spec.brackets)`` is ``algebra``; ``[expected]`` in report order.  A file without an
-    isotropy gives the algebra with its form on the full basis (or none).  A file with
-    one gives a model: its complement is the basis vectors that complete the isotropy
-    in declared order, and its form keys must be their labels."""
+    """The entry of a parsed file whose algebra ``read_text`` built; ``[expected]`` in report
+    order.  A file without an isotropy gives the algebra with its form on the full basis (or
+    none).  A file with one gives a model: its complement is the basis vectors that complete
+    the isotropy in declared order, and its form keys must be their labels."""
     if not spec.isotropy:
         form = QuadraticForm.from_sparse(spec.labels, spec.form) if spec.form else None
         return CatalogEntry(
@@ -309,11 +315,7 @@ def entry_from_spec(entry_id: str, spec: dsl.SpecFile, algebra: LieAlgebra) -> C
 
 def build_catalog() -> list[CatalogEntry]:
     """One entry per id of ``CATALOG_IDS``, built from its shipped file."""
-    specs = {entry_id: _shipped(entry_id)[1] for entry_id in CATALOG_IDS}
-    return [
-        entry_from_spec(i, spec, LieAlgebra.from_table(spec.labels, spec.brackets))
-        for i, spec in specs.items()
-    ]
+    return [entry_from_spec(i, *_shipped(i)[1:]) for i in CATALOG_IDS]
 
 
 def check_prop_iv(params: ParamExtension) -> bool:
@@ -878,7 +880,7 @@ def verify_shipped_files() -> list[CheckResult]:
 
 def _shipped_file_check(check_id: str, entry_id: str) -> CheckResult:
     try:
-        text, spec = _shipped(entry_id)
+        text, spec, _ = _shipped(entry_id)
     except OSError as exc:
         return _check(check_id, False, witness=str(exc))
     if spec.name != entry_id:

@@ -86,15 +86,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str) -> dsl.SpecFile:
+def _load(path: str) -> tuple[dsl.SpecFile, LieAlgebra]:
     with open(path, "r", encoding="utf-8") as handle:
-        return dsl.parse(handle.read())
+        return cat.read_text(handle.read())
 
 
 def _load_lie(path: str) -> tuple[dsl.SpecFile, LieAlgebra]:
-    """Parse a file and build its algebra; a table breaking Jacobi is an input error."""
-    spec = _load(path)
-    algebra = LieAlgebra.from_table(spec.labels, spec.brackets)
+    """A file's parse and algebra; a table breaking Jacobi is an input error."""
+    spec, algebra = _load(path)
     jacobi = cat._jacobi_check("jacobi", algebra)
     if not jacobi.passed:
         raise ValueError(f"not a Lie algebra: Jacobi identity fails at {jacobi.witness}")
@@ -134,8 +133,7 @@ def _facts(entry: cat.CatalogEntry, keys: tuple[str, ...]) -> list[cat.CheckResu
 
 
 def _cmd_validate(args) -> int:
-    spec = _load(args.file)
-    algebra = LieAlgebra.from_table(spec.labels, spec.brackets)
+    spec, algebra = _load(args.file)
     records = [cat._jacobi_check("jacobi", algebra)]
     try:
         entry = cat.entry_from_spec(spec.name, spec, algebra)

@@ -114,8 +114,8 @@ _PAIR_KEY_RE = re.compile(
 
 
 class SpecFile(Record):
-    """Parsed declarative description of an algebra with optional extras;
-    unlike the other records it is mutable, so it is unhashable."""
+    """Parsed declarative description of an algebra with optional extras; mutable, so
+    unhashable, but ``catalog.read_text`` shares each parse, so no caller may mutate one."""
 
     __slots__ = _fields = ("name", "labels", "brackets", "form", "isotropy", "expected")
     __setattr__, __delattr__ = object.__setattr__, object.__delattr__

@@ -11,7 +11,7 @@ from typing import Sequence
 import pytest
 from hypothesis import settings
 
-from holriem import geometry
+from holriem import catalog, geometry
 from holriem.catalog import ParamExtension
 from holriem.geometry import ConnectionTable, CurvatureTensor
 from holriem.liealg import LieAlgebra, NotClosed, bracket
@@ -20,6 +20,12 @@ from holriem.scalars import ONE, ZERO, GaussianRational, as_gr, gr
 
 settings.register_profile("exact", derandomize=True)
 settings.load_profile("exact")
+
+
+@pytest.fixture(autouse=True)
+def cold_read_memo():
+    """Each test starts with an empty ``catalog.read_text`` memo, as a fresh process does."""
+    catalog.read_text.cache_clear()
 
 
 def _mutate_structure_constant(
