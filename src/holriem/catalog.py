@@ -178,6 +178,14 @@ class CatalogEntry(Record):
         return derived_series(self.algebra, self.derived_algebra)
 
     @cached_property
+    def semisimple(self) -> bool:
+        return is_semisimple(self.algebra)
+
+    @cached_property
+    def nilpotent(self) -> bool:
+        return is_nilpotent(self.algebra, self.derived_algebra)
+
+    @cached_property
     def center(self) -> list[Vector]:
         return center(self.algebra)
 
@@ -208,12 +216,12 @@ def _invariance(entry: CatalogEntry) -> str:
 # fact the entry does not have (the class of a 4-dimensional algebra, the
 # isotropy of an entry without a model) raises ValueError.
 FACTS: dict[str, Callable[[CatalogEntry], str]] = {
-    "class": lambda e: classify_3d_unimodular(e.algebra).name,
+    "class": lambda e: classify_3d_unimodular(e.algebra, e).name,
     "constant_curvature": lambda e: _render_constant(e.constant_curvature),
     "unimodular": lambda e: _yes_no(is_unimodular(e.algebra)),
     "solvable": lambda e: _yes_no(e.derived_series[-1] == 0),
-    "nilpotent": lambda e: _yes_no(is_nilpotent(e.algebra, e.derived_algebra)),
-    "semisimple": lambda e: _yes_no(is_semisimple(e.algebra)),
+    "nilpotent": lambda e: _yes_no(e.nilpotent),
+    "semisimple": lambda e: _yes_no(e.semisimple),
     "center_dim": lambda e: str(len(e.center)),
     "derived_dims": lambda e: ",".join(map(str, e.derived_series)),
     "isotropy": lambda e: e.isotropy_type.name,

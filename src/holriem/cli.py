@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import catalog as cat
 from . import dsl
-from .geometry import flatness_defect
+from .geometry import constant_curvature_defect
 from .liealg import LieAlgebra
 from .scalars import ZERO
 
@@ -178,18 +178,18 @@ def _load_entry(path: str, model: bool) -> cat.CatalogEntry:
     return entry
 
 
-def _combination_record(names, record_id: str, vector) -> cat.CheckResult:
-    if vector == (ZERO,) * len(names):
-        return cat._check(record_id, True, value="0")
+def _combination_record(names, record_id: str, vector, zero) -> cat.CheckResult:
+    if vector == zero:
+        return cat.CheckResult(record_id, "pass", None, "0")
     combo = {names[k]: c for k, c in enumerate(vector) if c}
-    return cat._check(record_id, True, value=dsl.format_combination(names, combo))
+    return cat.CheckResult(record_id, "pass", None, dsl.format_combination(names, combo))
 
 
 def _cmd_connection(args) -> int:
     entry = _load_entry(args.file, model=False)
-    names = entry.algebra.basis_names
+    names, zero = entry.algebra.basis_names, (ZERO,) * entry.algebra.dim
     records = [
-        _combination_record(names, f"nabla({a},{b})", entry.connection[i][j])
+        _combination_record(names, f"nabla({a},{b})", entry.connection[i][j], zero)
         for i, a in enumerate(names)
         for j, b in enumerate(names)
     ]
@@ -198,11 +198,11 @@ def _cmd_connection(args) -> int:
 
 def _cmd_curvature(args) -> int:
     entry = _load_entry(args.file, model=False)
-    names = entry.algebra.basis_names
+    names, zero = entry.algebra.basis_names, (ZERO,) * entry.algebra.dim
     # Below dimension 2 there is no pair x < y to list, and R vanishes.
     records = [
         _combination_record(
-            names, f"R({names[i]},{names[j]}){names[k]}", entry.tensor[i][j][k]
+            names, f"R({names[i]},{names[j]}){names[k]}", entry.tensor[i][j][k], zero
         )
         for i, j in combinations(range(len(names)), 2)
         for k in range(len(names))
@@ -215,8 +215,8 @@ def _cmd_constcurv(args) -> int:
     rendered = cat.FACTS["constant_curvature"](entry)
     witness = None
     if entry.constant_curvature is None:
-        # A zero tensor is Constant(0), so a nonzero component always exists.
-        witness = cat._triple_str(entry.algebra, flatness_defect(entry.tensor))
+        # A zero tensor is Constant(0): the defect at k = 0, a nonzero fiber, exists.
+        witness = cat._triple_str(entry.algebra, constant_curvature_defect(entry.form, entry.tensor, 0))
     # The certificate is data, not a check, so it passes and keeps its witness.
     return _print_records(
         args,

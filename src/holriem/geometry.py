@@ -29,13 +29,16 @@ of the nonzero entries of each slot only: the algebra's ``terms`` for
 c_ij, and lists made here for G, G^-1 and Gamma_ij.  ``levi_civita``
 adds each nonzero term of the lowered constants into its three Koszul
 slots, held only where some term reaches, and then applies G^-1 / 2 row
-by row; ``curvature`` evaluates the n^3 fibers by the sum above, and
-shares one zero fiber among those that no term reaches.  No fiber is
-copied from another by antisymmetry, Bianchi or pair skew, the
-identities that ``*_defect`` checks on the result.  A whole fiber or
-vector is tested for zero by one tuple comparison with the zero vector,
-which CPython settles in C by identity where entries are the shared
-``ZERO`` (see ``scalars``); equality, not identity, decides the result.
+by row; ``curvature`` fills the n^3 fibers in one loop nest, reading the
+lists of Gamma_i, Gamma_j and c_ij once per pair (i, j), and appends one
+shared zero fiber wherever no term reaches.  No fiber is copied from
+another by antisymmetry, Bianchi or pair skew, the identities that
+``*_defect`` checks on the result.  A whole fiber or vector is tested for
+zero by one tuple comparison with the zero vector, which CPython settles
+in C by identity where entries are the shared ``ZERO`` (see ``scalars``);
+equality, not identity, decides the result.  ``constant_curvature_defect``
+thus settles a pair (i, j) whose model row is zero (i = j, or k = 0) by one
+comparison of its n fibers with the zero row, and builds k q only for k != 0.
 
 Each ``*_defect`` scan returns the first index tuple, in lexicographic
 order, where its identity fails.  On any input the defect takes one value
@@ -128,29 +131,31 @@ def curvature(algebra: LieAlgebra, connection: ConnectionTable) -> CurvatureTens
     n = algebra.dim
     _same_dim("connection", len(connection), "algebra", n)
     gamma = [[_nonzero(v) for v in row] for row in connection]
-    brackets = algebra.terms
     zero = (ZERO,) * n
-
-    def fiber(i: int, j: int, k: int) -> Vector:
-        if not (gamma[j][k] or gamma[i][k] or brackets[i][j]):
-            return zero  # no term reaches this fiber
-        out = [ZERO] * n
-        # Gamma_jk^l nabla_i e_l - Gamma_ik^l nabla_j e_l - c_ij^l nabla_l e_k
-        for l, a in gamma[j][k]:
-            for m, b in gamma[i][l]:
-                out[m] = addmul(out[m], a, b)
-        for l, a in gamma[i][k]:
-            for m, b in gamma[j][l]:
-                out[m] = submul(out[m], a, b)
-        for l, a in brackets[i][j]:
-            for m, b in gamma[l][k]:
-                out[m] = submul(out[m], a, b)
-        return tuple(out)
-
-    return tuple(
-        tuple(tuple(fiber(i, j, k) for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    tensor = []
+    for gamma_i, brackets in zip(gamma, algebra.terms):
+        plane = []
+        for gamma_j, c_ij in zip(gamma, brackets):
+            fibers = []
+            for k, (gamma_jk, gamma_ik) in enumerate(zip(gamma_j, gamma_i)):
+                if not (gamma_jk or gamma_ik or c_ij):
+                    fibers.append(zero)  # no term reaches this fiber
+                    continue
+                out = [ZERO] * n
+                # Gamma_jk^l nabla_i e_l - Gamma_ik^l nabla_j e_l - c_ij^l nabla_l e_k
+                for l, a in gamma_jk:
+                    for m, b in gamma_i[l]:
+                        out[m] = addmul(out[m], a, b)
+                for l, a in gamma_ik:
+                    for m, b in gamma_j[l]:
+                        out[m] = submul(out[m], a, b)
+                for l, a in c_ij:
+                    for m, b in gamma[l][k]:
+                        out[m] = submul(out[m], a, b)
+                fibers.append(tuple(out))
+            plane.append(tuple(fibers))
+        tensor.append(tuple(plane))
+    return tuple(tensor)
 
 
 def _model_entry(gram, i: int, j: int, k: int, l: int) -> GaussianRational:
@@ -198,23 +203,23 @@ def constant_curvature_defect(
     """First basis triple violating ``R(x,y)z = k (q(y,z)x - q(x,z)y)``."""
     n = len(tensor)
     _same_dim("form", form.dim, "tensor", n)
-    value = as_gr(k)
-    kq = [[value * g for g in row] for row in form.gram.entries]
-    minus_kq = [[-x for x in row] for row in kq]
-
-    def model(i: int, j: int, m: int) -> Vector:
-        out = [ZERO] * n
-        if i != j:  # k q_jm at slot i and -k q_im at slot j, zero when i = j
-            out[i], out[j] = kq[j][m], minus_kq[i][m]
-        return tuple(out)
-
-    return _first(product(range(n), repeat=3), lambda i, j, m: tensor[i][j][m] != model(i, j, m))
-
-
-def flatness_defect(tensor: CurvatureTensor) -> tuple[int, int, int] | None:
-    """First basis triple with a nonzero curvature component, or None."""
-    zero = (ZERO,) * len(tensor)
-    return _first(product(range(len(tensor)), repeat=3), lambda i, j, k: tensor[i][j][k] != zero)
+    value, zero = as_gr(k), (ZERO,) * n
+    zero_row, flat = (zero,) * n, not value
+    if not flat:
+        kq = [[value * g for g in row] for row in form.gram.entries]
+        minus_kq = [[-x for x in row] for row in kq]
+    for i, j in product(range(n), repeat=2):
+        fibers = tensor[i][j]
+        if flat or i == j:  # a zero model row: one comparison settles the pair
+            if fibers != zero_row:
+                return i, j, next(m for m in range(n) if fibers[m] != zero)
+            continue
+        for m in range(n):
+            model = [ZERO] * n  # k q_jm at slot i and -k q_im at slot j
+            model[i], model[j] = kq[j][m], minus_kq[i][m]
+            if fibers[m] != tuple(model):
+                return i, j, m
+    return None
 
 
 def ricci(tensor: CurvatureTensor) -> QuadraticForm:

@@ -279,23 +279,25 @@ def is_semisimple(algebra: LieAlgebra) -> bool:
     return killing_form(algebra).nondegenerate
 
 
-def classify_3d_unimodular(algebra: LieAlgebra) -> AlgebraClass:
+def classify_3d_unimodular(algebra: LieAlgebra, facts=None) -> AlgebraClass:
     """Classify a 3-dimensional unimodular complex Lie algebra by invariants.
 
     The tag is decided by basis-free data (Killing rank, derived
     dimension, nilpotency), so it is invariant under any exact change of
-    basis.  The one [g, g] it derives also starts the lower central series.
+    basis.  They are read, as far as the decision needs, from ``facts``'
+    ``semisimple``, ``derived_algebra`` and ``nilpotent`` (a ``CatalogEntry``
+    derives each once), or else derived here from one [g, g].
     """
     if algebra.dim != 3:
         raise WrongDimension("classification requires a 3-dimensional algebra")
     if not is_unimodular(algebra):
         raise NotUnimodular("classification requires a unimodular algebra")
-    if is_semisimple(algebra):
+    if is_semisimple(algebra) if facts is None else facts.semisimple:
         return AlgebraClass.SL2
-    commutator = derived_algebra(algebra)
+    commutator = derived_algebra(algebra) if facts is None else facts.derived_algebra
     if not commutator:
         return AlgebraClass.ABELIAN_C3
-    if is_nilpotent(algebra, commutator):
+    if is_nilpotent(algebra, commutator) if facts is None else facts.nilpotent:
         return AlgebraClass.HEIS
     return AlgebraClass.SOL
 

@@ -205,15 +205,21 @@ def test_verify_all_eliminates_each_subalgebra_once(work):
     # elimination, which decides nilpotency too, and tests semisimplicity with
     # no elimination: 111 when the two nilpotent ones stopped at a matrix power
     # A^k = 0 with no minimal polynomial, 126 when each of the five others made
-    # three solves and one rank.
-    assert work["_reduce"] == 106
+    # three solves and one rank.  Each 3-dimensional catalog entry derives [g, g],
+    # its semisimplicity and its nilpotency once, which its class reads too: 100,
+    # where the class derived them again and made 106 (one more [g, g] each for
+    # flat_c3, heis3 and sol3, one more Killing rank for sl2, and one more lower
+    # central series step each for heis3 and sol3).
+    assert work["_reduce"] == 100
 
 
 def test_verify_all_brackets_each_generator_pair_once(work):
     assert catalog.verify_all(42).all_pass
     # Each of the six subalgebra spans of three generators brackets its 3 pairs
     # i < j, antisymmetry giving the rest: 154 when each bracketed all 9 pairs.
-    assert work["bracket"] == 118
+    # The class of heis3 and sol3 reads the nilpotency their entries derive: 118
+    # when it ran the lower central series again (3 and 6 brackets).
+    assert work["bracket"] == 109
 
 
 def test_verify_all_inverts_no_frame_twice(eliminations):
@@ -229,14 +235,14 @@ def test_elimination_counters_agree(work, eliminations):
     # ``work`` is set up first, so it wraps every module's binding of the real
     # ``_reduce`` and ``eliminations`` wraps linalg's only: the counts agree
     # when every elimination is called through the module, as a tracer sees it.
-    # 106, as counted above (113 when in_span and is_ideal eliminated twice).
+    # 100, as counted above (106 when the class derived its facts again).
     assert catalog.verify_all(42).all_pass
-    assert eliminations["_reduce"] == work["_reduce"] == 106
+    assert eliminations["_reduce"] == work["_reduce"] == 100
 
 
 def test_a_second_report_derives_as_much_as_the_first(calls, eliminations):
     # No derived value (a Gram inverse, so(q), a connection) outlives its report.
-    # 106 eliminations, as counted above (113 when in_span and is_ideal eliminated twice).
+    # 100 eliminations, as counted above (106 when the class derived its facts again).
     counts = []
     for _ in range(2):
         assert catalog.verify_all(42).all_pass
@@ -244,7 +250,7 @@ def test_a_second_report_derives_as_much_as_the_first(calls, eliminations):
         calls.update(dict.fromkeys(calls, 0))
         eliminations.update(dict.fromkeys(eliminations, 0))
     assert counts[0] == counts[1] == (
-        {"levi_civita": 6, "curvature": 6}, {"_reduce": 106, "inverse": 19}
+        {"levi_civita": 6, "curvature": 6}, {"_reduce": 100, "inverse": 19}
     )
 
 
@@ -284,6 +290,29 @@ def test_verify_all_derives_each_fact_once_per_entry(facts):
     assert facts == {"center": 15, "derived_series": 4, "isotropy_type": 7}
 
 
+@pytest.mark.parametrize(
+    "entry_id, expected",
+    [
+        # The class reads the entry's [g, g], semisimplicity and nilpotency: each
+        # structural fact once (2 [g, g] and, for heis3, sol3 and sl2, 2 lower
+        # central series or 2 Killing forms when the class derived its own).
+        ("flat_c3", {"derived_algebra": 1, "lower_central_series": 1, "killing_form": 1}),
+        ("heis3", {"derived_algebra": 1, "lower_central_series": 1, "killing_form": 1}),
+        ("sol3", {"derived_algebra": 1, "lower_central_series": 1, "killing_form": 1}),
+        # Semisimple: the class stops at the Killing form; no key asks for nilpotency.
+        ("sl2", {"derived_algebra": 1, "lower_central_series": 0, "killing_form": 1}),
+    ],
+)
+def test_verify_entry_derives_each_structural_fact_once(entry_id, expected, monkeypatch):
+    entry = next(e for e in catalog.build_catalog() if e.id == entry_id)
+    counts = _count_everywhere(
+        monkeypatch,
+        ((liealg, "derived_algebra"), (liealg, "lower_central_series"), (liealg, "killing_form")),
+    )
+    assert all(check.passed for check in catalog.verify_entry(entry))
+    assert counts == expected
+
+
 def test_verify_all_scans_each_constant_once(monkeypatch):
     counts = _count_everywhere(monkeypatch, ((geometry, "constant_curvature_defect"),))
     assert catalog.verify_all(42).all_pass
@@ -321,18 +350,24 @@ basis = H, E, F, X, Y, Z, U, V, T
 @pytest.mark.parametrize(
     "command, expected",
     [
-        # 18 in parsing, 108 building the bracket terms, 211 in the elimination
-        # that inverts G, 252 listing the nonzero entries of the 9 Gram rows, the
-        # 9 rows of G^-1 and the 10 nonzero Christoffel vectors (the 71 zero ones
-        # take one tuple comparison each), 15 at the Koszul slots some term
-        # reaches, and 54 for the 6 nonzero fibers printed (the 318 zero ones
-        # print "0" after one tuple comparison).  5635 when every entry of every
-        # Koszul sum, Christoffel vector and printed fiber was tested.
+        # 12 in dsl.parse and 6 in QuadraticForm.from_sparse, 108 building the
+        # bracket terms, 211 in the elimination that inverts G, 252 listing the
+        # nonzero entries of the 9 Gram rows, the 9 rows of G^-1 and the 10
+        # nonzero Christoffel vectors (the 71 zero ones take one tuple comparison
+        # each), 15 at the Koszul slots some term reaches, and 60 for the 6
+        # nonzero fibers printed, 54 listing their entries and 6 in
+        # format_combination (the 318 zero ones print "0" after one tuple
+        # comparison).  5635 when every entry of every Koszul sum, Christoffel
+        # vector and printed fiber was tested.
         ("curvature", 664),
         # As above up to the fibers, then 83 in finding the first nonzero entry
-        # of the model tensor; the defect scans compare whole fibers and test
-        # no entry.  3086 when they tested every entry up to the witness.
-        ("constcurv", 687),
+        # of the model tensor, and one in each of the two defect scans, at the
+        # candidate -1/8 and at k = 0 for the witness, deciding whether k is 0
+        # (687 when the witness came from a flatness scan of its own).  The scans
+        # compare whole fibers, or a pair's whole row where the model row is
+        # zero, and test no entry.  3086 when they tested every entry up to the
+        # witness.
+        ("constcurv", 689),
     ],
 )
 def test_metric_commands_zero_test_budget(command, expected, tmp_path, monkeypatch, capsys):
@@ -356,10 +391,10 @@ def test_constcurv_zero_test_budget_on_a_held_text(tmp_path, monkeypatch, capsys
     assert cli_module.cli(["constcurv", str(path)]) == 0
     counts = _count_zero_tests_and_steps(monkeypatch)
     assert cli_module.cli(["constcurv", str(path)]) == 0
-    # 687 as above, less the 12 of the parse and the 108 building the bracket
+    # 689 as above, less the 12 of the parse and the 108 building the bracket
     # terms, both kept by catalog.read_text; the form, the connection and
     # everything after them are derived again.
-    assert counts["__bool__"] == 567
+    assert counts["__bool__"] == 569
 
 
 def _count_zero_tests_and_steps(monkeypatch):
@@ -392,23 +427,28 @@ def test_verify_all_zero_test_budget(monkeypatch):
     counts = _count_zero_tests_and_steps(monkeypatch)
     assert catalog.verify_all(42).all_pass
     # Zero tests, by the innermost function making them (_dot, _nonzero and generator
-    # expressions count to their caller): 3397 in eliminations (pivot searches and
-    # pivot-row supports), 876 in from_table, 864 in brackets, 747 in act (one call
+    # expressions count to their caller): 3318 in eliminations (pivot searches and
+    # pivot-row supports), 876 in from_table, 810 in brackets, 747 in act (one call
     # per action on a model's whole symmetric basis; 1062 with one call per basis
     # form), 582 in products (1329 when each (row, column) pair tested both
     # operands), 549 in _annihilated, 332 in apply (132 of them lowering an index in
     # the two defect scans; the other 200 were 964 before apply listed the vector's
-    # nonzero entries once), 312 in the Killing form (987), 154 in span questions (74
+    # nonzero entries once), 267 in the Killing form (987), 154 in span questions (74
     # in subalgebra, 48 in in_span, 32 in is_ideal), 135 in levi_civita, 66 in
-    # curvature, 36 in induced_ad, 25 in _squarefree, 14 in is_zero, and 1140 in the
-    # checks and scans around them (469 in geometry._first, 376 in geometry._add):
-    # 9229.  The 876 in from_table build the 30 algebras of a report (24 of the
-    # stabilizer family, 6 subalgebras); 1072, for 9425, when each report rebuilt the
-    # 11 shipped algebras too.  9797 then when the defect scans lowered an index with
-    # a loop of their own over the nonzero Gram entries (432 there and 72 listing
-    # those entries, where apply now makes 132).
+    # curvature, 36 in induced_ad, 25 in _squarefree, 14 in is_zero, and 1146 in the
+    # checks and scans around them (469 in geometry._first, 376 in geometry._add, 6
+    # deciding k = 0 in the six constant-curvature scans): 9057.  9229 when the class
+    # of the four 3-dimensional entries derived [g, g], the Killing form and the
+    # lower central series again (79 more in eliminations, 54 in brackets, 45 in the
+    # Killing form) and the scans made no k = 0 decision.  The 876 in from_table
+    # build the 30 algebras of a report (24 of the stabilizer family, 6
+    # subalgebras); 1072, for 9425, when each report rebuilt the 11 shipped algebras
+    # too.  9797 then when the defect scans lowered an index with a loop of their
+    # own over the nonzero Gram entries (432 there and 72 listing those entries,
+    # where apply now makes 132).
     # Fused steps, one per nonzero product: 160 in products, 130 in act, 114 in
-    # curvature, 94 in eliminations, 55 in brackets, 48 in apply (22 of them lowering
-    # an index), 32 in the Jacobi scan, 27 in _annihilated, 22 in levi_civita, 16 in
-    # the Killing form, 15 in _squarefree and 7 in subalgebra: 720.
-    assert counts == {"__bool__": 9229, "steps": 720}
+    # curvature, 94 in eliminations, 53 in brackets, 48 in apply (22 of them lowering
+    # an index), 32 in the Jacobi scan, 27 in _annihilated, 22 in levi_civita, 10 in
+    # the Killing form, 15 in _squarefree and 7 in subalgebra: 712 (720 with sl2's
+    # second Killing form and the second lower central series of heis3 and sol3).
+    assert counts == {"__bool__": 9057, "steps": 712}

@@ -24,7 +24,6 @@ from holriem.geometry import (
     constant_curvature_value,
     curvature,
     curvature_antisymmetry_defect,
-    flatness_defect,
     levi_civita,
     pair_skew_defect,
     ricci,
@@ -76,7 +75,7 @@ def test_flat_catalog_curvatures_vanish():
     for entry in (CATALOG["sol3"], CATALOG["heis3"]):
         g, q = entry.algebra, entry.form
         tensor = curvature(g, levi_civita(g, q))
-        assert flatness_defect(tensor) is None
+        assert constant_curvature_defect(q, tensor, 0) is None
 
 
 def test_sl2_curvature_is_quarter_double_bracket():

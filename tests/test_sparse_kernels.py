@@ -169,22 +169,6 @@ def test_the_fallback_candidate_finds_a_nonzero_constant():
     )
 
 
-@pytest.mark.parametrize("entry", METRICS, ids=[entry.id for entry in METRICS])
-def test_defect_scan_matches_the_reference_on_perturbed_tensors(entry):
-    # Every catalog metric has constant curvature; one perturbed entry, on
-    # any slot including the planes R(e_i, e_i), must be found as the dense
-    # scan finds it.
-    tensor = curvature(entry.algebra, levi_civita(entry.algebra, entry.form))
-    k = constant_curvature_value(entry.form, tensor)
-    assert k is not None
-    for i, j, m, l in product(range(len(tensor)), repeat=4):
-        comps = [[[list(v) for v in fibers] for fibers in plane] for plane in tensor]
-        comps[i][j][m][l] = comps[i][j][m][l] + gr(1, 1)
-        perturbed = tuple(tuple(tuple(map(tuple, f)) for f in p) for p in comps)
-        defect = constant_curvature_defect(entry.form, perturbed, k)
-        assert defect == _dense_defect(entry.form, perturbed, k) == (i, j, m)
-
-
 def _perturbed(table, i, j, k):
     coeffs = [[list(v) for v in row] for row in table]
     coeffs[i][j][k] = coeffs[i][j][k] + gr(1, 1)
@@ -219,9 +203,10 @@ def test_a_torsion_making_perturbation_names_its_bianchi_triple():
     assert pair_skew_defect(heis.form, tensor) == (0, 2, 1, 2)
 
 
-def _nine_dimensional_metric():
-    """sl(2) + heis + sol, orthogonal, under a sparse unimodular basis change."""
-    blocks = [next(e for e in METRICS if e.id == name) for name in ("sl2", "heis3", "sol3")]
+def _nine_dimensional_metric(names=("sl2", "heis3", "sol3")):
+    """The orthogonal sum of three catalog metrics (sl(2) + heis + sol unless
+    ``names`` says otherwise), under a sparse unimodular basis change."""
+    blocks = [next(e for e in METRICS if e.id == name) for name in names]
     n = 9
     constants = [[[gr(0)] * n for _ in range(n)] for _ in range(n)]
     gram = [[gr(0)] * n for _ in range(n)]
@@ -283,6 +268,56 @@ def test_sparse_kernels_stay_sparse(monkeypatch):
     assert any(dense[name] > 1.5 * budget for name, budget in SPARSE_COST.items()), dense
 
 
+def _scan_metrics():
+    """Metrics of constant curvature in dimensions 1, 2 and 9: a line, the
+    2-dimensional non-abelian algebra, and the flat orthogonal sum heis + sol + C^3
+    under a basis change, whose 729 fibers are all zero."""
+    line = LieAlgebra(["x"], [[[0]]])
+    affine = LieAlgebra.from_table(["x", "y"], {("x", "y"): {"y": 1}})
+    yield "dim1", line, QuadraticForm([[gr(0, 1)]])
+    yield "dim2", affine, QuadraticForm([[1, 2], [2, 1]])
+    yield "dim9-flat", *_nine_dimensional_metric(("heis3", "sol3", "flat_c3"))
+
+
+SCAN_METRICS = [(entry.id, entry.algebra, entry.form) for entry in METRICS] + list(_scan_metrics())
+
+
+@pytest.mark.parametrize("name, algebra, form", SCAN_METRICS, ids=[m[0] for m in SCAN_METRICS])
+def test_defect_scan_matches_the_reference_on_perturbed_tensors(name, algebra, form):
+    # Each single-entry perturbation of a tensor of constant curvature k0, on any
+    # slot including the planes R(e_i, e_i), is found at k0 at its own triple; for
+    # the flat metrics k0 = 0, where the model row is zero and one comparison
+    # settles each pair.  At a k the tensor does not have, the scan agrees with the
+    # dense one.
+    n = algebra.dim
+    tensor = curvature(algebra, levi_civita(algebra, form))
+    k0 = constant_curvature_value(form, tensor)
+    assert k0 is not None and (k0 == 0) == (name not in ("sl2", "dim2"))
+    other = k0 + gr(1, 2)
+    first = _dense_defect(form, tensor, other)
+    # Below dimension 2 the model tensor vanishes, so every k fits a zero tensor.
+    assert (first is None) == (n < 2) and constant_curvature_defect(form, tensor, other) == first
+    zero = (gr(0),) * n
+    zero_fibers = {"i = j": 0, "i != j": 0}
+    for i, j, m, l in product(range(n), repeat=4):
+        zero_fibers["i = j" if i == j else "i != j"] += tensor[i][j][m] == zero
+        perturbed = _perturbed_tensor(tensor, i, j, m, l, gr(1, 1))
+        assert constant_curvature_defect(form, perturbed, k0) == (i, j, m), (i, j, m, l)
+        # A perturbation after the first violation leaves it first, as the dense
+        # scan would find; the others go through the dense scan.
+        if first is not None and (i, j, m) > first:
+            expected = first
+        else:
+            expected = _dense_defect(form, perturbed, other)
+        assert constant_curvature_defect(form, perturbed, other) == expected, (i, j, m, l)
+    # Perturbed zero fibers: every fiber of the planes R(e_i, e_i), each counted n
+    # times (once per entry l), and, for the flat metrics, every fiber of the pairs
+    # i != j.
+    assert zero_fibers["i = j"] == n**3
+    if k0 == 0:
+        assert zero_fibers["i != j"] == n**4 - n**3
+
+
 # -- orbit-reduced identity scans ---------------------------------------------
 #
 # Each scan tests the first tuple of each symmetry orbit only; its witness
@@ -321,9 +356,13 @@ def _tally(tally, found):
 
 
 def _perturbed_tensor(tensor, i, j, k, l, delta):
-    comps = [[[list(v) for v in fibers] for fibers in plane] for plane in tensor]
-    comps[i][j][k][l] = comps[i][j][k][l] + delta
-    return tuple(tuple(tuple(map(tuple, f)) for f in p) for p in comps)
+    """The tensor with delta added to entry l of fiber (i, j, k), every other plane,
+    row and fiber shared with the input."""
+    fibers = tensor[i][j]
+    fiber = fibers[k][:l] + (fibers[k][l] + delta,) + fibers[k][l + 1:]
+    row = fibers[:k] + (fiber,) + fibers[k + 1:]
+    plane = tensor[i][:j] + (row,) + tensor[i][j + 1:]
+    return tensor[:i] + (plane,) + tensor[i + 1:]
 
 
 @pytest.mark.parametrize("entry", METRICS, ids=[entry.id for entry in METRICS])
