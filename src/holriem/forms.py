@@ -16,7 +16,8 @@ class QuadraticForm(Record):
     """Symmetric complex bilinear form given by its exact Gram matrix.
 
     Nondegeneracy is not required at construction.  ``nondegenerate`` tests
-    it by one rank; the operations that demand it certify it by inverting G.
+    it by one rank; the operations that demand it certify it by an elimination
+    of G that finds no kernel.
     """
 
     __slots__ = _fields = ("gram",)
@@ -40,13 +41,14 @@ class QuadraticForm(Record):
         n = len(labels)
         index = {name: k for k, name in enumerate(labels)}
         grid = [[ZERO] * n for _ in range(n)]
+        seen = set()  # an entry given as zero is set too
         for (a, b), value in entries.items():
             i, j = index[a], index[b]
             v = as_gr(value)
-            if grid[i][j] and grid[i][j] != v:
+            if (i, j) in seen and grid[i][j] != v:
                 raise ValueError(f"conflicting entries for ({a},{b})")
-            grid[i][j] = v
-            grid[j][i] = v
+            seen.update(((i, j), (j, i)))
+            grid[i][j] = grid[j][i] = v
         return cls(grid)
 
     @classmethod

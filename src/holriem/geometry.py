@@ -6,11 +6,13 @@ frames with constant inner products determines the connection,
 
     2 q(nabla_x y, z) = q([x,y], z) - q([y,z], x) + q([z,x], y).
 
-On the basis, with the structure constants lowered once by the Gram
-matrix G, ``c_ijk = sum_l c_ij^l G_lk = q([e_i,e_j], e_k)``, this is the
-closed form (Milnor, Adv. Math. 1976)
-
-    nabla_{e_i} e_j = G^-1 ((c_ijk - c_jki + c_kij) / 2)_k.
+Split into parts antisymmetric and symmetric in (x, y), this is Nomizu's
+form (Amer. J. Math. 1954; with no isotropy, Milnor's closed form, Adv. Math.
+1976): nabla_x y = [x, y] / 2 + U(x, y), 2 q(U(x,y), z) = q([z,x], y) + q(x, [z,y]).
+With ``c_abd = sum_l c_ab^l G_ld = q([e_a,e_b], e_d)``, G the Gram matrix, each
+pair b <= d solves G U(e_b, e_d) = ((c_abd + c_adb) / 2)_a; the pairs with a
+nonzero right side share one elimination of [G | B] (``linalg.solve``), and
+a kernel of G means a degenerate form.  A bi-invariant form has none: nabla = ad / 2.
 
 Curvature convention used throughout (flatness does not depend on it):
 
@@ -26,10 +28,10 @@ Gamma_ij^l the components of nabla_{e_i} e_j, each fiber is
 
 Most entries of these tables are zero, so the kernels loop over lists
 of the nonzero entries of each slot only: the algebra's ``terms`` for
-c_ij, and lists made here for G, G^-1 and Gamma_ij.  ``levi_civita``
-adds each nonzero term of the lowered constants into its three Koszul
-slots, held only where some term reaches, and then applies G^-1 / 2 row
-by row; ``curvature`` fills the n^3 fibers in one loop nest, reading the
+c_ij, and lists made here for G and Gamma_ij.  ``levi_civita`` adds each
+term of the lowered constants once, at slot a of the pair {b, d}, and sets
+Gamma_ij = U_ij + c_ij / 2 and Gamma_ji = U_ij - c_ij / 2, the one tuple U_ij
+for both when c_ij = 0; ``curvature`` fills the n^3 fibers in one loop nest, reading the
 lists of Gamma_i, Gamma_j and c_ij once per pair (i, j), and appends one
 shared zero fiber wherever no term reaches.  No fiber is copied from
 another by antisymmetry, Bianchi or pair skew, the identities that
@@ -64,7 +66,7 @@ from typing import Callable, Iterable, Sequence
 
 from .forms import DegenerateForm, QuadraticForm
 from .liealg import LieAlgebra
-from .linalg import CMatrix, Vector, _annihilated, _nonzero, act
+from .linalg import CMatrix, Vector, _annihilated, _nonzero, act, solve
 from .scalars import GaussianRational, ONE, ZERO, addmul, as_gr, submul
 
 _HALF = ONE / 2
@@ -86,44 +88,46 @@ def _same_dim(first: str, m: int, second: str, n: int) -> None:
         raise ValueError(f"{first} dimension {m} does not match {second} dimension {n}")
 
 
-def _gram_inverse(form: QuadraticForm) -> CMatrix:
-    """G^-1, which exists exactly when the form is nondegenerate."""
-    try:
-        return form.gram.inverse()
-    except ZeroDivisionError:
-        raise DegenerateForm("quadratic form is degenerate") from None
+def _solve_gram(form: QuadraticForm, rhs: Sequence[Vector]) -> list[Vector]:
+    """The solutions U of G U = b, one per right side b, from one elimination of
+    [G | B]; a kernel of G, that is a degenerate form, raises ``DegenerateForm``."""
+    solutions, null = solve(form.gram, rhs)
+    if null:
+        raise DegenerateForm("quadratic form is degenerate")
+    return solutions
 
 
 def levi_civita(algebra: LieAlgebra, form: QuadraticForm) -> ConnectionTable:
     """Unique torsion-free metric connection of a left-invariant metric."""
-    inverse = _gram_inverse(form)
     n = algebra.dim
     if form.dim != n:
+        _solve_gram(form, [])  # a degenerate form reports that first
         raise ValueError("form dimension does not match the algebra")
-    gram_rows = [_nonzero(row) for row in form.gram.entries]
-    # G^-1 is symmetric, so its rows are its columns; the 1/2 rides along.
-    half_inverse = [[(l, h * _HALF) for l, h in _nonzero(row)] for row in inverse.entries]
-    # koszul[i][j][k] = c_ijk - c_jki + c_kij: each term of a lowered
-    # c_abd = sum_l c_ab^l G_ld lands in three slots, kept only once reached.
-    koszul = [[{} for _ in range(n)] for _ in range(n)]
+    # (d, G_ld, G_ld / 2) for the nonzero G_ld of each row l.
+    gram_rows = [[(d, g, g * _HALF) for d, g in _nonzero(row)] for row in form.gram.entries]
+    # low[b, d][a] = q(U(e_b, e_d), e_a) = (c_abd + c_adb) / 2 for b <= d, held only where a
+    # term reaches: the term x G_ld of c_abd lands halved, or whole when b = d, where it is c_adb too.
+    low: dict[tuple[int, int], list] = {}
     for a, b in product(range(n), repeat=2):
         for l, x in algebra.terms[a][b]:
-            for d, g in gram_rows[l]:
-                term = x * g
-                ab, da, bd = koszul[a][b], koszul[d][a], koszul[b][d]
-                ab[d] = ab.get(d, ZERO) + term
-                da[b] = da.get(b, ZERO) - term
-                bd[a] = bd.get(a, ZERO) + term
-
-    def nabla(i: int, j: int) -> Vector:
-        out = [ZERO] * n
-        for k, w in koszul[i][j].items():
-            if w:
-                for l, h in half_inverse[k]:
-                    out[l] = addmul(out[l], w, h)
-        return tuple(out)
-
-    return tuple(tuple(nabla(i, j) for j in range(n)) for i in range(n))
+            for d, g, half in gram_rows[l]:
+                pair = low.setdefault((b, d) if b <= d else (d, b), [ZERO] * n)
+                pair[a] = addmul(pair[a], x, g if b == d else half)
+    zero = (ZERO,) * n
+    lowered = {pair: v for pair, v in zip(low, map(tuple, low.values())) if v != zero}
+    symmetric = dict(zip(lowered, _solve_gram(form, list(lowered.values()))))
+    # Gamma_ij = U_ij + c_ij / 2 and Gamma_ji = U_ij - c_ij / 2.
+    table = [[zero] * n for _ in range(n)]
+    for i, j in _pairs(n):
+        u, c_ij = symmetric.get((i, j), zero), algebra.terms[i][j]
+        if not c_ij:
+            table[i][j] = table[j][i] = u
+            continue
+        plus, minus = list(u), list(u)
+        for l, x in c_ij:
+            plus[l], minus[l] = addmul(plus[l], x, _HALF), submul(minus[l], x, _HALF)
+        table[i][j], table[j][i] = tuple(plus), tuple(minus)
+    return tuple(map(tuple, table))
 
 
 def curvature(algebra: LieAlgebra, connection: ConnectionTable) -> CurvatureTensor:
@@ -327,7 +331,10 @@ def pair_skew_defect(
 def stabilizer_in_skew(form: QuadraticForm, vectors: Sequence[Sequence]) -> list[CMatrix]:
     """Basis of ``{A in so(q) : A v = 0 for each given v}``, cut by
     ``stabilizer`` from the basis B_ab = G^-1 (E_ab - E_ba), a < b, of so(q)."""
-    inverse, n = _gram_inverse(form).entries, form.dim
+    try:
+        inverse, n = form.gram.inverse().entries, form.dim
+    except ZeroDivisionError:
+        raise DegenerateForm("quadratic form is degenerate") from None
     if any(len(v) != n for v in vectors):
         raise ValueError("vector length does not match the form")
     # Column b of B_ab is column a of G^-1, and column a is minus column b.

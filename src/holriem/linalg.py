@@ -6,7 +6,9 @@ this module.  Every elimination runs through ``_reduce``, which visits
 only the nonzero entries of each pivot row.  ``_frame``, one elimination of
 [T | I], answers every span question: ``CMatrix.inverse``, ``in_span``,
 ``liealg.subalgebra``, ``liealg.is_ideal`` and ``_completion``, the basis
-vectors that complete a span in order.
+vectors that complete a span in order.  ``solve``, one elimination of
+[A | b_1 ... b_m], gives a particular solution for each right side, or None,
+and the kernel basis of A; ``kernel`` is its case m = 0.
 A product A B adds a B[k][j] over the nonzero a = A[i][k] and B[k][j] only,
 row by row (Gustavson, ACM TOMS 4(3), 1978).  A minimal polynomial is the
 tuple of its coefficients in ascending degree, read from one elimination
@@ -217,21 +219,35 @@ def _completion(vectors: Sequence[Vector], n: int) -> list[int]:
     return positions if k > n else positions[: n - k]
 
 
-def kernel(matrix: CMatrix) -> list[Vector]:
-    """Canonical exact basis of the null space ``{x : A x = 0}``."""
-    reduced, pivots = _reduce([list(row) for row in matrix.entries])
-    n = matrix.cols
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
+def solve(matrix: CMatrix, rhs: Sequence[Sequence]) -> tuple[list[Vector | None], list[Vector]]:
+    """One elimination of [A | b_1 ... b_m]: per b_k, a solution of A x = b_k with its
+    free variables zero, or None when b_k is outside the column space; and the
+    canonical exact basis of the null space ``{x : A x = 0}``."""
+    n, height = matrix.cols, matrix.rows
+    columns = [as_vector(b) for b in rhs]
+    if any(len(b) != height for b in columns):
+        raise ValueError(f"right sides of length {height} expected")
+    reduced, pivots = _reduce([list(row) + [b[r] for b in columns] for r, row in enumerate(matrix.entries)])
+    pivots = [c for c in pivots if c < n]  # a pivot past A marks an inconsistent b_k
+    rank, solutions, basis = len(pivots), [], []
+    for k in range(n, n + len(columns)):
+        x = [ZERO] * n
+        for row, c in zip(reduced, pivots):
+            x[c] = row[k]
+        # Rows past the rank of A are zero on A: A x = b_k holds when they are zero at b_k.
+        solutions.append(None if any(row[k] for row in reduced[rank:]) else tuple(x))
+    for free in (c for c in range(n) if c not in pivots):
         v = [ZERO] * n
         v[free] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][free]
+        for row, c in zip(reduced, pivots):
+            v[c] = -row[free]
         basis.append(tuple(v))
-    return basis
+    return solutions, basis
+
+
+def kernel(matrix: CMatrix) -> list[Vector]:
+    """Canonical exact basis of the null space ``{x : A x = 0}``."""
+    return solve(matrix, [])[1]
 
 
 def _annihilated(basis: Sequence[CMatrix], images: Sequence[Sequence]) -> list[CMatrix]:

@@ -730,6 +730,8 @@ def test_verify_all_rejects_empty_catalog():
     [
         ([[1, 0, 0], [0, 0, 0], [0, 0, 1]], "quadratic form is degenerate"),
         ([[1, 0], [0, 1]], "form dimension does not match the algebra"),
+        # Both degenerate and of the wrong dimension: degeneracy is reported first.
+        ([[1, 0], [0, 0]], "quadratic form is degenerate"),
     ],
 )
 def test_a_metric_without_a_connection_fails_the_checks_that_read_it(gram, reason):

@@ -88,8 +88,9 @@ def eliminations(monkeypatch):
 @pytest.mark.parametrize("name", ["sl2", "sol3"])
 def test_metric_commands_eliminate_once(command, name, eliminations, capsys):
     assert cli_module.cli([command, f"{DATA}/{name}.liealg"]) == 0
-    # The inverse of the Gram matrix, and no other elimination.
-    assert eliminations == {"_reduce": 1, "inverse": 1}
+    # One elimination of [G | B] solves for the connection, and no other; no
+    # inverse (1 when the connection raised the Koszul sums through G^-1).
+    assert eliminations == {"_reduce": 1, "inverse": 0}
 
 
 @pytest.mark.parametrize("name", ["c_ltimes_heis", "heis_stab_generic", "c_times_sl2"])
@@ -227,8 +228,9 @@ def test_verify_all_inverts_no_frame_twice(eliminations):
     # 19 when section 4 rebuilt the c_oplus_sl2 model to swap its form, and 22
     # when each of the four isotropy bounds inverted its Gram matrix.  Each
     # frame is inverted once; one more inverse is the Gram inverse from which
-    # the isotropy bounds read so(q), once per report.
-    assert eliminations["inverse"] == 19
+    # the isotropy bounds read so(q), once per report.  The six connections
+    # solve for theirs with no inverse: 19 when each inverted its Gram matrix.
+    assert eliminations["inverse"] == 13
 
 
 def test_elimination_counters_agree(work, eliminations):
@@ -242,7 +244,8 @@ def test_elimination_counters_agree(work, eliminations):
 
 def test_a_second_report_derives_as_much_as_the_first(calls, eliminations):
     # No derived value (a Gram inverse, so(q), a connection) outlives its report.
-    # 100 eliminations, as counted above (106 when the class derived its facts again).
+    # 100 eliminations and 13 inverses, as counted above (106 when the class derived
+    # its facts again, 19 inverses when each connection inverted its Gram matrix).
     counts = []
     for _ in range(2):
         assert catalog.verify_all(42).all_pass
@@ -250,7 +253,7 @@ def test_a_second_report_derives_as_much_as_the_first(calls, eliminations):
         calls.update(dict.fromkeys(calls, 0))
         eliminations.update(dict.fromkeys(eliminations, 0))
     assert counts[0] == counts[1] == (
-        {"levi_civita": 6, "curvature": 6}, {"_reduce": 100, "inverse": 19}
+        {"levi_civita": 6, "curvature": 6}, {"_reduce": 100, "inverse": 13}
     )
 
 
@@ -350,24 +353,27 @@ basis = H, E, F, X, Y, Z, U, V, T
 @pytest.mark.parametrize(
     "command, expected",
     [
-        # 12 in dsl.parse and 6 in QuadraticForm.from_sparse, 108 building the
-        # bracket terms, 211 in the elimination that inverts G, 252 listing the
-        # nonzero entries of the 9 Gram rows, the 9 rows of G^-1 and the 10
-        # nonzero Christoffel vectors (the 71 zero ones take one tuple comparison
-        # each), 15 at the Koszul slots some term reaches, and 60 for the 6
-        # nonzero fibers printed, 54 listing their entries and 6 in
-        # format_combination (the 318 zero ones print "0" after one tuple
-        # comparison).  5635 when every entry of every Koszul sum, Christoffel
-        # vector and printed fiber was tested.
-        ("curvature", 664),
+        # 12 in dsl.parse, 108 building the bracket terms, 166 in the one
+        # elimination of [G | B] (its 4 right sides are the nonzero lowered
+        # vectors of the symmetric part U), 171 listing the nonzero entries of
+        # the 9 Gram rows and the 10 nonzero Christoffel vectors (the 71 zero
+        # ones take one tuple comparison each), and 60 for the 6 nonzero fibers
+        # printed, 54 listing their entries and 6 in format_combination (the 318
+        # zero ones print "0" after one tuple comparison).  664 when the
+        # connection inverted G (211 in that elimination), listed the 9 rows of
+        # G^-1 (81) and tested the 15 Koszul slots some term reached, and
+        # QuadraticForm.from_sparse tested each of its 6 entries for a conflict.
+        # 5635 when every entry of every Koszul sum, Christoffel vector and
+        # printed fiber was tested.
+        ("curvature", 517),
         # As above up to the fibers, then 83 in finding the first nonzero entry
         # of the model tensor, and one in each of the two defect scans, at the
         # candidate -1/8 and at k = 0 for the witness, deciding whether k is 0
-        # (687 when the witness came from a flatness scan of its own).  The scans
-        # compare whole fibers, or a pair's whole row where the model row is
-        # zero, and test no entry.  3086 when they tested every entry up to the
-        # witness.
-        ("constcurv", 689),
+        # (687 when the witness came from a flatness scan of its own, 689 with
+        # the Koszul connection, as above).  The scans compare whole fibers, or a
+        # pair's whole row where the model row is zero, and test no entry.  3086
+        # when they tested every entry up to the witness.
+        ("constcurv", 542),
     ],
 )
 def test_metric_commands_zero_test_budget(command, expected, tmp_path, monkeypatch, capsys):
@@ -391,10 +397,10 @@ def test_constcurv_zero_test_budget_on_a_held_text(tmp_path, monkeypatch, capsys
     assert cli_module.cli(["constcurv", str(path)]) == 0
     counts = _count_zero_tests_and_steps(monkeypatch)
     assert cli_module.cli(["constcurv", str(path)]) == 0
-    # 689 as above, less the 12 of the parse and the 108 building the bracket
+    # 542 as above, less the 12 of the parse and the 108 building the bracket
     # terms, both kept by catalog.read_text; the form, the connection and
-    # everything after them are derived again.
-    assert counts["__bool__"] == 569
+    # everything after them are derived again (569 with the Koszul connection).
+    assert counts["__bool__"] == 422
 
 
 def _count_zero_tests_and_steps(monkeypatch):
@@ -427,17 +433,21 @@ def test_verify_all_zero_test_budget(monkeypatch):
     counts = _count_zero_tests_and_steps(monkeypatch)
     assert catalog.verify_all(42).all_pass
     # Zero tests, by the innermost function making them (_dot, _nonzero and generator
-    # expressions count to their caller): 3318 in eliminations (pivot searches and
+    # expressions count to their caller): 3282 in eliminations (pivot searches and
     # pivot-row supports), 876 in from_table, 810 in brackets, 747 in act (one call
     # per action on a model's whole symmetric basis; 1062 with one call per basis
     # form), 582 in products (1329 when each (row, column) pair tested both
     # operands), 549 in _annihilated, 332 in apply (132 of them lowering an index in
     # the two defect scans; the other 200 were 964 before apply listed the vector's
     # nonzero entries once), 267 in the Killing form (987), 154 in span questions (74
-    # in subalgebra, 48 in in_span, 32 in is_ideal), 135 in levi_civita, 66 in
-    # curvature, 36 in induced_ad, 25 in _squarefree, 14 in is_zero, and 1146 in the
-    # checks and scans around them (469 in geometry._first, 376 in geometry._add, 6
-    # deciding k = 0 in the six constant-curvature scans): 9057.  9229 when the class
+    # in subalgebra, 48 in in_span, 32 in is_ideal), 54 in levi_civita (listing the
+    # nonzero Gram entries), 66 in curvature, 36 in induced_ad, 25 in _squarefree, 14
+    # in is_zero, and 1123 in the checks and scans around them (469 in
+    # geometry._first, 376 in geometry._add, 6 deciding k = 0 in the six
+    # constant-curvature scans): 8917.  9057 when each connection inverted its Gram
+    # matrix (3318 in eliminations) and raised the Koszul sums through G^-1 (135 in
+    # levi_civita), and QuadraticForm.from_sparse tested each entry for a conflict
+    # (23 of the 1146 then around the checks).  9229 when the class
     # of the four 3-dimensional entries derived [g, g], the Killing form and the
     # lower central series again (79 more in eliminations, 54 in brackets, 45 in the
     # Killing form) and the scans made no k = 0 decision.  The 876 in from_table
@@ -448,7 +458,10 @@ def test_verify_all_zero_test_budget(monkeypatch):
     # where apply now makes 132).
     # Fused steps, one per nonzero product: 160 in products, 130 in act, 114 in
     # curvature, 94 in eliminations, 53 in brackets, 48 in apply (22 of them lowering
-    # an index), 32 in the Jacobi scan, 27 in _annihilated, 22 in levi_civita, 10 in
-    # the Killing form, 15 in _squarefree and 7 in subalgebra: 712 (720 with sl2's
-    # second Killing form and the second lower central series of heis3 and sol3).
-    assert counts == {"__bool__": 9057, "steps": 712}
+    # an index), 48 in levi_civita, 32 in the Jacobi scan, 27 in _annihilated, 10 in
+    # the Killing form, 15 in _squarefree and 7 in subalgebra: 738.  712 when
+    # levi_civita made 22 steps raising through G^-1 and added its Koszul terms with
+    # dunder products and sums; now each lowered term and each half bracket term
+    # is one step.  720 with sl2's second Killing form and the second lower central
+    # series of heis3 and sol3.
+    assert counts == {"__bool__": 8917, "steps": 738}

@@ -6,13 +6,16 @@ derived independently by expanding the frame identity
 every basis triple; those frozen values are asserted here.
 """
 
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import nabla, scale, sectional_curvature, vscale
+from conftest import failed_checks, nabla, scale, sectional_curvature, vscale
 
+from holriem import catalog, geometry, linalg
 from holriem.catalog import build_catalog
 from holriem.forms import DegenerateForm, QuadraticForm
 from holriem.geometry import (
@@ -141,6 +144,78 @@ def test_constant_curvature_requires_nondegenerate_form():
         constant_curvature(
             CATALOG["heis3"].algebra, QuadraticForm.diagonal([1, 1, 0])
         )
+
+
+def test_sparse_form_entries_conflict_in_either_order():
+    # An entry given as zero is set: a zero first entry once looked unset.
+    for entries in ({("a", "b"): 5, ("b", "a"): 0}, {("a", "b"): 0, ("b", "a"): 5}):
+        with pytest.raises(ValueError, match="conflicting entries"):
+            QuadraticForm.from_sparse(("a", "b"), entries)
+    for value in (0, 5):
+        form = QuadraticForm.from_sparse(("a", "b"), {("a", "b"): value, ("b", "a"): value})
+        assert form.gram == CMatrix([[0, value], [value, 0]])
+
+
+# Faults in the Nomizu kernel of ``levi_civita`` and the report checks each fails:
+# (source fragment, its replacement, the failing checks of ``verify_all(42)``).
+CONNECTION_FAULTS = {
+    # Gamma_ij = U_ij + c_ij, the whole bracket where half of it belongs.
+    "whole_bracket": (
+        "addmul(plus[l], x, _HALF), submul(minus[l], x, _HALF)",
+        "plus[l] + x, minus[l] - x",
+        {
+            "heis3/metric_compatible", "heis3/torsion_free", "sl2/constant_curvature",
+            "sl2/torsion_free", "sol3/constant_curvature", "sol3/curvature_pair_skew",
+            "sol3/metric_compatible", "sol3/torsion_free", "semisimple4/killing_proportional_constant",
+            "unimodular3/flat_iff_solvable", "unimodular3/sl2", "unimodular3/sol3",
+        },
+    ),
+    # Half of the term at b = d, where c_abd and c_adb are one term and count twice.
+    "no_doubling": ("g if b == d else half", "half", {"heis3/metric_compatible"}),
+    # The lowered term at slot b of the pair instead of slot a.
+    "slot_b": (
+        "pair[a] = addmul(pair[a], x, g if b == d else half)",
+        "pair[b] = addmul(pair[b], x, g if b == d else half)",
+        {
+            *(f"{e}/{check}" for e in ("heis3", "sl2", "sol3")
+              for check in ("constant_curvature", "curvature_pair_skew", "metric_compatible")),
+            "semisimple4/killing_proportional_constant", "unimodular3/flat_iff_solvable",
+            "unimodular3/heis3", "unimodular3/sl2", "unimodular3/sol3",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CONNECTION_FAULTS))
+def test_a_faulty_connection_kernel_fails_torsion_or_compatibility(fault, monkeypatch):
+    old, new, failing = CONNECTION_FAULTS[fault]
+    source = textwrap.dedent(inspect.getsource(geometry.levi_civita))
+    assert source.count(old) == 1
+    namespace = dict(vars(geometry))
+    exec(source.replace(old, new), namespace)
+    for module in (geometry, catalog):
+        monkeypatch.setattr(module, "levi_civita", namespace["levi_civita"])
+    assert {check.id for check in failed_checks(catalog.verify_all(42))} == failing
+
+
+@pytest.mark.parametrize("scale_by", [1, -3, gr(0, 2)])
+def test_a_multiple_of_the_killing_form_gives_half_ad_with_no_right_side(scale_by, monkeypatch):
+    # A bi-invariant form: c_abd + c_adb = 0, so U = 0 and nabla = ad / 2.
+    g, q = CATALOG["sl2"].algebra, CATALOG["sl2"].form
+    assert q == killing_form(g)
+    right_sides = []
+
+    def recorded(matrix, rhs):
+        right_sides.append(len(rhs))
+        return linalg.solve(matrix, rhs)
+
+    monkeypatch.setattr(geometry, "solve", recorded)
+    form = QuadraticForm(scale(q.gram, scale_by))
+    half = gr(Fraction(1, 2))
+    assert levi_civita(g, form) == tuple(
+        tuple(tuple(half * c for c in g.constants[i][j]) for j in range(3)) for i in range(3)
+    )
+    assert right_sides == [0]
 
 
 def test_ricci():

@@ -1,11 +1,11 @@
-"""Exact linear-algebra kernels: kernel, minimal polynomials, semisimplicity."""
+"""Exact linear-algebra kernels: solve, kernel, minimal polynomials, semisimplicity."""
 
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import dense_apply, dense_matmul, jordan, jordan_blocks, scale, zeros
+from conftest import dense_apply, dense_matmul, dense_reduce, jordan, jordan_blocks, scale, zeros
 
 from holriem.forms import QuadraticForm
 from holriem.linalg import (
@@ -16,37 +16,28 @@ from holriem.linalg import (
     is_nilpotent_matrix,
     kernel,
     min_poly,
+    solve,
     span_basis,
 )
 from holriem.scalars import ZERO, GaussianRational, gr
 
 
-def _solve(a, b):
-    """A x = b through the kernel of [A | -b]: the kernel vector of the free last
-    column, with the other free variables zero; None when that column is a pivot,
-    that is when b lies outside the column space."""
-    basis = kernel(CMatrix([row + (-c,) for row, c in zip(a.entries, b)]))
-    return basis[-1][:-1] if basis and basis[-1][-1] else None
-
-
 def test_solve_identity():
     b = (gr(3), gr(0, 1), gr(Fraction(1, 2)))
-    solution = _solve(CMatrix.identity(3), b)
-    assert solution == b
-    assert len(kernel(CMatrix.identity(3))) == 0
+    assert solve(CMatrix.identity(3), [b]) == ([b], [])
 
 
 def test_solve_inconsistent_rank2():
     # Third row is the sum of the first two, b sits outside the column space.
     a = CMatrix([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
     assert a.rank() == 2
-    assert _solve(a, (0, 0, 1)) is None
+    assert solve(a, [(0, 0, 1)])[0] == [None]
 
 
 def test_solve_underdetermined_reports_kernel_dim():
     a = CMatrix([[1, 1, 0]])
-    solution = _solve(a, (1,))
-    assert len(kernel(a)) == 2
+    (solution,), null = solve(a, [(1,)])
+    assert len(null) == 2
     assert a.apply(solution) == (gr(1),)
 
 
@@ -218,9 +209,7 @@ def test_matrix_inverse_and_det():
 
 def test_solve_overdetermined_consistent():
     a = CMatrix([[1], [1]])
-    solution = _solve(a, (2, 2))
-    assert solution == (gr(2),) and len(kernel(a)) == 0
-    assert _solve(a, (2, 3)) is None
+    assert solve(a, [(2, 2), (2, 3)]) == ([(gr(2),), None], [])
 
 
 def _sparse_vector(rng, size):
@@ -231,6 +220,64 @@ def _sparse_vector(rng, size):
         else gr(0)
         for _ in range(size)
     )
+
+
+def _dense_kernel(a):
+    """The kernel basis read from ``dense_reduce``: one vector per free column."""
+    reduced, pivots = dense_reduce([list(row) for row in a.entries])
+    basis = []
+    for free in (c for c in range(a.cols) if c not in pivots):
+        v = [gr(0)] * a.cols
+        v[free] = gr(1)
+        for row, c in zip(reduced, pivots):
+            v[c] = -row[free]
+        basis.append(tuple(v))
+    return basis
+
+
+def _random_system(rng, rows, cols, rank):
+    """A rows x cols matrix of the given rank over Q(i), a product of sparse random factors."""
+    while True:
+        left = CMatrix([_sparse_vector(rng, rank) for _ in range(rows)]) if rank else None
+        right = CMatrix([_sparse_vector(rng, cols) for _ in range(rank)]) if rank else None
+        a = left @ right if rank else zeros(rows, cols)
+        if a.rank() == rank:
+            return a
+
+
+@pytest.mark.parametrize(
+    "rows, cols, rank",
+    # Square of full rank (unique), square and rectangular of lower rank
+    # (underdetermined, with inconsistent right sides), wide, tall, and zero.
+    [(3, 3, 3), (4, 4, 2), (2, 5, 2), (3, 5, 2), (5, 3, 3), (5, 3, 2), (3, 3, 0)],
+)
+def test_solve_gives_solutions_none_and_the_kernel(rows, cols, rank):
+    rng = random.Random(f"solve/{rows}x{cols}/{rank}")
+    seen = {"consistent": 0, "inconsistent": 0}
+    for _ in range(6):
+        a = _random_system(rng, rows, cols, rank)
+        rhs = [a.apply(_sparse_vector(rng, cols)) for _ in range(3)]
+        rhs += [_sparse_vector(rng, rows) for _ in range(3)] + [(gr(0),) * rows]
+        solutions, null = solve(a, rhs)
+        assert null == kernel(a) == _dense_kernel(a) and len(null) == cols - rank
+        assert solve(a, []) == ([], null)
+        pivots = dense_reduce([list(row) for row in a.entries])[1]
+        for b, x in zip(rhs, solutions):
+            # b is outside the column space exactly when [A | b] has a pivot at b.
+            consistent = cols not in dense_reduce([list(row) + [v] for row, v in zip(a.entries, b)])[1]
+            seen["consistent" if consistent else "inconsistent"] += 1
+            if not consistent:
+                assert x is None
+                continue
+            assert a.apply(x) == tuple(b)
+            # The particular solution sets every free variable to zero.
+            assert all(not x[c] for c in range(cols) if c not in pivots)
+    assert seen["consistent"] and (seen["inconsistent"] or rank == rows)
+
+
+def test_solve_refuses_right_sides_of_the_wrong_length():
+    with pytest.raises(ValueError, match="right sides of length 2"):
+        solve(CMatrix.identity(2), [(1, 0), (1, 0, 0)])
 
 
 def _rows_flat(matrix):

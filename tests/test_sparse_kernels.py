@@ -2,8 +2,9 @@
 
 ``levi_civita``, ``curvature`` and the constant-curvature scans visit only
 nonzero entries.  The references in ``conftest`` (and the two below) are
-the dense formulas they replaced: a dense ``G^-1`` per basis pair, and
-R(e_i,e_j)e_k from three bilinear ``nabla`` calls on basis vectors.
+the dense formulas they replaced: the Koszul sums raised through a dense
+``G^-1`` per basis pair, and R(e_i,e_j)e_k from three bilinear ``nabla``
+calls on basis vectors.
 """
 
 import random
@@ -225,11 +226,14 @@ def _nine_dimensional_metric(names=("sl2", "heis3", "sol3")):
 
 # Scalar products and zero tests of levi_civita + curvature on the metric
 # above (352 nonzero curvature entries) with the sparse kernels, the bracket
-# terms and the sparse elimination of the Gram matrix.  A fused step
-# ``addmul``/``submul`` counts as one product: 5220 of the 5593 are fused
-# steps, so the count is the one the dunders made before the steps were fused.
-# The dense references make 8564 products and 89552 zero tests.
-SPARSE_COST = {"__mul__": 5593, "__bool__": 935}
+# terms and the one sparse elimination of [G | B].  A fused step
+# ``addmul``/``submul`` counts as one product: 5286 of the 5311 are fused
+# steps, so the count is the one the dunders made before the steps were fused;
+# the other 25 halve the nonzero Gram entries.  levi_civita alone makes 597
+# products and 290 zero tests (879 and 656 when it raised the Koszul sums
+# through G^-1, for 5593 and 935 in all).  The dense references make 8564
+# products and 72353 zero tests.
+SPARSE_COST = {"__mul__": 5311, "__bool__": 569}
 
 
 def _count_scalar_ops(monkeypatch, run):
