@@ -46,10 +46,8 @@ from .models import (
 )
 from .catalog import (
     CatalogEntry,
-    ParamExtension,
     VerifyReport,
     build_catalog,
-    build_param_extension,
     check_prop_iv,
     verify_all,
 )

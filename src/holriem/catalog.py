@@ -2,10 +2,11 @@
 verification suite that machine-checks every expected property.
 
 The catalog is the shipped ``.liealg`` files under ``data/``: one file per
-id of ``CATALOG_IDS``, named for its entry and stored in canonical form.
+id of ``CATALOG_IDS``, named for its entry and stored in canonical form, and
+the stabilizer family's file ``FAMILY_ID``, which declares ``[parameters]``.
 ``read_text`` parses a file's text and builds its algebra once while its memo
 holds the text, and ``entry_from_spec`` turns the two into an entry, for the catalog
-and the CLI alike; only the stabilizer family is built in code (``build_param_extension``).
+and the CLI alike; a family has an algebra at each point only (``dsl.at``).
 
 ``FACTS`` renders the fact of each key of ``dsl.EXPECTED_KINDS``; the
 per-entry checks compare its text with the file's ``[expected]`` value,
@@ -20,12 +21,12 @@ size the degree of the claim bounds, so ``verify_all`` gives the same
 checks for every seed.
 
 One rule covers a check that cannot be computed (``_run``): the
-``ValueError`` its computation raises fails it, with the message as
-witness.  So a missing entry (``entry missing``), an entry without the
-model, metric or quotient form a check reads, a fact that does not apply
-and a span that is not a subalgebra each fail the checks that read them,
-and a grid point where the claim cannot be evaluated fails its proof with
-``at <point>: <message>``; the report never gets shorter.
+``ValueError`` or ``OSError`` its computation raises fails it, with the
+message as witness.  So a missing entry (``entry missing``) or file, an
+entry without the model, metric or quotient form a check reads, a fact that
+does not apply and a span that is not a subalgebra each fail the checks that
+read them, and a grid point where the claim cannot be evaluated fails its
+proof with ``at <point>: <message>``; the report never gets shorter.
 """
 
 from __future__ import annotations
@@ -99,6 +100,7 @@ CATALOG_IDS = (
     "heis_stab_zero",
     "heis_stab_generic",
 )
+FAMILY_ID = "heis_stab_family"  # the stabilizer family's file, in (c, m, k, beta); no entry
 # Report order of the [expected] keys of metric files and of model files;
 # they disagree on unimodular against center_dim, so one order cannot serve both.
 _METRIC_KEYS = (
@@ -115,18 +117,6 @@ _MODEL_KEYS = ("isotropy", "invariance", "invariant_form_dim", "center_dim", "un
 
 
 # -- catalog ---------------------------------------------------------------
-
-
-class ParamExtension(Record):
-    """Parameters (c, m, k, beta) of the 4-dimensional stabilizer family."""
-
-    __slots__ = _fields = ("c", "m", "k", "beta")
-
-    def __init__(self, c=0, m=0, k=0, beta=0):
-        object.__setattr__(self, "c", as_gr(c))
-        object.__setattr__(self, "m", as_gr(m))
-        object.__setattr__(self, "k", as_gr(k))
-        object.__setattr__(self, "beta", as_gr(beta))
 
 
 class CatalogEntry(Record):
@@ -230,39 +220,6 @@ FACTS: dict[str, Callable[[CatalogEntry], str]] = {
 }
 
 
-def build_param_extension(params: ParamExtension) -> LieAlgebra:
-    """4-dimensional extension of heis by a derivation with parameters.
-
-    Brackets on (X, Y, Z, T): [Y,Z] = X, [T,X] = c X,
-    [T,Z] = m X + (c+beta) Z + k Y, [T,Y] = Z - beta Y; X central in the
-    span of (X, Y, Z).  The shape is exactly the derivation condition, so
-    the Jacobi identity holds for every parameter value.  The constants are
-    affine in (c, m, k, beta), so each Jacobiator entry is a polynomial of
-    total degree <= 2: ``verify_heis_family`` proves the identity on the
-    15-point lattice {p in N^4 : sum(p) <= 2} and checks affinity there.
-    """
-    c, m, k, beta = params.c, params.m, params.k, params.beta
-    return LieAlgebra.from_table(
-        ("X", "Y", "Z", "T"),
-        {
-            ("Y", "Z"): {"X": 1},
-            ("T", "X"): {"X": c},
-            ("T", "Z"): {"X": m, "Z": c + beta, "Y": k},
-            ("T", "Y"): {"Z": 1, "Y": -beta},
-        },
-    )
-
-
-def heis_stabilizer_model(params: ParamExtension) -> HomogeneousModel:
-    algebra = build_param_extension(params)
-    return HomogeneousModel(
-        algebra,
-        isotropy=[algebra.vector("Y")],
-        complement=[algebra.vector("X"), algebra.vector("Z"), algebra.vector("T")],
-        quotient_form=QuadraticForm(adapted_gram_unipotent()),
-    )
-
-
 def shipped_file_text(entry_id: str) -> str:
     return (resources.files("holriem") / "data" / f"{entry_id}.liealg").read_text(
         encoding="utf-8"
@@ -270,11 +227,18 @@ def shipped_file_text(entry_id: str) -> str:
 
 
 @lru_cache(maxsize=READ_TEXT_BOUND)
-def read_text(text: str) -> tuple[dsl.SpecFile, LieAlgebra]:
+def read_text(text: str) -> tuple[dsl.SpecFile, LieAlgebra | None]:
     """Parse and algebra of a text, held with the text for the last ``READ_TEXT_BOUND`` that parsed:
     O(text size) each, no byte limit (a dense file at ``dsl.MAX_DIM``, 273 KB, takes 6.1 MB).  Input
-    only: callers share it and must not mutate it; derived data stays per report or command."""
+    only: callers share it and must not mutate it; derived data stays per report or command.  A
+    family's algebra is None: it has one at each point (``_at``)."""
     spec = dsl.parse(text)
+    return spec, None if spec.parameters else LieAlgebra.from_table(spec.labels, spec.brackets)
+
+
+def _at(spec: dsl.SpecFile, point: Sequence) -> tuple[dsl.SpecFile, LieAlgebra]:
+    """A family's file at ``point``, and its algebra."""
+    spec = dsl.at(spec, point)
     return spec, LieAlgebra.from_table(spec.labels, spec.brackets)
 
 
@@ -298,7 +262,7 @@ def entry_from_spec(entry_id: str, spec: dsl.SpecFile, algebra: LieAlgebra) -> C
     none).  A file with one gives a model: its complement is the basis vectors that complete
     the isotropy in declared order, and its form keys must be their labels."""
     if not spec.isotropy:
-        form = QuadraticForm.from_sparse(spec.labels, spec.form) if spec.form else None
+        form = None if spec.form is None else QuadraticForm.from_sparse(spec.labels, spec.form)
         return CatalogEntry(
             entry_id, algebra, form=form, expected=_report_order(spec.expected, _METRIC_KEYS)
         )
@@ -306,7 +270,7 @@ def entry_from_spec(entry_id: str, spec: dsl.SpecFile, algebra: LieAlgebra) -> C
     positions = _completion(isotropy, algebra.dim)
     labels = [algebra.basis_names[p] for p in positions]
     form = None
-    if spec.form:
+    if spec.form is not None:
         for a, b in spec.form:
             if a not in labels or b not in labels:
                 raise ValueError(
@@ -326,21 +290,18 @@ def build_catalog() -> list[CatalogEntry]:
     return [entry_from_spec(i, *_shipped(i)[1:]) for i in CATALOG_IDS]
 
 
-def check_prop_iv(params: ParamExtension) -> bool:
-    """Flat-case criterion of the stabilizer family: c = 0, k = -beta^2.
+def check_prop_iv(point: Sequence) -> bool:
+    """Flat-case criterion of the stabilizer family at (c, m, k, beta): c = 0, k = -beta^2.
 
-    True iff span{X, Z - beta*Y, T} is bracket-closed and is a Heisenberg
-    algebra whose center is spanned by X.  A nonzero m parameter is what
-    makes the span literally Heisenberg.
+    True iff span{X, Z - beta*Y, T} of the family file's algebra at the point
+    is bracket-closed and is a Heisenberg algebra whose center is spanned by
+    X.  A nonzero m parameter is what makes the span literally Heisenberg.
     """
-    if params.c != gr(0) or params.k + params.beta * params.beta != gr(0):
+    c, _, k, beta = map(as_gr, point)
+    if c or k + beta * beta:
         raise ValueError("requires c = 0 and k + beta^2 = 0 exactly")
-    algebra = build_param_extension(params)
-    generators = [
-        algebra.vector("X"),
-        algebra.vector({"Z": 1, "Y": -params.beta}),
-        algebra.vector("T"),
-    ]
+    algebra = _at(_shipped(FAMILY_ID)[1], point)[1]
+    generators = [algebra.vector("X"), algebra.vector({"Z": 1, "Y": -beta}), algebra.vector("T")]
     try:
         span = CatalogEntry("iv", subalgebra(algebra, generators, basis_names=("X", "V", "T")))
         return FACTS["class"](span) == "HEIS" and _center_is_x_line(span)
@@ -410,10 +371,10 @@ def _check(
 
 def _run(check_id: str, check: Callable[..., CheckResult], *args) -> CheckResult:
     """``check(check_id, *args)``, or a failing record whose witness is the
-    message of the ValueError raised while computing it."""
+    message of the ValueError or OSError raised while computing it."""
     try:
         return check(check_id, *args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _check(check_id, False, witness=str(exc))
 
 
@@ -716,49 +677,29 @@ def _grid_check(
     return _check(check_id, point is None, point and witness(point), unit and f"{count} {unit}")
 
 
-def _heis_family_jacobi(check_id: str) -> CheckResult:
-    """Jacobi at every point (c, m, k, beta) of the degree-2 lattice, then the
-    structure constants there equal to their interpolation from the affine points."""
-    grid, flat = _lattice(4, 2), {}
+def _family_jacobi(check_id: str, spec: dsl.SpecFile | None = None) -> CheckResult:
+    """Jacobi at every point of the lattice of degree 2d of a family file of degree d, by
+    default the stabilizer family's: each Jacobiator entry has degree <= 2d in the parameters."""
+    spec = _shipped(FAMILY_ID)[1] if spec is None else spec
 
     def jacobi(*p):
-        algebra = build_param_extension(ParamExtension(*p))
-        flat[p] = [x for row in algebra.constants for v in row for x in v]
+        algebra = _at(spec, p)[1]
         triple = jacobi_witness(algebra)
         return triple and f"Jacobi fails, {_triple_str(algebra, triple)}"
 
-    point, count = _prove(grid, jacobi)
-    if point is not None:
-        return _check(check_id, False, f"at {point}: {jacobi(*point)}", f"{count} grid points")
-    origin, *units = _lattice(4, 1)
-    # Per unit point e_i: i, and (position, difference) where its constants differ from the origin's.
-    slopes = [
-        (u.index(1), [(s, a - b) for s, (a, b) in enumerate(zip(flat[u], flat[origin])) if a != b])
-        for u in units
-    ]
-
-    def not_affine(*p):
-        line = list(flat[origin])
-        for i, slope in slopes:
-            for s, d in slope:
-                line[s] += p[i] * d
-        return flat[p] != line
-
-    return _grid_check(
-        check_id, grid, not_affine, lambda p: f"at {p}: structure constants not affine", "grid points"
-    )
+    grid = _lattice(len(spec.parameters), 2 * dsl.degree(spec))
+    return _grid_check(check_id, grid, jacobi, lambda p: f"at {p}: {jacobi(*p)}", "grid points")
 
 
-def _heis_family_isotropy(check_id: str) -> CheckResult:
-    """At every affine point the isotropy frame is the origin's and the induced
-    action is the nilpotent flow generator.
-
-    With the frame fixed, ``induced_ad`` is affine in the parameters.
-    """
-    generator, grid, frames = unipotent_isotropy_generator(), _lattice(4, 1), {}
+def _family_isotropy(check_id: str) -> CheckResult:
+    """At every point of the lattice of the stabilizer family's degree d, the isotropy frame is
+    the origin's and the induced action is the nilpotent flow generator: a frame of degree <= d
+    fixed on the lattice is fixed, and with it ``induced_ad`` has degree <= d."""
+    spec, generator, frames = _shipped(FAMILY_ID)[1], unipotent_isotropy_generator(), {}
+    grid = _lattice(len(spec.parameters), dsl.degree(spec))
 
     def defect(*p):
-        model = heis_stabilizer_model(ParamExtension(*p))
+        model = _model(entry_from_spec(spec.name, *_at(spec, p)))
         frames[p] = model.isotropy + model.complement
         if frames[p] != frames[grid[0]]:
             return "isotropy or complement moved"
@@ -771,21 +712,21 @@ def _heis_family_isotropy(check_id: str) -> CheckResult:
 
 
 def verify_heis_family() -> list[CheckResult]:
-    """Jacobi and unipotent isotropy proved for every parameter value, and the
-    flat case (iv) at four parameter values."""
+    """Jacobi and unipotent isotropy proved for every parameter value of the
+    stabilizer family's file, and the flat case (iv) at four parameter values."""
     betas = (("beta0", gr(0)), ("beta1", gr(1)), ("betai", gr(0, 1)), ("beta3_2", gr(Fraction(3, 2))))
     return _run_rows(
         (
-            ("heis-family/jacobi", _heis_family_jacobi),
-            ("heis-family/isotropy_unipotent", _heis_family_isotropy),
+            ("heis-family/jacobi", _family_jacobi),
+            ("heis-family/isotropy_unipotent", _family_isotropy),
             *((f"heis-family/iv_{tag}", _flat_case_check, beta) for tag, beta in betas),
         )
     )
 
 
 def _flat_case_check(check_id: str, beta: GaussianRational) -> CheckResult:
-    params = ParamExtension(c=0, m=1, k=-(beta * beta), beta=beta)
-    return _check(check_id, check_prop_iv(params), f"params {params}")
+    point = (ZERO, ONE, -(beta * beta), beta)
+    return _check(check_id, check_prop_iv(point), f"at ({', '.join(map(str, point))})")
 
 
 def verify_flow_identities() -> list[CheckResult]:
@@ -887,10 +828,7 @@ def verify_shipped_files() -> list[CheckResult]:
 
 
 def _shipped_file_check(check_id: str, entry_id: str) -> CheckResult:
-    try:
-        text, spec, _ = _shipped(entry_id)
-    except OSError as exc:
-        return _check(check_id, False, witness=str(exc))
+    text, spec, _ = _shipped(entry_id)
     if spec.name != entry_id:
         return _check(check_id, False, witness=f"name is {spec.name!r}")
     pairs = zip_longest(text.splitlines(keepends=True), dsl.serialize(spec).splitlines(keepends=True))

@@ -5,7 +5,8 @@ Exit codes: 0 success / all checks pass, 1 check failure or input error,
 with the stable keys id, status, witness, value, or in its text format, and takes
 the exit code from them.  File commands print the ``catalog.FACTS`` values
 (``invariants``, ``classify``, ``model``) or the derived metric data (``connection``,
-``curvature``, ``constcurv``) of a ``catalog.CatalogEntry`` built from the file.
+``curvature``, ``constcurv``) of a ``catalog.CatalogEntry`` built from the file; of
+them, ``validate`` alone reads a family file, proving Jacobi on its grid as the report does.
 """
 
 from __future__ import annotations
@@ -86,14 +87,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str) -> tuple[dsl.SpecFile, LieAlgebra]:
+def _load(path: str) -> tuple[str, dsl.SpecFile, LieAlgebra | None]:
+    """A file's text, parse and algebra; a family file has no one algebra (None)."""
     with open(path, "r", encoding="utf-8") as handle:
-        return cat.read_text(handle.read())
+        text = handle.read()
+    return (text, *cat.read_text(text))
 
 
 def _load_lie(path: str) -> tuple[dsl.SpecFile, LieAlgebra]:
-    """A file's parse and algebra; a table breaking Jacobi is an input error."""
-    spec, algebra = _load(path)
+    """A file's parse and algebra; a family file, or a table breaking Jacobi, is an input error."""
+    text, spec, algebra = _load(path)
+    if algebra is None:
+        line = next(n for name, n, _ in dsl._scan_sections(text) if name == "parameters")
+        raise dsl.DslError("a family file ([parameters]) is read by validate only", line, 1)
     jacobi = cat._jacobi_check("jacobi", algebra)
     if not jacobi.passed:
         raise ValueError(f"not a Lie algebra: Jacobi identity fails at {jacobi.witness}")
@@ -133,7 +139,9 @@ def _facts(entry: cat.CatalogEntry, keys: tuple[str, ...]) -> list[cat.CheckResu
 
 
 def _cmd_validate(args) -> int:
-    spec, algebra = _load(args.file)
+    _, spec, algebra = _load(args.file)
+    if algebra is None:
+        return _print_records(args, [cat._family_jacobi("jacobi", spec)])
     records = [cat._jacobi_check("jacobi", algebra)]
     try:
         entry = cat.entry_from_spec(spec.name, spec, algebra)

@@ -7,6 +7,9 @@ Format (one key per line, `#` starts a comment, whitespace insignificant):
     dim = 3
     basis = Y, Z, T
 
+    [parameters]         # optional: a family, polynomial in these names
+    names = c, beta
+
     [brackets]           # sparse: omitted entries are zero
     "Y,Z" = Z
     "Y,T" = - T
@@ -30,8 +33,8 @@ whitespace only separates tokens.  A token's column is found only when an
 error reports it.  Over these tokens:
 
     sum         = product {("+" | "-") product}
-    product     = factor {["*"] factor}     # implicit before "i" or "(" only
-    factor      = "-" factor | "(" sum ")" | number ["/" number] | "i"
+    product     = factor {["*"] factor}     # implicit before "i", "(" or a parameter only
+    factor      = "-" factor | "(" sum ")" | number ["/" number] | "i" | parameter
     combination = ["+" | "-"] term {("+" | "-") term}
     term        = [coeff] ["i"] label | coeff
 
@@ -39,7 +42,9 @@ where a coeff is a product that opens with a number or "(", and a term
 without a label must be 0 and cannot stand beside one with a label.
 
 Scalars are Gaussian rationals, e.g. `1/2 + 3/4 i`.  Bracket and isotropy
-values are linear combinations of declared basis labels.
+values are linear combinations of declared basis labels.  In a family, a file
+with `[parameters]`, their coefficients are polynomials (`(-m - c*c) X`), and
+``at`` gives the file at a point.  A declared `[form]` is kept even when zero.
 Serialization is canonical (fixed section order, keys sorted, scalars in
 lowest terms) and ``parse(serialize(s)) == s``.  ``catalog.entry_from_spec``
 turns a parsed file into library objects.
@@ -48,9 +53,10 @@ turns a parsed file into library objects.
 from __future__ import annotations
 
 import re
+from math import prod
 from typing import Sequence
 
-from .scalars import GaussianRational, ONE, Record, _make, _render, gr
+from .scalars import GaussianRational, ONE, Record, ZERO, _make, _render, gr
 
 
 class DslError(ValueError):
@@ -81,7 +87,7 @@ class MissingSection(DslError):
 
 _I = gr(0, 1)
 
-SECTION_ORDER = ("algebra", "brackets", "form", "isotropy", "expected")
+SECTION_ORDER = ("algebra", "parameters", "brackets", "form", "isotropy", "expected")
 
 # Each [expected] key's kind; a key of no kind keeps its value as written.
 EXPECTED_KINDS = {
@@ -114,10 +120,10 @@ _PAIR_KEY_RE = re.compile(
 
 
 class SpecFile(Record):
-    """Parsed declarative description of an algebra with optional extras; mutable, so
-    unhashable, but ``catalog.read_text`` shares each parse, so no caller may mutate one."""
+    """Parsed declarative description of an algebra with optional extras (``form`` None without
+    ``[form]``); mutable, so unhashable, but ``catalog.read_text`` shares it: no caller may mutate one."""
 
-    __slots__ = _fields = ("name", "labels", "brackets", "form", "isotropy", "expected")
+    __slots__ = _fields = ("name", "labels", "brackets", "form", "isotropy", "expected", "parameters")
     __setattr__, __delattr__ = object.__setattr__, object.__delattr__
     __hash__ = None
 
@@ -129,11 +135,71 @@ class SpecFile(Record):
         form: dict[tuple[str, str], GaussianRational] | None = None,
         isotropy: tuple[dict[str, GaussianRational], ...] = (),
         expected: dict[str, str] | None = None,
+        parameters: tuple[str, ...] = (),
     ):
-        self.name, self.labels, self.isotropy = name, labels, isotropy
+        self.name, self.labels, self.form, self.isotropy = name, labels, form, isotropy
+        self.parameters = parameters
         self.brackets = {} if brackets is None else brackets
-        self.form = {} if form is None else form
         self.expected = {} if expected is None else expected
+
+
+class _Poly(dict):
+    """A coefficient that keeps a parameter: each monomial, the sorted positions of its
+    factors (``c*c*m`` is ``(0, 0, 1)``), to its nonzero scalar.  Its arithmetic with
+    scalars and polynomials returns the scalar when no parameter is left."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _polynomial([*self.items(), *_terms(other)])
+
+    def __mul__(self, other):
+        return _polynomial((tuple(sorted(m + n)), x * y) for m, x in self.items() for n, y in _terms(other))
+
+    def __neg__(self):
+        return self * -ONE
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _terms(x) -> list:
+    return list(x.items()) if type(x) is _Poly else [((), x)]
+
+
+def _polynomial(terms):
+    """The sum of (monomial, scalar) terms; a scalar when no parameter is left."""
+    poly = {}
+    for monomial, x in terms:
+        poly[monomial] = poly[monomial] + x if monomial in poly else x
+    poly = _Poly((monomial, x) for monomial, x in poly.items() if x)
+    return poly if poly.keys() - {()} else poly.get((), ZERO)
+
+
+def at(spec: SpecFile, point: Sequence) -> SpecFile:
+    """The parameter-free file of a family at ``point``, one value per parameter."""
+    if len(point) != len(spec.parameters):
+        raise ValueError(f"expected {len(spec.parameters)} parameter values, got {len(point)}")
+
+    def combination(combo: dict) -> dict[str, GaussianRational]:
+        values = ((label, sum((prod((point[j] for j in m), start=x) for m, x in _terms(c)), ZERO))
+                  for label, c in combo.items())
+        return {label: value for label, value in values if value}
+
+    brackets = ((pair, combination(combo)) for pair, combo in spec.brackets.items())
+    isotropy = tuple(map(combination, spec.isotropy))
+    return SpecFile(spec.name, spec.labels, {k: v for k, v in brackets if v}, spec.form, isotropy, spec.expected)
+
+
+def degree(spec: SpecFile) -> int:
+    """The largest total degree of a coefficient of ``spec``; 0 for a parameter-free file."""
+    coeffs = (x for combo in (*spec.brackets.values(), *spec.isotropy) for x in combo.values())
+    return max((len(m) for x in coeffs for m, _ in _terms(x)), default=0)
 
 
 # -- scalar / combination expression parsing --------------------------------
@@ -143,7 +209,10 @@ class _Tokens:
     """The tokens of one value, ending with None, and the parser's place
     ``at`` among them; the descent reads ``items[at]`` and moves ``at``."""
 
-    def __init__(self, text: str, line: int, col0: int):
+    joins = frozenset(("*", "i", "("))  # the tokens at which a product goes on
+    params: dict[str, int] = {}  # each parameter's position, in a family only
+
+    def __init__(self, text: str, line: int, col0: int, params: dict[str, int] | None = None):
         self.text = text
         self.items = _TOKEN_RE.findall(text)
         self.items.append(None)
@@ -151,6 +220,8 @@ class _Tokens:
         self.line = line
         self.col0 = col0
         self.depth = 0
+        if params:
+            self.params, self.joins = params, self.joins.union(params)
 
     def take_int(self) -> int:
         digits = self.items[self.at]
@@ -234,6 +305,8 @@ def _parse_factor(tk: _Tokens) -> GaussianRational:
     ident = tk.take_ident()
     if ident == "i":
         return _I
+    if ident in tk.params:
+        return _Poly({(tk.params[ident],): ONE})
     if ident is not None:
         raise tk.error(f"unexpected identifier {ident!r} in scalar", tk.end())
     raise tk.error(f"unexpected character {tok!r}")
@@ -241,8 +314,8 @@ def _parse_factor(tk: _Tokens) -> GaussianRational:
 
 def _parse_product(tk: _Tokens) -> GaussianRational:
     value = _parse_factor(tk)
-    # `*`, or an implicit product: "3 i", "2 (1+i)", "3/4 i".
-    while (tok := tk.items[tk.at]) in ("*", "i", "("):
+    # `*`, or an implicit product: "3 i", "2 (1+i)", "3/4 i", "2 c".
+    while (tok := tk.items[tk.at]) in tk.joins:
         if tok == "*":
             tk.at += 1
         value = value * _parse_factor(tk)
@@ -270,14 +343,14 @@ def parse_scalar(text: str, line: int = 0, col0: int = 1) -> GaussianRational:
 
 
 def _parse_combination(
-    text: str, labels: Sequence[str], line: int, col0: int
+    text: str, labels: Sequence[str], line: int, col0: int, params: dict[str, int] | None = None
 ) -> dict[str, GaussianRational]:
     """Parse a linear combination of labels; a bare scalar 0 is allowed.
 
     Each term after the first starts at its ``+`` or ``-``: anything else
     after a term is an error.
     """
-    tk = _Tokens(text, line, col0)
+    tk = _Tokens(text, line, col0, params)
     items = tk.items
     label_set = set(labels)
     combo: dict[str, GaussianRational] = {}
@@ -424,14 +497,24 @@ def parse(text: str) -> SpecFile:
             1,
         )
 
-    spec = SpecFile(name=name, labels=labels)
     index = {label: k for k, label in enumerate(labels)}
+    params: dict[str, int] = {}
+    for key, key_col, value, value_col, line_no in by_name.get("parameters", (0, ()))[1]:
+        if key != "names" or params:
+            raise DslError("[parameters] holds one key, names", line_no, key_col)
+        for param in (part.strip() for part in value.split(",")):
+            clash = "a basis label" if param in index else "repeated" if param in params else None
+            if clash or param == "i" or not _IDENT_RE.fullmatch(param):
+                reason = clash or "not an identifier other than 'i'"
+                raise DslError(f"parameter {param!r} is {reason}", line_no, value_col)
+            params[param] = len(params)
+    spec = SpecFile(name=name, labels=labels, parameters=tuple(params))
 
     if "brackets" in by_name:
         given = set()  # every pair given, also those with a zero value, which is not stored
         for key, key_col, value, value_col, line_no in by_name["brackets"][1]:
             a, b = _pair_key(key, labels, line_no, key_col)
-            combo = _parse_combination(value, labels, line_no, value_col)
+            combo = _parse_combination(value, labels, line_no, value_col, params)
             if a == b and combo:
                 raise DslError(f'bracket "{a},{a}" must be zero', line_no, value_col)
             if index[a] > index[b]:
@@ -446,7 +529,7 @@ def parse(text: str) -> SpecFile:
                 spec.brackets[(a, b)] = combo
 
     if "form" in by_name:
-        given = set()
+        spec.form, given = {}, set()
         for key, key_col, value, value_col, line_no in by_name["form"][1]:
             a, b = _pair_key(key, labels, line_no, key_col)
             if index[a] > index[b]:
@@ -471,7 +554,7 @@ def parse(text: str) -> SpecFile:
             if key in seen_keys:
                 raise DuplicateKey(f"key {key!r} repeated", line_no, key_col)
             seen_keys.add(key)
-            combo = _parse_combination(value, labels, line_no, value_col)
+            combo = _parse_combination(value, labels, line_no, value_col, params)
             if not combo:
                 raise DslError("isotropy generator must be nonzero", line_no, value_col)
             generators.append(combo)
@@ -514,29 +597,40 @@ def _normalize(kind: str | None, key: str, value: str, line: int, col: int) -> s
 
 
 def format_combination(
-    labels: Sequence[str], combo: dict[str, GaussianRational]
+    labels: Sequence[str], combo: dict[str, GaussianRational], parameters: Sequence[str] = ()
 ) -> str:
-    """Canonical rendering of a linear combination, basis order first."""
+    """Canonical rendering of a linear combination, basis order first; a coefficient
+    polynomial in ``parameters`` stands in parentheses."""
     ordered = [
         (label, combo[label]) for label in labels if label in combo and combo[label]
     ]
-    if not ordered:
-        return "0"
+    return _sum_text(ordered, "- ", parameters) if ordered else "0"
+
+
+def _sum_text(terms: list[tuple[str, object]], lead: str, parameters: Sequence[str]) -> str:
+    """The terms (name, coefficient), joined by their signs; ``lead`` is a first term's minus,
+    and the name "" is a constant term of a polynomial."""
     parts: list[str] = []
-    for position, (label, coeff) in enumerate(ordered):
+    for position, (label, coeff) in enumerate(terms):
+        if type(coeff) is _Poly:
+            monomials = sorted(coeff, key=lambda m: (len(m), m))
+            named = [("*".join(parameters[j] for j in m), coeff[m]) for m in monomials]
+            parts.append(f"{'+ ' if position else ''}({_sum_text(named, '-', ())}) {label}")
+            continue
         # A real or imaginary sign joins the terms; a mixed one stays in parentheses.
         a, b, d = coeff._a, coeff._b, coeff._d
         negative = b < 0 if not a else a < 0 and not b
         if negative:
             a, b = -a, -b
-        if d == 1 and (a, b) == (1, 0):
+        if d == 1 and (a, b) == (1, 0) and label:
             body = label
-        elif d == 1 and (a, b) == (0, 1):
+        elif d == 1 and (a, b) == (0, 1) and label:
             body = f"i {label}"
         else:
             text = _render(a, b, d)
-            body = f"({text}) {label}" if a and b else f"{text} {label}"
-        parts.append(("- " if negative else "+ " if position else "") + body)
+            body = (f"({text}) {label}" if a and b else f"{text} {label}").rstrip()
+        sign = ("- " if position else lead) if negative else "+ " if position else ""
+        parts.append(sign + body)
     return " ".join(parts)
 
 
@@ -547,14 +641,17 @@ def serialize(spec: SpecFile) -> str:
     lines.append(f"dim = {len(spec.labels)}")
     lines.append(f"basis = {', '.join(spec.labels)}")
 
+    if spec.parameters:
+        lines += ["", "[parameters]", f"names = {', '.join(spec.parameters)}"]
+
     if spec.brackets:
         lines.append("")
         lines.append("[brackets]")
         for a, b in sorted(spec.brackets):
-            rendered = format_combination(spec.labels, spec.brackets[(a, b)])
+            rendered = format_combination(spec.labels, spec.brackets[(a, b)], spec.parameters)
             lines.append(f'"{a},{b}" = {rendered}')
 
-    if spec.form:
+    if spec.form is not None:
         lines.append("")
         lines.append("[form]")
         for a, b in sorted(spec.form):
@@ -563,11 +660,9 @@ def serialize(spec: SpecFile) -> str:
     if spec.isotropy:
         lines.append("")
         lines.append("[isotropy]")
-        if len(spec.isotropy) == 1:
-            lines.append(f"gen = {format_combination(spec.labels, spec.isotropy[0])}")
-        else:
-            for k, combo in enumerate(spec.isotropy, start=1):
-                lines.append(f"gen{k} = {format_combination(spec.labels, combo)}")
+        keys = ["gen"] if len(spec.isotropy) == 1 else [f"gen{k}" for k in range(1, len(spec.isotropy) + 1)]
+        for key, combo in zip(keys, spec.isotropy):
+            lines.append(f"{key} = {format_combination(spec.labels, combo, spec.parameters)}")
 
     if spec.expected:
         lines.append("")
@@ -576,4 +671,3 @@ def serialize(spec: SpecFile) -> str:
             lines.append(f"{key} = {spec.expected[key]}")
 
     return "\n".join(lines) + "\n"
-

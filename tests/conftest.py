@@ -12,7 +12,6 @@ import pytest
 from hypothesis import settings
 
 from holriem import catalog, geometry
-from holriem.catalog import ParamExtension
 from holriem.geometry import ConnectionTable, CurvatureTensor
 from holriem.liealg import LieAlgebra, NotClosed, bracket
 from holriem.linalg import CMatrix, Vector, as_vector, span_basis, vadd, zero_vector
@@ -53,9 +52,15 @@ def _random_gaussian_rational(rng: random.Random, span: int = 3) -> GaussianRati
 
 
 @pytest.fixture
-def random_param_extension():
-    """Stabilizer-family parameters with small random Q(i) entries, from ``rng``."""
-    return lambda rng: ParamExtension(*(_random_gaussian_rational(rng) for _ in range(4)))
+def random_family_point():
+    """A point (c, m, k, beta) of the stabilizer family with small random Q(i) entries, from ``rng``."""
+    return lambda rng: tuple(_random_gaussian_rational(rng) for _ in range(4))
+
+
+def family_at(point) -> catalog.CatalogEntry:
+    """The stabilizer family's shipped file at ``point`` = (c, m, k, beta), as an entry."""
+    family = catalog._shipped(catalog.FAMILY_ID)[1]
+    return catalog.entry_from_spec(family.name, *catalog._at(family, point))
 
 
 # -- test-only matrix and algebra helpers -------------------------------------

@@ -9,14 +9,11 @@ import json
 import random
 from fractions import Fraction
 
-from conftest import conjugate, failed_checks, sectional_curvature
+from conftest import conjugate, failed_checks, family_at, sectional_curvature
 from holriem.catalog import (
     CatalogEntry,
-    ParamExtension,
     build_catalog,
-    build_param_extension,
     check_prop_iv,
-    heis_stabilizer_model,
     verify_all,
     verify_flow_identities,
     verify_mobius,
@@ -119,7 +116,7 @@ def test_criterion_03_classification_conjugation_robust():
     _report(3, "classification exact and stable under 1000 random basis conjugations", ok)
 
 
-def test_criterion_04_solvable_tables(random_param_extension):
+def test_criterion_04_solvable_tables(random_family_point):
     catalog = build_catalog()
     by_id = {e.id: e for e in catalog}
     ok = all(
@@ -128,8 +125,7 @@ def test_criterion_04_solvable_tables(random_param_extension):
     )
     rng = random.Random(4242)
     for _ in range(100):
-        params = random_param_extension(rng)
-        if jacobi_witness(build_param_extension(params)) is not None:
+        if jacobi_witness(family_at(random_family_point(rng)).algebra) is not None:
             ok = False
     from holriem.liealg import center
 
@@ -143,10 +139,9 @@ def test_criterion_04_solvable_tables(random_param_extension):
         for i in ("c_times_sol", "c_ltimes_heis", "c2_semidirect_c2")
     ]
     ok = ok and types == ["SEMISIMPLE"] * 3
-    ok = ok and isotropy_type(heis_stabilizer_model(ParamExtension())).name == "UNIPOTENT"
+    ok = ok and isotropy_type(family_at((0, 0, 0, 0)).model).name == "UNIPOTENT"
     for _ in range(10):
-        params = random_param_extension(rng)
-        if isotropy_type(heis_stabilizer_model(params)).name != "UNIPOTENT":
+        if isotropy_type(family_at(random_family_point(rng)).model).name != "UNIPOTENT":
             ok = False
     _report(4, "4-dim solvable tables: Jacobi exact, centers (1,1,0), isotropy types", ok)
 
@@ -154,8 +149,7 @@ def test_criterion_04_solvable_tables(random_param_extension):
 def test_criterion_05_stabilizer_family_flat_case():
     ok = True
     for beta in (gr(0), gr(1), gr(0, 1), gr(Fraction(3, 2))):
-        params = ParamExtension(c=0, m=1, k=-(beta * beta), beta=beta)
-        if not check_prop_iv(params):
+        if not check_prop_iv((0, 1, -(beta * beta), beta)):
             ok = False
     _report(5, "flat-case span is Heisenberg with central first generator", ok)
 

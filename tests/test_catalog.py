@@ -5,17 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import ad, failed_checks, nabla
+from conftest import ad, failed_checks, family_at, nabla
 
-from holriem import catalog, geometry, linalg, models
+from holriem import catalog, dsl, geometry, linalg, models
 from holriem.catalog import (
     CATALOG_IDS,
+    FAMILY_ID,
     CatalogEntry,
-    ParamExtension,
     build_catalog,
-    build_param_extension,
     check_prop_iv,
-    heis_stabilizer_model,
     report_to_json,
     shipped_file_text,
     verify_all,
@@ -29,7 +27,7 @@ from holriem.catalog import (
 from holriem.liealg import LieAlgebra, jacobi_witness, killing_form
 from holriem.forms import QuadraticForm
 from holriem.linalg import CMatrix, vadd
-from holriem.models import HomogeneousModel, isotropy_type
+from holriem.models import isotropy_type
 from holriem.scalars import GaussianRational, gr
 
 
@@ -85,7 +83,7 @@ def test_c2_semidirect_action_matrices():
 
 
 def test_param_extension_zero_point():
-    g = build_param_extension(ParamExtension())
+    g = family_at((0, 0, 0, 0)).algebra
     assert jacobi_witness(g) is None
     full = ad(g, g.vector("T"))
     order = [g.index("X"), g.index("Z"), g.index("Y")]
@@ -95,11 +93,10 @@ def test_param_extension_zero_point():
     assert restricted == CMatrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
 
 
-def test_param_extension_random_points_jacobi(random_param_extension):
+def test_param_extension_random_points_jacobi(random_family_point):
     rng = random.Random(2024)
     for _ in range(100):
-        params = random_param_extension(rng)
-        assert jacobi_witness(build_param_extension(params)) is None
+        assert jacobi_witness(family_at(random_family_point(rng)).algebra) is None
 
 
 def test_param_extension_corrupted_table():
@@ -120,89 +117,101 @@ def test_check_prop_iv_cases():
     from fractions import Fraction
 
     for beta in (gr(0), gr(1), gr(0, 1), gr(Fraction(3, 2))):
-        params = ParamExtension(c=0, m=1, k=-(beta * beta), beta=beta)
-        assert check_prop_iv(params)
+        assert check_prop_iv((0, 1, -(beta * beta), beta))
     # The span is abelian (not Heisenberg) when m = 0.
-    assert not check_prop_iv(ParamExtension(c=0, m=0, k=0, beta=0))
+    assert not check_prop_iv((0, 0, 0, 0))
 
 
 def test_check_prop_iv_precondition():
     with pytest.raises(ValueError):
-        check_prop_iv(ParamExtension(c=0, m=1, k=0, beta=1))
+        check_prop_iv((0, 1, 0, 1))
     with pytest.raises(ValueError):
-        check_prop_iv(ParamExtension(c=1, m=1, k=0, beta=0))
+        check_prop_iv((1, 1, 0, 0))
 
 
-def test_family_isotropy_unipotent_random(random_param_extension):
+def test_family_isotropy_unipotent_random(random_family_point):
     rng = random.Random(17)
     for _ in range(20):
-        model = heis_stabilizer_model(random_param_extension(rng))
+        model = family_at(random_family_point(rng)).model
         assert isotropy_type(model).name == "UNIPOTENT"
 
 
-def _family_with(brackets):
-    """``build_param_extension`` with some brackets replaced by functions of the params."""
-
-    def build(p):
-        table = {
-            ("Y", "Z"): {"X": 1},
-            ("T", "X"): {"X": p.c},
-            ("T", "Z"): {"X": p.m, "Z": p.c + p.beta, "Y": p.k},
-            ("T", "Y"): {"Z": 1, "Y": -p.beta},
-        }
-        table.update({pair: combo(p) for pair, combo in brackets.items()})
-        return LieAlgebra.from_table(("X", "Y", "Z", "T"), table)
-
-    return build
-
-
 FLAT_CASES = tuple(f"heis-family/iv_{tag}" for tag in ("beta0", "beta1", "betai", "beta3_2"))
+FAMILY_PROOFS = ("heis-family/jacobi", "heis-family/isotropy_unipotent")
 
-# Mutation of the family builder -> the failing checks, by the start of their witness.
+# Mutation of the family file (a line, and what replaces it) -> the failing
+# checks, by the start of their witness.
 FAMILY_MUTATIONS = {
     # ad(T) X = c X + Z breaks the derivation condition at every point; the
-    # flat cases read the same builder, and their span is no longer closed.
+    # flat cases read the same file, and their span is no longer closed.
     "corrupted_TX": (
-        {("T", "X"): lambda p: {"X": p.c, "Z": 1}},
+        ('"X,T" = (-c) X', '"X,T" = (-c) X - Z'),
         {"heis-family/jacobi": "at (0, 0, 0, 0): Jacobi fails, triple=(X,Y,T)"}
-        | {check_id: "params" for check_id in FLAT_CASES},
+        | {check_id: "at (0, 1, " for check_id in FLAT_CASES},
     ),
-    # m + c^2 keeps Jacobi (m never enters it) but is not affine.
-    "c_squared": (
-        {("T", "Z"): lambda p: {"X": p.m + p.c * p.c, "Z": p.c + p.beta, "Y": p.k}},
-        {"heis-family/jacobi": "at (2, 0, 0, 0): structure constants not affine"},
+    # [X,T] gains -m Y: Jacobi fails once m is nonzero, and the flat cases,
+    # all at m = 1, find their span not closed.
+    "gains_mY": (
+        ('"X,T" = (-c) X', '"X,T" = (-c) X + (-m) Y'),
+        {"heis-family/jacobi": "at (0, 1, 0, 0): Jacobi fails, triple=(X,Z,T)"}
+        | {check_id: "at (0, 1, " for check_id in FLAT_CASES},
     ),
+    # m + c^2 keeps Jacobi (m never enters it): a degree-2 file, proved on
+    # the larger lattices, fails nothing.
+    "c_squared": (('"Z,T" = (-m) X', '"Z,T" = (-m - c*c) X'), {}),
     # [T,Y] = (1 + c) Z - beta Y keeps Jacobi and a nilpotent action, but the
     # action is no longer the flow generator.
     "TY_scaled": (
-        {("T", "Y"): lambda p: {"Z": 1 + p.c, "Y": -p.beta}},
+        ('"Y,T" = (beta) Y - Z', '"Y,T" = (beta) Y + (-1 - c) Z'),
         {"heis-family/isotropy_unipotent": "at (1, 0, 0, 0): induced action"},
+    ),
+    # Y + c X moves the isotropy at the first lattice point where c is nonzero.
+    "isotropy_moves": (
+        ("gen = Y", "gen = Y + (c) X"),
+        {"heis-family/isotropy_unipotent": "at (1, 0, 0, 0): isotropy or complement moved"},
+    ),
+    # Y + c T moves it too, and there the complement drops T, which the form reads.
+    "isotropy_leaves_the_form": (
+        ("gen = Y", "gen = Y + (c) T"),
+        {"heis-family/isotropy_unipotent": "at (1, 0, 0, 0): form entry (X,T) uses a label outside"},
     ),
 }
 
 
+def _mutated_family(shipped_text, old, new):
+    text = shipped_file_text(FAMILY_ID)
+    assert old in text
+    shipped_text[FAMILY_ID] = text.replace(old, new)
+
+
 @pytest.mark.parametrize("name", sorted(FAMILY_MUTATIONS))
-def test_family_proofs_fail_on_a_mutated_builder(name, monkeypatch):
-    brackets, failing = FAMILY_MUTATIONS[name]
-    monkeypatch.setattr(catalog, "build_param_extension", _family_with(brackets))
-    failures = {c.id: c.witness for c in catalog.verify_heis_family() if not c.passed}
+def test_family_proofs_fail_on_a_mutated_builder(name, shipped_text):
+    (old, new), failing = FAMILY_MUTATIONS[name]
+    _mutated_family(shipped_text, old, new)
+    checks = catalog.verify_heis_family()
+    assert [c.id for c in checks] == [*FAMILY_PROOFS, *FLAT_CASES]
+    failures = {c.id: c.witness for c in checks if not c.passed}
     assert failures.keys() == failing.keys()
     for check_id, witness in failing.items():
         assert failures[check_id].startswith(witness), failures[check_id]
 
 
-def test_family_isotropy_fails_when_the_frame_moves(monkeypatch):
-    real = catalog.heis_stabilizer_model
+def test_family_proofs_take_their_lattices_from_the_file_degree(shipped_text):
+    assert [c.value for c in catalog.verify_heis_family()[:2]] == ["15 grid points", "5 affine points"]
+    _mutated_family(shipped_text, *FAMILY_MUTATIONS["c_squared"][0])
+    catalog._shipped.cache_clear()
+    family = catalog._shipped(FAMILY_ID)[1]
+    assert dsl.degree(family) == 2
+    checks = catalog.verify_heis_family()[:2]
+    assert [(c.status, c.value) for c in checks] == [
+        ("pass", "70 grid points"),
+        ("pass", "15 affine points"),
+    ]
 
-    def moved(params):
-        # T + c Y: the induced action stays the generator, the frame does not.
-        model = real(params)
-        g = model.algebra
-        complement = [g.vector("X"), g.vector("Z"), g.vector({"T": 1, "Y": params.c})]
-        return HomogeneousModel(g, model.isotropy, complement, model.quotient_form)
 
-    monkeypatch.setattr(catalog, "heis_stabilizer_model", moved)
-    failures = {c.id: c.witness for c in catalog.verify_heis_family() if not c.passed}
+def test_family_isotropy_fails_when_the_frame_moves(shipped_text):
+    _mutated_family(shipped_text, *FAMILY_MUTATIONS["isotropy_moves"][0])
+    failures = {c.id: c.witness for c in failed_checks(verify_all(42))}
     assert failures == {
         "heis-family/isotropy_unipotent": "at (1, 0, 0, 0): isotropy or complement moved"
     }
@@ -218,37 +227,47 @@ def test_family_isotropy_needs_a_nilpotent_generator(monkeypatch):
 
 def test_family_proofs_build_the_family_on_the_grids_only(monkeypatch):
     calls = []
-    real = catalog.build_param_extension
+    real = catalog._at
 
-    def counted(params):
-        calls.append(params)
-        return real(params)
+    def counted(spec, point):
+        calls.append(point)
+        return real(spec, point)
 
-    monkeypatch.setattr(catalog, "build_param_extension", counted)
+    monkeypatch.setattr(catalog, "_at", counted)
     assert all(c.passed for c in catalog.verify_heis_family())
     # 15 lattice points, 5 affine points for the models, 4 flat cases.
-    assert len(calls) <= 15 + 5 + 4
+    assert len(calls) == 15 + 5 + 4
 
 
-def test_a_model_that_cannot_be_built_fails_the_family_isotropy_at_its_point(monkeypatch):
-    real = catalog.heis_stabilizer_model
-
-    def degenerate(params):
-        # c T + Y: at c = 0 the complement holds the isotropy vector Y.
-        model = real(params)
-        g = model.algebra
-        complement = [g.vector("X"), g.vector("Z"), g.vector({"T": params.c, "Y": 1})]
-        return HomogeneousModel(g, model.isotropy, complement, model.quotient_form)
-
-    monkeypatch.setattr(catalog, "heis_stabilizer_model", degenerate)
+def test_a_model_that_cannot_be_built_fails_the_family_isotropy_at_its_point(shipped_text):
+    # c Y: at c = 0 the isotropy generator vanishes, and the complement that
+    # completes nothing, X, Y, Z, leaves out the T of the form.
+    _mutated_family(shipped_text, "gen = Y", "gen = (c) Y")
     report = verify_all(42)
     assert len(report.checks) == 135
     assert [(c.id, c.witness) for c in failed_checks(report)] == [
         (
             "heis-family/isotropy_unipotent",
-            "at (0, 0, 0, 0): isotropy plus complement must span the algebra",
+            "at (0, 0, 0, 0): form entry (X,T) uses a label outside the complement ['X', 'Y', 'Z']",
         )
     ]
+
+
+@pytest.mark.parametrize(
+    "fault, witness",
+    [
+        (FileNotFoundError("gone"), "gone"),
+        ("[algebra]\nname = x\n", "line 1, col 1: [algebra] must declare name, dim and basis"),
+    ],
+    ids=["missing", "unparsable"],
+)
+def test_a_family_file_that_cannot_be_read_fails_the_six_family_checks(fault, witness, shipped_text):
+    shipped_text[FAMILY_ID] = fault
+    report = verify_all(42)
+    assert len(report.checks) == 135
+    assert {c.id: c.witness for c in failed_checks(report)} == dict.fromkeys(
+        (*FAMILY_PROOFS, *FLAT_CASES), witness
+    )
 
 
 def test_principal_lattices_have_their_point_counts():
@@ -484,14 +503,14 @@ def test_fragments_keep_their_checks_without_entries():
 @pytest.mark.parametrize(
     "entry_id, params",
     [
-        ("heis_stab_zero", ParamExtension()),
-        ("heis_stab_generic", ParamExtension(1, Fraction(1, 2), -1, 3)),
+        ("heis_stab_zero", (0, 0, 0, 0)),
+        ("heis_stab_generic", (1, Fraction(1, 2), -1, 3)),
     ],
 )
 def test_stabilizer_files_are_the_family_at_their_parameters(entry_id, params):
-    entry = _by_id(build_catalog(), entry_id)
-    assert entry.algebra == build_param_extension(params)
-    assert entry.model == heis_stabilizer_model(params)
+    entry, member = _by_id(build_catalog(), entry_id), family_at(params)
+    assert entry.algebra == member.algebra
+    assert entry.model == member.model
 
 
 def test_sl2_form_is_the_killing_form():

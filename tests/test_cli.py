@@ -185,6 +185,69 @@ def test_validate_degenerate_form(tmp_path, capsys):
     assert cli(["validate", str(path)]) == 1
 
 
+ZERO_FORM_METRIC = (
+    '[algebra]\nname = z\ndim = 2\nbasis = A, B\n\n[brackets]\n"A,B" = B\n\n[form]\n"A,A" = 0\n'
+)
+ZERO_FORM_MODEL = (
+    '[algebra]\nname = m\ndim = 4\nbasis = X, Y, Z, T\n\n[brackets]\n"Y,T" = - Z\n"Y,Z" = X\n\n'
+    '[form]\n"X,X" = 0\n\n[isotropy]\ngen = Y\n'
+)
+
+
+@pytest.mark.parametrize(
+    "text, witness",
+    [(ZERO_FORM_METRIC, "form is degenerate"), (ZERO_FORM_MODEL, "quotient form is degenerate")],
+    ids=["metric", "model"],
+)
+def test_validate_fails_a_declared_zero_form(text, witness, tmp_path, capsys):
+    path = tmp_path / "zero.liealg"
+    path.write_text(text)
+    assert cli(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == f"PASS jacobi\nFAIL form_nondegenerate  witness={witness}\n"
+
+
+@pytest.mark.parametrize("command", ["connection", "curvature", "constcurv"])
+def test_metric_commands_reject_a_declared_zero_form(command, tmp_path, capsys):
+    path = tmp_path / "zero.liealg"
+    path.write_text(ZERO_FORM_METRIC)
+    assert cli([command, str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: quadratic form is degenerate\n")
+
+
+FAMILY = f"{DATA}/heis_stab_family.liealg"
+
+
+def test_validate_proves_a_family_on_its_grid(tmp_path, capsys):
+    assert cli(["validate", FAMILY]) == 0
+    assert capsys.readouterr().out == "PASS jacobi  value=15 grid points\n"
+    broken = tmp_path / "broken_family.liealg"
+    broken.write_text(Path(FAMILY).read_text().replace('"X,T" = (-c) X', '"X,T" = (-c) X + (-m) Y'))
+    assert cli(["validate", str(broken), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == [
+        {
+            "id": "jacobi",
+            "status": "fail",
+            "witness": "at (0, 1, 0, 0): Jacobi fails, triple=(X,Z,T)",
+            "value": "15 grid points",
+        }
+    ]
+
+
+@pytest.mark.parametrize(
+    "command", ["connection", "curvature", "constcurv", "invariants", "classify", "model"]
+)
+def test_other_file_commands_reject_a_family_at_its_parameters(command, tmp_path, capsys):
+    assert cli([command, FAMILY]) == 1
+    located = "error: line 6, col 1: a family file ([parameters]) is read by validate only\n"
+    assert capsys.readouterr() == ("", located)
+    # The error names the line where the section stands, here at the end of the file.
+    section = "[parameters]\nnames = c, m, k, beta\n"
+    moved = tmp_path / "moved.liealg"
+    moved.write_text(Path(FAMILY).read_text().replace(section + "\n", "") + "\n" + section)
+    assert cli([command, str(moved)]) == 1
+    assert capsys.readouterr().err == located.replace("line 6", "line 19")
+
+
 def test_parse_error_diagnostics(tmp_path, capsys):
     path = tmp_path / "broken.liealg"
     path.write_text("[algebra]\nname = broken\ndim = 1\nbasis = A\n\n[form]\n\"A,A\" = 1/\n")

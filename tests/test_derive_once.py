@@ -210,8 +210,10 @@ def test_verify_all_eliminates_each_subalgebra_once(work):
     # its semisimplicity and its nilpotency once, which its class reads too: 100,
     # where the class derived them again and made 106 (one more [g, g] each for
     # flat_c3, heis3 and sol3, one more Killing rank for sl2, and one more lower
-    # central series step each for heis3 and sol3).
-    assert work["_reduce"] == 100
+    # central series step each for heis3 and sol3).  105 since the five models of
+    # the stabilizer family's isotropy proof come from its file through
+    # entry_from_spec, which finds each complement in one elimination (_completion).
+    assert work["_reduce"] == 105
 
 
 def test_verify_all_brackets_each_generator_pair_once(work):
@@ -237,14 +239,14 @@ def test_elimination_counters_agree(work, eliminations):
     # ``work`` is set up first, so it wraps every module's binding of the real
     # ``_reduce`` and ``eliminations`` wraps linalg's only: the counts agree
     # when every elimination is called through the module, as a tracer sees it.
-    # 100, as counted above (106 when the class derived its facts again).
+    # 105, as counted above (106 when the class derived its facts again).
     assert catalog.verify_all(42).all_pass
-    assert eliminations["_reduce"] == work["_reduce"] == 100
+    assert eliminations["_reduce"] == work["_reduce"] == 105
 
 
 def test_a_second_report_derives_as_much_as_the_first(calls, eliminations):
     # No derived value (a Gram inverse, so(q), a connection) outlives its report.
-    # 100 eliminations and 13 inverses, as counted above (106 when the class derived
+    # 105 eliminations and 13 inverses, as counted above (106 when the class derived
     # its facts again, 19 inverses when each connection inverted its Gram matrix).
     counts = []
     for _ in range(2):
@@ -253,7 +255,7 @@ def test_a_second_report_derives_as_much_as_the_first(calls, eliminations):
         calls.update(dict.fromkeys(calls, 0))
         eliminations.update(dict.fromkeys(eliminations, 0))
     assert counts[0] == counts[1] == (
-        {"levi_civita": 6, "curvature": 6}, {"_reduce": 100, "inverse": 13}
+        {"levi_civita": 6, "curvature": 6}, {"_reduce": 105, "inverse": 13}
     )
 
 
@@ -433,8 +435,8 @@ def test_verify_all_zero_test_budget(monkeypatch):
     counts = _count_zero_tests_and_steps(monkeypatch)
     assert catalog.verify_all(42).all_pass
     # Zero tests, by the innermost function making them (_dot, _nonzero and generator
-    # expressions count to their caller): 3282 in eliminations (pivot searches and
-    # pivot-row supports), 876 in from_table, 810 in brackets, 747 in act (one call
+    # expressions count to their caller): 3437 in eliminations (pivot searches and
+    # pivot-row supports), 716 in from_table, 810 in brackets, 747 in act (one call
     # per action on a model's whole symmetric basis; 1062 with one call per basis
     # form), 582 in products (1329 when each (row, column) pair tested both
     # operands), 549 in _annihilated, 332 in apply (132 of them lowering an index in
@@ -442,16 +444,20 @@ def test_verify_all_zero_test_budget(monkeypatch):
     # nonzero entries once), 267 in the Killing form (987), 154 in span questions (74
     # in subalgebra, 48 in in_span, 32 in is_ideal), 54 in levi_civita (listing the
     # nonzero Gram entries), 66 in curvature, 36 in induced_ad, 25 in _squarefree, 14
-    # in is_zero, and 1123 in the checks and scans around them (469 in
+    # in is_zero, 192 in dsl.at (dropping the terms of the stabilizer family's file
+    # that vanish at a point), and 1131 in the checks and scans around them (469 in
     # geometry._first, 376 in geometry._add, 6 deciding k = 0 in the six
-    # constant-curvature scans): 8917.  9057 when each connection inverted its Gram
-    # matrix (3318 in eliminations) and raised the Koszul sums through G^-1 (135 in
-    # levi_civita), and QuadraticForm.from_sparse tested each entry for a conflict
-    # (23 of the 1146 then around the checks).  9229 when the class
-    # of the four 3-dimensional entries derived [g, g], the Killing form and the
-    # lower central series again (79 more in eliminations, 54 in brackets, 45 in the
-    # Killing form) and the scans made no k = 0 decision.  The 876 in from_table
-    # build the 30 algebras of a report (24 of the stabilizer family, 6
+    # constant-curvature scans, 8 in check_prop_iv's precondition): 9112.  8917 when
+    # the family was built in code: 155 fewer in eliminations (no complement found
+    # for the five isotropy models), but 160 more in from_table (876, for the zero
+    # constants that code passed) and none in dsl.at or check_prop_iv.  9057 when
+    # each connection inverted its Gram matrix (3318 in eliminations) and raised the
+    # Koszul sums through G^-1 (135 in levi_civita), and QuadraticForm.from_sparse
+    # tested each entry for a conflict (23 of the 1146 then around the checks).  9229
+    # when the class of the four 3-dimensional entries derived [g, g], the Killing
+    # form and the lower central series again (79 more in eliminations, 54 in
+    # brackets, 45 in the Killing form) and the scans made no k = 0 decision.  The
+    # 716 in from_table build the 30 algebras of a report (24 of the stabilizer family, 6
     # subalgebras); 1072, for 9425, when each report rebuilt the 11 shipped algebras
     # too.  9797 then when the defect scans lowered an index with a loop of their
     # own over the nonzero Gram entries (432 there and 72 listing those entries,
@@ -464,4 +470,4 @@ def test_verify_all_zero_test_budget(monkeypatch):
     # dunder products and sums; now each lowered term and each half bracket term
     # is one step.  720 with sl2's second Killing form and the second lower central
     # series of heis3 and sol3.
-    assert counts == {"__bool__": 8917, "steps": 738}
+    assert counts == {"__bool__": 9112, "steps": 738}

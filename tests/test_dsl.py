@@ -2,11 +2,13 @@
 
 import hashlib
 import random
+import re
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
-from holriem.catalog import build_catalog, entry_from_spec, shipped_file_text
+from holriem.catalog import CATALOG_IDS, FAMILY_ID, build_catalog, entry_from_spec, shipped_file_text
 from holriem.dsl import (
     MAX_NESTING,
     DslError,
@@ -14,6 +16,9 @@ from holriem.dsl import (
     MalformedScalar,
     MissingSection,
     UndeclaredLabel,
+    _polynomial,
+    at,
+    degree,
     format_combination,
     parse,
     parse_scalar,
@@ -183,11 +188,25 @@ def test_combination_rendering_round_trip():
 
 
 def test_round_trip_all_shipped_files():
-    for entry in build_catalog():
-        text = shipped_file_text(entry.id)
+    # Every file under data/: the report's files/* checks cover the catalog's,
+    # and this test the family's too.
+    names = sorted(path.stem for path in (resources.files("holriem") / "data").iterdir())
+    assert names == sorted((*CATALOG_IDS, FAMILY_ID))
+    for name in names:
+        text = shipped_file_text(name)
         spec = parse(text)
+        assert spec.name == name
         assert parse(serialize(spec)) == spec
         assert serialize(spec) == text  # files are stored in canonical form
+
+
+def test_a_declared_zero_form_is_kept():
+    text = HEIS_TEXT.replace('"X,Z" = 1\n"Y,Y" = 1\n', '"X,X" = 0\n')
+    spec = parse(text)
+    assert spec.form == {} and parse(HEIS_TEXT.split("[form]")[0]).form is None
+    assert serialize(spec).endswith('"Y,Z" = X\n\n[form]\n')
+    assert parse(serialize(spec)) == spec
+    assert _entry(spec).form.gram.is_zero()
 
 
 def test_serialize_canonicalizes_scalars():
@@ -361,6 +380,105 @@ def test_random_specfile_round_trip():
         )
         text = serialize(spec)
         assert parse(text) == spec, text
+
+
+def test_random_family_round_trip():
+    # Families in up to three parameters whose coefficients are Gaussian
+    # polynomials of degree <= 2, in brackets and isotropy generators.
+    from holriem.dsl import SpecFile
+
+    rng = random.Random(31337)
+    names = ("c", "beta", "m")
+
+    def scalar():
+        return gr(
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+        )
+
+    for trial in range(40):
+        n, p = rng.randint(2, 4), rng.randint(1, 3)
+        labels = ("A", "B", "C", "D")[:n]
+
+        def coefficient():
+            monomials = [tuple(sorted(rng.randrange(p) for _ in range(rng.randint(0, 2)))) for _ in range(3)]
+            return _polynomial((m, scalar()) for m in monomials)
+
+        def combination():
+            combo = {label: coefficient() for label in labels if rng.random() < 0.6}
+            return {label: value for label, value in combo.items() if value}
+
+        brackets = {(labels[i], labels[j]): combination() for i in range(n) for j in range(i + 1, n)}
+        isotropy = tuple(c for c in (combination(),) if c and rng.random() < 0.5)
+        spec = SpecFile(
+            name=f"family{trial}",
+            labels=labels,
+            brackets={pair: combo for pair, combo in brackets.items() if combo},
+            form={(labels[0], labels[0]): scalar() or gr(1)} if rng.random() < 0.5 else None,
+            isotropy=isotropy,
+            parameters=names[:p],
+        )
+        text = serialize(spec)
+        assert parse(text) == spec, text
+        assert degree(spec) <= 2
+
+
+FAMILY_TEXT = HEIS_TEXT.replace("basis = X, Y, Z\n", "basis = X, Y, Z\n\n[parameters]\nnames = c, beta\n")
+
+
+@pytest.mark.parametrize(
+    "names, reason",
+    [
+        ("c, Y", "parameter 'Y' is a basis label"),
+        ("c, i", "parameter 'i' is not an identifier other than 'i'"),
+        ("c, beta, c", "parameter 'c' is repeated"),
+        ("c, 2b", "parameter '2b' is not an identifier other than 'i'"),
+    ],
+)
+def test_a_bad_parameter_name_is_located(names, reason):
+    with pytest.raises(DslError) as info:
+        parse(FAMILY_TEXT.replace("names = c, beta", f"names = {names}"))
+    assert (info.value.line, info.value.col, info.value.reason) == (9, 9, reason)
+
+
+def test_parameters_take_one_names_key():
+    with pytest.raises(DslError) as info:
+        parse(FAMILY_TEXT.replace("names = c, beta\n", "names = c, beta\nnames = m\n"))
+    reason = "[parameters] holds one key, names"
+    assert (info.value.line, info.value.col, info.value.reason) == (10, 1, reason)
+
+
+def test_a_parameter_in_the_form_is_located():
+    with pytest.raises(MalformedScalar) as info:
+        parse(FAMILY_TEXT.replace('"Y,Y" = 1', '"Y,Y" = 1 + c'))
+    assert (info.value.line, info.value.col) == (16, 14)
+    assert info.value.reason == "unexpected identifier 'c' in scalar"
+
+
+def test_a_family_coefficient_is_a_polynomial_in_its_parameters():
+    spec = parse(FAMILY_TEXT.replace('"Y,Z" = X', '"Y,Z" = (1 - c*beta) X + 2 beta*beta c Z'))
+    assert serialize(spec).count('"Y,Z" = (1 - c*beta) X + (2 c*beta*beta) Z') == 1
+    assert degree(spec) == 3 and degree(parse(HEIS_TEXT)) == 0
+    point = at(spec, (gr(0, 1), Fraction(1, 2)))
+    assert point.parameters == ()
+    assert point.brackets == {("Y", "Z"): {"X": gr(1, Fraction(-1, 2)), "Z": gr(0, Fraction(1, 2))}}
+    assert at(spec, (1, 1)).brackets == {("Y", "Z"): {"Z": gr(2)}}  # 1 - c beta vanishes there
+    with pytest.raises(ValueError, match="expected 2 parameter values, got 1"):
+        at(spec, (1,))
+
+
+@pytest.mark.parametrize(
+    "point", [(0, 0, 0, 0), (1, Fraction(1, 2), -1, 3), (gr(0, 1), -2, gr(1, 1), Fraction(-3, 4))]
+)
+def test_the_family_file_at_a_point_is_the_file_with_the_values_written_in(point):
+    text = shipped_file_text(FAMILY_ID)
+    values = dict(zip(("c", "m", "k", "beta"), point))
+    written = re.sub(
+        r"\b(c|m|k|beta)\b",
+        lambda match: f"({gr(0) + values[match.group()]})",
+        text.replace("[parameters]\nnames = c, m, k, beta\n\n", ""),
+    )
+    assert at(parse(text), point) == parse(written)
 
 
 def test_nesting_up_to_the_limit_parses():

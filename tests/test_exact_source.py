@@ -2,7 +2,9 @@
 source, no identity test against the shared ``ZERO`` or ``ONE``, and no
 ``GaussianRational`` made without ``__init__`` outside ``scalars._make``; no
 module but ``linalg`` names its elimination ``_reduce``; ``dsl`` imports
-nothing from the package but ``scalars``; every check of the catalog that
+nothing from the package but ``scalars``; no ``from_table`` call takes a bracket
+table written in the code, so every algebra and family comes from a ``.liealg``
+file or is derived; every check of the catalog that
 can fail names a witness; and every module-level function, class and
 assigned name, and every named method and property of such a class, is
 used in the package."""
@@ -257,6 +259,36 @@ def test_the_scan_finds_package_imports():
     catalog = next(path for path in SOURCES if path.name == "catalog.py")
     imported = _package_imports(ast.parse(catalog.read_text(encoding="utf-8")))
     assert "dsl" in [module for _, module in imported]
+
+
+def _literal_tables(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, source) for each call of ``from_table``, as a bare name or an attribute,
+    whose table, its second positional argument or ``table=``, is a dict display."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _spelled(node.func) == "from_table":
+            tables = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "table")]
+            if any(isinstance(table, ast.Dict) for table in tables):
+                found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_algebra_is_built_from_a_table_in_the_code(path):
+    assert _literal_tables(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_scan_finds_literal_tables():
+    source = (
+        "LieAlgebra.from_table(names, {('Y', 'Z'): {'X': 1}})\n"
+        "g = from_table(('X',), table={})\n"
+        "LieAlgebra.from_table(spec.labels, spec.brackets)\n"
+        "LieAlgebra.from_table(names, {pair: c for pair, c in rows})\n"
+        "LieAlgebra.from_table(names, table)\n"
+        "other(names, {('Y', 'Z'): {'X': 1}})\n"
+        "LieAlgebra.from_table(\n    ('X', 'Y'),\n    {('X', 'Y'): {'X': c}},\n)\n"
+    )
+    assert [line for line, _ in _literal_tables(ast.parse(source))] == [1, 2, 7]
 
 
 def _unwitnessed(tree: ast.AST) -> list[tuple[int, str]]:

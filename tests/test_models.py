@@ -6,9 +6,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from conftest import column, jordan, jordan_blocks
+from conftest import column, family_at, jordan, jordan_blocks
 
-from holriem.catalog import ParamExtension, _lattice, build_catalog, heis_stabilizer_model
+from holriem.catalog import _lattice, build_catalog
 from holriem.forms import QuadraticForm
 from holriem.geometry import adapted_gram_unipotent, unipotent_isotropy_generator
 from holriem.liealg import LieAlgebra
@@ -65,7 +65,7 @@ def test_induced_ad_requires_invariant_isotropy():
 
 def test_isotropy_types():
     assert isotropy_type(CATALOG["c_times_sol"].model) is IsotropyType.SEMISIMPLE
-    assert isotropy_type(heis_stabilizer_model(ParamExtension())) is IsotropyType.UNIPOTENT
+    assert isotropy_type(family_at((0, 0, 0, 0)).model) is IsotropyType.UNIPOTENT
 
 
 def test_isotropy_type_mixed():
@@ -177,7 +177,7 @@ def test_invariant_forms_semisimple_weights():
 
 
 def test_invariant_forms_unipotent_contains_adapted_gram():
-    model = heis_stabilizer_model(ParamExtension(1, 2, -3, gr(0, 1)))
+    model = family_at((1, 2, -3, gr(0, 1))).model
     forms = invariant_forms(model)
     assert len(forms) == 2
     flatten = lambda m: [v for row in m.entries for v in row]
@@ -276,7 +276,7 @@ def test_section4_models():
 
 
 def test_isotropy_type_invariant_under_generator_rescaling():
-    base = heis_stabilizer_model(ParamExtension(1, 2, 3, 4))
+    base = family_at((1, 2, 3, 4)).model
     for scale in (gr(2), gr(0, 1), gr(-3, 5)):
         rescaled = HomogeneousModel(
             base.algebra,
@@ -297,7 +297,7 @@ def test_isotropy_type_invariant_under_generator_rescaling():
 
 def test_invariant_forms_satisfy_equation_exactly():
     for model in (
-        heis_stabilizer_model(ParamExtension(1, 2, -3, 4)),
+        family_at((1, 2, -3, 4)).model,
         CATALOG["c_times_sol"].model,
         CATALOG["c_oplus_sl2"].model,
     ):
@@ -346,7 +346,7 @@ def test_invariant_forms_digest():
     # The forms, and their order, on the catalog models and on the stabilizer
     # family at the 15 points of the degree-2 lattice in (c, m, k, beta).
     models = [entry.model for entry in build_catalog() if entry.model is not None]
-    models += [heis_stabilizer_model(ParamExtension(*p)) for p in _lattice(4, 2)]
+    models += [family_at(p).model for p in _lattice(4, 2)]
     assert len(models) == 22
     text = "\n".join(" | ".join(str(f.gram) for f in invariant_forms(m)) for m in models)
     assert hashlib.sha256(text.encode()).hexdigest() == (

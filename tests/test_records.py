@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import holriem
-from holriem.catalog import CatalogEntry, CheckResult, ParamExtension, VerifyReport, build_catalog
+from holriem.catalog import CatalogEntry, CheckResult, VerifyReport, build_catalog
 from holriem.dsl import SpecFile
 from holriem.forms import QuadraticForm
 from holriem.liealg import LieAlgebra
@@ -30,7 +30,6 @@ def _records():
         QuadraticForm([[1, 0], [0, 2]]),
         LieAlgebra(HEIS.basis_names, HEIS.constants),
         HomogeneousModel(MODEL.algebra, MODEL.isotropy, MODEL.complement, MODEL.quotient_form),
-        ParamExtension(c=0, m=1, k=-1, beta=1),
         CatalogEntry("heis3", HEIS),
         CheckResult("a/b", "fail", "w", "v"),
         VerifyReport(42, (CheckResult("a/b", "pass"),)),
@@ -102,11 +101,6 @@ def test_shipped_entries_hash_and_compare_their_expected_facts():
 
 
 def test_reprs_keep_the_dataclass_text():
-    # The stabilizer family's witness in a failing heis-family/iv_* check.
-    assert repr(ParamExtension(c=0, m=1, k=-1, beta=1)) == (
-        "ParamExtension(c=GaussianRational(0), m=GaussianRational(1), "
-        "k=GaussianRational(-1), beta=GaussianRational(1))"
-    )
     assert repr(CheckResult("a", "pass")) == (
         "CheckResult(id='a', status='pass', witness=None, value=None)"
     )
@@ -115,11 +109,12 @@ def test_reprs_keep_the_dataclass_text():
     )
 
 
-def test_spec_file_is_mutable_unhashable_and_compares_six_fields():
+def test_spec_file_is_mutable_unhashable_and_compares_its_seven_fields():
     spec = SpecFile("n", ("X",))
-    assert spec == SpecFile("n", ("X",), {}, {}, (), {})
+    assert spec == SpecFile("n", ("X",), {}, None, (), {}, ())
     assert repr(spec) == (
-        "SpecFile(name='n', labels=('X',), brackets={}, form={}, isotropy=(), expected={})"
+        "SpecFile(name='n', labels=('X',), brackets={}, form=None, isotropy=(), expected={}, "
+        "parameters=())"
     )
     with pytest.raises(TypeError, match="unhashable"):
         hash(spec)
@@ -130,6 +125,7 @@ def test_spec_file_is_mutable_unhashable_and_compares_six_fields():
         ("form", {("X", "X"): gr(1)}),
         ("isotropy", ({"X": gr(1)},)),
         ("expected", {"class": "SOL"}),
+        ("parameters", ("c",)),
     ):
         other = SpecFile("n", ("X",))
         setattr(other, name, value)

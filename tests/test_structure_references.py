@@ -18,6 +18,7 @@ from itertools import product
 import pytest
 from conftest import (
     conjugate,
+    family_at,
     reference_derived_series,
     reference_greedy_complement,
     reference_in_span,
@@ -27,12 +28,7 @@ from conftest import (
 )
 
 from holriem import catalog
-from holriem.catalog import (
-    ParamExtension,
-    build_catalog,
-    build_param_extension,
-    heis_stabilizer_model,
-)
+from holriem.catalog import build_catalog
 from holriem.liealg import (
     LieAlgebra,
     NotClosed,
@@ -50,9 +46,9 @@ from holriem.scalars import gr
 CATALOG = build_catalog()
 # The stabilizer family's degree-2 lattice, as the report proves Jacobi on it.
 GRID = tuple(p for p in product(range(3), repeat=4) if sum(p) <= 2)
-GRID_ALGEBRAS = [build_param_extension(ParamExtension(*p)) for p in GRID]
+GRID_ALGEBRAS = [family_at(p).algebra for p in GRID]
 MODELS = [entry.model for entry in CATALOG if entry.model is not None] + [
-    heis_stabilizer_model(ParamExtension(*p)) for p in GRID
+    family_at(p).model for p in GRID
 ]
 
 
