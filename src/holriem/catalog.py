@@ -636,7 +636,9 @@ def _stabilizer_dim_check(check_id: str, so_q: Callable, fixed: list, want: int)
 
 def _lattice(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """The principal lattice {p in N^nvars : sum(p) <= degree}, in lexicographic order."""
-    return tuple(p for p in product(range(degree + 1), repeat=nvars) if sum(p) <= degree)
+    if not nvars:
+        return ((),)
+    return tuple((x, *rest) for x in range(degree + 1) for rest in _lattice(nvars - 1, degree - x))
 
 
 def _box(size: int, nvars: int) -> tuple[tuple[int, ...], ...]:
@@ -696,7 +698,8 @@ def _family_isotropy(check_id: str) -> CheckResult:
     the origin's and the induced action is the nilpotent flow generator: a frame of degree <= d
     fixed on the lattice is fixed, and with it ``induced_ad`` has degree <= d."""
     spec, generator, frames = _shipped(FAMILY_ID)[1], unipotent_isotropy_generator(), {}
-    grid = _lattice(len(spec.parameters), dsl.degree(spec))
+    degree = dsl.degree(spec)
+    grid, unit = _lattice(len(spec.parameters), degree), "affine points" if degree == 1 else "grid points"
 
     def defect(*p):
         model = _model(entry_from_spec(spec.name, *_at(spec, p)))
@@ -707,8 +710,8 @@ def _family_isotropy(check_id: str) -> CheckResult:
 
     if not is_nilpotent_matrix(generator):
         witness = f"generator {generator} is not nilpotent"
-        return _check(check_id, False, witness, f"{len(grid)} affine points")
-    return _grid_check(check_id, grid, defect, lambda p: f"at {p}: {defect(*p)}", "affine points")
+        return _check(check_id, False, witness, f"{len(grid)} {unit}")
+    return _grid_check(check_id, grid, defect, lambda p: f"at {p}: {defect(*p)}", unit)
 
 
 def verify_heis_family() -> list[CheckResult]:

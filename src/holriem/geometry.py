@@ -53,7 +53,8 @@ first violating tuple t violates too and cannot come before t, so it is t.
 Per tuple, the scans add nonzero components only.
 
 The orthogonal algebra so(q) = {A : A^T G + G A = 0} is read from G^-1,
-whose existence certifies that q is nondegenerate: A is in so(q) exactly
+whose columns are the solutions of G x = e_b, one ``linalg.solve`` of [G | I]
+that finds no kernel exactly when q is nondegenerate: A is in so(q) exactly
 when G A is antisymmetric, so G^-1 (E_ab - E_ba), a < b, is a basis.  A
 stabilizer in it is one kernel, ``linalg._annihilated`` over the images
 ``linalg.act(A, v, "u")`` of that basis.
@@ -331,13 +332,10 @@ def pair_skew_defect(
 def stabilizer_in_skew(form: QuadraticForm, vectors: Sequence[Sequence]) -> list[CMatrix]:
     """Basis of ``{A in so(q) : A v = 0 for each given v}``, cut by
     ``stabilizer`` from the basis B_ab = G^-1 (E_ab - E_ba), a < b, of so(q)."""
-    try:
-        inverse, n = form.gram.inverse().entries, form.dim
-    except ZeroDivisionError:
-        raise DegenerateForm("quadratic form is degenerate") from None
+    inverse, n = _solve_gram(form, CMatrix.identity(form.dim).entries), form.dim
     if any(len(v) != n for v in vectors):
         raise ValueError("vector length does not match the form")
-    # Column b of B_ab is column a of G^-1, and column a is minus column b.
+    # Column b of B_ab is column a of G^-1, column a minus column b; G^-1 is symmetric, so g is a row.
     skew = [
         CMatrix([[g[a] if c == b else -g[b] if c == a else ZERO for c in range(n)] for g in inverse])
         for a, b in combinations(range(n), 2)

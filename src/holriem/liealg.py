@@ -12,7 +12,8 @@ curvature kernels loop over these terms and never rescan the table.
 Both series start from [g, g], the span of the ``c_ij`` with i < j read
 from the table with no bracket call; a caller that needs both passes
 one [g, g] to each.  ``subalgebra`` brackets its generators in the pairs
-i < j only and returns through ``from_table``, as every algebra here does.
+i < j only, solves the generators against the brackets once (``linalg.solve``)
+and returns through ``from_table``, as every algebra here does.
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from typing import Mapping, Sequence
 
 from .forms import QuadraticForm
 from .linalg import (
+    CMatrix,
     Vector,
     _dot,
-    _frame,
     _matrix,
     _nonzero,
     as_vector,
     kernel,
+    solve,
     span_basis,
     zero_vector,
 )
@@ -312,11 +314,12 @@ def subalgebra(
     Raises NotClosed when a bracket leaves the span, ValueError when the generators are
     missing, dependent or of the wrong length, or the names not one per generator."""
     vecs = [as_vector(v) for v in vectors]
-    k = len(vecs)
-    if not vecs:
-        raise ValueError("subalgebra needs at least one generator")
-    pivots, rows = _frame(vecs, algebra.dim)
-    if pivots[:k] != list(range(k)):
+    k, n = len(vecs), algebra.dim
+    if not vecs or any(len(v) != n for v in vecs):
+        raise ValueError(f"subalgebra needs one or more generators of length {n}")
+    pairs = list(combinations(range(k), 2))
+    coords, null = solve(CMatrix.from_columns(vecs), [bracket(algebra, vecs[i], vecs[j]) for i, j in pairs])
+    if null:
         raise ValueError("subalgebra generators are linearly dependent")
     names = tuple(basis_names) if basis_names else tuple(f"s{i}" for i in range(k))
     if len(names) != k:
@@ -324,18 +327,15 @@ def subalgebra(
     if len(set(names)) != k:
         raise ValueError("duplicate basis labels")
     table = {}
-    for i, j in combinations(range(k), 2):
-        image = _nonzero(bracket(algebra, vecs[i], vecs[j]))
-        if any(_dot(r, image) for r in rows[k:]):
+    for (i, j), x in zip(pairs, coords):
+        if x is None:
             raise NotClosed(f"bracket of generators {i} and {j} leaves the span")
-        table[names[i], names[j]] = {name: _dot(r, image) for name, r in zip(names, rows)}
+        table[names[i], names[j]] = dict(zip(names, x))
     return LieAlgebra.from_table(names, table)
 
 
 def is_ideal(algebra: LieAlgebra, vectors: Sequence[Sequence]) -> bool:
     """True iff the span of the vectors absorbs brackets with the whole algebra."""
-    n, vecs = algebra.dim, [as_vector(v) for v in vectors]
-    pivots, rows = _frame(vecs, n)
-    outside = rows[sum(p < len(vecs) for p in pivots):]
-    images = (_nonzero(bracket(algebra, algebra.basis_vector(i), v)) for i in range(n) for v in vecs)
-    return not any(_dot(r, image) for image in images for r in outside)
+    vecs = [as_vector(v) for v in vectors]
+    images = [bracket(algebra, algebra.basis_vector(i), v) for i in range(algebra.dim) for v in vecs]
+    return not vecs or None not in solve(CMatrix.from_columns(vecs), images)[0]

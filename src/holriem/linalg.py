@@ -1,14 +1,14 @@
 """Dense exact matrices over Q(i) and the linear-algebra kernels.
 
 Gaussian elimination over exact Q(i) scalars keeps every rank, kernel
-and inverse exact; there is no numerical pivoting or tolerance anywhere in
+and solution exact; there is no numerical pivoting or tolerance anywhere in
 this module.  Every elimination runs through ``_reduce``, which visits
-only the nonzero entries of each pivot row.  ``_frame``, one elimination of
-[T | I], answers every span question: ``CMatrix.inverse``, ``in_span``,
-``liealg.subalgebra``, ``liealg.is_ideal`` and ``_completion``, the basis
-vectors that complete a span in order.  ``solve``, one elimination of
-[A | b_1 ... b_m], gives a particular solution for each right side, or None,
-and the kernel basis of A; ``kernel`` is its case m = 0.
+only the nonzero entries of each pivot row.  ``solve``, one elimination of
+[A | b_1 ... b_m] pivoting inside A, gives a solution per right side, or None,
+and the kernel basis of A; it answers every span, frame and so(q) question:
+``kernel``, ``in_span``, ``liealg.subalgebra`` and ``is_ideal``, the model
+frames and ``geometry.stabilizer_in_skew``.  ``_completion``, the basis vectors
+that complete a span in order, reads the pivots of one elimination of [T | I].
 A product A B adds a B[k][j] over the nonzero a = A[i][k] and B[k][j] only,
 row by row (Gustavson, ACM TOMS 4(3), 1978).  A minimal polynomial is the
 tuple of its coefficients in ascending degree, read from one elimination
@@ -126,15 +126,6 @@ class CMatrix(Record):
         _, pivots = _reduce([list(row) for row in self.entries])
         return len(pivots)
 
-    def inverse(self) -> "CMatrix":
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        pivots, rows = _frame(list(zip(*self.entries)), n)
-        if pivots[:n] != list(range(n)):
-            raise ZeroDivisionError("matrix is singular")
-        return _matrix(tuple(map(tuple, rows)))
-
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(map(str, row)) for row in self.entries) + "]"
 
@@ -160,8 +151,11 @@ def _dot(u: Sequence[GaussianRational], nonzero: Iterable[tuple]) -> GaussianRat
     return total
 
 
-def _reduce(rows: list[list[GaussianRational]]) -> tuple[list[list[GaussianRational]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns).
+def _reduce(
+    rows: list[list[GaussianRational]], width: int | None = None
+) -> tuple[list[list[GaussianRational]], list[int]]:
+    """In-place reduced row echelon form, pivoting in the first ``width`` columns
+    (all by default); returns (rows, pivot columns).
 
     Each step divides and subtracts only at the nonzero columns of the
     pivot row, so the cost of a step follows that row's nonzero entries,
@@ -172,7 +166,7 @@ def _reduce(rows: list[list[GaussianRational]]) -> tuple[list[list[GaussianRatio
     n_rows, n_cols = len(rows), len(rows[0])
     pivots: list[int] = []
     r = 0
-    for c in range(n_cols):
+    for c in range(n_cols if width is None else width):
         for pivot_row in range(r, n_rows):
             if rows[pivot_row][c]:
                 break
@@ -198,24 +192,13 @@ def _reduce(rows: list[list[GaussianRational]]) -> tuple[list[list[GaussianRatio
     return rows, pivots
 
 
-def _frame(vectors: Sequence[Vector], n: int) -> tuple[list[int], list[list[GaussianRational]]]:
-    """One elimination of [T | I], T the n-row matrix with the vectors as columns: its
-    pivots and the I part M of its rows.  With r pivots below k = len(vectors), the rows
-    of M past r send b to 0 exactly when b is in the span, and if r = k, the first k send
-    it to its coordinates.  A pivot k + p marks e_p outside the span of T, e_0, ..., e_(p-1)."""
-    if any(len(v) != n for v in vectors):
-        raise ValueError(f"vectors of length {n} expected")
-    identity = [[ONE if c == r else ZERO for c in range(n)] for r in range(n)]
-    rows, pivots = _reduce([[v[r] for v in vectors] + identity[r] for r in range(n)])
-    return pivots, [row[len(vectors):] for row in rows]
-
-
 def _completion(vectors: Sequence[Vector], n: int) -> list[int]:
     """Positions p of the basis vectors e_p that complete the span of the vectors, taken
-    in order: the pivots of ``_frame`` past the vectors, the first n - k of them (all of
-    them when k = len(vectors) > n)."""
+    in order: a pivot k + p of [T | I], T the k vectors as columns, marks e_p outside the
+    span of T, e_0, ..., e_(p-1).  The first n - k of them (all of them when k > n)."""
     k = len(vectors)
-    positions = [p - k for p in _frame(vectors, n)[0] if p >= k]
+    rows = [[v[r] for v in vectors] + [ONE if c == r else ZERO for c in range(n)] for r in range(n)]
+    positions = [p - k for p in _reduce(rows)[1] if p >= k]
     return positions if k > n else positions[: n - k]
 
 
@@ -227,8 +210,7 @@ def solve(matrix: CMatrix, rhs: Sequence[Sequence]) -> tuple[list[Vector | None]
     columns = [as_vector(b) for b in rhs]
     if any(len(b) != height for b in columns):
         raise ValueError(f"right sides of length {height} expected")
-    reduced, pivots = _reduce([list(row) + [b[r] for b in columns] for r, row in enumerate(matrix.entries)])
-    pivots = [c for c in pivots if c < n]  # a pivot past A marks an inconsistent b_k
+    reduced, pivots = _reduce([list(row) + [b[r] for b in columns] for r, row in enumerate(matrix.entries)], n)
     rank, solutions, basis = len(pivots), [], []
     for k in range(n, n + len(columns)):
         x = [ZERO] * n
@@ -306,10 +288,10 @@ def span_basis(vectors: Iterable[Sequence]) -> list[Vector]:
 
 
 def in_span(vectors: Sequence[Sequence], v: Sequence) -> bool:
-    b, vecs = as_vector(v), [as_vector(u) for u in vectors]
-    pivots, rows = _frame(vecs, len(b))
-    nonzero = _nonzero(b)
-    return not any(_dot(row, nonzero) for row in rows[sum(p < len(vecs) for p in pivots):])
+    """True iff A x = v is consistent, A the vectors as columns; the empty span is 0."""
+    if not vectors:
+        return not any(as_vector(v))
+    return solve(CMatrix.from_columns(vectors), [v])[0][0] is not None
 
 
 def min_poly(matrix: CMatrix) -> Vector:

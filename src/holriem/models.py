@@ -2,11 +2,11 @@
 
 A model stores an explicit complement basis for the quotient, so the
 induced isotropy action is a concrete exact matrix: reductions project
-modulo the isotropy onto the complement.  Construction inverts the
-(isotropy, complement) frame once; that inverse certifies that the frame
-spans the algebra and gives every ``induced_ad`` its coordinates.  It
-then derives ``actions``, the induced action of each isotropy vector,
-once; computing them tests that the isotropy is a subalgebra.  The
+modulo the isotropy onto the complement.  A model keeps its (isotropy,
+complement) ``frame``, and ``induced_ad`` reads the coordinates of its brackets
+from one ``linalg.solve`` against it, where a kernel means the frame does not
+span the algebra.  Construction derives ``actions``, the induced action of each
+isotropy vector, once; computing them tests that the isotropy is a subalgebra.  The
 isotropy type reads one minimal polynomial of the action: nilpotent when it
 is t^k, else semisimple when it is coprime to its derivative.  ``linalg.act``
 on forms reads the actions too: one zero test for the invariance check, and
@@ -30,9 +30,13 @@ from .linalg import (
     _squarefree,
     act,
     as_vector,
+    kernel,
     min_poly,
+    solve,
 )
 from .scalars import ONE, Record, ZERO
+
+_NO_SPAN = "isotropy plus complement must span the algebra"
 
 
 class NotSubalgebraInvariant(ValueError):
@@ -55,9 +59,9 @@ class IsotropyType(Enum):
 
 class HomogeneousModel(Record):
     _fields = ("algebra", "isotropy", "complement", "quotient_form")
-    # Derived once: frame_inverse, the inverse of the isotropy and complement columns,
-    # and actions[a] = induced_ad(self, isotropy[a]).
-    __slots__ = _fields + ("frame_inverse", "actions")
+    # Derived once: frame, the isotropy and complement as columns, and
+    # actions[a] = induced_ad(self, isotropy[a]).
+    __slots__ = _fields + ("frame", "actions")
     algebra: LieAlgebra
     isotropy: tuple[Vector, ...]
     complement: tuple[Vector, ...]
@@ -75,17 +79,17 @@ class HomogeneousModel(Record):
         if len(iso) + len(comp) != algebra.dim:
             raise ValueError("isotropy and complement sizes must add up to the dimension")
         frame = iso + comp
-        # Wrong-length vectors do not span either; dim 0 fails the next check.
-        try:
-            inverse = CMatrix.from_columns(frame).inverse() if frame else None
-        except (ValueError, ZeroDivisionError):
-            raise ValueError("isotropy plus complement must span the algebra") from None
+        # Wrong-length or dependent vectors do not span; induced_ad tests the latter when it runs.
+        if any(len(v) != algebra.dim for v in frame) or (
+            frame and not (iso and comp) and kernel(CMatrix.from_columns(frame))
+        ):
+            raise ValueError(_NO_SPAN)
         if not comp:
             raise ValueError("isotropy spans the whole algebra; the quotient is empty")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "isotropy", iso)
         object.__setattr__(self, "complement", comp)
-        object.__setattr__(self, "frame_inverse", inverse)
+        object.__setattr__(self, "frame", CMatrix.from_columns(frame))
         # induced_ad(self, u) raises when some [u, v], v in the isotropy,
         # leaves the isotropy, so deriving the actions tests closure.
         try:
@@ -104,20 +108,13 @@ def induced_ad(model: HomogeneousModel, y: Sequence) -> CMatrix:
     Well-definedness needs ``[y, isotropy]`` inside the isotropy; a
     violation raises NotSubalgebraInvariant.
     """
-    vec = as_vector(y)
-    inverse = model.frame_inverse
     k = len(model.isotropy)
-    for u in model.isotropy:
-        coords = inverse.apply(bracket(model.algebra, vec, u))
-        if any(coords[k:]):
-            raise NotSubalgebraInvariant(
-                "adjoint action does not preserve the isotropy subalgebra"
-            )
-    columns = []
-    for v in model.complement:
-        coords = inverse.apply(bracket(model.algebra, vec, v))
-        columns.append(coords[k:])
-    return CMatrix.from_columns(columns)
+    coords, null = solve(model.frame, [bracket(model.algebra, y, v) for v in model.isotropy + model.complement])
+    if null:
+        raise ValueError(_NO_SPAN)
+    if any(x for c in coords[:k] for x in c[k:]):
+        raise NotSubalgebraInvariant("adjoint action does not preserve the isotropy subalgebra")
+    return CMatrix.from_columns([c[k:] for c in coords[k:]])
 
 
 def isotropy_type(model: HomogeneousModel) -> IsotropyType:

@@ -134,7 +134,7 @@ def conjugate(
     n = algebra.dim
     if change.rows != n or change.cols != n:
         raise ValueError("basis change has the wrong shape")
-    inverse = change.inverse()
+    inverse = dense_inverse(change)
     grid = [
         [inverse.apply(bracket(algebra, column(change, i), column(change, j))) for j in range(n)]
         for i in range(n)
@@ -192,7 +192,7 @@ def nabla(connection: ConnectionTable, x: Sequence, y: Sequence) -> Vector:
 def dense_levi_civita(algebra: LieAlgebra, form) -> ConnectionTable:
     """Koszul closed form with dense lowering and a dense G^-1 per pair."""
     n = algebra.dim
-    gram_inverse = form.gram.inverse()
+    gram_inverse = dense_inverse(form.gram)
     c = [[form.gram.apply(v) for v in row] for row in algebra.constants]
     return tuple(
         tuple(
@@ -298,15 +298,18 @@ def dense_apply(a: CMatrix, v: Sequence) -> Vector:
 # -- dense references for the sparse elimination and bracket terms -----------
 
 
-def dense_reduce(rows: list[list[GaussianRational]]) -> tuple[list[list[GaussianRational]], list[int]]:
-    """Reduced row echelon form that divides and subtracts every entry of
-    each pivot row, zero or not; returns (rows, pivot columns)."""
+def dense_reduce(
+    rows: list[list[GaussianRational]], width: int | None = None
+) -> tuple[list[list[GaussianRational]], list[int]]:
+    """Reduced row echelon form, pivoting in the first ``width`` columns (all by
+    default), that divides and subtracts every entry of each pivot row, zero or
+    not; returns (rows, pivot columns)."""
     if not rows:
         return rows, []
     n_rows, n_cols = len(rows), len(rows[0])
     pivots: list[int] = []
     r = 0
-    for c in range(n_cols):
+    for c in range(n_cols if width is None else width):
         pivot_row = next((k for k in range(r, n_rows) if rows[k][c]), None)
         if pivot_row is None:
             continue
@@ -323,6 +326,19 @@ def dense_reduce(rows: list[list[GaussianRational]]) -> tuple[list[list[Gaussian
         if r == n_rows:
             break
     return rows, pivots
+
+
+def dense_inverse(matrix: CMatrix) -> CMatrix:
+    """A^-1 read from the right half of ``dense_reduce`` of [A | I]; ValueError when
+    A is not square or is singular."""
+    n = matrix.rows
+    if matrix.cols != n:
+        raise ValueError("inverse of a non-square matrix")
+    identity = CMatrix.identity(n).entries
+    rows, pivots = dense_reduce([list(row) + list(e) for row, e in zip(matrix.entries, identity)], n)
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return CMatrix([row[n:] for row in rows])
 
 
 def dense_bracket(algebra: LieAlgebra, x: Sequence, y: Sequence) -> Vector:

@@ -1,6 +1,8 @@
 """Catalog content and the verification suite over it."""
 
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -205,7 +207,7 @@ def test_family_proofs_take_their_lattices_from_the_file_degree(shipped_text):
     checks = catalog.verify_heis_family()[:2]
     assert [(c.status, c.value) for c in checks] == [
         ("pass", "70 grid points"),
-        ("pass", "15 affine points"),
+        ("pass", "15 grid points"),
     ]
 
 
@@ -273,6 +275,16 @@ def test_a_family_file_that_cannot_be_read_fails_the_six_family_checks(fault, wi
 def test_principal_lattices_have_their_point_counts():
     assert len(catalog._lattice(4, 2)) == 15 and len(catalog._lattice(4, 1)) == 5
     assert catalog._lattice(4, 1)[0] == (0, 0, 0, 0)
+
+
+def test_principal_lattices_are_the_filtered_boxes():
+    # The lattice is built by composition, its cost following its C(k + d, d) points;
+    # filtering the (d + 1)^k box is the reference, in the same lexicographic order.
+    for nvars in range(6):
+        for degree in range(5):
+            box = itertools.product(range(degree + 1), repeat=nvars)
+            assert catalog._lattice(nvars, degree) == tuple(p for p in box if sum(p) <= degree)
+    assert len(catalog._lattice(16, 4)) == math.comb(20, 4) == 4845
 
 
 def test_report_ignores_the_seed():

@@ -69,8 +69,8 @@ DATA = "src/holriem/data"
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """Count eliminations (``linalg._reduce``) and inverses."""
-    counts = {"_reduce": 0, "inverse": 0}
+    """Count eliminations (``linalg._reduce``)."""
+    counts = {"_reduce": 0}
 
     def counting(real, name):
         def counted(*args):
@@ -80,7 +80,6 @@ def eliminations(monkeypatch):
         return counted
 
     monkeypatch.setattr(linalg, "_reduce", counting(linalg._reduce, "_reduce"))
-    monkeypatch.setattr(CMatrix, "inverse", counting(CMatrix.inverse, "inverse"))
     return counts
 
 
@@ -88,15 +87,9 @@ def eliminations(monkeypatch):
 @pytest.mark.parametrize("name", ["sl2", "sol3"])
 def test_metric_commands_eliminate_once(command, name, eliminations, capsys):
     assert cli_module.cli([command, f"{DATA}/{name}.liealg"]) == 0
-    # One elimination of [G | B] solves for the connection, and no other; no
-    # inverse (1 when the connection raised the Koszul sums through G^-1).
-    assert eliminations == {"_reduce": 1, "inverse": 0}
-
-
-@pytest.mark.parametrize("name", ["c_ltimes_heis", "heis_stab_generic", "c_times_sl2"])
-def test_model_inverts_its_frame_once(name, eliminations, capsys):
-    assert cli_module.cli(["model", f"{DATA}/{name}.liealg"]) == 0
-    assert eliminations["inverse"] == 1
+    # One elimination of [G | B] solves for the connection, and no other (2 when
+    # the connection raised the Koszul sums through an inverse of G).
+    assert eliminations == {"_reduce": 1}
 
 
 @pytest.mark.parametrize("command", ["connection", "curvature", "constcurv"])
@@ -135,7 +128,8 @@ def work(monkeypatch):
     "command, name, expected",
     [
         # One action at construction serves isotropy type, invariance and forms.
-        # The frame inverse, one elimination over the powers of the action for
+        # One solve of its brackets against the frame (where the frame was inverted),
+        # one elimination over the powers of the action for
         # its minimal polynomial (7 when each degree was solved again and
         # semisimplicity was a rank), no elimination for gcd(p, p'), one kernel
         # for the invariant forms and one rank of the quotient form.
@@ -143,8 +137,8 @@ def work(monkeypatch):
         # One [g, g] from the constants starts both series; a derived step
         # spans the pairs u < v of its basis.
         ("invariants", "c_oplus_sl2", {"_reduce": 4, "bracket": 15, "induced_ad": 0}),
-        # One elimination each for the complement, the frame inverse and the
-        # rank of the quotient form.
+        # One elimination each for the complement, the solve of the action's
+        # brackets against the frame and the rank of the quotient form.
         ("validate", "c_ltimes_heis", {"_reduce": 3, "bracket": 4, "induced_ad": 1}),
         # The rank of the Killing form and one [g, g], whose dimension decides
         # abelian and which starts the lower central series (2 steps).
@@ -196,12 +190,14 @@ def test_verify_all_derives_each_isotropy_action_once(work):
 
 def test_verify_all_eliminates_each_subalgebra_once(work):
     assert catalog.verify_all(42).all_pass
-    # Six subalgebra spans of three generators: one elimination of [T | I]
-    # each, where one span_basis and nine solve_linear made 184 in all.  Each
-    # span question eliminates once: 113 when each of the six in_span calls and
-    # the one is_ideal call compared the ranks of two span_basis calls.  The
-    # isotropy bounds make 4: one Gram inverse for so(q) and one kernel for
-    # each of the three stabilizers cut from it (8 when each bound made its own).
+    # Six subalgebra spans of three generators: one solve of the generators
+    # against their brackets each, where one span_basis and nine solve_linear
+    # made 184 in all.  Each span question eliminates once: 113 when each of the
+    # six in_span calls and the one is_ideal call compared the ranks of two
+    # span_basis calls.  The isotropy bounds make 4: one solve of [G | I] for
+    # so(q) and one kernel for each of the three stabilizers cut from it (8 when
+    # each bound made its own).  Each model solves its action's brackets against
+    # its frame once, where it inverted the frame once.
     # Each of the seven catalog models finds its minimal polynomial in one
     # elimination, which decides nilpotency too, and tests semisimplicity with
     # no elimination: 111 when the two nilpotent ones stopped at a matrix power
@@ -225,16 +221,6 @@ def test_verify_all_brackets_each_generator_pair_once(work):
     assert work["bracket"] == 109
 
 
-def test_verify_all_inverts_no_frame_twice(eliminations):
-    assert catalog.verify_all(42).all_pass
-    # 19 when section 4 rebuilt the c_oplus_sl2 model to swap its form, and 22
-    # when each of the four isotropy bounds inverted its Gram matrix.  Each
-    # frame is inverted once; one more inverse is the Gram inverse from which
-    # the isotropy bounds read so(q), once per report.  The six connections
-    # solve for theirs with no inverse: 19 when each inverted its Gram matrix.
-    assert eliminations["inverse"] == 13
-
-
 def test_elimination_counters_agree(work, eliminations):
     # ``work`` is set up first, so it wraps every module's binding of the real
     # ``_reduce`` and ``eliminations`` wraps linalg's only: the counts agree
@@ -245,9 +231,8 @@ def test_elimination_counters_agree(work, eliminations):
 
 
 def test_a_second_report_derives_as_much_as_the_first(calls, eliminations):
-    # No derived value (a Gram inverse, so(q), a connection) outlives its report.
-    # 105 eliminations and 13 inverses, as counted above (106 when the class derived
-    # its facts again, 19 inverses when each connection inverted its Gram matrix).
+    # No derived value (so(q), a connection) outlives its report.  105
+    # eliminations, as counted above (106 when the class derived its facts again).
     counts = []
     for _ in range(2):
         assert catalog.verify_all(42).all_pass
@@ -255,7 +240,7 @@ def test_a_second_report_derives_as_much_as_the_first(calls, eliminations):
         calls.update(dict.fromkeys(calls, 0))
         eliminations.update(dict.fromkeys(eliminations, 0))
     assert counts[0] == counts[1] == (
-        {"levi_civita": 6, "curvature": 6}, {"_reduce": 105, "inverse": 13}
+        {"levi_civita": 6, "curvature": 6}, {"_reduce": 105}
     )
 
 
@@ -435,19 +420,24 @@ def test_verify_all_zero_test_budget(monkeypatch):
     counts = _count_zero_tests_and_steps(monkeypatch)
     assert catalog.verify_all(42).all_pass
     # Zero tests, by the innermost function making them (_dot, _nonzero and generator
-    # expressions count to their caller): 3437 in eliminations (pivot searches and
+    # expressions count to their caller): 3287 in eliminations (pivot searches and
     # pivot-row supports), 716 in from_table, 810 in brackets, 747 in act (one call
     # per action on a model's whole symmetric basis; 1062 with one call per basis
     # form), 582 in products (1329 when each (row, column) pair tested both
-    # operands), 549 in _annihilated, 332 in apply (132 of them lowering an index in
-    # the two defect scans; the other 200 were 964 before apply listed the vector's
-    # nonzero entries once), 267 in the Killing form (987), 154 in span questions (74
-    # in subalgebra, 48 in in_span, 32 in is_ideal), 54 in levi_civita (listing the
-    # nonzero Gram entries), 66 in curvature, 36 in induced_ad, 25 in _squarefree, 14
-    # in is_zero, 192 in dsl.at (dropping the terms of the stabilizer family's file
-    # that vanish at a point), and 1131 in the checks and scans around them (469 in
+    # operands), 549 in _annihilated, 132 in apply (lowering an index in the two
+    # defect scans), 267 in the Killing form (987), 44 in solve (the rows past the
+    # rank at each right side), 54 in levi_civita (listing the nonzero Gram
+    # entries), 66 in curvature, 36 in induced_ad, 25 in _squarefree, 14 in is_zero,
+    # 192 in dsl.at (dropping the terms of the stabilizer family's file that vanish
+    # at a point), and 1131 in the checks and scans around them (469 in
     # geometry._first, 376 in geometry._add, 6 deciding k = 0 in the six
-    # constant-curvature scans, 8 in check_prop_iv's precondition): 9112.  8917 when
+    # constant-curvature scans, 8 in check_prop_iv's precondition): 8652.  9112 when
+    # the span questions and the model frames read the I part of an elimination of
+    # [T | I] and the so(q) bound inverted G: 150 more in eliminations (106 in the
+    # [T | I] layout, 44 in pivot searches past A that solve no longer makes), 200
+    # in apply (the frame inverses applied to the isotropy brackets; 964 before
+    # apply listed the vector's nonzero entries once) and 154 in the span questions
+    # (74 in subalgebra, 48 in in_span, 32 in is_ideal), none in solve.  8917 when
     # the family was built in code: 155 fewer in eliminations (no complement found
     # for the five isotropy models), but 160 more in from_table (876, for the zero
     # constants that code passed) and none in dsl.at or check_prop_iv.  9057 when
@@ -463,11 +453,13 @@ def test_verify_all_zero_test_budget(monkeypatch):
     # own over the nonzero Gram entries (432 there and 72 listing those entries,
     # where apply now makes 132).
     # Fused steps, one per nonzero product: 160 in products, 130 in act, 114 in
-    # curvature, 94 in eliminations, 53 in brackets, 48 in apply (22 of them lowering
-    # an index), 48 in levi_civita, 32 in the Jacobi scan, 27 in _annihilated, 10 in
-    # the Killing form, 15 in _squarefree and 7 in subalgebra: 738.  712 when
+    # curvature, 82 in eliminations, 53 in brackets, 22 in apply (lowering an index),
+    # 48 in levi_civita, 32 in the Jacobi scan, 27 in _annihilated, 10 in the Killing
+    # form and 15 in _squarefree: 693.  738 with the [T | I] eliminations (94 steps),
+    # the frame inverses applied to the isotropy brackets (26 in apply) and
+    # subalgebra's dot products with the rows of [T | I] (7).  712 when
     # levi_civita made 22 steps raising through G^-1 and added its Koszul terms with
     # dunder products and sums; now each lowered term and each half bracket term
     # is one step.  720 with sl2's second Killing form and the second lower central
     # series of heis3 and sol3.
-    assert counts == {"__bool__": 9112, "steps": 738}
+    assert counts == {"__bool__": 8652, "steps": 693}

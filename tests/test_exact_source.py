@@ -168,8 +168,8 @@ def test_the_scan_finds_scalars_made_without_init():
 
 def _reduce_spellings(tree: ast.AST) -> list[tuple[int, str]]:
     """(line, source) for each ``_reduce`` spelled as a bare name, an attribute, an
-    imported name or a function defined: outside ``linalg``, a span question asks
-    ``linalg._frame``, and no module lays out an elimination of its own."""
+    imported name or a function defined: outside ``linalg``, a linear question asks
+    ``linalg.solve``, and no module lays out an elimination of its own."""
     found = []
     for node in ast.walk(tree):
         spelled = node.name if isinstance(node, (ast.alias, ast.FunctionDef)) else _spelled(node)
@@ -196,11 +196,56 @@ def test_the_scan_finds_reduce_outside_linalg():
         "y = record.__reduce__()\n"
         "z = reduce(f, xs)\n"
         "w = '_reduce'\n"
-        "v = linalg._frame(vectors, n)\n"
+        "v = linalg.solve(matrix, rhs)\n"
     )
     assert [line for line, _ in _reduce_spellings(ast.parse(source))] == [1, 3, 4, 5]
     linalg = next(path for path in SOURCES if path.name == "linalg.py")
     assert _reduce_spellings(ast.parse(linalg.read_text(encoding="utf-8")))
+
+
+def _reduce_users(tree: ast.Module) -> list[str]:
+    """The module-level functions, and the methods as ``Class.method``, whose bodies
+    spell ``_reduce``, and ``<module>`` or the class name for a spelling outside them."""
+    units = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            units += [
+                (f"{node.name}.{item.name}" if isinstance(item, ast.FunctionDef) else node.name, item)
+                for item in node.body
+            ]
+        else:
+            units.append((node.name if isinstance(node, ast.FunctionDef) else "<module>", node))
+    return sorted({name for name, unit in units for node in ast.walk(unit) if _spelled(node) == "_reduce"})
+
+
+def test_linalg_eliminates_in_its_solver_and_four_kernels_only():
+    # Every question with a right side asks ``solve``: a second elimination with
+    # right sides (an inverse, a frame) would be one more user here.
+    linalg = next(path for path in SOURCES if path.name == "linalg.py")
+    assert _reduce_users(ast.parse(linalg.read_text(encoding="utf-8"))) == [
+        "CMatrix.rank", "_completion", "min_poly", "solve", "span_basis"
+    ]
+
+
+def test_the_scan_finds_reduce_users():
+    source = (
+        "def solve(a):\n"
+        "    return _reduce(a, 2)\n"
+        "class M:\n"
+        "    shortcut = _reduce\n"
+        "    def rank(self):\n"
+        "        return len(linalg._reduce(self.rows)[1])\n"
+        "    def inverse(self):\n"
+        "        def inner():\n"
+        "            return _reduce(self.rows)\n"
+        "        return inner\n"
+        "def helper(rows):\n"
+        "    return reduce(f, rows), rows.__reduce__(), '_reduce'\n"
+        "pivots = _reduce(grid)\n"
+        "def _reduce(rows):\n"
+        "    return rows\n"
+    )
+    assert _reduce_users(ast.parse(source)) == ["<module>", "M", "M.inverse", "M.rank", "solve"]
 
 
 def _package_imports(tree: ast.AST) -> list[tuple[int, str]]:
@@ -237,7 +282,7 @@ def test_dsl_imports_only_scalars_from_the_package():
 def test_the_scan_finds_package_imports():
     source = (
         "from .scalars import gr\n"
-        "from .linalg import _frame, Vector\n"
+        "from .linalg import solve, Vector\n"
         "from . import liealg, models\n"
         "import holriem.forms\n"
         "from holriem.geometry import curvature\n"

@@ -363,7 +363,7 @@ H, E, F = (SL2.vector(label) for label in ("H", "E", "F"))
 
 # Malformed spans raise ValueError, never IndexError or a result.  A None message
 # is free; the others are kept verbatim.  ``in_span`` raised IndexError on a
-# vector or generator of the wrong length before it took one ``_frame``.
+# vector or generator of the wrong length before it became one ``solve``.
 @pytest.mark.parametrize(
     "call, message",
     [

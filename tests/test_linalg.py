@@ -5,9 +5,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import dense_apply, dense_matmul, dense_reduce, jordan, jordan_blocks, scale, zeros
+from conftest import dense_apply, dense_inverse, dense_matmul, dense_reduce, jordan, jordan_blocks, scale, zeros
 
 from holriem.forms import QuadraticForm
+from holriem import linalg
 from holriem.linalg import (
     CMatrix,
     _annihilated,
@@ -135,7 +136,7 @@ def test_semisimple_exactly_when_the_jordan_form_is_diagonal():
             change = _random_matrix(rng, n)
             if change.rank() == n:
                 break
-        a = change @ jordan(blocks) @ change.inverse()
+        a = change @ jordan(blocks) @ dense_inverse(change)
         diagonal = all(size == 1 for _, size in blocks)
         assert _squarefree(min_poly(a)) == diagonal
         # The minimal polynomial is prod (t - value)^(largest block of value).
@@ -166,7 +167,7 @@ def test_semisimplicity_with_roots_in_q_i_only(blocks, semisimple):
     n = sum(size for _, size in blocks)
     change = CMatrix([[1, gr(0, 1), 0, 2], [0, 1, gr(1, -1), 0], [1, 0, 1, 0], [0, 0, 0, 1]])
     change = CMatrix([row[:n] for row in change.entries[:n]])
-    a = change @ jordan(blocks) @ change.inverse()
+    a = change @ jordan(blocks) @ dense_inverse(change)
     expected = (gr(1),)
     for value in {value for value, _ in blocks}:
         for _ in range(max(size for v, size in blocks if v == value)):
@@ -200,11 +201,31 @@ def test_nilpotent_and_semisimple_exclusive_for_nonzero():
     assert is_nilpotent_matrix(upper) and not _squarefree(min_poly(upper))
 
 
-def test_matrix_inverse_and_det():
+def test_solve_against_the_identity_gives_the_inverse_or_a_kernel():
     a = CMatrix([[1, gr(0, 1)], [0, 2]])
-    assert a.inverse() @ a == CMatrix.identity(2)
-    with pytest.raises(ZeroDivisionError):
-        CMatrix([[1, 1], [1, 1]]).inverse()
+    columns, null = solve(a, CMatrix.identity(2).entries)
+    assert null == [] and CMatrix.from_columns(columns) @ a == CMatrix.identity(2)
+    assert CMatrix.from_columns(columns) == dense_inverse(a)
+    columns, null = solve(CMatrix([[1, 1], [1, 1]]), CMatrix.identity(2).entries)
+    assert columns == [None, None] and null == [(gr(-1), gr(1))]
+
+
+def test_solve_pivots_inside_the_matrix_only(monkeypatch):
+    # Each inconsistent right side would be a pivot column if the search ran past
+    # A, and would be subtracted from the right sides after it (pivots [0, 2, 3]).
+    seen = []
+    real = linalg._reduce
+
+    def recorded(rows, width=None):
+        reduced, pivots = real(rows, width)
+        seen.append(pivots)
+        return reduced, pivots
+
+    monkeypatch.setattr(linalg, "_reduce", recorded)
+    a = CMatrix([[1, 1], [1, 1], [2, 2]])
+    solutions, null = solve(a, [(1, 0, 0), (0, 1, 0), (1, 1, 2)])
+    assert seen == [[0]]
+    assert solutions == [None, None, (gr(1), gr(0))] and null == [(gr(-1), gr(1))]
 
 
 def test_solve_overdetermined_consistent():
@@ -411,18 +432,16 @@ def test_product_and_apply_equal_the_dense_references(m, k, n):
     assert zero_a.apply(zero_v) == (ZERO,) * m == dense_apply(zero_a, zero_v)
 
 
-def test_inverse_and_sum_are_built_like_public_matrices():
+def test_sum_is_built_like_public_matrices():
     a = CMatrix([[1, gr(0, 1), 0], [0, 2, 0], [gr(1, 1), 0, 1]])
-    inverse = a.inverse()
-    assert _is_kernel_built(inverse, 3, 3) and _is_kernel_built(a + inverse, 3, 3)
-    assert a @ inverse == inverse @ a == CMatrix.identity(3)
+    assert _is_kernel_built(a + a, 3, 3) and a + a == CMatrix([[2 * x for x in row] for row in a.entries])
 
 
 def test_shape_mismatches_raise():
     a, b = CMatrix([[1, 2, 3], [4, 5, 6]]), CMatrix([[1, 2], [3, 4]])
     q = QuadraticForm.diagonal([1, 1])
     for bad in (lambda: a @ b, lambda: a @ a, lambda: a.apply((1, 2)), lambda: a.apply((1, 2, 3, 4)),
-                lambda: a + b, lambda: b.inverse() + a, lambda: a.inverse(),
+                lambda: a + b,
                 lambda: q.apply((1,), (1, 1)), lambda: q.apply((1, 1, 5), (1, 1)),
                 lambda: q.apply((1, 1), (1,)), lambda: q.apply((1, 1), (1, 1, 5))):
         with pytest.raises(ValueError):

@@ -81,10 +81,10 @@ def test_derived_slots_stay_out_of_equality_hash_and_repr():
     assert algebra == HEIS and hash(algebra) == hash(HEIS) and "terms" not in repr(algebra)
 
     model = HomogeneousModel(MODEL.algebra, MODEL.isotropy, MODEL.complement, MODEL.quotient_form)
-    object.__setattr__(model, "frame_inverse", None)
+    object.__setattr__(model, "frame", None)
     object.__setattr__(model, "actions", ())
     assert model == MODEL and hash(model) == hash(MODEL)
-    assert "frame_inverse" not in repr(model) and "actions" not in repr(model)
+    assert "frame" not in repr(model) and "actions" not in repr(model)
 
     sl2 = CATALOG["sl2"].algebra
     fresh, used = CatalogEntry("sl2", sl2), CatalogEntry("sl2", sl2)
