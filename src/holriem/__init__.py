@@ -4,9 +4,9 @@ metrics on low-dimensional complex Lie algebras."""
 from .scalars import GaussianRational, as_gr, gr
 from .linalg import (
     CMatrix,
-    is_nilpotent_matrix,
     kernel,
     min_poly,
+    nilpotent_powers,
 )
 from .forms import DegenerateForm, QuadraticForm
 from .liealg import (
@@ -34,7 +34,6 @@ from .geometry import (
     levi_civita,
     ricci,
     stabilizer_in_skew,
-    unipotent_flow,
 )
 from .models import (
     HomogeneousModel,

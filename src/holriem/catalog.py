@@ -5,8 +5,9 @@ The catalog is the shipped ``.liealg`` files under ``data/``: one file per
 id of ``CATALOG_IDS``, named for its entry and stored in canonical form, and
 the stabilizer family's file ``FAMILY_ID``, which declares ``[parameters]``.
 ``read_text`` parses a file's text and builds its algebra once while its memo
-holds the text, and ``entry_from_spec`` turns the two into an entry, for the catalog
-and the CLI alike; a family has an algebra at each point only (``dsl.at``).
+holds the text, and ``entry_from_spec`` turns the two into an entry, the file's
+pair (g, h, m, q) with h = 0 for a metric file, for the catalog and the CLI alike;
+a family has an algebra at each point only (``dsl.at``).
 
 ``FACTS`` renders the fact of each key of ``dsl.EXPECTED_KINDS``; the
 per-entry checks compare its text with the file's ``[expected]`` value,
@@ -23,8 +24,9 @@ checks for every seed.
 One rule covers a check that cannot be computed (``_run``): the
 ``ValueError`` or ``OSError`` its computation raises fails it, with the
 message as witness.  So a missing entry (``entry missing``) or file, an
-entry without the model, metric or quotient form a check reads, a fact that
-does not apply and a span that is not a subalgebra each fail the checks that
+entry without the model, metric or quotient form a check reads (a pair with
+h != 0 has no connection yet), a fact that does not apply, a span that is not a
+subalgebra and a generator N that is not nilpotent each fail the checks that
 read them, and a grid point where the claim cannot be evaluated fails its
 proof with ``at <point>: <message>``; the report never gets shorter.
 """
@@ -44,7 +46,6 @@ from .geometry import (
     ConnectionTable,
     CurvatureTensor,
     _first,
-    adapted_gram_unipotent,
     bianchi_defect,
     compatibility_defect,
     constant_curvature,
@@ -57,8 +58,6 @@ from .geometry import (
     stabilizer,
     stabilizer_in_skew,
     torsion_defect,
-    unipotent_flow,
-    unipotent_isotropy_generator,
 )
 from .liealg import (
     LieAlgebra,
@@ -73,7 +72,7 @@ from .liealg import (
     jacobi_witness,
     subalgebra,
 )
-from .linalg import CMatrix, Vector, _completion, act, in_span, is_nilpotent_matrix
+from .linalg import CMatrix, Vector, _completion, act, exp_nilpotent, in_span, nilpotent_powers
 from .models import (
     HomogeneousModel,
     IsotropyType,
@@ -120,23 +119,17 @@ _MODEL_KEYS = ("isotropy", "invariance", "invariant_form_dim", "center_dim", "un
 
 
 class CatalogEntry(Record):
-    """One catalog item; its metric data and its structural facts are
-    derived once, on first use, into ``__dict__``."""
+    """One catalog item: an algebra, the pair (g, h, m, q) of its file, h = 0 for a metric file
+    (None for a bare algebra); its metric data and facts are derived once, into ``__dict__``."""
 
-    _fields = ("id", "algebra", "form", "model", "expected")
+    _fields = ("id", "algebra", "model", "expected")
     __slots__ = _fields + ("__dict__",)
 
     def __init__(
-        self,
-        id: str,
-        algebra: LieAlgebra,
-        form: QuadraticForm | None = None,
-        model: HomogeneousModel | None = None,
-        expected: dict[str, str] | None = None,
+        self, id: str, algebra: LieAlgebra, model: HomogeneousModel | None = None, expected: dict | None = None
     ):
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "form", form)
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "expected", expected)
 
@@ -144,9 +137,14 @@ class CatalogEntry(Record):
         # Every field but the mutable ``expected`` dict, which equality still compares.
         return hash(self._key(self)[:-1])
 
+    @property
+    def form(self) -> QuadraticForm | None:
+        """The pair's quotient form: a metric file's form on the whole basis."""
+        return None if self.model is None else self.model.quotient_form
+
     @cached_property
     def connection(self) -> ConnectionTable:
-        if self.form is None:
+        if self.form is None or self.model.isotropy:
             raise ValueError("entry carries no metric")
         return levi_civita(self.algebra, self.form)
 
@@ -185,7 +183,7 @@ class CatalogEntry(Record):
 
 
 def _model(entry: CatalogEntry) -> HomogeneousModel:
-    if entry.model is None:
+    if entry.model is None or not entry.model.isotropy:
         raise ValueError("entry carries no model")
     return entry.model
 
@@ -251,21 +249,15 @@ def _shipped(entry_id: str) -> tuple[str, dsl.SpecFile, LieAlgebra]:
 
 def _report_order(expected: dict[str, str], order: tuple[str, ...]) -> dict[str, str]:
     """Files store ``[expected]`` keys sorted; the report lists them in ``order``,
-    with unknown keys last."""
-    rank = {key: position for position, key in enumerate(order)}
-    return dict(sorted(expected.items(), key=lambda item: rank.get(item[0], len(order))))
+    with unknown keys last, in file order: merging ``expected`` keeps the known ones first."""
+    return {**{key: expected[key] for key in order if key in expected}, **expected}
 
 
 def entry_from_spec(entry_id: str, spec: dsl.SpecFile, algebra: LieAlgebra) -> CatalogEntry:
-    """The entry of a parsed file whose algebra ``read_text`` built; ``[expected]`` in report
-    order.  A file without an isotropy gives the algebra with its form on the full basis (or
-    none).  A file with one gives a model: its complement is the basis vectors that complete
-    the isotropy in declared order, and its form keys must be their labels."""
-    if not spec.isotropy:
-        form = None if spec.form is None else QuadraticForm.from_sparse(spec.labels, spec.form)
-        return CatalogEntry(
-            entry_id, algebra, form=form, expected=_report_order(spec.expected, _METRIC_KEYS)
-        )
+    """The pair (g, h, m, q) of a parsed file whose algebra ``read_text`` built, with
+    ``[expected]`` in report order.  The complement is the basis vectors that complete the
+    isotropy in declared order, the whole basis when it is empty, and the form keys must be
+    their labels."""
     isotropy = [algebra.vector(combo) for combo in spec.isotropy]
     positions = _completion(isotropy, algebra.dim)
     labels = [algebra.basis_names[p] for p in positions]
@@ -273,16 +265,12 @@ def entry_from_spec(entry_id: str, spec: dsl.SpecFile, algebra: LieAlgebra) -> C
     if spec.form is not None:
         for a, b in spec.form:
             if a not in labels or b not in labels:
-                raise ValueError(
-                    f"form entry ({a},{b}) uses a label outside the complement {labels}"
-                )
+                raise ValueError(f"form entry ({a},{b}) uses a label outside the complement {labels}")
         form = QuadraticForm.from_sparse(labels, spec.form)
-    model = HomogeneousModel(
-        algebra, isotropy, [algebra.basis_vector(p) for p in positions], quotient_form=form
-    )
-    return CatalogEntry(
-        entry_id, algebra, model=model, expected=_report_order(spec.expected, _MODEL_KEYS)
-    )
+    basis = CMatrix.identity(algebra.dim).entries
+    model = HomogeneousModel(algebra, isotropy, [basis[p] for p in positions], quotient_form=form)
+    expected = _report_order(spec.expected, _MODEL_KEYS if isotropy else _METRIC_KEYS)
+    return CatalogEntry(entry_id, algebra, model, expected)
 
 
 def build_catalog() -> list[CatalogEntry]:
@@ -404,7 +392,7 @@ def verify_entry(entry: CatalogEntry) -> list[CheckResult]:
     checks = [_jacobi_check(f"{entry.id}/jacobi", entry.algebra)]
     for key, expected in (entry.expected or {}).items():
         checks.append(_run(f"{entry.id}/{key}", _property_check, entry, key, expected))
-    if entry.form is not None:
+    if entry.form is not None and not entry.model.isotropy:
         checks.extend(_metric_identity_checks(entry))
     return checks
 
@@ -520,12 +508,17 @@ def verify_section4(catalog: Sequence[CatalogEntry]) -> list[CheckResult]:
     )
 
 
+def _quotient_form(entry: CatalogEntry) -> QuadraticForm:
+    form = _model(entry).quotient_form
+    if form is None:
+        raise ValueError("model carries no quotient form")
+    return form
+
+
 def _sl2_curvature(check_id: str, entries: _Entries, model_id: str | None, want: str) -> CheckResult:
     """The curvature on sl(2) of the quotient form of the model ``model_id``,
     or of the generic form when that is None, renders as ``want``."""
-    form = _GENERIC_AB_FORM if model_id is None else _model(entries[model_id]).quotient_form
-    if form is None:
-        raise ValueError("model carries no quotient form")
+    form = _GENERIC_AB_FORM if model_id is None else _quotient_form(entries[model_id])
     value = _render_constant(constant_curvature(entries["sl2"].algebra, form))
     return _check(check_id, value == want, witness=f"got {value}", value=value)
 
@@ -606,15 +599,12 @@ def _isotropy_check(
     return _check(check_id, not wrong, witness=f"unexpected type at {','.join(wrong)}")
 
 
-def verify_isotropy_dimension_bounds() -> list[CheckResult]:
+def verify_isotropy_dimension_bounds(catalog: Sequence[CatalogEntry]) -> list[CheckResult]:
     """Dimensions of so(q) and of the stabilizers in it of a unit vector, a
-    null vector and a frame, for the adapted form q."""
-    form = QuadraticForm(adapted_gram_unipotent())
+    null vector and a frame, for the adapted form q of ``heis_stab_zero``."""
     # so(q), and with it G^-1, is derived once per report; each stabilizer is cut from it.
-    so_q = cache(lambda: stabilizer_in_skew(form, []))
-    unit = (gr(0), gr(1), gr(0))
-    null = (gr(1), gr(0), gr(0))
-    frame_partner = (gr(1), gr(0), gr(1))
+    so_q = cache(lambda: stabilizer_in_skew(_quotient_form(_Entries(catalog)["heis_stab_zero"]), []))
+    unit, null, frame_partner = (gr(0), gr(1), gr(0)), (gr(1), gr(0), gr(0)), (gr(1), gr(0), gr(1))
     return [
         _run(f"isotropy-bounds/{name}", _stabilizer_dim_check, so_q, fixed, want)
         for name, fixed, want in (
@@ -694,23 +684,23 @@ def _family_jacobi(check_id: str, spec: dsl.SpecFile | None = None) -> CheckResu
 
 
 def _family_isotropy(check_id: str) -> CheckResult:
-    """At every point of the lattice of the stabilizer family's degree d, the isotropy frame is
-    the origin's and the induced action is the nilpotent flow generator: a frame of degree <= d
+    """At every point of the lattice of the stabilizer family's degree d, the isotropy frame and
+    the induced action are the origin's, where the action is nilpotent: a frame of degree <= d
     fixed on the lattice is fixed, and with it ``induced_ad`` has degree <= d."""
-    spec, generator, frames = _shipped(FAMILY_ID)[1], unipotent_isotropy_generator(), {}
+    spec, seen = _shipped(FAMILY_ID)[1], {}
     degree = dsl.degree(spec)
     grid, unit = _lattice(len(spec.parameters), degree), "affine points" if degree == 1 else "grid points"
 
     def defect(*p):
         model = _model(entry_from_spec(spec.name, *_at(spec, p)))
-        frames[p] = model.isotropy + model.complement
-        if frames[p] != frames[grid[0]]:
+        seen[p] = model.isotropy + model.complement, model.actions[0]
+        frame, action = seen[grid[0]]
+        if seen[p][0] != frame:
             return "isotropy or complement moved"
-        return model.actions[0] != generator and f"induced action {model.actions[0]}"
+        if p == grid[0]:
+            nilpotent_powers(action)  # a ValueError when the origin's action is not nilpotent
+        return model.actions[0] != action and f"induced action {model.actions[0]}"
 
-    if not is_nilpotent_matrix(generator):
-        witness = f"generator {generator} is not nilpotent"
-        return _check(check_id, False, witness, f"{len(grid)} {unit}")
     return _grid_check(check_id, grid, defect, lambda p: f"at {p}: {defect(*p)}", unit)
 
 
@@ -732,40 +722,40 @@ def _flat_case_check(check_id: str, beta: GaussianRational) -> CheckResult:
     return _check(check_id, check_prop_iv(point), f"at ({', '.join(map(str, point))})")
 
 
-def verify_flow_identities() -> list[CheckResult]:
-    """The unipotent isotropy flow L_t = exp(tN) preserves the adapted form Q
+def verify_flow_identities(catalog: Sequence[CatalogEntry]) -> list[CheckResult]:
+    """The isotropy flow L_t = exp(tN) of ``heis_stab_zero`` preserves its adapted form Q
     and is a one-parameter group, proved on grids.
 
-    The entries of L_t have degree <= 2 in t, so those of L_t^T Q L_t - Q
-    have degree <= 4 and vanish identically once they vanish at the five
-    points t = 0, ..., 4.  The entries of L_s L_t - L_(s+t) have degree <= 2
-    in each of s and t, so vanishing on {0,1,2}^2 proves the group law.
-    N^T Q + Q N = 0, the derivative of the first identity at t = 0, is
-    checked entry by entry on act(N, Q, "dd") = -(N^T Q + Q N).
+    With nu the least k where N^k = 0, the entries of L_t have degree <= nu - 1 in t.  So
+    those of L_t^T Q L_t - Q vanish identically once they vanish at t = 0, ..., 2(nu - 1),
+    and vanishing on {0, ..., nu - 1}^2 proves the group law L_s L_t = L_(s+t); each L_t is
+    built once.  N^T Q + Q N = 0, the derivative at t = 0, is checked on act(N, Q, "dd").
     """
-    q, generator = adapted_gram_unipotent(), unipotent_isotropy_generator()
-    skew = act(generator, q.flat, "dd")
+    entries = _Entries(catalog)
+    form = lambda: _quotient_form(entries["heis_stab_zero"])  # Q
+    generator = lambda: _model(entries["heis_stab_zero"]).actions[0]  # N
 
-    def moves_q(t: int) -> bool:
-        flow = unipotent_flow(t)
-        return flow.transpose() @ q @ flow != q
+    @cache
+    def flows() -> tuple[int, list[CMatrix]]:  # nu, and L_t for the t = 0, ..., 2(nu - 1) of the grids
+        powers = nilpotent_powers(generator())
+        return len(powers), exp_nilpotent(powers, range(2 * len(powers) - 1))
 
-    def not_a_group(s: int, t: int) -> bool:
-        return unipotent_flow(s) @ unipotent_flow(t) != unipotent_flow(s + t)
+    def gram_polynomial(check_id: str) -> CheckResult:
+        (nu, flow), q = flows(), form().gram
+        moves_q = lambda t: flow[t].transpose() @ q @ flow[t] != q
+        return _grid_check(check_id, _lattice(1, 2 * (nu - 1)), moves_q, lambda p: f"at t={p[0]}")
 
-    return [
-        _run(check_id, _grid_check, points, defect, witness)
-        for check_id, points, defect, witness in (
-            ("flow/gram_polynomial", _lattice(1, 4), moves_q, lambda p: f"at t={p[0]}"),
-            (
-                "flow/generator_skew",
-                _box(3, 2),
-                lambda i, j: skew[3 * i + j],
-                lambda p: f"N^T Q + Q N nonzero at (i,j)={p}",
-            ),
-            ("flow/one_parameter_group", _box(3, 2), not_a_group, lambda p: f"at (s,t)={p}"),
-        )
-    ]
+    def generator_skew(check_id: str) -> CheckResult:
+        n, skew = form().dim, act(generator(), form().gram.flat, "dd")
+        witness = lambda p: f"N^T Q + Q N nonzero at (i,j)={p}"
+        return _grid_check(check_id, _box(n, 2), lambda i, j: skew[n * i + j], witness)
+
+    def one_parameter_group(check_id: str) -> CheckResult:
+        nu, flow = flows()
+        not_a_group = lambda s, t: flow[s] @ flow[t] != flow[s + t]
+        return _grid_check(check_id, _box(nu, 2), not_a_group, lambda p: f"at (s,t)={p}")
+
+    return _run_rows((f"flow/{c.__name__}", c) for c in (gram_polynomial, generator_skew, one_parameter_group))
 
 
 # -- the surface model -------------------------------------------------------
@@ -856,9 +846,9 @@ FRAGMENTS: tuple[tuple[Callable[..., list[CheckResult]], bool], ...] = (
     (verify_prop_unimodular, True),
     (verify_section4, True),
     (verify_section5_tables, True),
-    (verify_isotropy_dimension_bounds, False),
+    (verify_isotropy_dimension_bounds, True),
     (verify_heis_family, False),
-    (verify_flow_identities, False),
+    (verify_flow_identities, True),
     (verify_shipped_files, False),
     (verify_mobius, False),
 )

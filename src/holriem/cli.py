@@ -148,12 +148,8 @@ def _cmd_validate(args) -> int:
     except ValueError as exc:
         records.append(cat._check("model_wellformed", False, str(exc)))
     else:
-        if entry.model is None:
-            form, degenerate = entry.form, "form is degenerate"
-        else:
-            form, degenerate = entry.model.quotient_form, "quotient form is degenerate"
-        if form is not None:
-            records.append(cat._check("form_nondegenerate", form.nondegenerate, degenerate))
+        if entry.form is not None:
+            records.append(cat._check("form_nondegenerate", entry.form.nondegenerate, "form is degenerate"))
     return _print_records(args, records)
 
 

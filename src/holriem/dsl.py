@@ -558,6 +558,8 @@ def parse(text: str) -> SpecFile:
             if not combo:
                 raise DslError("isotropy generator must be nonzero", line_no, value_col)
             generators.append(combo)
+        if not generators:
+            raise DslError("[isotropy] declares no generator", by_name["isotropy"][0], 1)
         spec.isotropy = tuple(generators)
 
     if "expected" in by_name:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import CMatrix, _dot, _nonzero, as_vector
+from .linalg import CMatrix, _dot, _matrix, _nonzero, as_vector
 from .scalars import GaussianRational, Record, ZERO, as_gr
 
 
@@ -49,7 +49,7 @@ class QuadraticForm(Record):
                 raise ValueError(f"conflicting entries for ({a},{b})")
             seen.update(((i, j), (j, i)))
             grid[i][j] = grid[j][i] = v
-        return cls(grid)
+        return cls(_matrix(tuple(map(tuple, grid))) if n else grid)  # exact as built; CMatrix refuses n = 0
 
     @classmethod
     def diagonal(cls, values: Iterable) -> "QuadraticForm":

@@ -347,26 +347,3 @@ def stabilizer(basis: Sequence[CMatrix], vectors: Sequence[Sequence]) -> list[CM
     """Basis of ``{A in span(basis) : A v = 0 for each given v}``, the combinations
     of the basis whose images ``act(A, v, "u")`` vanish; the basis when no v is given."""
     return _annihilated(basis, [[x for v in vectors for x in act(a, v, "u")] for a in basis])
-
-
-# -- the unipotent isotropy flow -------------------------------------------
-
-
-def unipotent_flow(t) -> CMatrix:
-    """One-parameter unipotent isotropy L_t = exp(t N) on an adapted basis.
-
-    Every entry has degree <= 2 in the exact flow time t:
-        [[1, t, -t^2/2], [0, 1, -t], [0, 0, 1]].
-    """
-    t = as_gr(t)
-    return CMatrix([[ONE, t, -(t * t) * _HALF], [ZERO, ONE, -t], [ZERO, ZERO, ONE]])
-
-
-def unipotent_isotropy_generator() -> CMatrix:
-    """Derivative of the unipotent flow at t = 0."""
-    return CMatrix([[ZERO, ONE, ZERO], [ZERO, ZERO, -ONE], [ZERO, ZERO, ZERO]])
-
-
-def adapted_gram_unipotent() -> CMatrix:
-    """Gram matrix of the unipotent adapted relations."""
-    return CMatrix([[ZERO, ZERO, ONE], [ZERO, ONE, ZERO], [ONE, ZERO, ZERO]])

@@ -19,6 +19,8 @@ gcd(p, p') = 1 (Hoffman and Kunze, *Linear Algebra*, section 6.4).
 
 from __future__ import annotations
 
+from functools import cache
+from math import factorial
 from typing import Iterable, Sequence
 
 from .scalars import GaussianRational, ONE, Record, ZERO, addmul, as_gr, submul
@@ -60,6 +62,7 @@ class CMatrix(Record):
         object.__setattr__(self, "entries", grid)
 
     @classmethod
+    @cache  # one per n, shared: a matrix is immutable
     def identity(cls, n: int) -> "CMatrix":
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
@@ -193,10 +196,12 @@ def _reduce(
 
 
 def _completion(vectors: Sequence[Vector], n: int) -> list[int]:
-    """Positions p of the basis vectors e_p that complete the span of the vectors, taken
-    in order: a pivot k + p of [T | I], T the k vectors as columns, marks e_p outside the
-    span of T, e_0, ..., e_(p-1).  The first n - k of them (all of them when k > n)."""
+    """Positions p of the basis vectors e_p that complete the span of the vectors, in order:
+    a pivot k + p of [T | I], T the k vectors as columns, marks e_p outside the span of T,
+    e_0, ..., e_(p-1); the first n - k of them (all when k > n; all n, unreduced, if k = 0)."""
     k = len(vectors)
+    if not k:
+        return list(range(n))
     rows = [[v[r] for v in vectors] + [ONE if c == r else ZERO for c in range(n)] for r in range(n)]
     positions = [p - k for p in _reduce(rows)[1] if p >= k]
     return positions if k > n else positions[: n - k]
@@ -232,17 +237,13 @@ def kernel(matrix: CMatrix) -> list[Vector]:
     return solve(matrix, [])[1]
 
 
-def _annihilated(basis: Sequence[CMatrix], images: Sequence[Sequence]) -> list[CMatrix]:
-    """Basis of the combinations of ``basis`` whose images under a linear map vanish,
-    ``images[b]`` being that of ``basis[b]``: one kernel over the coefficients, summed
-    over the nonzero basis entries, or the basis itself when the images are empty."""
-    constraints = list(zip(*images))
-    if not constraints:
-        return list(basis)
+def _combinations(basis: Sequence[CMatrix], coefficients: Iterable[Sequence]) -> list[CMatrix]:
+    """The combination sum_b c_b basis[b] for each coefficient vector c, summed over the
+    nonzero coefficients and the nonzero entries of the basis only."""
     height, width = basis[0].rows, basis[0].cols
     cells = [[(r, c, x) for r, row in enumerate(b.entries) for c, x in enumerate(row) if x] for b in basis]
     out = []
-    for sol in kernel(_matrix(tuple(constraints))):
+    for sol in coefficients:
         rows = [[ZERO] * width for _ in range(height)]
         for coefficient, nonzero in zip(sol, cells):
             if coefficient:
@@ -250,6 +251,14 @@ def _annihilated(basis: Sequence[CMatrix], images: Sequence[Sequence]) -> list[C
                     rows[r][c] = addmul(rows[r][c], coefficient, x)
         out.append(_matrix(tuple(map(tuple, rows))))
     return out
+
+
+def _annihilated(basis: Sequence[CMatrix], images: Sequence[Sequence]) -> list[CMatrix]:
+    """Basis of the combinations of ``basis`` whose images under a linear map vanish,
+    ``images[b]`` being that of ``basis[b]``: one kernel over the coefficients, or the
+    basis itself when the images are empty."""
+    constraints = list(zip(*images))
+    return _combinations(basis, kernel(_matrix(tuple(constraints)))) if constraints else list(basis)
 
 
 def act(a: CMatrix, tensor: Sequence[GaussianRational], kinds: str) -> Vector:
@@ -312,16 +321,24 @@ def min_poly(matrix: CMatrix) -> Vector:
     return tuple(-reduced[r][degree] for r in range(degree)) + (ONE,)
 
 
-def is_nilpotent_matrix(matrix: CMatrix) -> bool:
-    """True iff ``A**n == 0`` exactly, n the matrix dimension."""
+def nilpotent_powers(matrix: CMatrix) -> list[CMatrix]:
+    """I, A, ..., A^(k-1) for the least k with A^k = 0, the one nilpotency test: a ValueError
+    when ``A**n != 0``, n the matrix dimension."""
     if matrix.rows != matrix.cols:
         raise ValueError("nilpotency of a non-square matrix")
-    power = matrix
-    for _ in range(matrix.rows - 1):
-        if power.is_zero():
-            return True
+    powers, power = [CMatrix.identity(matrix.rows)], matrix
+    while not power.is_zero():
+        if len(powers) == matrix.rows:
+            raise ValueError(f"matrix {matrix} is not nilpotent")
+        powers.append(power)
         power = power @ matrix
-    return power.is_zero()
+    return powers
+
+
+def exp_nilpotent(powers: Sequence[CMatrix], times: Iterable) -> list[CMatrix]:
+    """exp(tA) at each time t: the combination of the ``nilpotent_powers`` A^k of a
+    nilpotent A with the coefficients t^k / k!."""
+    return _combinations(powers, [[t**k / factorial(k) for k in range(len(powers))] for t in map(as_gr, times)])
 
 
 def _squarefree(a: Sequence[GaussianRational]) -> bool:

@@ -1,4 +1,5 @@
-"""Homogeneous pairs (algebra, isotropy) and their quotient data.
+"""Homogeneous pairs (algebra, isotropy) and their quotient data, a metric file being the
+pair with no isotropy, the standard basis as complement and the shared identity as frame.
 
 A model stores an explicit complement basis for the quotient, so the
 induced isotropy action is a concrete exact matrix: reductions project
@@ -74,22 +75,24 @@ class HomogeneousModel(Record):
         complement: Sequence[Sequence],
         quotient_form: QuadraticForm | None = None,
     ):
-        iso = tuple(as_vector(v) for v in isotropy)
-        comp = tuple(as_vector(v) for v in complement)
+        iso, comp = tuple(map(as_vector, isotropy)), tuple(complement)
         if len(iso) + len(comp) != algebra.dim:
             raise ValueError("isotropy and complement sizes must add up to the dimension")
-        frame = iso + comp
-        # Wrong-length or dependent vectors do not span; induced_ad tests the latter when it runs.
-        if any(len(v) != algebra.dim for v in frame) or (
-            frame and not (iso and comp) and kernel(CMatrix.from_columns(frame))
-        ):
-            raise ValueError(_NO_SPAN)
+        frame = CMatrix.identity(algebra.dim)
+        if iso or comp != frame.entries:  # a metric file's standard basis spans, with no test
+            comp = tuple(map(as_vector, comp))
+            # Wrong-length or dependent vectors do not span; induced_ad tests the latter when it runs.
+            if any(len(v) != algebra.dim for v in iso + comp) or (
+                not (iso and comp) and kernel(CMatrix.from_columns(iso + comp))
+            ):
+                raise ValueError(_NO_SPAN)
+            frame = CMatrix.from_columns(iso + comp)
         if not comp:
             raise ValueError("isotropy spans the whole algebra; the quotient is empty")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "isotropy", iso)
         object.__setattr__(self, "complement", comp)
-        object.__setattr__(self, "frame", CMatrix.from_columns(frame))
+        object.__setattr__(self, "frame", frame)
         # induced_ad(self, u) raises when some [u, v], v in the isotropy,
         # leaves the isotropy, so deriving the actions tests closure.
         try:

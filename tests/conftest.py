@@ -15,6 +15,7 @@ from holriem import catalog, geometry
 from holriem.geometry import ConnectionTable, CurvatureTensor
 from holriem.liealg import LieAlgebra, NotClosed, bracket
 from holriem.linalg import CMatrix, Vector, as_vector, span_basis, vadd, zero_vector
+from holriem.models import HomogeneousModel
 from holriem.scalars import ONE, ZERO, GaussianRational, as_gr, gr
 
 settings.register_profile("exact", derandomize=True)
@@ -55,6 +56,11 @@ def _random_gaussian_rational(rng: random.Random, span: int = 3) -> GaussianRati
 def random_family_point():
     """A point (c, m, k, beta) of the stabilizer family with small random Q(i) entries, from ``rng``."""
     return lambda rng: tuple(_random_gaussian_rational(rng) for _ in range(4))
+
+
+def metric_pair(algebra: LieAlgebra, form) -> HomogeneousModel:
+    """The pair with h = 0 that a metric file gives: ``form`` on the whole basis."""
+    return HomogeneousModel(algebra, (), CMatrix.identity(algebra.dim).entries, quotient_form=form)
 
 
 def family_at(point) -> catalog.CatalogEntry:

@@ -9,7 +9,7 @@ import json
 import random
 from fractions import Fraction
 
-from conftest import conjugate, failed_checks, family_at, sectional_curvature
+from conftest import conjugate, failed_checks, family_at, metric_pair, sectional_curvature
 from holriem.catalog import (
     CatalogEntry,
     build_catalog,
@@ -19,9 +19,7 @@ from holriem.catalog import (
     verify_mobius,
 )
 from holriem.cli import cli
-from holriem.forms import QuadraticForm
 from holriem.geometry import (
-    adapted_gram_unipotent,
     bianchi_defect,
     compatibility_defect,
     curvature,
@@ -155,7 +153,8 @@ def test_criterion_05_stabilizer_family_flat_case():
 
 
 def test_criterion_06_isotropy_dimension_bounds():
-    form = QuadraticForm(adapted_gram_unipotent())
+    # The adapted form is the quotient form of heis_stab_zero.liealg.
+    form = next(e for e in build_catalog() if e.id == "heis_stab_zero").form
     unit = (gr(0), gr(1), gr(0))
     null = (gr(1), gr(0), gr(0))
     partner = (gr(1), gr(0), gr(1))
@@ -169,7 +168,7 @@ def test_criterion_06_isotropy_dimension_bounds():
 
 
 def test_criterion_07_flow_polynomial_identities():
-    checks = [(c.id, c.status) for c in verify_flow_identities()]
+    checks = [(c.id, c.status) for c in verify_flow_identities(build_catalog())]
     ok = checks == [
         ("flow/gram_polynomial", "pass"),
         ("flow/generator_skew", "pass"),
@@ -191,7 +190,7 @@ def test_criterion_08_surface_model_exact_invariance():
 def test_criterion_09_connection_and_curvature_identities():
     ok = True
     for entry in build_catalog():
-        if entry.form is None:
+        if entry.model.isotropy:
             continue
         connection = levi_civita(entry.algebra, entry.form)
         tensor = curvature(entry.algebra, connection)
@@ -215,10 +214,11 @@ def test_criterion_10_fault_injection_sensitivity(mutate_structure_constant):
     for i in range(3):
         for j in range(i + 1, 3):
             for k in range(3):
+                mutated = mutate_structure_constant(sol.algebra, i, j, k)
                 mutated_entry = CatalogEntry(
                     id=sol.id,
-                    algebra=mutate_structure_constant(sol.algebra, i, j, k),
-                    form=sol.form,
+                    algebra=mutated,
+                    model=metric_pair(mutated, sol.form),
                     expected=sol.expected,
                 )
                 swapped = [mutated_entry if e.id == "sol3" else e for e in catalog]

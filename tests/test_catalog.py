@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import ad, failed_checks, family_at, nabla
+from conftest import ad, failed_checks, family_at, metric_pair, nabla
 
 from holriem import catalog, dsl, geometry, linalg, models
 from holriem.catalog import (
@@ -177,6 +177,15 @@ FAMILY_MUTATIONS = {
         ("gen = Y", "gen = Y + (c) T"),
         {"heis-family/isotropy_unipotent": "at (1, 0, 0, 0): form entry (X,T) uses a label outside"},
     ),
+    # [Y,Z] = X + Z gives ad(Y) the eigenvalue 1 on Z, at every point: the
+    # origin's action is not nilpotent, and Jacobi fails once beta is nonzero.
+    "YZ_gains_Z": (
+        ('"Y,Z" = X', '"Y,Z" = X + Z'),
+        {
+            "heis-family/jacobi": "at (0, 0, 0, 1): Jacobi fails, triple=(Y,Z,T)",
+            "heis-family/isotropy_unipotent": "at (0, 0, 0, 0): matrix [0, 1, 0; 0, 1, -1; 0, 0, 0] is not",
+        },
+    ),
 }
 
 
@@ -219,12 +228,13 @@ def test_family_isotropy_fails_when_the_frame_moves(shipped_text):
     }
 
 
-def test_family_isotropy_needs_a_nilpotent_generator(monkeypatch):
-    not_nilpotent = CMatrix.diagonal([1, 0, 0])
-    monkeypatch.setattr(catalog, "unipotent_isotropy_generator", lambda: not_nilpotent)
-    failures = {c.id: c.witness for c in catalog.verify_heis_family() if not c.passed}
-    assert list(failures) == ["heis-family/isotropy_unipotent"]
-    assert failures["heis-family/isotropy_unipotent"].endswith("is not nilpotent")
+def test_family_isotropy_needs_a_nilpotent_generator(shipped_text):
+    # The points agree with the origin, whose action is tested for nilpotency.
+    _mutated_family(shipped_text, *FAMILY_MUTATIONS["YZ_gains_Z"][0])
+    failures = {c.id: c for c in catalog.verify_heis_family() if not c.passed}
+    assert list(failures) == ["heis-family/jacobi", "heis-family/isotropy_unipotent"]
+    check = failures["heis-family/isotropy_unipotent"]
+    assert check.witness == "at (0, 0, 0, 0): matrix [0, 1, 0; 0, 1, -1; 0, 0, 0] is not nilpotent"
 
 
 def test_family_proofs_build_the_family_on_the_grids_only(monkeypatch):
@@ -345,7 +355,7 @@ def test_verify_section5_fragment():
 
 
 def test_verify_isotropy_bounds_fragment():
-    checks = verify_isotropy_dimension_bounds()
+    checks = verify_isotropy_dimension_bounds(build_catalog())
     assert [c.status for c in checks] == ["pass"] * 4
 
 
@@ -456,7 +466,12 @@ READERS = {
         "solvable4/isotropy_semisimple",
     },
     "c2_semidirect_c2": {"solvable4/case3_center", "solvable4/isotropy_semisimple"},
-    "heis_stab_zero": {"solvable4/family_isotropy_unipotent"},
+    # Its quotient form is the adapted form Q, and its isotropy action the generator N.
+    "heis_stab_zero": {
+        "solvable4/family_isotropy_unipotent",
+        *(f"isotropy-bounds/{name}" for name in ("so_q_dim", "fix_unit_vector", "fix_null_vector", "fix_frame")),
+        *(f"flow/{name}" for name in ("gram_polynomial", "generator_skew", "one_parameter_group")),
+    },
     "heis_stab_generic": {"solvable4/family_isotropy_unipotent"},
 }
 
@@ -490,7 +505,10 @@ def test_flat_iff_solvable_fails_without_any_of_its_entries(entry_id):
 def test_constant_curvature_none_passes_on_a_metric_of_no_constant_curvature():
     sl2 = next(e for e in build_catalog() if e.id == "sl2")
     generic = CatalogEntry(
-        sl2.id, sl2.algebra, catalog._GENERIC_AB_FORM, expected={"constant_curvature": "none"}
+        sl2.id,
+        sl2.algebra,
+        metric_pair(sl2.algebra, catalog._GENERIC_AB_FORM),
+        expected={"constant_curvature": "none"},
     )
     (check,) = [c for c in verify_entry(generic) if c.id == "sl2/constant_curvature"]
     assert (check.status, check.value) == ("pass", "NotConstant")
@@ -595,36 +613,53 @@ def test_mobius_invariance_fails_on_a_wrong_derivative(monkeypatch):
     assert failures[0].witness == "at (a,b,c,d,z)=(0, 1, 1, 0, 0): a(cz+d) - c(az+b) != ad-bc"
 
 
-def test_flow_group_law_fails_on_a_wrong_flow(monkeypatch):
-    right = catalog.unipotent_flow
-    # exp(t^2 N) preserves Q for every t but is not a group: L_1 L_1 != L_2.
-    monkeypatch.setattr(catalog, "unipotent_flow", lambda t: right(t * t))
-    failures = failed_checks(verify_all())
-    assert [c.id for c in failures] == ["flow/one_parameter_group"]
-    assert failures[0].witness == "at (s,t)=(1, 1)"
+def _failures_of_mutated_zero(shipped_text, old, new):
+    """The failing checks, by id, of the report on ``heis_stab_zero.liealg`` with
+    ``old`` replaced by ``new``: its quotient form is Q, its isotropy action N."""
+    text = shipped_file_text("heis_stab_zero")
+    assert old in text
+    shipped_text["heis_stab_zero"] = text.replace(old, new)
+    report = verify_all()
+    assert len(report.checks) == 135
+    return {c.id: c.witness for c in failed_checks(report)}
 
 
-def test_flow_gram_proof_fails_on_a_group_that_moves_the_form(monkeypatch):
-    # exp(tM) with M: e2 -> e1, e3 -> e2 is a group, but M is not Q-skew.
-    monkeypatch.setattr(
-        catalog,
-        "unipotent_flow",
-        lambda t: CMatrix([[1, t, Fraction(t * t, 2)], [0, 1, t], [0, 0, 1]]),
-    )
-    failures = failed_checks(verify_all())
-    assert [c.id for c in failures] == ["flow/gram_polynomial"]
-    assert failures[0].witness == "at t=1"
+def test_flow_group_law_fails_on_a_wrong_flow(shipped_text):
+    # [Y,T] = -Z + T gives N the eigenvalue 1 on T: exp(tN) is no polynomial in t,
+    # so neither grid proof applies, and the model is of mixed type.
+    failures = _failures_of_mutated_zero(shipped_text, '"Y,T" = - Z', '"Y,T" = - Z + T')
+    not_nilpotent = "matrix [0, 1, 0; 0, 0, -1; 0, 0, 1] is not nilpotent"
+    assert failures == {
+        "heis_stab_zero/isotropy": "got MIXED",
+        "heis_stab_zero/invariance": "got false",
+        "heis_stab_zero/invariant_form_dim": "got 1",
+        "solvable4/family_isotropy_unipotent": "unexpected type at heis_stab_zero",
+        "flow/gram_polynomial": not_nilpotent,
+        "flow/generator_skew": "N^T Q + Q N nonzero at (i,j)=(0, 2)",
+        "flow/one_parameter_group": not_nilpotent,
+    }
 
 
-def test_flow_generator_skew_fails_on_a_non_skew_generator(monkeypatch):
-    # Nilpotent, so only the skew check and the family isotropy, which
-    # compares the induced action with this generator, can object.
-    not_skew = CMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    monkeypatch.setattr(catalog, "unipotent_isotropy_generator", lambda: not_skew)
-    failures = {c.id: c.witness for c in failed_checks(verify_all())}
-    assert list(failures) == ["heis-family/isotropy_unipotent", "flow/generator_skew"]
-    assert failures["heis-family/isotropy_unipotent"].startswith("at (0, 0, 0, 0): induced action")
-    assert failures["flow/generator_skew"] == "N^T Q + Q N nonzero at (i,j)=(1, 2)"
+def test_flow_gram_proof_fails_on_a_group_that_moves_the_form(shipped_text):
+    # [Y,T] = Z makes N: e2 -> e1, e3 -> e2, nilpotent, so exp(tN) is a group, but N is
+    # not Q-skew: the flow moves the form, which is then no longer invariant.
+    failures = _failures_of_mutated_zero(shipped_text, '"Y,T" = - Z', '"Y,T" = Z')
+    assert failures == {
+        "heis_stab_zero/invariance": "got false",
+        "flow/gram_polynomial": "at t=1",
+        "flow/generator_skew": "N^T Q + Q N nonzero at (i,j)=(1, 2)",
+    }
+
+
+def test_flow_generator_skew_fails_on_a_non_skew_generator(shipped_text):
+    # q(Z,Z) = 2 keeps N and changes Q, for which N is no longer skew; the
+    # stabilizer dimensions of so(Q) do not change.
+    failures = _failures_of_mutated_zero(shipped_text, '"Z,Z" = 1', '"Z,Z" = 2')
+    assert failures == {
+        "heis_stab_zero/invariance": "got false",
+        "flow/gram_polynomial": "at t=1",
+        "flow/generator_skew": "N^T Q + Q N nonzero at (i,j)=(1, 2)",
+    }
 
 
 # The modules that call ``linalg.act`` by name, so that a test can put a
@@ -644,7 +679,7 @@ def test_act_on_its_first_slot_only_fails_exactly_the_form_checks(monkeypatch):
 
     for module in ACT_CALLERS:
         monkeypatch.setattr(module, "act", first_slot_only)
-    model_ids = [e.id for e in build_catalog() if e.model is not None]
+    model_ids = [e.id for e in build_catalog() if e.model.isotropy]
     assert len(model_ids) == 7
     assert {c.id for c in failed_checks(verify_all())} == {
         *(f"{i}/invariance" for i in model_ids),
@@ -669,7 +704,7 @@ def test_the_form_and_stabilizer_kernels_reach_act(monkeypatch):
         (lambda: models.invariant_forms(model), "dd"),
         (lambda: models.check_invariance(model), "dd"),
         (lambda: geometry.stabilizer_in_skew(QuadraticForm.diagonal([1, 1, 1]), [unit]), "u"),
-        (catalog.verify_flow_identities, "dd"),
+        (lambda: catalog.verify_flow_identities(build_catalog()), "dd"),
     ):
         kinds.clear()
         run()
@@ -677,17 +712,25 @@ def test_the_form_and_stabilizer_kernels_reach_act(monkeypatch):
 
 
 def test_flow_proofs_evaluate_their_grids(monkeypatch):
-    calls = []
-    right = catalog.unipotent_flow
+    times, grids = [], []
+    real_exp, real_prove = catalog.exp_nilpotent, catalog._prove
 
-    def recorded(t):
-        calls.append(t)
-        return right(t)
+    def recorded_exp(powers, ts):
+        ts = list(ts)
+        times.append((len(powers), ts))
+        return real_exp(powers, ts)
 
-    monkeypatch.setattr(catalog, "unipotent_flow", recorded)
-    assert all(c.passed for c in catalog.verify_flow_identities())
-    group = [x for s in range(3) for t in range(3) for x in (s, t, s + t)]
-    assert calls == [0, 1, 2, 3, 4, *group]
+    def recorded_prove(points, defect):
+        grids.append(points)
+        return real_prove(points, defect)
+
+    monkeypatch.setattr(catalog, "exp_nilpotent", recorded_exp)
+    monkeypatch.setattr(catalog, "_prove", recorded_prove)
+    assert all(c.passed for c in catalog.verify_flow_identities(build_catalog()))
+    # N^3 = 0: each flow L_0, ..., L_4 is built once, for the five points of the
+    # Gram proof (degree 4 in t) and the 3 x 3 box of the group law (degree 2 in s and t).
+    assert times == [(3, [0, 1, 2, 3, 4])]
+    assert grids == [catalog._lattice(1, 4), catalog._box(3, 2), catalog._box(3, 2)]
 
 
 def test_curvature_antisymmetry_fails_on_a_kernel_fault(monkeypatch):
@@ -759,17 +802,15 @@ def test_verify_all_rejects_empty_catalog():
 @pytest.mark.parametrize(
     "gram, reason",
     [
+        # A pair refuses a form of another dimension, and levi_civita checks its own.
         ([[1, 0, 0], [0, 0, 0], [0, 0, 1]], "quadratic form is degenerate"),
-        ([[1, 0], [0, 1]], "form dimension does not match the algebra"),
-        # Both degenerate and of the wrong dimension: degeneracy is reported first.
-        ([[1, 0], [0, 0]], "quadratic form is degenerate"),
     ],
 )
 def test_a_metric_without_a_connection_fails_the_checks_that_read_it(gram, reason):
     entries = build_catalog()
     k = next(i for i, e in enumerate(entries) if e.id == "sol3")
     sol = entries[k]
-    entries[k] = CatalogEntry(sol.id, sol.algebra, QuadraticForm(gram), expected=sol.expected)
+    entries[k] = CatalogEntry(sol.id, sol.algebra, metric_pair(sol.algebra, QuadraticForm(gram)), sol.expected)
     report = verify_all(42, entries)
     assert len(report.checks) == 135
     readers = [
@@ -788,12 +829,8 @@ def test_a_metric_without_a_connection_fails_the_checks_that_read_it(gram, reaso
 def test_verify_all_flags_corrupted_catalog(mutate_structure_constant):
     catalog = build_catalog()
     sol = _by_id(catalog, "sol3")
-    mutated = CatalogEntry(
-        id=sol.id,
-        algebra=mutate_structure_constant(sol.algebra, 0, 1, 0),
-        form=sol.form,
-        expected=sol.expected,
-    )
+    algebra = mutate_structure_constant(sol.algebra, 0, 1, 0)
+    mutated = CatalogEntry(sol.id, algebra, metric_pair(algebra, sol.form), sol.expected)
     swapped = [mutated if e.id == "sol3" else e for e in catalog]
     report = verify_all(catalog=swapped)
     assert not report.all_pass

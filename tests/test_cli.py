@@ -194,16 +194,13 @@ ZERO_FORM_MODEL = (
 )
 
 
-@pytest.mark.parametrize(
-    "text, witness",
-    [(ZERO_FORM_METRIC, "form is degenerate"), (ZERO_FORM_MODEL, "quotient form is degenerate")],
-    ids=["metric", "model"],
-)
-def test_validate_fails_a_declared_zero_form(text, witness, tmp_path, capsys):
+# A metric file's form is the quotient form of its pair with h = 0: one witness for both.
+@pytest.mark.parametrize("text", [ZERO_FORM_METRIC, ZERO_FORM_MODEL], ids=["metric", "model"])
+def test_validate_fails_a_declared_zero_form(text, tmp_path, capsys):
     path = tmp_path / "zero.liealg"
     path.write_text(text)
     assert cli(["validate", str(path)]) == 1
-    assert capsys.readouterr().out == f"PASS jacobi\nFAIL form_nondegenerate  witness={witness}\n"
+    assert capsys.readouterr().out == "PASS jacobi\nFAIL form_nondegenerate  witness=form is degenerate\n"
 
 
 @pytest.mark.parametrize("command", ["connection", "curvature", "constcurv"])
@@ -327,6 +324,15 @@ def test_pathological_scalars_give_located_errors(col, value, tmp_path, capsys):
     path.write_text(f'[algebra]\nname = deep\ndim = 1\nbasis = A\n\n[form]\n"A,A" = {value}\n')
     assert cli(["validate", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: line 7, col {col}: ")
+
+
+@pytest.mark.parametrize("command", ["validate", "model", "connection"])
+def test_an_empty_isotropy_section_is_a_located_error(command, tmp_path, capsys):
+    # Declared with no generator: neither a model file nor a metric file.
+    path = tmp_path / "empty_isotropy.liealg"
+    path.write_text(ZERO_FORM_MODEL.replace("gen = Y\n", ""))
+    assert cli([command, str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: line 13, col 1: [isotropy] declares no generator\n")
 
 
 @pytest.mark.parametrize("command", ["validate", "invariants", "curvature", "model"])

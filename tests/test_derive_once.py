@@ -413,6 +413,18 @@ def _count_zero_tests_and_steps(monkeypatch):
     return counts
 
 
+@pytest.mark.parametrize("name", ["flat_c3", "heis3", "sol3", "sl2", "sl2_heis_sol"])
+def test_a_metric_pair_costs_no_work(name, eliminations, monkeypatch):
+    # A metric file is the pair with h = 0 and the standard basis as complement:
+    # building it finds no complement, tests no frame and tests no scalar for zero.
+    text = NINE_DIM_SUM if name == "sl2_heis_sol" else catalog.shipped_file_text(name)
+    spec, algebra = catalog.read_text(text)
+    counts = _count_zero_tests_and_steps(monkeypatch)
+    entry = catalog.entry_from_spec(name, spec, algebra)
+    assert entry.model.isotropy == () and entry.model.frame == CMatrix.identity(algebra.dim)
+    assert (eliminations, counts) == ({"_reduce": 0}, {"__bool__": 0, "steps": 0})
+
+
 def test_verify_all_zero_test_budget(monkeypatch):
     # The first report of a process also parses the shipped files and builds their
     # algebras (256 more zero tests; later reports reuse both through read_text).
@@ -423,15 +435,20 @@ def test_verify_all_zero_test_budget(monkeypatch):
     # expressions count to their caller): 3287 in eliminations (pivot searches and
     # pivot-row supports), 716 in from_table, 810 in brackets, 747 in act (one call
     # per action on a model's whole symmetric basis; 1062 with one call per basis
-    # form), 582 in products (1329 when each (row, column) pair tested both
-    # operands), 549 in _annihilated, 132 in apply (lowering an index in the two
+    # form), 612 in products (1329 when each (row, column) pair tested both
+    # operands), 591 in _combinations (549 in _annihilated's, and 42 summing exp(tN):
+    # 27 listing the nonzero entries of I, N and N^2 once, 15 testing the
+    # coefficients t^k / k! of the five flows), 132 in apply (lowering an index in the two
     # defect scans), 267 in the Killing form (987), 44 in solve (the rows past the
     # rank at each right side), 54 in levi_civita (listing the nonzero Gram
-    # entries), 66 in curvature, 36 in induced_ad, 25 in _squarefree, 14 in is_zero,
+    # entries), 66 in curvature, 36 in induced_ad, 25 in _squarefree, 28 in is_zero,
     # 192 in dsl.at (dropping the terms of the stabilizer family's file that vanish
     # at a point), and 1131 in the checks and scans around them (469 in
     # geometry._first, 376 in geometry._add, 6 deciding k = 0 in the six
-    # constant-curvature scans, 8 in check_prop_iv's precondition): 8652.  9112 when
+    # constant-curvature scans, 8 in check_prop_iv's precondition): 8738.  8652 when
+    # the flows were typed into geometry: 86 fewer, the 42 of exp(tN) and the 44 of
+    # the powers of N that give its nilpotency index 3 (30 in the products N^2 and
+    # N^3, 14 in testing N, N^2 and N^3 for zero).  9112 when
     # the span questions and the model frames read the I part of an elimination of
     # [T | I] and the so(q) bound inverted G: 150 more in eliminations (106 in the
     # [T | I] layout, 44 in pivot searches past A that solve no longer makes), 200
@@ -452,14 +469,17 @@ def test_verify_all_zero_test_budget(monkeypatch):
     # too.  9797 then when the defect scans lowered an index with a loop of their
     # own over the nonzero Gram entries (432 there and 72 listing those entries,
     # where apply now makes 132).
-    # Fused steps, one per nonzero product: 160 in products, 130 in act, 114 in
+    # Fused steps, one per nonzero product: 161 in products, 130 in act, 114 in
     # curvature, 82 in eliminations, 53 in brackets, 22 in apply (lowering an index),
-    # 48 in levi_civita, 32 in the Jacobi scan, 27 in _annihilated, 10 in the Killing
-    # form and 15 in _squarefree: 693.  738 with the [T | I] eliminations (94 steps),
+    # 48 in levi_civita, 32 in the Jacobi scan, 54 in _combinations (27 in
+    # _annihilated's, and 27 summing exp(tN): 3 for L_0, whose coefficients of N and
+    # N^2 are zero, and 6 for each of L_1, ..., L_4), 10 in the Killing form and 15 in
+    # _squarefree: 721.  693 when the flows were typed into geometry,
+    # with no exp(tN) and no product N^2.  738 with the [T | I] eliminations (94 steps),
     # the frame inverses applied to the isotropy brackets (26 in apply) and
     # subalgebra's dot products with the rows of [T | I] (7).  712 when
     # levi_civita made 22 steps raising through G^-1 and added its Koszul terms with
     # dunder products and sums; now each lowered term and each half bracket term
     # is one step.  720 with sl2's second Killing form and the second lower central
     # series of heis3 and sol3.
-    assert counts == {"__bool__": 8652, "steps": 693}
+    assert counts == {"__bool__": 8738, "steps": 721}

@@ -92,6 +92,17 @@ def test_undeclared_label_with_location():
     assert info.value.line > 0 and info.value.col > 0
 
 
+@pytest.mark.parametrize("body", ["", "\n# no generator yet\n", "\n[expected]\ncenter_dim = 1\n"])
+def test_an_isotropy_section_without_a_generator_is_a_located_error(body):
+    # The section is declared, so it is not read as a file without one.
+    text = HEIS_TEXT + "\n[isotropy]\n" + body
+    with pytest.raises(DslError) as info:
+        parse(text)
+    header = text.splitlines().index("[isotropy]") + 1
+    assert (info.value.line, info.value.col) == (header, 1)
+    assert info.value.reason == "[isotropy] declares no generator"
+
+
 def test_undeclared_bracket_key():
     bad = HEIS_TEXT.replace('"Y,Z" = X', '"Y,W" = X')
     with pytest.raises(UndeclaredLabel):

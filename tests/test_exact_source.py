@@ -4,7 +4,8 @@ source, no identity test against the shared ``ZERO`` or ``ONE``, and no
 module but ``linalg`` names its elimination ``_reduce``; ``dsl`` imports
 nothing from the package but ``scalars``; no ``from_table`` call takes a bracket
 table written in the code, so every algebra and family comes from a ``.liealg``
-file or is derived; every check of the catalog that
+file or is derived, and no ``CMatrix`` of ``geometry``, ``models`` or ``linalg``
+is built from a display; every check of the catalog that
 can fail names a witness; and every module-level function, class and
 assigned name, and every named method and property of such a class, is
 used in the package."""
@@ -334,6 +335,48 @@ def test_the_scan_finds_literal_tables():
         "LieAlgebra.from_table(\n    ('X', 'Y'),\n    {('X', 'Y'): {'X': c}},\n)\n"
     )
     assert [line for line, _ in _literal_tables(ast.parse(source))] == [1, 2, 7]
+
+
+def _literal_matrices(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, source) for each ``CMatrix`` built from a display: a call of ``CMatrix``,
+    or of one of its constructors such as ``CMatrix.diagonal``, whose first argument
+    is a list or tuple display, not a comprehension or a name."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not node.args:
+            continue
+        func = node.func
+        named = _spelled(func) == "CMatrix" or _spelled(getattr(func, "value", None)) == "CMatrix"
+        if named and isinstance(node.args[0], (ast.List, ast.Tuple)):
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+# Matrices are data of the shipped files or derived; a matrix written in
+# ``catalog`` is the expected value of a check, a claim rather than data.
+COMPUTING = [path for path in SOURCES if path.stem in ("geometry", "models", "linalg")]
+
+
+@pytest.mark.parametrize("path", COMPUTING, ids=lambda path: path.name)
+def test_no_matrix_is_written_in_the_code(path):
+    assert _literal_matrices(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_scan_finds_literal_matrices():
+    source = (
+        "CMatrix([[ZERO, ONE], [ONE, ZERO]])\n"
+        "m = CMatrix.diagonal([0, 1, -1])\n"
+        "CMatrix([[ONE if i == j else ZERO for j in r] for i in r])\n"
+        "CMatrix(rows)\n"
+        "CMatrix.from_columns([c[k:] for c in coords])\n"
+        "other([[ZERO, ONE], [ONE, ZERO]])\n"
+        "linalg.CMatrix(((1, t), (0, 1)))\n"
+        "CMatrix(\n    [[1, t, -(t * t) / 2], [0, 1, -t], [0, 0, 1]]\n)\n"
+    )
+    assert [line for line, _ in _literal_matrices(ast.parse(source))] == [1, 2, 7, 8]
+    catalog = next(path for path in SOURCES if path.stem == "catalog")
+    claims = [text for _, text in _literal_matrices(ast.parse(catalog.read_text(encoding="utf-8")))]
+    assert claims == ["CMatrix.diagonal([0, 1, -1])"]
 
 
 def _unwitnessed(tree: ast.AST) -> list[tuple[int, str]]:

@@ -12,6 +12,9 @@ from holriem.catalog import (
     FACTS,
     CatalogEntry,
     build_catalog,
+    entry_from_spec,
+    read_text,
+    shipped_file_text,
     verify_all,
     verify_entry,
 )
@@ -96,7 +99,7 @@ def test_model_without_quotient_form_fails_only_its_invariance():
     k = next(i for i, e in enumerate(entries) if e.id == "c_times_sol")
     entry, model = entries[k], entries[k].model
     model = HomogeneousModel(model.algebra, model.isotropy, model.complement)
-    entries[k] = CatalogEntry(entry.id, entry.algebra, entry.form, model, entry.expected)
+    entries[k] = CatalogEntry(entry.id, entry.algebra, model, entry.expected)
     assert FACTS["invariance"](entries[k]) == "n/a"
     failed = failed_checks(verify_all(42, entries))
     assert [(c.id, c.witness, c.value) for c in failed] == [
@@ -119,7 +122,7 @@ def test_non_invariant_generic_form_fails_only_its_check(monkeypatch):
 
 def test_a_fact_the_entry_lacks_fails_its_check():
     entry = next(e for e in build_catalog() if e.id == "c_times_sol")
-    lacking = CatalogEntry(entry.id, entry.algebra, entry.form, entry.model, {"class": "SOL"})
+    lacking = CatalogEntry(entry.id, entry.algebra, entry.model, {"class": "SOL"})
     (check,) = [c for c in verify_entry(lacking) if c.id == "c_times_sol/class"]
     assert (check.status, check.witness, check.value) == (
         "fail",
@@ -160,12 +163,32 @@ def test_find_unquoted(line, char, position):
         assert f"{key} = {value}" == line[:position].strip()
 
 
+def test_a_metric_fact_on_a_model_entry_fails_its_check():
+    # A model entry carries its quotient form, but no connection until the
+    # Levi-Civita pipeline reads pairs with h != 0.
+    entries = build_catalog()
+    k = next(i for i, e in enumerate(entries) if e.id == "heis_stab_zero")
+    text = shipped_file_text("heis_stab_zero")
+    text = text.replace("[expected]\n", "[expected]\nconstant_curvature = 0\n")
+    entries[k] = entry_from_spec("heis_stab_zero", *read_text(text))
+    assert entries[k].form == entries[k].model.quotient_form is not None
+    with pytest.raises(ValueError, match="^entry carries no metric$"):
+        FACTS["constant_curvature"](entries[k])
+    report = verify_all(42, entries)
+    # One check more, and none of the five identity checks of a metric.
+    assert len(report.checks) == 136
+    failed = failed_checks(report)
+    assert [(c.id, c.witness) for c in failed] == [
+        ("heis_stab_zero/constant_curvature", "entry carries no metric")
+    ]
+
+
 def test_a_model_fact_on_a_metric_entry_fails_its_check():
     entries = build_catalog()
     k = next(i for i, e in enumerate(entries) if e.id == "sol3")
     entry = entries[k]
     expected = {**entry.expected, "isotropy": "UNIPOTENT"}
-    entries[k] = CatalogEntry(entry.id, entry.algebra, entry.form, entry.model, expected)
+    entries[k] = CatalogEntry(entry.id, entry.algebra, entry.model, expected)
     for key in ("isotropy", "invariance", "invariant_form_dim"):
         with pytest.raises(ValueError, match="entry carries no model"):
             FACTS[key](entries[k])

@@ -19,7 +19,6 @@ from holriem import catalog, geometry, linalg
 from holriem.catalog import build_catalog
 from holriem.forms import DegenerateForm, QuadraticForm
 from holriem.geometry import (
-    adapted_gram_unipotent,
     bianchi_defect,
     compatibility_defect,
     constant_curvature,
@@ -32,14 +31,20 @@ from holriem.geometry import (
     ricci,
     stabilizer_in_skew,
     torsion_defect,
-    unipotent_flow,
-    unipotent_isotropy_generator,
 )
 from holriem.liealg import bracket, killing_form
-from holriem.linalg import CMatrix, span_basis, vadd
+from holriem.linalg import CMatrix, exp_nilpotent, nilpotent_powers, span_basis, vadd
 from holriem.scalars import gr
 
 CATALOG = {entry.id: entry for entry in build_catalog()}
+# The adapted form Q and the nilpotent isotropy action N of heis_stab_zero.liealg.
+ADAPTED = CATALOG["heis_stab_zero"].form
+GENERATOR = CATALOG["heis_stab_zero"].model.actions[0]
+
+
+def unipotent_flow(t) -> CMatrix:
+    """exp(tN), as the report builds it from the powers of N."""
+    return exp_nilpotent(nilpotent_powers(GENERATOR), [t])[0]
 
 
 def test_sol_connection_oracle_values():
@@ -237,7 +242,7 @@ def test_ricci():
 
 def test_skew_algebra_dimensions():
     assert len(stabilizer_in_skew(QuadraticForm.diagonal([1, 1]), [])) == 1
-    assert len(stabilizer_in_skew(QuadraticForm(adapted_gram_unipotent()), [])) == 3
+    assert len(stabilizer_in_skew(ADAPTED, [])) == 3
     assert len(stabilizer_in_skew(QuadraticForm.diagonal([1, 2, -1, gr(0, 1)]), [])) == 6
 
 
@@ -275,7 +280,7 @@ def test_stabilizer_in_one_dimension_is_zero():
 
 
 def test_stabilizer_dimensions():
-    q = QuadraticForm(adapted_gram_unipotent())
+    q = ADAPTED
     unit = (gr(0), gr(1), gr(0))
     null = (gr(1), gr(0), gr(0))
     assert len(stabilizer_in_skew(q, [unit])) == 1
@@ -292,6 +297,9 @@ def test_stabilizer_dimensions():
 
 
 def test_unipotent_flow_matrix_values():
+    assert ADAPTED.gram == CMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    assert GENERATOR == CMatrix([[0, 1, 0], [0, 0, -1], [0, 0, 0]])
+    assert len(nilpotent_powers(GENERATOR)) == 3
     assert unipotent_flow(0) == CMatrix.identity(3)
     assert unipotent_flow(1) == CMatrix(
         [[1, 1, gr(Fraction(-1, 2))], [0, 1, -1], [0, 0, 1]]
@@ -309,7 +317,7 @@ def test_unipotent_flow_group_law_grid():
 
 def test_flow_polynomial_identities():
     # Entries of L_t^T Q L_t - Q have degree <= 4 in t: five points prove it.
-    q, n = adapted_gram_unipotent(), unipotent_isotropy_generator()
+    q, n = ADAPTED.gram, GENERATOR
     for t in range(5):
         assert unipotent_flow(t).transpose() @ q @ unipotent_flow(t) == q
     assert (n.transpose() @ q + q @ n).is_zero()
@@ -319,12 +327,12 @@ def test_generator_is_flow_derivative():
     # The central difference (L_1 - L_-1) / 2 is the exact derivative at 0
     # of a matrix whose entries have degree <= 2.
     difference = unipotent_flow(1) + scale(unipotent_flow(-1), -1)
-    assert scale(difference, Fraction(1, 2)) == unipotent_isotropy_generator()
+    assert scale(difference, Fraction(1, 2)) == GENERATOR
 
 
 def test_identities_hold_for_all_catalog_metrics():
     for entry in build_catalog():
-        if entry.form is None:
+        if entry.model.isotropy:
             continue
         conn = levi_civita(entry.algebra, entry.form)
         tensor = curvature(entry.algebra, conn)
@@ -365,6 +373,21 @@ def test_scans_reject_inputs_whose_dimensions_disagree(scan, args, message):
     with pytest.raises(ValueError) as info:
         scan(*(inputs.get(a, a) if isinstance(a, str) else a for a in args))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "gram, reason",
+    [
+        ([[1, 0], [0, 1]], "form dimension does not match the algebra"),
+        # Both degenerate and of the wrong dimension: degeneracy is reported first.
+        ([[1, 0], [0, 0]], "quadratic form is degenerate"),
+    ],
+    ids=["2-dim", "2-dim-degenerate"],
+)
+def test_levi_civita_refuses_a_form_of_another_dimension(gram, reason):
+    # A catalog entry cannot carry such a form (its pair refuses it); the kernel checks its own.
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        levi_civita(CATALOG["sol3"].algebra, QuadraticForm(gram))
 
 
 def test_constant_curvature_matches_sectional_on_coordinate_planes():
@@ -475,7 +498,7 @@ def test_constant_curvature_agrees_with_random_planes():
 def test_stabilizer_of_degenerate_plane_pair_also_vanishes():
     # Stronger than the nondegenerate-plane case: a null vector plus an
     # orthogonal unit vector still pin the whole of so(q).
-    q = QuadraticForm(adapted_gram_unipotent())
+    q = ADAPTED
     null = (gr(1), gr(0), gr(0))
     unit = (gr(0), gr(1), gr(0))
     assert q.apply(null, null) == gr(0) and q.apply(unit, unit) == gr(1)
@@ -492,13 +515,15 @@ def test_vector_stabilizer_generators_realize_isotropy_dichotomy():
     # The 1-dim stabilizer of a null vector is nilpotent on the tangent
     # space; that of a unit vector is diagonalizable, matching the
     # unipotent/semisimple split of one-parameter isotropies.
-    from holriem.linalg import _squarefree, is_nilpotent_matrix, min_poly
+    from holriem.linalg import _squarefree, min_poly, nilpotent_powers
 
-    q = QuadraticForm(adapted_gram_unipotent())
+    q = ADAPTED
     null_gen = stabilizer_in_skew(q, [(gr(1), gr(0), gr(0))])[0]
     unit_gen = stabilizer_in_skew(q, [(gr(0), gr(1), gr(0))])[0]
-    assert is_nilpotent_matrix(null_gen) and not _squarefree(min_poly(null_gen))
-    assert _squarefree(min_poly(unit_gen)) and not is_nilpotent_matrix(unit_gen)
+    assert nilpotent_powers(null_gen) and not _squarefree(min_poly(null_gen))
+    assert _squarefree(min_poly(unit_gen))
+    with pytest.raises(ValueError, match="is not nilpotent"):
+        nilpotent_powers(unit_gen)
 
 
 def test_semisimple_adapted_flow_generator_is_skew():

@@ -14,9 +14,10 @@ from holriem.linalg import (
     _annihilated,
     _squarefree,
     act,
-    is_nilpotent_matrix,
+    exp_nilpotent,
     kernel,
     min_poly,
+    nilpotent_powers,
     solve,
     span_basis,
 )
@@ -79,11 +80,31 @@ def test_min_poly_diagonal():
 
 
 def test_nilpotent_examples():
-    assert is_nilpotent_matrix(CMatrix([[0, 5, 7], [0, 0, -2], [0, 0, 0]]))
-    assert not is_nilpotent_matrix(CMatrix.identity(3))
+    # The powers up to the nilpotency index, or a ValueError when A^n != 0.
+    a = CMatrix([[0, 5, 7], [0, 0, -2], [0, 0, 0]])
+    assert nilpotent_powers(a) == [CMatrix.identity(3), a, a @ a]
+    with pytest.raises(ValueError, match=r"^matrix \[1, 0, 0; 0, 1, 0; 0, 0, 1\] is not nilpotent$"):
+        nilpotent_powers(CMatrix.identity(3))
+    assert nilpotent_powers(CMatrix([[0, 0], [0, 0]])) == [CMatrix.identity(2)]
+    assert nilpotent_powers(CMatrix([[1, 1], [-1, -1]])) == [CMatrix.identity(2), CMatrix([[1, 1], [-1, -1]])]
     # The adapted-frame flow generator: e2 -> e1, e3 -> -e2.
     n = CMatrix([[0, 1, 0], [0, 0, -1], [0, 0, 0]])
-    assert is_nilpotent_matrix(n)
+    assert len(nilpotent_powers(n)) == 3
+    with pytest.raises(ValueError, match="non-square"):
+        nilpotent_powers(CMatrix([[0, 1]]))
+
+
+def test_exp_nilpotent_sums_the_powers():
+    # exp(tJ) = I + tJ + t^2 J^2 / 2 for the Jordan block of size 3, at integer and Gaussian t.
+    j = CMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    flows = exp_nilpotent(nilpotent_powers(j), [0, 2, gr(0, 1)])
+    half = gr(Fraction(-1, 2))
+    assert flows == [
+        CMatrix.identity(3),
+        CMatrix([[1, 2, 2], [0, 1, 2], [0, 0, 1]]),
+        CMatrix([[1, gr(0, 1), half], [0, 1, gr(0, 1)], [0, 0, 1]]),
+    ]
+    assert exp_nilpotent([CMatrix.identity(2)], [5]) == [CMatrix.identity(2)]
 
 
 def test_semisimple_examples():
@@ -194,11 +215,14 @@ def test_nilpotent_and_semisimple_exclusive_for_nonzero():
         a = _random_matrix(rng, 2)
         if a.is_zero():
             continue
-        if is_nilpotent_matrix(a):
-            seen_nilpotent += 1
-            assert not _squarefree(min_poly(a))
+        try:
+            nilpotent_powers(a)
+        except ValueError:
+            continue
+        seen_nilpotent += 1
+        assert not _squarefree(min_poly(a))
     upper = CMatrix([[0, 1], [0, 0]])
-    assert is_nilpotent_matrix(upper) and not _squarefree(min_poly(upper))
+    assert nilpotent_powers(upper) and not _squarefree(min_poly(upper))
 
 
 def test_solve_against_the_identity_gives_the_inverse_or_a_kernel():

@@ -6,11 +6,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from conftest import column, dense_inverse, family_at, jordan, jordan_blocks
+from conftest import column, dense_inverse, family_at, jordan, jordan_blocks, metric_pair
 
 from holriem.catalog import _lattice, build_catalog
 from holriem.forms import QuadraticForm
-from holriem.geometry import adapted_gram_unipotent, unipotent_isotropy_generator
 from holriem.liealg import LieAlgebra
 from holriem.linalg import CMatrix, in_span, span_basis
 from holriem.models import (
@@ -181,11 +180,13 @@ def test_invariant_forms_unipotent_contains_adapted_gram():
     forms = invariant_forms(model)
     assert len(forms) == 2
     flatten = lambda m: [v for row in m.entries for v in row]
-    target = flatten(adapted_gram_unipotent())
+    # The adapted form and the nilpotent generator are those of heis_stab_zero.liealg.
+    adapted = CATALOG["heis_stab_zero"].model
+    target = flatten(adapted.quotient_form.gram)
     span = [flatten(f.gram) for f in forms]
     assert in_span(span, tuple(target))
     # Sanity: the induced action is the adapted-frame nilpotent generator.
-    assert induced_ad(model, model.isotropy[0]) == unipotent_isotropy_generator()
+    assert induced_ad(model, model.isotropy[0]) == adapted.actions[0]
 
 
 def test_check_invariance():
@@ -239,6 +240,13 @@ def test_model_validation_errors():
         )
 
 
+@pytest.mark.parametrize("gram", [[[1, 0], [0, 1]], [[1, 0], [0, 0]]], ids=["2-dim", "2-dim-degenerate"])
+def test_a_metric_pair_refuses_a_form_of_another_dimension(gram):
+    # The pair of a metric file has h = 0: its complement is the whole basis of sol3.
+    with pytest.raises(ValueError, match="^quotient form dimension must match the complement$"):
+        metric_pair(CATALOG["sol3"].algebra, QuadraticForm(gram))
+
+
 def test_subalgebra_error_comes_before_the_form_size_error():
     g = CATALOG["c_ltimes_heis"].algebra
     with pytest.raises(ValueError, match="isotropy vectors do not span a subalgebra"):
@@ -259,7 +267,7 @@ def test_subalgebra_error_comes_before_the_form_size_error():
 
 def test_catalog_models_wellformed():
     for entry in build_catalog():
-        if entry.model is None:
+        if not entry.model.isotropy:
             continue
         for y in entry.model.isotropy:
             induced_ad(entry.model, y)  # well-defined for every generator
@@ -345,7 +353,7 @@ def test_invariant_forms_count_matches_the_dense_constraint_rank():
 def test_invariant_forms_digest():
     # The forms, and their order, on the catalog models and on the stabilizer
     # family at the 15 points of the degree-2 lattice in (c, m, k, beta).
-    models = [entry.model for entry in build_catalog() if entry.model is not None]
+    models = [entry.model for entry in build_catalog() if entry.model.isotropy]
     models += [family_at(p).model for p in _lattice(4, 2)]
     assert len(models) == 22
     text = "\n".join(" | ".join(str(f.gram) for f in invariant_forms(m)) for m in models)

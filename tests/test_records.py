@@ -94,9 +94,9 @@ def test_derived_slots_stay_out_of_equality_hash_and_repr():
 
 def test_shipped_entries_hash_and_compare_their_expected_facts():
     for entry in build_catalog():
-        twin = CatalogEntry(entry.id, entry.algebra, entry.form, entry.model, dict(entry.expected))
+        twin = CatalogEntry(entry.id, entry.algebra, entry.model, dict(entry.expected))
         assert twin == entry and hash(twin) == hash(entry)
-        other = CatalogEntry(entry.id, entry.algebra, entry.form, entry.model, {})
+        other = CatalogEntry(entry.id, entry.algebra, entry.model, {})
         assert other != entry
 
 

@@ -45,7 +45,7 @@ from holriem.liealg import LieAlgebra, jacobi_witness, killing_form
 from holriem.linalg import CMatrix
 from holriem.scalars import GaussianRational, gr
 
-METRICS = [entry for entry in build_catalog() if entry.form is not None]
+METRICS = [entry for entry in build_catalog() if not entry.model.isotropy]
 
 
 def _model_vector(form, i, j, k, n):

@@ -48,7 +48,7 @@ CATALOG = build_catalog()
 # The stabilizer family's degree-2 lattice, as the report proves Jacobi on it.
 GRID = tuple(p for p in product(range(3), repeat=4) if sum(p) <= 2)
 GRID_ALGEBRAS = [family_at(p).algebra for p in GRID]
-MODELS = [entry.model for entry in CATALOG if entry.model is not None] + [
+MODELS = [entry.model for entry in CATALOG if entry.model.isotropy] + [
     family_at(p).model for p in GRID
 ]
 
