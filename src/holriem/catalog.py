@@ -16,10 +16,10 @@ series and isotropy type once, as it does its connection and curvature.
 
 Check results are flat (id, status, witness, value) records so reports
 stay grep-able.  ``verify_all`` runs the fragments of ``FRAGMENTS`` in
-report order.  Every check is exact and draws no random numbers: a claim
-about a parameter family is proved by ``_prove`` on a finite grid whose
-size the degree of the claim bounds, so ``verify_all`` gives the same
-checks for every seed.
+report order.  Every check is exact and draws no random numbers, so
+``verify_all`` gives the same checks for every seed: a claim about a parameter
+family is proved by ``_prove`` on a finite grid whose size the degree of the
+claim bounds, which returns the first failing point with the defect found there.
 
 One rule covers a check that cannot be computed (``_run``): the
 ``ValueError`` or ``OSError`` its computation raises fails it, with the
@@ -45,7 +45,6 @@ from .forms import QuadraticForm
 from .geometry import (
     ConnectionTable,
     CurvatureTensor,
-    _first,
     bianchi_defect,
     compatibility_defect,
     constant_curvature,
@@ -72,7 +71,7 @@ from .liealg import (
     jacobi_witness,
     subalgebra,
 )
-from .linalg import CMatrix, Vector, _completion, act, exp_nilpotent, in_span, nilpotent_powers
+from .linalg import CMatrix, Vector, _completion, _first, act, exp_nilpotent, in_span, nilpotent_powers
 from .models import (
     HomogeneousModel,
     IsotropyType,
@@ -636,37 +635,40 @@ def _box(size: int, nvars: int) -> tuple[tuple[int, ...], ...]:
     return tuple(product(range(size), repeat=nvars))
 
 
-def _prove(points: Sequence[tuple], defect: Callable[..., object]) -> tuple[tuple | None, int]:
-    """The first point p of ``points`` where ``defect(*p)`` is nonzero, or
-    None, and the number of points.  A ValueError raised at p is raised again
-    as ``at <p>: <message>``.
+def _prove(points: Sequence[tuple], defect: Callable[..., object]) -> tuple[tuple | None, object]:
+    """The first point p of ``points`` where ``defect(*p)`` is nonzero and that defect, or (None, None);
+    a ValueError raised at p is raised again as ``at <p>: <message>``.
 
     A polynomial of total degree <= d that vanishes on the principal lattice
     of degree d is zero (Chung and Yao, SIAM J. Numer. Anal. 1977); so is one
     of degree <= d in each variable that vanishes on {0, ..., d}^n (Alon,
     "Combinatorial Nullstellensatz", Combin. Probab. Comput. 1999).
     """
+    found = None
 
     def bad(*point):
+        nonlocal found
         try:
-            return defect(*point)
+            found = defect(*point)
         except ValueError as exc:
             raise ValueError(f"at {point}: {exc}") from None
+        return found
 
-    return _first(points, bad), len(points)
+    point = _first(points, bad)
+    return point, None if point is None else found
 
 
 def _grid_check(
     check_id: str,
     points: Sequence[tuple],
     defect: Callable[..., object],
-    witness: Callable[[tuple], str],
+    witness: Callable[[tuple, object], str] = lambda p, found: f"at {p}: {found}",
     unit: str | None = None,
 ) -> CheckResult:
-    """Passes when ``defect`` vanishes on ``points``; ``witness`` describes the
-    first point where it does not, and the value counts the points in ``unit``."""
-    point, count = _prove(points, defect)
-    return _check(check_id, point is None, point and witness(point), unit and f"{count} {unit}")
+    """Passes when ``defect`` vanishes on ``points``; ``witness(point, defect)`` describes the first
+    point where it does not and the defect found there; the value counts the points in ``unit``."""
+    point, found = _prove(points, defect)
+    return _check(check_id, point is None, point and witness(point, found), unit and f"{len(points)} {unit}")
 
 
 def _family_jacobi(check_id: str, spec: dsl.SpecFile | None = None) -> CheckResult:
@@ -675,33 +677,32 @@ def _family_jacobi(check_id: str, spec: dsl.SpecFile | None = None) -> CheckResu
     spec = _shipped(FAMILY_ID)[1] if spec is None else spec
 
     def jacobi(*p):
-        algebra = _at(spec, p)[1]
-        triple = jacobi_witness(algebra)
-        return triple and f"Jacobi fails, {_triple_str(algebra, triple)}"
+        witness = _jacobi_check(check_id, _at(spec, p)[1]).witness
+        return witness and f"Jacobi fails, {witness}"
 
     grid = _lattice(len(spec.parameters), 2 * dsl.degree(spec))
-    return _grid_check(check_id, grid, jacobi, lambda p: f"at {p}: {jacobi(*p)}", "grid points")
+    return _grid_check(check_id, grid, jacobi, unit="grid points")
 
 
 def _family_isotropy(check_id: str) -> CheckResult:
     """At every point of the lattice of the stabilizer family's degree d, the isotropy frame and
     the induced action are the origin's, where the action is nilpotent: a frame of degree <= d
     fixed on the lattice is fixed, and with it ``induced_ad`` has degree <= d."""
-    spec, seen = _shipped(FAMILY_ID)[1], {}
+    spec, origin = _shipped(FAMILY_ID)[1], []  # origin: the frame and action at grid[0]
     degree = dsl.degree(spec)
     grid, unit = _lattice(len(spec.parameters), degree), "affine points" if degree == 1 else "grid points"
 
     def defect(*p):
         model = _model(entry_from_spec(spec.name, *_at(spec, p)))
-        seen[p] = model.isotropy + model.complement, model.actions[0]
-        frame, action = seen[grid[0]]
-        if seen[p][0] != frame:
-            return "isotropy or complement moved"
+        frame, action = model.isotropy + model.complement, model.actions[0]
         if p == grid[0]:
             nilpotent_powers(action)  # a ValueError when the origin's action is not nilpotent
-        return model.actions[0] != action and f"induced action {model.actions[0]}"
+            origin[:] = frame, action
+        if frame != origin[0]:
+            return "isotropy or complement moved"
+        return action != origin[1] and f"induced action {action}"
 
-    return _grid_check(check_id, grid, defect, lambda p: f"at {p}: {defect(*p)}", unit)
+    return _grid_check(check_id, grid, defect, unit=unit)
 
 
 def verify_heis_family() -> list[CheckResult]:
@@ -743,17 +744,17 @@ def verify_flow_identities(catalog: Sequence[CatalogEntry]) -> list[CheckResult]
     def gram_polynomial(check_id: str) -> CheckResult:
         (nu, flow), q = flows(), form().gram
         moves_q = lambda t: flow[t].transpose() @ q @ flow[t] != q
-        return _grid_check(check_id, _lattice(1, 2 * (nu - 1)), moves_q, lambda p: f"at t={p[0]}")
+        return _grid_check(check_id, _lattice(1, 2 * (nu - 1)), moves_q, lambda p, _: f"at t={p[0]}")
 
     def generator_skew(check_id: str) -> CheckResult:
         n, skew = form().dim, act(generator(), form().gram.flat, "dd")
-        witness = lambda p: f"N^T Q + Q N nonzero at (i,j)={p}"
+        witness = lambda p, _: f"N^T Q + Q N nonzero at (i,j)={p}"
         return _grid_check(check_id, _box(n, 2), lambda i, j: skew[n * i + j], witness)
 
     def one_parameter_group(check_id: str) -> CheckResult:
         nu, flow = flows()
         not_a_group = lambda s, t: flow[s] @ flow[t] != flow[s + t]
-        return _grid_check(check_id, _box(nu, 2), not_a_group, lambda p: f"at (s,t)={p}")
+        return _grid_check(check_id, _box(nu, 2), not_a_group, lambda p, _: f"at (s,t)={p}")
 
     return _run_rows((f"flow/{c.__name__}", c) for c in (gram_polynomial, generator_skew, one_parameter_group))
 
@@ -796,7 +797,7 @@ def verify_mobius() -> list[CheckResult]:
     names = {2: "z1,z2", 5: "a,b,c,d,z", 6: "a,b,c,d,z1,z2"}
     scalar = (ZERO, ONE).__getitem__  # a grid coordinate 0 or 1 as the shared constant
 
-    def witness(p: tuple[int, ...]) -> str:
+    def witness(p: tuple[int, ...], _) -> str:
         return f"at ({names[len(p)]})={p}: {derivative if len(p) == 5 else difference}"
 
     def invariance(*p: int):
@@ -866,6 +867,9 @@ def verify_all(
         catalog = build_catalog()
     if not catalog:
         raise ValueError("empty catalog")
+    ids = [entry.id for entry in catalog]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"repeated entry id {next(i for k, i in enumerate(ids) if i in ids[:k])!r}")
     checks: list[CheckResult] = []
     for fragment, takes_catalog in FRAGMENTS:
         # Called by its module-level name, so that a wrapper put in its place runs.

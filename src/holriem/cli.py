@@ -36,7 +36,7 @@ def cli(argv) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.handler(args)
-    except (dsl.DslError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -182,36 +182,34 @@ def _load_entry(path: str, model: bool) -> cat.CatalogEntry:
     return entry
 
 
-def _combination_record(names, record_id: str, vector, zero) -> cat.CheckResult:
-    if vector == zero:
-        return cat.CheckResult(record_id, "pass", None, "0")
-    combo = {names[k]: c for k, c in enumerate(vector) if c}
-    return cat.CheckResult(record_id, "pass", None, dsl.format_combination(names, combo))
+def _print_vectors(args, rows) -> int:
+    """Print ``id = value`` for each (id, vector) of ``rows(entry, names)`` for the metric file."""
+    entry = _load_entry(args.file, model=False)
+    names, zero = entry.algebra.basis_names, (ZERO,) * entry.algebra.dim
+    text = lambda v: "0" if v == zero else dsl.format_combination(names, {a: c for a, c in zip(names, v) if c})
+    records = [cat.CheckResult(record_id, "pass", None, text(v)) for record_id, v in rows(entry, names)]
+    return _print_records(args, records, lambda r: f"{r.id} = {r.value}")
 
 
 def _cmd_connection(args) -> int:
-    entry = _load_entry(args.file, model=False)
-    names, zero = entry.algebra.basis_names, (ZERO,) * entry.algebra.dim
-    records = [
-        _combination_record(names, f"nabla({a},{b})", entry.connection[i][j], zero)
-        for i, a in enumerate(names)
-        for j, b in enumerate(names)
-    ]
-    return _print_records(args, records, lambda r: f"{r.id} = {r.value}")
+    def rows(entry, names):
+        for a, vectors in zip(names, entry.connection):
+            yield from ((f"nabla({a},{b})", v) for b, v in zip(names, vectors))
+
+    return _print_vectors(args, rows)
 
 
 def _cmd_curvature(args) -> int:
-    entry = _load_entry(args.file, model=False)
-    names, zero = entry.algebra.basis_names, (ZERO,) * entry.algebra.dim
-    # Below dimension 2 there is no pair x < y to list, and R vanishes.
-    records = [
-        _combination_record(
-            names, f"R({names[i]},{names[j]}){names[k]}", entry.tensor[i][j][k], zero
-        )
-        for i, j in combinations(range(len(names)), 2)
-        for k in range(len(names))
-    ] or [cat._check("R", True, value="0")]
-    return _print_records(args, records, lambda r: f"{r.id} = {r.value}")
+    def rows(entry, names):
+        # Below dimension 2 there is no pair x < y to list, and R vanishes.
+        listed = [
+            (f"R({a},{b}){z}", v)
+            for (i, a), (j, b) in combinations(enumerate(names), 2)
+            for z, v in zip(names, entry.tensor[i][j])
+        ]
+        return listed or [("R", (ZERO,) * len(names))]
+
+    return _print_vectors(args, rows)
 
 
 def _cmd_constcurv(args) -> int:

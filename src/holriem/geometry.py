@@ -43,14 +43,15 @@ thus settles a pair (i, j) whose model row is zero (i = j, or k = 0) by one
 comparison of its n fibers with the zero row, and builds k q only for k != 0.
 
 Each ``*_defect`` scan returns the first index tuple, in lexicographic
-order, where its identity fails.  On any input the defect takes one value
-on each orbit of an index symmetry: torsion is antisymmetric in (i, j),
-as ``LieAlgebra`` keeps c_ji = -c_ij; the compatibility, antisymmetry and
-pair-skew sums are symmetric in the two indices they swap; the Bianchi
-sum is cyclic.  So a scan tests only the first tuple of each orbit, and
-finds the same witness: the first member of the orbit of the full scan's
-first violating tuple t violates too and cannot come before t, so it is t.
-Per tuple, the scans add nonzero components only.
+order, where its identity fails, through ``linalg._first``; compatibility
+and pair skew are one scan, ``_outside_so_q``, of operators in so(q).  On
+any input the defect takes one value on each orbit of an index symmetry:
+torsion is antisymmetric in (i, j), as ``LieAlgebra`` keeps c_ji = -c_ij;
+the compatibility, antisymmetry and pair-skew sums are symmetric in the two
+indices they swap; the Bianchi sum is cyclic.  So a scan tests only the
+first tuple of each orbit, and finds the same witness: the first member of
+the orbit of the full scan's first violating tuple t violates too and cannot
+come before t, so it is t.  Per tuple, the scans add nonzero components only.
 
 The orthogonal algebra so(q) = {A : A^T G + G A = 0} is read from G^-1,
 whose columns are the solutions of G x = e_b, one ``linalg.solve`` of [G | I]
@@ -63,11 +64,11 @@ stabilizer in it is one kernel, ``linalg._annihilated`` over the images
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, product
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .forms import DegenerateForm, QuadraticForm
 from .liealg import LieAlgebra
-from .linalg import CMatrix, Vector, _annihilated, _nonzero, act, solve
+from .linalg import CMatrix, Vector, _annihilated, _first, _nonzero, act, solve
 from .scalars import GaussianRational, ONE, ZERO, addmul, as_gr, submul
 
 _HALF = ONE / 2
@@ -77,11 +78,6 @@ _HALF = ONE / 2
 # ``tensor[i][j][k]``, each a vector in the frame.
 ConnectionTable = tuple[tuple[Vector, ...], ...]
 CurvatureTensor = tuple[tuple[tuple[Vector, ...], ...], ...]
-
-
-def _first(points: Iterable[tuple], bad: Callable[..., object]) -> tuple | None:
-    """First point of ``points``, in their order, where ``bad`` holds, or None."""
-    return next((p for p in points if bad(*p)), None)
 
 
 def _same_dim(first: str, m: int, second: str, n: int) -> None:
@@ -205,7 +201,8 @@ def constant_curvature_value(
 def constant_curvature_defect(
     form: QuadraticForm, tensor: CurvatureTensor, k
 ) -> tuple[int, int, int] | None:
-    """First basis triple violating ``R(x,y)z = k (q(y,z)x - q(x,z)y)``."""
+    """First basis triple violating ``R(x,y)z = k (q(y,z)x - q(x,z)y)``; a loop of its own,
+    not ``_first``, settles a pair whose model row is zero by one comparison of its n fibers."""
     n = len(tensor)
     _same_dim("form", form.dim, "tensor", n)
     value, zero = as_gr(k), (ZERO,) * n
@@ -274,18 +271,24 @@ def torsion_defect(algebra: LieAlgebra, connection: ConnectionTable) -> tuple[in
     )
 
 
+def _outside_so_q(form: QuadraticForm, operators: Mapping[tuple, Sequence[Vector]]) -> tuple | None:
+    """First (index..., x, y), x <= y, with q(L e_x, e_y) + q(e_x, L e_y) != 0 for the
+    operator L = ``operators[index]``, given by its columns L e_x, keys in scan order."""
+    # low[p][x][y] = q(L e_x, e_y) for the p-th operator L, lowered once; the Gram matrix is symmetric.
+    low = [[form.gram.apply(v) for v in columns] for columns in operators.values()]
+    found = _first(
+        ((p, x, y) for p in range(len(low)) for x, y in _pairs(form.dim)),
+        lambda p, x, y: _add(low[p][x][y], low[p][y][x]),
+    )
+    return found and (*list(operators)[found[0]], *found[1:])
+
+
 def compatibility_defect(
     form: QuadraticForm, connection: ConnectionTable
 ) -> tuple[int, int, int] | None:
-    """First triple violating q(nabla_z x, y) + q(x, nabla_z y) = 0."""
-    # low[z][x][y] = q(nabla_z x, e_y); the Gram matrix is symmetric.
-    gram, n = form.gram, len(connection)
-    _same_dim("form", form.dim, "connection", n)
-    low = [[gram.apply(v) for v in vectors] for vectors in connection]
-    return _first(
-        ((z, x, y) for z in range(n) for x, y in _pairs(n)),
-        lambda z, x, y: _add(low[z][x][y], low[z][y][x]),
-    )
+    """First triple violating q(nabla_z x, y) + q(x, nabla_z y) = 0: each nabla_z in so(q)."""
+    _same_dim("form", form.dim, "connection", len(connection))
+    return _outside_so_q(form, {(z,): vectors for z, vectors in enumerate(connection)})
 
 
 def curvature_antisymmetry_defect(tensor: CurvatureTensor) -> tuple[int, int, int] | None:
@@ -315,15 +318,9 @@ def bianchi_defect(tensor: CurvatureTensor) -> tuple[int, int, int] | None:
 def pair_skew_defect(
     form: QuadraticForm, tensor: CurvatureTensor
 ) -> tuple[int, int, int, int] | None:
-    """First quadruple violating q(R(x,y)z, w) = -q(R(x,y)w, z)."""
-    # low[i][j][k][l] = q(R(e_i,e_j)e_k, e_l); the Gram matrix is symmetric.
-    gram, n = form.gram, len(tensor)
-    _same_dim("form", form.dim, "tensor", n)
-    low = [[[gram.apply(v) for v in fibers] for fibers in plane] for plane in tensor]
-    return _first(
-        ((i, j, k, l) for i, j in product(range(n), repeat=2) for k, l in _pairs(n)),
-        lambda i, j, k, l: _add(low[i][j][k][l], low[i][j][l][k]),
-    )
+    """First quadruple violating q(R(x,y)z, w) = -q(R(x,y)w, z): each R(e_i, e_j) in so(q)."""
+    _same_dim("form", form.dim, "tensor", len(tensor))
+    return _outside_so_q(form, {(i, j): tensor[i][j] for i, j in product(range(len(tensor)), repeat=2)})
 
 
 # -- orthogonal algebra ---------------------------------------------------

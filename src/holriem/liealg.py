@@ -1,9 +1,9 @@
 """Finite-dimensional complex Lie algebras given by structure constants.
 
 An algebra is a basis-labelled antisymmetric table ``[e_i, e_j] = sum_k
-c[i][j][k] e_k`` over Q(i).  Antisymmetry is enforced at construction;
-the Jacobi identity is checked by ``jacobi_witness`` so that corrupted
-tables can be built on purpose and diagnosed.
+c[i][j][k] e_k`` over Q(i).  Antisymmetry is enforced at construction; the
+Jacobi identity is checked by ``jacobi_witness``, ``linalg._first`` over the
+triples i < j < k, so that corrupted tables can be built and diagnosed.
 
 ``constants`` is the canonical dense table.  Construction also derives
 ``terms``, the nonzero ``(k, c_ij^k)`` of every bracket, once; the
@@ -27,6 +27,7 @@ from .linalg import (
     CMatrix,
     Vector,
     _dot,
+    _first,
     _matrix,
     _nonzero,
     as_vector,
@@ -176,26 +177,20 @@ def bracket(algebra: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
     return tuple(out)
 
 
-def _jacobiators(algebra: LieAlgebra):
-    """Yield ``((i, j, k), [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j])``.
-
-    Basis triples i < j < k come lazily in lexicographic order, so a
-    caller that stops at the first violation computes nothing further.
-    """
+def jacobi_witness(algebra: LieAlgebra) -> tuple[int, int, int] | None:
+    """First basis triple i < j < k violating the Jacobi identity, or None."""
     t, n = algebra.terms, algebra.dim
-    for i, j, k in combinations(range(n), 3):
+
+    def nonzero_jacobiator(i: int, j: int, k: int) -> bool:
         total = [ZERO] * n
         # [[e_a, e_b], e_d] = sum_l c_ab^l [e_l, e_d], read from the terms.
         for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
             for l, x in t[a][b]:
                 for m, y in t[l][d]:
                     total[m] = addmul(total[m], x, y)
-        yield (i, j, k), total
+        return total != [ZERO] * n
 
-
-def jacobi_witness(algebra: LieAlgebra) -> tuple[int, int, int] | None:
-    """First basis triple violating the Jacobi identity, or None."""
-    return next((t for t, total in _jacobiators(algebra) if total != [ZERO] * len(total)), None)
+    return _first(combinations(range(n), 3), nonzero_jacobiator)
 
 
 def killing_form(algebra: LieAlgebra) -> QuadraticForm:

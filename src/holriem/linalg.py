@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .scalars import GaussianRational, ONE, Record, ZERO, addmul, as_gr, submul
 
@@ -138,6 +138,11 @@ def _matrix(grid: tuple[Vector, ...]) -> CMatrix:
     matrix = object.__new__(CMatrix)
     object.__setattr__(matrix, "entries", grid)
     return matrix
+
+
+def _first(points: Iterable[tuple], bad: Callable[..., object]) -> tuple | None:
+    """First point of ``points``, in order, where ``bad`` holds, or None: the one first-failure scan."""
+    return next((p for p in points if bad(*p)), None)
 
 
 def _nonzero(vector: Sequence[GaussianRational]) -> list[tuple[int, GaussianRational]]:

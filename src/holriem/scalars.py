@@ -14,8 +14,8 @@ Every arithmetic zero is the one object ``ZERO``, so a zero vector equals
 ``(ZERO,) * n`` by identity, in C.  That is speed only: equality decides
 every test, and no code asks ``is ZERO``.  The package has no
 floating-point code and no second number type: a polynomial is a tuple of
-its coefficients, and a matrix polynomial such as the unipotent flow is a
-function returning a ``CMatrix``.
+its coefficients, and the unipotent flow exp(tN) is a ``CMatrix`` summed from
+the powers of N (``linalg.exp_nilpotent``).
 """
 
 from __future__ import annotations

@@ -251,6 +251,42 @@ def test_family_proofs_build_the_family_on_the_grids_only(monkeypatch):
     assert len(calls) == 15 + 5 + 4
 
 
+@pytest.mark.parametrize(
+    "mutation, check_id, proof, grid",
+    [
+        ("gains_mY", "heis-family/jacobi", catalog._family_jacobi, catalog._lattice(4, 2)),
+        ("TY_scaled", "heis-family/isotropy_unipotent", catalog._family_isotropy, catalog._lattice(4, 1)),
+    ],
+    ids=["jacobi", "isotropy"],
+)
+def test_a_failing_family_proof_evaluates_each_point_once(
+    mutation, check_id, proof, grid, shipped_text, monkeypatch
+):
+    # The witness reports the defect the proof found, so no point is evaluated again.
+    _mutated_family(shipped_text, *FAMILY_MUTATIONS[mutation][0])
+    points, entries = [], []
+    real_at, real_entry = catalog._at, catalog.entry_from_spec
+
+    def counted_at(spec, point):
+        points.append(point)
+        return real_at(spec, point)
+
+    def counted_entry(*args):
+        entries.append(args[0])
+        return real_entry(*args)
+
+    monkeypatch.setattr(catalog, "_at", counted_at)
+    monkeypatch.setattr(catalog, "entry_from_spec", counted_entry)
+    witness = FAMILY_MUTATIONS[mutation][1][check_id]
+    assert proof(check_id).witness.startswith(witness)
+    # The proof stops at its first failing point, away from the origin.
+    failing = grid.index(points[-1])
+    assert witness.startswith(f"at {grid[failing]}: ") and failing > 0
+    assert points == list(grid[: failing + 1])
+    # The Jacobi proof builds algebras only; the isotropy proof one entry per point.
+    assert len(entries) == (failing + 1 if proof is catalog._family_isotropy else 0)
+
+
 def test_a_model_that_cannot_be_built_fails_the_family_isotropy_at_its_point(shipped_text):
     # c Y: at c = 0 the isotropy generator vanishes, and the complement that
     # completes nothing, X, Y, Z, leaves out the T of the form.
@@ -797,6 +833,23 @@ def test_verify_all_calls_a_fragment_by_its_module_name(monkeypatch):
 def test_verify_all_rejects_empty_catalog():
     with pytest.raises(ValueError):
         verify_all(catalog=[])
+
+
+def test_verify_all_rejects_a_repeated_entry_id_by_name(monkeypatch):
+    entries = build_catalog()
+    with pytest.raises(ValueError, match="^repeated entry id 'flat_c3'$"):
+        verify_all(42, entries + [entries[0]])
+    # No fragment runs first: the catalog is refused before the report starts.
+    monkeypatch.setattr(catalog, "_entry_checks", lambda _: pytest.fail("a fragment ran"))
+    with pytest.raises(ValueError, match="'sl2'"):
+        verify_all(42, [*entries[:4], _by_id(entries, "sl2"), *entries[4:]])
+
+
+def test_verify_all_asserts_on_a_fragment_that_repeats_a_check_id(monkeypatch):
+    real = catalog.verify_mobius
+    monkeypatch.setattr(catalog, "verify_mobius", lambda: real() + real()[:1])
+    with pytest.raises(AssertionError, match="duplicate check ids in report"):
+        verify_all(42)
 
 
 @pytest.mark.parametrize(

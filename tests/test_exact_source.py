@@ -1,14 +1,14 @@
 """The package is exact: no float or complex value and no random number in its
 source, no identity test against the shared ``ZERO`` or ``ONE``, and no
 ``GaussianRational`` made without ``__init__`` outside ``scalars._make``; no
-module but ``linalg`` names its elimination ``_reduce``; ``dsl`` imports
-nothing from the package but ``scalars``; no ``from_table`` call takes a bracket
-table written in the code, so every algebra and family comes from a ``.liealg``
-file or is derived, and no ``CMatrix`` of ``geometry``, ``models`` or ``linalg``
-is built from a display; every check of the catalog that
-can fail names a witness; and every module-level function, class and
-assigned name, and every named method and property of such a class, is
-used in the package."""
+module but ``linalg`` names its elimination ``_reduce`` or defines the
+first-failure scan ``_first``; ``dsl`` imports nothing from the package but
+``scalars``; no ``from_table`` call takes a bracket table written in the code,
+so every algebra and family comes from a ``.liealg`` file or is derived, and no
+``CMatrix`` of ``geometry``, ``models`` or ``linalg`` is built from a display;
+every check of the catalog that can fail names a witness; and every
+module-level function, class and assigned name, and every named method and
+property of such a class, is used in the package."""
 
 import ast
 from collections import Counter
@@ -202,6 +202,45 @@ def test_the_scan_finds_reduce_outside_linalg():
     assert [line for line, _ in _reduce_spellings(ast.parse(source))] == [1, 3, 4, 5]
     linalg = next(path for path in SOURCES if path.name == "linalg.py")
     assert _reduce_spellings(ast.parse(linalg.read_text(encoding="utf-8")))
+
+
+def _first_definitions(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, source) for each ``_first`` a module defines: a function or class of that
+    name, or the name bound by an assignment or loop; importing it defines nothing.
+    ``linalg._first`` is the package's one first-failure scan, which every module imports."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+        else:
+            name = node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) else None
+        if name == "_first":
+            found.append((node.lineno, ast.unparse(node).splitlines()[0]))
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "linalg.py"], ids=lambda path: path.name
+)
+def test_only_linalg_defines_first(path):
+    assert _first_definitions(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_scan_finds_a_second_first():
+    source = (
+        "from .linalg import _first, kernel\n"
+        "def _first(points, bad):\n"
+        "    return next((p for p in points if bad(*p)), None)\n"
+        "_first = lambda points, bad: None\n"
+        "for _first in scans:\n"
+        "    pass\n"
+        "w = linalg._first(points, bad)\n"
+        "def first(points):\n"
+        "    return _first(points, bool)\n"
+    )
+    assert [line for line, _ in _first_definitions(ast.parse(source))] == [2, 4, 5]
+    linalg = next(path for path in SOURCES if path.name == "linalg.py")
+    assert len(_first_definitions(ast.parse(linalg.read_text(encoding="utf-8")))) == 1
 
 
 def _reduce_users(tree: ast.Module) -> list[str]:
