@@ -7,6 +7,12 @@ the exit code from them.  File commands print the ``catalog.FACTS`` values
 (``invariants``, ``classify``, ``model``) or the derived metric data (``connection``,
 ``curvature``, ``constcurv``) of a ``catalog.CatalogEntry`` built from the file; of
 them, ``validate`` alone reads a family file, proving Jacobi on its grid as the report does.
+
+A command runs only the modules it needs: ``argparse`` and ``catalog`` with the layers
+under it for every command, ``geometry`` (which ``catalog`` binds unexecuted) when a command
+derives metric data, ``paper``, the report's fragments, for ``verify-paper``, ``mobius-check``
+and a family file's ``validate``, and ``json`` for ``--json`` output.  Each of the last three
+is imported where it is used.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from typing import Sequence
 
 from . import catalog as cat
 from . import dsl
-from .geometry import constant_curvature_defect
 from .liealg import LieAlgebra
 from .scalars import ZERO
 
@@ -141,7 +146,9 @@ def _facts(entry: cat.CatalogEntry, keys: tuple[str, ...]) -> list[cat.CheckResu
 def _cmd_validate(args) -> int:
     _, spec, algebra = _load(args.file)
     if algebra is None:
-        return _print_records(args, [cat._family_jacobi("jacobi", spec)])
+        from .paper import _family_jacobi
+
+        return _print_records(args, [_family_jacobi("jacobi", spec)])
     records = [cat._jacobi_check("jacobi", algebra)]
     try:
         entry = cat.entry_from_spec(spec.name, spec, algebra)
@@ -186,7 +193,7 @@ def _print_vectors(args, rows) -> int:
     """Print ``id = value`` for each (id, vector) of ``rows(entry, names)`` for the metric file."""
     entry = _load_entry(args.file, model=False)
     names, zero = entry.algebra.basis_names, (ZERO,) * entry.algebra.dim
-    text = lambda v: "0" if v == zero else dsl.format_combination(names, {a: c for a, c in zip(names, v) if c})
+    text = lambda v: "0" if v == zero else dsl.format_combination(names, dict(zip(names, v)))
     records = [cat.CheckResult(record_id, "pass", None, text(v)) for record_id, v in rows(entry, names)]
     return _print_records(args, records, lambda r: f"{r.id} = {r.value}")
 
@@ -217,6 +224,8 @@ def _cmd_constcurv(args) -> int:
     rendered = cat.FACTS["constant_curvature"](entry)
     witness = None
     if entry.constant_curvature is None:
+        from .geometry import constant_curvature_defect
+
         # A zero tensor is Constant(0): the defect at k = 0, a nonzero fiber, exists.
         witness = cat._triple_str(entry.algebra, constant_curvature_defect(entry.form, entry.tensor, 0))
     # The certificate is data, not a check, so it passes and keeps its witness.
@@ -244,4 +253,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mobius(args) -> int:
-    return _print_records(args, cat.verify_mobius())
+    from .paper import verify_mobius
+
+    return _print_records(args, verify_mobius())

@@ -11,7 +11,9 @@ from typing import Sequence
 import pytest
 from hypothesis import settings
 
-from holriem import catalog, geometry
+# ``paper`` is loaded lazily by the package; importing it here puts it in ``sys.modules``
+# before a test walks the holriem modules to patch a name, so it never binds a patch for good.
+from holriem import catalog, geometry, paper
 from holriem.geometry import ConnectionTable, CurvatureTensor
 from holriem.liealg import LieAlgebra, NotClosed, bracket
 from holriem.linalg import CMatrix, Vector, as_vector, span_basis, vadd, zero_vector

@@ -10,14 +10,7 @@ import random
 from fractions import Fraction
 
 from conftest import conjugate, failed_checks, family_at, metric_pair, sectional_curvature
-from holriem.catalog import (
-    CatalogEntry,
-    build_catalog,
-    check_prop_iv,
-    verify_all,
-    verify_flow_identities,
-    verify_mobius,
-)
+from holriem.catalog import CatalogEntry, build_catalog, verify_all
 from holriem.cli import cli
 from holriem.geometry import (
     bianchi_defect,
@@ -36,6 +29,7 @@ from holriem.liealg import (
 )
 from holriem.linalg import CMatrix, vadd
 from holriem.models import isotropy_type
+from holriem.paper import check_prop_iv, verify_flow_identities, verify_mobius
 from holriem.scalars import gr
 
 CATALOG = {entry.id: entry for entry in build_catalog()}

@@ -9,16 +9,18 @@ from fractions import Fraction
 import pytest
 from conftest import ad, failed_checks, family_at, metric_pair, nabla
 
-from holriem import catalog, dsl, geometry, linalg, models
+from holriem import catalog, dsl, geometry, linalg, models, paper
 from holriem.catalog import (
     CATALOG_IDS,
     FAMILY_ID,
     CatalogEntry,
     build_catalog,
-    check_prop_iv,
     report_to_json,
     shipped_file_text,
     verify_all,
+)
+from holriem.paper import (
+    check_prop_iv,
     verify_entry,
     verify_isotropy_dimension_bounds,
     verify_prop_unimodular,
@@ -199,7 +201,7 @@ def _mutated_family(shipped_text, old, new):
 def test_family_proofs_fail_on_a_mutated_builder(name, shipped_text):
     (old, new), failing = FAMILY_MUTATIONS[name]
     _mutated_family(shipped_text, old, new)
-    checks = catalog.verify_heis_family()
+    checks = paper.verify_heis_family()
     assert [c.id for c in checks] == [*FAMILY_PROOFS, *FLAT_CASES]
     failures = {c.id: c.witness for c in checks if not c.passed}
     assert failures.keys() == failing.keys()
@@ -208,12 +210,12 @@ def test_family_proofs_fail_on_a_mutated_builder(name, shipped_text):
 
 
 def test_family_proofs_take_their_lattices_from_the_file_degree(shipped_text):
-    assert [c.value for c in catalog.verify_heis_family()[:2]] == ["15 grid points", "5 affine points"]
+    assert [c.value for c in paper.verify_heis_family()[:2]] == ["15 grid points", "5 affine points"]
     _mutated_family(shipped_text, *FAMILY_MUTATIONS["c_squared"][0])
     catalog._shipped.cache_clear()
     family = catalog._shipped(FAMILY_ID)[1]
     assert dsl.degree(family) == 2
-    checks = catalog.verify_heis_family()[:2]
+    checks = paper.verify_heis_family()[:2]
     assert [(c.status, c.value) for c in checks] == [
         ("pass", "70 grid points"),
         ("pass", "15 grid points"),
@@ -231,7 +233,7 @@ def test_family_isotropy_fails_when_the_frame_moves(shipped_text):
 def test_family_isotropy_needs_a_nilpotent_generator(shipped_text):
     # The points agree with the origin, whose action is tested for nilpotency.
     _mutated_family(shipped_text, *FAMILY_MUTATIONS["YZ_gains_Z"][0])
-    failures = {c.id: c for c in catalog.verify_heis_family() if not c.passed}
+    failures = {c.id: c for c in paper.verify_heis_family() if not c.passed}
     assert list(failures) == ["heis-family/jacobi", "heis-family/isotropy_unipotent"]
     check = failures["heis-family/isotropy_unipotent"]
     assert check.witness == "at (0, 0, 0, 0): matrix [0, 1, 0; 0, 1, -1; 0, 0, 0] is not nilpotent"
@@ -245,8 +247,8 @@ def test_family_proofs_build_the_family_on_the_grids_only(monkeypatch):
         calls.append(point)
         return real(spec, point)
 
-    monkeypatch.setattr(catalog, "_at", counted)
-    assert all(c.passed for c in catalog.verify_heis_family())
+    monkeypatch.setattr(paper, "_at", counted)
+    assert all(c.passed for c in paper.verify_heis_family())
     # 15 lattice points, 5 affine points for the models, 4 flat cases.
     assert len(calls) == 15 + 5 + 4
 
@@ -254,8 +256,8 @@ def test_family_proofs_build_the_family_on_the_grids_only(monkeypatch):
 @pytest.mark.parametrize(
     "mutation, check_id, proof, grid",
     [
-        ("gains_mY", "heis-family/jacobi", catalog._family_jacobi, catalog._lattice(4, 2)),
-        ("TY_scaled", "heis-family/isotropy_unipotent", catalog._family_isotropy, catalog._lattice(4, 1)),
+        ("gains_mY", "heis-family/jacobi", paper._family_jacobi, paper._lattice(4, 2)),
+        ("TY_scaled", "heis-family/isotropy_unipotent", paper._family_isotropy, paper._lattice(4, 1)),
     ],
     ids=["jacobi", "isotropy"],
 )
@@ -275,8 +277,8 @@ def test_a_failing_family_proof_evaluates_each_point_once(
         entries.append(args[0])
         return real_entry(*args)
 
-    monkeypatch.setattr(catalog, "_at", counted_at)
-    monkeypatch.setattr(catalog, "entry_from_spec", counted_entry)
+    monkeypatch.setattr(paper, "_at", counted_at)
+    monkeypatch.setattr(paper, "entry_from_spec", counted_entry)
     witness = FAMILY_MUTATIONS[mutation][1][check_id]
     assert proof(check_id).witness.startswith(witness)
     # The proof stops at its first failing point, away from the origin.
@@ -284,7 +286,7 @@ def test_a_failing_family_proof_evaluates_each_point_once(
     assert witness.startswith(f"at {grid[failing]}: ") and failing > 0
     assert points == list(grid[: failing + 1])
     # The Jacobi proof builds algebras only; the isotropy proof one entry per point.
-    assert len(entries) == (failing + 1 if proof is catalog._family_isotropy else 0)
+    assert len(entries) == (failing + 1 if proof is paper._family_isotropy else 0)
 
 
 def test_a_model_that_cannot_be_built_fails_the_family_isotropy_at_its_point(shipped_text):
@@ -319,8 +321,8 @@ def test_a_family_file_that_cannot_be_read_fails_the_six_family_checks(fault, wi
 
 
 def test_principal_lattices_have_their_point_counts():
-    assert len(catalog._lattice(4, 2)) == 15 and len(catalog._lattice(4, 1)) == 5
-    assert catalog._lattice(4, 1)[0] == (0, 0, 0, 0)
+    assert len(paper._lattice(4, 2)) == 15 and len(paper._lattice(4, 1)) == 5
+    assert paper._lattice(4, 1)[0] == (0, 0, 0, 0)
 
 
 def test_principal_lattices_are_the_filtered_boxes():
@@ -329,8 +331,8 @@ def test_principal_lattices_are_the_filtered_boxes():
     for nvars in range(6):
         for degree in range(5):
             box = itertools.product(range(degree + 1), repeat=nvars)
-            assert catalog._lattice(nvars, degree) == tuple(p for p in box if sum(p) <= degree)
-    assert len(catalog._lattice(16, 4)) == math.comb(20, 4) == 4845
+            assert paper._lattice(nvars, degree) == tuple(p for p in box if sum(p) <= degree)
+    assert len(paper._lattice(16, 4)) == math.comb(20, 4) == 4845
 
 
 def test_report_ignores_the_seed():
@@ -374,7 +376,7 @@ def test_general_ab_report_fails_on_a_constant(monkeypatch):
 
     assert report().passed
     monkeypatch.setattr(
-        "holriem.catalog.constant_curvature", lambda algebra, form: gr(Fraction(-1, 2))
+        "holriem.paper.constant_curvature", lambda algebra, form: gr(Fraction(-1, 2))
     )
     check = report()
     assert check.status == "fail"
@@ -399,7 +401,7 @@ def test_isotropy_bounds_fail_instead_of_raising(monkeypatch):
     def refuse(form, vectors):
         raise ValueError("no stabilizer")
 
-    monkeypatch.setattr(catalog, "stabilizer_in_skew", refuse)
+    monkeypatch.setattr(paper, "stabilizer_in_skew", refuse)
     failed = failed_checks(verify_all(42))
     assert {c.id: c.witness for c in failed} == {
         f"isotropy-bounds/{name}": "no stabilizer"
@@ -543,7 +545,7 @@ def test_constant_curvature_none_passes_on_a_metric_of_no_constant_curvature():
     generic = CatalogEntry(
         sl2.id,
         sl2.algebra,
-        metric_pair(sl2.algebra, catalog._GENERIC_AB_FORM),
+        metric_pair(sl2.algebra, paper._GENERIC_AB_FORM),
         expected={"constant_curvature": "none"},
     )
     (check,) = [c for c in verify_entry(generic) if c.id == "sl2/constant_curvature"]
@@ -595,7 +597,7 @@ def test_mobius_fixed_matrices(monkeypatch):
         return real(a, b, c, d, z1, z2) + int((a, b, c, d) not in fixed)
 
     monkeypatch.setattr(catalog, "_difference_defect", wrong_off_the_fixed_matrices)
-    checks = catalog.verify_mobius()
+    checks = paper.verify_mobius()
     assert [(c.id, c.passed, c.value) for c in checks] == [
         ("mobius/identity", True, "4 grid points"),
         ("mobius/translation", True, "4 grid points"),
@@ -616,7 +618,7 @@ def test_mobius_certificate_evaluates_its_grids_exactly(monkeypatch):
 
     monkeypatch.setattr(catalog, "_difference_defect", recorded(catalog._difference_defect))
     monkeypatch.setattr(catalog, "_derivative_defect", recorded(catalog._derivative_defect))
-    assert all(c.passed for c in catalog.verify_mobius())
+    assert all(c.passed for c in paper.verify_mobius())
     # {0,1}^2 twice for the fixed matrices, {0,1}^6 and {0,1}^5 for the invariance.
     assert len(points) == 4 + 4 + 64 + 32
     assert len(set(points[8:72])) == 64 and len(set(points[72:])) == 32
@@ -700,7 +702,7 @@ def test_flow_generator_skew_fails_on_a_non_skew_generator(shipped_text):
 
 # The modules that call ``linalg.act`` by name, so that a test can put a
 # wrapper in its place.
-ACT_CALLERS = (catalog, geometry, models)
+ACT_CALLERS = (paper, geometry, models)
 
 
 def test_act_on_its_first_slot_only_fails_exactly_the_form_checks(monkeypatch):
@@ -740,7 +742,7 @@ def test_the_form_and_stabilizer_kernels_reach_act(monkeypatch):
         (lambda: models.invariant_forms(model), "dd"),
         (lambda: models.check_invariance(model), "dd"),
         (lambda: geometry.stabilizer_in_skew(QuadraticForm.diagonal([1, 1, 1]), [unit]), "u"),
-        (lambda: catalog.verify_flow_identities(build_catalog()), "dd"),
+        (lambda: paper.verify_flow_identities(build_catalog()), "dd"),
     ):
         kinds.clear()
         run()
@@ -749,7 +751,7 @@ def test_the_form_and_stabilizer_kernels_reach_act(monkeypatch):
 
 def test_flow_proofs_evaluate_their_grids(monkeypatch):
     times, grids = [], []
-    real_exp, real_prove = catalog.exp_nilpotent, catalog._prove
+    real_exp, real_prove = paper.exp_nilpotent, paper._prove
 
     def recorded_exp(powers, ts):
         ts = list(ts)
@@ -760,17 +762,17 @@ def test_flow_proofs_evaluate_their_grids(monkeypatch):
         grids.append(points)
         return real_prove(points, defect)
 
-    monkeypatch.setattr(catalog, "exp_nilpotent", recorded_exp)
-    monkeypatch.setattr(catalog, "_prove", recorded_prove)
-    assert all(c.passed for c in catalog.verify_flow_identities(build_catalog()))
+    monkeypatch.setattr(paper, "exp_nilpotent", recorded_exp)
+    monkeypatch.setattr(paper, "_prove", recorded_prove)
+    assert all(c.passed for c in paper.verify_flow_identities(build_catalog()))
     # N^3 = 0: each flow L_0, ..., L_4 is built once, for the five points of the
     # Gram proof (degree 4 in t) and the 3 x 3 box of the group law (degree 2 in s and t).
     assert times == [(3, [0, 1, 2, 3, 4])]
-    assert grids == [catalog._lattice(1, 4), catalog._box(3, 2), catalog._box(3, 2)]
+    assert grids == [paper._lattice(1, 4), paper._box(3, 2), paper._box(3, 2)]
 
 
 def test_curvature_antisymmetry_fails_on_a_kernel_fault(monkeypatch):
-    right = catalog.curvature
+    right = geometry.curvature
 
     def lopsided(algebra, connection):
         """The curvature kernel without its -c_ij^l nabla_l e_k term for i > j."""
@@ -787,7 +789,7 @@ def test_curvature_antisymmetry_fails_on_a_kernel_fault(monkeypatch):
             tuple(tuple(fiber(i, j, k) for k in range(n)) for j in range(n)) for i in range(n)
         )
 
-    monkeypatch.setattr(catalog, "curvature", lopsided)
+    monkeypatch.setattr(geometry, "curvature", lopsided)
     failures = {c.id: c.witness for c in failed_checks(verify_all())}
     assert failures["sl2/curvature_antisymmetry"] == "triple=(H,E,H)"
     # On the three flat entries nabla_[x,y] = 0, so the dropped term is zero there.
@@ -811,7 +813,7 @@ def test_the_fragment_table_walked_by_hand_is_the_report():
     entries = build_catalog()
     walked = [
         check
-        for fragment, takes_catalog in catalog.FRAGMENTS
+        for fragment, takes_catalog in paper.FRAGMENTS
         for check in (fragment(entries) if takes_catalog else fragment())
     ]
     assert tuple(walked) == verify_all(42).checks
@@ -819,13 +821,13 @@ def test_the_fragment_table_walked_by_hand_is_the_report():
 
 def test_verify_all_calls_a_fragment_by_its_module_name(monkeypatch):
     calls = []
-    real = catalog.verify_mobius
+    real = paper.verify_mobius
 
     def wrapper():
         calls.append("verify_mobius")
         return real()
 
-    monkeypatch.setattr(catalog, "verify_mobius", wrapper)
+    monkeypatch.setattr(paper, "verify_mobius", wrapper)
     assert verify_all(42).all_pass
     assert calls == ["verify_mobius"]
 
@@ -840,14 +842,14 @@ def test_verify_all_rejects_a_repeated_entry_id_by_name(monkeypatch):
     with pytest.raises(ValueError, match="^repeated entry id 'flat_c3'$"):
         verify_all(42, entries + [entries[0]])
     # No fragment runs first: the catalog is refused before the report starts.
-    monkeypatch.setattr(catalog, "_entry_checks", lambda _: pytest.fail("a fragment ran"))
+    monkeypatch.setattr(paper, "_entry_checks", lambda _: pytest.fail("a fragment ran"))
     with pytest.raises(ValueError, match="'sl2'"):
         verify_all(42, [*entries[:4], _by_id(entries, "sl2"), *entries[4:]])
 
 
 def test_verify_all_asserts_on_a_fragment_that_repeats_a_check_id(monkeypatch):
-    real = catalog.verify_mobius
-    monkeypatch.setattr(catalog, "verify_mobius", lambda: real() + real()[:1])
+    real = paper.verify_mobius
+    monkeypatch.setattr(paper, "verify_mobius", lambda: real() + real()[:1])
     with pytest.raises(AssertionError, match="duplicate check ids in report"):
         verify_all(42)
 

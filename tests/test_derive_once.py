@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import holriem.cli as cli_module
-from holriem import catalog, geometry, liealg, linalg, models, scalars
+from holriem import catalog, geometry, liealg, linalg, models, paper, scalars
 from holriem.linalg import CMatrix
 from holriem.scalars import GaussianRational
 
@@ -30,7 +30,7 @@ basis = H, E, F, W
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count ``levi_civita`` and ``curvature`` calls; the CLI reaches them through ``catalog``."""
+    """Count ``levi_civita`` and ``curvature`` calls; the CLI and the report reach them through ``geometry``."""
     counts = {"levi_civita": 0, "curvature": 0}
     for name in counts:
         real = getattr(geometry, name)
@@ -39,8 +39,7 @@ def calls(monkeypatch):
             counts[_name] += 1
             return _real(*args)
 
-        for module in (geometry, catalog):
-            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(geometry, name, counted)
     return counts
 
 
@@ -299,7 +298,7 @@ def test_verify_entry_derives_each_structural_fact_once(entry_id, expected, monk
         monkeypatch,
         ((liealg, "derived_algebra"), (liealg, "lower_central_series"), (liealg, "killing_form")),
     )
-    assert all(check.passed for check in catalog.verify_entry(entry))
+    assert all(check.passed for check in paper.verify_entry(entry))
     assert counts == expected
 
 
@@ -344,15 +343,17 @@ basis = H, E, F, X, Y, Z, U, V, T
         # elimination of [G | B] (its 4 right sides are the nonzero lowered
         # vectors of the symmetric part U), 171 listing the nonzero entries of
         # the 9 Gram rows and the 10 nonzero Christoffel vectors (the 71 zero
-        # ones take one tuple comparison each), and 60 for the 6 nonzero fibers
-        # printed, 54 listing their entries and 6 in format_combination (the 318
-        # zero ones print "0" after one tuple comparison).  664 when the
+        # ones take one tuple comparison each), and 54 in format_combination for
+        # the 6 nonzero fibers printed, one for each of their 9 entries (the 318
+        # zero ones print "0" after one tuple comparison).  517 when the printer
+        # dropped the zero entries before format_combination tested the rest
+        # again, so each nonzero entry was tested twice.  664 when the
         # connection inverted G (211 in that elimination), listed the 9 rows of
         # G^-1 (81) and tested the 15 Koszul slots some term reached, and
         # QuadraticForm.from_sparse tested each of its 6 entries for a conflict.
         # 5635 when every entry of every Koszul sum, Christoffel vector and
         # printed fiber was tested.
-        ("curvature", 517),
+        ("curvature", 511),
         # As above up to the fibers, then 83 in finding the first nonzero entry
         # of the model tensor, and one in each of the two defect scans, at the
         # candidate -1/8 and at k = 0 for the witness, deciding whether k is 0

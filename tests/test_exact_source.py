@@ -6,7 +6,7 @@ first-failure scan ``_first``; ``dsl`` imports nothing from the package but
 ``scalars``; no ``from_table`` call takes a bracket table written in the code,
 so every algebra and family comes from a ``.liealg`` file or is derived, and no
 ``CMatrix`` of ``geometry``, ``models`` or ``linalg`` is built from a display;
-every check of the catalog that can fail names a witness; and every
+every check of ``catalog`` and ``paper`` that can fail names a witness; and every
 module-level function, class and assigned name, and every named method and
 property of such a class, is used in the package."""
 
@@ -17,6 +17,8 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "holriem").glob("*.py"))
+# The modules that make the report's checks: the entries and the check record, and the fragments.
+CHECKING = [path for path in SOURCES if path.stem in ("catalog", "paper")]
 
 
 def _inexact(tree: ast.AST) -> list[tuple[int, str]]:
@@ -42,7 +44,8 @@ def _inexact(tree: ast.AST) -> list[tuple[int, str]]:
 
 
 def test_every_module_is_scanned():
-    assert {"catalog.py", "cli.py", "geometry.py", "scalars.py"} <= {p.name for p in SOURCES}
+    assert {"catalog.py", "cli.py", "geometry.py", "paper.py", "scalars.py"} <= {p.name for p in SOURCES}
+    assert [p.name for p in CHECKING] == ["catalog.py", "paper.py"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -341,9 +344,9 @@ def test_the_scan_finds_package_imports():
         (6, "catalog"),
         (7, "holriem"),
     ]
-    catalog = next(path for path in SOURCES if path.name == "catalog.py")
-    imported = _package_imports(ast.parse(catalog.read_text(encoding="utf-8")))
-    assert "dsl" in [module for _, module in imported]
+    for path in CHECKING:
+        imported = _package_imports(ast.parse(path.read_text(encoding="utf-8")))
+        assert "dsl" in [module for _, module in imported], path.name
 
 
 def _literal_tables(tree: ast.AST) -> list[tuple[int, str]]:
@@ -392,7 +395,7 @@ def _literal_matrices(tree: ast.AST) -> list[tuple[int, str]]:
 
 
 # Matrices are data of the shipped files or derived; a matrix written in
-# ``catalog`` is the expected value of a check, a claim rather than data.
+# ``paper`` is the expected value of a check, a claim rather than data.
 COMPUTING = [path for path in SOURCES if path.stem in ("geometry", "models", "linalg")]
 
 
@@ -413,8 +416,9 @@ def test_the_scan_finds_literal_matrices():
         "CMatrix(\n    [[1, t, -(t * t) / 2], [0, 1, -t], [0, 0, 1]]\n)\n"
     )
     assert [line for line, _ in _literal_matrices(ast.parse(source))] == [1, 2, 7, 8]
-    catalog = next(path for path in SOURCES if path.stem == "catalog")
-    claims = [text for _, text in _literal_matrices(ast.parse(catalog.read_text(encoding="utf-8")))]
+    claims = [
+        text for path in CHECKING for _, text in _literal_matrices(ast.parse(path.read_text(encoding="utf-8")))
+    ]
     assert claims == ["CMatrix.diagonal([0, 1, -1])"]
 
 
@@ -443,8 +447,8 @@ def _unwitnessed(tree: ast.AST) -> list[tuple[int, str]]:
 
 
 def test_every_failing_check_names_a_witness():
-    catalog = next(path for path in SOURCES if path.name == "catalog.py")
-    assert _unwitnessed(ast.parse(catalog.read_text(encoding="utf-8"))) == []
+    for path in CHECKING:
+        assert _unwitnessed(ast.parse(path.read_text(encoding="utf-8"))) == [], path.name
 
 
 def test_the_scan_finds_checks_without_a_witness():

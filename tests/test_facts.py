@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from conftest import failed_checks
 
-from holriem import catalog, dsl
+from holriem import catalog, dsl, paper
 from holriem.catalog import (
     CATALOG_IDS,
     FACTS,
@@ -16,8 +16,8 @@ from holriem.catalog import (
     read_text,
     shipped_file_text,
     verify_all,
-    verify_entry,
 )
+from holriem.paper import verify_entry
 from holriem.cli import cli
 from holriem.forms import QuadraticForm
 from holriem.models import HomogeneousModel
@@ -113,7 +113,7 @@ def test_non_invariant_generic_form_fails_only_its_check(monkeypatch):
     form = QuadraticForm.from_sparse(
         ("H", "E", "F"), {("H", "H"): 1, ("E", "F"): 1, ("E", "E"): 1}
     )
-    monkeypatch.setattr(catalog, "_GENERIC_AB_FORM", form)
+    monkeypatch.setattr(paper, "_GENERIC_AB_FORM", form)
     failed = failed_checks(verify_all(42))
     assert [(c.id, c.witness) for c in failed] == [
         ("semisimple4/general_ab_invariance", "invariance failed for (a,b)=(1,1)")

@@ -198,8 +198,7 @@ def test_a_faulty_connection_kernel_fails_torsion_or_compatibility(fault, monkey
     assert source.count(old) == 1
     namespace = dict(vars(geometry))
     exec(source.replace(old, new), namespace)
-    for module in (geometry, catalog):
-        monkeypatch.setattr(module, "levi_civita", namespace["levi_civita"])
+    monkeypatch.setattr(geometry, "levi_civita", namespace["levi_civita"])
     assert {check.id for check in failed_checks(catalog.verify_all(42))} == failing
 
 

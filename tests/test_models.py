@@ -8,7 +8,8 @@ from itertools import combinations_with_replacement
 import pytest
 from conftest import column, dense_inverse, family_at, jordan, jordan_blocks, metric_pair
 
-from holriem.catalog import _lattice, build_catalog
+from holriem.catalog import build_catalog
+from holriem.paper import _lattice
 from holriem.forms import QuadraticForm
 from holriem.liealg import LieAlgebra
 from holriem.linalg import CMatrix, in_span, span_basis

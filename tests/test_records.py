@@ -1,7 +1,11 @@
-"""The ``Record`` contract of the package's value classes, and a cold import
-of the CLI that loads neither ``dataclasses`` nor ``inspect``."""
+"""The ``Record`` contract of the package's value classes, and cold starts: a cold
+import of the CLI loads neither ``dataclasses`` nor ``inspect``, and each command
+loads only the holriem modules it runs."""
 
+import ast
 import copy
+import importlib
+import inspect
 import pickle
 import subprocess
 import sys
@@ -36,17 +40,94 @@ def _records():
     ]
 
 
-def test_cold_cli_import_loads_neither_dataclasses_nor_inspect():
+def _cold(statements: str, *watched: str) -> set[str]:
+    """The holriem modules, and those of ``watched``, that a fresh interpreter has run after
+    running ``statements``.  A module registered for lazy loading is not yet of the module
+    type, and is not counted.  -S: no site hooks, so only what holriem imports is loaded."""
     src = str(Path(holriem.__file__).resolve().parents[1])
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import holriem.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        f"import sys; sys.path.insert(0, {src!r}); {statements}; "
+        f"print(sorted(n for n, m in sys.modules.items() if type(m) is type(sys) "
+        f"and (n.split('.')[0] == 'holriem' or n in {watched!r})))"
     )
-    # -S: no site hooks, so only what holriem imports is loaded.
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
-    )
-    assert done.stdout == "[]\n"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    return set(ast.literal_eval(done.stdout.splitlines()[-1]))
+
+
+# The holriem modules that every file command loads: the CLI, the entries and the layers they use;
+# a metric command loads the metric data too, and the report the fragments, with their grid prover.
+FILE_COMMAND = {
+    "holriem",
+    "holriem.catalog",
+    "holriem.cli",
+    "holriem.dsl",
+    "holriem.forms",
+    "holriem.liealg",
+    "holriem.linalg",
+    "holriem.models",
+    "holriem.scalars",
+}
+LOADS = {
+    "structure": FILE_COMMAND,
+    "metric": FILE_COMMAND | {"holriem.geometry"},
+    "report": FILE_COMMAND | {"holriem.geometry", "holriem.paper"},
+}
+DATA = Path(holriem.__file__).parent / "data"
+
+
+def test_cold_cli_import_loads_neither_dataclasses_nor_inspect():
+    assert _cold("import holriem.cli", "dataclasses", "inspect") == FILE_COMMAND
+
+
+def test_a_bare_import_loads_no_submodule():
+    assert _cold("import holriem") == {"holriem"}
+
+
+@pytest.mark.parametrize(
+    "args, kind",
+    [
+        (("validate", "heis3.liealg"), "structure"),
+        (("invariants", "heis3.liealg"), "structure"),
+        (("classify", "heis3.liealg"), "structure"),
+        (("classify", "heis3.liealg", "--json"), "structure"),
+        (("model", "c_ltimes_heis.liealg"), "structure"),
+        (("connection", "heis3.liealg"), "metric"),
+        (("curvature", "heis3.liealg"), "metric"),
+        (("constcurv", "heis3.liealg"), "metric"),
+        (("constcurv", "heis3.liealg", "--json"), "metric"),
+        (("verify-paper",), "report"),
+        (("verify-paper", "--json"), "report"),
+        (("mobius-check",), "report"),
+        # A family file has no one algebra: validate proves Jacobi on its grid, as the report does.
+        (("validate", "heis_stab_family.liealg"), "report"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, tuple) else value,
+)
+def test_each_command_loads_only_the_modules_it_runs(args, kind):
+    argv = [str(DATA / arg) if arg.endswith(".liealg") else arg for arg in args]
+    loaded = _cold(f"from holriem.cli import cli; assert cli({argv!r}) == 0", "json")
+    # json only for --json output.
+    assert loaded == LOADS[kind] | ({"json"} if "--json" in args else set())
+
+
+def test_each_export_is_the_object_its_module_defines():
+    for module_name, names in holriem._EXPORTS.items():
+        module = importlib.import_module(f"holriem.{module_name}")
+        for name in names:
+            exported = getattr(holriem, name)
+            assert exported is vars(module)[name], name
+            if inspect.isclass(exported) or inspect.isfunction(exported):
+                assert exported.__module__ == module.__name__, name
+    star: dict = {}
+    exec("from holriem import *", star)
+    assert set(star) - {"__builtins__"} == set(holriem.__all__) == set(holriem._MODULE_OF)
+
+
+def test_an_unknown_export_is_an_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="module 'holriem' has no attribute 'nosuch'"):
+        holriem.nosuch
+    with pytest.raises(ImportError, match="nosuch"):
+        exec("from holriem import nosuch", {})
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ from conftest import (
     reference_subalgebra,
 )
 
-from holriem import catalog
+from holriem import catalog, paper
 from holriem.catalog import build_catalog
 from holriem.liealg import (
     LieAlgebra,
@@ -194,7 +194,7 @@ def test_report_spans_match_the_all_pairs_subalgebra(monkeypatch):
         spans.append((algebra, vectors, basis_names))
         return subalgebra(algebra, vectors, basis_names)
 
-    monkeypatch.setattr(catalog, "subalgebra", recorded)
+    monkeypatch.setattr(paper, "subalgebra", recorded)
     assert catalog.verify_all(42).all_pass
     assert len(spans) == 6
     for span in spans:
