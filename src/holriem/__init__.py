@@ -3,7 +3,11 @@ metrics on low-dimensional complex Lie algebras.
 
 The names below are re-exported lazily (PEP 562): ``from holriem import X``
 imports the module of X when X is first asked for, so ``import holriem``
-loads no submodule, and a command loads only the modules it runs."""
+loads no submodule.  A layer that some command never runs is bound through
+``_lazy``: ``liealg`` binds ``forms``, and ``catalog`` binds ``models`` and
+``geometry``, each run on its first attribute access.  So a command loads only
+the modules it runs: ``invariants`` neither ``forms`` nor ``models``, ``classify``
+not ``models``, and no command but the report ``fractions``."""
 
 from importlib import import_module
 
@@ -60,3 +64,23 @@ def __getattr__(name: str):
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def _lazy(name: str):
+    """The module ``name``, registered in ``sys.modules`` now and run on its first attribute
+    access (``LazyLoader``): a command that reads nothing of it never compiles it.  Registered,
+    it is in ``sys.modules`` with every other layer, where ``bench/tracer.py`` looks.  The
+    loader is imported here, so a bare ``import holriem`` does not import ``importlib.util``."""
+    import sys
+    from importlib.util import LazyLoader, find_spec, module_from_spec
+
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = find_spec(name)
+    spec.loader = LazyLoader(spec.loader)
+    module = module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    setattr(sys.modules[package], child, module)
+    return module

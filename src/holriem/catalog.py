@@ -19,20 +19,19 @@ stay grep-able.  ``verify_all`` runs the fragments of ``paper.FRAGMENTS`` in
 report order, and ``report_to_json`` writes the report.  Every check is exact
 and draws no random numbers, so ``verify_all`` gives the same checks for every
 seed.  The fragments live in ``paper``, which ``verify_all`` imports when it
-runs, and ``geometry`` is bound unexecuted and runs when an entry first derives
-its metric data, so a file command compiles neither unless it runs them.
+runs.  ``forms``, ``models`` and ``geometry`` are bound unexecuted (``holriem._lazy``):
+``models`` runs when a file's pair is first built, ``forms`` when a form is, and
+``geometry`` when an entry first derives its metric data.  ``importlib.resources`` is
+imported by ``shipped_file_text``, which the report alone calls.  So a file command
+compiles none of them unless it runs them.
 """
 
 from __future__ import annotations
 
-import sys
 from functools import cache, cached_property, lru_cache
-from importlib import resources
-from importlib.util import LazyLoader, find_spec, module_from_spec
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from . import dsl
-from .forms import QuadraticForm
+from . import _lazy, dsl
 from .liealg import (
     LieAlgebra,
     center,
@@ -45,36 +44,15 @@ from .liealg import (
     jacobi_witness,
 )
 from .linalg import CMatrix, Vector, _completion
-from .models import (
-    HomogeneousModel,
-    IsotropyType,
-    check_invariance,
-    invariant_forms,
-    isotropy_type,
-)
 from .scalars import GaussianRational, Record
 
 if TYPE_CHECKING:
+    from .forms import QuadraticForm
     from .geometry import ConnectionTable, CurvatureTensor
+    from .models import HomogeneousModel, IsotropyType
 
-
-def _lazy(name: str):
-    """The module ``name``, registered in ``sys.modules`` now and run on its first attribute
-    access (``LazyLoader``): a command that reads nothing of it never compiles it."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = find_spec(name)
-    spec.loader = LazyLoader(spec.loader)
-    module = module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    package, _, child = name.rpartition(".")
-    setattr(sys.modules[package], child, module)
-    return module
-
-
-# Only an entry's metric data run it, so a structure command never compiles it; registered
-# here, it is in ``sys.modules`` with every other layer, where ``bench/tracer.py`` looks.
+forms = _lazy(f"{__package__}.forms")
+models = _lazy(f"{__package__}.models")
 geometry = _lazy(f"{__package__}.geometry")
 
 DEFAULT_SEED = 42
@@ -174,7 +152,7 @@ class CatalogEntry(Record):
 
     @cached_property
     def isotropy_type(self) -> IsotropyType:
-        return isotropy_type(_model(self))
+        return models.isotropy_type(_model(self))
 
 
 def _model(entry: CatalogEntry) -> HomogeneousModel:
@@ -191,7 +169,7 @@ def _invariance(entry: CatalogEntry) -> str:
     model = _model(entry)
     if model.quotient_form is None:
         return "n/a"
-    return _yes_no(check_invariance(model))
+    return _yes_no(models.check_invariance(model))
 
 
 # Every [expected] key of ``dsl.EXPECTED_KINDS``, mapped to the text of that
@@ -209,14 +187,14 @@ FACTS: dict[str, Callable[[CatalogEntry], str]] = {
     "derived_dims": lambda e: ",".join(map(str, e.derived_series)),
     "isotropy": lambda e: e.isotropy_type.name,
     "invariance": _invariance,
-    "invariant_form_dim": lambda e: str(len(invariant_forms(_model(e)))),
+    "invariant_form_dim": lambda e: str(len(models.invariant_forms(_model(e)))),
 }
 
 
 def shipped_file_text(entry_id: str) -> str:
-    return (resources.files("holriem") / "data" / f"{entry_id}.liealg").read_text(
-        encoding="utf-8"
-    )
+    from importlib import resources  # only the report reads shipped files
+
+    return (resources.files("holriem") / "data" / f"{entry_id}.liealg").read_text(encoding="utf-8")
 
 
 @lru_cache(maxsize=READ_TEXT_BOUND)
@@ -250,20 +228,22 @@ def _report_order(expected: dict[str, str], order: tuple[str, ...]) -> dict[str,
 
 def entry_from_spec(entry_id: str, spec: dsl.SpecFile, algebra: LieAlgebra) -> CatalogEntry:
     """The pair (g, h, m, q) of a parsed file whose algebra ``read_text`` built, with
-    ``[expected]`` in report order.  The complement is the basis vectors that complete the
-    isotropy in declared order, the whole basis when it is empty, and the form keys must be
-    their labels."""
+    ``[expected]`` in report order.  The isotropy generators must be independent.  The
+    complement is the basis vectors that complete them in declared order, the whole basis
+    when there are none, and the form keys must be their labels."""
     isotropy = [algebra.vector(combo) for combo in spec.isotropy]
     positions = _completion(isotropy, algebra.dim)
+    if len(positions) + len(isotropy) != algebra.dim:
+        raise ValueError("isotropy generators are linearly dependent")
     labels = [algebra.basis_names[p] for p in positions]
     form = None
     if spec.form is not None:
         for a, b in spec.form:
             if a not in labels or b not in labels:
                 raise ValueError(f"form entry ({a},{b}) uses a label outside the complement {labels}")
-        form = QuadraticForm.from_sparse(labels, spec.form)
+        form = forms.QuadraticForm.from_sparse(labels, spec.form)
     basis = CMatrix.identity(algebra.dim).entries
-    model = HomogeneousModel(algebra, isotropy, [basis[p] for p in positions], quotient_form=form)
+    model = models.HomogeneousModel(algebra, isotropy, [basis[p] for p in positions], quotient_form=form)
     expected = _report_order(spec.expected, _MODEL_KEYS if isotropy else _METRIC_KEYS)
     return CatalogEntry(entry_id, algebra, model, expected)
 

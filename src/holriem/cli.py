@@ -8,11 +8,13 @@ the exit code from them.  File commands print the ``catalog.FACTS`` values
 ``curvature``, ``constcurv``) of a ``catalog.CatalogEntry`` built from the file; of
 them, ``validate`` alone reads a family file, proving Jacobi on its grid as the report does.
 
-A command runs only the modules it needs: ``argparse`` and ``catalog`` with the layers
-under it for every command, ``geometry`` (which ``catalog`` binds unexecuted) when a command
-derives metric data, ``paper``, the report's fragments, for ``verify-paper``, ``mobius-check``
-and a family file's ``validate``, and ``json`` for ``--json`` output.  Each of the last three
-is imported where it is used.
+A command loads only the modules it runs: ``argparse``, ``catalog``, ``dsl``, ``liealg``,
+``linalg`` and ``scalars`` for every command; ``forms`` when it builds a form (``classify``'s
+Killing form, a file's form), ``models`` when it builds a file's pair (``validate``, ``model``
+and the metric commands), and ``geometry`` when it derives metric data, all three bound
+unexecuted (``holriem._lazy``); ``paper``, the report's fragments, with ``fractions``, for
+``verify-paper``, ``mobius-check`` and a family file's ``validate``; ``importlib.resources``
+for the report's shipped files; and ``json`` for ``--json`` output.
 """
 
 from __future__ import annotations

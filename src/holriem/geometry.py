@@ -63,18 +63,17 @@ stabilizer in it is one kernel, ``linalg._annihilated`` over the images
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from typing import Iterable, Mapping, Sequence
 
 from .forms import DegenerateForm, QuadraticForm
 from .liealg import LieAlgebra
 from .linalg import CMatrix, Vector, _annihilated, _first, _nonzero, act, solve
-from .scalars import GaussianRational, ZERO, addmul, as_gr, gr, submul
+from .scalars import GaussianRational, ZERO, _make, addmul, as_gr, submul
 
 # Built, not divided: ``catalog`` runs this module lazily, possibly once
 # ``bench/tracer.py`` already counts each division.
-_HALF = gr(Fraction(1, 2))
+_HALF = _make(1, 0, 2)
 
 
 # nabla_{e_i} e_j is ``connection[i][j]`` and R(e_i, e_j) e_k is

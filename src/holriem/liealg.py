@@ -14,15 +14,17 @@ from the table with no bracket call; a caller that needs both passes
 one [g, g] to each.  ``subalgebra`` brackets its generators in the pairs
 i < j only, solves the generators against the brackets once (``linalg.solve``)
 and returns through ``from_table``, as every algebra here does.
+``forms`` is bound unexecuted (``holriem._lazy``) and runs when ``killing_form``
+first builds a form, so ``invariants``, which asks for none, never compiles it.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .forms import QuadraticForm
+from . import _lazy
 from .linalg import (
     CMatrix,
     Vector,
@@ -37,6 +39,11 @@ from .linalg import (
     zero_vector,
 )
 from .scalars import ONE, Record, ZERO, addmul, as_gr
+
+if TYPE_CHECKING:
+    from .forms import QuadraticForm
+
+forms = _lazy(f"{__package__}.forms")
 
 
 class WrongDimension(ValueError):
@@ -203,7 +210,7 @@ def killing_form(algebra: LieAlgebra) -> QuadraticForm:
     pairs = [(k, l) for k in range(n) for l in range(n)]
     ads = [[c[i][k][l] for k, l in pairs] for i in range(n)]
     transposed = [_nonzero(tuple(c[j][l][k] for k, l in pairs)) for j in range(n)]
-    return QuadraticForm([[_dot(ads[i], transposed[j]) for j in range(n)] for i in range(n)])
+    return forms.QuadraticForm([[_dot(ads[i], transposed[j]) for j in range(n)] for i in range(n)])
 
 
 def derived_algebra(algebra: LieAlgebra) -> list[Vector]:

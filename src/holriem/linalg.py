@@ -203,13 +203,13 @@ def _reduce(
 def _completion(vectors: Sequence[Vector], n: int) -> list[int]:
     """Positions p of the basis vectors e_p that complete the span of the vectors, in order:
     a pivot k + p of [T | I], T the k vectors as columns, marks e_p outside the span of T,
-    e_0, ..., e_(p-1); the first n - k of them (all when k > n; all n, unreduced, if k = 0)."""
+    e_0, ..., e_(p-1).  There are n - rank T of them (all n, unreduced, if k = 0), so exactly
+    n - k when the k vectors are independent."""
     k = len(vectors)
     if not k:
         return list(range(n))
     rows = [[v[r] for v in vectors] + [ONE if c == r else ZERO for c in range(n)] for r in range(n)]
-    positions = [p - k for p in _reduce(rows)[1] if p >= k]
-    return positions if k > n else positions[: n - k]
+    return [p - k for p in _reduce(rows)[1] if p >= k]
 
 
 def solve(matrix: CMatrix, rhs: Sequence[Sequence]) -> tuple[list[Vector | None], list[Vector]]:

@@ -9,7 +9,10 @@ The kernels accumulate ``s + x*y`` and ``s - x*y`` through ``addmul`` and
 ``submul``, which compute on the integer triples and reduce once, where the
 dunders would reduce twice and make two objects (Knuth, *TAOCP* vol. 2,
 section 4.5.1).  ``_make`` builds every arithmetic result.  ``Fraction``
-appears only where inputs are coerced and in the ``re``/``im`` views.
+appears only where inputs are coerced and in the ``re``/``im`` views, and
+``fractions`` is imported by the views alone: coercion looks ``Fraction`` up
+only once ``fractions`` is loaded, since no Fraction exists before, so a
+command that never builds one never loads it.
 Every arithmetic zero is the one object ``ZERO``, so a zero vector equals
 ``(ZERO,) * n`` by identity, in C.  That is speed only: equality decides
 every test, and no code asks ``is ZERO``.  The package has no
@@ -20,9 +23,13 @@ the powers of N (``linalg.exp_nilpotent``).
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from math import gcd
 from operator import attrgetter
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Record:
@@ -56,10 +63,14 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-def _ratio(value: int | Fraction) -> tuple[int, int]:
-    if isinstance(value, (int, Fraction)):
+def _ratio(value) -> tuple[int, int] | None:
+    """``(numerator, denominator)`` of an int or a Fraction, else None; ``Fraction`` is
+    looked up only when ``fractions`` is loaded, as a Fraction cannot exist before."""
+    if isinstance(value, int) or (
+        "fractions" in sys.modules and isinstance(value, sys.modules["fractions"].Fraction)
+    ):
         return value.numerator, value.denominator
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+    return None
 
 
 class GaussianRational:
@@ -72,18 +83,25 @@ class GaussianRational:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        p, q = _ratio(re)
-        r, s = _ratio(im)
+        ratios = _ratio(re), _ratio(im)
+        if None in ratios:
+            bad = im if ratios[0] else re
+            raise TypeError(f"expected int or Fraction, got {type(bad).__name__}")
+        (p, q), (r, s) = ratios
         a, b, d = p * s, r * q, q * s
         g = gcd(a, b, d)
         self._a, self._b, self._d = a // g, b // g, d // g
 
     @property
     def re(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._a, self._d)
 
     @property
     def im(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._b, self._d)
 
     # -- ring structure -------------------------------------------------
@@ -249,9 +267,8 @@ def _divide(x: GaussianRational, y: GaussianRational) -> GaussianRational:
 def _coerce(value) -> GaussianRational | None:
     if type(value) is GaussianRational:
         return value
-    if isinstance(value, (int, Fraction)):
-        return _make(value.numerator, 0, value.denominator)
-    return None
+    ratio = _ratio(value)
+    return None if ratio is None else _make(ratio[0], 0, ratio[1])
 
 
 def as_gr(value) -> GaussianRational:

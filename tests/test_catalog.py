@@ -290,15 +290,14 @@ def test_a_failing_family_proof_evaluates_each_point_once(
 
 
 def test_a_model_that_cannot_be_built_fails_the_family_isotropy_at_its_point(shipped_text):
-    # c Y: at c = 0 the isotropy generator vanishes, and the complement that
-    # completes nothing, X, Y, Z, leaves out the T of the form.
+    # c Y: at c = 0 the isotropy generator vanishes, a dependent generator.
     _mutated_family(shipped_text, "gen = Y", "gen = (c) Y")
     report = verify_all(42)
     assert len(report.checks) == 135
     assert [(c.id, c.witness) for c in failed_checks(report)] == [
         (
             "heis-family/isotropy_unipotent",
-            "at (0, 0, 0, 0): form entry (X,T) uses a label outside the complement ['X', 'Y', 'Z']",
+            "at (0, 0, 0, 0): isotropy generators are linearly dependent",
         )
     ]
 

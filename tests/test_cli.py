@@ -163,6 +163,29 @@ def test_validate_rejects_an_empty_quotient(tmp_path, capsys):
     )
 
 
+# X and 2 X: dependent generators, named as such before the form is read against a complement.
+DEPENDENT = (
+    '[algebra]\nname = twice\ndim = 3\nbasis = X, Y, Z\n\n[form]\n"Y,Y" = 1\n"Z,Z" = 1\n\n'
+    "[isotropy]\ngen1 = X\ngen2 = 2 X\n"
+)
+
+
+def test_validate_names_dependent_isotropy_generators(tmp_path, capsys):
+    path = tmp_path / "twice.liealg"
+    path.write_text(DEPENDENT)
+    assert cli(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "PASS jacobi\nFAIL model_wellformed  witness=isotropy generators are linearly dependent\n"
+    )
+
+
+def test_model_command_names_dependent_isotropy_generators(tmp_path, capsys):
+    path = tmp_path / "twice.liealg"
+    path.write_text(DEPENDENT)
+    assert cli(["model", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: isotropy generators are linearly dependent\n")
+
+
 def test_validate(capsys, tmp_path):
     assert cli(["validate", f"{DATA}/sl2.liealg"]) == 0
     bad = tmp_path / "bad.liealg"

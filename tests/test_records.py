@@ -1,6 +1,6 @@
 """The ``Record`` contract of the package's value classes, and cold starts: a cold
 import of the CLI loads neither ``dataclasses`` nor ``inspect``, and each command
-loads only the holriem modules it runs."""
+loads only the holriem modules, ``fractions`` and ``importlib.resources`` it runs."""
 
 import ast
 import copy
@@ -40,47 +40,79 @@ def _records():
     ]
 
 
-def _cold(statements: str, *watched: str) -> set[str]:
-    """The holriem modules, and those of ``watched``, that a fresh interpreter has run after
-    running ``statements``.  A module registered for lazy loading is not yet of the module
-    type, and is not counted.  -S: no site hooks, so only what holriem imports is loaded."""
+# The stdlib modules that only some commands load: ``fractions`` (with its ``decimal``)
+# for the report's Fraction values, and ``importlib.resources`` for its shipped files.
+WATCHED = ("fractions", "decimal", "importlib.resources")
+
+
+def _fresh(statements: str, *watched: str) -> tuple[set[str], set[str]]:
+    """The holriem modules, and those of ``WATCHED`` and ``watched``, that a fresh interpreter
+    has registered in ``sys.modules`` after running ``statements``, and those of them it has run.
+    A module registered for lazy loading is not yet of the module type until it runs.
+    -S: no site hooks, so only what holriem imports is loaded."""
     src = str(Path(holriem.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); {statements}; "
-        f"print(sorted(n for n, m in sys.modules.items() if type(m) is type(sys) "
-        f"and (n.split('.')[0] == 'holriem' or n in {watched!r})))"
+        f"names = [n for n in sys.modules if n.split('.')[0] == 'holriem' or n in {WATCHED + watched!r}]; "
+        f"print(sorted(names)); print(sorted(n for n in names if type(sys.modules[n]) is type(sys)))"
     )
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
-    return set(ast.literal_eval(done.stdout.splitlines()[-1]))
+    registered, run = done.stdout.splitlines()[-2:]
+    return set(ast.literal_eval(registered)), set(ast.literal_eval(run))
 
 
-# The holriem modules that every file command loads: the CLI, the entries and the layers they use;
-# a metric command loads the metric data too, and the report the fragments, with their grid prover.
-FILE_COMMAND = {
+def _cold(statements: str, *watched: str) -> set[str]:
+    """The modules of ``_fresh`` that a fresh interpreter has run after ``statements``."""
+    return _fresh(statements, *watched)[1]
+
+
+# The modules that a cold import of the CLI runs: the CLI, the entries and the layers they use.
+CLI = {
     "holriem",
     "holriem.catalog",
     "holriem.cli",
     "holriem.dsl",
-    "holriem.forms",
     "holriem.liealg",
     "holriem.linalg",
-    "holriem.models",
     "holriem.scalars",
 }
+# classify runs the Killing form; a file's pair (validate, model) runs models too; a metric
+# command the metric data; the report the fragments, with their grid prover and Fractions.
+CLASSIFY = CLI | {"holriem.forms"}
+PAIR = CLASSIFY | {"holriem.models"}
+METRIC = PAIR | {"holriem.geometry"}
+PAPER = METRIC | {"holriem.paper", "fractions", "decimal"}
 LOADS = {
-    "structure": FILE_COMMAND,
-    "metric": FILE_COMMAND | {"holriem.geometry"},
-    "report": FILE_COMMAND | {"holriem.geometry", "holriem.paper"},
+    "structure": {"invariants": CLI, "classify": CLASSIFY, "validate": PAIR, "model": PAIR},
+    "metric": dict.fromkeys(("connection", "curvature", "constcurv"), METRIC),
+    # Only the report reads the shipped files.
+    "report": {"verify-paper": PAPER | {"importlib.resources"}, "mobius-check": PAPER, "validate": PAPER},
 }
 DATA = Path(holriem.__file__).parent / "data"
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def test_cold_cli_import_loads_neither_dataclasses_nor_inspect():
-    assert _cold("import holriem.cli", "dataclasses", "inspect") == FILE_COMMAND
+    assert _cold("import holriem.cli", "dataclasses", "inspect") == CLI
 
 
 def test_a_bare_import_loads_no_submodule():
-    assert _cold("import holriem") == {"holriem"}
+    # ``_lazy`` imports its loader when called, so the package alone needs no importlib.util.
+    assert _cold("import holriem", "importlib.util") == {"holriem"}
+
+
+def test_a_cold_cli_import_registers_every_traced_layer_and_runs_none_it_binds_lazily():
+    # The tracer wraps each layer it finds in sys.modules, so each must be registered;
+    # the layers no file command needs stay registered only.
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]
+    )
+    registered, run = _fresh("import holriem.cli")
+    assert {f"holriem.{layer}" for layer in layers} <= registered
+    assert registered - run == {"holriem.forms", "holriem.models", "holriem.geometry"}
 
 
 @pytest.mark.parametrize(
@@ -107,7 +139,7 @@ def test_each_command_loads_only_the_modules_it_runs(args, kind):
     argv = [str(DATA / arg) if arg.endswith(".liealg") else arg for arg in args]
     loaded = _cold(f"from holriem.cli import cli; assert cli({argv!r}) == 0", "json")
     # json only for --json output.
-    assert loaded == LOADS[kind] | ({"json"} if "--json" in args else set())
+    assert loaded == LOADS[kind][args[0]] | ({"json"} if "--json" in args else set())
 
 
 def test_each_export_is_the_object_its_module_defines():

@@ -54,8 +54,12 @@ MODELS = [entry.model for entry in CATALOG if entry.model.isotropy] + [
 
 
 def _greedy_complement(g, vectors):
-    """(label, basis vector) at each position ``_completion`` keeps, as the reference lists them."""
-    return [(g.basis_names[p], g.basis_vector(p)) for p in _completion(vectors, g.dim)]
+    """(label, basis vector) at the first n - k positions ``_completion`` finds (all when
+    k > n), as the reference lists them."""
+    positions = _completion(vectors, g.dim)
+    if len(vectors) <= g.dim:
+        positions = positions[: g.dim - len(vectors)]
+    return [(g.basis_names[p], g.basis_vector(p)) for p in positions]
 
 
 def _scalar(rng):
