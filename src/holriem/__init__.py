@@ -3,11 +3,7 @@ metrics on low-dimensional complex Lie algebras.
 
 The names below are re-exported lazily (PEP 562): ``from holriem import X``
 imports the module of X when X is first asked for, so ``import holriem``
-loads no submodule.  A layer that some command never runs is bound through
-``_lazy``: ``liealg`` binds ``forms``, and ``catalog`` binds ``models`` and
-``geometry``, each run on its first attribute access.  So a command loads only
-the modules it runs: ``invariants`` neither ``forms`` nor ``models``, ``classify``
-not ``models``, and no command but the report ``fractions``."""
+loads no submodule.  README "Cold start" lists the modules each command loads."""
 
 from importlib import import_module
 

@@ -19,11 +19,8 @@ stay grep-able.  ``verify_all`` runs the fragments of ``paper.FRAGMENTS`` in
 report order, and ``report_to_json`` writes the report.  Every check is exact
 and draws no random numbers, so ``verify_all`` gives the same checks for every
 seed.  The fragments live in ``paper``, which ``verify_all`` imports when it
-runs.  ``forms``, ``models`` and ``geometry`` are bound unexecuted (``holriem._lazy``):
-``models`` runs when a file's pair is first built, ``forms`` when a form is, and
-``geometry`` when an entry first derives its metric data.  ``importlib.resources`` is
-imported by ``shipped_file_text``, which the report alone calls.  So a file command
-compiles none of them unless it runs them.
+runs.  ``forms``, ``models`` and ``geometry`` are bound unexecuted (``holriem._lazy``),
+so a file command compiles none of them unless it builds a form, a pair or metric data.
 """
 
 from __future__ import annotations
@@ -202,15 +199,9 @@ def read_text(text: str) -> tuple[dsl.SpecFile, LieAlgebra | None]:
     """Parse and algebra of a text, held with the text for the last ``READ_TEXT_BOUND`` that parsed:
     O(text size) each, no byte limit (a dense file at ``dsl.MAX_DIM``, 273 KB, takes 6.1 MB).  Input
     only: callers share it and must not mutate it; derived data stays per report or command.  A
-    family's algebra is None: it has one at each point (``_at``)."""
+    family's algebra is None: it has one at each point (``paper._at``)."""
     spec = dsl.parse(text)
     return spec, None if spec.parameters else LieAlgebra.from_table(spec.labels, spec.brackets)
-
-
-def _at(spec: dsl.SpecFile, point: Sequence) -> tuple[dsl.SpecFile, LieAlgebra]:
-    """A family's file at ``point``, and its algebra."""
-    spec = dsl.at(spec, point)
-    return spec, LieAlgebra.from_table(spec.labels, spec.brackets)
 
 
 @cache
@@ -329,23 +320,6 @@ def _jacobi_check(check_id: str, algebra: LieAlgebra) -> CheckResult:
     """Passes when the Jacobi identity holds; the witness names the first failing triple."""
     triple = jacobi_witness(algebra)
     return _check(check_id, triple is None, _triple_str(algebra, triple))
-
-
-# -- the surface model -------------------------------------------------------
-# The two identities that ``paper.verify_mobius`` proves, as polynomial defects.
-
-
-def _mobius_numerator(a, b, c, d, z1, z2):
-    """N with w1 - w2 = N / ((c z1 + d)(c z2 + d)) for w = (az + b)/(cz + d)."""
-    return (a * z1 + b) * (c * z2 + d) - (a * z2 + b) * (c * z1 + d)
-
-
-def _difference_defect(a, b, c, d, z1, z2):
-    return _mobius_numerator(a, b, c, d, z1, z2) - (a * d - b * c) * (z1 - z2)
-
-
-def _derivative_defect(a, b, c, d, z):
-    return a * (c * z + d) - c * (a * z + b) - (a * d - b * c)
 
 
 # -- the report --------------------------------------------------------------

@@ -7,14 +7,8 @@ the exit code from them.  File commands print the ``catalog.FACTS`` values
 (``invariants``, ``classify``, ``model``) or the derived metric data (``connection``,
 ``curvature``, ``constcurv``) of a ``catalog.CatalogEntry`` built from the file; of
 them, ``validate`` alone reads a family file, proving Jacobi on its grid as the report does.
-
-A command loads only the modules it runs: ``argparse``, ``catalog``, ``dsl``, ``liealg``,
-``linalg`` and ``scalars`` for every command; ``forms`` when it builds a form (``classify``'s
-Killing form, a file's form), ``models`` when it builds a file's pair (``validate``, ``model``
-and the metric commands), and ``geometry`` when it derives metric data, all three bound
-unexecuted (``holriem._lazy``); ``paper``, the report's fragments, with ``fractions``, for
-``verify-paper``, ``mobius-check`` and a family file's ``validate``; ``importlib.resources``
-for the report's shipped files; and ``json`` for ``--json`` output.
+``paper`` and ``geometry`` are imported by the commands that run them, so no other command
+compiles them (README "Cold start" lists the modules of each command).
 """
 
 from __future__ import annotations
@@ -105,7 +99,7 @@ def _load_lie(path: str) -> tuple[dsl.SpecFile, LieAlgebra]:
     """A file's parse and algebra; a family file, or a table breaking Jacobi, is an input error."""
     text, spec, algebra = _load(path)
     if algebra is None:
-        line = next(n for name, n, _ in dsl._scan_sections(text) if name == "parameters")
+        line = dsl._scan_sections(text)["parameters"][0]
         raise dsl.DslError("a family file ([parameters]) is read by validate only", line, 1)
     jacobi = cat._jacobi_check("jacobi", algebra)
     if not jacobi.passed:

@@ -399,8 +399,9 @@ def _parse_combination(
 # -- file scanning -----------------------------------------------------------
 
 
-def _scan_sections(text: str):
-    sections: list[tuple[str, int, list[tuple[str, int, str, int, int]]]] = []
+def _scan_sections(text: str) -> dict[str, tuple[int, list[tuple[str, int, str, int, int]]]]:
+    """Each section by name: its header's line and its (key, key col, value, value col, line) lines."""
+    sections: dict[str, tuple[int, list[tuple[str, int, str, int, int]]]] = {}
     current: list[tuple[str, int, str, int, int]] | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         match = _LINE_RE.match(raw)
@@ -416,10 +417,10 @@ def _scan_sections(text: str):
             name = section.group(1)
             if name not in SECTION_ORDER:
                 raise DslError(f"unknown section [{name}]", line_no, 1)
-            if any(existing == name for existing, _, _ in sections):
+            if name in sections:
                 raise DuplicateKey(f"section [{name}] repeated", line_no, 1)
             current = []
-            sections.append((name, line_no, current))
+            sections[name] = line_no, current
             continue
         if current is None:
             raise DslError("content before the first section header", line_no, 1)
@@ -451,8 +452,7 @@ def _pair_key(
 
 def parse(text: str) -> SpecFile:
     """Parse `.liealg` text; every failure carries a line/column location."""
-    sections = _scan_sections(text)
-    by_name = {name: (line_no, lines) for name, line_no, lines in sections}
+    by_name = _scan_sections(text)
     if "algebra" not in by_name:
         raise MissingSection("missing required section [algebra]", 0, 0)
 

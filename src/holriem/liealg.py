@@ -14,8 +14,8 @@ from the table with no bracket call; a caller that needs both passes
 one [g, g] to each.  ``subalgebra`` brackets its generators in the pairs
 i < j only, solves the generators against the brackets once (``linalg.solve``)
 and returns through ``from_table``, as every algebra here does.
-``forms`` is bound unexecuted (``holriem._lazy``) and runs when ``killing_form``
-first builds a form, so ``invariants``, which asks for none, never compiles it.
+``forms`` is bound unexecuted (``holriem._lazy``), so a command that builds no
+Killing form never compiles it.
 """
 
 from __future__ import annotations

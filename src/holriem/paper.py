@@ -26,7 +26,6 @@ from functools import cache
 from itertools import product, zip_longest
 from typing import Callable, Iterable, Sequence
 
-from . import catalog as cat
 from . import dsl
 from .catalog import (
     CATALOG_IDS,
@@ -34,7 +33,6 @@ from .catalog import (
     FAMILY_ID,
     CatalogEntry,
     CheckResult,
-    _at,
     _check,
     _jacobi_check,
     _model,
@@ -88,6 +86,11 @@ def _run_rows(rows: Iterable[tuple], *shared) -> list[CheckResult]:
     return [_run(check_id, check, *shared, *args) for check_id, check, *args in rows]
 
 
+def _fact_check(check_id: str, got: str, want: str) -> CheckResult:
+    """The one rule of a stated fact: it holds when the derived fact's text is the stated text."""
+    return _check(check_id, got == want, f"got {got}", got)
+
+
 # -- per-entry checks ------------------------------------------------------
 
 
@@ -105,23 +108,26 @@ def _property_check(check_id: str, entry: CatalogEntry, key: str, expected: str)
     if key not in FACTS:
         return _check(check_id, False, witness=f"unknown expected property {key!r}")
     got = FACTS[key](entry)
-    ok, witness = got == expected, f"got {got}"
-    if key == "constant_curvature":
-        # ``none`` or the entry's own constant passes unscanned; another constant is
-        # tested triple by triple, and the witness names the first failing triple.
-        k = None if expected == "none" else dsl.parse_scalar(expected)
-        ok = entry.constant_curvature == k
-        if not ok and k is not None:
-            defect = constant_curvature_defect(entry.form, entry.tensor, k)
-            ok, witness = defect is None, f"{_triple_str(entry.algebra, defect)} {witness}"
-    return _check(check_id, ok, witness, got)
+    if key != "constant_curvature":
+        return _fact_check(check_id, got, expected)
+    # The stated constant in the text ``FACTS`` prints; ``dsl`` stores it canonically,
+    # so the texts agree exactly when the constants do.
+    k = None if expected == "none" else dsl.parse_scalar(expected)
+    check = _fact_check(check_id, got, _render_constant(k))
+    if check.status == "fail" and k is not None:
+        # The first triple where R differs from the model of curvature k opens the witness;
+        # in dimension 1 both tensors vanish, so there is none.
+        triple = _triple_str(entry.algebra, constant_curvature_defect(entry.form, entry.tensor, k))
+        if triple:
+            check = CheckResult(check_id, check.status, f"{triple} {check.witness}", got)
+    return check
 
 
 def _metric_identity_checks(entry: CatalogEntry) -> list[CheckResult]:
     """The identities of the connection and the curvature, each computed
     under ``_run``, so that a metric without a connection fails them."""
-    return [
-        _run(f"{entry.id}/{suffix}", _index_check, entry.algebra, defect)
+    return _run_rows(
+        (f"{entry.id}/{suffix}", _index_check, entry.algebra, defect)
         for suffix, defect in (
             ("torsion_free", lambda: torsion_defect(entry.algebra, entry.connection)),
             ("metric_compatible", lambda: compatibility_defect(entry.form, entry.connection)),
@@ -129,7 +135,7 @@ def _metric_identity_checks(entry: CatalogEntry) -> list[CheckResult]:
             ("first_bianchi", lambda: bianchi_defect(entry.tensor)),
             ("curvature_pair_skew", lambda: pair_skew_defect(entry.form, entry.tensor)),
         )
-    ]
+    )
 
 
 def _index_check(check_id: str, algebra: LieAlgebra, defect: Callable[[], tuple | None]) -> CheckResult:
@@ -208,8 +214,7 @@ def _sl2_curvature(check_id: str, entries: _Entries, model_id: str | None, want:
     """The curvature on sl(2) of the quotient form of the model ``model_id``,
     or of the generic form when that is None, renders as ``want``."""
     form = _GENERIC_AB_FORM if model_id is None else _quotient_form(entries[model_id])
-    value = _render_constant(constant_curvature(entries["sl2"].algebra, form))
-    return _check(check_id, value == want, witness=f"got {value}", value=value)
+    return _fact_check(check_id, _render_constant(constant_curvature(entries["sl2"].algebra, form)), want)
 
 
 def _general_ab_invariance(check_id: str, entries: _Entries) -> CheckResult:
@@ -276,8 +281,7 @@ def _case2_weights_check(check_id: str, entries: _Entries) -> CheckResult:
 
 
 def _case3_center_check(check_id: str, entries: _Entries) -> CheckResult:
-    dim = FACTS["center_dim"](entries["c2_semidirect_c2"])
-    return _check(check_id, dim == "0", witness=f"center dimension {dim}", value=dim)
+    return _fact_check(check_id, FACTS["center_dim"](entries["c2_semidirect_c2"]), "0")
 
 
 def _isotropy_check(
@@ -294,20 +298,19 @@ def verify_isotropy_dimension_bounds(catalog: Sequence[CatalogEntry]) -> list[Ch
     # so(q), and with it G^-1, is derived once per report; each stabilizer is cut from it.
     so_q = cache(lambda: stabilizer_in_skew(_quotient_form(_Entries(catalog)["heis_stab_zero"]), []))
     unit, null, frame_partner = (gr(0), gr(1), gr(0)), (gr(1), gr(0), gr(0)), (gr(1), gr(0), gr(1))
-    return [
-        _run(f"isotropy-bounds/{name}", _stabilizer_dim_check, so_q, fixed, want)
+    return _run_rows(
+        (f"isotropy-bounds/{name}", _stabilizer_dim_check, so_q, fixed, want)
         for name, fixed, want in (
-            ("so_q_dim", [], 3),
-            ("fix_unit_vector", [unit], 1),
-            ("fix_null_vector", [null], 1),
-            ("fix_frame", [unit, frame_partner], 0),
+            ("so_q_dim", [], "3"),
+            ("fix_unit_vector", [unit], "1"),
+            ("fix_null_vector", [null], "1"),
+            ("fix_frame", [unit, frame_partner], "0"),
         )
-    ]
+    )
 
 
-def _stabilizer_dim_check(check_id: str, so_q: Callable, fixed: list, want: int) -> CheckResult:
-    dim = len(stabilizer(so_q(), fixed))
-    return _check(check_id, dim == want, f"got {dim}", str(dim))
+def _stabilizer_dim_check(check_id: str, so_q: Callable, fixed: list, want: str) -> CheckResult:
+    return _fact_check(check_id, str(len(stabilizer(so_q(), fixed))), want)
 
 
 # -- grid proofs -------------------------------------------------------------
@@ -359,6 +362,12 @@ def _grid_check(
     point where it does not and the defect found there; the value counts the points in ``unit``."""
     point, found = _prove(points, defect)
     return _check(check_id, point is None, point and witness(point, found), unit and f"{len(points)} {unit}")
+
+
+def _at(spec: dsl.SpecFile, point: Sequence) -> tuple[dsl.SpecFile, LieAlgebra]:
+    """A family's file at ``point``, and its algebra."""
+    spec = dsl.at(spec, point)
+    return spec, LieAlgebra.from_table(spec.labels, spec.brackets)
 
 
 def _family_jacobi(check_id: str, spec: dsl.SpecFile | None = None) -> CheckResult:
@@ -487,7 +496,7 @@ def verify_mobius() -> list[CheckResult]:
     ``mobius/translation`` prove the first identity for the fixed matrices
     ((1,0),(0,1)) and ((1,1),(0,1)) on {0,1}^2 in (z1, z2);
     ``mobius/invariance`` proves both identities on their full grids.  The two
-    defects are ``catalog``'s, read there at each call, so a fault put into them
+    defects are read from this module at each call, so a fault put into them
     reaches the proof.
     """
     difference, derivative = "N != (ad-bc)(z1-z2)", "a(cz+d) - c(az+b) != ad-bc"
@@ -499,16 +508,32 @@ def verify_mobius() -> list[CheckResult]:
         return f"at ({names[len(p)]})={p}: {derivative if len(p) == 5 else difference}"
 
     def invariance(*p: int):
-        return (cat._derivative_defect if len(p) == 5 else cat._difference_defect)(*map(scalar, p))
+        return (_derivative_defect if len(p) == 5 else _difference_defect)(*map(scalar, p))
 
-    return [
-        _run(check_id, _grid_check, points, defect, witness, "grid points")
+    return _run_rows(
+        (check_id, _grid_check, points, defect, witness, "grid points")
         for check_id, points, defect in (
             ("mobius/identity", _box(2, 2), lambda *z: invariance(1, 0, 0, 1, *z)),
             ("mobius/translation", _box(2, 2), lambda *z: invariance(1, 1, 0, 1, *z)),
             ("mobius/invariance", _box(2, 6) + _box(2, 5), invariance),
         )
-    ]
+    )
+
+
+# The two identities that ``verify_mobius`` proves, as polynomial defects.
+
+
+def _mobius_numerator(a, b, c, d, z1, z2):
+    """N with w1 - w2 = N / ((c z1 + d)(c z2 + d)) for w = (az + b)/(cz + d)."""
+    return (a * z1 + b) * (c * z2 + d) - (a * z2 + b) * (c * z1 + d)
+
+
+def _difference_defect(a, b, c, d, z1, z2):
+    return _mobius_numerator(a, b, c, d, z1, z2) - (a * d - b * c) * (z1 - z2)
+
+
+def _derivative_defect(a, b, c, d, z):
+    return a * (c * z + d) - c * (a * z + b) - (a * d - b * c)
 
 
 # -- shipped files -----------------------------------------------------------

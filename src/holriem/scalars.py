@@ -9,10 +9,8 @@ The kernels accumulate ``s + x*y`` and ``s - x*y`` through ``addmul`` and
 ``submul``, which compute on the integer triples and reduce once, where the
 dunders would reduce twice and make two objects (Knuth, *TAOCP* vol. 2,
 section 4.5.1).  ``_make`` builds every arithmetic result.  ``Fraction``
-appears only where inputs are coerced and in the ``re``/``im`` views, and
-``fractions`` is imported by the views alone: coercion looks ``Fraction`` up
-only once ``fractions`` is loaded, since no Fraction exists before, so a
-command that never builds one never loads it.
+appears only where inputs are coerced and in the ``re``/``im`` views, which
+alone import ``fractions``, so a command that never builds a Fraction never loads it.
 Every arithmetic zero is the one object ``ZERO``, so a zero vector equals
 ``(ZERO,) * n`` by identity, in C.  That is speed only: equality decides
 every test, and no code asks ``is ZERO``.  The package has no

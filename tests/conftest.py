@@ -68,7 +68,7 @@ def metric_pair(algebra: LieAlgebra, form) -> HomogeneousModel:
 def family_at(point) -> catalog.CatalogEntry:
     """The stabilizer family's shipped file at ``point`` = (c, m, k, beta), as an entry."""
     family = catalog._shipped(catalog.FAMILY_ID)[1]
-    return catalog.entry_from_spec(family.name, *catalog._at(family, point))
+    return catalog.entry_from_spec(family.name, *paper._at(family, point))
 
 
 # -- test-only matrix and algebra helpers -------------------------------------

@@ -241,7 +241,7 @@ def test_family_isotropy_needs_a_nilpotent_generator(shipped_text):
 
 def test_family_proofs_build_the_family_on_the_grids_only(monkeypatch):
     calls = []
-    real = catalog._at
+    real = paper._at
 
     def counted(spec, point):
         calls.append(point)
@@ -267,7 +267,7 @@ def test_a_failing_family_proof_evaluates_each_point_once(
     # The witness reports the defect the proof found, so no point is evaluated again.
     _mutated_family(shipped_text, *FAMILY_MUTATIONS[mutation][0])
     points, entries = [], []
-    real_at, real_entry = catalog._at, catalog.entry_from_spec
+    real_at, real_entry = paper._at, catalog.entry_from_spec
 
     def counted_at(spec, point):
         points.append(point)
@@ -560,6 +560,45 @@ def test_constant_curvature_none_fails_on_a_flat_entry(shipped_text):
     ]
 
 
+@pytest.mark.parametrize(
+    "entry_id, stated, witness",
+    [
+        ("heis3", "1", "triple=(X,Y,Y) got Constant(0)"),
+        ("sl2", "-1/4", "triple=(H,E,H) got Constant(-1/8)"),
+        ("sl2", "none", "got Constant(-1/8)"),
+    ],
+)
+def test_a_wrong_constant_curvature_names_the_first_triple_off_its_model(
+    entry_id, stated, witness, shipped_text
+):
+    text = shipped_file_text(entry_id)
+    own = next(line for line in text.splitlines() if line.startswith("constant_curvature = "))
+    shipped_text[entry_id] = text.replace(own, f"constant_curvature = {stated}")
+    failed = failed_checks(verify_all(42))
+    value = witness.rpartition("got ")[2]
+    assert [(c.id, c.witness, c.value) for c in failed] == [(f"{entry_id}/constant_curvature", witness, value)]
+
+
+# A 1-dimensional metric: R and the model tensor of every constant vanish there.
+LINE_METRIC = """[algebra]
+name = line
+dim = 1
+basis = X
+
+[form]
+"X,X" = 1
+
+[expected]
+constant_curvature = 5
+"""
+
+
+def test_a_wrong_constant_curvature_fails_where_no_triple_tells_it_apart():
+    entry = catalog.entry_from_spec("line", *catalog.read_text(LINE_METRIC))
+    (check,) = [c for c in verify_entry(entry) if c.id == "line/constant_curvature"]
+    assert (check.status, check.witness, check.value) == ("fail", "got Constant(0)", "Constant(0)")
+
+
 def test_fragments_keep_their_checks_without_entries():
     full = verify_section4(build_catalog()) + verify_section5_tables(build_catalog())
     empty = verify_section4([]) + verify_section5_tables([])
@@ -589,13 +628,13 @@ MOBIUS_IDS = ["mobius/identity", "mobius/translation", "mobius/invariance"]
 
 
 def test_mobius_fixed_matrices(monkeypatch):
-    real = catalog._difference_defect
+    real = paper._difference_defect
     fixed = {(gr(1), gr(0), gr(0), gr(1)), (gr(1), gr(1), gr(0), gr(1))}
 
     def wrong_off_the_fixed_matrices(a, b, c, d, z1, z2):
         return real(a, b, c, d, z1, z2) + int((a, b, c, d) not in fixed)
 
-    monkeypatch.setattr(catalog, "_difference_defect", wrong_off_the_fixed_matrices)
+    monkeypatch.setattr(paper, "_difference_defect", wrong_off_the_fixed_matrices)
     checks = paper.verify_mobius()
     assert [(c.id, c.passed, c.value) for c in checks] == [
         ("mobius/identity", True, "4 grid points"),
@@ -615,8 +654,8 @@ def test_mobius_certificate_evaluates_its_grids_exactly(monkeypatch):
 
         return evaluate
 
-    monkeypatch.setattr(catalog, "_difference_defect", recorded(catalog._difference_defect))
-    monkeypatch.setattr(catalog, "_derivative_defect", recorded(catalog._derivative_defect))
+    monkeypatch.setattr(paper, "_difference_defect", recorded(paper._difference_defect))
+    monkeypatch.setattr(paper, "_derivative_defect", recorded(paper._derivative_defect))
     assert all(c.passed for c in paper.verify_mobius())
     # {0,1}^2 twice for the fixed matrices, {0,1}^6 and {0,1}^5 for the invariance.
     assert len(points) == 4 + 4 + 64 + 32
@@ -625,7 +664,7 @@ def test_mobius_certificate_evaluates_its_grids_exactly(monkeypatch):
 
 def test_mobius_checks_fail_on_a_wrong_numerator(monkeypatch):
     monkeypatch.setattr(
-        catalog,
+        paper,
         "_mobius_numerator",
         lambda a, b, c, d, z1, z2: (a * z1 + b) * (c * z2 + d) + (a * z2 + b) * (c * z1 + d),
     )
@@ -641,7 +680,7 @@ def test_mobius_checks_fail_on_a_wrong_numerator(monkeypatch):
 
 def test_mobius_invariance_fails_on_a_wrong_derivative(monkeypatch):
     monkeypatch.setattr(
-        catalog,
+        paper,
         "_derivative_defect",
         lambda a, b, c, d, z: a * (c * z + d) - c * (a * z + b) - (a * d + b * c),
     )

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holriem
+import holriem.paper
 from holriem.catalog import CheckResult, VerifyReport, report_to_json, verify_all
 from holriem.cli import _build_parser, _print_records, cli
 from holriem.dsl import MAX_DIM, MAX_NESTING
@@ -430,7 +431,7 @@ def test_mobius_check_json(capsys):
 
 def test_mobius_check_fails_with_the_report(monkeypatch, capsys):
     monkeypatch.setattr(
-        holriem.catalog, "_derivative_defect", lambda a, b, c, d, z: a * b + c * d + z
+        holriem.paper, "_derivative_defect", lambda a, b, c, d, z: a * b + c * d + z
     )
     assert cli(["mobius-check", "--quiet"]) == 1
     assert capsys.readouterr().out == (

@@ -12,7 +12,7 @@ from importlib import resources
 
 import pytest
 
-import holriem.catalog
+import holriem.paper
 from holriem.catalog import CATALOG_IDS, report_to_json, verify_all
 from holriem.cli import cli
 
@@ -105,7 +105,7 @@ VERIFY_TEXT_SHA256 = {
 def test_verify_paper_text_digest(flags, code, monkeypatch, capsys):
     if code:
         monkeypatch.setattr(
-            holriem.catalog, "_derivative_defect", lambda a, b, c, d, z: a * b + c * d + z
+            holriem.paper, "_derivative_defect", lambda a, b, c, d, z: a * b + c * d + z
         )
     assert cli(["verify-paper", *flags]) == code
     out, err = capsys.readouterr()
