@@ -9,14 +9,19 @@ the exit code from them.  File commands print the ``catalog.FACTS`` values
 them, ``validate`` alone reads a family file, proving Jacobi on its grid as the report does.
 ``paper`` and ``geometry`` are imported by the commands that run them, so no other command
 compiles them (README "Cold start" lists the modules of each command).
+
+``COMMANDS`` lists the file commands once.  ``cli`` dispatches the two-word form
+``COMMAND FILE`` from it directly, with the namespace argparse would build; every other
+argv (flags, ``--help``, the other commands, usage errors) goes to the parser, so
+``argparse`` is imported only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from functools import cache
 from itertools import combinations
+from types import SimpleNamespace
 from typing import Sequence
 
 from . import catalog as cat
@@ -30,9 +35,8 @@ def main() -> None:
 
 
 def cli(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _two_word_args(argv) or _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
@@ -42,8 +46,19 @@ def cli(argv) -> int:
         return 1
 
 
+def _two_word_args(argv) -> SimpleNamespace | None:
+    """The namespace the parser builds for ``COMMAND FILE``, a file command and an argument
+    that is no option, whose parse is fixed: no flag, one positional.  None for any other argv."""
+    if len(argv) != 2 or argv[0] not in COMMANDS or argv[1].startswith("-"):
+        return None
+    command, path = argv
+    return SimpleNamespace(json=False, quiet=False, command=command, file=path, handler=COMMANDS[command][0])
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     # Built once per process; argparse looks up sys.stdout/sys.stderr when
     # it prints, so a cached parser still writes to redirected streams.
     # The flags live on the main parser and on every subparser, so both
@@ -62,19 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "--quiet", action="store_true", default=default, help="suppress passing lines"
         )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def file_command(name: str, handler, help_text: str):
+    for name, (handler, help_text) in COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument("file", help="a .liealg input file")
         p.set_defaults(handler=handler)
-
-    file_command("validate", _cmd_validate, "check Jacobi identity and form nondegeneracy")
-    file_command("invariants", _cmd_invariants, "structural invariants of the algebra")
-    file_command("classify", _cmd_classify, "class of a 3-dimensional unimodular algebra")
-    file_command("connection", _cmd_connection, "Christoffel table of the metric")
-    file_command("curvature", _cmd_curvature, "curvature tensor of the metric")
-    file_command("constcurv", _cmd_constcurv, "constant-curvature certificate")
-    file_command("model", _cmd_model, "isotropy type and invariance of a model file")
 
     vp = sub.add_parser(
         "verify-paper", parents=[common], help="run the full catalog verification suite"
@@ -89,9 +95,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str) -> tuple[str, dsl.SpecFile, LieAlgebra | None]:
-    """A file's text, parse and algebra; a family file has no one algebra (None)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    """A file's text, parse and algebra; a family file has no one algebra (None).
+    A byte that is not UTF-8 is a parse error at its line and column, counted as the parser counts."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # "?" stands for the bad byte, so a prefix that ends in a line break still yields its line.
+        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        raise dsl.DslError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", len(lines), len(lines[-1])) from None
     return (text, *cat.read_text(text))
 
 
@@ -236,6 +249,18 @@ def _cmd_model(args) -> int:
     entry = _load_entry(args.file, model=True)
     keys = ("isotropy", "invariance", "invariant_form_dim")
     return _print_records(args, _facts(entry, keys), lambda r: f"{r.id}: {r.value}")
+
+
+# The file commands: name -> (handler, help text), in help order.
+COMMANDS = {
+    "validate": (_cmd_validate, "check Jacobi identity and form nondegeneracy"),
+    "invariants": (_cmd_invariants, "structural invariants of the algebra"),
+    "classify": (_cmd_classify, "class of a 3-dimensional unimodular algebra"),
+    "connection": (_cmd_connection, "Christoffel table of the metric"),
+    "curvature": (_cmd_curvature, "curvature tensor of the metric"),
+    "constcurv": (_cmd_constcurv, "constant-curvature certificate"),
+    "model": (_cmd_model, "isotropy type and invariance of a model file"),
+}
 
 
 def _cmd_verify(args) -> int:

@@ -53,7 +53,7 @@ from .geometry import (
     stabilizer_in_skew,
     torsion_defect,
 )
-from .liealg import LieAlgebra, is_ideal, subalgebra
+from .liealg import LieAlgebra, bracket, is_ideal, subalgebra
 from .linalg import CMatrix, _first, act, exp_nilpotent, in_span, nilpotent_powers
 from .models import check_invariance
 from .scalars import GaussianRational, ONE, ZERO, as_gr, gr
@@ -266,12 +266,17 @@ def _span_class_check(
     ideal: bool = False,
 ) -> CheckResult:
     """The span of the labelled basis vectors is a subalgebra of class ``tag``,
-    and an ideal when ``ideal`` is set."""
+    and an ideal when ``ideal`` is set: a span of that class that is not an ideal
+    names the first (basis vector, span vector) pair whose bracket leaves it."""
     g = entries[entry_id].algebra
     vectors = [g.vector(label) for label in labels]
     got = FACTS["class"](CatalogEntry(check_id, subalgebra(g, vectors)))
-    ok = got == tag and (not ideal or is_ideal(g, vectors))
-    return _check(check_id, ok, witness=f"got {got}", value=got)
+    ok, witness = got == tag, f"got {got}"
+    if ok and ideal and not is_ideal(g, vectors):
+        leaves = lambda a, b: not in_span(vectors, bracket(g, g.vector(a), g.vector(b)))
+        a, b = _first(product(g.basis_names, labels), leaves)
+        ok, witness = False, f"not an ideal: [{a},{b}] leaves span({','.join(labels)})"
+    return _check(check_id, ok, witness=witness, value=got)
 
 
 def _case2_weights_check(check_id: str, entries: _Entries) -> CheckResult:

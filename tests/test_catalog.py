@@ -579,6 +579,23 @@ def test_a_wrong_constant_curvature_names_the_first_triple_off_its_model(
     assert [(c.id, c.witness, c.value) for c in failed] == [(f"{entry_id}/constant_curvature", witness, value)]
 
 
+def test_a_heis_span_that_is_not_an_ideal_names_the_bracket_leaving_it(shipped_text):
+    # [Y,Z] = Y and no [Y,T]: a Lie algebra in which span(X,Z,T) is still HEIS,
+    # but ad Y maps Z out of it.
+    text = shipped_file_text("c_ltimes_heis")
+    mutated = text.replace('"Y,T" = - T\n"Y,Z" = Z\n', '"Y,Z" = Y\n')
+    assert mutated != text
+    shipped_text["c_ltimes_heis"] = mutated
+    by_id = {c.id: c for c in verify_all(42).checks}
+    assert by_id["c_ltimes_heis/jacobi"].status == "pass"
+    check = by_id["solvable4/case2_heis_ideal"]
+    assert (check.status, check.witness, check.value) == (
+        "fail",
+        "not an ideal: [Y,Z] leaves span(X,Z,T)",
+        "HEIS",
+    )
+
+
 # A 1-dimensional metric: R and the model tensor of every constant vanish there.
 LINE_METRIC = """[algebra]
 name = line

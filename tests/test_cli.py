@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import holriem
 import holriem.paper
 from holriem.catalog import CheckResult, VerifyReport, report_to_json, verify_all
-from holriem.cli import _build_parser, _print_records, cli
+from holriem.cli import _build_parser, _print_records, _two_word_args, cli
 from holriem.dsl import MAX_DIM, MAX_NESTING
 
 DATA = "src/holriem/data"
@@ -559,6 +559,68 @@ def test_file_commands_never_raise_on_fuzzed_input(fresh_fuzz_path, text):
     fuzz_path.write_text(text, encoding="utf-8")
     for command in FILE_COMMANDS:
         assert cli([command, str(fuzz_path)]) in (0, 1, 2)
+
+
+# -- the two-word form and the bytes of a file --------------------------------
+
+
+@pytest.mark.parametrize("path", ["heis3.liealg", "../data/heis3.liealg", "my files/heis 3.liealg", "a=b.liealg"])
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_the_two_word_form_builds_the_namespace_of_the_parser(command, path):
+    argv = [command, path]
+    assert vars(_two_word_args(argv)) == vars(_build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "-x.liealg"],
+        ["classify", "a.liealg", "b.liealg"],
+        ["classify", "--json"],
+        ["--json", "classify"],
+        ["classify", "--help"],
+        ["verify-paper", "--quiet"],
+        ["nosuch", "a.liealg"],
+    ],
+)
+def test_every_other_argv_reaches_the_parser(argv, monkeypatch, capsys):
+    assert _two_word_args(argv) is None
+    expected = cli(argv)
+    reached = []
+    monkeypatch.setattr(holriem.cli, "_build_parser", lambda: reached.append(argv) or _build_parser())
+    assert cli(argv) == expected and reached == [argv]
+
+
+def test_the_two_word_form_never_builds_the_parser(monkeypatch, capsys):
+    monkeypatch.setattr(holriem.cli, "_build_parser", lambda: pytest.fail("the parser was built"))
+    assert cli(["classify", f"{DATA}/sol3.liealg"]) == 0
+    assert capsys.readouterr() == ("SOL\n", "")
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_a_byte_that_is_not_utf8_is_a_located_error(command, tmp_path, capsys):
+    path = tmp_path / "bad.liealg"
+    path.write_bytes(b"[algebra]\r\nname = bad\ndim = 1\r\nbasis = X\nab\xffc\n")
+    assert cli([command, str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: line 5, col 3: invalid UTF-8 byte 0xff\n")
+
+
+@pytest.mark.parametrize("prefix, line, col", [(b"", 1, 1), (b"a\n", 2, 1), (b"a\r\n\xc3\xa9", 2, 2)])
+def test_a_bad_byte_is_counted_in_characters_and_lines(prefix, line, col, tmp_path, capsys):
+    path = tmp_path / "bad.liealg"
+    path.write_bytes(prefix + b"\xfe")
+    assert cli(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: line {line}, col {col}: invalid UTF-8 byte 0xfe\n"
+
+
+@pytest.mark.parametrize("entry_id", ["heis3", "sl2", "c_ltimes_heis", "heis_stab_family"])
+def test_a_crlf_file_prints_what_its_lf_file_prints(entry_id, tmp_path, capsys):
+    lf = Path(DATA) / f"{entry_id}.liealg"
+    crlf = tmp_path / f"{entry_id}.liealg"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    for command in FILE_COMMANDS:
+        runs = [(cli([command, str(path)]), *capsys.readouterr()) for path in (lf, crlf)]
+        assert runs[0] == runs[1], command
 
 
 # -- the fixed-shape JSON writer ---------------------------------------------

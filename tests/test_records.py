@@ -1,6 +1,7 @@
 """The ``Record`` contract of the package's value classes, and cold starts: a cold
-import of the CLI loads neither ``dataclasses`` nor ``inspect``, and each command
-loads only the holriem modules, ``fractions`` and ``importlib.resources`` it runs."""
+import of the CLI loads neither ``dataclasses``, ``inspect`` nor ``argparse``, and each
+command loads only the holriem modules, ``fractions``, ``importlib.resources`` and
+``argparse`` it runs."""
 
 import ast
 import copy
@@ -93,7 +94,8 @@ TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def test_cold_cli_import_loads_neither_dataclasses_nor_inspect():
-    assert _cold("import holriem.cli", "dataclasses", "inspect") == CLI
+    # Nor the parser: argparse (with its gettext) loads only for argv outside ``COMMAND FILE``.
+    assert _cold("import holriem.cli", "dataclasses", "inspect", "argparse", "gettext") == CLI
 
 
 def test_a_bare_import_loads_no_submodule():
@@ -137,9 +139,11 @@ def test_a_cold_cli_import_registers_every_traced_layer_and_runs_none_it_binds_l
 )
 def test_each_command_loads_only_the_modules_it_runs(args, kind):
     argv = [str(DATA / arg) if arg.endswith(".liealg") else arg for arg in args]
-    loaded = _cold(f"from holriem.cli import cli; assert cli({argv!r}) == 0", "json")
-    # json only for --json output.
-    assert loaded == LOADS[kind][args[0]] | ({"json"} if "--json" in args else set())
+    loaded = _cold(f"from holriem.cli import cli; assert cli({argv!r}) == 0", "json", "argparse")
+    # json only for --json output, argparse only for an argv other than the two words COMMAND FILE.
+    two_words = len(args) == 2 and not args[1].startswith("-")
+    parser = set() if two_words else {"argparse"}
+    assert loaded == LOADS[kind][args[0]] | ({"json"} if "--json" in args else set()) | parser
 
 
 def test_each_export_is_the_object_its_module_defines():
